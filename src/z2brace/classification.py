@@ -30,12 +30,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .brace import BraceSpec, check_pair
 from .gl2z import (
     IDENTITY,
     Mat2,
+    commutant_in_box,
     congruent_mod,
     order_by_iteration,
     order_by_predicate,
@@ -338,9 +339,7 @@ def row12_parameters(spec: BraceSpec) -> tuple[int, int, int] | None:
     if phi == IDENTITY and psi == IDENTITY:
         return (0, 1, 0)
     bound = max(abs(e) for e in phi.entries() + psi.entries()) + 1
-    cube_cap = 1
-    while (cube_cap + 1) ** 3 <= bound:
-        cube_cap += 1
+    cube_cap = _cube_cap(bound)
     for p in range(0, cube_cap + 1):
         for q in range(-cube_cap, cube_cap + 1):
             if p == 0 and q <= 0:
@@ -415,7 +414,9 @@ def row_membership(spec: BraceSpec) -> set[RowLabel]:
 def enumerate_unimodular(bound: int) -> Iterator[Mat2]:
     """All matrices with entries in [-bound, bound] and determinant +-1.
 
-    Lexicographic in (a11, a12, a21, a22), each matrix exactly once.
+    Lexicographic in (a11, a12, a21, a22), each matrix exactly once.  For
+    a11 != 0 the entry a22 is solved from a11 a22 = a12 a21 +- 1 instead of
+    scanned, so the cost is O(bound^3).
     """
     if bound < 1:
         raise ValueError("bound must be positive")
@@ -423,8 +424,16 @@ def enumerate_unimodular(bound: int) -> Iterator[Mat2]:
     for a11 in rng:
         for a12 in rng:
             for a21 in rng:
-                for a22 in rng:
-                    if abs(a11 * a22 - a12 * a21) == 1:
+                off = a12 * a21
+                if a11 == 0:
+                    # det = -a12 a21 whatever a22 is.
+                    if abs(off) == 1:
+                        for a22 in rng:
+                            yield Mat2(a11, a12, a21, a22)
+                    continue
+                for num in (off - 1, off + 1) if a11 > 0 else (off + 1, off - 1):
+                    a22, rem = divmod(num, a11)
+                    if not rem and -bound <= a22 <= bound:
                         yield Mat2(a11, a12, a21, a22)
 
 
@@ -542,16 +551,24 @@ class SearchReport:
         }
 
 
-def _scan_pairs(phi: Mat2, candidates: Iterable[Mat2]):
-    """Scan all (phi, psi) for one phi: valid count, histogram, unmatched.
+def _scan_pairs(phi: Mat2, candidates: list[Mat2], bound: int):
+    """Scan the pairs (phi, psi) that can be valid for one phi: valid count,
+    histogram, unmatched.
 
-    Also asserts, for every pair visited, that the entry-exponent and
-    kernel-membership readings of the four conditions agree.
+    A valid pair commutes, so psi runs over the commutant of phi in the box
+    (commutant_in_box); only phi = +-E, which commutes with everything,
+    scans the whole candidate list.  Also asserts, for every pair visited,
+    that the entry-exponent and kernel-membership readings of the four
+    conditions agree.
     """
+    if phi in (IDENTITY, -IDENTITY):
+        partners = candidates
+    else:
+        partners = commutant_in_box(phi, bound)
     valid = 0
     histogram: Counter = Counter()
     unmatched: list[BraceSpec] = []
-    for psi in candidates:
+    for psi in partners:
         spec = BraceSpec(phi, psi)
         verdict = check_pair(spec)
         if verdict.power_identities != verdict.kernel_identities:
@@ -570,23 +587,27 @@ def _scan_pairs(phi: Mat2, candidates: Iterable[Mat2]):
     return valid, histogram, unmatched
 
 
-_WORKER_CANDIDATES: list[Mat2] = []
+_WORKER_BOX: tuple[int, list[Mat2]] = (0, [])
 
 
 def _init_search_worker(bound: int) -> None:
-    global _WORKER_CANDIDATES
-    _WORKER_CANDIDATES = list(enumerate_unimodular(bound))
+    global _WORKER_BOX
+    _WORKER_BOX = (bound, list(enumerate_unimodular(bound)))
 
 
 def _scan_pairs_at(index: int):
-    return _scan_pairs(_WORKER_CANDIDATES[index], _WORKER_CANDIDATES)
+    bound, candidates = _WORKER_BOX
+    return _scan_pairs(candidates[index], candidates, bound)
 
 
 def exhaustive_search(bound: int, jobs: int = 1) -> SearchReport:
     """Cross-validate the classification over all pairs with entries in the box.
 
     Both orderings of every unimodular pair are examined independently (the
-    families are not symmetric under swapping phi and psi).  With jobs > 1
+    families are not symmetric under swapping phi and psi).  Only commuting
+    pairs can be valid, so check_pair runs on those alone: O(bound) partners
+    per phi and O(bound^3) pairs in all, although candidates_examined still
+    counts the whole box, |U_B|^2.  With jobs > 1
     the phi-stream is partitioned across worker processes; the merge is in
     candidate order, so the report is identical to the single-process one.
     """
@@ -596,7 +617,7 @@ def exhaustive_search(bound: int, jobs: int = 1) -> SearchReport:
         raise ValueError("jobs must be positive")
     candidates = list(enumerate_unimodular(bound))
     if jobs == 1:
-        partials = [_scan_pairs(phi, candidates) for phi in candidates]
+        partials = [_scan_pairs(phi, candidates, bound) for phi in candidates]
     else:
         with multiprocessing.Pool(
             processes=jobs, initializer=_init_search_worker, initargs=(bound,)

@@ -12,6 +12,8 @@ import pytest
 
 from conftest import ROW_FIXTURE_PARAMS, ROW_SPECS
 
+import z2brace.classification as classification
+
 from z2brace import (
     BadParams,
     BraceSpec,
@@ -220,6 +222,17 @@ class TestEnumeration:
         assert len(stream) == oracle_unimodular_count(bound)
         assert len(stream) == GOLDEN_UNIMODULAR_COUNTS[bound]
 
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    def test_matches_filtered_box_scan(self, bound):
+        # a22 is solved rather than scanned; the full four-entry scan is the oracle.
+        entries = range(-bound, bound + 1)
+        expected = [
+            Mat2(*entry)
+            for entry in product(entries, repeat=4)
+            if abs(entry[0] * entry[3] - entry[1] * entry[2]) == 1
+        ]
+        assert list(enumerate_unimodular(bound)) == expected
+
     def test_no_duplicates_and_all_unimodular(self):
         stream = list(enumerate_unimodular(2))
         assert len(set(stream)) == len(stream)
@@ -261,6 +274,54 @@ class TestExhaustiveSearch:
             for label in RowLabel
         }
         assert histogram == GOLDEN_HISTOGRAM_BOUND2
+
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    def test_matches_brute_force_scan(self, bound, monkeypatch):
+        # Oracle: check_pair on every pair of the box, commuting or not.
+        box = list(enumerate_unimodular(bound))
+        oracle_valid = [
+            spec
+            for spec in (BraceSpec(phi, psi) for phi in box for psi in box)
+            if check_pair(spec).valid
+        ]
+        histogram = {label.value: 0 for label in RowLabel}
+        unmatched = []
+        for spec in oracle_valid:
+            labels = row_membership(spec)
+            for label in labels:
+                histogram[label.value] += 1
+            if not labels:
+                unmatched.append(spec.to_dict())
+        expected = {
+            "bound": bound,
+            "candidates": len(box) ** 2,
+            "valid_pairs": len(oracle_valid),
+            "row_histogram": histogram,
+            "unmatched_valid": unmatched,
+            "invalid_row_instances": [
+                {"row": label.value, "spec": spec.to_dict()}
+                for label, spec in generated_row_instances(bound)
+                if not check_pair(spec).valid
+            ],
+        }
+
+        # The search calls row_membership exactly once per valid pair it finds.
+        found = []
+
+        def recording_membership(spec):
+            found.append(spec)
+            return row_membership(spec)
+
+        monkeypatch.setattr(classification, "row_membership", recording_membership)
+        report = exhaustive_search(bound).to_dict()
+        assert found == oracle_valid
+        assert report == expected
+
+    @pytest.mark.parametrize("bound, valid_pairs", [(6, 354), (10, 650)])
+    def test_larger_boxes_confirm_classification(self, bound, valid_pairs):
+        report = exhaustive_search(bound)
+        assert report.confirms_classification
+        assert report.valid_pairs == valid_pairs
 
     def test_identity_pair_is_among_valid(self):
         assert check_pair(BraceSpec(IDENTITY, IDENTITY)).valid

@@ -14,6 +14,7 @@ from z2brace import (
     NotUnimodular,
     UnsupportedOrder,
     centralizer_finite,
+    commutant_in_box,
     commutes,
     congruent_mod,
     enumerate_unimodular,
@@ -211,6 +212,74 @@ class TestCentralizer:
         a = SWAP
         box = [b for b in enumerate_unimodular(2) if commutes(a, b)]
         assert set(box) == centralizer_finite(a)
+
+
+def brute_commutant(a: Mat2, bound: int) -> list[Mat2]:
+    # The scan commutant_in_box replaces: filter the whole box.
+    return [b for b in enumerate_unimodular(bound) if commutes(a, b)]
+
+
+class TestCommutantInBox:
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    def test_matches_brute_force_on_every_box_member(self, bound):
+        for a in enumerate_unimodular(bound):
+            if a in (IDENTITY, -IDENTITY):
+                continue
+            assert commutant_in_box(a, bound) == brute_commutant(a, bound), a
+
+    @pytest.mark.parametrize("scalar", [IDENTITY, -IDENTITY, Mat2(0, 0, 0, 0), Mat2(2, 0, 0, 2)])
+    def test_rejects_scalar_matrices(self, scalar):
+        # Every matrix commutes with a scalar one; the caller scans the box.
+        with pytest.raises(ValueError):
+            commutant_in_box(scalar, 2)
+
+    def test_rejects_nonpositive_bound(self):
+        with pytest.raises(ValueError):
+            commutant_in_box(SHEAR, 0)
+
+    @pytest.mark.parametrize("a", [Mat2(1, 0, 0, -1), Mat2(-1, 0, 0, 1), Mat2(3, 0, 0, -2)])
+    @pytest.mark.parametrize("bound", [1, 3])
+    def test_diagonal_non_scalar(self, a, bound):
+        # N is diagonal, so only |x| <= bound and |x + t| <= bound limit t,
+        # and diag(1, -1) needs |t| = 2 > bound at bound 1.
+        result = commutant_in_box(a, bound)
+        assert result == brute_commutant(a, bound)
+        assert set(result) == {
+            Mat2(s1, 0, 0, s2) for s1 in (1, -1) for s2 in (1, -1)
+        }
+
+    @pytest.mark.parametrize("a", [SWAP, Mat2(1, 2, 0, -1), Mat2(2, 1, 1, 0), Mat2(0, 1, 1, 3)])
+    def test_det_minus_one(self, a):
+        assert a.det() == -1
+        result = commutant_in_box(a, 3)
+        assert result == brute_commutant(a, 3)
+        assert a in result and -a in result
+        assert any(b.det() == -1 for b in result)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            Mat2(0, -1, 1, -1),  # order 3
+            Mat2(0, -1, 1, 0),  # order 4
+            Mat2(0, -1, 1, 1),  # order 6
+            Mat2(1, 2, -1, -1),  # order 4
+            Mat2(2, 3, -1, -1),  # order 6
+            Mat2(1, 1, 0, -1),  # order 2, det -1
+        ],
+    )
+    def test_finite_order_matches_centralizer(self, a):
+        # The box holds a and a^-1, so it holds the whole finite centralizer.
+        assert set(commutant_in_box(a, 3)) == centralizer_finite(a)
+
+    def test_infinite_order_in_wider_box(self):
+        for a in (SHEAR, M_2110, Mat2(2, 1, 1, 1), Mat2(1, 2, 2, 5)):
+            result = commutant_in_box(a, 8)
+            assert result == brute_commutant(a, 8)
+            assert a in result and a.inverse() in result
+
+    def test_non_unimodular_input(self):
+        a = Mat2(2, 4, 6, 8)
+        assert commutant_in_box(a, 3) == brute_commutant(a, 3)
 
 
 class TestCongruence:
