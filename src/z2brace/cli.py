@@ -157,7 +157,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ybe.add_argument("spec", help="inline JSON or a path to a spec file")
     p_ybe.add_argument("--samples", type=int, default=1000)
     p_ybe.add_argument("--seed", type=int, default=0)
-    p_ybe.add_argument("--box", type=int, default=4)
+    p_ybe.add_argument(
+        "--box",
+        type=int,
+        default=4,
+        help="sampling range only: sample coordinates are drawn from "
+        "[-box, box]; non-degeneracy is checked through explicit inverses",
+    )
     add_output(p_ybe)
     p_ybe.set_defaults(func=_cmd_ybe)
 
@@ -175,6 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         ValueError,
         OSError,
         json.JSONDecodeError,
+        RecursionError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,6 +3,7 @@ round trips between subcommands.
 """
 
 import json
+import time
 
 import pytest
 
@@ -139,6 +140,28 @@ class TestYbe:
     def test_invalid_spec_exits_two(self, capsys):
         code, _, err = run(capsys, "ybe", INVALID_INLINE, "--samples", "5")
         assert code == 2 and "error" in err
+
+    def test_huge_sampling_box_finishes(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "ybe", FAMILY_12_INLINE, "--samples", "50", "--box", "1000000"
+        )
+        elapsed = time.perf_counter() - start
+        report = json.loads(out)
+        assert code == 0
+        assert report["ybe_failures"] == []
+        assert report["involutivity_failures"] == []
+        assert report["nondegeneracy_failures"] == []
+        assert elapsed < 5
+
+
+@pytest.mark.parametrize("command", ["check", "classify", "ybe"])
+def test_deeply_nested_json_exits_two(capsys, tmp_path, command):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == "" and "error" in err
 
 
 class TestOutputFile:

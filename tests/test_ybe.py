@@ -1,5 +1,9 @@
 """Yang-Baxter layer: the map built from a valid pair, braid relation,
 involutivity, non-degeneracy, and the seeded sampling report.
+
+r_map is the closed form (lambda_x(y), lambda_y^-1(x)); definitional_r
+below recomputes r from the brace multiplication and its inverse, as an
+independent oracle for it.
 """
 
 import pytest
@@ -16,9 +20,14 @@ from z2brace import (
     RowLabel,
     Vec2,
     act,
+    check_pair,
+    commutes,
+    enumerate_unimodular,
     involutive_at,
     lambda_of,
     nondegenerate_at,
+    odot,
+    odot_inverse,
     r_map,
     sample_report,
     ybe_holds,
@@ -29,6 +38,23 @@ SPEC_BAD = BraceSpec(Mat2(1, 1, 0, 1), IDENTITY)
 
 vectors = st.builds(Vec2, st.integers(-4, 4), st.integers(-4, 4))
 valid_specs = st.sampled_from(ALL_FIXTURE_SPECS)
+
+
+def big_vectors(limit):
+    return st.builds(Vec2, st.integers(-limit, limit), st.integers(-limit, limit))
+
+
+def definitional_r(spec, x, y):
+    """r(x, y) = (-x + x*y, (-x + x*y)^-1 * x * y) in the brace multiplication."""
+    xy = odot(spec, x, y)
+    first = -x + xy
+    return PairZ2(first, odot(spec, odot_inverse(spec, first), xy))
+
+
+def valid_specs_in_box(bound):
+    box = list(enumerate_unimodular(bound))
+    commuting = (BraceSpec(phi, psi) for phi in box for psi in box if commutes(phi, psi))
+    return [spec for spec in commuting if check_pair(spec).valid]
 
 
 class TestRMap:
@@ -54,6 +80,25 @@ class TestRMap:
     @given(x=vectors)
     def test_trivial_diagonal_is_fixed(self, x):
         assert r_map(TRIVIAL_SPEC, x, x) == PairZ2(x, x)
+
+
+class TestAgreementWithDefinition:
+    def test_every_valid_pair_at_bound_3_on_a_grid(self):
+        specs = valid_specs_in_box(3)
+        grid = [Vec2(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+        mismatches = [
+            (spec, x, y)
+            for spec in specs
+            for x in grid
+            for y in grid
+            if r_map(spec, x, y) != definitional_r(spec, x, y)
+        ]
+        assert len(specs) == 122
+        assert mismatches == []
+
+    @given(spec=valid_specs, x=big_vectors(10**6), y=big_vectors(10**6))
+    def test_fixture_families_at_large_coordinates(self, spec, x, y):
+        assert r_map(spec, x, y) == definitional_r(spec, x, y)
 
 
 class TestBraidRelation:
@@ -94,18 +139,27 @@ class TestInvolutivity:
 class TestNondegeneracy:
     @given(x=vectors, y=vectors)
     def test_flip(self, x, y):
-        assert nondegenerate_at(TRIVIAL_SPEC, x, y, box=3)
+        assert nondegenerate_at(TRIVIAL_SPEC, x, y)
 
     @given(spec=valid_specs, x=vectors, y=vectors)
     def test_valid_specs(self, spec, x, y):
-        assert nondegenerate_at(spec, x, y, box=3)
+        assert nondegenerate_at(spec, x, y)
 
     @given(x=vectors, y=vectors)
     def test_larger_family_12_member(self, x, y):
         from z2brace import RowParams, generate_row
 
         spec = generate_row(RowLabel.R1_2, RowParams(m=2, p=1, q=1))
-        assert nondegenerate_at(spec, x, y, box=3)
+        assert nondegenerate_at(spec, x, y)
+
+    @pytest.mark.parametrize("spec", ALL_FIXTURE_SPECS, ids=str)
+    @given(x=big_vectors(10**9), y=big_vectors(10**9))
+    def test_explicit_preimages_round_trip_at_large_coordinates(self, spec, x, y):
+        left = act(lambda_of(spec, x).inverse(), y)
+        right = act(lambda_of(spec, y), x)
+        assert definitional_r(spec, x, left).first == y
+        assert definitional_r(spec, right, y).second == x
+        assert nondegenerate_at(spec, x, y)
 
 
 class TestSampleReport:
