@@ -6,8 +6,10 @@ signs (det phi, det psi): block 1 = (1, 1), block 2 = (1, -1),
 block 3 = (-1, 1), block 4 = (-1, -1).  This module provides
 
   * exact constructors for every family (generate_row),
-  * a membership test evaluating all twelve family predicates
-    (row_membership), including exact parameter recovery for family 1.2,
+  * a membership test that reads each family's parameters off the pair in
+    O(1) and keeps the family iff its constructor regenerates the pair
+    exactly (row_membership; row12_parameters for family 1.2), so the
+    family definitions live only in the constructors,
   * a duplicate-free lexicographic enumeration of unimodular matrices
     with bounded entries (enumerate_unimodular),
   * a bidirectional exhaustive cross-validation (exhaustive_search):
@@ -37,7 +39,6 @@ from .gl2z import (
     IDENTITY,
     Mat2,
     commutant_in_box,
-    congruent_mod,
     order_by_iteration,
     order_by_predicate,
 )
@@ -312,13 +313,24 @@ def generate_row(label: RowLabel, params: RowParams) -> BraceSpec:
     return spec
 
 
-# Congruence patterns used by the membership predicates.  Wildcards are in
-# (a11, a12, a21, a22) order.
-_WILD_A12 = (False, True, False, False)
-_WILD_A21 = (False, False, True, False)
-_SWAP = Mat2(0, 1, 1, 0)
-_PATTERNS_1_5 = (Mat2(0, 2, 1, 2), Mat2(2, 1, 2, 0), IDENTITY)
-_PATTERNS_1_6 = (Mat2(0, 1, 2, 2), Mat2(2, 2, 1, 0), IDENTITY)
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _integer_cbrt(n: int) -> int:
+    """Floor of the real cube root of n >= 0, by integer Newton iteration."""
+    if n < 0:
+        raise ValueError(f"cube root of negative {n}")
+    if n == 0:
+        return 0
+    # 2^ceil(bits/3) exceeds the root; from above the iteration decreases
+    # strictly until it reaches the floor, where it stops decreasing.
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
 
 
 def row12_parameters(spec: BraceSpec) -> tuple[int, int, int] | None:
@@ -331,84 +343,110 @@ def row12_parameters(spec: BraceSpec) -> tuple[int, int, int] | None:
 
     with gcd(p, q) = 1.  (m, p, q) and (-m, -p, -q) give the same pair, so
     the answer is canonicalized to p > 0, or p = 0 with q > 0; the identity
-    pair reports (0, 1, 0).  Since the off-diagonal entries are m p^3 and
-    m q^3 up to sign, a divisor scan bounded by the cube roots of the
-    largest entry magnitude plus one is exhaustive.
+    pair reports (0, 1, 0).  The entries of phi - E and psi - E are m times
+    p^3, p^2 q, p q^2 and q^3 up to sign, whose gcd is 1, so their gcd g is
+    |m|.  Then -phi21 / g = s p^3 and psi12 / g = s q^3 with s the sign of
+    m, and integer cube roots give the candidate, which must regenerate
+    the pair exactly.
     """
     phi, psi = spec.phi, spec.psi
-    if phi == IDENTITY and psi == IDENTITY:
+    g = math.gcd(
+        phi.a11 - 1, phi.a12, phi.a21, phi.a22 - 1,
+        psi.a11 - 1, psi.a12, psi.a21, psi.a22 - 1,
+    )
+    if g == 0:
         return (0, 1, 0)
-    bound = max(abs(e) for e in phi.entries() + psi.entries()) + 1
-    cube_cap = _cube_cap(bound)
-    for p in range(0, cube_cap + 1):
-        for q in range(-cube_cap, cube_cap + 1):
-            if p == 0 and q <= 0:
-                continue
-            if math.gcd(p, q) != 1:
-                continue
-            if p > 0:
-                if phi.a21 % p**3 != 0:
-                    continue
-                m = -phi.a21 // p**3
-            else:
-                if psi.a12 % q**3 != 0:
-                    continue
-                m = psi.a12 // q**3
-            if m == 0 or abs(m) > bound:
-                continue
-            candidate = _gen_1_2(RowParams(m=m, p=p, q=q))
-            if candidate.phi == phi and candidate.psi == psi:
-                return (m, p, q)
-    return None
+    p_cube, q_cube = -phi.a21 // g, psi.a12 // g
+    s = _sign(p_cube) or _sign(q_cube)
+    p = _integer_cbrt(abs(p_cube))
+    q = _sign(s * q_cube) * _integer_cbrt(abs(q_cube))
+    try:
+        candidate = _gen_1_2(RowParams(m=s * g, p=p, q=q))
+    except BadParams:
+        return None
+    return (s * g, p, q) if candidate == spec else None
+
+
+def _recover_1_2(spec: BraceSpec) -> RowParams:
+    found = row12_parameters(spec)
+    if found is None:
+        raise BadParams(f"{spec} is not in family 1.2")
+    m, p, q = found
+    return RowParams(m=m, p=p, q=q)
+
+
+def _root_params(a: Mat2, p_scale: int, q_scale: int) -> RowParams:
+    # Square-root families: a12 = p_scale p, a21 = q_scale q, and a11 - a22
+    # is sign1 times the root, which is odd and so never 0.
+    return RowParams(
+        p=_exact_div(a.a12, p_scale),
+        q=_exact_div(a.a21, q_scale),
+        sign1=_sign(a.a11 - a.a22),
+    )
+
+
+def _recover_1_5(spec: BraceSpec) -> RowParams:
+    h, a12, a21 = spec.phi.a11, spec.phi.a12, spec.phi.a21
+    return RowParams(m=_exact_div(a21 - 1 + h, 3), n=_exact_div(a12 - 2 - h, 3))
+
+
+def _recover_1_6(spec: BraceSpec) -> RowParams:
+    h, a12, a21 = spec.phi.a11, spec.phi.a12, spec.phi.a21
+    return RowParams(m=_exact_div(h - 1 - a21, 3), n=_exact_div(a12 - 1 + h, 3))
+
+
+def _recover_4_1(spec: BraceSpec) -> RowParams:
+    # The m = n members (m in {0, -1}, free p) follow the m != n formula
+    # with h = p.
+    h, a12, a21 = spec.phi.a11, spec.phi.a12, spec.phi.a21
+    m, n = _exact_div(a21 - 1 + h, 2), _exact_div(a12 - 1 - h, 2)
+    return RowParams(m=m, n=n, p=h if m == n else None)
+
+
+#: Reads a family's parameters off a pair in O(1).  For a member they are
+#: the parameters that generate it; for anything else they are arbitrary,
+#: which the regeneration in _is_member rejects.
+_RECOVERERS = {
+    RowLabel.R1_1: lambda spec: RowParams(sign1=spec.phi.a11, sign2=spec.psi.a11),
+    RowLabel.R1_2: _recover_1_2,
+    RowLabel.R1_3: lambda spec: _root_params(_swap_conj(spec.psi), 3, 1),
+    RowLabel.R1_4: lambda spec: _root_params(spec.phi, 3, 1),
+    RowLabel.R1_5: _recover_1_5,
+    RowLabel.R1_6: _recover_1_6,
+    RowLabel.R2_1: lambda spec: _root_params(_swap_conj(spec.psi), 2, 1),
+    RowLabel.R2_2: lambda spec: _root_params(_swap_conj(spec.psi), 2, 2),
+    RowLabel.R3_1: lambda spec: _root_params(spec.phi, 2, 1),
+    RowLabel.R3_2: lambda spec: _root_params(spec.phi, 2, 2),
+    RowLabel.R4_1: _recover_4_1,
+    RowLabel.R4_2: lambda spec: _root_params(spec.phi, 2, 2),
+}
+
+_BLOCK_LABELS = {
+    block: tuple(label for label in RowLabel if ROW_BLOCKS[label] == block)
+    for block in ROW_BLOCKS.values()
+}
+
+
+def _is_member(label: RowLabel, spec: BraceSpec) -> bool:
+    try:
+        return _GENERATORS[label](_RECOVERERS[label](spec)) == spec
+    except BadParams:
+        return False
 
 
 def row_membership(spec: BraceSpec) -> set[RowLabel]:
-    """Every family whose defining conditions the pair satisfies.
+    """Every family that has the pair among its members.
 
+    For each family of the pair's (det phi, det psi) block, the parameters
+    are recovered from a few entries and the family constructor must
+    regenerate the pair exactly, so each test is a fixed number of
+    integer operations, with no search, whatever the size of the entries.
     Families may overlap; for example the identity pair belongs to both
-    1.1 and 1.2 (with m = 0).  Membership is purely a predicate evaluation
-    and does not require the pair to be valid.
+    1.1 and 1.2 (with m = 0).  Membership does not require the pair to be
+    valid.
     """
-    phi, psi = spec.phi, spec.psi
-    dphi, dpsi = phi.det(), psi.det()
-    plus_minus_e = (IDENTITY, -IDENTITY)
-    labels: set[RowLabel] = set()
-
-    if dphi == 1 and dpsi == 1:
-        if phi in plus_minus_e and psi in plus_minus_e:
-            labels.add(RowLabel.R1_1)
-        if row12_parameters(spec) is not None:
-            labels.add(RowLabel.R1_2)
-        if phi == IDENTITY and psi.trace() == -1 and congruent_mod(psi, IDENTITY, 3, _WILD_A12):
-            labels.add(RowLabel.R1_3)
-        if psi == IDENTITY and phi.trace() == -1 and congruent_mod(phi, IDENTITY, 3, _WILD_A21):
-            labels.add(RowLabel.R1_4)
-        if psi == phi and phi.trace() == -1 and any(
-            congruent_mod(phi, pattern, 3) for pattern in _PATTERNS_1_5
-        ):
-            labels.add(RowLabel.R1_5)
-        if psi == phi.inverse() and phi.trace() == -1 and any(
-            congruent_mod(phi, pattern, 3) for pattern in _PATTERNS_1_6
-        ):
-            labels.add(RowLabel.R1_6)
-    elif dphi == 1 and dpsi == -1:
-        if phi == IDENTITY and psi.trace() == 0 and congruent_mod(psi, IDENTITY, 2, _WILD_A12):
-            labels.add(RowLabel.R2_1)
-        if phi == -IDENTITY and psi.trace() == 0 and congruent_mod(psi, IDENTITY, 2):
-            labels.add(RowLabel.R2_2)
-    elif dphi == -1 and dpsi == 1:
-        if psi == IDENTITY and phi.trace() == 0 and congruent_mod(phi, IDENTITY, 2, _WILD_A21):
-            labels.add(RowLabel.R3_1)
-        if psi == -IDENTITY and phi.trace() == 0 and congruent_mod(phi, IDENTITY, 2):
-            labels.add(RowLabel.R3_2)
-    else:
-        if psi == phi and phi.trace() == 0 and (
-            congruent_mod(phi, IDENTITY, 2) or congruent_mod(phi, _SWAP, 2)
-        ):
-            labels.add(RowLabel.R4_1)
-        if psi == -phi and phi.trace() == 0 and congruent_mod(phi, IDENTITY, 2):
-            labels.add(RowLabel.R4_2)
-    return labels
+    block = (spec.phi.det(), spec.psi.det())
+    return {label for label in _BLOCK_LABELS[block] if _is_member(label, spec)}
 
 
 def enumerate_unimodular(bound: int) -> Iterator[Mat2]:
@@ -445,13 +483,6 @@ def _spec_key(spec: BraceSpec) -> tuple:
     return (_mat_key(spec.phi), _mat_key(spec.psi))
 
 
-def _cube_cap(limit: int) -> int:
-    cap = 1
-    while (cap + 1) ** 3 <= limit:
-        cap += 1
-    return cap
-
-
 def _search_param_grid(label: RowLabel, bound: int) -> Iterator[RowParams]:
     """Parameter tuples whose family member can fit in the entry box.
 
@@ -466,12 +497,9 @@ def _search_param_grid(label: RowLabel, bound: int) -> Iterator[RowParams]:
         for s1, s2 in product(signs, signs):
             yield RowParams(sign1=s1, sign2=s2)
     elif label == RowLabel.R1_2:
-        cap = _cube_cap(bound + 1)
+        cap = _integer_cbrt(max(bound + 1, 1))
         for m, p, q in product(wide, range(-cap, cap + 1), range(-cap, cap + 1)):
             yield RowParams(m=m, p=p, q=q)
-    elif label in (RowLabel.R1_3, RowLabel.R1_4):
-        for p, q, s in product(range(-bound, bound + 1), range(-bound, bound + 1), signs):
-            yield RowParams(p=p, q=q, sign1=s)
     elif label in (RowLabel.R1_5, RowLabel.R1_6):
         for m, n in product(wide, wide):
             yield RowParams(m=m, n=n)
@@ -482,7 +510,7 @@ def _search_param_grid(label: RowLabel, bound: int) -> Iterator[RowParams]:
         for m, n in product(wide, wide):
             if m != n:
                 yield RowParams(m=m, n=n)
-    else:  # 2.1, 2.2, 3.1, 3.2, 4.2
+    else:  # 1.3, 1.4, 2.1, 2.2, 3.1, 3.2, 4.2
         for p, q, s in product(range(-bound, bound + 1), range(-bound, bound + 1), signs):
             yield RowParams(p=p, q=q, sign1=s)
 

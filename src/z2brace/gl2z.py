@@ -1,7 +1,6 @@
 """Exact arithmetic on 2x2 integer matrices and the GL2(Z) facts the brace
 machinery relies on: multiplicative orders read off determinant and trace,
-finite centralizers, commutants within an entry box, and entrywise
-congruences with wildcard masks.
+finite centralizers, and commutants within an entry box.
 
 Everything works on plain Python integers, so every result is exact; there
 is no floating point and no fixed-width wraparound anywhere.
@@ -16,13 +15,11 @@ __all__ = [
     "IDENTITY",
     "Mat2",
     "MatOrder",
-    "NO_WILDCARDS",
     "NotUnimodular",
     "UnsupportedOrder",
     "centralizer_finite",
     "commutant_in_box",
     "commutes",
-    "congruent_mod",
     "order_by_iteration",
     "order_by_predicate",
 ]
@@ -276,28 +273,3 @@ def commutant_in_box(a: Mat2, bound: int) -> list[Mat2]:
     found.sort(key=Mat2.entries)
     return found
 
-
-#: Wildcard mask matching every entry, in (a11, a12, a21, a22) order.
-NO_WILDCARDS = (False, False, False, False)
-
-
-def congruent_mod(
-    a: Mat2,
-    b: Mat2,
-    k: int,
-    wildcards: tuple[bool, bool, bool, bool] = NO_WILDCARDS,
-) -> bool:
-    """True iff every non-wildcard entry of a - b is divisible by k.
-
-    The wildcard mask is in (a11, a12, a21, a22) order; a True position is
-    left unconstrained.  Typical moduli here are 2 and 3.
-    """
-    if k < 1:
-        raise ValueError("modulus must be positive")
-    diffs = (
-        a.a11 - b.a11,
-        a.a12 - b.a12,
-        a.a21 - b.a21,
-        a.a22 - b.a22,
-    )
-    return all(wild or d % k == 0 for d, wild in zip(diffs, wildcards))

@@ -6,9 +6,14 @@ computed by independent oracle loops, which the tests re-run, and then
 frozen so regressions are caught even if both sides drift together.
 """
 
+import math
+import signal
+import time
+from contextlib import contextmanager
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from conftest import ROW_FIXTURE_PARAMS, ROW_SPECS
 
@@ -46,6 +51,30 @@ GOLDEN_HISTOGRAM_BOUND2 = {
     "1.1": 4, "1.2": 13, "1.3": 0, "1.4": 0, "1.5": 2, "1.6": 2,
     "2.1": 14, "2.2": 10, "3.1": 14, "3.2": 10, "4.1": 12, "4.2": 10,
 }
+
+
+def row12_pair(m: int, p: int, q: int) -> BraceSpec:
+    # The family 1.2 formula, written out here so that large members can
+    # be built without generate_row (whose validity assert is unbounded).
+    phi = Mat2(1 + m * p * p * q, m * p * q * q, -m * p**3, 1 - m * p * p * q)
+    psi = Mat2(1 + m * p * q * q, m * q**3, -m * p * p * q, 1 - m * p * q * q)
+    return BraceSpec(phi, psi)
+
+
+@contextmanager
+def deadline(seconds: float):
+    # Interrupts a call that runs too long, so a slow path fails instead of
+    # hanging the suite.
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def oracle_unimodular_count(bound: int) -> int:
@@ -184,6 +213,35 @@ class TestMembership:
         assert not check_pair(spec).valid
         assert row_membership(spec) == set()
 
+    def test_matches_generated_instances_on_every_pair_at_bound3(self):
+        # Independent oracle: the family members that the parameter grid
+        # generates in the box.  Covers invalid pairs as well as valid ones.
+        expected: dict[BraceSpec, set] = {}
+        for label, spec in generated_row_instances(3):
+            expected.setdefault(spec, set()).add(label)
+        box = list(enumerate_unimodular(3))
+        assert len(box) ** 2 == 53824
+        mismatches = [
+            (spec, labels, expected.get(spec, set()))
+            for spec in (BraceSpec(phi, psi) for phi in box for psi in box)
+            if (labels := row_membership(spec)) != expected.get(spec, set())
+        ]
+        assert mismatches == []
+
+    def test_256_bit_entries_finish_in_bounded_time(self):
+        a = 2**256 + 12345
+        hyperbolic = Mat2(a, a + 1, a - 1, a)
+        assert hyperbolic.det() == 1
+        m = 2**256 + 1
+        member = row12_pair(m, 2, -3)
+        start = time.perf_counter()
+        with deadline(5):
+            assert row_membership(BraceSpec(hyperbolic, hyperbolic)) == set()
+            assert row12_parameters(BraceSpec(hyperbolic, hyperbolic)) is None
+            assert RowLabel.R1_2 in row_membership(member)
+            assert row12_parameters(member) == (m, 2, -3)
+        assert time.perf_counter() - start < 1.0
+
 
 class TestRecovery:
     def test_identity_reports_m_zero(self):
@@ -213,6 +271,36 @@ class TestRecovery:
 
     def test_non_member_is_none(self):
         assert row12_parameters(BraceSpec(Mat2(1, 1, 0, 1), Mat2(1, 1, 0, 1))) is None
+
+    @given(
+        m=st.integers(-(2**64), 2**64).filter(bool),
+        p=st.integers(-(2**40), 2**40),
+        q=st.integers(-(2**40), 2**40),
+    )
+    def test_large_parameters_recover_canonically(self, m, p, q):
+        assume(math.gcd(p, q) == 1)
+        canonical = (m, p, q) if p > 0 or (p == 0 and q > 0) else (-m, -p, -q)
+        with deadline(1):
+            assert row12_parameters(row12_pair(m, p, q)) == canonical
+
+
+class TestIntegerCubeRoot:
+    def test_floor_on_small_range(self):
+        for n in range(5000):
+            r = classification._integer_cbrt(n)
+            assert r**3 <= n < (r + 1) ** 3
+
+    @given(k=st.integers(0, 2**400))
+    def test_exact_on_cubes_and_their_neighbours(self, k):
+        cbrt = classification._integer_cbrt
+        assert cbrt(k**3) == k
+        if k > 0:
+            assert cbrt(k**3 + 1) == k
+            assert cbrt(k**3 - 1) == k - 1
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            classification._integer_cbrt(-8)
 
 
 class TestEnumeration:

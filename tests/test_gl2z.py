@@ -1,5 +1,5 @@
-"""Matrix layer: exact products, inverses, powers, orders, centralizers,
-congruences.  Where a value was derived by hand it is frozen here and,
+"""Matrix layer: exact products, inverses, powers, orders, centralizers
+and commutants.  Where a value was derived by hand it is frozen here and,
 for the cheap cases, re-checked against a naive textbook computation.
 """
 
@@ -16,7 +16,6 @@ from z2brace import (
     centralizer_finite,
     commutant_in_box,
     commutes,
-    congruent_mod,
     enumerate_unimodular,
     order_by_iteration,
     order_by_predicate,
@@ -280,23 +279,6 @@ class TestCommutantInBox:
     def test_non_unimodular_input(self):
         a = Mat2(2, 4, 6, 8)
         assert commutant_in_box(a, 3) == brute_commutant(a, 3)
-
-
-class TestCongruence:
-    def test_multiple_of_three(self):
-        assert congruent_mod(Mat2(4, 3, 0, 1), IDENTITY, 3)
-
-    def test_wildcard_skips_entry(self):
-        wild_a12 = (False, True, False, False)
-        assert congruent_mod(Mat2(1, 7, 0, 1), IDENTITY, 3, wild_a12)
-        assert not congruent_mod(Mat2(1, 7, 0, 1), IDENTITY, 3)
-
-    def test_odd_entry_fails_mod_two(self):
-        assert not congruent_mod(Mat2(1, 0, 1, 1), IDENTITY, 2)
-
-    def test_rejects_nonpositive_modulus(self):
-        with pytest.raises(ValueError):
-            congruent_mod(IDENTITY, IDENTITY, 0)
 
 
 class TestConstruction:
