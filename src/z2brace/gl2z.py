@@ -2,6 +2,12 @@
 machinery relies on: multiplicative orders read off determinant and trace,
 finite centralizers, and commutants within an entry box.
 
+Powers use the same determinant and trace.  A matrix of finite order or a
+parabolic one (det 1, trace +-2, including +-E) is raised in closed form,
+with no matrix product at any exponent; only hyperbolic and non-unimodular
+matrices fall back to binary exponentiation, O(log |k|) products of growing
+integers.
+
 Everything works on plain Python integers, so every result is exact; there
 is no floating point and no fixed-width wraparound anywhere.
 """
@@ -35,6 +41,10 @@ class UnsupportedOrder(ValueError):
 
 #: The finite multiplicative orders that occur in GL2(Z).
 FINITE_ORDERS = (1, 2, 3, 4, 6)
+
+#: (det, trace) -> order of every non-scalar finite-order matrix in GL2(Z).
+#: No scalar matrix has these values; +-E are the only other finite orders.
+_FINITE_ORDER = {(-1, 0): 2, (1, -1): 3, (1, 0): 4, (1, 1): 6}
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,25 +117,51 @@ class Mat2:
         return Mat2(-self.a11, -self.a12, -self.a21, -self.a22)
 
     def __pow__(self, k: int) -> "Mat2":
-        """Exact k-th power by binary exponentiation, any sign of k.
+        """Exact k-th power, any sign of k, with the cost read off det and trace.
 
-        Negative exponents go through inverse() and therefore require
-        determinant +1 or -1.
+        Cayley-Hamilton (M^2 = tM - dE for det d, trace t) gives closed
+        forms that use no matrix product and no inverse, so their cost does
+        not grow with k:
+
+          * det 1, trace 2s with s = +-1 (+-E and the parabolic matrices):
+            N = sM - E has N^2 = 0, so M^k = s^k (E + kN).
+          * non-scalar finite order n (2, 3, 4 or 6, from _FINITE_ORDER):
+            with r = k mod n, M^k = M^r = u_r M - d u_(r-1) E, where
+            u_(-1) = -d, u_0 = 0 and u_(j+1) = t u_j - d u_(j-1), so at most
+            five scalar steps.
+
+        Every other matrix (hyperbolic, or not unimodular) is raised by
+        binary exponentiation: O(log |k|) products whose entries grow with
+        k itself.  There a negative exponent goes through inverse() and
+        therefore requires determinant +1 or -1.
         """
         if not isinstance(k, int):
             return NotImplemented
-        base = self
-        if k < 0:
-            base = self.inverse()
-            k = -k
-        result = IDENTITY
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        d, t = self.det(), self.trace()
+        if d == 1 and t in (2, -2):
+            s = t // 2
+            sign = -1 if s < 0 and k & 1 else 1
+            # s^k (E + k(sM - E)) = p M + q E
+            p, q = sign * s * k, sign * (1 - k)
+        elif (n := _FINITE_ORDER.get((d, t))) is not None:
+            u_prev, u = -d, 0
+            for _ in range(k % n):
+                u_prev, u = u, t * u - d * u_prev
+            p, q = u, -d * u_prev
+        else:
+            base = self
+            if k < 0:
+                base = self.inverse()
+                k = -k
+            result = IDENTITY
+            while k:
+                if k & 1:
+                    result = result * base
+                k >>= 1
+                if k:
+                    base = base * base
+            return result
+        return Mat2(p * self.a11 + q, p * self.a12, p * self.a21, p * self.a22 + q)
 
     def __str__(self) -> str:
         return f"[[{self.a11},{self.a12}],[{self.a21},{self.a22}]]"
@@ -168,9 +204,9 @@ class MatOrder:
 def order_by_predicate(a: Mat2) -> MatOrder:
     """Multiplicative order from determinant and trace alone.
 
-    For unimodular a: order 1 iff a = E; order 2 iff a = -E or
-    (det -1, trace 0); order 3 iff (det 1, trace -1); order 4 iff
-    (det 1, trace 0); order 6 iff (det 1, trace 1); infinite otherwise.
+    For unimodular a: order 1 iff a = E, order 2 if a = -E; otherwise the
+    order _FINITE_ORDER gives for (det, trace), or infinite if it gives
+    none.  Mat2.__pow__ reads the same table.
     """
     if not a.is_unimodular():
         raise NotUnimodular(f"{a} has determinant {a.det()}")
@@ -178,16 +214,8 @@ def order_by_predicate(a: Mat2) -> MatOrder:
         return MatOrder.finite(1)
     if a == -IDENTITY:
         return MatOrder.finite(2)
-    d, t = a.det(), a.trace()
-    if d == -1 and t == 0:
-        return MatOrder.finite(2)
-    if d == 1 and t == -1:
-        return MatOrder.finite(3)
-    if d == 1 and t == 0:
-        return MatOrder.finite(4)
-    if d == 1 and t == 1:
-        return MatOrder.finite(6)
-    return MatOrder.infinite()
+    n = _FINITE_ORDER.get((a.det(), a.trace()))
+    return MatOrder.infinite() if n is None else MatOrder.finite(n)
 
 
 def order_by_iteration(a: Mat2, cutoff: int = 12) -> MatOrder:

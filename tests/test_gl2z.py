@@ -116,6 +116,126 @@ class TestPower:
         assert a ** (j + k) == a**j * a**k
 
 
+def repeated_powers(a: Mat2, k_max: int) -> dict[int, Mat2]:
+    # a^k for |k| <= k_max by one multiplication per step, never through
+    # Mat2.__pow__; negative k only when a has an integer inverse.
+    powers = {0: IDENTITY}
+    steps = [(1, a)]
+    if a.is_unimodular():
+        steps.append((-1, a.inverse()))
+    for sign, factor in steps:
+        power = IDENTITY
+        for k in range(1, k_max + 1):
+            power = power * factor
+            powers[sign * k] = power
+    return powers
+
+
+ENTRY_BOX_4 = [
+    Mat2(a11, a12, a21, a22)
+    for a11 in range(-4, 5)
+    for a12 in range(-4, 5)
+    for a21 in range(-4, 5)
+    for a22 in range(-4, 5)
+]
+
+# Family 1.2 at m = 2^256 + 1, p = 2, q = -3: phi = E + m p (pq, q^2; -p^2, -pq)
+# and psi = E + m q (pq, q^2; -p^2, -pq), both parabolic.
+ROW12_M = 2**256 + 1
+ROW12_PHI = Mat2(1 - 12 * ROW12_M, 18 * ROW12_M, -8 * ROW12_M, 1 + 12 * ROW12_M)
+ROW12_PSI = Mat2(1 + 18 * ROW12_M, -27 * ROW12_M, 12 * ROW12_M, 1 - 18 * ROW12_M)
+
+#: One matrix of each class raised in closed form: +-E, orders 2/3/4/6,
+#: shears of both signs and both matrices of a 1.2 member.
+CLOSED_FORM = {
+    "E": IDENTITY,
+    "-E": -IDENTITY,
+    "order 2, det -1": SWAP,
+    "order 3": Mat2(0, -1, 1, -1),
+    "order 4": Mat2(1, 2, -1, -1),
+    "order 6": Mat2(2, 3, -1, -1),
+    "shear": SHEAR,
+    "negative shear": Mat2(-1, 0, 7, -1),
+    "1.2 member phi": ROW12_PHI,
+    "1.2 member psi": ROW12_PSI,
+}
+
+huge_exponents = st.integers(min_value=-(2**256), max_value=2**256)
+
+
+class TestPowerClosedForm:
+    def test_agrees_with_repeated_multiplication_on_entry_box(self):
+        # Every integer matrix with entries in [-4, 4], unimodular or not;
+        # a negative power of a non-unimodular one must raise.
+        k_max = 20
+        wrong, not_raised = [], []
+        for a in ENTRY_BOX_4:
+            powers = repeated_powers(a, k_max)
+            for k in range(-k_max, k_max + 1):
+                if k in powers:
+                    if a**k != powers[k]:
+                        wrong.append((a, k))
+                    continue
+                try:
+                    a**k
+                except NotUnimodular:
+                    continue
+                not_raised.append((a, k))
+        assert wrong == []
+        assert not_raised == []
+
+    def test_classes_are_what_the_names_say(self):
+        assert ROW12_PHI * ROW12_PSI == ROW12_PSI * ROW12_PHI
+        for name, a in CLOSED_FORM.items():
+            order = order_by_predicate(a)
+            if name.startswith("order"):
+                assert order == MatOrder.finite(int(name[6]))
+            elif name in ("E", "-E"):
+                assert order.is_finite
+            else:
+                assert not order.is_finite and abs(a.trace()) == 2
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM))
+    def test_huge_exponents_use_no_matrix_product(self, name, monkeypatch):
+        a = CLOSED_FORM[name]
+        exponents = [0, 1, -1, 2**4096, -(2**4096), 2**4096 - 1, 1 - 2**4096, 3**2500]
+        expected = {k: a**k for k in exponents}
+        calls = []
+        product = Mat2.__mul__
+
+        def counting_mul(self, other):
+            calls.append(1)
+            return product(self, other)
+
+        monkeypatch.setattr(Mat2, "__mul__", counting_mul)
+        for k in exponents:
+            calls.clear()
+            assert a**k == expected[k]
+            assert calls == [], (name, k)
+        monkeypatch.undo()
+        order = order_by_predicate(a)
+        if order.is_finite:
+            small = repeated_powers(a, order.n)
+            for k in exponents:
+                assert expected[k] == small[k % order.n]
+        else:
+            # Parabolic: a = s (E + N) with N = s a - E, N^2 = 0.
+            s = a.trace() // 2
+            n11, n12, n21, n22 = s * a.a11 - 1, s * a.a12, s * a.a21, s * a.a22 - 1
+            assert Mat2(n11, n12, n21, n22) * Mat2(n11, n12, n21, n22) == Mat2(0, 0, 0, 0)
+            for k in exponents:
+                sign = s ** (k % 2)
+                assert expected[k] == Mat2(
+                    sign * (1 + k * n11), sign * k * n12, sign * k * n21, sign * (1 + k * n22)
+                )
+
+    @given(name=st.sampled_from(sorted(CLOSED_FORM)), j=huge_exponents, k=huge_exponents)
+    def test_exponents_add_at_256_bits(self, name, j, k):
+        a = CLOSED_FORM[name]
+        assert a**j * a**k == a ** (j + k)
+        assert a**k * a**-k == IDENTITY
+
+
 class TestDetTrace:
     @pytest.mark.parametrize(
         "matrix,det,trace",
