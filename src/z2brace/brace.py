@@ -27,7 +27,6 @@ __all__ = [
     "Verdict",
     "ZERO",
     "act",
-    "brace_axiom_holds",
     "check_pair",
     "h_lambda_closed",
     "hol_mul",
@@ -189,18 +188,6 @@ def check_pair(spec: BraceSpec) -> Verdict:
         power_identities=power,
         kernel_identities=tuple(kernel),
     )
-
-
-def brace_axiom_holds(spec: BraceSpec, a: Vec2, b: Vec2, c: Vec2) -> bool:
-    """Exact check of a*(b+c) = (a*b) + (-a) + (a*c) at one triple.
-
-    Holds for every triple as soon as lambda is defined through matrix
-    powers, even for invalid pairs; the condition that actually fails for
-    bad pairs is associativity of the multiplication.
-    """
-    left = odot(spec, a, b + c)
-    right = odot(spec, a, b) + (-a) + odot(spec, a, c)
-    return left == right
 
 
 def odot_associative(spec: BraceSpec, a: Vec2, b: Vec2, c: Vec2) -> bool:

@@ -27,7 +27,6 @@ parametrizations (1.5, 1.6, 4.1) reject non-exact divisions.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -475,12 +474,8 @@ def enumerate_unimodular(bound: int) -> Iterator[Mat2]:
                         yield Mat2(a11, a12, a21, a22)
 
 
-def _mat_key(m: Mat2) -> tuple[int, int, int, int]:
-    return m.entries()
-
-
 def _spec_key(spec: BraceSpec) -> tuple:
-    return (_mat_key(spec.phi), _mat_key(spec.psi))
+    return (spec.phi.entries(), spec.psi.entries())
 
 
 def _search_param_grid(label: RowLabel, bound: int) -> Iterator[RowParams]:
@@ -523,14 +518,16 @@ def generated_row_instances(bound: int) -> list[tuple[RowLabel, BraceSpec]]:
     """Every family member whose entries all fit in [-bound, bound].
 
     Deduplicated per (label, pair) and sorted lexicographically, so the
-    result is independent of grid iteration order.
+    result is independent of grid iteration order.  The members are built
+    by the raw family constructors, not generate_row, so validity is left
+    to the caller and a wrong constructor shows up as an invalid instance.
     """
     seen: set[tuple] = set()
     instances: list[tuple[RowLabel, BraceSpec]] = []
     for label in RowLabel:
         for params in _search_param_grid(label, bound):
             try:
-                spec = generate_row(label, params)
+                spec = _GENERATORS[label](params)
             except BadParams:
                 continue
             if _max_entry(spec) > bound:
@@ -579,87 +576,70 @@ class SearchReport:
         }
 
 
-def _scan_pairs(phi: Mat2, candidates: list[Mat2], bound: int):
-    """Scan the pairs (phi, psi) that can be valid for one phi: valid count,
-    histogram, unmatched.
+def _in_pair_class(m: Mat2) -> bool:
+    """Whether m lies in one of the five classes a valid pair can use.
 
-    A valid pair commutes, so psi runs over the commutant of phi in the box
-    (commutant_in_box); only phi = +-E, which commutes with everything,
-    scans the whole candidate list.  Also asserts, for every pair visited,
-    that the entry-exponent and kernel-membership readings of the four
-    conditions agree.
+    The classes are E and -E, the parabolic matrices of trace 2, order 3
+    (det 1, trace -1) and the reflections (det -1, trace 0).
+
+    Lemma.  A valid pair commutes, so lambda is additive, and then
+    lambda_(a*b) = lambda_a lambda_b with a*b = a + lambda_a(b) gives
+    lambda_(lambda_a(b)) = lambda_b: lambda_a(b) - b lies in K = ker lambda.
+    With a = e1 and a = e2, (phi - E)Z^2 + (psi - E)Z^2 lies in K.  If
+    det(phi - E) = det - trace + 1 is not 0, K has finite index dividing
+    |det(phi - E)|, so the image of lambda is finite and the order of phi
+    divides that index.  This rules out every hyperbolic phi (infinite
+    order, det(phi - E) = 2 - trace or -trace, never 0), every phi of det 1
+    and trace -2 other than -E (parabolic, infinite order, index 4), and
+    orders 4 and 6 (index 2 and 1).  What remains is the five classes; the
+    same argument applies to psi.
     """
-    if phi in (IDENTITY, -IDENTITY):
-        partners = candidates
-    else:
-        partners = commutant_in_box(phi, bound)
-    valid = 0
-    histogram: Counter = Counter()
-    unmatched: list[BraceSpec] = []
-    for psi in partners:
-        spec = BraceSpec(phi, psi)
-        verdict = check_pair(spec)
-        if verdict.power_identities != verdict.kernel_identities:
-            raise AssertionError(
-                f"power/kernel condition mismatch for {spec}: "
-                f"{verdict.power_identities} vs {verdict.kernel_identities}"
-            )
-        if not verdict.valid:
-            continue
-        valid += 1
-        labels = row_membership(spec)
-        if labels:
-            histogram.update(labels)
-        else:
-            unmatched.append(spec)
-    return valid, histogram, unmatched
+    return m == -IDENTITY or (m.det(), m.trace()) in ((1, 2), (1, -1), (-1, 0))
 
 
-_WORKER_BOX: tuple[int, list[Mat2]] = (0, [])
-
-
-def _init_search_worker(bound: int) -> None:
-    global _WORKER_BOX
-    _WORKER_BOX = (bound, list(enumerate_unimodular(bound)))
-
-
-def _scan_pairs_at(index: int):
-    bound, candidates = _WORKER_BOX
-    return _scan_pairs(candidates[index], candidates, bound)
-
-
-def exhaustive_search(bound: int, jobs: int = 1) -> SearchReport:
+def exhaustive_search(bound: int) -> SearchReport:
     """Cross-validate the classification over all pairs with entries in the box.
 
-    Both orderings of every unimodular pair are examined independently (the
-    families are not symmetric under swapping phi and psi).  Only commuting
-    pairs can be valid, so check_pair runs on those alone: O(bound) partners
-    per phi and O(bound^3) pairs in all, although candidates_examined still
-    counts the whole box, |U_B|^2.  With jobs > 1
-    the phi-stream is partitioned across worker processes; the merge is in
-    candidate order, so the report is identical to the single-process one.
+    Both orderings of every unimodular pair are covered independently (the
+    families are not symmetric under swapping phi and psi), but check_pair
+    runs only on the pairs that can be valid: both matrices in one of the
+    five classes of _in_pair_class, and commuting.  So psi runs over the
+    in-class part of phi's commutant in the box (commutant_in_box); only
+    phi = +-E, which commutes with everything, pairs with every in-class
+    matrix.  That is O(bound) partners per phi and O(bound^3) work in all,
+    although candidates_examined still counts the whole box, |U_B|^2.  For
+    every pair visited, the entry-exponent and kernel-membership readings
+    of the four conditions must agree.  Unmatched pairs come out in the
+    lexicographic order of enumerate_unimodular.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
-    candidates = list(enumerate_unimodular(bound))
-    if jobs == 1:
-        partials = [_scan_pairs(phi, candidates, bound) for phi in candidates]
-    else:
-        with multiprocessing.Pool(
-            processes=jobs, initializer=_init_search_worker, initargs=(bound,)
-        ) as pool:
-            partials = pool.map(_scan_pairs_at, range(len(candidates)))
-
+    box = list(enumerate_unimodular(bound))
+    in_class = [m for m in box if _in_pair_class(m)]
     valid_pairs = 0
     histogram: Counter = Counter()
     unmatched: list[BraceSpec] = []
-    for part_valid, part_hist, part_unmatched in partials:
-        valid_pairs += part_valid
-        histogram.update(part_hist)
-        unmatched.extend(part_unmatched)
-    unmatched.sort(key=_spec_key)
+    for phi in in_class:
+        if phi in (IDENTITY, -IDENTITY):
+            partners = in_class
+        else:
+            partners = [m for m in commutant_in_box(phi, bound) if _in_pair_class(m)]
+        for psi in partners:
+            spec = BraceSpec(phi, psi)
+            verdict = check_pair(spec)
+            if verdict.power_identities != verdict.kernel_identities:
+                raise AssertionError(
+                    f"power/kernel condition mismatch for {spec}: "
+                    f"{verdict.power_identities} vs {verdict.kernel_identities}"
+                )
+            if not verdict.valid:
+                continue
+            valid_pairs += 1
+            labels = row_membership(spec)
+            if labels:
+                histogram.update(labels)
+            else:
+                unmatched.append(spec)
 
     invalid_instances = [
         (label, spec)
@@ -669,7 +649,7 @@ def exhaustive_search(bound: int, jobs: int = 1) -> SearchReport:
 
     return SearchReport(
         bound=bound,
-        candidates_examined=len(candidates) ** 2,
+        candidates_examined=len(box) ** 2,
         valid_pairs=valid_pairs,
         unmatched_valid=unmatched,
         invalid_row_instances=invalid_instances,

@@ -80,7 +80,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    report = exhaustive_search(args.bound, jobs=args.jobs)
+    report = exhaustive_search(args.bound)
     _emit(report.to_dict(), args.output)
     return 0 if report.confirms_classification else 1
 
@@ -142,7 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "search", help="exhaustive cross-validation over a bounded entry box"
     )
     p_search.add_argument("--bound", type=int, required=True, help="entry box half-width")
-    p_search.add_argument("--jobs", type=int, default=1, help="worker processes")
     add_output(p_search)
     p_search.set_defaults(func=_cmd_search)
 

@@ -98,11 +98,6 @@ class Mat2:
             return Mat2(-self.a22, self.a12, self.a21, -self.a11)
         raise NotUnimodular(f"{self} has determinant {d}, no integer inverse")
 
-    def apply(self, v: tuple[int, int]) -> tuple[int, int]:
-        """Matrix-vector product on a coordinate pair."""
-        x1, x2 = v
-        return (self.a11 * x1 + self.a12 * x2, self.a21 * x1 + self.a22 * x2)
-
     def __mul__(self, other: "Mat2") -> "Mat2":
         if not isinstance(other, Mat2):
             return NotImplemented

@@ -17,7 +17,6 @@ from z2brace import (
     Vec2,
     ZERO,
     act,
-    brace_axiom_holds,
     check_pair,
     enumerate_unimodular,
     h_lambda_closed,
@@ -143,18 +142,6 @@ class TestCheckPair:
                 assert verdict.valid == (
                     verdict.commuting and all(verdict.power_identities)
                 )
-
-
-class TestBraceAxiom:
-    @given(spec=valid_specs, a=vectors, b=vectors, c=vectors)
-    def test_holds_for_valid_specs(self, spec, a, b, c):
-        assert brace_axiom_holds(spec, a, b, c)
-
-    @given(a=vectors, b=vectors, c=vectors)
-    def test_holds_even_for_invalid_homomorphic_pair(self, a, b, c):
-        # The compatibility law is automatic once lambda comes from matrix
-        # powers; what fails for bad pairs is associativity.
-        assert brace_axiom_holds(SPEC_BAD, a, b, c)
 
 
 class TestAssociativity:

@@ -30,15 +30,18 @@ from z2brace import (
     RowLabel,
     RowParams,
     check_pair,
+    commutant_in_box,
     enumerate_unimodular,
     exhaustive_search,
     generate_row,
     generated_row_instances,
+    order_by_predicate,
     orders_crosscheck,
     row12_parameters,
     row_label,
     row_membership,
 )
+from z2brace.cli import main
 
 # Frozen after agreement with the oracle loops below.
 GOLDEN_UNIMODULAR_COUNTS = {1: 40, 2: 104}
@@ -405,7 +408,72 @@ class TestExhaustiveSearch:
         assert found == oracle_valid
         assert report == expected
 
-    @pytest.mark.parametrize("bound, valid_pairs", [(6, 354), (10, 650)])
+    def test_matches_all_commutant_scan(self):
+        # Oracle without the class restriction: every phi of the box with its
+        # whole commutant (the whole box for phi = +-E).
+        bound = 8
+        box = list(enumerate_unimodular(bound))
+        histogram = {label.value: 0 for label in RowLabel}
+        valid_pairs = 0
+        unmatched = []
+        for phi in box:
+            if phi in (IDENTITY, -IDENTITY):
+                partners = box
+            else:
+                partners = commutant_in_box(phi, bound)
+            for psi in partners:
+                spec = BraceSpec(phi, psi)
+                if not check_pair(spec).valid:
+                    continue
+                valid_pairs += 1
+                labels = row_membership(spec)
+                for label in labels:
+                    histogram[label.value] += 1
+                if not labels:
+                    unmatched.append(spec.to_dict())
+        expected = {
+            "bound": bound,
+            "candidates": len(box) ** 2,
+            "valid_pairs": valid_pairs,
+            "row_histogram": histogram,
+            "unmatched_valid": unmatched,
+            "invalid_row_instances": [
+                {"row": label.value, "spec": spec.to_dict()}
+                for label, spec in generated_row_instances(bound)
+                if not check_pair(spec).valid
+            ],
+        }
+        assert exhaustive_search(bound).to_dict() == expected
+
+    def test_pair_classes_follow_from_the_kernel_index(self):
+        # A matrix is kept iff det(m - E) = 0, or m has finite order dividing
+        # the index |det(m - E)| of (m - E)Z^2, as the lemma requires.
+        box = list(enumerate_unimodular(4))
+        kept = 0
+        for m in box:
+            index = abs(m.det() - m.trace() + 1)
+            order = str(order_by_predicate(m))
+            allowed = index == 0 or (order != "inf" and index % int(order) == 0)
+            assert classification._in_pair_class(m) == allowed, m
+            kept += allowed
+        assert 0 < kept < len(box)
+
+    def test_wrong_constructor_is_reported(self, monkeypatch, capsys):
+        # A constructor that yields an invalid pair must surface in the
+        # report and make search exit 1, not raise out of the search.
+        shear = BraceSpec(Mat2(1, 1, 0, 1), IDENTITY)
+        monkeypatch.setitem(
+            classification._GENERATORS, RowLabel.R1_1, lambda params: shear
+        )
+        report = exhaustive_search(1)
+        assert report.invalid_row_instances == [(RowLabel.R1_1, shear)]
+        assert not report.confirms_classification
+        assert main(["search", "--bound", "1"]) == 1
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "bound, valid_pairs", [(6, 354), (10, 650), (20, 1554)]
+    )
     def test_larger_boxes_confirm_classification(self, bound, valid_pairs):
         report = exhaustive_search(bound)
         assert report.confirms_classification
@@ -413,9 +481,6 @@ class TestExhaustiveSearch:
 
     def test_identity_pair_is_among_valid(self):
         assert check_pair(BraceSpec(IDENTITY, IDENTITY)).valid
-
-    def test_parallel_report_matches_single(self, search_bound1):
-        assert exhaustive_search(1, jobs=2).to_dict() == search_bound1.to_dict()
 
     def test_block_consistency(self, search_bound1):
         # Every valid pair's determinant signs equal the block of each
@@ -451,15 +516,11 @@ class TestExhaustiveSearch:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             exhaustive_search(0)
-        with pytest.raises(ValueError):
-            exhaustive_search(1, jobs=0)
 
 
 class TestOrdersCrosscheck:
     def test_bound1_clean_and_all_orders_seen(self):
         assert orders_crosscheck(1) == []
-        from z2brace import order_by_predicate
-
         seen = {str(order_by_predicate(m)) for m in enumerate_unimodular(1)}
         assert seen == {"1", "2", "3", "4", "6", "inf"}
 

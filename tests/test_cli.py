@@ -123,6 +123,12 @@ class TestSearchAndOrders:
         _, second, _ = run(capsys, "search", "--bound", "1")
         assert first == second
 
+    def test_search_has_no_jobs_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--bound", "1", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_orders_clean(self, capsys):
         code, out, _ = run(capsys, "orders", "--bound", "2")
         assert code == 0
