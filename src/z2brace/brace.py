@@ -8,10 +8,14 @@ a (*) b = a + lambda_a(b).  check_pair decides exactly when this makes
 whose exponents are read off the entries of phi and psi, must all equal
 the identity matrix.
 
-The same four conditions are recomputed along an independent code path,
-as kernel membership of -u + lambda_w(u) for generators u, w, and both
-tuples are reported so any divergence between the two readings surfaces
-immediately.
+The four conditions are also read a second way, as kernel membership of
+-u + lambda_w(u) for generators u, w.  That reading derives its own
+vectors -u + lambda_w(u) through lambda_of and act; they are the columns
+of phi - E and psi - E that the entry reading uses, so lambda is
+evaluated once per distinct vector and both readings share the result.
+A vector that differs from the entry reading's gets its own evaluation,
+so a divergence between the two readings still surfaces in the two
+reported tuples.
 """
 
 from __future__ import annotations
@@ -114,8 +118,10 @@ class Verdict:
 
     power_identities holds the four entry-exponent conditions in generator
     order (phi on x, phi on y, psi on x, psi on y); kernel_identities holds
-    the same conditions computed via kernel membership.  valid is commuting
-    together with all four power identities.
+    the same conditions read as kernel membership of -u + lambda_w(u),
+    vectors that check_pair derives separately but whose lambda it
+    evaluates only when they differ from the entry reading's.  valid is
+    commuting together with all four power identities.
     """
 
     valid: bool
@@ -165,23 +171,30 @@ def check_pair(spec: BraceSpec) -> Verdict:
         phi^(phi11-1) psi^(phi21) = E,   phi^(phi12) psi^(phi22-1) = E,
         phi^(psi11-1) psi^(psi21) = E,   phi^(psi12) psi^(psi22-1) = E
 
-    hold exactly.  The kernel tuple re-derives each condition by applying
-    lambda_w to a generator u and testing -u + lambda_w(u) for membership
-    in the kernel of lambda, rather than reading entries directly.
+    hold exactly; the exponents of each condition are a column of phi - E
+    or psi - E.  The kernel tuple derives each condition's vector anew, as
+    -u + lambda_w(u) for generators u, w through lambda_of and act, and
+    tests it for membership in the kernel of lambda.  Where that vector
+    equals the entry reading's, the one lambda evaluation serves both
+    tuples; only a differing vector is evaluated again, so the two tuples
+    disagree exactly when the two readings do.
     """
     phi, psi = spec.phi, spec.psi
     commuting = phi * psi == psi * phi
-    power = (
-        phi ** (phi.a11 - 1) * psi ** phi.a21 == IDENTITY,
-        phi ** phi.a12 * psi ** (phi.a22 - 1) == IDENTITY,
-        phi ** (psi.a11 - 1) * psi ** psi.a21 == IDENTITY,
-        phi ** psi.a12 * psi ** (psi.a22 - 1) == IDENTITY,
+    columns = (
+        Vec2(phi.a11 - 1, phi.a21),
+        Vec2(phi.a12, phi.a22 - 1),
+        Vec2(psi.a11 - 1, psi.a21),
+        Vec2(psi.a12, psi.a22 - 1),
     )
+    power = tuple(in_lambda_kernel(spec, v) for v in columns)
     kernel = []
     for w in _GENERATORS:
         lam_w = lambda_of(spec, w)
         for u in _GENERATORS:
-            kernel.append(in_lambda_kernel(spec, -u + act(lam_w, u)))
+            v = -u + act(lam_w, u)
+            i = len(kernel)
+            kernel.append(power[i] if v == columns[i] else in_lambda_kernel(spec, v))
     return Verdict(
         valid=commuting and all(power),
         commuting=commuting,

@@ -11,24 +11,28 @@ block 3 = (-1, 1), block 4 = (-1, -1).  This module provides
     exactly (row_membership; row12_parameters for family 1.2), so the
     family definitions live only in the constructors,
   * a duplicate-free lexicographic enumeration of unimodular matrices
-    with bounded entries (enumerate_unimodular),
+    with bounded entries, in time proportional to their number
+    (enumerate_unimodular),
   * a bidirectional exhaustive cross-validation (exhaustive_search):
     every valid pair in the bounded box must match a family, and every
-    family instance that fits in the box must be valid,
+    family instance that fits in the box must be valid; the instances are
+    found by solving each family's parameters (generated_row_instances),
+    and those the forward scan already found valid are not checked again,
   * an order-classification cross-check over the same box
     (orders_crosscheck).
 
 Family constructors follow the case analysis by order of phi.  Square-root
 parametrizations (families 1.3, 1.4, 2.1, 2.2, 3.1, 3.2, 4.2) take the
 root of their radicand exactly and reject non-squares; rational
-parametrizations (1.5, 1.6, 4.1) reject non-exact divisions.
+parametrizations (1.5, 1.6, 4.1) reject non-exact divisions.  Every
+constructor rejects a parameter outside its family's signature.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import product
 from typing import Iterator
@@ -127,6 +131,8 @@ class RowParams:
     1.3/1.4: p, q, sign1         1.5/1.6: m, n
     2.1/2.2/3.1/3.2/4.2: p, q, sign1
     4.1: m, n, plus p exactly when m = n (m = n in {0, -1}).
+
+    A family's constructor rejects every other field that is set.
     """
 
     m: int | None = None
@@ -143,7 +149,21 @@ class RowParams:
                 raise BadParams(f"{name} must be +1 or -1, got {value}")
 
 
-def _need(params: RowParams, label: RowLabel, *names: str) -> list[int]:
+_PARAM_NAMES = tuple(f.name for f in fields(RowParams))
+
+
+def _need(
+    params: RowParams, label: RowLabel, *names: str, optional: tuple[str, ...] = ()
+) -> list[int]:
+    # The values of names, which must all be set; every other field but the
+    # optional ones must be unset.
+    stray = [
+        name
+        for name in _PARAM_NAMES
+        if getattr(params, name) is not None and name not in names and name not in optional
+    ]
+    if stray:
+        raise BadParams(f"family {label} takes no parameter {', '.join(stray)}")
     values = []
     for name in names:
         value = getattr(params, name)
@@ -259,7 +279,7 @@ def _gen_2_2(params: RowParams) -> BraceSpec:
 
 
 def _gen_4_1(params: RowParams) -> BraceSpec:
-    m, n = _need(params, RowLabel.R4_1, "m", "n")
+    m, n = _need(params, RowLabel.R4_1, "m", "n", optional=("p",))
     if m == n:
         if m not in (0, -1):
             raise BadParams("family 4.1 with m = n requires m in {0, -1}")
@@ -304,7 +324,8 @@ def generate_row(label: RowLabel, params: RowParams) -> BraceSpec:
     """Construct the exact family member for the given parameters.
 
     Raises BadParams (or its subclasses IntegralityError / GcdError) when
-    the parameters do not produce a member.  Every constructed pair
+    the parameters do not produce a member, including when one of them is
+    not a parameter of the family.  Every constructed pair
     satisfies check_pair, which is asserted here.
     """
     spec = _GENERATORS[label](params)
@@ -451,63 +472,105 @@ def row_membership(spec: BraceSpec) -> set[RowLabel]:
 def enumerate_unimodular(bound: int) -> Iterator[Mat2]:
     """All matrices with entries in [-bound, bound] and determinant +-1.
 
-    Lexicographic in (a11, a12, a21, a22), each matrix exactly once.  For
-    a11 != 0 the entry a22 is solved from a11 a22 = a12 a21 +- 1 instead of
-    scanned, so the cost is O(bound^3).
+    Lexicographic in (a11, a12, a21, a22), each matrix exactly once.  The
+    (a12, a21) pairs of the box are indexed by their product once; then for
+    each (a11, a22) and determinant d the pairs with a12 a21 = a11 a22 - d
+    are looked up, and each a11 group is sorted.  Every lookup hit is a
+    matrix of the box, so the cost is O(|U_B| log |U_B|) for the |U_B|
+    matrices listed, plus O(bound^2) for the index.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
     rng = range(-bound, bound + 1)
+    by_product: dict[int, list[tuple[int, int]]] = {}
+    for a12, a21 in product(rng, rng):
+        by_product.setdefault(a12 * a21, []).append((a12, a21))
     for a11 in rng:
-        for a12 in rng:
-            for a21 in rng:
-                off = a12 * a21
-                if a11 == 0:
-                    # det = -a12 a21 whatever a22 is.
-                    if abs(off) == 1:
-                        for a22 in rng:
-                            yield Mat2(a11, a12, a21, a22)
-                    continue
-                for num in (off - 1, off + 1) if a11 > 0 else (off + 1, off - 1):
-                    a22, rem = divmod(num, a11)
-                    if not rem and -bound <= a22 <= bound:
-                        yield Mat2(a11, a12, a21, a22)
+        group = sorted(
+            (a12, a21, a22)
+            for a22 in rng
+            for det in (1, -1)
+            for a12, a21 in by_product.get(a11 * a22 - det, ())
+        )
+        for a12, a21, a22 in group:
+            yield Mat2(a11, a12, a21, a22)
 
 
 def _spec_key(spec: BraceSpec) -> tuple:
     return (spec.phi.entries(), spec.psi.entries())
 
 
-def _search_param_grid(label: RowLabel, bound: int) -> Iterator[RowParams]:
-    """Parameter tuples whose family member can fit in the entry box.
+#: Square-root families: (c0, k, scale) where the radicand is c0 - k p q
+#: (its root r is odd) and scale * p is an entry.
+_RADICANDS = {
+    RowLabel.R1_3: (-3, 12, 3),
+    RowLabel.R1_4: (-3, 12, 3),
+    RowLabel.R2_1: (1, 2, 2),
+    RowLabel.R3_1: (1, 2, 2),
+    RowLabel.R2_2: (1, 4, 2),
+    RowLabel.R3_2: (1, 4, 2),
+    RowLabel.R4_2: (1, 4, 2),
+}
 
-    The ranges are deliberately generous; instantiation failures and
-    out-of-box members are filtered by the caller.  For every family the
-    entry formulas bound the parameters linearly (or by cube roots for
-    1.2), so these ranges provably cover all in-box members.
+#: Rational families: (a12, num) as functions of h = a11 and n; the
+#: family's defining division, solved for m, reads m * a12 = num.
+_LINEAR = {
+    RowLabel.R1_5: lambda h, n: (2 + 3 * n + h, n * (h - 1) - 1),
+    RowLabel.R1_6: lambda h, n: (1 + 3 * n - h, h * (1 + n) - n),
+    RowLabel.R4_1: lambda h, n: (1 + 2 * n + h, n * (h - 1)),
+}
+
+
+def _member_params(label: RowLabel, bound: int) -> Iterator[RowParams]:
+    """Parameters of every family member that can fit in the entry box.
+
+    Each family is solved for its last parameter instead of scanned: the
+    square-root families take p and the odd root r and get q by exact
+    division of the radicand (q is free when p = 0 and the radicand is
+    1); the rational families take h = a11 and n and get m by exact
+    division; 1.2 bounds |m| by bound / max(|p|, |q|)^3 for each coprime
+    (p, q).  Every in-box member is among the results, but some results
+    are not in the box, which the caller filters.
     """
-    signs = (1, -1)
     wide = range(-bound - 1, bound + 2)
     if label == RowLabel.R1_1:
-        for s1, s2 in product(signs, signs):
+        for s1, s2 in product((1, -1), repeat=2):
             yield RowParams(sign1=s1, sign2=s2)
     elif label == RowLabel.R1_2:
-        cap = _integer_cbrt(max(bound + 1, 1))
-        for m, p, q in product(wide, range(-cap, cap + 1), range(-cap, cap + 1)):
-            yield RowParams(m=m, p=p, q=q)
-    elif label in (RowLabel.R1_5, RowLabel.R1_6):
-        for m, n in product(wide, wide):
-            yield RowParams(m=m, n=n)
-    elif label == RowLabel.R4_1:
-        for m in (0, -1):
-            for p in wide:
-                yield RowParams(m=m, n=m, p=p)
-        for m, n in product(wide, wide):
-            if m != n:
-                yield RowParams(m=m, n=n)
-    else:  # 1.3, 1.4, 2.1, 2.2, 3.1, 3.2, 4.2
-        for p, q, s in product(range(-bound, bound + 1), range(-bound, bound + 1), signs):
-            yield RowParams(p=p, q=q, sign1=s)
+        cap = _integer_cbrt(bound)
+        for p, q in product(range(-cap, cap + 1), repeat=2):
+            if math.gcd(p, q) == 1:
+                m_max = bound // max(abs(p), abs(q)) ** 3
+                for m in range(-m_max, m_max + 1):
+                    yield RowParams(m=m, p=p, q=q)
+    elif label in _LINEAR:
+        for h, n in product(range(-bound, bound + 1), wide):
+            a12, num = _LINEAR[label](h, n)
+            if abs(a12) > bound:
+                continue
+            if a12:
+                ms = () if num % a12 else (num // a12,)
+            else:
+                # m * 0 = num holds for every m when num is 0.
+                ms = wide if num == 0 else ()
+            for m in ms:
+                p = h if label == RowLabel.R4_1 and m == n else None
+                yield RowParams(m=m, n=n, p=p)
+    else:
+        c0, k, scale = _RADICANDS[label]
+        p_max = bound // scale
+        for p in range(-p_max, p_max + 1):
+            if p == 0:
+                qs = range(-bound, bound + 1) if c0 == 1 else ()
+            else:
+                qs = []
+                for r in range(1, 2 * bound + 2, 2):
+                    q, rem = divmod(c0 - r * r, k * p)
+                    # q or 2q is an entry.
+                    if not rem and abs(q) <= bound:
+                        qs.append(q)
+            for q, s in product(qs, (1, -1)):
+                yield RowParams(p=p, q=q, sign1=s)
 
 
 def _max_entry(spec: BraceSpec) -> int:
@@ -517,19 +580,18 @@ def _max_entry(spec: BraceSpec) -> int:
 def generated_row_instances(bound: int) -> list[tuple[RowLabel, BraceSpec]]:
     """Every family member whose entries all fit in [-bound, bound].
 
-    Deduplicated per (label, pair) and sorted lexicographically, so the
-    result is independent of grid iteration order.  The members are built
-    by the raw family constructors, not generate_row, so validity is left
-    to the caller and a wrong constructor shows up as an invalid instance.
+    The parameters are solved from the entry box (_member_params), not
+    scanned, so only members are built.  Deduplicated per (label, pair)
+    and sorted lexicographically, so the result is independent of the
+    order the parameters come in.  The members are built by the raw
+    family constructors, not generate_row, so validity is left to the
+    caller and a wrong constructor shows up as an invalid instance.
     """
     seen: set[tuple] = set()
     instances: list[tuple[RowLabel, BraceSpec]] = []
     for label in RowLabel:
-        for params in _search_param_grid(label, bound):
-            try:
-                spec = _GENERATORS[label](params)
-            except BadParams:
-                continue
+        for params in _member_params(label, bound):
+            spec = _GENERATORS[label](params)
             if _max_entry(spec) > bound:
                 continue
             key = (label.value, _spec_key(spec))
@@ -611,12 +673,17 @@ def exhaustive_search(bound: int) -> SearchReport:
     every pair visited, the entry-exponent and kernel-membership readings
     of the four conditions must agree.  Unmatched pairs come out in the
     lexicographic order of enumerate_unimodular.
+
+    The reverse direction reuses the forward verdicts: check_pair is pure
+    and the forward scan visits every pair that can be valid, so a family
+    member it found valid is not checked again.  Every other member gets
+    check_pair, and an invalid one is reported in invalid_row_instances.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
     box = list(enumerate_unimodular(bound))
     in_class = [m for m in box if _in_pair_class(m)]
-    valid_pairs = 0
+    valid: set[BraceSpec] = set()
     histogram: Counter = Counter()
     unmatched: list[BraceSpec] = []
     for phi in in_class:
@@ -634,7 +701,7 @@ def exhaustive_search(bound: int) -> SearchReport:
                 )
             if not verdict.valid:
                 continue
-            valid_pairs += 1
+            valid.add(spec)
             labels = row_membership(spec)
             if labels:
                 histogram.update(labels)
@@ -644,13 +711,13 @@ def exhaustive_search(bound: int) -> SearchReport:
     invalid_instances = [
         (label, spec)
         for label, spec in generated_row_instances(bound)
-        if not check_pair(spec).valid
+        if spec not in valid and not check_pair(spec).valid
     ]
 
     return SearchReport(
         bound=bound,
         candidates_examined=len(box) ** 2,
-        valid_pairs=valid_pairs,
+        valid_pairs=len(valid),
         unmatched_valid=unmatched,
         invalid_row_instances=invalid_instances,
         row_histogram=dict(histogram),

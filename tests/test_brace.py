@@ -5,6 +5,8 @@ verdict, and the holomorph closure property.
 import pytest
 from hypothesis import given, strategies as st
 
+import z2brace.brace as brace
+
 from conftest import ALL_FIXTURE_SPECS, ROW_SPECS, TRIVIAL_SPEC
 
 from z2brace import (
@@ -15,6 +17,7 @@ from z2brace import (
     NotUnimodular,
     RowLabel,
     Vec2,
+    Verdict,
     ZERO,
     act,
     check_pair,
@@ -142,6 +145,62 @@ class TestCheckPair:
                 assert verdict.valid == (
                     verdict.commuting and all(verdict.power_identities)
                 )
+
+
+def two_reading_check_pair(spec):
+    # check_pair as it was before the readings shared their lambda values:
+    # the four entry-exponent products, then each kernel vector's own
+    # evaluation.
+    phi, psi = spec.phi, spec.psi
+    commuting = phi * psi == psi * phi
+    power = (
+        phi ** (phi.a11 - 1) * psi ** phi.a21 == IDENTITY,
+        phi ** phi.a12 * psi ** (phi.a22 - 1) == IDENTITY,
+        phi ** (psi.a11 - 1) * psi ** psi.a21 == IDENTITY,
+        phi ** psi.a12 * psi ** (psi.a22 - 1) == IDENTITY,
+    )
+    kernel = []
+    for w in (Vec2(1, 0), Vec2(0, 1)):
+        lam_w = lambda_of(spec, w)
+        for u in (Vec2(1, 0), Vec2(0, 1)):
+            kernel.append(in_lambda_kernel(spec, -u + act(lam_w, u)))
+    return Verdict(
+        valid=commuting and all(power),
+        commuting=commuting,
+        power_identities=power,
+        kernel_identities=tuple(kernel),
+    )
+
+
+class TestSharedEvaluation:
+    def test_matches_two_reading_verdicts_at_bound2(self):
+        box = list(enumerate_unimodular(2))
+        assert len(box) ** 2 == 10816
+        for phi in box:
+            for psi in box:
+                spec = BraceSpec(phi, psi)
+                assert check_pair(spec) == two_reading_check_pair(spec), spec
+
+    @pytest.mark.parametrize("bits", range(8, 13))
+    def test_matches_two_reading_verdicts_on_hyperbolic_pairs(self, bits):
+        a = (1 << (bits - 1)) + 7
+        m = Mat2(a, a + 1, a - 1, a)
+        n = Mat2(a, a - 1, a + 1, a)
+        for phi, psi in ((m, m), (m, m.inverse()), (m, -m), (m, n), (n, -m)):
+            spec = BraceSpec(phi, psi)
+            assert check_pair(spec) == two_reading_check_pair(spec), spec
+
+    def test_kernel_reading_derives_its_own_vectors(self, monkeypatch):
+        # With a wrong act, the kernel vectors differ from the columns of
+        # phi - E, get their own evaluation, and the readings disagree.
+        assert check_pair(SPEC_BAD).kernel_identities == (True, False, True, True)
+        def transposed_act(m, v):
+            return Vec2(m.a11 * v.x1 + m.a21 * v.x2, m.a12 * v.x1 + m.a22 * v.x2)
+
+        monkeypatch.setattr(brace, "act", transposed_act)
+        verdict = check_pair(SPEC_BAD)
+        assert verdict.power_identities == (True, False, True, True)
+        assert verdict.kernel_identities == (True, True, True, True)
 
 
 class TestAssociativity:

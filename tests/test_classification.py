@@ -10,6 +10,7 @@ import math
 import signal
 import time
 from contextlib import contextmanager
+from dataclasses import fields, replace
 from itertools import product
 
 import pytest
@@ -90,6 +91,57 @@ def oracle_unimodular_count(bound: int) -> int:
     )
 
 
+def triple_loop_unimodular(bound):
+    # enumerate_unimodular as it was before the product index: scan
+    # (a11, a12, a21) and solve a22 from the determinant.
+    rng = range(-bound, bound + 1)
+    for a11 in rng:
+        for a12 in rng:
+            for a21 in rng:
+                off = a12 * a21
+                if a11 == 0:
+                    if abs(off) == 1:
+                        for a22 in rng:
+                            yield Mat2(a11, a12, a21, a22)
+                    continue
+                for num in (off - 1, off + 1) if a11 > 0 else (off + 1, off - 1):
+                    a22, rem = divmod(num, a11)
+                    if not rem and -bound <= a22 <= bound:
+                        yield Mat2(a11, a12, a21, a22)
+
+
+def grid_row_instances(bound):
+    # generated_row_instances as it was before the parameters were solved:
+    # every point of a parameter grid goes through the constructor.
+    wide = range(-bound - 1, bound + 2)
+    signs = (1, -1)
+    cap = classification._integer_cbrt(bound + 1)
+    grids = {
+        RowLabel.R1_1: [RowParams(sign1=s1, sign2=s2) for s1, s2 in product(signs, signs)],
+        RowLabel.R1_2: [
+            RowParams(m=m, p=p, q=q)
+            for m, p, q in product(wide, range(-cap, cap + 1), range(-cap, cap + 1))
+        ],
+        RowLabel.R1_5: [RowParams(m=m, n=n) for m, n in product(wide, wide)],
+        RowLabel.R1_6: [RowParams(m=m, n=n) for m, n in product(wide, wide)],
+        RowLabel.R4_1: [RowParams(m=m, n=m, p=p) for m in (0, -1) for p in wide]
+        + [RowParams(m=m, n=n) for m, n in product(wide, wide) if m != n],
+    }
+    box = range(-bound, bound + 1)
+    root_grid = [RowParams(p=p, q=q, sign1=s) for p, q, s in product(box, box, signs)]
+    found = set()
+    for label in RowLabel:
+        for params in grids.get(label, root_grid):
+            try:
+                spec = classification._GENERATORS[label](params)
+            except BadParams:
+                continue
+            entries = spec.phi.entries() + spec.psi.entries()
+            if max(map(abs, entries)) <= bound:
+                found.add((label.value, spec.phi.entries(), spec.psi.entries()))
+    return sorted(found)
+
+
 class TestGenerators:
     def test_family_12_unit_parameters(self):
         spec = generate_row(RowLabel.R1_2, RowParams(m=1, p=1, q=1))
@@ -141,6 +193,16 @@ class TestGenerators:
             generate_row(RowLabel.R4_1, RowParams(m=0, n=1, p=2))
         with pytest.raises(BadParams):
             RowParams(sign1=2)
+
+    def test_stray_parameters_rejected(self):
+        # Each family rejects every parameter outside its signature, and the
+        # message names it.
+        for label, params in ROW_FIXTURE_PARAMS.items():
+            unset = [f.name for f in fields(params) if getattr(params, f.name) is None]
+            assert unset, label
+            for name in unset:
+                with pytest.raises(BadParams, match=f"takes no parameter {name}$"):
+                    generate_row(label, replace(params, **{name: 1}))
 
     def test_soundness_over_parameter_grid(self):
         # Every constructible member with |parameters| <= 3 is valid and
@@ -307,6 +369,10 @@ class TestIntegerCubeRoot:
 
 
 class TestEnumeration:
+    @pytest.mark.parametrize("bound", range(1, 16))
+    def test_matches_triple_loop(self, bound):
+        assert list(enumerate_unimodular(bound)) == list(triple_loop_unimodular(bound))
+
     @pytest.mark.parametrize("bound", [1, 2])
     def test_count_matches_oracle_and_golden(self, bound):
         stream = list(enumerate_unimodular(bound))
@@ -492,6 +558,29 @@ class TestExhaustiveSearch:
                     continue
                 for label in row_membership(spec):
                     assert ROW_BLOCKS[label] == (phi.det(), psi.det())
+
+    @pytest.mark.parametrize("bound", [*range(1, 13), 20, 30])
+    def test_solved_instances_match_the_parameter_grid(self, bound):
+        solved = [
+            (label.value, spec.phi.entries(), spec.psi.entries())
+            for label, spec in generated_row_instances(bound)
+        ]
+        assert solved == grid_row_instances(bound)
+
+    def test_reverse_direction_reuses_forward_verdicts(self, monkeypatch):
+        # 748 pairs at bound 4 can be valid; the 227 family members in the
+        # box are all among the valid ones, so none is checked again.
+        calls = []
+
+        def counting_check_pair(spec):
+            calls.append(spec)
+            return check_pair(spec)
+
+        monkeypatch.setattr(classification, "check_pair", counting_check_pair)
+        report = exhaustive_search(4)
+        assert report.confirms_classification
+        assert len(generated_row_instances(4)) == 227
+        assert len(calls) == len(set(calls)) == 748
 
     def test_generated_instances_fit_and_are_valid(self):
         instances = generated_row_instances(2)

@@ -2,11 +2,14 @@
 round trips between subcommands.
 """
 
+import hashlib
 import json
 import time
+from itertools import product
 
 import pytest
 
+from z2brace import BraceSpec, Mat2
 from z2brace.cli import main
 
 VALID_INLINE = '{"phi":[[1,0],[0,1]],"psi":[[1,0],[0,1]]}'
@@ -57,6 +60,34 @@ class TestCheck:
         code, _, err = run(capsys, "check", "no-such-file.json")
         assert code == 2 and "error" in err
 
+    def test_output_bytes_pinned(self, capsys):
+        # sha256 over stdout and exit code of `check`, recorded before the
+        # two readings of the conditions shared their lambda evaluations:
+        # every pair at bound 1, hyperbolic phi = psi at 8 and 10 bits, and
+        # a family 1.2 member with m = 2^64 + 1.
+        box = [
+            Mat2(a, b, c, d)
+            for a, b, c, d in product(range(-1, 2), repeat=4)
+            if abs(a * d - b * c) == 1
+        ]
+        specs = [BraceSpec(phi, psi) for phi in box for psi in box]
+        for a in (2**7 + 7, 2**9 + 7):
+            for m in (Mat2(a, a + 1, a - 1, a), Mat2(a, a - 1, a + 1, a)):
+                specs.append(BraceSpec(m, m))
+        m, p, q = 2**64 + 1, 2, -3
+        specs.append(BraceSpec(
+            Mat2(1 + m * p * p * q, m * p * q * q, -m * p**3, 1 - m * p * p * q),
+            Mat2(1 + m * p * q * q, m * q**3, -m * p * p * q, 1 - m * p * q * q),
+        ))
+        assert len(specs) == 1605
+        digest = hashlib.sha256()
+        for spec in specs:
+            code, out, _ = run(capsys, "check", json.dumps(spec.to_dict()))
+            digest.update(f"{out}{code}\n".encode())
+        assert digest.hexdigest() == (
+            "8702ba09b18ec97bbcfb82c908c9461ea99c1e58946fb3a91be61bb0e98390bf"
+        )
+
 
 class TestClassify:
     def test_identity_pair(self, capsys):
@@ -80,6 +111,14 @@ class TestGenerate:
     def test_bad_params_exit_two(self, capsys):
         code, _, err = run(capsys, "generate", "--row", "1.2", "--m", "1", "--p", "2", "--q", "2")
         assert code == 2 and "gcd" in err
+
+    def test_stray_parameters_exit_two(self, capsys):
+        code, out, err = run(
+            capsys, "generate", "--row", "1.2", "--m", "1", "--p", "1", "--q", "1",
+            "--n", "5", "--sign1", "-1",
+        )
+        assert code == 2 and out == ""
+        assert "family 1.2 takes no parameter n, sign1" in err
 
     def test_unknown_row_exits_two(self, capsys):
         code, _, err = run(capsys, "generate", "--row", "9.9")
