@@ -7,15 +7,6 @@ a (*) b = a + lambda_a(b).  check_pair decides exactly when this makes
 (Z^2, +, *) a brace: phi and psi must commute and four power identities,
 whose exponents are read off the entries of phi and psi, must all equal
 the identity matrix.
-
-The four conditions are also read a second way, as kernel membership of
--u + lambda_w(u) for generators u, w.  That reading derives its own
-vectors -u + lambda_w(u) through lambda_of and act; they are the columns
-of phi - E and psi - E that the entry reading uses, so lambda is
-evaluated once per distinct vector and both readings share the result.
-A vector that differs from the entry reading's gets its own evaluation,
-so a divergence between the two readings still surfaces in the two
-reported tuples.
 """
 
 from __future__ import annotations
@@ -71,9 +62,6 @@ class Vec2:
 
 ZERO = Vec2(0, 0)
 
-# Generators of Z^2, in the order used for the four pair conditions.
-_GENERATORS = (Vec2(1, 0), Vec2(0, 1))
-
 
 def act(m: Mat2, v: Vec2) -> Vec2:
     """The automorphism m applied to v."""
@@ -117,24 +105,19 @@ class Verdict:
     """Outcome of check_pair.
 
     power_identities holds the four entry-exponent conditions in generator
-    order (phi on x, phi on y, psi on x, psi on y); kernel_identities holds
-    the same conditions read as kernel membership of -u + lambda_w(u),
-    vectors that check_pair derives separately but whose lambda it
-    evaluates only when they differ from the entry reading's.  valid is
-    commuting together with all four power identities.
+    order (phi on x, phi on y, psi on x, psi on y).  valid is commuting
+    together with all four power identities.
     """
 
     valid: bool
     commuting: bool
     power_identities: tuple[bool, bool, bool, bool]
-    kernel_identities: tuple[bool, bool, bool, bool]
 
     def to_dict(self) -> dict:
         return {
             "valid": self.valid,
             "commuting": self.commuting,
             "power_identities": list(self.power_identities),
-            "kernel_identities": list(self.kernel_identities),
         }
 
 
@@ -172,12 +155,7 @@ def check_pair(spec: BraceSpec) -> Verdict:
         phi^(psi11-1) psi^(psi21) = E,   phi^(psi12) psi^(psi22-1) = E
 
     hold exactly; the exponents of each condition are a column of phi - E
-    or psi - E.  The kernel tuple derives each condition's vector anew, as
-    -u + lambda_w(u) for generators u, w through lambda_of and act, and
-    tests it for membership in the kernel of lambda.  Where that vector
-    equals the entry reading's, the one lambda evaluation serves both
-    tuples; only a differing vector is evaluated again, so the two tuples
-    disagree exactly when the two readings do.
+    or psi - E.
     """
     phi, psi = spec.phi, spec.psi
     commuting = phi * psi == psi * phi
@@ -188,18 +166,8 @@ def check_pair(spec: BraceSpec) -> Verdict:
         Vec2(psi.a12, psi.a22 - 1),
     )
     power = tuple(in_lambda_kernel(spec, v) for v in columns)
-    kernel = []
-    for w in _GENERATORS:
-        lam_w = lambda_of(spec, w)
-        for u in _GENERATORS:
-            v = -u + act(lam_w, u)
-            i = len(kernel)
-            kernel.append(power[i] if v == columns[i] else in_lambda_kernel(spec, v))
     return Verdict(
-        valid=commuting and all(power),
-        commuting=commuting,
-        power_identities=power,
-        kernel_identities=tuple(kernel),
+        valid=commuting and all(power), commuting=commuting, power_identities=power
     )
 
 

@@ -669,10 +669,9 @@ def exhaustive_search(bound: int) -> SearchReport:
     in-class part of phi's commutant in the box (commutant_in_box); only
     phi = +-E, which commutes with everything, pairs with every in-class
     matrix.  That is O(bound) partners per phi and O(bound^3) work in all,
-    although candidates_examined still counts the whole box, |U_B|^2.  For
-    every pair visited, the entry-exponent and kernel-membership readings
-    of the four conditions must agree.  Unmatched pairs come out in the
-    lexicographic order of enumerate_unimodular.
+    although candidates_examined still counts the whole box, |U_B|^2.
+    Unmatched pairs come out in the lexicographic order of
+    enumerate_unimodular.
 
     The reverse direction reuses the forward verdicts: check_pair is pure
     and the forward scan visits every pair that can be valid, so a family
@@ -693,13 +692,7 @@ def exhaustive_search(bound: int) -> SearchReport:
             partners = [m for m in commutant_in_box(phi, bound) if _in_pair_class(m)]
         for psi in partners:
             spec = BraceSpec(phi, psi)
-            verdict = check_pair(spec)
-            if verdict.power_identities != verdict.kernel_identities:
-                raise AssertionError(
-                    f"power/kernel condition mismatch for {spec}: "
-                    f"{verdict.power_identities} vs {verdict.kernel_identities}"
-                )
-            if not verdict.valid:
+            if not check_pair(spec).valid:
                 continue
             valid.add(spec)
             labels = row_membership(spec)

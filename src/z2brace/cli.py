@@ -7,7 +7,8 @@ valid pair outside every family), 2 means the invocation itself was bad
 (malformed JSON, non-unimodular matrices, unusable parameters).
 
 Specs are accepted inline ('{"phi": [[...]], "psi": [[...]]}') or as a
-path to a file holding the same JSON.  All output is deterministic:
+path to a file holding the same JSON; an argument starting with "{" or
+"[" is read as inline JSON.  All output is deterministic:
 identical arguments and seed produce byte-identical bytes.
 """
 
@@ -34,7 +35,7 @@ __all__ = ["main"]
 
 
 def _load_spec(text: str) -> BraceSpec:
-    if not text.lstrip().startswith("{"):
+    if not text.lstrip().startswith(("{", "[")):
         with open(text, "r", encoding="utf-8") as handle:
             text = handle.read()
     return BraceSpec.from_dict(json.loads(text))

@@ -19,7 +19,6 @@ non-degenerate on all of Z^2, not only on a sampled box.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from typing import NamedTuple
 
 from .brace import BraceSpec, Vec2, act, check_pair, lambda_of
@@ -44,18 +43,37 @@ class PairZ2(NamedTuple):
     second: Vec2
 
 
-@lru_cache(maxsize=4096)
-def _is_valid(spec: BraceSpec) -> bool:
-    return check_pair(spec).valid
-
-
 def _require_valid(spec: BraceSpec) -> None:
-    if not _is_valid(spec):
+    if not check_pair(spec).valid:
         raise InvalidSpec(f"{spec} fails the pair conditions; run check_pair for details")
 
 
 def _r(spec: BraceSpec, x: Vec2, y: Vec2) -> PairZ2:
     return PairZ2(act(lambda_of(spec, x), y), act(lambda_of(spec, y).inverse(), x))
+
+
+def _ybe_holds(spec: BraceSpec, x: Vec2, y: Vec2, z: Vec2) -> bool:
+    def r12(t):
+        p = _r(spec, t[0], t[1])
+        return (p.first, p.second, t[2])
+
+    def r23(t):
+        p = _r(spec, t[1], t[2])
+        return (t[0], p.first, p.second)
+
+    start = (x, y, z)
+    return r12(r23(r12(start))) == r23(r12(r23(start)))
+
+
+def _involutive_at(spec: BraceSpec, x: Vec2, y: Vec2) -> bool:
+    once = _r(spec, x, y)
+    return _r(spec, once.first, once.second) == PairZ2(x, y)
+
+
+def _nondegenerate_at(spec: BraceSpec, x: Vec2, y: Vec2) -> bool:
+    left = act(lambda_of(spec, x).inverse(), y)
+    right = act(lambda_of(spec, y), x)
+    return _r(spec, x, left).first == y and _r(spec, right, y).second == x
 
 
 def r_map(spec: BraceSpec, x: Vec2, y: Vec2) -> PairZ2:
@@ -71,24 +89,13 @@ def ybe_holds(spec: BraceSpec, x: Vec2, y: Vec2, z: Vec2) -> bool:
     and compares all three output components.
     """
     _require_valid(spec)
-
-    def r12(t):
-        p = _r(spec, t[0], t[1])
-        return (p.first, p.second, t[2])
-
-    def r23(t):
-        p = _r(spec, t[1], t[2])
-        return (t[0], p.first, p.second)
-
-    start = (x, y, z)
-    return r12(r23(r12(start))) == r23(r12(r23(start)))
+    return _ybe_holds(spec, x, y, z)
 
 
 def involutive_at(spec: BraceSpec, x: Vec2, y: Vec2) -> bool:
     """True iff r(r(x, y)) = (x, y) exactly."""
     _require_valid(spec)
-    once = _r(spec, x, y)
-    return _r(spec, once.first, once.second) == PairZ2(x, y)
+    return _involutive_at(spec, x, y)
 
 
 def nondegenerate_at(spec: BraceSpec, x: Vec2, y: Vec2) -> bool:
@@ -101,9 +108,7 @@ def nondegenerate_at(spec: BraceSpec, x: Vec2, y: Vec2) -> bool:
     each preimage round-trips through r.
     """
     _require_valid(spec)
-    left = act(lambda_of(spec, x).inverse(), y)
-    right = act(lambda_of(spec, y), x)
-    return _r(spec, x, left).first == y and _r(spec, right, y).second == x
+    return _nondegenerate_at(spec, x, y)
 
 
 def sample_report(
@@ -130,11 +135,11 @@ def sample_report(
     nondegeneracy_failures = []
     for _ in range(samples):
         x, y, z = draw(), draw(), draw()
-        if not ybe_holds(spec, x, y, z):
+        if not _ybe_holds(spec, x, y, z):
             ybe_failures.append([list(x.coords()), list(y.coords()), list(z.coords())])
-        if not involutive_at(spec, x, y):
+        if not _involutive_at(spec, x, y):
             involutivity_failures.append([list(x.coords()), list(y.coords())])
-        if not nondegenerate_at(spec, x, y):
+        if not _nondegenerate_at(spec, x, y):
             nondegeneracy_failures.append([list(x.coords()), list(y.coords())])
     return {
         "spec": spec.to_dict(),

@@ -1,4 +1,5 @@
-"""Shared fixtures: one generated pair per classification family, plus
+"""Shared fixtures: one generated pair per classification family, the
+holomorph-closure reading of the pair conditions used as a test oracle, plus
 session-scoped search reports so the expensive sweeps run once.
 """
 
@@ -9,8 +10,10 @@ from z2brace import (
     IDENTITY,
     RowLabel,
     RowParams,
+    Vec2,
     exhaustive_search,
     generate_row,
+    h_lambda_closed,
 )
 
 # Smallest parameter tuples per family that give something other than a
@@ -39,6 +42,19 @@ TRIVIAL_SPEC = BraceSpec(IDENTITY, IDENTITY)
 
 #: The trivial pair plus one representative per family.
 ALL_FIXTURE_SPECS = [TRIVIAL_SPEC, *ROW_SPECS.values()]
+
+
+def holomorph_reading(spec):
+    """The four pair conditions read as closure of {(a, lambda_a)} in the
+    holomorph at the generator pairs (e1,e1), (e1,e2), (e2,e1), (e2,e2).
+
+    Closure at (a, b) means lambda_(a*b) = lambda_a lambda_b.  When phi and
+    psi commute, lambda is additive, so this says lambda_a(b) - b lies in
+    the kernel of lambda: a column of phi - E or psi - E, in the order of
+    Verdict.power_identities.
+    """
+    e1, e2 = Vec2(1, 0), Vec2(0, 1)
+    return tuple(h_lambda_closed(spec, a, b) for a in (e1, e2) for b in (e1, e2))
 
 
 @pytest.fixture(scope="session")

@@ -5,9 +5,7 @@ verdict, and the holomorph closure property.
 import pytest
 from hypothesis import given, strategies as st
 
-import z2brace.brace as brace
-
-from conftest import ALL_FIXTURE_SPECS, ROW_SPECS, TRIVIAL_SPEC
+from conftest import ALL_FIXTURE_SPECS, ROW_SPECS, TRIVIAL_SPEC, holomorph_reading
 
 from z2brace import (
     BraceSpec,
@@ -123,7 +121,6 @@ class TestCheckPair:
         verdict = check_pair(TRIVIAL_SPEC)
         assert verdict.valid and verdict.commuting
         assert all(verdict.power_identities)
-        assert all(verdict.kernel_identities)
 
     def test_known_family_valid(self):
         assert check_pair(SPEC_12).valid
@@ -135,22 +132,27 @@ class TestCheckPair:
         assert verdict.power_identities == (True, False, True, True)
 
     def test_verdict_consistency_over_small_box(self):
-        # The entry-exponent and kernel-membership readings agree pairwise
-        # on every unimodular pair with entries in [-1, 1].
+        # On every unimodular pair with entries in [-1, 1], valid is the
+        # conjunction of the parts; on the commuting ones the entry reading
+        # agrees pairwise with the holomorph closure at the generators.
         candidates = list(enumerate_unimodular(1))
+        commuting_pairs = 0
         for phi in candidates:
             for psi in candidates:
-                verdict = check_pair(BraceSpec(phi, psi))
-                assert verdict.power_identities == verdict.kernel_identities
+                spec = BraceSpec(phi, psi)
+                verdict = check_pair(spec)
                 assert verdict.valid == (
                     verdict.commuting and all(verdict.power_identities)
                 )
+                if verdict.commuting:
+                    commuting_pairs += 1
+                    assert verdict.power_identities == holomorph_reading(spec), spec
+        assert len(candidates) ** 2 == 1600 and commuting_pairs == 280
 
 
-def two_reading_check_pair(spec):
-    # check_pair as it was before the readings shared their lambda values:
-    # the four entry-exponent products, then each kernel vector's own
-    # evaluation.
+def direct_products_check_pair(spec):
+    # The verdict written out with the products phi^k psi^l themselves,
+    # independent of lambda_of and in_lambda_kernel.
     phi, psi = spec.phi, spec.psi
     commuting = phi * psi == psi * phi
     power = (
@@ -159,48 +161,36 @@ def two_reading_check_pair(spec):
         phi ** (psi.a11 - 1) * psi ** psi.a21 == IDENTITY,
         phi ** psi.a12 * psi ** (psi.a22 - 1) == IDENTITY,
     )
-    kernel = []
-    for w in (Vec2(1, 0), Vec2(0, 1)):
-        lam_w = lambda_of(spec, w)
-        for u in (Vec2(1, 0), Vec2(0, 1)):
-            kernel.append(in_lambda_kernel(spec, -u + act(lam_w, u)))
     return Verdict(
-        valid=commuting and all(power),
-        commuting=commuting,
-        power_identities=power,
-        kernel_identities=tuple(kernel),
+        valid=commuting and all(power), commuting=commuting, power_identities=power
     )
 
 
+def hyperbolic_pair(bits):
+    # Two hyperbolic matrices of trace 2a, a about 2^(bits-1); m and n do
+    # not commute.
+    a = (1 << (bits - 1)) + 7
+    return Mat2(a, a + 1, a - 1, a), Mat2(a, a - 1, a + 1, a)
+
+
 class TestSharedEvaluation:
+    """check_pair's verdict against the direct-products oracle: two
+    readings of the same four conditions."""
+
     def test_matches_two_reading_verdicts_at_bound2(self):
         box = list(enumerate_unimodular(2))
         assert len(box) ** 2 == 10816
         for phi in box:
             for psi in box:
                 spec = BraceSpec(phi, psi)
-                assert check_pair(spec) == two_reading_check_pair(spec), spec
+                assert check_pair(spec) == direct_products_check_pair(spec), spec
 
     @pytest.mark.parametrize("bits", range(8, 13))
     def test_matches_two_reading_verdicts_on_hyperbolic_pairs(self, bits):
-        a = (1 << (bits - 1)) + 7
-        m = Mat2(a, a + 1, a - 1, a)
-        n = Mat2(a, a - 1, a + 1, a)
+        m, n = hyperbolic_pair(bits)
         for phi, psi in ((m, m), (m, m.inverse()), (m, -m), (m, n), (n, -m)):
             spec = BraceSpec(phi, psi)
-            assert check_pair(spec) == two_reading_check_pair(spec), spec
-
-    def test_kernel_reading_derives_its_own_vectors(self, monkeypatch):
-        # With a wrong act, the kernel vectors differ from the columns of
-        # phi - E, get their own evaluation, and the readings disagree.
-        assert check_pair(SPEC_BAD).kernel_identities == (True, False, True, True)
-        def transposed_act(m, v):
-            return Vec2(m.a11 * v.x1 + m.a21 * v.x2, m.a12 * v.x1 + m.a22 * v.x2)
-
-        monkeypatch.setattr(brace, "act", transposed_act)
-        verdict = check_pair(SPEC_BAD)
-        assert verdict.power_identities == (True, False, True, True)
-        assert verdict.kernel_identities == (True, True, True, True)
+            assert check_pair(spec) == direct_products_check_pair(spec), spec
 
 
 class TestAssociativity:
@@ -241,6 +231,19 @@ class TestHolomorph:
 
     def test_lambda_graph_not_closed_for_bad_pair(self):
         assert not h_lambda_closed(SPEC_BAD, Vec2(1, 0), Vec2(0, 1))
+
+    @given(spec=valid_specs)
+    def test_closure_agrees_with_entry_reading_for_valid_specs(self, spec):
+        assert check_pair(spec).power_identities == holomorph_reading(spec)
+
+    @pytest.mark.parametrize("bits", range(8, 13))
+    def test_closure_agrees_with_entry_reading_on_hyperbolic_pairs(self, bits):
+        m, n = hyperbolic_pair(bits)
+        for phi, psi in ((m, m), (m, m.inverse()), (m, -m), (n, n)):
+            spec = BraceSpec(phi, psi)
+            verdict = check_pair(spec)
+            assert verdict.commuting
+            assert verdict.power_identities == holomorph_reading(spec), spec
 
 
 class TestRowFixturesAreValid:

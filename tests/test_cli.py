@@ -61,10 +61,11 @@ class TestCheck:
         assert code == 2 and "error" in err
 
     def test_output_bytes_pinned(self, capsys):
-        # sha256 over stdout and exit code of `check`, recorded before the
-        # two readings of the conditions shared their lambda evaluations:
-        # every pair at bound 1, hyperbolic phi = psi at 8 and 10 bits, and
-        # a family 1.2 member with m = 2^64 + 1.
+        # sha256 over stdout and exit code of `check` on every pair at
+        # bound 1, hyperbolic phi = psi at 8 and 10 bits, and a family 1.2
+        # member with m = 2^64 + 1.  Recorded from the previous `check`, whose
+        # verdict also carried "kernel_identities": each of its outputs with
+        # that key dropped and re-serialised by json.dumps(obj, indent=2).
         box = [
             Mat2(a, b, c, d)
             for a, b, c, d in product(range(-1, 2), repeat=4)
@@ -85,7 +86,7 @@ class TestCheck:
             code, out, _ = run(capsys, "check", json.dumps(spec.to_dict()))
             digest.update(f"{out}{code}\n".encode())
         assert digest.hexdigest() == (
-            "8702ba09b18ec97bbcfb82c908c9461ea99c1e58946fb3a91be61bb0e98390bf"
+            "986ae5926a0609be3984204fb4353787d5e4150820bb2afa5bdc9c9ac9345ba6"
         )
 
 
@@ -207,6 +208,14 @@ def test_deeply_nested_json_exits_two(capsys, tmp_path, command):
     code, out, err = run(capsys, command, str(path))
     assert code == 2
     assert out == "" and "error" in err
+
+
+@pytest.mark.parametrize("command", ["check", "classify", "ybe"])
+def test_inline_non_object_json_exits_two(capsys, command):
+    code, out, err = run(capsys, command, "[1]")
+    assert code == 2 and out == ""
+    assert 'expected an object with exactly the keys "phi" and "psi"' in err
+    assert "No such file" not in err
 
 
 class TestOutputFile:
