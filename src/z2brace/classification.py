@@ -41,7 +41,7 @@ from .brace import BraceSpec, check_pair
 from .gl2z import (
     IDENTITY,
     Mat2,
-    commutant_in_box,
+    centralizer_finite,
     order_by_iteration,
     order_by_predicate,
 )
@@ -638,6 +638,9 @@ class SearchReport:
         }
 
 
+_NEG_IDENTITY = -IDENTITY
+
+
 def _in_pair_class(m: Mat2) -> bool:
     """Whether m lies in one of the five classes a valid pair can use.
 
@@ -656,7 +659,65 @@ def _in_pair_class(m: Mat2) -> bool:
     orders 4 and 6 (index 2 and 1).  What remains is the five classes; the
     same argument applies to psi.
     """
-    return m == -IDENTITY or (m.det(), m.trace()) in ((1, 2), (1, -1), (-1, 0))
+    return m == _NEG_IDENTITY or (m.det(), m.trace()) in ((1, 2), (1, -1), (-1, 0))
+
+
+def _search_partners(
+    phi: Mat2, bound: int, in_class: list[Mat2], involutions: list[Mat2]
+) -> list[Mat2]:
+    """The in-class psi of the box for which (phi, psi) can be valid.
+
+    phi lies in one of the five classes of _in_pair_class; in_class lists
+    the in-class matrices of the box and involutions those m of them with
+    m m = E.  The result is sorted in the order of enumerate_unimodular,
+    and for a non-scalar phi it has at most six members, found in O(1).
+
+    Lemma.  A valid pair commutes, and lambda_c = E for every column c of
+    phi - E and of psi - E.
+      * -E rule.  The columns of -E - E are (-2, 0) and (0, -2), where the
+        conditions read m^-2 = E for the other matrix m.  So a pair with
+        -E is valid only if the other matrix is an involution: -E pairs
+        with E, -E and the reflections, and a phi with phi phi != E does
+        not pair with -E.  phi = E keeps every in-class partner.
+      * Parabolic rule.  Write phi = E + A, A != 0, A^2 = 0.  The matrices
+        commuting with phi are xE + tN for the primitive part N of A, and
+        the in-class ones other than +-E are E + B with B a multiple of N.
+        So AB = BA = 0 and lambda_v = E + v1 A + v2 B.  At a column c of
+        A with c2 != 0 the condition reads c1 A + c2 B = 0, which leaves
+        B = -(c1/c2) A when the division is exact.  If no column has
+        c2 != 0, A = ((0, x), (0, 0)), and the condition at (x, 0) asks
+        x A = 0 whatever B is, so no parabolic partner exists.
+      * Finite orders.  An order-3 or reflection phi commutes with the
+        4 or 6 members of centralizer_finite(phi) only; those in one of
+        the five classes and in the box are kept, subject to the -E rule.
+    check_pair still decides every pair these rules leave.
+    """
+    if phi == IDENTITY:
+        return in_class
+    if phi == _NEG_IDENTITY:
+        return involutions
+    if phi.trace() == 2:
+        # a holds the entries of A = phi - E, (c1, c2) its first column
+        # with c2 != 0 if any.  c1 = 0 solves B = 0, psi = E.
+        a = (phi.a11 - 1, phi.a12, phi.a21, phi.a22 - 1)
+        c1, c2 = (a[0], a[2]) if a[2] else (a[1], a[3])
+        if c2 and c1 and not any(c1 * e % c2 for e in a):
+            b11, b12, b21, b22 = (-c1 * e // c2 for e in a)
+            psi = Mat2(1 + b11, b12, b21, 1 + b22)
+            if max(map(abs, psi.entries())) <= bound:
+                return sorted((IDENTITY, psi), key=Mat2.entries)
+        return [IDENTITY]
+    keep_neg = phi * phi == IDENTITY
+    return sorted(
+        (
+            m
+            for m in centralizer_finite(phi)
+            if _in_pair_class(m)
+            and max(map(abs, m.entries())) <= bound
+            and (keep_neg or m != _NEG_IDENTITY)
+        ),
+        key=Mat2.entries,
+    )
 
 
 def exhaustive_search(bound: int) -> SearchReport:
@@ -665,12 +726,13 @@ def exhaustive_search(bound: int) -> SearchReport:
     Both orderings of every unimodular pair are covered independently (the
     families are not symmetric under swapping phi and psi), but check_pair
     runs only on the pairs that can be valid: both matrices in one of the
-    five classes of _in_pair_class, and commuting.  So psi runs over the
-    in-class part of phi's commutant in the box (commutant_in_box); only
-    phi = +-E, which commutes with everything, pairs with every in-class
-    matrix.  That is O(bound) partners per phi and O(bound^3) work in all,
-    although candidates_examined still counts the whole box, |U_B|^2.
-    Unmatched pairs come out in the lexicographic order of
+    five classes of _in_pair_class, and psi among the partners that
+    _search_partners solves from phi's own pair conditions.  phi = E pairs
+    with every in-class matrix and -E with the in-class involutions; every
+    other phi has at most six partners, and a parabolic one only E and at
+    most one parabolic psi.  The box is streamed once, counted and
+    filtered; candidates_examined still counts every ordered pair of it,
+    |U_B|^2.  Unmatched pairs come out in the lexicographic order of
     enumerate_unimodular.
 
     The reverse direction reuses the forward verdicts: check_pair is pure
@@ -680,17 +742,18 @@ def exhaustive_search(bound: int) -> SearchReport:
     """
     if bound < 1:
         raise ValueError("bound must be positive")
-    box = list(enumerate_unimodular(bound))
-    in_class = [m for m in box if _in_pair_class(m)]
+    box_size = 0
+    in_class: list[Mat2] = []
+    for m in enumerate_unimodular(bound):
+        box_size += 1
+        if _in_pair_class(m):
+            in_class.append(m)
+    involutions = [m for m in in_class if m * m == IDENTITY]
     valid: set[BraceSpec] = set()
     histogram: Counter = Counter()
     unmatched: list[BraceSpec] = []
     for phi in in_class:
-        if phi in (IDENTITY, -IDENTITY):
-            partners = in_class
-        else:
-            partners = [m for m in commutant_in_box(phi, bound) if _in_pair_class(m)]
-        for psi in partners:
+        for psi in _search_partners(phi, bound, in_class, involutions):
             spec = BraceSpec(phi, psi)
             if not check_pair(spec).valid:
                 continue
@@ -709,7 +772,7 @@ def exhaustive_search(bound: int) -> SearchReport:
 
     return SearchReport(
         bound=bound,
-        candidates_examined=len(box) ** 2,
+        candidates_examined=box_size**2,
         valid_pairs=len(valid),
         unmatched_valid=unmatched,
         invalid_row_instances=invalid_instances,

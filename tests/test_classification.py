@@ -9,6 +9,7 @@ frozen so regressions are caught even if both sides drift together.
 import math
 import signal
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from itertools import product
@@ -474,10 +475,11 @@ class TestExhaustiveSearch:
         assert found == oracle_valid
         assert report == expected
 
-    def test_matches_all_commutant_scan(self):
-        # Oracle without the class restriction: every phi of the box with its
-        # whole commutant (the whole box for phi = +-E).
-        bound = 8
+    @staticmethod
+    def all_commutant_report(bound):
+        # Oracle without the class restriction or the partner rules: every
+        # phi of the box with its whole commutant (the whole box for
+        # phi = +-E).
         box = list(enumerate_unimodular(bound))
         histogram = {label.value: 0 for label in RowLabel}
         valid_pairs = 0
@@ -497,7 +499,7 @@ class TestExhaustiveSearch:
                     histogram[label.value] += 1
                 if not labels:
                     unmatched.append(spec.to_dict())
-        expected = {
+        return {
             "bound": bound,
             "candidates": len(box) ** 2,
             "valid_pairs": valid_pairs,
@@ -509,7 +511,12 @@ class TestExhaustiveSearch:
                 if not check_pair(spec).valid
             ],
         }
-        assert exhaustive_search(bound).to_dict() == expected
+
+    def test_matches_all_commutant_scan(self):
+        assert exhaustive_search(8).to_dict() == self.all_commutant_report(8)
+
+    def test_matches_all_commutant_scan_at_bound_12(self):
+        assert exhaustive_search(12).to_dict() == self.all_commutant_report(12)
 
     def test_pair_classes_follow_from_the_kernel_index(self):
         # A matrix is kept iff det(m - E) = 0, or m has finite order dividing
@@ -523,6 +530,66 @@ class TestExhaustiveSearch:
             assert classification._in_pair_class(m) == allowed, m
             kept += allowed
         assert 0 < kept < len(box)
+
+    @staticmethod
+    def partner_rule(bound):
+        # The in-class matrices of the box, and _search_partners over them.
+        in_class = [
+            m for m in enumerate_unimodular(bound) if classification._in_pair_class(m)
+        ]
+        involutions = [m for m in in_class if m * m == IDENTITY]
+        return in_class, lambda phi: classification._search_partners(
+            phi, bound, in_class, involutions
+        )
+
+    def test_pairs_with_minus_identity_need_an_involution(self):
+        # -E rule: a valid pair that contains -E has an involution beside it.
+        valid = 0
+        for m in enumerate_unimodular(4):
+            for spec in (BraceSpec(-IDENTITY, m), BraceSpec(m, -IDENTITY)):
+                if check_pair(spec).valid:
+                    valid += 1
+                    assert m * m == IDENTITY, spec
+        assert valid > 2
+
+    def test_parabolic_phi_has_one_solved_partner(self):
+        # Parabolic rule: among the parabolic psi commuting with phi, the
+        # pair is valid exactly for the solved one.
+        bound = 8
+        in_class, partners = self.partner_rule(bound)
+        solved = 0
+        for phi in in_class:
+            if phi == IDENTITY or (phi.det(), phi.trace()) != (1, 2):
+                continue
+            rule = [psi for psi in partners(phi) if psi != IDENTITY]
+            assert len(rule) <= 1
+            solved += len(rule)
+            for psi in commutant_in_box(phi, bound):
+                if psi == IDENTITY or (psi.det(), psi.trace()) != (1, 2):
+                    continue
+                assert check_pair(BraceSpec(phi, psi)).valid == (psi in rule), (phi, psi)
+        assert solved > 0
+
+    def test_finite_order_phi_partners_are_its_in_class_commutant(self):
+        # Finite orders: the partners of an order-3 or reflection phi are
+        # the in-class part of its commutant, with -E only beside a
+        # reflection.
+        bound = 8
+        in_class, partners = self.partner_rule(bound)
+        seen = Counter()
+        for phi in in_class:
+            order = order_by_predicate(phi).n
+            if phi in (IDENTITY, -IDENTITY) or order not in (2, 3):
+                continue
+            seen[order] += 1
+            expected = [
+                m
+                for m in commutant_in_box(phi, bound)
+                if classification._in_pair_class(m)
+                and (m != -IDENTITY or phi * phi == IDENTITY)
+            ]
+            assert partners(phi) == expected, phi
+        assert seen[2] > 0 and seen[3] > 0
 
     def test_wrong_constructor_is_reported(self, monkeypatch, capsys):
         # A constructor that yields an invalid pair must surface in the
@@ -568,8 +635,9 @@ class TestExhaustiveSearch:
         assert solved == grid_row_instances(bound)
 
     def test_reverse_direction_reuses_forward_verdicts(self, monkeypatch):
-        # 748 pairs at bound 4 can be valid; the 227 family members in the
-        # box are all among the valid ones, so none is checked again.
+        # 448 pairs at bound 4 pass the partner rules; the 227 family
+        # members in the box are all among the valid ones, so none is
+        # checked again.
         calls = []
 
         def counting_check_pair(spec):
@@ -580,7 +648,7 @@ class TestExhaustiveSearch:
         report = exhaustive_search(4)
         assert report.confirms_classification
         assert len(generated_row_instances(4)) == 227
-        assert len(calls) == len(set(calls)) == 748
+        assert len(calls) == len(set(calls)) == 448
 
     def test_generated_instances_fit_and_are_valid(self):
         instances = generated_row_instances(2)

@@ -16,6 +16,13 @@ VALID_INLINE = '{"phi":[[1,0],[0,1]],"psi":[[1,0],[0,1]]}'
 FAMILY_12_INLINE = '{"phi":[[2,1],[-1,0]],"psi":[[2,1],[-1,0]]}'
 INVALID_INLINE = '{"phi":[[1,1],[0,1]],"psi":[[1,0],[0,1]]}'
 
+# sha256 of the search --bound B stdout, recorded from a search that
+# paired each phi with its whole in-class commutant.
+SEARCH_DIGESTS = {
+    20: "41909560412bb17124a693e0adfc0f5d2570aa24f44bbd3706343a9263be14d3",
+    40: "8d37f5b19bf457697e9da147fba9cfff568064b1f82835ec315be23ada29303e",
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -162,6 +169,15 @@ class TestSearchAndOrders:
         _, first, _ = run(capsys, "search", "--bound", "1")
         _, second, _ = run(capsys, "search", "--bound", "1")
         assert first == second
+
+    @pytest.mark.parametrize("bound", sorted(SEARCH_DIGESTS))
+    def test_search_report_bytes_pinned(self, capsys, bound):
+        # A search that loses valid pairs still confirms the classification
+        # (the reverse direction finds the missed family members valid), so
+        # the whole report is pinned, valid_pairs included.
+        code, out, _ = run(capsys, "search", "--bound", str(bound))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_DIGESTS[bound]
 
     def test_search_has_no_jobs_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
