@@ -7,11 +7,17 @@ a (*) b = a + lambda_a(b).  check_pair decides exactly when this makes
 (Z^2, +, *) a brace: phi and psi must commute and four power identities,
 whose exponents are read off the entries of phi and psi, must all equal
 the identity matrix.
+
+lambda has one mechanism, lambda_map: it takes the power maps of phi and
+psi once per pair and returns a -> entries of lambda_a as plain integers.
+check_pair tests its four conditions on one such map; lambda_of wraps the
+same map in a Mat2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .gl2z import IDENTITY, Mat2, NotUnimodular
 
@@ -26,6 +32,7 @@ __all__ = [
     "h_lambda_closed",
     "hol_mul",
     "in_lambda_kernel",
+    "lambda_map",
     "lambda_of",
     "odot",
     "odot_associative",
@@ -61,6 +68,9 @@ class Vec2:
 
 
 ZERO = Vec2(0, 0)
+
+# Entries of the identity matrix, as lambda_map returns them.
+_E = IDENTITY.entries()
 
 
 def act(m: Mat2, v: Vec2) -> Vec2:
@@ -121,9 +131,30 @@ class Verdict:
         }
 
 
+def lambda_map(spec: BraceSpec) -> Callable[[int, int], tuple[int, int, int, int]]:
+    """The map (x1, x2) -> entries (a11, a12, a21, a22) of phi^x1 * psi^x2.
+
+    Built from the power maps of phi and psi, so each generator's power
+    class is read once per pair, not once per exponent.
+    """
+    phi_power, psi_power = spec.phi.power_map(), spec.psi.power_map()
+
+    def lam(x1, x2):
+        a11, a12, a21, a22 = phi_power(x1)
+        b11, b12, b21, b22 = psi_power(x2)
+        return (
+            a11 * b11 + a12 * b21,
+            a11 * b12 + a12 * b22,
+            a21 * b11 + a22 * b21,
+            a21 * b12 + a22 * b22,
+        )
+
+    return lam
+
+
 def lambda_of(spec: BraceSpec, a: Vec2) -> Mat2:
-    """The automorphism lambda_a = phi^a1 * psi^a2."""
-    return spec.phi ** a.x1 * spec.psi ** a.x2
+    """The automorphism lambda_a = phi^a1 * psi^a2, read off lambda_map."""
+    return Mat2(*lambda_map(spec)(a.x1, a.x2))
 
 
 def odot(spec: BraceSpec, a: Vec2, b: Vec2) -> Vec2:
@@ -143,7 +174,7 @@ def odot_inverse(spec: BraceSpec, a: Vec2) -> Vec2:
 
 def in_lambda_kernel(spec: BraceSpec, v: Vec2) -> bool:
     """True iff lambda_v = phi^v1 * psi^v2 is the identity."""
-    return lambda_of(spec, v) == IDENTITY
+    return lambda_map(spec)(v.x1, v.x2) == _E
 
 
 def check_pair(spec: BraceSpec) -> Verdict:
@@ -155,17 +186,17 @@ def check_pair(spec: BraceSpec) -> Verdict:
         phi^(psi11-1) psi^(psi21) = E,   phi^(psi12) psi^(psi22-1) = E
 
     hold exactly; the exponents of each condition are a column of phi - E
-    or psi - E.
+    or psi - E.  One lambda_map serves all four.
     """
     phi, psi = spec.phi, spec.psi
     commuting = phi * psi == psi * phi
-    columns = (
-        Vec2(phi.a11 - 1, phi.a21),
-        Vec2(phi.a12, phi.a22 - 1),
-        Vec2(psi.a11 - 1, psi.a21),
-        Vec2(psi.a12, psi.a22 - 1),
+    lam = lambda_map(spec)
+    power = (
+        lam(phi.a11 - 1, phi.a21) == _E,
+        lam(phi.a12, phi.a22 - 1) == _E,
+        lam(psi.a11 - 1, psi.a21) == _E,
+        lam(psi.a12, psi.a22 - 1) == _E,
     )
-    power = tuple(in_lambda_kernel(spec, v) for v in columns)
     return Verdict(
         valid=commuting and all(power), commuting=commuting, power_identities=power
     )

@@ -39,6 +39,7 @@ from typing import Iterator
 
 from .brace import BraceSpec, check_pair
 from .gl2z import (
+    _NEG_IDENTITY,
     IDENTITY,
     Mat2,
     centralizer_finite,
@@ -270,12 +271,12 @@ def _gen_2_1(params: RowParams) -> BraceSpec:
 
 def _gen_3_2(params: RowParams) -> BraceSpec:
     p, q, s = _need(params, RowLabel.R3_2, "p", "q", "sign1")
-    return BraceSpec(_order2_psi_neg_identity(p, q, s), -IDENTITY)
+    return BraceSpec(_order2_psi_neg_identity(p, q, s), _NEG_IDENTITY)
 
 
 def _gen_2_2(params: RowParams) -> BraceSpec:
     p, q, s = _need(params, RowLabel.R2_2, "p", "q", "sign1")
-    return BraceSpec(-IDENTITY, _swap_conj(_order2_psi_neg_identity(p, q, s)))
+    return BraceSpec(_NEG_IDENTITY, _swap_conj(_order2_psi_neg_identity(p, q, s)))
 
 
 def _gen_4_1(params: RowParams) -> BraceSpec:
@@ -636,9 +637,6 @@ class SearchReport:
                 for label, spec in self.invalid_row_instances
             ],
         }
-
-
-_NEG_IDENTITY = -IDENTITY
 
 
 def _in_pair_class(m: Mat2) -> bool:

@@ -2,11 +2,12 @@
 machinery relies on: multiplicative orders read off determinant and trace,
 finite centralizers, and commutants within an entry box.
 
-Powers use the same determinant and trace.  A matrix of finite order or a
-parabolic one (det 1, trace +-2, including +-E) is raised in closed form,
-with no matrix product at any exponent; only hyperbolic and non-unimodular
-matrices fall back to binary exponentiation, O(log |k|) products of growing
-integers.
+Powers use the same determinant and trace.  Mat2.power_map reads them
+once and returns k -> entries of M^k: affine in k for a parabolic matrix
+(det 1, trace +-2, including +-E), a lookup in the table of its n powers
+for a matrix of finite order n, and binary exponentiation, O(log |k|)
+products of growing integers, only for hyperbolic and non-unimodular
+matrices.  Mat2.__pow__ is that map applied once.
 
 Everything works on plain Python integers, so every result is exact; there
 is no floating point and no fixed-width wraparound anywhere.
@@ -15,6 +16,7 @@ is no floating point and no fixed-width wraparound anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 __all__ = [
     "FINITE_ORDERS",
@@ -111,39 +113,47 @@ class Mat2:
     def __neg__(self) -> "Mat2":
         return Mat2(-self.a11, -self.a12, -self.a21, -self.a22)
 
-    def __pow__(self, k: int) -> "Mat2":
-        """Exact k-th power, any sign of k, with the cost read off det and trace.
+    def power_map(self) -> Callable[[int], tuple[int, int, int, int]]:
+        """The map k -> entries (a11, a12, a21, a22) of self^k, any sign of k.
 
-        Cayley-Hamilton (M^2 = tM - dE for det d, trace t) gives closed
-        forms that use no matrix product and no inverse, so their cost does
-        not grow with k:
+        Determinant and trace are read once, here, and pick how every power
+        is formed.  Cayley-Hamilton (M^2 = tM - dE for det d, trace t) gives
+        closed forms that use no matrix product and no inverse, so their
+        cost does not grow with k:
 
           * det 1, trace 2s with s = +-1 (+-E and the parabolic matrices):
-            N = sM - E has N^2 = 0, so M^k = s^k (E + kN).
+            N = sM - E has N^2 = 0, so M^k = s^k (E + kN), affine in k up
+            to the sign s^k.
           * non-scalar finite order n (2, 3, 4 or 6, from _FINITE_ORDER):
-            with r = k mod n, M^k = M^r = u_r M - d u_(r-1) E, where
-            u_(-1) = -d, u_0 = 0 and u_(j+1) = t u_j - d u_(j-1), so at most
-            five scalar steps.
+            M^k is entry k mod n of the table E, M, ..., M^(n-1), built by
+            M^(j+1) = t M^j - d M^(j-1).
 
         Every other matrix (hyperbolic, or not unimodular) is raised by
         binary exponentiation: O(log |k|) products whose entries grow with
         k itself.  There a negative exponent goes through inverse() and
         therefore requires determinant +1 or -1.
         """
-        if not isinstance(k, int):
-            return NotImplemented
         d, t = self.det(), self.trace()
         if d == 1 and t in (2, -2):
             s = t // 2
-            sign = -1 if s < 0 and k & 1 else 1
-            # s^k (E + k(sM - E)) = p M + q E
-            p, q = sign * s * k, sign * (1 - k)
-        elif (n := _FINITE_ORDER.get((d, t))) is not None:
-            u_prev, u = -d, 0
-            for _ in range(k % n):
-                u_prev, u = u, t * u - d * u_prev
-            p, q = u, -d * u_prev
-        else:
+            n11, n12, n21, n22 = s * self.a11 - 1, s * self.a12, s * self.a21, s * self.a22 - 1
+
+            def power(k):
+                e = s if k & 1 else 1
+                return (e * (1 + k * n11), e * k * n12, e * k * n21, e * (1 + k * n22))
+
+            return power
+        n = _FINITE_ORDER.get((d, t))
+        if n is not None:
+            table = [(1, 0, 0, 1), self.entries()]
+            while len(table) < n:
+                (p11, p12, p21, p22), (c11, c12, c21, c22) = table[-2], table[-1]
+                table.append((
+                    t * c11 - d * p11, t * c12 - d * p12, t * c21 - d * p21, t * c22 - d * p22
+                ))
+            return lambda k: table[k % n]
+
+        def power(k):
             base = self
             if k < 0:
                 base = self.inverse()
@@ -155,14 +165,22 @@ class Mat2:
                 k >>= 1
                 if k:
                     base = base * base
-            return result
-        return Mat2(p * self.a11 + q, p * self.a12, p * self.a21, p * self.a22 + q)
+            return result.entries()
+
+        return power
+
+    def __pow__(self, k: int) -> "Mat2":
+        """Exact k-th power, any sign of k: power_map applied once."""
+        if not isinstance(k, int):
+            return NotImplemented
+        return Mat2(*self.power_map()(k))
 
     def __str__(self) -> str:
         return f"[[{self.a11},{self.a12}],[{self.a21},{self.a22}]]"
 
 
 IDENTITY = Mat2(1, 0, 0, 1)
+_NEG_IDENTITY = -IDENTITY
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,13 +219,13 @@ def order_by_predicate(a: Mat2) -> MatOrder:
 
     For unimodular a: order 1 iff a = E, order 2 if a = -E; otherwise the
     order _FINITE_ORDER gives for (det, trace), or infinite if it gives
-    none.  Mat2.__pow__ reads the same table.
+    none.  Mat2.power_map reads the same table.
     """
     if not a.is_unimodular():
         raise NotUnimodular(f"{a} has determinant {a.det()}")
     if a == IDENTITY:
         return MatOrder.finite(1)
-    if a == -IDENTITY:
+    if a == _NEG_IDENTITY:
         return MatOrder.finite(2)
     n = _FINITE_ORDER.get((a.det(), a.trace()))
     return MatOrder.infinite() if n is None else MatOrder.finite(n)
@@ -244,11 +262,11 @@ def centralizer_finite(a: Mat2) -> frozenset[Mat2]:
     infinite centralizers and are rejected.
     """
     order = order_by_predicate(a)
-    if not order.is_finite or order.n == 1 or a == -IDENTITY:
+    if not order.is_finite or order.n == 1 or a == _NEG_IDENTITY:
         raise UnsupportedOrder(
             f"{a} has an infinite centralizer (order {order}); use commutes() directly"
         )
-    members = {IDENTITY, -IDENTITY, a, -a}
+    members = {IDENTITY, _NEG_IDENTITY, a, -a}
     if order.n in (3, 6):
         inv = a.inverse()
         members.update((inv, -inv))

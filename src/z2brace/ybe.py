@@ -14,6 +14,12 @@ lambda_u^-1(v - u), so the second component is lambda_u^-1(x); since
 u - y lies in the kernel of lambda, lambda_u = lambda_y.  Both components
 are matrix-vector products with elements of GL2(Z), so r is
 non-degenerate on all of Z^2, not only on a sampled box.
+
+Each public call builds one brace.lambda_map for its pair and evaluates r
+on plain integer tuples: lambda_x(y) is the entry tuple of lambda_x applied
+to y, and lambda_y^-1(x) applies the adjugate of lambda_y's entries, signed
+by its determinant +-1.  sample_report runs every sample through that one
+map and converts only the failures to lists.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .brace import BraceSpec, Vec2, act, check_pair, lambda_of
+from .brace import BraceSpec, Vec2, check_pair, lambda_map
 
 __all__ = [
     "InvalidSpec",
@@ -48,38 +54,50 @@ def _require_valid(spec: BraceSpec) -> None:
         raise InvalidSpec(f"{spec} fails the pair conditions; run check_pair for details")
 
 
-def _r(spec: BraceSpec, x: Vec2, y: Vec2) -> PairZ2:
-    return PairZ2(act(lambda_of(spec, x), y), act(lambda_of(spec, y).inverse(), x))
+def _act(m: tuple, v: tuple) -> tuple[int, int]:
+    a11, a12, a21, a22 = m
+    v1, v2 = v
+    return (a11 * v1 + a12 * v2, a21 * v1 + a22 * v2)
 
 
-def _ybe_holds(spec: BraceSpec, x: Vec2, y: Vec2, z: Vec2) -> bool:
-    def r12(t):
-        p = _r(spec, t[0], t[1])
-        return (p.first, p.second, t[2])
-
-    def r23(t):
-        p = _r(spec, t[1], t[2])
-        return (t[0], p.first, p.second)
-
-    start = (x, y, z)
-    return r12(r23(r12(start))) == r23(r12(r23(start)))
+def _act_inverse(m: tuple, v: tuple) -> tuple[int, int]:
+    # m^-1 v for det m = d = +-1: the adjugate of m, times d.
+    a11, a12, a21, a22 = m
+    v1, v2 = v
+    d = a11 * a22 - a12 * a21
+    return (d * (a22 * v1 - a12 * v2), d * (a11 * v2 - a21 * v1))
 
 
-def _involutive_at(spec: BraceSpec, x: Vec2, y: Vec2) -> bool:
-    once = _r(spec, x, y)
-    return _r(spec, once.first, once.second) == PairZ2(x, y)
+def _r(lam, x: tuple, y: tuple) -> tuple[tuple[int, int], tuple[int, int]]:
+    return _act(lam(*x), y), _act_inverse(lam(*y), x)
 
 
-def _nondegenerate_at(spec: BraceSpec, x: Vec2, y: Vec2) -> bool:
-    left = act(lambda_of(spec, x).inverse(), y)
-    right = act(lambda_of(spec, y), x)
-    return _r(spec, x, left).first == y and _r(spec, right, y).second == x
+def _ybe_holds(lam, x: tuple, y: tuple, z: tuple) -> bool:
+    # r12 r23 r12 against r23 r12 r23, applied right to left.
+    a, b = _r(lam, x, y)
+    b, c = _r(lam, b, z)
+    left = (*_r(lam, a, b), c)
+    b, c = _r(lam, y, z)
+    a, b = _r(lam, x, b)
+    right = (a, *_r(lam, b, c))
+    return left == right
+
+
+def _involutive_at(lam, x: tuple, y: tuple) -> bool:
+    return _r(lam, *_r(lam, x, y)) == (x, y)
+
+
+def _nondegenerate_at(lam, x: tuple, y: tuple) -> bool:
+    left = _act_inverse(lam(*x), y)
+    right = _act(lam(*y), x)
+    return _r(lam, x, left)[0] == y and _r(lam, right, y)[1] == x
 
 
 def r_map(spec: BraceSpec, x: Vec2, y: Vec2) -> PairZ2:
     """The Yang-Baxter map of the brace at (x, y)."""
     _require_valid(spec)
-    return _r(spec, x, y)
+    first, second = _r(lambda_map(spec), x.coords(), y.coords())
+    return PairZ2(Vec2(*first), Vec2(*second))
 
 
 def ybe_holds(spec: BraceSpec, x: Vec2, y: Vec2, z: Vec2) -> bool:
@@ -89,13 +107,13 @@ def ybe_holds(spec: BraceSpec, x: Vec2, y: Vec2, z: Vec2) -> bool:
     and compares all three output components.
     """
     _require_valid(spec)
-    return _ybe_holds(spec, x, y, z)
+    return _ybe_holds(lambda_map(spec), x.coords(), y.coords(), z.coords())
 
 
 def involutive_at(spec: BraceSpec, x: Vec2, y: Vec2) -> bool:
     """True iff r(r(x, y)) = (x, y) exactly."""
     _require_valid(spec)
-    return _involutive_at(spec, x, y)
+    return _involutive_at(lambda_map(spec), x.coords(), y.coords())
 
 
 def nondegenerate_at(spec: BraceSpec, x: Vec2, y: Vec2) -> bool:
@@ -108,7 +126,7 @@ def nondegenerate_at(spec: BraceSpec, x: Vec2, y: Vec2) -> bool:
     each preimage round-trips through r.
     """
     _require_valid(spec)
-    return _nondegenerate_at(spec, x, y)
+    return _nondegenerate_at(lambda_map(spec), x.coords(), y.coords())
 
 
 def sample_report(
@@ -126,21 +144,22 @@ def sample_report(
     if box < 1:
         raise ValueError("box must be positive")
     rng = random.Random(seed)
+    lam = lambda_map(spec)
 
-    def draw() -> Vec2:
-        return Vec2(rng.randint(-box, box), rng.randint(-box, box))
+    def draw() -> tuple[int, int]:
+        return (rng.randint(-box, box), rng.randint(-box, box))
 
     ybe_failures = []
     involutivity_failures = []
     nondegeneracy_failures = []
     for _ in range(samples):
         x, y, z = draw(), draw(), draw()
-        if not _ybe_holds(spec, x, y, z):
-            ybe_failures.append([list(x.coords()), list(y.coords()), list(z.coords())])
-        if not _involutive_at(spec, x, y):
-            involutivity_failures.append([list(x.coords()), list(y.coords())])
-        if not _nondegenerate_at(spec, x, y):
-            nondegeneracy_failures.append([list(x.coords()), list(y.coords())])
+        if not _ybe_holds(lam, x, y, z):
+            ybe_failures.append([list(x), list(y), list(z)])
+        if not _involutive_at(lam, x, y):
+            involutivity_failures.append([list(x), list(y)])
+        if not _nondegenerate_at(lam, x, y):
+            nondegeneracy_failures.append([list(x), list(y)])
     return {
         "spec": spec.to_dict(),
         "samples": samples,

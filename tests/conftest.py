@@ -44,6 +44,22 @@ TRIVIAL_SPEC = BraceSpec(IDENTITY, IDENTITY)
 ALL_FIXTURE_SPECS = [TRIVIAL_SPEC, *ROW_SPECS.values()]
 
 
+def repeated_powers(a, k_max):
+    """a^k for |k| <= k_max by one multiplication per step, never through
+    Mat2.power_map or Mat2.__pow__; negative k only when a has an integer
+    inverse."""
+    powers = {0: IDENTITY}
+    steps = [(1, a)]
+    if a.is_unimodular():
+        steps.append((-1, a.inverse()))
+    for sign, factor in steps:
+        power = IDENTITY
+        for k in range(1, k_max + 1):
+            power = power * factor
+            powers[sign * k] = power
+    return powers
+
+
 def holomorph_reading(spec):
     """The four pair conditions read as closure of {(a, lambda_a)} in the
     holomorph at the generator pairs (e1,e1), (e1,e2), (e2,e1), (e2,e2).

@@ -5,7 +5,13 @@ verdict, and the holomorph closure property.
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import ALL_FIXTURE_SPECS, ROW_SPECS, TRIVIAL_SPEC, holomorph_reading
+from conftest import (
+    ALL_FIXTURE_SPECS,
+    ROW_SPECS,
+    TRIVIAL_SPEC,
+    holomorph_reading,
+    repeated_powers,
+)
 
 from z2brace import (
     BraceSpec,
@@ -23,6 +29,7 @@ from z2brace import (
     h_lambda_closed,
     hol_mul,
     in_lambda_kernel,
+    lambda_map,
     lambda_of,
     odot,
     odot_associative,
@@ -191,6 +198,85 @@ class TestSharedEvaluation:
         for phi, psi in ((m, m), (m, m.inverse()), (m, -m), (m, n), (n, -m)):
             spec = BraceSpec(phi, psi)
             assert check_pair(spec) == direct_products_check_pair(spec), spec
+
+
+def squared_power(m, k):
+    # m^k by square-and-multiply through Mat2.__mul__ and Mat2.inverse,
+    # never through Mat2.power_map or Mat2.__pow__.
+    if k < 0:
+        m, k = m.inverse(), -k
+    result = IDENTITY
+    while k:
+        if k & 1:
+            result = result * m
+        k >>= 1
+        if k:
+            m = m * m
+    return result
+
+
+def squared_check_pair(spec):
+    # The old entry reading of the four conditions, phi^k psi^l = E, with
+    # both powers taken by squared_power.
+    phi, psi = spec.phi, spec.psi
+    commuting = phi * psi == psi * phi
+    columns = (
+        (phi.a11 - 1, phi.a21),
+        (phi.a12, phi.a22 - 1),
+        (psi.a11 - 1, psi.a21),
+        (psi.a12, psi.a22 - 1),
+    )
+    power = tuple(squared_power(phi, k) * squared_power(psi, l) == IDENTITY for k, l in columns)
+    return Verdict(
+        valid=commuting and all(power), commuting=commuting, power_identities=power
+    )
+
+
+BOX_3 = list(enumerate_unimodular(3))
+
+
+class TestLambdaMap:
+    """lambda_map and check_pair against repeated Mat2 multiplication."""
+
+    def test_every_valid_pair_at_bound_3(self):
+        # x in [-6, 6]^2: lambda_x = phi^x1 psi^x2 from one product per step.
+        pairs = (BraceSpec(phi, psi) for phi in BOX_3 for psi in BOX_3)
+        valid = [spec for spec in pairs if check_pair(spec).valid]
+        wrong = []
+        for spec in valid:
+            lam = lambda_map(spec)
+            phi_powers = repeated_powers(spec.phi, 6)
+            psi_powers = repeated_powers(spec.psi, 6)
+            for x1 in range(-6, 7):
+                for x2 in range(-6, 7):
+                    if lam(x1, x2) != (phi_powers[x1] * psi_powers[x2]).entries():
+                        wrong.append((spec, x1, x2))
+        assert len(valid) == 122
+        assert wrong == []
+
+    @given(
+        spec=valid_specs,
+        x1=st.integers(-(2**63), 2**63),
+        x2=st.integers(-(2**63), 2**63),
+    )
+    def test_fixture_families_at_64_bit_coordinates(self, spec, x1, x2):
+        expected = squared_power(spec.phi, x1) * squared_power(spec.psi, x2)
+        assert lambda_map(spec)(x1, x2) == expected.entries()
+        assert lambda_of(spec, Vec2(x1, x2)) == expected
+
+    def test_check_pair_matches_the_entry_reading_on_every_pair_at_bound_3(self):
+        assert len(BOX_3) ** 2 == 53824
+        for phi in BOX_3:
+            for psi in BOX_3:
+                spec = BraceSpec(phi, psi)
+                assert check_pair(spec) == squared_check_pair(spec), spec
+
+    @pytest.mark.parametrize("bits", range(10, 15))
+    def test_check_pair_matches_the_entry_reading_on_hyperbolic_pairs(self, bits):
+        m, n = hyperbolic_pair(bits)
+        for phi, psi in ((m, m), (m, m.inverse()), (m, -m), (m, n), (n, -m)):
+            spec = BraceSpec(phi, psi)
+            assert check_pair(spec) == squared_check_pair(spec), spec
 
 
 class TestAssociativity:

@@ -24,6 +24,24 @@ SEARCH_DIGESTS = {
 }
 
 
+# One member of each family, in the order of the ybe-families benchmark
+# workload.
+YBE_MEMBERS = [
+    {"phi": [[-1, 0], [0, -1]], "psi": [[-1, 0], [0, -1]]},
+    {"phi": [[2, 1], [-1, 0]], "psi": [[2, 1], [-1, 0]]},
+    {"phi": [[1, 0], [0, 1]], "psi": [[-2, -1], [3, 1]]},
+    {"phi": [[1, 3], [-1, -2]], "psi": [[1, 0], [0, 1]]},
+    {"phi": [[2, 7], [-1, -3]], "psi": [[2, 7], [-1, -3]]},
+    {"phi": [[0, 1], [-1, -1]], "psi": [[-1, -1], [1, 0]]},
+    {"phi": [[1, 0], [0, 1]], "psi": [[-1, 1], [0, 1]]},
+    {"phi": [[-1, 0], [0, -1]], "psi": [[-1, 0], [2, 1]]},
+    {"phi": [[1, 0], [1, -1]], "psi": [[1, 0], [0, 1]]},
+    {"phi": [[1, 2], [0, -1]], "psi": [[-1, 0], [0, -1]]},
+    {"phi": [[1, 2], [0, -1]], "psi": [[1, 2], [0, -1]]},
+    {"phi": [[1, 2], [0, -1]], "psi": [[-1, -2], [0, 1]]},
+]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -202,6 +220,20 @@ class TestYbe:
     def test_invalid_spec_exits_two(self, capsys):
         code, _, err = run(capsys, "ybe", INVALID_INLINE, "--samples", "5")
         assert code == 2 and "error" in err
+
+    def test_output_bytes_pinned(self, capsys):
+        # sha256 over stdout and exit code of `ybe` on one member of each
+        # family, recorded from the ybe that built r from Mat2 powers and
+        # Mat2.inverse at every sample.
+        digest = hashlib.sha256()
+        for spec in YBE_MEMBERS:
+            code, out, _ = run(
+                capsys, "ybe", json.dumps(spec), "--samples", "1000", "--box", "8", "--seed", "0"
+            )
+            digest.update(f"{out}{code}\n".encode())
+        assert digest.hexdigest() == (
+            "e7e1d18feb2e5b6537f017fda719f2638bcb5a0595acea843154c3bd04f465e6"
+        )
 
     def test_huge_sampling_box_finishes(self, capsys):
         start = time.perf_counter()

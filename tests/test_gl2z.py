@@ -6,6 +6,8 @@ for the cheap cases, re-checked against a naive textbook computation.
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import repeated_powers
+
 from z2brace import (
     FINITE_ORDERS,
     IDENTITY,
@@ -116,21 +118,6 @@ class TestPower:
         assert a ** (j + k) == a**j * a**k
 
 
-def repeated_powers(a: Mat2, k_max: int) -> dict[int, Mat2]:
-    # a^k for |k| <= k_max by one multiplication per step, never through
-    # Mat2.__pow__; negative k only when a has an integer inverse.
-    powers = {0: IDENTITY}
-    steps = [(1, a)]
-    if a.is_unimodular():
-        steps.append((-1, a.inverse()))
-    for sign, factor in steps:
-        power = IDENTITY
-        for k in range(1, k_max + 1):
-            power = power * factor
-            powers[sign * k] = power
-    return powers
-
-
 ENTRY_BOX_4 = [
     Mat2(a11, a12, a21, a22)
     for a11 in range(-4, 5)
@@ -234,6 +221,41 @@ class TestPowerClosedForm:
         a = CLOSED_FORM[name]
         assert a**j * a**k == a ** (j + k)
         assert a**k * a**-k == IDENTITY
+
+
+ENTRY_BOX_3 = [
+    Mat2(a11, a12, a21, a22)
+    for a11 in range(-3, 4)
+    for a12 in range(-3, 4)
+    for a21 in range(-3, 4)
+    for a22 in range(-3, 4)
+]
+
+
+class TestPowerMap:
+    def test_agrees_with_repeated_multiplication_at_bound_3(self):
+        # Every integer matrix with entries in [-3, 3] and every |k| <= 12
+        # through one map per matrix, as check_pair and ybe use it: the
+        # affine, period-table and binary-exponentiation branches, and
+        # NotUnimodular for a negative power without an integer inverse.
+        k_max = 12
+        wrong, not_raised = [], []
+        for a in ENTRY_BOX_3:
+            power = a.power_map()
+            powers = repeated_powers(a, k_max)
+            for k in range(-k_max, k_max + 1):
+                if k in powers:
+                    if power(k) != powers[k].entries():
+                        wrong.append((a, k))
+                    continue
+                try:
+                    power(k)
+                except NotUnimodular:
+                    continue
+                not_raised.append((a, k))
+        assert len(ENTRY_BOX_3) == 2401
+        assert wrong == []
+        assert not_raised == []
 
 
 class TestDetTrace:
