@@ -4,115 +4,16 @@ Layers: gl2z (2x2 exact matrix arithmetic, orders, centralizers), brace
 (the additive/multiplicative structure and the pair validity conditions),
 ybe (the derived Yang-Baxter map and its properties), classification (the
 twelve parametric families, membership, and exhaustive cross-validation),
-cli (JSON command-line surface).
+cli (JSON command-line surface).  The package exports exactly the names in
+the __all__ of the four layers below cli.
 """
 
-from .brace import (
-    BraceSpec,
-    HolElement,
-    Vec2,
-    Verdict,
-    ZERO,
-    act,
-    check_pair,
-    h_lambda_closed,
-    hol_mul,
-    in_lambda_kernel,
-    lambda_map,
-    lambda_of,
-    odot,
-    odot_associative,
-    odot_inverse,
-)
-from .classification import (
-    BadParams,
-    GcdError,
-    IntegralityError,
-    ROW_BLOCKS,
-    RowLabel,
-    RowParams,
-    SearchReport,
-    enumerate_unimodular,
-    exhaustive_search,
-    generate_row,
-    generated_row_instances,
-    orders_crosscheck,
-    row12_parameters,
-    row_label,
-    row_membership,
-)
-from .gl2z import (
-    FINITE_ORDERS,
-    IDENTITY,
-    Mat2,
-    MatOrder,
-    NotUnimodular,
-    UnsupportedOrder,
-    centralizer_finite,
-    commutant_in_box,
-    commutes,
-    order_by_iteration,
-    order_by_predicate,
-)
-from .ybe import (
-    InvalidSpec,
-    PairZ2,
-    involutive_at,
-    nondegenerate_at,
-    r_map,
-    sample_report,
-    ybe_holds,
-)
+from . import brace, classification, gl2z, ybe
+from .brace import *
+from .classification import *
+from .gl2z import *
+from .ybe import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadParams",
-    "BraceSpec",
-    "FINITE_ORDERS",
-    "GcdError",
-    "HolElement",
-    "IDENTITY",
-    "IntegralityError",
-    "InvalidSpec",
-    "Mat2",
-    "MatOrder",
-    "NotUnimodular",
-    "PairZ2",
-    "ROW_BLOCKS",
-    "RowLabel",
-    "RowParams",
-    "SearchReport",
-    "UnsupportedOrder",
-    "Vec2",
-    "Verdict",
-    "ZERO",
-    "act",
-    "centralizer_finite",
-    "check_pair",
-    "commutant_in_box",
-    "commutes",
-    "enumerate_unimodular",
-    "exhaustive_search",
-    "generate_row",
-    "generated_row_instances",
-    "h_lambda_closed",
-    "hol_mul",
-    "in_lambda_kernel",
-    "involutive_at",
-    "lambda_map",
-    "lambda_of",
-    "nondegenerate_at",
-    "odot",
-    "odot_associative",
-    "odot_inverse",
-    "order_by_iteration",
-    "order_by_predicate",
-    "orders_crosscheck",
-    "r_map",
-    "row12_parameters",
-    "row_label",
-    "row_membership",
-    "sample_report",
-    "ybe_holds",
-]
+__all__ = [*gl2z.__all__, *brace.__all__, *ybe.__all__, *classification.__all__]

@@ -11,7 +11,9 @@ the identity matrix.
 lambda has one mechanism, lambda_map: it takes the power maps of phi and
 psi once per pair and returns a -> entries of lambda_a as plain integers.
 check_pair tests its four conditions on one such map; lambda_of wraps the
-same map in a Mat2.
+same map in a Mat2.  The module holds the paper's objects and the verdict;
+the holomorph reading of the pair conditions, which the tests check
+check_pair against, lives in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -23,20 +25,15 @@ from .gl2z import IDENTITY, Mat2, NotUnimodular
 
 __all__ = [
     "BraceSpec",
-    "HolElement",
     "Vec2",
     "Verdict",
     "ZERO",
     "act",
     "check_pair",
-    "h_lambda_closed",
-    "hol_mul",
-    "in_lambda_kernel",
     "lambda_map",
     "lambda_of",
     "odot",
     "odot_associative",
-    "odot_inverse",
 ]
 
 
@@ -162,21 +159,6 @@ def odot(spec: BraceSpec, a: Vec2, b: Vec2) -> Vec2:
     return a + act(lambda_of(spec, a), b)
 
 
-def odot_inverse(spec: BraceSpec, a: Vec2) -> Vec2:
-    """-(lambda_a^-1(a)), the inverse of a for the multiplication.
-
-    a odot result is always (0, 0); result odot a is (0, 0) whenever the
-    spec is valid (for arbitrary pairs the multiplication need not be a
-    group operation).
-    """
-    return -act(lambda_of(spec, a).inverse(), a)
-
-
-def in_lambda_kernel(spec: BraceSpec, v: Vec2) -> bool:
-    """True iff lambda_v = phi^v1 * psi^v2 is the identity."""
-    return lambda_map(spec)(v.x1, v.x2) == _E
-
-
 def check_pair(spec: BraceSpec) -> Verdict:
     """Decide whether (phi, psi) defines a brace on Z^2.
 
@@ -205,34 +187,3 @@ def check_pair(spec: BraceSpec) -> Verdict:
 def odot_associative(spec: BraceSpec, a: Vec2, b: Vec2, c: Vec2) -> bool:
     """Exact check of a*(b*c) = (a*b)*c at one triple."""
     return odot(spec, a, odot(spec, b, c)) == odot(spec, odot(spec, a, b), c)
-
-
-@dataclass(frozen=True, slots=True)
-class HolElement:
-    """Element (g, f) of the holomorph Z^2 x| GL2(Z)."""
-
-    g: Vec2
-    f: Mat2
-
-    def __post_init__(self) -> None:
-        if not self.f.is_unimodular():
-            raise NotUnimodular(f"automorphism part {self.f} has determinant {self.f.det()}")
-
-
-def hol_mul(h1: HolElement, h2: HolElement) -> HolElement:
-    """Semidirect product law (g1, f1)(g2, f2) = (g1 + f1(g2), f1 f2)."""
-    return HolElement(h1.g + act(h1.f, h2.g), h1.f * h2.f)
-
-
-def h_lambda_closed(spec: BraceSpec, a: Vec2, b: Vec2) -> bool:
-    """Whether (a, lambda_a)(b, lambda_b) = (a*b, lambda_(a*b)) in the holomorph.
-
-    For a valid spec this closure holds for all a, b, which is what makes
-    {(a, lambda_a)} a subgroup of the holomorph.
-    """
-    product = hol_mul(
-        HolElement(a, lambda_of(spec, a)),
-        HolElement(b, lambda_of(spec, b)),
-    )
-    ab = odot(spec, a, b)
-    return product == HolElement(ab, lambda_of(spec, ab))

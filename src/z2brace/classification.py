@@ -61,6 +61,7 @@ __all__ = [
     "generated_row_instances",
     "orders_crosscheck",
     "row12_parameters",
+    "row_label",
     "row_membership",
 ]
 

@@ -170,8 +170,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once at import: parse_args leaves the parser unchanged, so every
+# main() call in a process shares it.
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (

@@ -1,6 +1,6 @@
 """Exact arithmetic on 2x2 integer matrices and the GL2(Z) facts the brace
 machinery relies on: multiplicative orders read off determinant and trace,
-finite centralizers, and commutants within an entry box.
+and finite centralizers.
 
 Powers use the same determinant and trace.  Mat2.power_map reads them
 once and returns k -> entries of M^k: affine in k for a parabolic matrix
@@ -26,7 +26,6 @@ __all__ = [
     "NotUnimodular",
     "UnsupportedOrder",
     "centralizer_finite",
-    "commutant_in_box",
     "commutes",
     "order_by_iteration",
     "order_by_predicate",
@@ -271,46 +270,3 @@ def centralizer_finite(a: Mat2) -> frozenset[Mat2]:
         inv = a.inverse()
         members.update((inv, -inv))
     return frozenset(members)
-
-
-def commutant_in_box(a: Mat2, bound: int) -> list[Mat2]:
-    """Unimodular matrices with entries in [-bound, bound] that commute with a.
-
-    a must not be scalar.  For a = ((a11, a12), (a21, a22)) the integer
-    matrices commuting with a are exactly x E + t N with N = (a - a11 E)/g,
-    g = gcd(a12, a21, a22 - a11), and x, t integers (the Latimer-MacDuffee
-    correspondence: N is primitive with N11 = 0).  For each t that keeps the
-    off-diagonal entries in the box, det(x E + t N) = +-1 is a quadratic in x
-    solved exactly, so the cost is O(bound).  The result is sorted in the
-    lexicographic (a11, a12, a21, a22) order of enumerate_unimodular.
-    """
-    from math import gcd, isqrt
-
-    if bound < 1:
-        raise ValueError("bound must be positive")
-    g = gcd(a.a12, a.a21, a.a22 - a.a11)
-    if g == 0:
-        raise ValueError(f"{a} is scalar; every matrix commutes with it")
-    n12, n21, n22 = a.a12 // g, a.a21 // g, (a.a22 - a.a11) // g
-    # Off-diagonal entries t*n12, t*n21 must fit; a diagonal a has n22 = +-1,
-    # and |x|, |x + t*n22| <= bound then gives |t| <= 2*bound.
-    off = max(abs(n12), abs(n21))
-    t_max = bound // off if off else 2 * bound
-    found = []
-    for t in range(-t_max, t_max + 1):
-        b12, b21, tn22 = t * n12, t * n21, t * n22
-        # det = x^2 + tn22 x - b12 b21 = det_target, for det_target = +-1.
-        for det_target in (1, -1):
-            disc = tn22 * tn22 + 4 * (b12 * b21 + det_target)
-            if disc < 0:
-                continue
-            root = isqrt(disc)
-            if root * root != disc:
-                continue
-            # disc = tn22^2 mod 4, so root = tn22 mod 2 and both roots are integers.
-            for x in {(-tn22 - root) // 2, (-tn22 + root) // 2}:
-                if abs(x) <= bound and abs(x + tn22) <= bound:
-                    found.append(Mat2(x, b12, b21, x + tn22))
-    found.sort(key=Mat2.entries)
-    return found
-

@@ -5,6 +5,7 @@ session-scoped search reports so the expensive sweeps run once.
 
 import pytest
 
+from oracles import h_lambda_closed
 from z2brace import (
     BraceSpec,
     IDENTITY,
@@ -13,7 +14,6 @@ from z2brace import (
     Vec2,
     exhaustive_search,
     generate_row,
-    h_lambda_closed,
 )
 
 # Smallest parameter tuples per family that give something other than a

@@ -13,9 +13,9 @@ from conftest import (
     repeated_powers,
 )
 
+from oracles import HolElement, h_lambda_closed, hol_mul, in_lambda_kernel, odot_inverse
 from z2brace import (
     BraceSpec,
-    HolElement,
     IDENTITY,
     Mat2,
     NotUnimodular,
@@ -26,14 +26,10 @@ from z2brace import (
     act,
     check_pair,
     enumerate_unimodular,
-    h_lambda_closed,
-    hol_mul,
-    in_lambda_kernel,
     lambda_map,
     lambda_of,
     odot,
     odot_associative,
-    odot_inverse,
 )
 
 M_2110 = Mat2(2, 1, -1, 0)

@@ -21,6 +21,7 @@ from conftest import ROW_FIXTURE_PARAMS, ROW_SPECS
 
 import z2brace.classification as classification
 
+from oracles import commutant_in_box
 from z2brace import (
     BadParams,
     BraceSpec,
@@ -32,7 +33,6 @@ from z2brace import (
     RowLabel,
     RowParams,
     check_pair,
-    commutant_in_box,
     enumerate_unimodular,
     exhaustive_search,
     generate_row,

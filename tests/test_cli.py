@@ -273,3 +273,29 @@ class TestOutputFile:
         code, out, _ = run(capsys, "search", "--bound", "1", "--output", str(path))
         assert code == 0 and out == ""
         assert path.read_text() == stdout_text
+
+
+def test_parser_is_shared_across_calls(capsys):
+    # main() parses every call with one parser built at import; no option
+    # value or error may carry over from one call to the next.
+    _, first_check, _ = run(capsys, "check", FAMILY_12_INLINE)
+
+    code, out, _ = run(capsys, "generate", "--row", "1.2", "--m", "1", "--p", "1", "--q", "1")
+    assert code == 0
+    member = out.strip()
+    assert json.loads(member) == json.loads(FAMILY_12_INLINE)
+
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--bound", "1", "--jobs", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+    # Family 1.1 takes no m; an m left over from the first generate would
+    # make this exit 2.
+    code, out, err = run(capsys, "generate", "--row", "1.1", "--sign1", "1", "--sign2", "1")
+    assert code == 0, err
+    assert json.loads(out) == {"phi": [[1, 0], [0, 1]], "psi": [[1, 0], [0, 1]]}
+
+    code, out, _ = run(capsys, "check", member)
+    assert code == 0
+    assert out == first_check

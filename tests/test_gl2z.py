@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from conftest import repeated_powers
 
+from oracles import commutant_in_box
 from z2brace import (
     FINITE_ORDERS,
     IDENTITY,
@@ -16,7 +17,6 @@ from z2brace import (
     NotUnimodular,
     UnsupportedOrder,
     centralizer_finite,
-    commutant_in_box,
     commutes,
     enumerate_unimodular,
     order_by_iteration,

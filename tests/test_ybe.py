@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from conftest import ALL_FIXTURE_SPECS, ROW_SPECS, TRIVIAL_SPEC
 
+from oracles import odot_inverse
 from z2brace import (
     BraceSpec,
     IDENTITY,
@@ -27,7 +28,6 @@ from z2brace import (
     lambda_of,
     nondegenerate_at,
     odot,
-    odot_inverse,
     r_map,
     sample_report,
     ybe_holds,
