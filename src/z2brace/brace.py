@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .gl2z import IDENTITY, Mat2, NotUnimodular
+from .gl2z import IDENTITY, Mat2, NotUnimodular, commutes
 
 __all__ = [
     "BraceSpec",
@@ -168,10 +168,11 @@ def check_pair(spec: BraceSpec) -> Verdict:
         phi^(psi11-1) psi^(psi21) = E,   phi^(psi12) psi^(psi22-1) = E
 
     hold exactly; the exponents of each condition are a column of phi - E
-    or psi - E.  One lambda_map serves all four.
+    or psi - E.  One lambda_map serves all four; commutation is
+    gl2z.commutes.
     """
     phi, psi = spec.phi, spec.psi
-    commuting = phi * psi == psi * phi
+    commuting = commutes(phi, psi)
     lam = lambda_map(spec)
     power = (
         lam(phi.a11 - 1, phi.a21) == _E,

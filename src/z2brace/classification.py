@@ -17,7 +17,9 @@ block 3 = (-1, 1), block 4 = (-1, -1).  This module provides
     every valid pair in the bounded box must match a family, and every
     family instance that fits in the box must be valid; the instances are
     found by solving each family's parameters (generated_row_instances),
-    and those the forward scan already found valid are not checked again,
+    and that one member list serves both directions: the forward labels
+    of each valid pair are read off it by a join, and the members the
+    forward scan already found valid are not checked again,
   * an order-classification cross-check over the same box
     (orders_crosscheck).
 
@@ -531,20 +533,25 @@ def _member_params(label: RowLabel, bound: int) -> Iterator[RowParams]:
     division of the radicand (q is free when p = 0 and the radicand is
     1); the rational families take h = a11 and n and get m by exact
     division; 1.2 bounds |m| by bound / max(|p|, |q|)^3 for each coprime
-    (p, q).  Every in-box member is among the results, but some results
-    are not in the box, which the caller filters.
+    (p, q) in canonical form.  Every in-box member is among the results,
+    but some results are not in the box, which the caller filters.
     """
     wide = range(-bound - 1, bound + 2)
     if label == RowLabel.R1_1:
         for s1, s2 in product((1, -1), repeat=2):
             yield RowParams(sign1=s1, sign2=s2)
     elif label == RowLabel.R1_2:
+        # Each pair once, in the canonical form of row12_parameters:
+        # (m, p, q) and (-m, -p, -q) give the same pair, and m = 0 gives
+        # (E, E) for every (p, q).
+        yield RowParams(m=0, p=1, q=0)
         cap = _integer_cbrt(bound)
-        for p, q in product(range(-cap, cap + 1), repeat=2):
-            if math.gcd(p, q) == 1:
-                m_max = bound // max(abs(p), abs(q)) ** 3
+        for p, q in product(range(cap + 1), range(-cap, cap + 1)):
+            if (p > 0 or q > 0) and math.gcd(p, q) == 1:
+                m_max = bound // max(p, abs(q)) ** 3
                 for m in range(-m_max, m_max + 1):
-                    yield RowParams(m=m, p=p, q=q)
+                    if m:
+                        yield RowParams(m=m, p=p, q=q)
     elif label in _LINEAR:
         for h, n in product(range(-bound, bound + 1), wide):
             a12, num = _LINEAR[label](h, n)
@@ -588,6 +595,11 @@ def generated_row_instances(bound: int) -> list[tuple[RowLabel, BraceSpec]]:
     order the parameters come in.  The members are built by the raw
     family constructors, not generate_row, so validity is left to the
     caller and a wrong constructor shows up as an invalid instance.
+
+    exhaustive_search reads both directions off this list: the families of
+    each valid pair it finds, and the members it must check.  The list is
+    complete, since every in-box member is solved, so a pair's labels here
+    are exactly row_membership of the pair.
     """
     seen: set[tuple] = set()
     instances: list[tuple[RowLabel, BraceSpec]] = []
@@ -734,10 +746,15 @@ def exhaustive_search(bound: int) -> SearchReport:
     |U_B|^2.  Unmatched pairs come out in the lexicographic order of
     enumerate_unimodular.
 
-    The reverse direction reuses the forward verdicts: check_pair is pure
-    and the forward scan visits every pair that can be valid, so a family
-    member it found valid is not checked again.  Every other member gets
-    check_pair, and an invalid one is reported in invalid_row_instances.
+    Both directions read one list, generated_row_instances(bound), which
+    holds every in-box family member with its label.  Forward, a valid pair
+    takes the labels it has in that list, a join that equals row_membership
+    because the list is complete; a valid pair the list lacks is unmatched,
+    so a member missing from it fails the search loudly.  The reverse
+    direction reuses the forward verdicts: check_pair is pure and the
+    forward scan visits every pair that can be valid, so a family member it
+    found valid is not checked again.  Every other member gets check_pair,
+    and an invalid one is reported in invalid_row_instances.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
@@ -748,24 +765,18 @@ def exhaustive_search(bound: int) -> SearchReport:
         if _in_pair_class(m):
             in_class.append(m)
     involutions = [m for m in in_class if m * m == IDENTITY]
-    valid: set[BraceSpec] = set()
-    histogram: Counter = Counter()
-    unmatched: list[BraceSpec] = []
+    found: list[BraceSpec] = []
     for phi in in_class:
         for psi in _search_partners(phi, bound, in_class, involutions):
             spec = BraceSpec(phi, psi)
-            if not check_pair(spec).valid:
-                continue
-            valid.add(spec)
-            labels = row_membership(spec)
-            if labels:
-                histogram.update(labels)
-            else:
-                unmatched.append(spec)
-
+            if check_pair(spec).valid:
+                found.append(spec)
+    valid = set(found)
+    members = generated_row_instances(bound)
+    member_specs = {spec for _, spec in members}
     invalid_instances = [
         (label, spec)
-        for label, spec in generated_row_instances(bound)
+        for label, spec in members
         if spec not in valid and not check_pair(spec).valid
     ]
 
@@ -773,9 +784,9 @@ def exhaustive_search(bound: int) -> SearchReport:
         bound=bound,
         candidates_examined=box_size**2,
         valid_pairs=len(valid),
-        unmatched_valid=unmatched,
+        unmatched_valid=[spec for spec in found if spec not in member_specs],
         invalid_row_instances=invalid_instances,
-        row_histogram=dict(histogram),
+        row_histogram=dict(Counter(label for label, spec in members if spec in valid)),
     )
 
 

@@ -249,8 +249,18 @@ def order_by_iteration(a: Mat2, cutoff: int = 12) -> MatOrder:
 
 
 def commutes(a: Mat2, b: Mat2) -> bool:
-    """True iff ab = ba exactly."""
-    return a * b == b * a
+    """True iff ab = ba exactly, read off the entries without a product.
+
+    ab - ba has the diagonal +-(a12 b21 - a21 b12), the upper entry
+    b12 (a11 - a22) - a12 (b11 - b22) and the lower entry
+    a21 (b11 - b22) - b21 (a11 - a22), so it vanishes iff these three do.
+    """
+    da, db = a.a11 - a.a22, b.a11 - b.a22
+    return (
+        a.a12 * b.a21 == a.a21 * b.a12
+        and a.a12 * db == b.a12 * da
+        and a.a21 * db == b.a21 * da
+    )
 
 
 def centralizer_finite(a: Mat2) -> frozenset[Mat2]:

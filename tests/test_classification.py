@@ -463,16 +463,17 @@ class TestExhaustiveSearch:
             ],
         }
 
-        # The search calls row_membership exactly once per valid pair it finds.
-        found = []
+        # The search reads every pair's families off its member list and
+        # never calls row_membership.
+        calls = []
 
         def recording_membership(spec):
-            found.append(spec)
+            calls.append(spec)
             return row_membership(spec)
 
         monkeypatch.setattr(classification, "row_membership", recording_membership)
         report = exhaustive_search(bound).to_dict()
-        assert found == oracle_valid
+        assert calls == []
         assert report == expected
 
     @staticmethod
@@ -633,6 +634,55 @@ class TestExhaustiveSearch:
             for label, spec in generated_row_instances(bound)
         ]
         assert solved == grid_row_instances(bound)
+
+    @pytest.mark.parametrize("bound", [*range(4, 13), 20])
+    def test_member_list_join_equals_row_membership(self, bound):
+        # The labels a valid pair has in generated_row_instances are exactly
+        # row_membership of the pair, for every valid pair the forward scan
+        # finds, and the report's histogram counts them.
+        joined: dict[BraceSpec, set] = {}
+        for label, spec in generated_row_instances(bound):
+            joined.setdefault(spec, set()).add(label)
+        in_class, partners = self.partner_rule(bound)
+        histogram = Counter()
+        valid = 0
+        for phi in in_class:
+            for psi in partners(phi):
+                spec = BraceSpec(phi, psi)
+                if not check_pair(spec).valid:
+                    continue
+                valid += 1
+                labels = row_membership(spec)
+                assert labels
+                assert joined.get(spec, set()) == labels, spec
+                histogram.update(labels)
+        report = exhaustive_search(bound)
+        assert report.valid_pairs == valid
+        assert report.row_histogram == dict(histogram)
+        assert report.unmatched_valid == []
+
+    def test_member_missing_from_the_list_is_unmatched(self, monkeypatch, capsys):
+        # A member list that lacks a family member fails the search loudly:
+        # the valid pair is reported unmatched and search exits 1.
+        dropped = generate_row(RowLabel.R1_2, RowParams(m=1, p=1, q=1))
+        assert row_membership(dropped) == {RowLabel.R1_2}
+        full = generated_row_instances(4)
+        assert (RowLabel.R1_2, dropped) in full
+        histogram = exhaustive_search(4).row_histogram
+
+        def without_member(bound):
+            return [item for item in full if item != (RowLabel.R1_2, dropped)]
+
+        monkeypatch.setattr(classification, "generated_row_instances", without_member)
+        report = exhaustive_search(4)
+        assert report.unmatched_valid == [dropped]
+        assert report.invalid_row_instances == []
+        assert report.row_histogram == {
+            **histogram, RowLabel.R1_2: histogram[RowLabel.R1_2] - 1
+        }
+        assert not report.confirms_classification
+        assert main(["search", "--bound", "4"]) == 1
+        assert capsys.readouterr().err == ""
 
     def test_reverse_direction_reuses_forward_verdicts(self, monkeypatch):
         # 448 pairs at bound 4 pass the partner rules; the 227 family

@@ -31,6 +31,8 @@ UNIMODULAR_3 = list(enumerate_unimodular(3))
 
 unimodular_3 = st.sampled_from(UNIMODULAR_3)
 small_exponents = st.integers(min_value=-8, max_value=8)
+big_ints = st.integers(min_value=-(2**256), max_value=2**256)
+big_matrices = st.builds(Mat2, big_ints, big_ints, big_ints, big_ints)
 
 
 def naive_mul(a: Mat2, b: Mat2) -> Mat2:
@@ -320,6 +322,33 @@ class TestCommutes:
 
     def test_shears_do_not_commute(self):
         assert not commutes(SHEAR, Mat2(1, 0, 1, 1))
+
+    def test_matches_products_on_every_pair_at_bound3(self):
+        # All 232^2 = 53,824 ordered pairs of the box.
+        pairs = [(a, b) for a in UNIMODULAR_3 for b in UNIMODULAR_3]
+        assert len(pairs) == 53_824
+        mismatches = [(a, b) for a, b in pairs if commutes(a, b) != (a * b == b * a)]
+        assert mismatches == []
+
+    @given(a=big_matrices, b=big_matrices)
+    def test_matches_products_at_256_bits(self, a, b):
+        assert commutes(a, b) == (a * b == b * a)
+
+    @given(
+        n=big_matrices,
+        coeffs=st.tuples(big_ints, big_ints, big_ints, big_ints),
+        offset=st.tuples(*[st.integers(min_value=-2, max_value=2)] * 4),
+    )
+    def test_matches_products_on_polynomials_in_one_matrix(self, n, coeffs, offset):
+        # xE + tN and yE + uN commute; a small offset on one of them mostly
+        # breaks that, so both answers are hit at 256 bits.
+        x, t, y, u = coeffs
+        a = Mat2(x + t * n.a11, t * n.a12, t * n.a21, x + t * n.a22)
+        b = Mat2(y + u * n.a11, u * n.a12, u * n.a21, y + u * n.a22)
+        assert commutes(a, b)
+        assert a * b == b * a
+        shifted = Mat2(*(e + d for e, d in zip(b.entries(), offset)))
+        assert commutes(a, shifted) == (a * shifted == shifted * a)
 
 
 class TestCentralizer:
