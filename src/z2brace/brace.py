@@ -10,10 +10,23 @@ the identity matrix.
 
 lambda has one mechanism, lambda_map: it takes the power maps of phi and
 psi once per pair and returns a -> entries of lambda_a as plain integers.
-check_pair tests its four conditions on one such map; lambda_of wraps the
-same map in a Mat2.  The module holds the paper's objects and the verdict;
-the holomorph reading of the pair conditions, which the tests check
-check_pair against, lives in tests/oracles.py.
+check_pair tests the four conditions of a commuting pair on one such map;
+lambda_of wraps the same map in a Mat2.
+
+A pair that does not commute needs no power of a hyperbolic matrix.  If
+phi^k psi^l = E, then X = phi^k = psi^(-l) commutes with phi and with
+psi.  The centralizer of a non-scalar 2x2 matrix is commutative, so if X
+is not +-E, phi and psi both lie in it and commute.  For a non-commuting
+pair an identity therefore holds iff phi^k = sE and psi^l = sE for the
+same s = +-1, and whether M^k is +-E follows from the order of M: only
+k = 0 for infinite order, a table or affine lookup for finite order.
+Every non-commuting pair is thus decided in O(1) operations at any entry
+size; only a commuting pair with a hyperbolic member still raises it to
+exponents the size of its entries.
+
+The module holds the paper's objects and the verdict; the holomorph
+reading of the pair conditions, which the tests check check_pair
+against, lives in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -21,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .gl2z import IDENTITY, Mat2, NotUnimodular, commutes
+from .gl2z import IDENTITY, Mat2, NotUnimodular, commutes, order_by_predicate
 
 __all__ = [
     "BraceSpec",
@@ -66,8 +79,9 @@ class Vec2:
 
 ZERO = Vec2(0, 0)
 
-# Entries of the identity matrix, as lambda_map returns them.
+# Entries of E and -E, as lambda_map and Mat2.power_map return them.
 _E = IDENTITY.entries()
+_NEG_E = (-IDENTITY).entries()
 
 
 def act(m: Mat2, v: Vec2) -> Vec2:
@@ -159,6 +173,24 @@ def odot(spec: BraceSpec, a: Vec2, b: Vec2) -> Vec2:
     return a + act(lambda_of(spec, a), b)
 
 
+def _scalar_power(m: Mat2) -> Callable[[int], int]:
+    """The map k -> s when m^k = sE with s = +-1, and k -> 0 otherwise.
+
+    O(1) per k for every unimodular m: an infinite-order matrix has a
+    scalar power only at k = 0, and a finite-order one reads m^k off its
+    power map (a table, or affine in k for +-E).
+    """
+    if order_by_predicate(m).n is None:
+        return lambda k: 1 if k == 0 else 0
+    power = m.power_map()
+
+    def sign(k):
+        p = power(k)
+        return 1 if p == _E else -1 if p == _NEG_E else 0
+
+    return sign
+
+
 def check_pair(spec: BraceSpec) -> Verdict:
     """Decide whether (phi, psi) defines a brace on Z^2.
 
@@ -168,18 +200,33 @@ def check_pair(spec: BraceSpec) -> Verdict:
         phi^(psi11-1) psi^(psi21) = E,   phi^(psi12) psi^(psi22-1) = E
 
     hold exactly; the exponents of each condition are a column of phi - E
-    or psi - E.  One lambda_map serves all four; commutation is
-    gl2z.commutes.
+    or psi - E.  Commutation is gl2z.commutes.  For a commuting pair one
+    lambda_map serves all four.  For a non-commuting pair phi^k psi^l = E
+    forces phi^k = psi^(-l) into the commutative centralizer of a
+    non-scalar matrix unless it is +-E, so each condition is phi^k = sE and
+    psi^l = sE for one s = +-1, decided by _scalar_power in O(1) at any
+    entry size.  Only a commuting pair with a hyperbolic member still
+    takes powers whose cost grows with its entries.
     """
     phi, psi = spec.phi, spec.psi
     commuting = commutes(phi, psi)
-    lam = lambda_map(spec)
-    power = (
-        lam(phi.a11 - 1, phi.a21) == _E,
-        lam(phi.a12, phi.a22 - 1) == _E,
-        lam(psi.a11 - 1, psi.a21) == _E,
-        lam(psi.a12, psi.a22 - 1) == _E,
-    )
+    if commuting:
+        lam = lambda_map(spec)
+        power = (
+            lam(phi.a11 - 1, phi.a21) == _E,
+            lam(phi.a12, phi.a22 - 1) == _E,
+            lam(psi.a11 - 1, psi.a21) == _E,
+            lam(psi.a12, psi.a22 - 1) == _E,
+        )
+    else:
+        phi_s, psi_s = _scalar_power(phi), _scalar_power(psi)
+        # Equal and nonzero: phi^k and psi^l are the same scalar sE.
+        power = (
+            phi_s(phi.a11 - 1) == psi_s(phi.a21) != 0,
+            phi_s(phi.a12) == psi_s(phi.a22 - 1) != 0,
+            phi_s(psi.a11 - 1) == psi_s(psi.a21) != 0,
+            phi_s(psi.a12) == psi_s(psi.a22 - 1) != 0,
+        )
     return Verdict(
         valid=commuting and all(power), commuting=commuting, power_identities=power
     )

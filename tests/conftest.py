@@ -9,6 +9,7 @@ from oracles import h_lambda_closed
 from z2brace import (
     BraceSpec,
     IDENTITY,
+    Mat2,
     RowLabel,
     RowParams,
     Vec2,
@@ -58,6 +59,13 @@ def repeated_powers(a, k_max):
             power = power * factor
             powers[sign * k] = power
     return powers
+
+
+def hyperbolic_pair(bits):
+    """Two hyperbolic matrices of trace 2a, a about 2^(bits-1); m and n do
+    not commute."""
+    a = (1 << (bits - 1)) + 7
+    return Mat2(a, a + 1, a - 1, a), Mat2(a, a - 1, a + 1, a)
 
 
 def holomorph_reading(spec):

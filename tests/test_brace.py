@@ -3,13 +3,16 @@ verdict, and the holomorph closure property.
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
+
+import z2brace.brace as brace
 
 from conftest import (
     ALL_FIXTURE_SPECS,
     ROW_SPECS,
     TRIVIAL_SPEC,
     holomorph_reading,
+    hyperbolic_pair,
     repeated_powers,
 )
 
@@ -25,6 +28,7 @@ from z2brace import (
     ZERO,
     act,
     check_pair,
+    commutes,
     enumerate_unimodular,
     lambda_map,
     lambda_of,
@@ -169,13 +173,6 @@ def direct_products_check_pair(spec):
     )
 
 
-def hyperbolic_pair(bits):
-    # Two hyperbolic matrices of trace 2a, a about 2^(bits-1); m and n do
-    # not commute.
-    a = (1 << (bits - 1)) + 7
-    return Mat2(a, a + 1, a - 1, a), Mat2(a, a - 1, a + 1, a)
-
-
 class TestSharedEvaluation:
     """check_pair's verdict against the direct-products oracle: two
     readings of the same four conditions."""
@@ -211,18 +208,26 @@ def squared_power(m, k):
     return result
 
 
-def squared_check_pair(spec):
-    # The old entry reading of the four conditions, phi^k psi^l = E, with
-    # both powers taken by squared_power.
-    phi, psi = spec.phi, spec.psi
-    commuting = phi * psi == psi * phi
-    columns = (
+def condition_exponents(phi, psi):
+    # The exponents (k, l) of the four conditions phi^k psi^l = E, in the
+    # order of Verdict.power_identities: the columns of phi - E and psi - E.
+    return (
         (phi.a11 - 1, phi.a21),
         (phi.a12, phi.a22 - 1),
         (psi.a11 - 1, psi.a21),
         (psi.a12, psi.a22 - 1),
     )
-    power = tuple(squared_power(phi, k) * squared_power(psi, l) == IDENTITY for k, l in columns)
+
+
+def squared_check_pair(spec):
+    # The old entry reading of the four conditions, phi^k psi^l = E, with
+    # both powers taken by squared_power.
+    phi, psi = spec.phi, spec.psi
+    commuting = phi * psi == psi * phi
+    power = tuple(
+        squared_power(phi, k) * squared_power(psi, l) == IDENTITY
+        for k, l in condition_exponents(phi, psi)
+    )
     return Verdict(
         valid=commuting and all(power), commuting=commuting, power_identities=power
     )
@@ -273,6 +278,109 @@ class TestLambdaMap:
         for phi, psi in ((m, m), (m, m.inverse()), (m, -m), (m, n), (n, -m)):
             spec = BraceSpec(phi, psi)
             assert check_pair(spec) == squared_check_pair(spec), spec
+
+
+# The finite-order matrices of GL2(Z) up to conjugation, other than +-E:
+# the two reflection classes (order 2, det -1) and the rotations of orders
+# 3, 4 and 6 with their inverses.
+FINITE_ORDER_CLASSES = [
+    Mat2(1, 0, 0, -1),
+    Mat2(0, 1, 1, 0),
+    Mat2(0, -1, 1, -1),
+    Mat2(-1, 1, -1, 0),
+    Mat2(0, -1, 1, 0),
+    Mat2(0, 1, -1, 0),
+    Mat2(0, -1, 1, 1),
+    Mat2(1, 1, -1, 0),
+]
+
+
+def conjugate(c, s, t):
+    # g^-1 c g for g = [[1, s], [0, 1]] [[1, 0], [t, 1]]; with |s|, |t| up
+    # to 2^16 the entries reach about 2^64 times those of c.
+    g = Mat2(1, s, 0, 1) * Mat2(1, 0, t, 1)
+    return g.inverse() * c * g
+
+
+# Finite-order classes and the parabolic classes +-(E + mN), N = [[0, 1], [0, 0]]:
+# their powers are periodic or affine in k, so squared_power stays cheap at
+# exponents the size of the entries.
+class_representatives = st.one_of(
+    st.sampled_from(FINITE_ORDER_CLASSES),
+    st.builds(
+        lambda sign, m: Mat2(sign, sign * m, 0, sign),
+        st.sampled_from((1, -1)),
+        st.integers(-16, 16).filter(bool),
+    ),
+)
+large_conjugates = st.builds(
+    conjugate,
+    class_representatives,
+    st.integers(-(2**16), 2**16),
+    st.integers(-(2**16), 2**16),
+)
+
+
+class TestNonCommutingPairs:
+    """The scalar rule for pairs that do not commute: phi^k psi^l = E iff
+    phi^k = sE and psi^l = sE for one s = +-1."""
+
+    def test_scalar_power_matches_squared_powers_on_box_3(self):
+        wrong = []
+        for m in BOX_3:
+            sign = brace._scalar_power(m)
+            for k in range(-13, 14):
+                p = squared_power(m, k)
+                expected = 1 if p == IDENTITY else -1 if p == -IDENTITY else 0
+                if sign(k) != expected:
+                    wrong.append((m, k))
+        assert wrong == []
+
+    def test_identities_hold_through_both_signs_at_bound_3(self):
+        # Every identity that holds on a non-commuting pair of the box holds
+        # through phi^k = +-E, and both signs occur, the positive one also
+        # at k != 0.
+        through_neg = through_pos = 0
+        not_scalar = []
+        for phi in BOX_3:
+            for psi in BOX_3:
+                verdict = check_pair(BraceSpec(phi, psi))
+                if verdict.commuting:
+                    continue
+                for (k, l), holds in zip(condition_exponents(phi, psi), verdict.power_identities):
+                    if not holds:
+                        continue
+                    x = squared_power(phi, k)
+                    through_neg += x == -IDENTITY
+                    through_pos += x == IDENTITY and k != 0
+                    if x not in (IDENTITY, -IDENTITY):
+                        not_scalar.append((phi, psi, k, l))
+        assert not_scalar == []
+        assert (through_neg, through_pos) == (104, 4022)
+
+    @pytest.mark.parametrize(
+        "phi, psi, k, l",
+        [
+            # psi - E has the columns (2, -4): phi^2 = -E beside psi^-4 = E.
+            (Mat2(0, -1, 1, 0), Mat2(3, 2, -4, -3), 2, -4),
+            # phi - E has the columns (0, +-2): phi^0 = E beside psi^+-2 = -E.
+            (Mat2(1, 0, 2, -1), Mat2(0, -1, 1, 0), 0, 2),
+        ],
+        ids=["phi-power-minus-E", "psi-power-minus-E"],
+    )
+    def test_opposite_signs_do_not_cancel(self, phi, psi, k, l):
+        assert {squared_power(phi, k), squared_power(psi, l)} == {IDENTITY, -IDENTITY}
+        spec = BraceSpec(phi, psi)
+        assert check_pair(spec) == Verdict(
+            valid=False, commuting=False, power_identities=(False, False, False, False)
+        )
+        assert check_pair(spec) == squared_check_pair(spec)
+
+    @given(phi=large_conjugates, psi=large_conjugates)
+    def test_conjugates_with_64_bit_entries_match_the_entry_reading(self, phi, psi):
+        assume(not commutes(phi, psi))
+        spec = BraceSpec(phi, psi)
+        assert check_pair(spec) == squared_check_pair(spec)
 
 
 class TestAssociativity:

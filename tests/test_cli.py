@@ -4,11 +4,17 @@ round trips between subcommands.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import z2brace
+from conftest import hyperbolic_pair
 from z2brace import BraceSpec, Mat2
 from z2brace.cli import main
 
@@ -264,6 +270,54 @@ def test_inline_non_object_json_exits_two(capsys, command):
     assert code == 2 and out == ""
     assert 'expected an object with exactly the keys "phi" and "psi"' in err
     assert "No such file" not in err
+
+
+# A hyperbolic phi at 64 and 256 bits beside a second hyperbolic matrix,
+# an order-4 matrix and a parabolic one; no partner commutes with phi.
+NON_COMMUTING_LARGE = [
+    pytest.param(json.dumps(BraceSpec(m, psi).to_dict()), id=f"{bits}-bit-{name}")
+    for bits in (64, 256)
+    for m, n in [hyperbolic_pair(bits)]
+    for name, psi in (
+        ("hyperbolic", n),
+        ("order-4", Mat2(0, -1, 1, 0)),
+        ("parabolic", Mat2(1, 1, 0, 1)),
+    )
+]
+
+
+def run_process(*argv):
+    # The CLI in a fresh interpreter.  The timeout makes a verdict that does
+    # not finish fail the test instead of hanging the suite.
+    src = Path(z2brace.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-m", "z2brace", *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+
+
+@pytest.mark.parametrize("spec", NON_COMMUTING_LARGE)
+class TestNonCommutingLargeEntries:
+    """check, classify and ybe decide a non-commuting pair without powers
+    whose size grows with its entries."""
+
+    def test_check_exits_one(self, spec):
+        proc = run_process("check", spec)
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout)["commuting"] is False
+
+    def test_classify_prints_no_family(self, spec):
+        proc = run_process("classify", spec)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+
+    def test_ybe_exits_two(self, spec):
+        proc = run_process("ybe", spec)
+        assert proc.returncode == 2
+        assert proc.stdout == "" and "fails the pair conditions" in proc.stderr
 
 
 class TestOutputFile:
