@@ -9,7 +9,7 @@ block 3 = (-1, 1), block 4 = (-1, -1).  This module provides
   * a membership test that reads each family's parameters off the pair in
     O(1) and keeps the family iff its constructor regenerates the pair
     exactly (row_membership; row12_parameters for family 1.2), so the
-    family definitions live only in the constructors,
+    family definitions live only in the constructors and their tables,
   * a duplicate-free lexicographic enumeration of unimodular matrices
     with bounded entries, in time proportional to their number
     (enumerate_unimodular),
@@ -23,11 +23,17 @@ block 3 = (-1, 1), block 4 = (-1, -1).  This module provides
   * an order-classification cross-check over the same box
     (orders_crosscheck).
 
-Family constructors follow the case analysis by order of phi.  Square-root
-parametrizations (families 1.3, 1.4, 2.1, 2.2, 3.1, 3.2, 4.2) take the
-root of their radicand exactly and reject non-squares; rational
-parametrizations (1.5, 1.6, 4.1) reject non-exact divisions.  Every
-constructor rejects a parameter outside its family's signature.
+Families 1.1 and 1.2 are written out; the other ten are rows of two
+tables.  In a square-root family (_ROOT_FAMILIES: 1.3, 1.4, 2.1, 2.2, 3.1,
+3.2, 4.2) phi, or psi conjugated by the coordinate swap, is one
+finite-order matrix M of fixed det and trace with off-diagonal entries
+p_scale p and q_scale q, whose diagonal needs the exact root of a
+radicand; M's partner is E, -E or -M.  In a rational family
+(_RATIONAL_FAMILIES: 1.5, 1.6, 4.1) phi has a11 = h fixed by one exact
+division of its determinant equation, and psi is phi or phi^-1.  One
+constructor, one O(1) parameter recovery and one branch of the in-box
+solver read each table.  Every constructor rejects non-squares, inexact
+divisions and any parameter outside its family's signature.
 """
 
 from __future__ import annotations
@@ -36,8 +42,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import partial
 from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .brace import BraceSpec, check_pair
 from .gl2z import (
@@ -134,7 +141,8 @@ class RowParams:
     1.1: sign1, sign2            1.2: m, p, q (gcd(p, q) = 1)
     1.3/1.4: p, q, sign1         1.5/1.6: m, n
     2.1/2.2/3.1/3.2/4.2: p, q, sign1
-    4.1: m, n, plus p exactly when m = n (m = n in {0, -1}).
+    4.1: m, n, plus p exactly when m = n (m = n in {0, -1}), where the
+         division that fixes h reads h * 0 = 0.
 
     A family's constructor rejects every other field that is set.
     """
@@ -168,23 +176,22 @@ def _need(
     ]
     if stray:
         raise BadParams(f"family {label} takes no parameter {', '.join(stray)}")
-    values = []
-    for name in names:
-        value = getattr(params, name)
-        if value is None:
-            raise BadParams(f"family {label} needs parameters {', '.join(names)}")
-        values.append(value)
+    values = [getattr(params, name) for name in names]
+    if None in values:
+        raise BadParams(f"family {label} needs parameters {', '.join(names)}")
     return values
 
 
 def _exact_sqrt(radicand: int) -> int:
     """Nonnegative integer square root, or IntegralityError."""
-    if radicand < 0:
-        raise IntegralityError(f"radicand {radicand} is negative")
-    root = math.isqrt(radicand)
+    root = math.isqrt(max(radicand, 0))
     if root * root != radicand:
         raise IntegralityError(f"radicand {radicand} is not a perfect square")
     return root
+
+
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -198,13 +205,9 @@ def _swap_conj(m: Mat2) -> Mat2:
     return Mat2(m.a22, m.a21, m.a12, m.a11)
 
 
-def _scaled_identity(sign: int) -> Mat2:
-    return Mat2(sign, 0, 0, sign)
-
-
 def _gen_1_1(params: RowParams) -> BraceSpec:
     s1, s2 = _need(params, RowLabel.R1_1, "sign1", "sign2")
-    return BraceSpec(_scaled_identity(s1), _scaled_identity(s2))
+    return BraceSpec(Mat2(s1, 0, 0, s1), Mat2(s2, 0, 0, s2))
 
 
 def _gen_1_2(params: RowParams) -> BraceSpec:
@@ -216,111 +219,106 @@ def _gen_1_2(params: RowParams) -> BraceSpec:
     return BraceSpec(phi, psi)
 
 
-def _order3_psi_identity(p: int, q: int, sign: int) -> Mat2:
-    # Order-3 matrix with a11 = 1 mod 3, a12 = 0 mod 3: partner of psi = E.
-    root = _exact_sqrt(-3 - 12 * p * q)
-    return Mat2((-1 + sign * root) // 2, 3 * p, q, (-1 - sign * root) // 2)
+class _RootFamily(NamedTuple):
+    """M = ((trace + sign1 r) / 2, p_scale p, q_scale q, (trace - sign1 r) / 2)
+    sits on one side of the pair beside its partner.  det M = det makes
+    r^2 = radicand(p, q); r and trace have one parity, and r is never 0."""
+
+    det: int
+    trace: int
+    p_scale: int
+    q_scale: int
+    side: str  # "phi" or "psi"
+    partner: str  # "E", "-E" or "-M"
+
+    def radicand(self, p: int, q: int) -> int:
+        return self.trace**2 - 4 * self.det - 4 * self.p_scale * self.q_scale * p * q
 
 
-def _gen_1_4(params: RowParams) -> BraceSpec:
-    p, q, s = _need(params, RowLabel.R1_4, "p", "q", "sign1")
-    return BraceSpec(_order3_psi_identity(p, q, s), IDENTITY)
+_ROOT_FAMILIES = {
+    RowLabel.R1_3: _RootFamily(1, -1, 3, 1, "psi", "E"),
+    RowLabel.R1_4: _RootFamily(1, -1, 3, 1, "phi", "E"),
+    RowLabel.R2_1: _RootFamily(-1, 0, 2, 1, "psi", "E"),
+    RowLabel.R2_2: _RootFamily(-1, 0, 2, 2, "psi", "-E"),
+    RowLabel.R3_1: _RootFamily(-1, 0, 2, 1, "phi", "E"),
+    RowLabel.R3_2: _RootFamily(-1, 0, 2, 2, "phi", "-E"),
+    RowLabel.R4_2: _RootFamily(-1, 0, 2, 2, "phi", "-M"),
+}
 
 
-def _gen_1_3(params: RowParams) -> BraceSpec:
-    p, q, s = _need(params, RowLabel.R1_3, "p", "q", "sign1")
-    return BraceSpec(IDENTITY, _swap_conj(_order3_psi_identity(p, q, s)))
+def _gen_root(label: RowLabel, family: _RootFamily, params: RowParams) -> BraceSpec:
+    p, q, s = _need(params, label, "p", "q", "sign1")
+    t, r = family.trace, s * _exact_sqrt(family.radicand(p, q))
+    m = Mat2((t + r) // 2, family.p_scale * p, family.q_scale * q, (t - r) // 2)
+    partner = {"E": IDENTITY, "-E": _NEG_IDENTITY, "-M": -m}[family.partner]
+    return BraceSpec(m, partner) if family.side == "phi" else BraceSpec(partner, _swap_conj(m))
 
 
-def _gen_1_5(params: RowParams) -> BraceSpec:
-    m, n = _need(params, RowLabel.R1_5, "m", "n")
-    if m == n:
-        raise BadParams("family 1.5 has no members with m = n")
-    h = _exact_div(1 + n + 2 * m + 3 * m * n, n - m)
-    phi = Mat2(h, 2 + 3 * n + h, 1 + 3 * m - h, -1 - h)
-    return BraceSpec(phi, phi)
+def _recover_root(family: _RootFamily, spec: BraceSpec) -> RowParams:
+    m = spec.phi if family.side == "phi" else _swap_conj(spec.psi)
+    return RowParams(
+        p=_exact_div(m.a12, family.p_scale),
+        q=_exact_div(m.a21, family.q_scale),
+        sign1=_sign(m.a11 - m.a22),
+    )
 
 
-def _gen_1_6(params: RowParams) -> BraceSpec:
-    m, n = _need(params, RowLabel.R1_6, "m", "n")
-    if 1 + m + n == 0:
-        raise BadParams("family 1.6 has no members with m + n = -1")
-    h = _exact_div(3 * m * n + m + n, 1 + m + n)
-    phi = Mat2(h, 1 + 3 * n - h, -1 - 3 * m + h, -1 - h)
-    return BraceSpec(phi, phi.inverse())
+class _RationalFamily(NamedTuple):
+    """phi = (h, u + c n + e h, e (v + c m - h), t - h) with e = +-1, and psi
+    is phi, or phi^-1 when inverse is set.  det phi = det reads
+    h * divisor = dividend (division).  Where both are 0, h is the free
+    parameter p; where only the divisor is 0, the family has no member."""
+
+    det: int
+    u: int
+    v: int
+    t: int
+    c: int
+    e: int
+    inverse: bool
+
+    def division(self, m: int, n: int) -> tuple[int, int]:
+        """(divisor, dividend) of the equation h * divisor = dividend."""
+        a, b = self.u + self.c * n, self.v + self.c * m
+        return self.t + self.e * a - b, self.det + self.e * a * b
+
+    def params(self, h: int, m: int, n: int) -> RowParams:
+        return RowParams(m=m, n=n, p=None if self.division(m, n)[0] else h)
 
 
-def _order2_psi_identity(p: int, q: int, sign: int) -> Mat2:
-    # Order-2 matrix with even a12: partner of psi = E.
-    root = _exact_sqrt(1 - 2 * p * q)
-    return Mat2(sign * root, 2 * p, q, -sign * root)
+_RATIONAL_FAMILIES = {
+    RowLabel.R1_5: _RationalFamily(1, 2, 1, -1, 3, 1, inverse=False),
+    RowLabel.R1_6: _RationalFamily(1, 1, 1, -1, 3, -1, inverse=True),
+    RowLabel.R4_1: _RationalFamily(-1, 1, 1, 0, 2, 1, inverse=False),
+}
 
 
-def _order2_psi_neg_identity(p: int, q: int, sign: int) -> Mat2:
-    # Order-2 matrix congruent to E mod 2: partner of psi = -E (and of 4.2).
-    root = _exact_sqrt(1 - 4 * p * q)
-    return Mat2(sign * root, 2 * p, 2 * q, -sign * root)
+def _gen_rational(label: RowLabel, family: _RationalFamily, params: RowParams) -> BraceSpec:
+    m, n = _need(params, label, "m", "n", optional=("p",))
+    divisor, dividend = family.division(m, n)
+    if not divisor and dividend:
+        raise BadParams(f"family {label} has no member with m = {m}, n = {n}")
+    if (params.p is None) == (not divisor):
+        needs = "needs the free" if params.p is None else "takes no"
+        raise BadParams(f"family {label} with m = {m}, n = {n} {needs} parameter p")
+    h = _exact_div(dividend, divisor) if divisor else params.p
+    e, c = family.e, family.c
+    phi = Mat2(h, family.u + c * n + e * h, e * (family.v + c * m - h), family.t - h)
+    return BraceSpec(phi, phi.inverse() if family.inverse else phi)
 
 
-def _gen_3_1(params: RowParams) -> BraceSpec:
-    p, q, s = _need(params, RowLabel.R3_1, "p", "q", "sign1")
-    return BraceSpec(_order2_psi_identity(p, q, s), IDENTITY)
-
-
-def _gen_2_1(params: RowParams) -> BraceSpec:
-    p, q, s = _need(params, RowLabel.R2_1, "p", "q", "sign1")
-    return BraceSpec(IDENTITY, _swap_conj(_order2_psi_identity(p, q, s)))
-
-
-def _gen_3_2(params: RowParams) -> BraceSpec:
-    p, q, s = _need(params, RowLabel.R3_2, "p", "q", "sign1")
-    return BraceSpec(_order2_psi_neg_identity(p, q, s), _NEG_IDENTITY)
-
-
-def _gen_2_2(params: RowParams) -> BraceSpec:
-    p, q, s = _need(params, RowLabel.R2_2, "p", "q", "sign1")
-    return BraceSpec(_NEG_IDENTITY, _swap_conj(_order2_psi_neg_identity(p, q, s)))
-
-
-def _gen_4_1(params: RowParams) -> BraceSpec:
-    m, n = _need(params, RowLabel.R4_1, "m", "n", optional=("p",))
-    if m == n:
-        if m not in (0, -1):
-            raise BadParams("family 4.1 with m = n requires m in {0, -1}")
-        if params.p is None:
-            raise BadParams("family 4.1 with m = n needs the free parameter p")
-        p = params.p
-        if m == 0:
-            phi = Mat2(p, 1 + p, 1 - p, -p)
-        else:
-            phi = Mat2(p, p - 1, -1 - p, -p)
-    else:
-        if params.p is not None:
-            raise BadParams("family 4.1 with m != n takes no parameter p")
-        h = _exact_div(m + n + 2 * m * n, n - m)
-        phi = Mat2(h, 1 + 2 * n + h, 1 + 2 * m - h, -h)
-    return BraceSpec(phi, phi)
-
-
-def _gen_4_2(params: RowParams) -> BraceSpec:
-    p, q, s = _need(params, RowLabel.R4_2, "p", "q", "sign1")
-    phi = _order2_psi_neg_identity(p, q, s)
-    return BraceSpec(phi, -phi)
+def _recover_rational(family: _RationalFamily, spec: BraceSpec) -> RowParams:
+    h, a12, a21 = spec.phi.a11, spec.phi.a12, spec.phi.a21
+    n = _exact_div(a12 - family.u - family.e * h, family.c)
+    m = _exact_div(family.e * a21 - family.v + h, family.c)
+    return family.params(h, m, n)
 
 
 _GENERATORS = {
     RowLabel.R1_1: _gen_1_1,
     RowLabel.R1_2: _gen_1_2,
-    RowLabel.R1_3: _gen_1_3,
-    RowLabel.R1_4: _gen_1_4,
-    RowLabel.R1_5: _gen_1_5,
-    RowLabel.R1_6: _gen_1_6,
-    RowLabel.R2_1: _gen_2_1,
-    RowLabel.R2_2: _gen_2_2,
-    RowLabel.R3_1: _gen_3_1,
-    RowLabel.R3_2: _gen_3_2,
-    RowLabel.R4_1: _gen_4_1,
-    RowLabel.R4_2: _gen_4_2,
+    **{label: partial(_gen_root, label, row) for label, row in _ROOT_FAMILIES.items()},
+    **{label: partial(_gen_rational, label, row) for label, row in _RATIONAL_FAMILIES.items()},
 }
 
 
@@ -335,10 +333,6 @@ def generate_row(label: RowLabel, params: RowParams) -> BraceSpec:
     spec = _GENERATORS[label](params)
     assert check_pair(spec).valid, f"family {label} produced invalid pair {spec}"
     return spec
-
-
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
 
 
 def _integer_cbrt(n: int) -> int:
@@ -399,50 +393,14 @@ def _recover_1_2(spec: BraceSpec) -> RowParams:
     return RowParams(m=m, p=p, q=q)
 
 
-def _root_params(a: Mat2, p_scale: int, q_scale: int) -> RowParams:
-    # Square-root families: a12 = p_scale p, a21 = q_scale q, and a11 - a22
-    # is sign1 times the root, which is odd and so never 0.
-    return RowParams(
-        p=_exact_div(a.a12, p_scale),
-        q=_exact_div(a.a21, q_scale),
-        sign1=_sign(a.a11 - a.a22),
-    )
-
-
-def _recover_1_5(spec: BraceSpec) -> RowParams:
-    h, a12, a21 = spec.phi.a11, spec.phi.a12, spec.phi.a21
-    return RowParams(m=_exact_div(a21 - 1 + h, 3), n=_exact_div(a12 - 2 - h, 3))
-
-
-def _recover_1_6(spec: BraceSpec) -> RowParams:
-    h, a12, a21 = spec.phi.a11, spec.phi.a12, spec.phi.a21
-    return RowParams(m=_exact_div(h - 1 - a21, 3), n=_exact_div(a12 - 1 + h, 3))
-
-
-def _recover_4_1(spec: BraceSpec) -> RowParams:
-    # The m = n members (m in {0, -1}, free p) follow the m != n formula
-    # with h = p.
-    h, a12, a21 = spec.phi.a11, spec.phi.a12, spec.phi.a21
-    m, n = _exact_div(a21 - 1 + h, 2), _exact_div(a12 - 1 - h, 2)
-    return RowParams(m=m, n=n, p=h if m == n else None)
-
-
 #: Reads a family's parameters off a pair in O(1).  For a member they are
 #: the parameters that generate it; for anything else they are arbitrary,
 #: which the regeneration in _is_member rejects.
 _RECOVERERS = {
     RowLabel.R1_1: lambda spec: RowParams(sign1=spec.phi.a11, sign2=spec.psi.a11),
     RowLabel.R1_2: _recover_1_2,
-    RowLabel.R1_3: lambda spec: _root_params(_swap_conj(spec.psi), 3, 1),
-    RowLabel.R1_4: lambda spec: _root_params(spec.phi, 3, 1),
-    RowLabel.R1_5: _recover_1_5,
-    RowLabel.R1_6: _recover_1_6,
-    RowLabel.R2_1: lambda spec: _root_params(_swap_conj(spec.psi), 2, 1),
-    RowLabel.R2_2: lambda spec: _root_params(_swap_conj(spec.psi), 2, 2),
-    RowLabel.R3_1: lambda spec: _root_params(spec.phi, 2, 1),
-    RowLabel.R3_2: lambda spec: _root_params(spec.phi, 2, 2),
-    RowLabel.R4_1: _recover_4_1,
-    RowLabel.R4_2: lambda spec: _root_params(spec.phi, 2, 2),
+    **{label: partial(_recover_root, row) for label, row in _ROOT_FAMILIES.items()},
+    **{label: partial(_recover_rational, row) for label, row in _RATIONAL_FAMILIES.items()},
 }
 
 _BLOCK_LABELS = {
@@ -504,39 +462,25 @@ def _spec_key(spec: BraceSpec) -> tuple:
     return (spec.phi.entries(), spec.psi.entries())
 
 
-#: Square-root families: (c0, k, scale) where the radicand is c0 - k p q
-#: (its root r is odd) and scale * p is an entry.
-_RADICANDS = {
-    RowLabel.R1_3: (-3, 12, 3),
-    RowLabel.R1_4: (-3, 12, 3),
-    RowLabel.R2_1: (1, 2, 2),
-    RowLabel.R3_1: (1, 2, 2),
-    RowLabel.R2_2: (1, 4, 2),
-    RowLabel.R3_2: (1, 4, 2),
-    RowLabel.R4_2: (1, 4, 2),
-}
-
-#: Rational families: (a12, num) as functions of h = a11 and n; the
-#: family's defining division, solved for m, reads m * a12 = num.
-_LINEAR = {
-    RowLabel.R1_5: lambda h, n: (2 + 3 * n + h, n * (h - 1) - 1),
-    RowLabel.R1_6: lambda h, n: (1 + 3 * n - h, h * (1 + n) - n),
-    RowLabel.R4_1: lambda h, n: (1 + 2 * n + h, n * (h - 1)),
-}
+def _solutions(num: int, den: int, box: range) -> Iterable[int]:
+    """The x of box with x * den = num: every one when num = den = 0."""
+    if den:
+        x, rem = divmod(num, den)
+        return () if rem or x not in box else (x,)
+    return () if num else box
 
 
 def _member_params(label: RowLabel, bound: int) -> Iterator[RowParams]:
     """Parameters of every family member that can fit in the entry box.
 
-    Each family is solved for its last parameter instead of scanned: the
-    square-root families take p and the odd root r and get q by exact
-    division of the radicand (q is free when p = 0 and the radicand is
-    1); the rational families take h = a11 and n and get m by exact
-    division; 1.2 bounds |m| by bound / max(|p|, |q|)^3 for each coprime
-    (p, q) in canonical form.  Every in-box member is among the results,
-    but some results are not in the box, which the caller filters.
+    Each family is solved for its last parameter instead of scanned, by
+    one exact division (_solutions) of an equation affine in it, read at 0
+    and 1: square-root families take p and r = |a11 - a22| <= 2 bound and
+    solve radicand(p, q) = r^2 for q; rational families take h = a11 and n
+    and solve their division for m; 1.2 bounds |m| by bound / max(|p|,
+    |q|)^3 for each coprime (p, q) in canonical form.  Every in-box member
+    is among the results; the caller filters the rest out.
     """
-    wide = range(-bound - 1, bound + 2)
     if label == RowLabel.R1_1:
         for s1, s2 in product((1, -1), repeat=2):
             yield RowParams(sign1=s1, sign2=s2)
@@ -552,34 +496,29 @@ def _member_params(label: RowLabel, bound: int) -> Iterator[RowParams]:
                 for m in range(-m_max, m_max + 1):
                     if m:
                         yield RowParams(m=m, p=p, q=q)
-    elif label in _LINEAR:
-        for h, n in product(range(-bound, bound + 1), wide):
-            a12, num = _LINEAR[label](h, n)
-            if abs(a12) > bound:
-                continue
-            if a12:
-                ms = () if num % a12 else (num // a12,)
-            else:
-                # m * 0 = num holds for every m when num is 0.
-                ms = wide if num == 0 else ()
-            for m in ms:
-                p = h if label == RowLabel.R4_1 and m == n else None
-                yield RowParams(m=m, n=n, p=p)
-    else:
-        c0, k, scale = _RADICANDS[label]
-        p_max = bound // scale
+    elif label in _ROOT_FAMILIES:
+        family = _ROOT_FAMILIES[label]
+        p_max, q_max = bound // family.p_scale, bound // family.q_scale
+        qs = range(-q_max, q_max + 1)
         for p in range(-p_max, p_max + 1):
-            if p == 0:
-                qs = range(-bound, bound + 1) if c0 == 1 else ()
-            else:
-                qs = []
-                for r in range(1, 2 * bound + 2, 2):
-                    q, rem = divmod(c0 - r * r, k * p)
-                    # q or 2q is an entry.
-                    if not rem and abs(q) <= bound:
-                        qs.append(q)
-            for q, s in product(qs, (1, -1)):
-                yield RowParams(p=p, q=q, sign1=s)
+            r0 = family.radicand(p, 0)
+            slope = family.radicand(p, 1) - r0
+            for r in range(family.trace % 2, 2 * bound + 1, 2):
+                for q, s in product(_solutions(r * r - r0, slope, qs), (1, -1)):
+                    yield RowParams(p=p, q=q, sign1=s)
+    else:
+        family = _RATIONAL_FAMILIES[label]
+        wide = range(-bound - 1, bound + 2)
+        for n in wide:
+            a12_at_0 = family.u + family.c * n  # a12 = a12_at_0 + e h
+            # h * divisor - dividend is affine in m: m * slope = num.
+            (div0, dvd0), (div1, dvd1) = family.division(0, n), family.division(1, n)
+            for h in range(-bound, bound + 1):
+                if abs(a12_at_0 + family.e * h) > bound:
+                    continue
+                num, slope = dvd0 - h * div0, h * (div1 - div0) - (dvd1 - dvd0)
+                for m in _solutions(num, slope, wide):
+                    yield family.params(h, m, n)
 
 
 def _max_entry(spec: BraceSpec) -> int:

@@ -230,18 +230,20 @@ def order_by_predicate(a: Mat2) -> MatOrder:
     return MatOrder.infinite() if n is None else MatOrder.finite(n)
 
 
-def order_by_iteration(a: Mat2, cutoff: int = 12) -> MatOrder:
-    """Order by explicitly multiplying out a, a^2, ... up to cutoff.
+#: Every finite order in GL2(Z) divides 12, so iteration stops there.
+_ITERATION_CUTOFF = 12
+
+
+def order_by_iteration(a: Mat2) -> MatOrder:
+    """Order by explicitly multiplying out a, a^2, ... up to a^12.
 
     Independent of order_by_predicate, so the two can cross-check each
-    other.  Every finite order in GL2(Z) divides 12, hence the default.
+    other.
     """
     if not a.is_unimodular():
         raise NotUnimodular(f"{a} has determinant {a.det()}")
-    if cutoff < 1:
-        raise ValueError("cutoff must be positive")
     power = a
-    for n in range(1, cutoff + 1):
+    for n in range(1, _ITERATION_CUTOFF + 1):
         if power == IDENTITY:
             return MatOrder.finite(n)
         power = power * a

@@ -192,6 +192,15 @@ class TestGenerators:
             generate_row(RowLabel.R4_1, RowParams(m=1, n=1, p=0))
         with pytest.raises(BadParams):
             generate_row(RowLabel.R4_1, RowParams(m=0, n=1, p=2))
+        # Where the division that fixes h reads h * 0 = c: no member for
+        # c != 0 (1.5 at m = n, 1.6 at m + n = -1), even with p set, and p
+        # is required for c = 0 (4.1 at m = n in {0, -1}).
+        with pytest.raises(BadParams):
+            generate_row(RowLabel.R1_5, RowParams(m=2, n=2, p=1))
+        with pytest.raises(BadParams):
+            generate_row(RowLabel.R1_6, RowParams(m=1, n=-2, p=1))
+        with pytest.raises(BadParams):
+            generate_row(RowLabel.R4_1, RowParams(m=0, n=0))
         with pytest.raises(BadParams):
             RowParams(sign1=2)
 

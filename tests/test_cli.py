@@ -152,6 +152,38 @@ class TestGenerate:
         assert code == 2 and out == ""
         assert "family 1.2 takes no parameter n, sign1" in err
 
+    def test_output_bytes_pinned(self, capsys):
+        # sha256 over stdout and exit code of `generate` on every family over
+        # a parameter grid, each member followed by stdout and exit code of
+        # `classify` on it.  Recorded from the constructors that wrote each
+        # family out by hand; error text (stderr) is not pinned.
+        grid = range(-6, 7)
+        signs = (1, -1)
+        calls = [("--row", "1.1", "--sign1", str(s1), "--sign2", str(s2))
+                 for s1, s2 in product(signs, repeat=2)]
+        calls += [("--row", "1.2", "--m", str(m), "--p", str(p), "--q", str(q))
+                  for m, p, q in product(grid, repeat=3)]
+        for row in ("1.3", "1.4", "2.1", "2.2", "3.1", "3.2", "4.2"):
+            calls += [("--row", row, "--p", str(p), "--q", str(q), "--sign1", str(s))
+                      for p, q, s in product(grid, grid, signs)]
+        for row in ("1.5", "1.6", "4.1"):
+            for m, n, p in product(grid, grid, (None, -2, 0, 3)):
+                extra = () if p is None else ("--p", str(p))
+                calls.append(("--row", row, "--m", str(m), "--n", str(n), *extra))
+        assert len(calls) == 6595
+        digest = hashlib.sha256()
+        members = 0
+        for argv in calls:
+            code, out, _ = run(capsys, "generate", *argv)
+            digest.update(f"{out}{code}\n".encode())
+            if code == 0:
+                members += 1
+                code, out, _ = run(capsys, "classify", out.strip())
+                digest.update(f"{out}{code}\n".encode())
+        assert (members, digest.hexdigest()) == (
+            1920, "bcabbb561ea902dd9d0bc8681f210b94bebfd23ab3eea2a86f452f7e72895244"
+        )
+
     def test_unknown_row_exits_two(self, capsys):
         code, _, err = run(capsys, "generate", "--row", "9.9")
         assert code == 2 and "unknown" in err
