@@ -4,25 +4,25 @@ The additive group is Z^2 with componentwise addition.  A pair (phi, psi)
 of unimodular matrices assigns to each a = (a1, a2) the automorphism
 lambda_a = phi^a1 * psi^a2, and the candidate multiplication is
 a (*) b = a + lambda_a(b).  check_pair decides exactly when this makes
-(Z^2, +, *) a brace: phi and psi must commute and four power identities,
-whose exponents are read off the entries of phi and psi, must all equal
-the identity matrix.
+(Z^2, +, *) a brace: phi and psi must commute and four power identities
+phi^k psi^l = E, whose exponents are read off the entries of phi and psi,
+must all hold.
 
 lambda has one mechanism, lambda_map: it takes the power maps of phi and
 psi once per pair and returns a -> entries of lambda_a as plain integers.
-check_pair tests the four conditions of a commuting pair on one such map;
+check_pair reads all four identities of every pair through one such map;
 lambda_of wraps the same map in a Mat2.
 
-A pair that does not commute needs no power of a hyperbolic matrix.  If
-phi^k psi^l = E, then X = phi^k = psi^(-l) commutes with phi and with
-psi.  The centralizer of a non-scalar 2x2 matrix is commutative, so if X
-is not +-E, phi and psi both lie in it and commute.  For a non-commuting
-pair an identity therefore holds iff phi^k = sE and psi^l = sE for the
-same s = +-1, and whether M^k is +-E follows from the order of M: only
-k = 0 for infinite order, a table or affine lookup for finite order.
-Every non-commuting pair is thus decided in O(1) operations at any entry
-size; only a commuting pair with a hyperbolic member still raises it to
-exponents the size of its entries.
+Before it takes a power, check_pair applies one rule to each identity.
+phi^k psi^l = E says phi^k = psi^(-l).  A nonzero power of a hyperbolic
+matrix is hyperbolic and no power of any other matrix is
+(Mat2.is_hyperbolic), so the two sides can be equal only if phi^k and
+psi^l are both hyperbolic powers or neither is.  Two equal hyperbolic
+powers X commute with phi and with psi, and the centralizer of the
+non-scalar X is commutative, so phi and psi commute.  Every other
+identity is read off lambda_map without a hyperbolic power, in O(1) at
+any entry size; only a commuting pair of two hyperbolic matrices still
+takes powers whose cost grows with its entries.
 
 The module holds the paper's objects and the verdict; the holomorph
 reading of the pair conditions, which the tests check check_pair
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .gl2z import IDENTITY, Mat2, NotUnimodular, commutes, order_by_predicate
+from .gl2z import IDENTITY, Mat2, NotUnimodular, commutes
 
 __all__ = [
     "BraceSpec",
@@ -79,9 +79,8 @@ class Vec2:
 
 ZERO = Vec2(0, 0)
 
-# Entries of E and -E, as lambda_map and Mat2.power_map return them.
+# Entries of E, as lambda_map returns them.
 _E = IDENTITY.entries()
-_NEG_E = (-IDENTITY).entries()
 
 
 def act(m: Mat2, v: Vec2) -> Vec2:
@@ -125,9 +124,11 @@ class BraceSpec:
 class Verdict:
     """Outcome of check_pair.
 
-    power_identities holds the four entry-exponent conditions in generator
-    order (phi on x, phi on y, psi on x, psi on y).  valid is commuting
-    together with all four power identities.
+    power_identities holds the four entry-exponent conditions
+    phi^k psi^l = E in generator order (phi on x, phi on y, psi on x, psi
+    on y).  check_pair decides each by the same rule for every pair,
+    commuting or not, so each entry is the truth of its identity.  valid
+    is commuting together with all four power identities.
     """
 
     valid: bool
@@ -173,24 +174,6 @@ def odot(spec: BraceSpec, a: Vec2, b: Vec2) -> Vec2:
     return a + act(lambda_of(spec, a), b)
 
 
-def _scalar_power(m: Mat2) -> Callable[[int], int]:
-    """The map k -> s when m^k = sE with s = +-1, and k -> 0 otherwise.
-
-    O(1) per k for every unimodular m: an infinite-order matrix has a
-    scalar power only at k = 0, and a finite-order one reads m^k off its
-    power map (a table, or affine in k for +-E).
-    """
-    if order_by_predicate(m).n is None:
-        return lambda k: 1 if k == 0 else 0
-    power = m.power_map()
-
-    def sign(k):
-        p = power(k)
-        return 1 if p == _E else -1 if p == _NEG_E else 0
-
-    return sign
-
-
 def check_pair(spec: BraceSpec) -> Verdict:
     """Decide whether (phi, psi) defines a brace on Z^2.
 
@@ -199,34 +182,29 @@ def check_pair(spec: BraceSpec) -> Verdict:
         phi^(phi11-1) psi^(phi21) = E,   phi^(phi12) psi^(phi22-1) = E,
         phi^(psi11-1) psi^(psi21) = E,   phi^(psi12) psi^(psi22-1) = E
 
-    hold exactly; the exponents of each condition are a column of phi - E
-    or psi - E.  Commutation is gl2z.commutes.  For a commuting pair one
-    lambda_map serves all four.  For a non-commuting pair phi^k psi^l = E
-    forces phi^k = psi^(-l) into the commutative centralizer of a
-    non-scalar matrix unless it is +-E, so each condition is phi^k = sE and
-    psi^l = sE for one s = +-1, decided by _scalar_power in O(1) at any
-    entry size.  Only a commuting pair with a hyperbolic member still
-    takes powers whose cost grows with its entries.
+    hold exactly; the exponents (k, l) of each condition are a column of
+    phi - E or psi - E.  Commutation is gl2z.commutes.  Each condition goes
+    through one rule.  Let big_k say that phi is hyperbolic and k != 0, and
+    big_l the same for psi and l.  The condition is false if big_k !=
+    big_l, or if both hold on a pair that does not commute; otherwise it
+    is lambda_map's value at (k, l) compared with E.  So a hyperbolic power
+    is taken only on a commuting pair of two hyperbolic matrices.
     """
     phi, psi = spec.phi, spec.psi
     commuting = commutes(phi, psi)
-    if commuting:
-        lam = lambda_map(spec)
-        power = (
-            lam(phi.a11 - 1, phi.a21) == _E,
-            lam(phi.a12, phi.a22 - 1) == _E,
-            lam(psi.a11 - 1, psi.a21) == _E,
-            lam(psi.a12, psi.a22 - 1) == _E,
-        )
-    else:
-        phi_s, psi_s = _scalar_power(phi), _scalar_power(psi)
-        # Equal and nonzero: phi^k and psi^l are the same scalar sE.
-        power = (
-            phi_s(phi.a11 - 1) == psi_s(phi.a21) != 0,
-            phi_s(phi.a12) == psi_s(phi.a22 - 1) != 0,
-            phi_s(psi.a11 - 1) == psi_s(psi.a21) != 0,
-            phi_s(psi.a12) == psi_s(psi.a22 - 1) != 0,
-        )
+    lam = lambda_map(spec)
+    phi_big, psi_big = phi.is_hyperbolic(), psi.is_hyperbolic()
+
+    def holds(k, l):
+        big = phi_big and k != 0
+        return big == (psi_big and l != 0) and (commuting or not big) and lam(k, l) == _E
+
+    power = (
+        holds(phi.a11 - 1, phi.a21),
+        holds(phi.a12, phi.a22 - 1),
+        holds(psi.a11 - 1, psi.a21),
+        holds(psi.a12, psi.a22 - 1),
+    )
     return Verdict(
         valid=commuting and all(power), commuting=commuting, power_identities=power
     )

@@ -6,8 +6,8 @@ Powers use the same determinant and trace.  Mat2.power_map reads them
 once and returns k -> entries of M^k: affine in k for a parabolic matrix
 (det 1, trace +-2, including +-E), a lookup in the table of its n powers
 for a matrix of finite order n, and binary exponentiation, O(log |k|)
-products of growing integers, only for hyperbolic and non-unimodular
-matrices.  Mat2.__pow__ is that map applied once.
+products of growing integers, only for hyperbolic (Mat2.is_hyperbolic)
+and non-unimodular matrices.  Mat2.__pow__ is that map applied once.
 
 Everything works on plain Python integers, so every result is exact; there
 is no floating point and no fixed-width wraparound anywhere.
@@ -90,6 +90,18 @@ class Mat2:
     def is_unimodular(self) -> bool:
         return self.det() in (1, -1)
 
+    def is_hyperbolic(self) -> bool:
+        """Whether the unimodular self is hyperbolic: t^2 > 4 det + 4.
+
+        That is |t| > 2 for det 1 and t != 0 for det -1, the unimodular
+        matrices that are neither +-E, parabolic nor of finite order, and
+        exactly those whose powers power_map forms by binary
+        exponentiation.  A nonzero power of a hyperbolic matrix is
+        hyperbolic, and no power of any other unimodular matrix is.
+        """
+        t = self.trace()
+        return t * t > 4 * self.det() + 4
+
     def inverse(self) -> "Mat2":
         """Exact inverse: the adjugate for det +1, its negative for det -1."""
         d = self.det()
@@ -127,7 +139,7 @@ class Mat2:
             M^k is entry k mod n of the table E, M, ..., M^(n-1), built by
             M^(j+1) = t M^j - d M^(j-1).
 
-        Every other matrix (hyperbolic, or not unimodular) is raised by
+        Every other matrix (is_hyperbolic, or not unimodular) is raised by
         binary exponentiation: O(log |k|) products whose entries grow with
         k itself.  There a negative exponent goes through inverse() and
         therefore requires determinant +1 or -1.

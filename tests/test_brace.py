@@ -5,8 +5,6 @@ verdict, and the holomorph closure property.
 import pytest
 from hypothesis import assume, given, strategies as st
 
-import z2brace.brace as brace
-
 from conftest import (
     ALL_FIXTURE_SPECS,
     ROW_SPECS,
@@ -34,6 +32,7 @@ from z2brace import (
     lambda_of,
     odot,
     odot_associative,
+    order_by_iteration,
 )
 
 M_2110 = Mat2(2, 1, -1, 0)
@@ -188,7 +187,8 @@ class TestSharedEvaluation:
     @pytest.mark.parametrize("bits", range(8, 13))
     def test_matches_two_reading_verdicts_on_hyperbolic_pairs(self, bits):
         m, n = hyperbolic_pair(bits)
-        for phi, psi in ((m, m), (m, m.inverse()), (m, -m), (m, n), (n, -m)):
+        pairs = ((m, m), (m, m.inverse()), (m, -m), (m, n), (n, -m))
+        for phi, psi in pairs + ((m, IDENTITY), (m, -IDENTITY), (IDENTITY, m), (-IDENTITY, m)):
             spec = BraceSpec(phi, psi)
             assert check_pair(spec) == direct_products_check_pair(spec), spec
 
@@ -275,7 +275,8 @@ class TestLambdaMap:
     @pytest.mark.parametrize("bits", range(10, 15))
     def test_check_pair_matches_the_entry_reading_on_hyperbolic_pairs(self, bits):
         m, n = hyperbolic_pair(bits)
-        for phi, psi in ((m, m), (m, m.inverse()), (m, -m), (m, n), (n, -m)):
+        pairs = ((m, m), (m, m.inverse()), (m, -m), (m, n), (n, -m))
+        for phi, psi in pairs + ((m, IDENTITY), (m, -IDENTITY), (IDENTITY, m), (-IDENTITY, m)):
             spec = BraceSpec(phi, psi)
             assert check_pair(spec) == squared_check_pair(spec), spec
 
@@ -322,19 +323,32 @@ large_conjugates = st.builds(
 
 
 class TestNonCommutingPairs:
-    """The scalar rule for pairs that do not commute: phi^k psi^l = E iff
-    phi^k = sE and psi^l = sE for one s = +-1."""
+    """check_pair's rule on pairs that do not commute: no identity holds
+    through a hyperbolic power, so phi^k psi^l = E iff phi^k = sE and
+    psi^l = sE for one s = +-1."""
 
-    def test_scalar_power_matches_squared_powers_on_box_3(self):
+    def test_hyperbolic_powers_are_the_powers_of_hyperbolic_matrices_on_box_3(self):
+        # The rule's premise, against iterated products: is_hyperbolic flags
+        # exactly the matrices that are neither +-E, parabolic ((m - sE)^2
+        # = 0 for s = +-1) nor of finite order, and m^k for k != 0 is
+        # flagged iff m is.
+        zero = Mat2(0, 0, 0, 0)
         wrong = []
+        hyperbolic = 0
         for m in BOX_3:
-            sign = brace._scalar_power(m)
+            unipotent_up_to_sign = any(
+                n * n == zero
+                for n in (Mat2(m.a11 - s, m.a12, m.a21, m.a22 - s) for s in (1, -1))
+            )
+            expected = not unipotent_up_to_sign and order_by_iteration(m).n is None
+            hyperbolic += expected
+            if m.is_hyperbolic() != expected:
+                wrong.append((m, None))
             for k in range(-13, 14):
-                p = squared_power(m, k)
-                expected = 1 if p == IDENTITY else -1 if p == -IDENTITY else 0
-                if sign(k) != expected:
+                if k and squared_power(m, k).is_hyperbolic() != expected:
                     wrong.append((m, k))
         assert wrong == []
+        assert (hyperbolic, len(BOX_3)) == (120, 232)
 
     def test_identities_hold_through_both_signs_at_bound_3(self):
         # Every identity that holds on a non-commuting pair of the box holds

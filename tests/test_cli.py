@@ -15,7 +15,7 @@ import pytest
 
 import z2brace
 from conftest import hyperbolic_pair
-from z2brace import BraceSpec, Mat2
+from z2brace import BraceSpec, IDENTITY, Mat2
 from z2brace.cli import main
 
 VALID_INLINE = '{"phi":[[1,0],[0,1]],"psi":[[1,0],[0,1]]}'
@@ -331,15 +331,32 @@ def run_process(*argv):
     )
 
 
-@pytest.mark.parametrize("spec", NON_COMMUTING_LARGE)
-class TestNonCommutingLargeEntries:
-    """check, classify and ybe decide a non-commuting pair without powers
-    whose size grows with its entries."""
+# The same hyperbolic phi at 64 and 256 bits beside +-E, in either order:
+# the pair commutes, and no power of +-E can equal a hyperbolic power.
+SCALAR_BESIDE_HYPERBOLIC_LARGE = [
+    pytest.param(json.dumps(spec.to_dict()), id=f"{bits}-bit-{name}")
+    for bits in (64, 256)
+    for m, _ in [hyperbolic_pair(bits)]
+    for name, spec in (
+        ("H-E", BraceSpec(m, IDENTITY)),
+        ("H-negE", BraceSpec(m, -IDENTITY)),
+        ("E-H", BraceSpec(IDENTITY, m)),
+        ("negE-H", BraceSpec(-IDENTITY, m)),
+    )
+]
+
+
+class LargeEntryVerdicts:
+    """check, classify and ybe decide an invalid pair with large entries
+    without powers whose size grows with its entries; commuting is the
+    pair's expected commutation."""
+
+    commuting: bool
 
     def test_check_exits_one(self, spec):
         proc = run_process("check", spec)
         assert proc.returncode == 1, proc.stderr
-        assert json.loads(proc.stdout)["commuting"] is False
+        assert json.loads(proc.stdout)["commuting"] is self.commuting
 
     def test_classify_prints_no_family(self, spec):
         proc = run_process("classify", spec)
@@ -350,6 +367,16 @@ class TestNonCommutingLargeEntries:
         proc = run_process("ybe", spec)
         assert proc.returncode == 2
         assert proc.stdout == "" and "fails the pair conditions" in proc.stderr
+
+
+@pytest.mark.parametrize("spec", NON_COMMUTING_LARGE)
+class TestNonCommutingLargeEntries(LargeEntryVerdicts):
+    commuting = False
+
+
+@pytest.mark.parametrize("spec", SCALAR_BESIDE_HYPERBOLIC_LARGE)
+class TestScalarBesideHyperbolicLargeEntries(LargeEntryVerdicts):
+    commuting = True
 
 
 class TestOutputFile:
