@@ -8,21 +8,25 @@ a (*) b = a + lambda_a(b).  check_pair decides exactly when this makes
 phi^k psi^l = E, whose exponents are read off the entries of phi and psi,
 must all hold.
 
-lambda has one mechanism, lambda_map: it takes the power maps of phi and
-psi once per pair and returns a -> entries of lambda_a as plain integers.
-check_pair reads all four identities of every pair through one such map;
-lambda_of wraps the same map in a Mat2.
+lambda is read off the power maps of phi and psi (Mat2.power_map).
+lambda_map takes both once per pair and returns a -> entries of lambda_a
+as plain integers; lambda_of wraps the same map in a Mat2.  The four
+identities are decided in one place, _power_identities, which multiplies
+phi^k psi^l out of two power maps on entry tuples.  check_pair calls it
+with the pair's own two power maps and hyperbolic flags, built once per
+call; classification.exhaustive_search calls it with one power map per
+in-class matrix, built once per search, and both flags false.
 
-Before it takes a power, check_pair applies one rule to each identity.
-phi^k psi^l = E says phi^k = psi^(-l).  A nonzero power of a hyperbolic
-matrix is hyperbolic and no power of any other matrix is
+Before it takes a power, _power_identities applies one rule to each
+identity.  phi^k psi^l = E says phi^k = psi^(-l).  A nonzero power of a
+hyperbolic matrix is hyperbolic and no power of any other matrix is
 (Mat2.is_hyperbolic), so the two sides can be equal only if phi^k and
 psi^l are both hyperbolic powers or neither is.  Two equal hyperbolic
 powers X commute with phi and with psi, and the centralizer of the
 non-scalar X is commutative, so phi and psi commute.  Every other
-identity is read off lambda_map without a hyperbolic power, in O(1) at
-any entry size; only a commuting pair of two hyperbolic matrices still
-takes powers whose cost grows with its entries.
+identity is multiplied out without a hyperbolic power, in O(1) at any
+entry size; only a commuting pair of two hyperbolic matrices still takes
+powers whose cost grows with its entries.
 
 The module holds the paper's objects and the verdict; the holomorph
 reading of the pair conditions, which the tests check check_pair
@@ -34,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .gl2z import IDENTITY, Mat2, NotUnimodular, commutes
+from .gl2z import Mat2, NotUnimodular, commutes
 
 __all__ = [
     "BraceSpec",
@@ -78,9 +82,6 @@ class Vec2:
 
 
 ZERO = Vec2(0, 0)
-
-# Entries of E, as lambda_map returns them.
-_E = IDENTITY.entries()
 
 
 def act(m: Mat2, v: Vec2) -> Vec2:
@@ -174,6 +175,53 @@ def odot(spec: BraceSpec, a: Vec2, b: Vec2) -> Vec2:
     return a + act(lambda_of(spec, a), b)
 
 
+def _power_identities(
+    phi: tuple[int, int, int, int],
+    psi: tuple[int, int, int, int],
+    phi_power: Callable[[int], tuple[int, int, int, int]],
+    psi_power: Callable[[int], tuple[int, int, int, int]],
+    commuting: bool,
+    phi_big: bool,
+    psi_big: bool,
+) -> tuple[bool, bool, bool, bool]:
+    """The four power identities of the pair with entries phi and psi.
+
+    phi_power and psi_power are the pair's power maps (Mat2.power_map),
+    commuting says whether the pair commutes and phi_big, psi_big whether
+    phi, psi are hyperbolic.  Each identity phi^k psi^l = E, with (k, l) a
+    column of phi - E or psi - E, goes through one rule.  Let big_k say
+    that phi is hyperbolic and k != 0, and big_l the same for psi and l.
+    The identity is false if big_k != big_l, or if both hold on a pair
+    that does not commute; otherwise it is phi^k psi^l, multiplied out
+    from the two power maps, compared with E.  So a hyperbolic power is
+    taken only on a commuting pair of two hyperbolic matrices.  Nothing
+    else decides the identities: check_pair and the exhaustive search both
+    call this.
+    """
+
+    def holds(k, l):
+        big = phi_big and k != 0
+        if big != (psi_big and l != 0) or (big and not commuting):
+            return False
+        a11, a12, a21, a22 = phi_power(k)
+        b11, b12, b21, b22 = psi_power(l)
+        return (
+            a11 * b11 + a12 * b21 == 1
+            and a21 * b12 + a22 * b22 == 1
+            and a11 * b12 + a12 * b22 == 0
+            and a21 * b11 + a22 * b21 == 0
+        )
+
+    p11, p12, p21, p22 = phi
+    q11, q12, q21, q22 = psi
+    return (
+        holds(p11 - 1, p21),
+        holds(p12, p22 - 1),
+        holds(q11 - 1, q21),
+        holds(q12, q22 - 1),
+    )
+
+
 def check_pair(spec: BraceSpec) -> Verdict:
     """Decide whether (phi, psi) defines a brace on Z^2.
 
@@ -183,27 +231,20 @@ def check_pair(spec: BraceSpec) -> Verdict:
         phi^(psi11-1) psi^(psi21) = E,   phi^(psi12) psi^(psi22-1) = E
 
     hold exactly; the exponents (k, l) of each condition are a column of
-    phi - E or psi - E.  Commutation is gl2z.commutes.  Each condition goes
-    through one rule.  Let big_k say that phi is hyperbolic and k != 0, and
-    big_l the same for psi and l.  The condition is false if big_k !=
-    big_l, or if both hold on a pair that does not commute; otherwise it
-    is lambda_map's value at (k, l) compared with E.  So a hyperbolic power
-    is taken only on a commuting pair of two hyperbolic matrices.
+    phi - E or psi - E.  Commutation is gl2z.commutes.  The conditions are
+    decided by _power_identities, from the pair's two power maps and
+    hyperbolic flags (Mat2.is_hyperbolic), built here once per pair.
     """
     phi, psi = spec.phi, spec.psi
     commuting = commutes(phi, psi)
-    lam = lambda_map(spec)
-    phi_big, psi_big = phi.is_hyperbolic(), psi.is_hyperbolic()
-
-    def holds(k, l):
-        big = phi_big and k != 0
-        return big == (psi_big and l != 0) and (commuting or not big) and lam(k, l) == _E
-
-    power = (
-        holds(phi.a11 - 1, phi.a21),
-        holds(phi.a12, phi.a22 - 1),
-        holds(psi.a11 - 1, psi.a21),
-        holds(psi.a12, psi.a22 - 1),
+    power = _power_identities(
+        phi.entries(),
+        psi.entries(),
+        phi.power_map(),
+        psi.power_map(),
+        commuting,
+        phi.is_hyperbolic(),
+        psi.is_hyperbolic(),
     )
     return Verdict(
         valid=commuting and all(power), commuting=commuting, power_identities=power

@@ -46,12 +46,13 @@ from functools import partial
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
-from .brace import BraceSpec, check_pair
+from .brace import BraceSpec, _power_identities, check_pair
 from .gl2z import (
     _NEG_IDENTITY,
     IDENTITY,
     Mat2,
     centralizer_finite,
+    commutes,
     order_by_iteration,
     order_by_predicate,
 )
@@ -521,10 +522,6 @@ def _member_params(label: RowLabel, bound: int) -> Iterator[RowParams]:
                     yield family.params(h, m, n)
 
 
-def _max_entry(spec: BraceSpec) -> int:
-    return max(abs(e) for e in spec.phi.entries() + spec.psi.entries())
-
-
 def generated_row_instances(bound: int) -> list[tuple[RowLabel, BraceSpec]]:
     """Every family member whose entries all fit in [-bound, bound].
 
@@ -540,19 +537,14 @@ def generated_row_instances(bound: int) -> list[tuple[RowLabel, BraceSpec]]:
     complete, since every in-box member is solved, so a pair's labels here
     are exactly row_membership of the pair.
     """
-    seen: set[tuple] = set()
-    instances: list[tuple[RowLabel, BraceSpec]] = []
+    keyed: dict[tuple, tuple[RowLabel, BraceSpec]] = {}
     for label in RowLabel:
         for params in _member_params(label, bound):
             spec = _GENERATORS[label](params)
-            if _max_entry(spec) > bound:
-                continue
-            key = (label.value, _spec_key(spec))
-            if key not in seen:
-                seen.add(key)
-                instances.append((label, spec))
-    instances.sort(key=lambda item: (item[0].value, _spec_key(item[1])))
-    return instances
+            phi, psi = key = _spec_key(spec)
+            if max(map(abs, phi + psi)) <= bound:
+                keyed.setdefault((label.value, key), (label, spec))
+    return [keyed[key] for key in sorted(keyed)]
 
 
 @dataclass
@@ -637,10 +629,11 @@ def _search_partners(
         B = -(c1/c2) A when the division is exact.  If no column has
         c2 != 0, A = ((0, x), (0, 0)), and the condition at (x, 0) asks
         x A = 0 whatever B is, so no parabolic partner exists.
-      * Finite orders.  An order-3 or reflection phi commutes with the
-        4 or 6 members of centralizer_finite(phi) only; those in one of
-        the five classes and in the box are kept, subject to the -E rule.
-    check_pair still decides every pair these rules leave.
+      * Finite orders.  An order-3 or reflection phi commutes only with
+        the 6 or 4 members of centralizer_finite(phi), respectively; those
+        in one of the five classes and in the box are kept, subject to the
+        -E rule.
+    Every pair these rules leave is still decided in full.
     """
     if phi == IDENTITY:
         return in_class
@@ -674,9 +667,9 @@ def exhaustive_search(bound: int) -> SearchReport:
     """Cross-validate the classification over all pairs with entries in the box.
 
     Both orderings of every unimodular pair are covered independently (the
-    families are not symmetric under swapping phi and psi), but check_pair
-    runs only on the pairs that can be valid: both matrices in one of the
-    five classes of _in_pair_class, and psi among the partners that
+    families are not symmetric under swapping phi and psi), but a pair is
+    decided only if it can be valid: both matrices in one of the five
+    classes of _in_pair_class, and psi among the partners that
     _search_partners solves from phi's own pair conditions.  phi = E pairs
     with every in-class matrix and -E with the in-class involutions; every
     other phi has at most six partners, and a parabolic one only E and at
@@ -685,12 +678,19 @@ def exhaustive_search(bound: int) -> SearchReport:
     |U_B|^2.  Unmatched pairs come out in the lexicographic order of
     enumerate_unimodular.
 
+    The forward scan works on entry 4-tuples.  Each in-class matrix gets
+    one power map, built once, and each pair that commutes is decided by
+    brace._power_identities, the decider check_pair wraps, from the two
+    cached maps.  So the scan builds no BraceSpec and no per-pair map; its
+    valid pairs, the member keys and the join are plain entry tuples, and
+    a BraceSpec is built only for a pair the report lists.
+
     Both directions read one list, generated_row_instances(bound), which
     holds every in-box family member with its label.  Forward, a valid pair
     takes the labels it has in that list, a join that equals row_membership
     because the list is complete; a valid pair the list lacks is unmatched,
     so a member missing from it fails the search loudly.  The reverse
-    direction reuses the forward verdicts: check_pair is pure and the
+    direction reuses the forward verdicts: the decision is pure and the
     forward scan visits every pair that can be valid, so a family member it
     found valid is not checked again.  Every other member gets check_pair,
     and an invalid one is reported in invalid_row_instances.
@@ -704,28 +704,41 @@ def exhaustive_search(bound: int) -> SearchReport:
         if _in_pair_class(m):
             in_class.append(m)
     involutions = [m for m in in_class if m * m == IDENTITY]
-    found: list[BraceSpec] = []
+    # One power map per in-class matrix, keyed by its entries.  Both
+    # hyperbolic flags are False: _in_pair_class excludes every hyperbolic
+    # matrix, so no search pair has one.
+    power = {m.entries(): m.power_map() for m in in_class}
+    found: list[tuple] = []
     for phi in in_class:
+        p = phi.entries()
+        phi_power = power[p]
         for psi in _search_partners(phi, bound, in_class, involutions):
-            spec = BraceSpec(phi, psi)
-            if check_pair(spec).valid:
-                found.append(spec)
+            q = psi.entries()
+            if commutes(phi, psi) and all(
+                _power_identities(p, q, phi_power, power[q], True, False, False)
+            ):
+                found.append((p, q))
     valid = set(found)
     members = generated_row_instances(bound)
-    member_specs = {spec for _, spec in members}
+    member_keys = [_spec_key(spec) for _, spec in members]
+    listed = set(member_keys)
     invalid_instances = [
         (label, spec)
-        for label, spec in members
-        if spec not in valid and not check_pair(spec).valid
+        for (label, spec), key in zip(members, member_keys)
+        if key not in valid and not check_pair(spec).valid
     ]
 
     return SearchReport(
         bound=bound,
         candidates_examined=box_size**2,
         valid_pairs=len(valid),
-        unmatched_valid=[spec for spec in found if spec not in member_specs],
+        unmatched_valid=[
+            BraceSpec(Mat2(*p), Mat2(*q)) for p, q in found if (p, q) not in listed
+        ],
         invalid_row_instances=invalid_instances,
-        row_histogram=dict(Counter(label for label, spec in members if spec in valid)),
+        row_histogram=dict(
+            Counter(label for (label, _), key in zip(members, member_keys) if key in valid)
+        ),
     )
 
 

@@ -34,11 +34,23 @@ from z2brace import (
     odot_associative,
     order_by_iteration,
 )
+from z2brace.brace import _power_identities
 
 M_2110 = Mat2(2, 1, -1, 0)
 SPEC_12 = BraceSpec(M_2110, M_2110)
 # Commuting pair that is not a brace: the second power identity fails.
 SPEC_BAD = BraceSpec(Mat2(1, 1, 0, 1), IDENTITY)
+
+
+def hyperbolic_test_pairs(bits):
+    # Pairs of bits-bit hyperbolic matrices, commuting or not, and each
+    # such matrix beside +-E in either order.
+    m, n = hyperbolic_pair(bits)
+    return (
+        (m, m), (m, m.inverse()), (m, -m), (m, n), (n, -m),
+        (m, IDENTITY), (m, -IDENTITY), (IDENTITY, m), (-IDENTITY, m),
+    )
+
 
 vectors = st.builds(Vec2, st.integers(-4, 4), st.integers(-4, 4))
 valid_specs = st.sampled_from(ALL_FIXTURE_SPECS)
@@ -186,9 +198,7 @@ class TestSharedEvaluation:
 
     @pytest.mark.parametrize("bits", range(8, 13))
     def test_matches_two_reading_verdicts_on_hyperbolic_pairs(self, bits):
-        m, n = hyperbolic_pair(bits)
-        pairs = ((m, m), (m, m.inverse()), (m, -m), (m, n), (n, -m))
-        for phi, psi in pairs + ((m, IDENTITY), (m, -IDENTITY), (IDENTITY, m), (-IDENTITY, m)):
+        for phi, psi in hyperbolic_test_pairs(bits):
             spec = BraceSpec(phi, psi)
             assert check_pair(spec) == direct_products_check_pair(spec), spec
 
@@ -274,11 +284,43 @@ class TestLambdaMap:
 
     @pytest.mark.parametrize("bits", range(10, 15))
     def test_check_pair_matches_the_entry_reading_on_hyperbolic_pairs(self, bits):
-        m, n = hyperbolic_pair(bits)
-        pairs = ((m, m), (m, m.inverse()), (m, -m), (m, n), (n, -m))
-        for phi, psi in pairs + ((m, IDENTITY), (m, -IDENTITY), (IDENTITY, m), (-IDENTITY, m)):
+        for phi, psi in hyperbolic_test_pairs(bits):
             spec = BraceSpec(phi, psi)
             assert check_pair(spec) == squared_check_pair(spec), spec
+
+
+def decided_verdict(phi, psi):
+    # The verdict read off _power_identities with flags from is_hyperbolic
+    # and power maps built for this call alone.
+    commuting = commutes(phi, psi)
+    power = _power_identities(
+        phi.entries(),
+        psi.entries(),
+        phi.power_map(),
+        psi.power_map(),
+        commuting,
+        phi.is_hyperbolic(),
+        psi.is_hyperbolic(),
+    )
+    return Verdict(
+        valid=commuting and all(power), commuting=commuting, power_identities=power
+    )
+
+
+class TestPowerIdentities:
+    """_power_identities, the one decider of the four identities, against
+    check_pair's public verdict."""
+
+    def test_matches_check_pair_on_every_pair_at_bound_3(self):
+        assert len(BOX_3) ** 2 == 53824
+        for phi in BOX_3:
+            for psi in BOX_3:
+                assert decided_verdict(phi, psi) == check_pair(BraceSpec(phi, psi)), (phi, psi)
+
+    @pytest.mark.parametrize("bits", range(8, 15))
+    def test_matches_check_pair_on_hyperbolic_pairs(self, bits):
+        for phi, psi in hyperbolic_test_pairs(bits):
+            assert decided_verdict(phi, psi) == check_pair(BraceSpec(phi, psi)), (phi, psi)
 
 
 # The finite-order matrices of GL2(Z) up to conjugation, other than +-E:

@@ -33,6 +33,7 @@ from z2brace import (
     RowLabel,
     RowParams,
     check_pair,
+    commutes,
     enumerate_unimodular,
     exhaustive_search,
     generate_row,
@@ -43,6 +44,7 @@ from z2brace import (
     row_label,
     row_membership,
 )
+from z2brace.brace import _power_identities
 from z2brace.cli import main
 
 # Frozen after agreement with the oracle loops below.
@@ -694,20 +696,54 @@ class TestExhaustiveSearch:
         assert capsys.readouterr().err == ""
 
     def test_reverse_direction_reuses_forward_verdicts(self, monkeypatch):
-        # 448 pairs at bound 4 pass the partner rules; the 227 family
-        # members in the box are all among the valid ones, so none is
-        # checked again.
-        calls = []
+        # 448 pairs at bound 4 pass the partner rules, and the forward scan
+        # decides each of them once through _power_identities; the 227
+        # family members in the box are all among the valid ones, so none
+        # reaches check_pair in the reverse direction.
+        decided, checked = [], []
+
+        def counting_decider(phi, psi, *rest):
+            decided.append((phi, psi))
+            return _power_identities(phi, psi, *rest)
 
         def counting_check_pair(spec):
-            calls.append(spec)
+            checked.append(spec)
             return check_pair(spec)
 
+        monkeypatch.setattr(classification, "_power_identities", counting_decider)
         monkeypatch.setattr(classification, "check_pair", counting_check_pair)
         report = exhaustive_search(4)
         assert report.confirms_classification
         assert len(generated_row_instances(4)) == 227
-        assert len(calls) == len(set(calls)) == 448
+        assert len(decided) == len(set(decided)) == 448
+        assert checked == []
+
+    def test_search_decider_matches_check_pair_on_every_search_pair(self):
+        # The forward scan's call, power maps built once per in-class matrix
+        # and both hyperbolic flags False, against check_pair's verdict on
+        # every pair _search_partners gives at each bound up to 40.
+        pairs = {}
+        for bound in range(1, 41):
+            in_class, partners = self.partner_rule(bound)
+            for phi in in_class:
+                for psi in partners(phi):
+                    pairs[phi.entries(), psi.entries()] = (phi, psi)
+        assert len(pairs) == 7384
+        # in_class is now the bound-40 list, which holds every smaller box's.
+        power = {m.entries(): m.power_map() for m in in_class}
+        for (p, q), (phi, psi) in pairs.items():
+            commuting = commutes(phi, psi)
+            decided = commuting and all(
+                _power_identities(p, q, power[p], power[q], commuting, False, False)
+            )
+            assert decided == check_pair(BraceSpec(phi, psi)).valid, (phi, psi)
+
+    def test_no_in_class_matrix_is_hyperbolic(self):
+        # The search passes both hyperbolic flags as False; at bound 40 the
+        # in-class matrices of every smaller box are among these.
+        in_class, _ = self.partner_rule(40)
+        assert len(in_class) > 1000
+        assert not any(m.is_hyperbolic() for m in in_class)
 
     def test_generated_instances_fit_and_are_valid(self):
         instances = generated_row_instances(2)
