@@ -51,7 +51,6 @@ from .gl2z import (
     _NEG_IDENTITY,
     IDENTITY,
     Mat2,
-    centralizer_finite,
     commutes,
     order_by_iteration,
     order_by_predicate,
@@ -612,7 +611,7 @@ def _search_partners(
     phi lies in one of the five classes of _in_pair_class; in_class lists
     the in-class matrices of the box and involutions those m of them with
     m m = E.  The result is sorted in the order of enumerate_unimodular,
-    and for a non-scalar phi it has at most six members, found in O(1).
+    and for a non-scalar phi it has at most four members, found in O(1).
 
     Lemma.  A valid pair commutes, and lambda_c = E for every column c of
     phi - E and of psi - E.
@@ -630,9 +629,10 @@ def _search_partners(
         c2 != 0, A = ((0, x), (0, 0)), and the condition at (x, 0) asks
         x A = 0 whatever B is, so no parabolic partner exists.
       * Finite orders.  An order-3 or reflection phi commutes only with
-        the 6 or 4 members of centralizer_finite(phi), respectively; those
-        in one of the five classes and in the box are kept, subject to the
-        -E rule.
+        +-E, +-phi and, for order 3, +-phi^-1.  A reflection keeps E, phi,
+        -E and -phi.  An order-3 phi keeps E, phi and phi^2 = phi^-1: -phi
+        and -phi^-1 have trace 1, order 6, and lie in no class, and the -E
+        rule drops -E because phi phi != E.
     Every pair these rules leave is still decided in full.
     """
     if phi == IDENTITY:
@@ -650,17 +650,11 @@ def _search_partners(
             if max(map(abs, psi.entries())) <= bound:
                 return sorted((IDENTITY, psi), key=Mat2.entries)
         return [IDENTITY]
-    keep_neg = phi * phi == IDENTITY
-    return sorted(
-        (
-            m
-            for m in centralizer_finite(phi)
-            if _in_pair_class(m)
-            and max(map(abs, m.entries())) <= bound
-            and (keep_neg or m != _NEG_IDENTITY)
-        ),
-        key=Mat2.entries,
-    )
+    # -phi and phi^-1 = adj(phi) have the entries of phi up to sign and
+    # place, so every finite-order partner already lies in the box.
+    if phi.det() == 1:
+        return sorted((IDENTITY, phi, phi.inverse()), key=Mat2.entries)
+    return sorted((IDENTITY, phi, _NEG_IDENTITY, -phi), key=Mat2.entries)
 
 
 def exhaustive_search(bound: int) -> SearchReport:
@@ -672,8 +666,8 @@ def exhaustive_search(bound: int) -> SearchReport:
     classes of _in_pair_class, and psi among the partners that
     _search_partners solves from phi's own pair conditions.  phi = E pairs
     with every in-class matrix and -E with the in-class involutions; every
-    other phi has at most six partners, and a parabolic one only E and at
-    most one parabolic psi.  The box is streamed once, counted and
+    other phi has at most four partners: a reflection 4, an order-3 phi 3,
+    and a parabolic one only E and at most one parabolic psi.  The box is streamed once, counted and
     filtered; candidates_examined still counts every ordered pair of it,
     |U_B|^2.  Unmatched pairs come out in the lexicographic order of
     enumerate_unimodular.

@@ -1,6 +1,5 @@
 """Exact arithmetic on 2x2 integer matrices and the GL2(Z) facts the brace
-machinery relies on: multiplicative orders read off determinant and trace,
-and finite centralizers.
+machinery relies on: multiplicative orders read off determinant and trace.
 
 Powers use the same determinant and trace.  Mat2.power_map reads them
 once and returns k -> entries of M^k: affine in k for a parabolic matrix
@@ -24,8 +23,6 @@ __all__ = [
     "Mat2",
     "MatOrder",
     "NotUnimodular",
-    "UnsupportedOrder",
-    "centralizer_finite",
     "commutes",
     "order_by_iteration",
     "order_by_predicate",
@@ -36,16 +33,12 @@ class NotUnimodular(ValueError):
     """The operation needs determinant +1 or -1."""
 
 
-class UnsupportedOrder(ValueError):
-    """centralizer_finite was asked for a matrix whose centralizer is infinite."""
-
-
-#: The finite multiplicative orders that occur in GL2(Z).
-FINITE_ORDERS = (1, 2, 3, 4, 6)
-
 #: (det, trace) -> order of every non-scalar finite-order matrix in GL2(Z).
 #: No scalar matrix has these values; +-E are the only other finite orders.
 _FINITE_ORDER = {(-1, 0): 2, (1, -1): 3, (1, 0): 4, (1, 1): 6}
+
+#: The finite multiplicative orders in GL2(Z): E's 1, then the table's.
+FINITE_ORDERS = (1, *sorted(set(_FINITE_ORDER.values())))
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,21 +269,3 @@ def commutes(a: Mat2, b: Mat2) -> bool:
         and a.a21 * db == b.a21 * da
     )
 
-
-def centralizer_finite(a: Mat2) -> frozenset[Mat2]:
-    """The centralizer of a in GL2(Z) when a has finite order and a != +-E.
-
-    For order 2 or 4 this is {+-E, +-a}; for order 3 or 6 it is
-    {+-E, +-a, +-a^-1}.  The identity, -E and infinite-order matrices have
-    infinite centralizers and are rejected.
-    """
-    order = order_by_predicate(a)
-    if not order.is_finite or order.n == 1 or a == _NEG_IDENTITY:
-        raise UnsupportedOrder(
-            f"{a} has an infinite centralizer (order {order}); use commutes() directly"
-        )
-    members = {IDENTITY, _NEG_IDENTITY, a, -a}
-    if order.n in (3, 6):
-        inv = a.inverse()
-        members.update((inv, -inv))
-    return frozenset(members)

@@ -8,6 +8,11 @@ public z2brace names:
     It checks the partners that classification._search_partners gives
     exhaustive_search for each phi, and, through a search over every
     commutant (test_classification), the search report itself.
+  * centralizer_finite lists the whole centralizer of a finite-order
+    matrix other than +-E by group theory, with no box.  It checks
+    commutant_in_box (test_gl2z), the brute-force commutant of a box
+    (test_acceptance), and that the finite-order partners _search_partners
+    reads off phi's own powers need no box filter (test_classification).
   * HolElement, hol_mul and h_lambda_closed read the pair conditions as
     closure of {(a, lambda_a)} in the holomorph Z^2 x| GL2(Z).  Through
     conftest.holomorph_reading they check the four power identities of
@@ -34,6 +39,7 @@ from z2brace import (
     lambda_map,
     lambda_of,
     odot,
+    order_by_predicate,
 )
 
 
@@ -75,6 +81,25 @@ def commutant_in_box(a: Mat2, bound: int) -> list[Mat2]:
                     found.append(Mat2(x, b12, b21, x + tn22))
     found.sort(key=Mat2.entries)
     return found
+
+
+def centralizer_finite(a: Mat2) -> frozenset[Mat2]:
+    """The centralizer of a in GL2(Z) when a has finite order and a != +-E.
+
+    For order 2 or 4 this is {+-E, +-a}; for order 3 or 6 it is
+    {+-E, +-a, +-a^-1}.  The identity, -E and infinite-order matrices have
+    infinite centralizers and are rejected.
+    """
+    order = order_by_predicate(a)
+    if not order.is_finite or order.n == 1 or a == -IDENTITY:
+        raise ValueError(
+            f"{a} has an infinite centralizer (order {order}); use commutes() directly"
+        )
+    members = {IDENTITY, -IDENTITY, a, -a}
+    if order.n in (3, 6):
+        inv = a.inverse()
+        members.update((inv, -inv))
+    return frozenset(members)
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,6 +14,7 @@ from itertools import product
 import pytest
 
 from conftest import ROW_SPECS, TRIVIAL_SPEC, holomorph_reading
+from oracles import centralizer_finite
 
 from z2brace import (
     BraceSpec,
@@ -21,7 +22,6 @@ from z2brace import (
     Mat2,
     RowLabel,
     Vec2,
-    centralizer_finite,
     check_pair,
     commutes,
     enumerate_unimodular,

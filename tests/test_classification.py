@@ -21,7 +21,7 @@ from conftest import ROW_FIXTURE_PARAMS, ROW_SPECS
 
 import z2brace.classification as classification
 
-from oracles import commutant_in_box
+from oracles import centralizer_finite, commutant_in_box
 from z2brace import (
     BadParams,
     BraceSpec,
@@ -582,11 +582,12 @@ class TestExhaustiveSearch:
                 assert check_pair(BraceSpec(phi, psi)).valid == (psi in rule), (phi, psi)
         assert solved > 0
 
-    def test_finite_order_phi_partners_are_its_in_class_commutant(self):
+    @pytest.mark.parametrize("bound", [1, 2, 3, 5, 8, 12, 20])
+    def test_finite_order_phi_partners_are_its_in_class_commutant(self, bound):
         # Finite orders: the partners of an order-3 or reflection phi are
         # the in-class part of its commutant, with -E only beside a
-        # reflection.
-        bound = 8
+        # reflection.  The whole centralizer lies in the box, even at
+        # bound 1, so the rule needs no box filter.
         in_class, partners = self.partner_rule(bound)
         seen = Counter()
         for phi in in_class:
@@ -594,13 +595,17 @@ class TestExhaustiveSearch:
             if phi in (IDENTITY, -IDENTITY) or order not in (2, 3):
                 continue
             seen[order] += 1
+            commutant = commutant_in_box(phi, bound)
+            assert set(commutant) == centralizer_finite(phi), phi
             expected = [
                 m
-                for m in commutant_in_box(phi, bound)
+                for m in commutant
                 if classification._in_pair_class(m)
                 and (m != -IDENTITY or phi * phi == IDENTITY)
             ]
-            assert partners(phi) == expected, phi
+            got = partners(phi)
+            assert got == expected, phi
+            assert all(max(map(abs, m.entries())) <= bound for m in got), phi
         assert seen[2] > 0 and seen[3] > 0
 
     def test_wrong_constructor_is_reported(self, monkeypatch, capsys):

@@ -20,12 +20,10 @@ PUBLIC = [
     "RowLabel",
     "RowParams",
     "SearchReport",
-    "UnsupportedOrder",
     "Vec2",
     "Verdict",
     "ZERO",
     "act",
-    "centralizer_finite",
     "check_pair",
     "commutes",
     "enumerate_unimodular",
@@ -52,6 +50,7 @@ PUBLIC = [
 # Test-only reference paths; they live in tests/oracles.py.
 ORACLES = [
     "HolElement",
+    "centralizer_finite",
     "commutant_in_box",
     "h_lambda_closed",
     "hol_mul",

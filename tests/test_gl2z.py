@@ -8,15 +8,13 @@ from hypothesis import given, strategies as st
 
 from conftest import repeated_powers
 
-from oracles import commutant_in_box
+from oracles import centralizer_finite, commutant_in_box
 from z2brace import (
     FINITE_ORDERS,
     IDENTITY,
     Mat2,
     MatOrder,
     NotUnimodular,
-    UnsupportedOrder,
-    centralizer_finite,
     commutes,
     enumerate_unimodular,
     order_by_iteration,
@@ -315,6 +313,52 @@ class TestOrders:
         assert set(FINITE_ORDERS) == {1, 2, 3, 4, 6}
 
 
+def order_by_recurrence(d: int, t: int) -> int | None:
+    # Smallest n <= 12 with u_n = 0 and -d u_(n-1) = 1, else None.
+    prev, cur = 0, 1
+    for n in range(1, 13):
+        if cur == 0 and -d * prev == 1:
+            return n
+        prev, cur = cur, t * cur - d * prev
+    return None
+
+
+class TestOrderLemma:
+    """order_by_predicate on all of Z^2, with no box.
+
+    Cayley-Hamilton gives M^n = u_n M - d u_(n-1) E for det d and trace t,
+    where u_0 = 0, u_1 = 1 and u_(n+1) = t u_n - d u_(n-1).  For non-scalar
+    M, E and M are linearly independent, so M^n = E iff u_n = 0 and
+    -d u_(n-1) = 1, a condition on (d, t) alone; every finite order in
+    GL2(Z) divides 12, so the recurrence run to n = 12 decides the order of
+    every non-scalar unimodular M with |t| <= 3, and the companion matrix
+    ((0, -d), (1, t)) stands for all of them.  Every other non-scalar
+    unimodular M has no finite order: its eigenvalues are the roots of
+    x^2 - t x + d, real because t^2 - 4d > 0 when |t| >= 3 or d = -1, with
+    product d = +-1 and not +-1 themselves (a root +-1 needs t = +-2 for
+    d = 1 and t = 0 for d = -1).  So one eigenvalue has absolute value
+    above 1, and so does some eigenvalue of every power M^n, n >= 1.  With
+    +-E, of orders 1 and 2, this is order_by_predicate on every unimodular
+    matrix; orders --bound B stays a sanity check in a box.
+    """
+
+    @pytest.mark.parametrize("d", [1, -1])
+    @pytest.mark.parametrize("t", range(-3, 4))
+    def test_recurrence_gives_the_predicate(self, d, t):
+        companion = Mat2(0, -d, 1, t)
+        assert (companion.det(), companion.trace()) == (d, t)
+        assert order_by_predicate(companion) == MatOrder(order_by_recurrence(d, t))
+        # The recurrence is Cayley-Hamilton: M^n = u_n M - d u_(n-1) E.
+        prev, cur, power = 0, 1, companion
+        for _ in range(12):
+            assert power == Mat2(-d * prev, -d * cur, cur, t * cur - d * prev)
+            prev, cur, power = cur, t * cur - d * prev, power * companion
+
+    def test_every_finite_order_is_reached(self):
+        orders = {order_by_recurrence(d, t) for d in (1, -1) for t in range(-3, 4)}
+        assert orders == {None, *FINITE_ORDERS} - {1}
+
+
 class TestCommutes:
     def test_with_identity_and_self(self):
         assert commutes(M_2110, IDENTITY)
@@ -368,7 +412,7 @@ class TestCentralizer:
 
     @pytest.mark.parametrize("matrix", [IDENTITY, -IDENTITY, SHEAR])
     def test_rejects_infinite_centralizers(self, matrix):
-        with pytest.raises(UnsupportedOrder):
+        with pytest.raises(ValueError):
             centralizer_finite(matrix)
 
     def test_members_commute(self):
