@@ -16,10 +16,11 @@ block 3 = (-1, 1), block 4 = (-1, -1).  This module provides
   * a bidirectional exhaustive cross-validation (exhaustive_search):
     every valid pair in the bounded box must match a family, and every
     family instance that fits in the box must be valid; the instances are
-    found by solving each family's parameters (generated_row_instances),
-    and that one member list serves both directions: the forward labels
-    of each valid pair are read off it by a join, and the members the
-    forward scan already found valid are not checked again,
+    read off the box's in-class matrices by each family's parameter
+    recovery (generated_row_instances), and that one member list serves
+    both directions: the forward labels of each valid pair are read off
+    it by a join, and the members the forward scan already found valid
+    are not checked again,
   * an order-classification cross-check over the same box
     (orders_crosscheck).
 
@@ -29,11 +30,13 @@ tables.  In a square-root family (_ROOT_FAMILIES: 1.3, 1.4, 2.1, 2.2, 3.1,
 finite-order matrix M of fixed det and trace with off-diagonal entries
 p_scale p and q_scale q, whose diagonal needs the exact root of a
 radicand; M's partner is E, -E or -M.  In a rational family
-(_RATIONAL_FAMILIES: 1.5, 1.6, 4.1) phi has a11 = h fixed by one exact
-division of its determinant equation, and psi is phi or phi^-1.  One
-constructor, one O(1) parameter recovery and one branch of the in-box
-solver read each table.  Every constructor rejects non-squares, inexact
-divisions and any parameter outside its family's signature.
+(_RATIONAL_FAMILIES: 1.5, 1.6, 4.1) M = phi has a11 = h fixed by one
+exact division of its determinant equation, and psi is M or M^-1.  Both
+tables key on M's (det, trace).  One constructor and one O(1) parameter
+recovery read each table, and the in-box members are the recovered
+parameters of the box's in-class matrices.  Every constructor rejects
+non-squares, inexact divisions and any parameter outside its family's
+signature.
 """
 
 from __future__ import annotations
@@ -264,7 +267,7 @@ def _recover_root(family: _RootFamily, spec: BraceSpec) -> RowParams:
 
 
 class _RationalFamily(NamedTuple):
-    """phi = (h, u + c n + e h, e (v + c m - h), t - h) with e = +-1, and psi
+    """phi = (h, u + c n + e h, e (v + c m - h), trace - h) with e = +-1, and psi
     is phi, or phi^-1 when inverse is set.  det phi = det reads
     h * divisor = dividend (division).  Where both are 0, h is the free
     parameter p; where only the divisor is 0, the family has no member."""
@@ -272,7 +275,7 @@ class _RationalFamily(NamedTuple):
     det: int
     u: int
     v: int
-    t: int
+    trace: int
     c: int
     e: int
     inverse: bool
@@ -280,7 +283,7 @@ class _RationalFamily(NamedTuple):
     def division(self, m: int, n: int) -> tuple[int, int]:
         """(divisor, dividend) of the equation h * divisor = dividend."""
         a, b = self.u + self.c * n, self.v + self.c * m
-        return self.t + self.e * a - b, self.det + self.e * a * b
+        return self.trace + self.e * a - b, self.det + self.e * a * b
 
     def params(self, h: int, m: int, n: int) -> RowParams:
         return RowParams(m=m, n=n, p=None if self.division(m, n)[0] else h)
@@ -303,7 +306,7 @@ def _gen_rational(label: RowLabel, family: _RationalFamily, params: RowParams) -
         raise BadParams(f"family {label} with m = {m}, n = {n} {needs} parameter p")
     h = _exact_div(dividend, divisor) if divisor else params.p
     e, c = family.e, family.c
-    phi = Mat2(h, family.u + c * n + e * h, e * (family.v + c * m - h), family.t - h)
+    phi = Mat2(h, family.u + c * n + e * h, e * (family.v + c * m - h), family.trace - h)
     return BraceSpec(phi, phi.inverse() if family.inverse else phi)
 
 
@@ -361,36 +364,33 @@ def row12_parameters(spec: BraceSpec) -> tuple[int, int, int] | None:
 
     with gcd(p, q) = 1.  (m, p, q) and (-m, -p, -q) give the same pair, so
     the answer is canonicalized to p > 0, or p = 0 with q > 0; the identity
-    pair reports (0, 1, 0).  The entries of phi - E and psi - E are m times
-    p^3, p^2 q, p q^2 and q^3 up to sign, whose gcd is 1, so their gcd g is
-    |m|.  Then -phi21 / g = s p^3 and psi12 / g = s q^3 with s the sign of
-    m, and integer cube roots give the candidate, which must regenerate
-    the pair exactly.
+    pair reports (0, 1, 0).  The parameters are read off the pair by
+    _recover_1_2 and must regenerate it exactly.
     """
+    if not _is_member(RowLabel.R1_2, spec):
+        return None
+    found = _recover_1_2(spec)
+    return (found.m, found.p, found.q)
+
+
+def _recover_1_2(spec: BraceSpec) -> RowParams:
+    # The entries of phi - E and psi - E are m times p^3, p^2 q, p q^2 and
+    # q^3 up to sign, whose gcd is 1, so their gcd g is |m|.  Then
+    # -phi21 / g = s p^3 and psi12 / g = s q^3 with s the sign of m, and
+    # integer cube roots give the candidate, in the canonical form of
+    # row12_parameters.
     phi, psi = spec.phi, spec.psi
     g = math.gcd(
         phi.a11 - 1, phi.a12, phi.a21, phi.a22 - 1,
         psi.a11 - 1, psi.a12, psi.a21, psi.a22 - 1,
     )
     if g == 0:
-        return (0, 1, 0)
+        return RowParams(m=0, p=1, q=0)
     p_cube, q_cube = -phi.a21 // g, psi.a12 // g
     s = _sign(p_cube) or _sign(q_cube)
     p = _integer_cbrt(abs(p_cube))
     q = _sign(s * q_cube) * _integer_cbrt(abs(q_cube))
-    try:
-        candidate = _gen_1_2(RowParams(m=s * g, p=p, q=q))
-    except BadParams:
-        return None
-    return (s * g, p, q) if candidate == spec else None
-
-
-def _recover_1_2(spec: BraceSpec) -> RowParams:
-    found = row12_parameters(spec)
-    if found is None:
-        raise BadParams(f"{spec} is not in family 1.2")
-    m, p, q = found
-    return RowParams(m=m, p=p, q=q)
+    return RowParams(m=s * g, p=p, q=q)
 
 
 #: Reads a family's parameters off a pair in O(1).  For a member they are
@@ -462,88 +462,92 @@ def _spec_key(spec: BraceSpec) -> tuple:
     return (spec.phi.entries(), spec.psi.entries())
 
 
-def _solutions(num: int, den: int, box: range) -> Iterable[int]:
-    """The x of box with x * den = num: every one when num = den = 0."""
-    if den:
-        x, rem = divmod(num, den)
-        return () if rem or x not in box else (x,)
-    return () if num else box
+_TABLE_FAMILIES = {**_ROOT_FAMILIES, **_RATIONAL_FAMILIES}
+
+#: The table families, grouped by the (det, trace) of their matrix M.
+_TABLE_LABELS = {
+    key: tuple(label for label, row in _TABLE_FAMILIES.items() if (row.det, row.trace) == key)
+    for key in {(row.det, row.trace) for row in _TABLE_FAMILIES.values()}
+}
 
 
-def _member_params(label: RowLabel, bound: int) -> Iterator[RowParams]:
-    """Parameters of every family member that can fit in the entry box.
+def _member_params(bound: int, in_class: Iterable[Mat2]) -> Iterator[tuple[RowLabel, RowParams]]:
+    """Labelled parameters of every family member that can fit in the box.
 
-    Each family is solved for its last parameter instead of scanned, by
-    one exact division (_solutions) of an equation affine in it, read at 0
-    and 1: square-root families take p and r = |a11 - a22| <= 2 bound and
-    solve radicand(p, q) = r^2 for q; rational families take h = a11 and n
-    and solve their division for m; 1.2 bounds |m| by bound / max(|p|,
-    |q|)^3 for each coprime (p, q) in canonical form.  Every in-box member
-    is among the results; the caller filters the rest out.
+    1.1 has four members, and 1.2 bounds |m| by bound / max(|p|, |q|)^3
+    for each coprime (p, q) in canonical form.  The ten table families are
+    read off the in-class matrices: for each m of in_class and each table
+    family whose M has m's (det, trace), the family's recoverer reads its
+    parameters off the pair (m, m).  Every in-box member is among the
+    results (see _row_instances); the caller filters the rest out.
     """
-    if label == RowLabel.R1_1:
-        for s1, s2 in product((1, -1), repeat=2):
-            yield RowParams(sign1=s1, sign2=s2)
-    elif label == RowLabel.R1_2:
-        # Each pair once, in the canonical form of row12_parameters:
-        # (m, p, q) and (-m, -p, -q) give the same pair, and m = 0 gives
-        # (E, E) for every (p, q).
-        yield RowParams(m=0, p=1, q=0)
-        cap = _integer_cbrt(bound)
-        for p, q in product(range(cap + 1), range(-cap, cap + 1)):
-            if (p > 0 or q > 0) and math.gcd(p, q) == 1:
-                m_max = bound // max(p, abs(q)) ** 3
-                for m in range(-m_max, m_max + 1):
-                    if m:
-                        yield RowParams(m=m, p=p, q=q)
-    elif label in _ROOT_FAMILIES:
-        family = _ROOT_FAMILIES[label]
-        p_max, q_max = bound // family.p_scale, bound // family.q_scale
-        qs = range(-q_max, q_max + 1)
-        for p in range(-p_max, p_max + 1):
-            r0 = family.radicand(p, 0)
-            slope = family.radicand(p, 1) - r0
-            for r in range(family.trace % 2, 2 * bound + 1, 2):
-                for q, s in product(_solutions(r * r - r0, slope, qs), (1, -1)):
-                    yield RowParams(p=p, q=q, sign1=s)
-    else:
-        family = _RATIONAL_FAMILIES[label]
-        wide = range(-bound - 1, bound + 2)
-        for n in wide:
-            a12_at_0 = family.u + family.c * n  # a12 = a12_at_0 + e h
-            # h * divisor - dividend is affine in m: m * slope = num.
-            (div0, dvd0), (div1, dvd1) = family.division(0, n), family.division(1, n)
-            for h in range(-bound, bound + 1):
-                if abs(a12_at_0 + family.e * h) > bound:
-                    continue
-                num, slope = dvd0 - h * div0, h * (div1 - div0) - (dvd1 - dvd0)
-                for m in _solutions(num, slope, wide):
-                    yield family.params(h, m, n)
+    for s1, s2 in product((1, -1), repeat=2):
+        yield RowLabel.R1_1, RowParams(sign1=s1, sign2=s2)
+    # Each 1.2 pair once, in the canonical form of row12_parameters:
+    # (m, p, q) and (-m, -p, -q) give the same pair, and m = 0 gives
+    # (E, E) for every (p, q).
+    yield RowLabel.R1_2, RowParams(m=0, p=1, q=0)
+    cap = _integer_cbrt(bound)
+    for p, q in product(range(cap + 1), range(-cap, cap + 1)):
+        if (p > 0 or q > 0) and math.gcd(p, q) == 1:
+            m_max = bound // max(p, abs(q)) ** 3
+            for m in range(-m_max, m_max + 1):
+                if m:
+                    yield RowLabel.R1_2, RowParams(m=m, p=p, q=q)
+    for m in in_class:
+        pair = BraceSpec(m, m)
+        for label in _TABLE_LABELS.get((m.det(), m.trace()), ()):
+            try:
+                params = _RECOVERERS[label](pair)
+            except BadParams:
+                continue
+            yield label, params
+
+
+def _row_instances(bound: int, in_class: Iterable[Mat2]) -> list[tuple[RowLabel, BraceSpec]]:
+    """Every family member whose entries all fit in [-bound, bound].
+
+    in_class holds the in-class matrices of the box (_in_pair_class).  The
+    members are built by the raw family constructors from _member_params,
+    not by generate_row, so validity is left to the caller and a wrong
+    constructor shows up as an invalid instance.  Deduplicated per (label,
+    pair) and sorted lexicographically, so the result is independent of
+    the order the parameters come in.
+
+    The list is complete.  The M of every table family has (det, trace)
+    (1, -1) or (-1, 0), so it is in class, and its partner (E, -E, -M, M
+    or M^-1) has M's |entries|; so an in-box member has its M, or for a
+    psi-side family its swapped M psi, in the box and in in_class, which
+    is closed under the coordinate swap.  A recoverer reads only those
+    entries, and for a member they are the parameters that generate it;
+    so every in-box table member is regenerated from in_class, and 1.1
+    and 1.2 list theirs outright.
+    """
+    keyed: dict[tuple, tuple[RowLabel, BraceSpec]] = {}
+    for label, params in _member_params(bound, in_class):
+        try:
+            spec = _GENERATORS[label](params)
+        except BadParams:
+            continue
+        phi, psi = key = _spec_key(spec)
+        if max(map(abs, phi + psi)) <= bound:
+            keyed.setdefault((label.value, key), (label, spec))
+    return [keyed[key] for key in sorted(keyed)]
 
 
 def generated_row_instances(bound: int) -> list[tuple[RowLabel, BraceSpec]]:
     """Every family member whose entries all fit in [-bound, bound].
 
-    The parameters are solved from the entry box (_member_params), not
-    scanned, so only members are built.  Deduplicated per (label, pair)
-    and sorted lexicographically, so the result is independent of the
-    order the parameters come in.  The members are built by the raw
-    family constructors, not generate_row, so validity is left to the
-    caller and a wrong constructor shows up as an invalid instance.
-
-    exhaustive_search reads both directions off this list: the families of
-    each valid pair it finds, and the members it must check.  The list is
-    complete, since every in-box member is solved, so a pair's labels here
-    are exactly row_membership of the pair.
+    Deduplicated per (label, pair) and sorted lexicographically.  The
+    members are read off the in-class matrices of the box by each family's
+    parameter recovery and built by the raw family constructors
+    (_row_instances), so validity is left to the caller.  The list is
+    complete, so a pair's labels here are exactly row_membership of the
+    pair.  An empty box (bound < 1) holds no member.
     """
-    keyed: dict[tuple, tuple[RowLabel, BraceSpec]] = {}
-    for label in RowLabel:
-        for params in _member_params(label, bound):
-            spec = _GENERATORS[label](params)
-            phi, psi = key = _spec_key(spec)
-            if max(map(abs, phi + psi)) <= bound:
-                keyed.setdefault((label.value, key), (label, spec))
-    return [keyed[key] for key in sorted(keyed)]
+    if bound < 1:
+        return []
+    return _row_instances(bound, [m for m in enumerate_unimodular(bound) if _in_pair_class(m)])
 
 
 @dataclass
@@ -679,8 +683,10 @@ def exhaustive_search(bound: int) -> SearchReport:
     valid pairs, the member keys and the join are plain entry tuples, and
     a BraceSpec is built only for a pair the report lists.
 
-    Both directions read one list, generated_row_instances(bound), which
-    holds every in-box family member with its label.  Forward, a valid pair
+    Both directions read one list, _row_instances(bound, in_class): every
+    in-box family member with its label, read off the in-class matrices
+    the scan already holds, so the box is listed once (the public
+    generated_row_instances lists it again).  Forward, a valid pair
     takes the labels it has in that list, a join that equals row_membership
     because the list is complete; a valid pair the list lacks is unmatched,
     so a member missing from it fails the search loudly.  The reverse
@@ -713,7 +719,7 @@ def exhaustive_search(bound: int) -> SearchReport:
             ):
                 found.append((p, q))
     valid = set(found)
-    members = generated_row_instances(bound)
+    members = _row_instances(bound, in_class)
     member_keys = [_spec_key(spec) for _, spec in members]
     listed = set(member_keys)
     invalid_instances = [

@@ -292,10 +292,12 @@ class TestMembership:
 
     def test_matches_generated_instances_on_every_pair_at_bound3(self):
         # Independent oracle: the family members that the parameter grid
-        # generates in the box.  Covers invalid pairs as well as valid ones.
+        # generates in the box (grid_row_instances), not the recoverers
+        # that generated_row_instances shares with row_membership.  Covers
+        # invalid pairs as well as valid ones.
         expected: dict[BraceSpec, set] = {}
-        for label, spec in generated_row_instances(3):
-            expected.setdefault(spec, set()).add(label)
+        for value, phi, psi in grid_row_instances(3):
+            expected.setdefault(BraceSpec(Mat2(*phi), Mat2(*psi)), set()).add(row_label(value))
         box = list(enumerate_unimodular(3))
         assert len(box) ** 2 == 53824
         mismatches = [
@@ -686,10 +688,10 @@ class TestExhaustiveSearch:
         assert (RowLabel.R1_2, dropped) in full
         histogram = exhaustive_search(4).row_histogram
 
-        def without_member(bound):
+        def without_member(bound, in_class):
             return [item for item in full if item != (RowLabel.R1_2, dropped)]
 
-        monkeypatch.setattr(classification, "generated_row_instances", without_member)
+        monkeypatch.setattr(classification, "_row_instances", without_member)
         report = exhaustive_search(4)
         assert report.unmatched_valid == [dropped]
         assert report.invalid_row_instances == []
@@ -699,6 +701,34 @@ class TestExhaustiveSearch:
         assert not report.confirms_classification
         assert main(["search", "--bound", "4"]) == 1
         assert capsys.readouterr().err == ""
+
+    def test_search_lists_the_box_once(self, monkeypatch):
+        # The member list is read off the in-class matrices the forward scan
+        # already holds, so the search draws U_2 from enumerate_unimodular
+        # once: a second listing of the box would draw 208 matrices.
+        drawn = []
+
+        def counting_enumerate(bound):
+            for m in enumerate_unimodular(bound):
+                drawn.append(m)
+                yield m
+
+        monkeypatch.setattr(classification, "enumerate_unimodular", counting_enumerate)
+        assert exhaustive_search(2).confirms_classification
+        assert len(drawn) == GOLDEN_UNIMODULAR_COUNTS[2] == 104
+
+    @pytest.mark.parametrize("bound", range(1, 21))
+    def test_member_list_rests_on_in_class_matrices_closed_under_swap(self, bound):
+        # The two facts the completeness of _row_instances rests on: every
+        # family member of the grid oracle has both matrices in class, and
+        # the in-class matrices of the box are closed under conjugation by
+        # the coordinate swap, which the psi-side families read.
+        in_class = {
+            m.entries() for m in enumerate_unimodular(bound) if classification._in_pair_class(m)
+        }
+        for value, phi, psi in grid_row_instances(bound):
+            assert phi in in_class and psi in in_class, (value, phi, psi)
+        assert {(d, c, b, a) for a, b, c, d in in_class} == in_class
 
     def test_reverse_direction_reuses_forward_verdicts(self, monkeypatch):
         # 448 pairs at bound 4 pass the partner rules, and the forward scan
