@@ -17,12 +17,22 @@ block 3 = (-1, 1), block 4 = (-1, -1).  This module provides
     every valid pair in the bounded box must match a family, and every
     family instance that fits in the box must be valid; the instances are
     read off the box's in-class matrices by each family's parameter
-    recovery (generated_row_instances), and that one member list serves
-    both directions: the forward labels of each valid pair are read off
-    it by a join, and the members the forward scan already found valid
-    are not checked again,
+    recovery and rebuilt by its constructor, on entry 4-tuples
+    (generated_row_instances wraps them in BraceSpecs), and that one
+    member list serves both directions: the forward labels of each valid
+    pair are read off it by a join on entry tuples, and the members the
+    forward scan already found valid are not checked again,
   * an order-classification cross-check over the same box
     (orders_crosscheck).
+
+Each family has one constructor and one recoverer, both on entry 4-tuples
+(a11, a12, a21, a22).  A constructor (_CONSTRUCTORS) takes the plain
+parameters and returns (phi entries, psi entries), or raises BadParams; a
+recoverer returns the plain parameters, or None.  generate_row checks a
+RowParams against the family's signature (_SIGNATURES), calls the
+constructor and wraps the pair in a BraceSpec; row_membership recovers
+and compares the regenerated entry tuples; the search calls both on the
+entries of its in-class matrices and builds no BraceSpec for a member.
 
 Families 1.1 and 1.2 are written out; the other ten are rows of two
 tables.  In a square-root family (_ROOT_FAMILIES: 1.3, 1.4, 2.1, 2.2, 3.1,
@@ -32,8 +42,8 @@ p_scale p and q_scale q, whose diagonal needs the exact root of a
 radicand; M's partner is E, -E or -M.  In a rational family
 (_RATIONAL_FAMILIES: 1.5, 1.6, 4.1) M = phi has a11 = h fixed by one
 exact division of its determinant equation, and psi is M or M^-1.  Both
-tables key on M's (det, trace).  One constructor and one O(1) parameter
-recovery read each table, and the in-box members are the recovered
+tables key on M's (det, trace), and each row's recover reads only M's
+entry tuple, raising nothing.  The in-box members are the recovered
 parameters of the box's in-class matrices.  Every constructor rejects
 non-squares, inexact divisions and any parameter outside its family's
 signature.
@@ -167,11 +177,16 @@ class RowParams:
 _PARAM_NAMES = tuple(f.name for f in fields(RowParams))
 
 
-def _need(
-    params: RowParams, label: RowLabel, *names: str, optional: tuple[str, ...] = ()
-) -> list[int]:
-    # The values of names, which must all be set; every other field but the
-    # optional ones must be unset.
+#: An entry 4-tuple (a11, a12, a21, a22), the form the family
+#: constructors, recoverers and the search's member list work on.
+_Entries = tuple[int, int, int, int]
+
+
+def _need(params: RowParams, label: RowLabel) -> list[int | None]:
+    # The values of the family's parameters, in _SIGNATURES order: each
+    # required one must be set, an optional one may be None, and every
+    # other field must be unset.
+    names, optional = _SIGNATURES[label]
     stray = [
         name
         for name in _PARAM_NAMES
@@ -182,7 +197,7 @@ def _need(
     values = [getattr(params, name) for name in names]
     if None in values:
         raise BadParams(f"family {label} needs parameters {', '.join(names)}")
-    return values
+    return values + [getattr(params, name) for name in optional]
 
 
 def _exact_sqrt(radicand: int) -> int:
@@ -203,23 +218,42 @@ def _exact_div(num: int, den: int) -> int:
     return num // den
 
 
-def _swap_conj(m: Mat2) -> Mat2:
+def _swap_conj(m: _Entries) -> _Entries:
     """Conjugation by the coordinate swap: exchanges both index pairs."""
-    return Mat2(m.a22, m.a21, m.a12, m.a11)
+    a11, a12, a21, a22 = m
+    return (a22, a21, a12, a11)
 
 
-def _gen_1_1(params: RowParams) -> BraceSpec:
-    s1, s2 = _need(params, RowLabel.R1_1, "sign1", "sign2")
-    return BraceSpec(Mat2(s1, 0, 0, s1), Mat2(s2, 0, 0, s2))
+def _build_1_1(sign1: int, sign2: int) -> tuple[_Entries, _Entries]:
+    return (sign1, 0, 0, sign1), (sign2, 0, 0, sign2)
 
 
-def _gen_1_2(params: RowParams) -> BraceSpec:
-    m, p, q = _need(params, RowLabel.R1_2, "m", "p", "q")
+def _build_1_2(m: int, p: int, q: int) -> tuple[_Entries, _Entries]:
     if math.gcd(p, q) != 1:
         raise GcdError(f"gcd({p}, {q}) = {math.gcd(p, q)}, must be 1")
-    phi = Mat2(1 + m * p * p * q, m * p * q * q, -m * p**3, 1 - m * p * p * q)
-    psi = Mat2(1 + m * p * q * q, m * q**3, -m * p * p * q, 1 - m * p * q * q)
-    return BraceSpec(phi, psi)
+    return (
+        (1 + m * p * p * q, m * p * q * q, -m * p**3, 1 - m * p * p * q),
+        (1 + m * p * q * q, m * q**3, -m * p * p * q, 1 - m * p * q * q),
+    )
+
+
+def _recover_1_2(phi: _Entries, psi: _Entries) -> tuple[int, int, int]:
+    # The entries of phi - E and psi - E are m times p^3, p^2 q, p q^2 and
+    # q^3 up to sign, whose gcd is 1, so their gcd g is |m|.  Then
+    # -phi21 / g = s p^3 and psi12 / g = s q^3 with s the sign of m, and
+    # integer cube roots give the candidate, in the canonical form of
+    # row12_parameters.
+    g = math.gcd(
+        phi[0] - 1, phi[1], phi[2], phi[3] - 1,
+        psi[0] - 1, psi[1], psi[2], psi[3] - 1,
+    )
+    if g == 0:
+        return (0, 1, 0)
+    p_cube, q_cube = -phi[2] // g, psi[1] // g
+    s = _sign(p_cube) or _sign(q_cube)
+    p = _integer_cbrt(abs(p_cube))
+    q = _sign(s * q_cube) * _integer_cbrt(abs(q_cube))
+    return (s * g, p, q)
 
 
 class _RootFamily(NamedTuple):
@@ -237,6 +271,26 @@ class _RootFamily(NamedTuple):
     def radicand(self, p: int, q: int) -> int:
         return self.trace**2 - 4 * self.det - 4 * self.p_scale * self.q_scale * p * q
 
+    def build(self, p: int, q: int, sign1: int) -> tuple[_Entries, _Entries]:
+        t, r = self.trace, sign1 * _exact_sqrt(self.radicand(p, q))
+        m = ((t + r) // 2, self.p_scale * p, self.q_scale * q, (t - r) // 2)
+        if self.partner == "-M":
+            partner = (-m[0], -m[1], -m[2], -m[3])
+        else:
+            unit = 1 if self.partner == "E" else -1
+            partner = (unit, 0, 0, unit)
+        return (m, partner) if self.side == "phi" else (partner, _swap_conj(m))
+
+    def recover(self, m: _Entries) -> tuple[int, int, int] | None:
+        """(p, q, sign1) read off the entries of M, or None if a scale
+        does not divide its entry or the diagonal is constant."""
+        a11, a12, a21, a22 = m
+        p, p_rest = divmod(a12, self.p_scale)
+        q, q_rest = divmod(a21, self.q_scale)
+        if p_rest or q_rest or a11 == a22:
+            return None
+        return (p, q, _sign(a11 - a22))
+
 
 _ROOT_FAMILIES = {
     RowLabel.R1_3: _RootFamily(1, -1, 3, 1, "psi", "E"),
@@ -247,23 +301,6 @@ _ROOT_FAMILIES = {
     RowLabel.R3_2: _RootFamily(-1, 0, 2, 2, "phi", "-E"),
     RowLabel.R4_2: _RootFamily(-1, 0, 2, 2, "phi", "-M"),
 }
-
-
-def _gen_root(label: RowLabel, family: _RootFamily, params: RowParams) -> BraceSpec:
-    p, q, s = _need(params, label, "p", "q", "sign1")
-    t, r = family.trace, s * _exact_sqrt(family.radicand(p, q))
-    m = Mat2((t + r) // 2, family.p_scale * p, family.q_scale * q, (t - r) // 2)
-    partner = {"E": IDENTITY, "-E": _NEG_IDENTITY, "-M": -m}[family.partner]
-    return BraceSpec(m, partner) if family.side == "phi" else BraceSpec(partner, _swap_conj(m))
-
-
-def _recover_root(family: _RootFamily, spec: BraceSpec) -> RowParams:
-    m = spec.phi if family.side == "phi" else _swap_conj(spec.psi)
-    return RowParams(
-        p=_exact_div(m.a12, family.p_scale),
-        q=_exact_div(m.a21, family.q_scale),
-        sign1=_sign(m.a11 - m.a22),
-    )
 
 
 class _RationalFamily(NamedTuple):
@@ -280,13 +317,36 @@ class _RationalFamily(NamedTuple):
     e: int
     inverse: bool
 
+    side = "phi"
+
     def division(self, m: int, n: int) -> tuple[int, int]:
         """(divisor, dividend) of the equation h * divisor = dividend."""
         a, b = self.u + self.c * n, self.v + self.c * m
         return self.trace + self.e * a - b, self.det + self.e * a * b
 
-    def params(self, h: int, m: int, n: int) -> RowParams:
-        return RowParams(m=m, n=n, p=None if self.division(m, n)[0] else h)
+    def build(
+        self, label: RowLabel, m: int, n: int, p: int | None
+    ) -> tuple[_Entries, _Entries]:
+        divisor, dividend = self.division(m, n)
+        if not divisor and dividend:
+            raise BadParams(f"family {label} has no member with m = {m}, n = {n}")
+        if (p is None) == (not divisor):
+            needs = "needs the free" if p is None else "takes no"
+            raise BadParams(f"family {label} with m = {m}, n = {n} {needs} parameter p")
+        h = _exact_div(dividend, divisor) if divisor else p
+        e, c = self.e, self.c
+        phi = (h, self.u + c * n + e * h, e * (self.v + c * m - h), self.trace - h)
+        return phi, (Mat2(*phi).inverse().entries() if self.inverse else phi)
+
+    def recover(self, m: _Entries) -> tuple[int, int, int | None] | None:
+        """(m, n, p) read off the entries of M = phi, p set only where the
+        divisor is 0, or None if a division by c is inexact."""
+        h, a12, a21, _ = m
+        n, n_rest = divmod(a12 - self.u - self.e * h, self.c)
+        m_, m_rest = divmod(self.e * a21 - self.v + h, self.c)
+        if n_rest or m_rest:
+            return None
+        return (m_, n, None if self.division(m_, n)[0] else h)
 
 
 _RATIONAL_FAMILIES = {
@@ -295,34 +355,43 @@ _RATIONAL_FAMILIES = {
     RowLabel.R4_1: _RationalFamily(-1, 1, 1, 0, 2, 1, inverse=False),
 }
 
-
-def _gen_rational(label: RowLabel, family: _RationalFamily, params: RowParams) -> BraceSpec:
-    m, n = _need(params, label, "m", "n", optional=("p",))
-    divisor, dividend = family.division(m, n)
-    if not divisor and dividend:
-        raise BadParams(f"family {label} has no member with m = {m}, n = {n}")
-    if (params.p is None) == (not divisor):
-        needs = "needs the free" if params.p is None else "takes no"
-        raise BadParams(f"family {label} with m = {m}, n = {n} {needs} parameter p")
-    h = _exact_div(dividend, divisor) if divisor else params.p
-    e, c = family.e, family.c
-    phi = Mat2(h, family.u + c * n + e * h, e * (family.v + c * m - h), family.trace - h)
-    return BraceSpec(phi, phi.inverse() if family.inverse else phi)
-
-
-def _recover_rational(family: _RationalFamily, spec: BraceSpec) -> RowParams:
-    h, a12, a21 = spec.phi.a11, spec.phi.a12, spec.phi.a21
-    n = _exact_div(a12 - family.u - family.e * h, family.c)
-    m = _exact_div(family.e * a21 - family.v + h, family.c)
-    return family.params(h, m, n)
-
-
-_GENERATORS = {
-    RowLabel.R1_1: _gen_1_1,
-    RowLabel.R1_2: _gen_1_2,
-    **{label: partial(_gen_root, label, row) for label, row in _ROOT_FAMILIES.items()},
-    **{label: partial(_gen_rational, label, row) for label, row in _RATIONAL_FAMILIES.items()},
+_TABLE_FAMILIES: dict[RowLabel, _RootFamily | _RationalFamily] = {
+    **_ROOT_FAMILIES, **_RATIONAL_FAMILIES
 }
+
+#: The RowParams fields of each family, in the order its constructor takes
+#: them: the required ones, then the optional ones.
+_SIGNATURES = {
+    RowLabel.R1_1: (("sign1", "sign2"), ()),
+    RowLabel.R1_2: (("m", "p", "q"), ()),
+    **{label: (("p", "q", "sign1"), ()) for label in _ROOT_FAMILIES},
+    **{label: (("m", "n"), ("p",)) for label in _RATIONAL_FAMILIES},
+}
+
+#: Each family's constructor: plain parameters -> (phi entries, psi
+#: entries), or BadParams.
+_CONSTRUCTORS = {
+    RowLabel.R1_1: _build_1_1,
+    RowLabel.R1_2: _build_1_2,
+    **{label: row.build for label, row in _ROOT_FAMILIES.items()},
+    **{label: partial(row.build, label) for label, row in _RATIONAL_FAMILIES.items()},
+}
+
+
+def _recover(label: RowLabel, phi: _Entries, psi: _Entries) -> tuple | None:
+    """The family's parameters read off the pair in O(1), or None.
+
+    For a member they are the parameters that generate it; for anything
+    else they are arbitrary, which the regeneration in _member_params
+    rejects.  A table family reads its M: phi, or psi conjugated by the
+    coordinate swap.
+    """
+    if label is RowLabel.R1_1:
+        return (phi[0], psi[0])
+    if label is RowLabel.R1_2:
+        return _recover_1_2(phi, psi)
+    family = _TABLE_FAMILIES[label]
+    return family.recover(phi if family.side == "phi" else _swap_conj(psi))
 
 
 def generate_row(label: RowLabel, params: RowParams) -> BraceSpec:
@@ -333,7 +402,8 @@ def generate_row(label: RowLabel, params: RowParams) -> BraceSpec:
     not a parameter of the family.  Every constructed pair
     satisfies check_pair, which is asserted here.
     """
-    spec = _GENERATORS[label](params)
+    phi, psi = _CONSTRUCTORS[label](*_need(params, label))
+    spec = BraceSpec(Mat2(*phi), Mat2(*psi))
     assert check_pair(spec).valid, f"family {label} produced invalid pair {spec}"
     return spec
 
@@ -354,6 +424,18 @@ def _integer_cbrt(n: int) -> int:
         x = y
 
 
+def _member_params(label: RowLabel, phi: _Entries, psi: _Entries) -> tuple | None:
+    """The parameters that generate the pair in the family, or None if
+    the pair is not a member: those _recover reads must regenerate it."""
+    params = _recover(label, phi, psi)
+    if params is None:
+        return None
+    try:
+        return params if _CONSTRUCTORS[label](*params) == (phi, psi) else None
+    except BadParams:
+        return None
+
+
 def row12_parameters(spec: BraceSpec) -> tuple[int, int, int] | None:
     """Recover (m, p, q) for family 1.2, or None if the pair is not in it.
 
@@ -367,53 +449,13 @@ def row12_parameters(spec: BraceSpec) -> tuple[int, int, int] | None:
     pair reports (0, 1, 0).  The parameters are read off the pair by
     _recover_1_2 and must regenerate it exactly.
     """
-    if not _is_member(RowLabel.R1_2, spec):
-        return None
-    found = _recover_1_2(spec)
-    return (found.m, found.p, found.q)
+    return _member_params(RowLabel.R1_2, spec.phi.entries(), spec.psi.entries())
 
-
-def _recover_1_2(spec: BraceSpec) -> RowParams:
-    # The entries of phi - E and psi - E are m times p^3, p^2 q, p q^2 and
-    # q^3 up to sign, whose gcd is 1, so their gcd g is |m|.  Then
-    # -phi21 / g = s p^3 and psi12 / g = s q^3 with s the sign of m, and
-    # integer cube roots give the candidate, in the canonical form of
-    # row12_parameters.
-    phi, psi = spec.phi, spec.psi
-    g = math.gcd(
-        phi.a11 - 1, phi.a12, phi.a21, phi.a22 - 1,
-        psi.a11 - 1, psi.a12, psi.a21, psi.a22 - 1,
-    )
-    if g == 0:
-        return RowParams(m=0, p=1, q=0)
-    p_cube, q_cube = -phi.a21 // g, psi.a12 // g
-    s = _sign(p_cube) or _sign(q_cube)
-    p = _integer_cbrt(abs(p_cube))
-    q = _sign(s * q_cube) * _integer_cbrt(abs(q_cube))
-    return RowParams(m=s * g, p=p, q=q)
-
-
-#: Reads a family's parameters off a pair in O(1).  For a member they are
-#: the parameters that generate it; for anything else they are arbitrary,
-#: which the regeneration in _is_member rejects.
-_RECOVERERS = {
-    RowLabel.R1_1: lambda spec: RowParams(sign1=spec.phi.a11, sign2=spec.psi.a11),
-    RowLabel.R1_2: _recover_1_2,
-    **{label: partial(_recover_root, row) for label, row in _ROOT_FAMILIES.items()},
-    **{label: partial(_recover_rational, row) for label, row in _RATIONAL_FAMILIES.items()},
-}
 
 _BLOCK_LABELS = {
     block: tuple(label for label in RowLabel if ROW_BLOCKS[label] == block)
     for block in ROW_BLOCKS.values()
 }
-
-
-def _is_member(label: RowLabel, spec: BraceSpec) -> bool:
-    try:
-        return _GENERATORS[label](_RECOVERERS[label](spec)) == spec
-    except BadParams:
-        return False
 
 
 def row_membership(spec: BraceSpec) -> set[RowLabel]:
@@ -427,8 +469,12 @@ def row_membership(spec: BraceSpec) -> set[RowLabel]:
     1.1 and 1.2 (with m = 0).  Membership does not require the pair to be
     valid.
     """
-    block = (spec.phi.det(), spec.psi.det())
-    return {label for label in _BLOCK_LABELS[block] if _is_member(label, spec)}
+    phi, psi = spec.phi.entries(), spec.psi.entries()
+    return {
+        label
+        for label in _BLOCK_LABELS[spec.phi.det(), spec.psi.det()]
+        if _member_params(label, phi, psi) is not None
+    }
 
 
 def enumerate_unimodular(bound: int) -> Iterator[Mat2]:
@@ -458,81 +504,78 @@ def enumerate_unimodular(bound: int) -> Iterator[Mat2]:
             yield Mat2(a11, a12, a21, a22)
 
 
-def _spec_key(spec: BraceSpec) -> tuple:
-    return (spec.phi.entries(), spec.psi.entries())
-
-
-_TABLE_FAMILIES = {**_ROOT_FAMILIES, **_RATIONAL_FAMILIES}
-
 #: The table families, grouped by the (det, trace) of their matrix M.
 _TABLE_LABELS = {
     key: tuple(label for label, row in _TABLE_FAMILIES.items() if (row.det, row.trace) == key)
     for key in {(row.det, row.trace) for row in _TABLE_FAMILIES.values()}
 }
 
+def _row_instances(
+    bound: int, in_class: Iterable[Mat2]
+) -> list[tuple[RowLabel, tuple[_Entries, _Entries]]]:
+    """Every family member whose entries all fit in [-bound, bound], as
+    (label, (phi entries, psi entries)).
 
-def _member_params(bound: int, in_class: Iterable[Mat2]) -> Iterator[tuple[RowLabel, RowParams]]:
-    """Labelled parameters of every family member that can fit in the box.
+    in_class holds the in-class matrices of the box (_in_pair_class).  1.1
+    has four members, and 1.2 bounds |m| by bound / max(|p|, |q|)^3 for
+    each coprime (p, q) in canonical form.  The ten table families are
+    read off in_class: for each m of it and each table family whose M has
+    m's (det, trace), the family's recoverer reads its parameters off m's
+    entries as M.  Every candidate is built by the raw family constructor
+    on entry tuples, not by generate_row, so validity is left to the
+    caller and a wrong constructor shows up as an invalid instance.
+    Deduplicated per (label, pair) and sorted lexicographically, so the
+    result is independent of the order in_class comes in.
 
-    1.1 has four members, and 1.2 bounds |m| by bound / max(|p|, |q|)^3
-    for each coprime (p, q) in canonical form.  The ten table families are
-    read off the in-class matrices: for each m of in_class and each table
-    family whose M has m's (det, trace), the family's recoverer reads its
-    parameters off the pair (m, m).  Every in-box member is among the
-    results (see _row_instances); the caller filters the rest out.
+    The list is complete.  The M of every table family has (det, trace)
+    (1, -1) or (-1, 0), so it is in class, and its partner (E, -E, -M, M
+    or M^-1) has M's |entries|; so an in-box member has its M in the box
+    and in in_class, which is closed under the coordinate swap that a
+    psi-side family applies.  A recoverer reads only M, and for a member
+    it returns the parameters that generate it; so every in-box table
+    member is rebuilt from in_class, and 1.1 and 1.2 list theirs outright.
     """
-    for s1, s2 in product((1, -1), repeat=2):
-        yield RowLabel.R1_1, RowParams(sign1=s1, sign2=s2)
+    found: dict[RowLabel, set[tuple[_Entries, _Entries]]] = {label: set() for label in RowLabel}
+
+    def add(build, params, members):
+        try:
+            pair = build(*params)
+        except BadParams:
+            return
+        if max(map(abs, pair[0] + pair[1])) <= bound:
+            members.add(pair)
+
+    for signs in product((1, -1), repeat=2):
+        add(_CONSTRUCTORS[RowLabel.R1_1], signs, found[RowLabel.R1_1])
     # Each 1.2 pair once, in the canonical form of row12_parameters:
     # (m, p, q) and (-m, -p, -q) give the same pair, and m = 0 gives
     # (E, E) for every (p, q).
-    yield RowLabel.R1_2, RowParams(m=0, p=1, q=0)
+    build, members = _CONSTRUCTORS[RowLabel.R1_2], found[RowLabel.R1_2]
+    add(build, (0, 1, 0), members)
     cap = _integer_cbrt(bound)
     for p, q in product(range(cap + 1), range(-cap, cap + 1)):
         if (p > 0 or q > 0) and math.gcd(p, q) == 1:
             m_max = bound // max(p, abs(q)) ** 3
             for m in range(-m_max, m_max + 1):
                 if m:
-                    yield RowLabel.R1_2, RowParams(m=m, p=p, q=q)
+                    add(build, (m, p, q), members)
+    # Per (det, trace): each table family's recoverer, constructor and
+    # member set, looked up once per call rather than once per matrix.
+    tables = {
+        key: [
+            (_TABLE_FAMILIES[label].recover, _CONSTRUCTORS[label], found[label])
+            for label in labels
+        ]
+        for key, labels in _TABLE_LABELS.items()
+    }
     for m in in_class:
-        pair = BraceSpec(m, m)
-        for label in _TABLE_LABELS.get((m.det(), m.trace()), ()):
-            try:
-                params = _RECOVERERS[label](pair)
-            except BadParams:
-                continue
-            yield label, params
-
-
-def _row_instances(bound: int, in_class: Iterable[Mat2]) -> list[tuple[RowLabel, BraceSpec]]:
-    """Every family member whose entries all fit in [-bound, bound].
-
-    in_class holds the in-class matrices of the box (_in_pair_class).  The
-    members are built by the raw family constructors from _member_params,
-    not by generate_row, so validity is left to the caller and a wrong
-    constructor shows up as an invalid instance.  Deduplicated per (label,
-    pair) and sorted lexicographically, so the result is independent of
-    the order the parameters come in.
-
-    The list is complete.  The M of every table family has (det, trace)
-    (1, -1) or (-1, 0), so it is in class, and its partner (E, -E, -M, M
-    or M^-1) has M's |entries|; so an in-box member has its M, or for a
-    psi-side family its swapped M psi, in the box and in in_class, which
-    is closed under the coordinate swap.  A recoverer reads only those
-    entries, and for a member they are the parameters that generate it;
-    so every in-box table member is regenerated from in_class, and 1.1
-    and 1.2 list theirs outright.
-    """
-    keyed: dict[tuple, tuple[RowLabel, BraceSpec]] = {}
-    for label, params in _member_params(bound, in_class):
-        try:
-            spec = _GENERATORS[label](params)
-        except BadParams:
-            continue
-        phi, psi = key = _spec_key(spec)
-        if max(map(abs, phi + psi)) <= bound:
-            keyed.setdefault((label.value, key), (label, spec))
-    return [keyed[key] for key in sorted(keyed)]
+        entries = m.entries()
+        for recover, build, members in tables.get((m.det(), m.trace()), ()):
+            params = recover(entries)
+            if params is not None:
+                add(build, params, members)
+    # RowLabel lists the families in the order of their dotted labels.
+    return [(label, pair) for label, members in found.items() for pair in sorted(members)]
 
 
 def generated_row_instances(bound: int) -> list[tuple[RowLabel, BraceSpec]]:
@@ -547,7 +590,11 @@ def generated_row_instances(bound: int) -> list[tuple[RowLabel, BraceSpec]]:
     """
     if bound < 1:
         return []
-    return _row_instances(bound, [m for m in enumerate_unimodular(bound) if _in_pair_class(m)])
+    in_class = [m for m in enumerate_unimodular(bound) if _in_pair_class(m)]
+    return [
+        (label, BraceSpec(Mat2(*phi), Mat2(*psi)))
+        for label, (phi, psi) in _row_instances(bound, in_class)
+    ]
 
 
 @dataclass
@@ -676,16 +723,19 @@ def exhaustive_search(bound: int) -> SearchReport:
     |U_B|^2.  Unmatched pairs come out in the lexicographic order of
     enumerate_unimodular.
 
-    The forward scan works on entry 4-tuples.  Each in-class matrix gets
+    The whole search works on entry 4-tuples.  Each in-class matrix gets
     one power map, built once, and each pair that commutes is decided by
     brace._power_identities, the decider check_pair wraps, from the two
-    cached maps.  So the scan builds no BraceSpec and no per-pair map; its
-    valid pairs, the member keys and the join are plain entry tuples, and
-    a BraceSpec is built only for a pair the report lists.
+    cached maps.  The member list holds entry-tuple pairs too, so the
+    valid pairs, the member keys, the join and the histogram are plain
+    tuples, and a BraceSpec is built only for a pair the report lists
+    (and for a member the forward scan did not find valid, which
+    check_pair then decides).
 
     Both directions read one list, _row_instances(bound, in_class): every
     in-box family member with its label, read off the in-class matrices
-    the scan already holds, so the box is listed once (the public
+    the scan already holds by each table family's recoverer and rebuilt by
+    its constructor, so the box is listed once (the public
     generated_row_instances lists it again).  Forward, a valid pair
     takes the labels it has in that list, a join that equals row_membership
     because the list is complete; a valid pair the list lacks is unmatched,
@@ -720,13 +770,13 @@ def exhaustive_search(bound: int) -> SearchReport:
                 found.append((p, q))
     valid = set(found)
     members = _row_instances(bound, in_class)
-    member_keys = [_spec_key(spec) for _, spec in members]
-    listed = set(member_keys)
-    invalid_instances = [
-        (label, spec)
-        for (label, spec), key in zip(members, member_keys)
-        if key not in valid and not check_pair(spec).valid
-    ]
+    listed = {pair for _, pair in members}
+    invalid_instances = []
+    for label, (p, q) in members:
+        if (p, q) not in valid:
+            spec = BraceSpec(Mat2(*p), Mat2(*q))
+            if not check_pair(spec).valid:
+                invalid_instances.append((label, spec))
 
     return SearchReport(
         bound=bound,
@@ -736,9 +786,7 @@ def exhaustive_search(bound: int) -> SearchReport:
             BraceSpec(Mat2(*p), Mat2(*q)) for p, q in found if (p, q) not in listed
         ],
         invalid_row_instances=invalid_instances,
-        row_histogram=dict(
-            Counter(label for (label, _), key in zip(members, member_keys) if key in valid)
-        ),
+        row_histogram=dict(Counter(label for label, pair in members if pair in valid)),
     )
 
 

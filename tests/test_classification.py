@@ -6,6 +6,7 @@ computed by independent oracle loops, which the tests re-run, and then
 frozen so regressions are caught even if both sides drift together.
 """
 
+import hashlib
 import math
 import signal
 import time
@@ -115,33 +116,30 @@ def triple_loop_unimodular(bound):
 
 def grid_row_instances(bound):
     # generated_row_instances as it was before the parameters were solved:
-    # every point of a parameter grid goes through the constructor.
+    # every point of a parameter grid goes through the constructor, which
+    # takes the plain parameters in the order _SIGNATURES lists them.
     wide = range(-bound - 1, bound + 2)
     signs = (1, -1)
     cap = classification._integer_cbrt(bound + 1)
     grids = {
-        RowLabel.R1_1: [RowParams(sign1=s1, sign2=s2) for s1, s2 in product(signs, signs)],
-        RowLabel.R1_2: [
-            RowParams(m=m, p=p, q=q)
-            for m, p, q in product(wide, range(-cap, cap + 1), range(-cap, cap + 1))
-        ],
-        RowLabel.R1_5: [RowParams(m=m, n=n) for m, n in product(wide, wide)],
-        RowLabel.R1_6: [RowParams(m=m, n=n) for m, n in product(wide, wide)],
-        RowLabel.R4_1: [RowParams(m=m, n=m, p=p) for m in (0, -1) for p in wide]
-        + [RowParams(m=m, n=n) for m, n in product(wide, wide) if m != n],
+        RowLabel.R1_1: list(product(signs, signs)),
+        RowLabel.R1_2: list(product(wide, range(-cap, cap + 1), range(-cap, cap + 1))),
+        RowLabel.R1_5: [(m, n, None) for m, n in product(wide, wide)],
+        RowLabel.R1_6: [(m, n, None) for m, n in product(wide, wide)],
+        RowLabel.R4_1: [(m, m, p) for m in (0, -1) for p in wide]
+        + [(m, n, None) for m, n in product(wide, wide) if m != n],
     }
     box = range(-bound, bound + 1)
-    root_grid = [RowParams(p=p, q=q, sign1=s) for p, q, s in product(box, box, signs)]
+    root_grid = list(product(box, box, signs))
     found = set()
     for label in RowLabel:
         for params in grids.get(label, root_grid):
             try:
-                spec = classification._GENERATORS[label](params)
+                phi, psi = classification._CONSTRUCTORS[label](*params)
             except BadParams:
                 continue
-            entries = spec.phi.entries() + spec.psi.entries()
-            if max(map(abs, entries)) <= bound:
-                found.add((label.value, spec.phi.entries(), spec.psi.entries()))
+            if max(map(abs, phi + psi)) <= bound:
+                found.add((label.value, phi, psi))
     return sorted(found)
 
 
@@ -361,6 +359,88 @@ class TestRecovery:
         canonical = (m, p, q) if p > 0 or (p == 0 and q > 0) else (-m, -p, -q)
         with deadline(1):
             assert row12_parameters(row12_pair(m, p, q)) == canonical
+
+
+TABLE_LABELS = [
+    RowLabel.R1_3, RowLabel.R1_4, RowLabel.R1_5, RowLabel.R1_6, RowLabel.R2_1,
+    RowLabel.R2_2, RowLabel.R3_1, RowLabel.R3_2, RowLabel.R4_1, RowLabel.R4_2,
+]
+
+#: Exponents of the three shears in level6_conjugate: entries of g up to
+#: about 2^65, so the largest parameter of a member reaches 100-130 bits.
+SHEAR = st.integers(-(2**19), 2**19)
+
+
+def table_matrix(label, spec):
+    # The family's matrix M: phi, or psi conjugated by the coordinate swap.
+    if classification._TABLE_FAMILIES[label].side == "phi":
+        return spec.phi
+    psi = spec.psi
+    return Mat2(psi.a22, psi.a21, psi.a12, psi.a11)
+
+
+def level6_conjugate(m, a, b, c):
+    # g m g^-1 for g = T^6a L^6b T^6c, with T and L the unit upper and lower
+    # shears.  g = E mod 6 keeps every entry of m mod 6, and conjugation
+    # keeps det and trace, so a member's M stays the M of a member: every
+    # scale and every c of the tables divides 6.
+    g = Mat2(1, 6 * a, 0, 1) * Mat2(1, 0, 6 * b, 1) * Mat2(1, 6 * c, 0, 1)
+    return g * m * g.inverse()
+
+
+def table_params(label, m):
+    # The parameters that generate the member whose M is m, read off the
+    # family's defining form (see _RootFamily and _RationalFamily), each
+    # division checked exact.
+    row = classification._TABLE_FAMILIES[label]
+    a11, a12, a21, a22 = m.entries()
+    if label in classification._ROOT_FAMILIES:
+        assert a12 % row.p_scale == 0 and a21 % row.q_scale == 0
+        sign1 = 1 if a11 > a22 else -1
+        return RowParams(p=a12 // row.p_scale, q=a21 // row.q_scale, sign1=sign1)
+    n, rest_n = divmod(a12 - row.u - row.e * a11, row.c)
+    m_, rest_m = divmod(row.e * a21 - row.v + a11, row.c)
+    assert rest_n == 0 and rest_m == 0
+    return RowParams(m=m_, n=n, p=None if row.division(m_, n)[0] else a11)
+
+
+class TestTableRoundTrip:
+    # Each table family: a member built by generate_row lists its label in
+    # row_membership, and the family's recoverer, reading M's entry tuple,
+    # returns the generating parameters.
+
+    @staticmethod
+    def round_trip(label, params, m):
+        names, optional = classification._SIGNATURES[label]
+        plain = tuple(getattr(params, name) for name in names + optional)
+        with deadline(1):
+            spec = generate_row(label, params)
+            assert table_matrix(label, spec) == m
+            assert label in row_membership(spec)
+            assert classification._TABLE_FAMILIES[label].recover(m.entries()) == plain
+
+    @pytest.mark.parametrize("label", TABLE_LABELS, ids=str)
+    @given(a=SHEAR, b=SHEAR, c=SHEAR)
+    def test_conjugated_members_round_trip(self, label, a, b, c):
+        m = level6_conjugate(table_matrix(label, ROW_SPECS[label]), a, b, c)
+        self.round_trip(label, table_params(label, m), m)
+
+    @given(m=st.sampled_from((0, -1)), h=st.integers(-(2**128), 2**128))
+    def test_free_parameter_branch_of_41_round_trips(self, m, h):
+        # 4.1 at m = n in {0, -1}: the division reads h * 0 = 0 and h = p.
+        spec = generate_row(RowLabel.R4_1, RowParams(m=m, n=m, p=h))
+        assert spec.phi.a11 == h
+        self.round_trip(RowLabel.R4_1, RowParams(m=m, n=m, p=h), spec.phi)
+
+    def test_conjugation_reaches_128_bit_parameters(self):
+        shear = 2**19
+        for label in TABLE_LABELS:
+            m = level6_conjugate(table_matrix(label, ROW_SPECS[label]), shear, -shear, shear)
+            params = table_params(label, m)
+            values = (params.m, params.n, params.p, params.q)
+            bits = max(abs(v).bit_length() for v in values if v is not None)
+            assert 100 <= bits <= 130, (label, bits)
+            self.round_trip(label, params, m)
 
 
 class TestIntegerCubeRoot:
@@ -615,7 +695,9 @@ class TestExhaustiveSearch:
         # report and make search exit 1, not raise out of the search.
         shear = BraceSpec(Mat2(1, 1, 0, 1), IDENTITY)
         monkeypatch.setitem(
-            classification._GENERATORS, RowLabel.R1_1, lambda params: shear
+            classification._CONSTRUCTORS,
+            RowLabel.R1_1,
+            lambda *params: (shear.phi.entries(), shear.psi.entries()),
         )
         report = exhaustive_search(1)
         assert report.invalid_row_instances == [(RowLabel.R1_1, shear)]
@@ -653,6 +735,23 @@ class TestExhaustiveSearch:
         ]
         assert solved == grid_row_instances(bound)
 
+    @pytest.mark.parametrize(
+        "bound, members, digest",
+        [
+            (100, 10339, "aad361ce5af2410233f182617243507da06a6397652e85a2e8ab8621f106297e"),
+            (400, 50803, "35744c57826382a568bb02a4f258bb61cdb5aecb18702e3e18468846975fcac6"),
+        ],
+    )
+    def test_member_list_bytes_pinned(self, bound, members, digest):
+        # sha256 over each member's label and entries, past the B <= 30 the
+        # grid oracle reaches.  Recorded from the member list that rebuilt
+        # each member as a BraceSpec.
+        instances = generated_row_instances(bound)
+        hashed = hashlib.sha256()
+        for label, spec in instances:
+            hashed.update(f"{label.value} {spec.phi.entries()} {spec.psi.entries()}\n".encode())
+        assert (len(instances), hashed.hexdigest()) == (members, digest)
+
     @pytest.mark.parametrize("bound", [*range(4, 13), 20])
     def test_member_list_join_equals_row_membership(self, bound):
         # The labels a valid pair has in generated_row_instances are exactly
@@ -687,9 +786,11 @@ class TestExhaustiveSearch:
         full = generated_row_instances(4)
         assert (RowLabel.R1_2, dropped) in full
         histogram = exhaustive_search(4).row_histogram
+        row_instances = classification._row_instances
+        dropped_entries = (RowLabel.R1_2, (dropped.phi.entries(), dropped.psi.entries()))
 
         def without_member(bound, in_class):
-            return [item for item in full if item != (RowLabel.R1_2, dropped)]
+            return [item for item in row_instances(bound, in_class) if item != dropped_entries]
 
         monkeypatch.setattr(classification, "_row_instances", without_member)
         report = exhaustive_search(4)

@@ -48,6 +48,26 @@ YBE_MEMBERS = [
 ]
 
 
+def generate_grid():
+    # `generate` argument lists: every family with each parameter in -6..6,
+    # and p unset, -2, 0 or 3 for 1.5, 1.6 and 4.1; members and rejections
+    # alike.
+    grid = range(-6, 7)
+    signs = (1, -1)
+    calls = [("--row", "1.1", "--sign1", str(s1), "--sign2", str(s2))
+             for s1, s2 in product(signs, repeat=2)]
+    calls += [("--row", "1.2", "--m", str(m), "--p", str(p), "--q", str(q))
+              for m, p, q in product(grid, repeat=3)]
+    for row in ("1.3", "1.4", "2.1", "2.2", "3.1", "3.2", "4.2"):
+        calls += [("--row", row, "--p", str(p), "--q", str(q), "--sign1", str(s))
+                  for p, q, s in product(grid, grid, signs)]
+    for row in ("1.5", "1.6", "4.1"):
+        for m, n, p in product(grid, grid, (None, -2, 0, 3)):
+            extra = () if p is None else ("--p", str(p))
+            calls.append(("--row", row, "--m", str(m), "--n", str(n), *extra))
+    return calls
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -156,20 +176,8 @@ class TestGenerate:
         # sha256 over stdout and exit code of `generate` on every family over
         # a parameter grid, each member followed by stdout and exit code of
         # `classify` on it.  Recorded from the constructors that wrote each
-        # family out by hand; error text (stderr) is not pinned.
-        grid = range(-6, 7)
-        signs = (1, -1)
-        calls = [("--row", "1.1", "--sign1", str(s1), "--sign2", str(s2))
-                 for s1, s2 in product(signs, repeat=2)]
-        calls += [("--row", "1.2", "--m", str(m), "--p", str(p), "--q", str(q))
-                  for m, p, q in product(grid, repeat=3)]
-        for row in ("1.3", "1.4", "2.1", "2.2", "3.1", "3.2", "4.2"):
-            calls += [("--row", row, "--p", str(p), "--q", str(q), "--sign1", str(s))
-                      for p, q, s in product(grid, grid, signs)]
-        for row in ("1.5", "1.6", "4.1"):
-            for m, n, p in product(grid, grid, (None, -2, 0, 3)):
-                extra = () if p is None else ("--p", str(p))
-                calls.append(("--row", row, "--m", str(m), "--n", str(n), *extra))
+        # family out by hand; error text is pinned by the next test.
+        calls = generate_grid()
         assert len(calls) == 6595
         digest = hashlib.sha256()
         members = 0
@@ -182,6 +190,23 @@ class TestGenerate:
                 digest.update(f"{out}{code}\n".encode())
         assert (members, digest.hexdigest()) == (
             1920, "bcabbb561ea902dd9d0bc8681f210b94bebfd23ab3eea2a86f452f7e72895244"
+        )
+
+    def test_rejection_messages_pinned(self, capsys):
+        # sha256 over stderr and exit code of every `generate` call of the
+        # grid that is rejected, so each BadParams, IntegralityError and
+        # GcdError keeps its message.  Recorded from the constructors that
+        # built each family member as a BraceSpec.
+        digest = hashlib.sha256()
+        rejected = 0
+        for argv in generate_grid():
+            code, out, err = run(capsys, "generate", *argv)
+            if code:
+                assert out == ""
+                rejected += 1
+                digest.update(f"{err}{code}\n".encode())
+        assert (rejected, digest.hexdigest()) == (
+            4675, "f25207472049cd19e3142ff1f71691fcba67e57b3a11341b85f9b4b0541a0ec4"
         )
 
     def test_unknown_row_exits_two(self, capsys):
