@@ -12,10 +12,12 @@ lambda is read off the power maps of phi and psi (Mat2.power_map).
 lambda_map takes both once per pair and returns a -> entries of lambda_a
 as plain integers; lambda_of wraps the same map in a Mat2.  The four
 identities are decided in one place, _power_identities, which multiplies
-phi^k psi^l out of two power maps on entry tuples.  check_pair calls it
-with the pair's own two power maps and hyperbolic flags, built once per
-call; classification.exhaustive_search calls it with one power map per
-in-class matrix, built once per search, and both flags false.
+phi^k psi^l out of two power maps and yields the truths one at a time.
+check_pair calls it with the pair's own two power maps and hyperbolic
+flags, built once per call, and keeps all four truths;
+classification.exhaustive_search calls it with one power map per in-class
+matrix, built once per search, and both flags false, and stops at the
+first false identity.
 
 Before it takes a power, _power_identities applies one rule to each
 identity.  phi^k psi^l = E says phi^k = psi^(-l).  A nonzero power of a
@@ -28,17 +30,18 @@ identity is multiplied out without a hyperbolic power, in O(1) at any
 entry size; only a commuting pair of two hyperbolic matrices still takes
 powers whose cost grows with its entries.
 
-The module holds the paper's objects and the verdict; the holomorph
-reading of the pair conditions, which the tests check check_pair
-against, lives in tests/oracles.py.
+The module holds the paper's objects and the verdict, all NamedTuples
+like Mat2: a Vec2 is its coordinate tuple, and BraceSpec checks its two
+matrices in the __new__ of a subclass of its NamedTuple fields.  The
+holomorph reading of the pair conditions, which the tests check
+check_pair against, lives in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, NamedTuple
 
-from .gl2z import Mat2, NotUnimodular, commutes
+from .gl2z import Mat2, NotUnimodular, _no_concatenation, _undefined, commutes
 
 __all__ = [
     "BraceSpec",
@@ -54,9 +57,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Vec2:
-    """Element of Z^2; addition is componentwise."""
+class Vec2(NamedTuple):
+    """Element of Z^2, the tuple (x1, x2); addition is componentwise."""
 
     x1: int
     x2: int
@@ -74,8 +76,12 @@ class Vec2:
             return NotImplemented
         return Vec2(self.x1 - other.x1, self.x2 - other.x2)
 
+    __mul__ = __rmul__ = _undefined
+    __radd__ = _no_concatenation
+
     def coords(self) -> tuple[int, int]:
-        return (self.x1, self.x2)
+        """The coordinates as a plain tuple, not a Vec2."""
+        return tuple(self)
 
     def __str__(self) -> str:
         return f"({self.x1},{self.x2})"
@@ -86,24 +92,33 @@ ZERO = Vec2(0, 0)
 
 def act(m: Mat2, v: Vec2) -> Vec2:
     """The automorphism m applied to v."""
-    return Vec2(m.a11 * v.x1 + m.a12 * v.x2, m.a21 * v.x1 + m.a22 * v.x2)
+    a11, a12, a21, a22 = m
+    x1, x2 = v
+    return Vec2(a11 * x1 + a12 * x2, a21 * x1 + a22 * x2)
 
 
-@dataclass(frozen=True, slots=True)
-class BraceSpec:
+class _BraceSpecFields(NamedTuple):
+    phi: Mat2
+    psi: Mat2
+
+
+class BraceSpec(_BraceSpecFields):
     """Candidate pair (phi, psi): the automorphisms attached to the generators.
 
     Construction only enforces membership in GL2(Z); whether the pair
     actually defines a brace is decided by check_pair.
     """
 
-    phi: Mat2
-    psi: Mat2
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name, m in (("phi", self.phi), ("psi", self.psi)):
+    def __new__(cls, phi: Mat2, psi: Mat2) -> "BraceSpec":
+        for name, m in (("phi", phi), ("psi", psi)):
             if not m.is_unimodular():
                 raise NotUnimodular(f"{name} = {m} has determinant {m.det()}")
+        return super().__new__(cls, phi, psi)
+
+    # _replace builds through _make, which would skip the check above.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     @classmethod
     def from_dict(cls, data: object) -> "BraceSpec":
@@ -121,8 +136,7 @@ class BraceSpec:
         return f"(phi={self.phi}, psi={self.psi})"
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of check_pair.
 
     power_identities holds the four entry-exponent conditions
@@ -183,8 +197,9 @@ def _power_identities(
     commuting: bool,
     phi_big: bool,
     psi_big: bool,
-) -> tuple[bool, bool, bool, bool]:
-    """The four power identities of the pair with entries phi and psi.
+) -> Iterator[bool]:
+    """The four power identities of the pair with entries phi and psi,
+    yielded one at a time in generator order.
 
     phi_power and psi_power are the pair's power maps (Mat2.power_map),
     commuting says whether the pair commutes and phi_big, psi_big whether
@@ -194,32 +209,26 @@ def _power_identities(
     The identity is false if big_k != big_l, or if both hold on a pair
     that does not commute; otherwise it is phi^k psi^l, multiplied out
     from the two power maps, compared with E.  So a hyperbolic power is
-    taken only on a commuting pair of two hyperbolic matrices.  Nothing
-    else decides the identities: check_pair and the exhaustive search both
-    call this.
+    taken only on a commuting pair of two hyperbolic matrices.  An
+    identity is decided only when it is drawn, so all() stops at the first
+    false one.  Nothing else decides the identities: check_pair and the
+    exhaustive search both call this.
     """
-
-    def holds(k, l):
+    p11, p12, p21, p22 = phi
+    q11, q12, q21, q22 = psi
+    for k, l in ((p11 - 1, p21), (p12, p22 - 1), (q11 - 1, q21), (q12, q22 - 1)):
         big = phi_big and k != 0
         if big != (psi_big and l != 0) or (big and not commuting):
-            return False
+            yield False
+            continue
         a11, a12, a21, a22 = phi_power(k)
         b11, b12, b21, b22 = psi_power(l)
-        return (
+        yield (
             a11 * b11 + a12 * b21 == 1
             and a21 * b12 + a22 * b22 == 1
             and a11 * b12 + a12 * b22 == 0
             and a21 * b11 + a22 * b21 == 0
         )
-
-    p11, p12, p21, p22 = phi
-    q11, q12, q21, q22 = psi
-    return (
-        holds(p11 - 1, p21),
-        holds(p12, p22 - 1),
-        holds(q11 - 1, q21),
-        holds(q12, q22 - 1),
-    )
 
 
 def check_pair(spec: BraceSpec) -> Verdict:
@@ -233,19 +242,20 @@ def check_pair(spec: BraceSpec) -> Verdict:
     hold exactly; the exponents (k, l) of each condition are a column of
     phi - E or psi - E.  Commutation is gl2z.commutes.  The conditions are
     decided by _power_identities, from the pair's two power maps and
-    hyperbolic flags (Mat2.is_hyperbolic), built here once per pair.
+    hyperbolic flags (Mat2.is_hyperbolic), built here once per pair; all
+    four are drawn, so the verdict names each one.
     """
-    phi, psi = spec.phi, spec.psi
+    phi, psi = spec
     commuting = commutes(phi, psi)
-    power = _power_identities(
-        phi.entries(),
-        psi.entries(),
+    power = tuple(_power_identities(
+        phi,
+        psi,
         phi.power_map(),
         psi.power_map(),
         commuting,
         phi.is_hyperbolic(),
         psi.is_hyperbolic(),
-    )
+    ))
     return Verdict(
         valid=commuting and all(power), commuting=commuting, power_identities=power
     )

@@ -20,19 +20,26 @@ block 3 = (-1, 1), block 4 = (-1, -1).  This module provides
     recovery and rebuilt by its constructor, on entry 4-tuples
     (generated_row_instances wraps them in BraceSpecs), and that one
     member list serves both directions: the forward labels of each valid
-    pair are read off it by a join on entry tuples, and the members the
-    forward scan already found valid are not checked again,
+    pair are read off it by a join on entry tuples, which a pair of Mat2s
+    already is, and the members the forward scan already found valid are
+    not checked again,
   * an order-classification cross-check over the same box
     (orders_crosscheck).
 
 Each family has one constructor and one recoverer, both on entry 4-tuples
 (a11, a12, a21, a22).  A constructor (_CONSTRUCTORS) takes the plain
-parameters and returns (phi entries, psi entries), or raises BadParams; a
-recoverer returns the plain parameters, or None.  generate_row checks a
+parameters and returns (phi entries, psi entries) as plain tuples, or
+raises BadParams; a recoverer reads any entry 4-tuple, a Mat2 included,
+and returns the plain parameters, or None.  generate_row checks a
 RowParams against the family's signature (_SIGNATURES), calls the
 constructor and wraps the pair in a BraceSpec; row_membership recovers
-and compares the regenerated entry tuples; the search calls both on the
-entries of its in-class matrices and builds no BraceSpec for a member.
+from the pair's matrices and compares the regenerated entries with them;
+the search calls both on its in-class matrices and builds no BraceSpec
+for a member.  A Mat2 equals and hashes as its entry tuple, so the plain
+pairs a constructor returns join directly with pairs of Mat2s.
+
+RowParams and SearchReport are NamedTuples like Mat2; RowParams checks
+its signs in the __new__ of a subclass of its NamedTuple fields.
 
 Families 1.1 and 1.2 are written out; the other ten are rows of two
 tables.  In a square-root family (_ROOT_FAMILIES: 1.3, 1.4, 2.1, 2.2, 3.1,
@@ -53,7 +60,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import partial
 from itertools import product
@@ -147,8 +153,16 @@ def row_label(value: str) -> RowLabel:
         raise BadParams(f"unknown family label {value!r}") from None
 
 
-@dataclass(frozen=True, slots=True)
-class RowParams:
+class _RowParamsFields(NamedTuple):
+    m: int | None = None
+    p: int | None = None
+    q: int | None = None
+    n: int | None = None
+    sign1: int | None = None
+    sign2: int | None = None
+
+
+class RowParams(_RowParamsFields):
     """Family parameters; which fields apply depends on the label.
 
     1.1: sign1, sign2            1.2: m, p, q (gcd(p, q) = 1)
@@ -160,21 +174,18 @@ class RowParams:
     A family's constructor rejects every other field that is set.
     """
 
-    m: int | None = None
-    p: int | None = None
-    q: int | None = None
-    n: int | None = None
-    sign1: int | None = None
-    sign2: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "RowParams":
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("sign1", "sign2"):
             value = getattr(self, name)
             if value is not None and value not in (1, -1):
                 raise BadParams(f"{name} must be +1 or -1, got {value}")
+        return self
 
-
-_PARAM_NAMES = tuple(f.name for f in fields(RowParams))
+    # _replace builds through _make, which would skip the check above.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 #: An entry 4-tuple (a11, a12, a21, a22), the form the family
@@ -189,7 +200,7 @@ def _need(params: RowParams, label: RowLabel) -> list[int | None]:
     names, optional = _SIGNATURES[label]
     stray = [
         name
-        for name in _PARAM_NAMES
+        for name in RowParams._fields
         if getattr(params, name) is not None and name not in names and name not in optional
     ]
     if stray:
@@ -449,7 +460,7 @@ def row12_parameters(spec: BraceSpec) -> tuple[int, int, int] | None:
     pair reports (0, 1, 0).  The parameters are read off the pair by
     _recover_1_2 and must regenerate it exactly.
     """
-    return _member_params(RowLabel.R1_2, spec.phi.entries(), spec.psi.entries())
+    return _member_params(RowLabel.R1_2, *spec)
 
 
 _BLOCK_LABELS = {
@@ -469,10 +480,10 @@ def row_membership(spec: BraceSpec) -> set[RowLabel]:
     1.1 and 1.2 (with m = 0).  Membership does not require the pair to be
     valid.
     """
-    phi, psi = spec.phi.entries(), spec.psi.entries()
+    phi, psi = spec
     return {
         label
-        for label in _BLOCK_LABELS[spec.phi.det(), spec.psi.det()]
+        for label in _BLOCK_LABELS[phi.det(), psi.det()]
         if _member_params(label, phi, psi) is not None
     }
 
@@ -520,8 +531,8 @@ def _row_instances(
     has four members, and 1.2 bounds |m| by bound / max(|p|, |q|)^3 for
     each coprime (p, q) in canonical form.  The ten table families are
     read off in_class: for each m of it and each table family whose M has
-    m's (det, trace), the family's recoverer reads its parameters off m's
-    entries as M.  Every candidate is built by the raw family constructor
+    m's (det, trace), the family's recoverer reads its parameters off m
+    as M.  Every candidate is built by the raw family constructor
     on entry tuples, not by generate_row, so validity is left to the
     caller and a wrong constructor shows up as an invalid instance.
     Deduplicated per (label, pair) and sorted lexicographically, so the
@@ -569,9 +580,8 @@ def _row_instances(
         for key, labels in _TABLE_LABELS.items()
     }
     for m in in_class:
-        entries = m.entries()
         for recover, build, members in tables.get((m.det(), m.trace()), ()):
-            params = recover(entries)
+            params = recover(m)
             if params is not None:
                 add(build, params, members)
     # RowLabel lists the families in the order of their dotted labels.
@@ -597,8 +607,7 @@ def generated_row_instances(bound: int) -> list[tuple[RowLabel, BraceSpec]]:
     ]
 
 
-@dataclass
-class SearchReport:
+class SearchReport(NamedTuple):
     """Outcome of the bidirectional exhaustive cross-validation.
 
     The classification is confirmed at this bound iff unmatched_valid and
@@ -609,9 +618,9 @@ class SearchReport:
     bound: int
     candidates_examined: int
     valid_pairs: int
-    unmatched_valid: list[BraceSpec] = field(default_factory=list)
-    invalid_row_instances: list[tuple[RowLabel, BraceSpec]] = field(default_factory=list)
-    row_histogram: dict[RowLabel, int] = field(default_factory=dict)
+    unmatched_valid: list[BraceSpec]
+    invalid_row_instances: list[tuple[RowLabel, BraceSpec]]
+    row_histogram: dict[RowLabel, int]
 
     @property
     def confirms_classification(self) -> bool:
@@ -693,19 +702,20 @@ def _search_partners(
     if phi.trace() == 2:
         # a holds the entries of A = phi - E, (c1, c2) its first column
         # with c2 != 0 if any.  c1 = 0 solves B = 0, psi = E.
-        a = (phi.a11 - 1, phi.a12, phi.a21, phi.a22 - 1)
+        a11, a12, a21, a22 = phi
+        a = (a11 - 1, a12, a21, a22 - 1)
         c1, c2 = (a[0], a[2]) if a[2] else (a[1], a[3])
         if c2 and c1 and not any(c1 * e % c2 for e in a):
             b11, b12, b21, b22 = (-c1 * e // c2 for e in a)
             psi = Mat2(1 + b11, b12, b21, 1 + b22)
-            if max(map(abs, psi.entries())) <= bound:
-                return sorted((IDENTITY, psi), key=Mat2.entries)
+            if max(map(abs, psi)) <= bound:
+                return sorted((IDENTITY, psi))
         return [IDENTITY]
     # -phi and phi^-1 = adj(phi) have the entries of phi up to sign and
     # place, so every finite-order partner already lies in the box.
     if phi.det() == 1:
-        return sorted((IDENTITY, phi, phi.inverse()), key=Mat2.entries)
-    return sorted((IDENTITY, phi, _NEG_IDENTITY, -phi), key=Mat2.entries)
+        return sorted((IDENTITY, phi, phi.inverse()))
+    return sorted((IDENTITY, phi, _NEG_IDENTITY, -phi))
 
 
 def exhaustive_search(bound: int) -> SearchReport:
@@ -723,14 +733,17 @@ def exhaustive_search(bound: int) -> SearchReport:
     |U_B|^2.  Unmatched pairs come out in the lexicographic order of
     enumerate_unimodular.
 
-    The whole search works on entry 4-tuples.  Each in-class matrix gets
-    one power map, built once, and each pair that commutes is decided by
+    The whole search works on the Mat2s the listing yields, each of which
+    is its own entry tuple: the in-class list, the power-map keys, the
+    partners, the valid pairs and the join hold those matrices, with no
+    second representation.  Each in-class matrix gets one power map,
+    built once, and each pair that commutes is decided by
     brace._power_identities, the decider check_pair wraps, from the two
-    cached maps.  The member list holds entry-tuple pairs too, so the
-    valid pairs, the member keys, the join and the histogram are plain
-    tuples, and a BraceSpec is built only for a pair the report lists
-    (and for a member the forward scan did not find valid, which
-    check_pair then decides).
+    cached maps; the scan stops at the pair's first false identity.  The
+    member list holds the constructors' plain entry-tuple pairs, which
+    equal and hash as the Mat2 pairs they join with.  A BraceSpec is
+    built only for a pair the report lists (and for a member the forward
+    scan did not find valid, which check_pair then decides).
 
     Both directions read one list, _row_instances(bound, in_class): every
     in-box family member with its label, read off the in-class matrices
@@ -754,20 +767,18 @@ def exhaustive_search(bound: int) -> SearchReport:
         if _in_pair_class(m):
             in_class.append(m)
     involutions = [m for m in in_class if m * m == IDENTITY]
-    # One power map per in-class matrix, keyed by its entries.  Both
-    # hyperbolic flags are False: _in_pair_class excludes every hyperbolic
-    # matrix, so no search pair has one.
-    power = {m.entries(): m.power_map() for m in in_class}
-    found: list[tuple] = []
+    # One power map per in-class matrix.  Both hyperbolic flags are False:
+    # _in_pair_class excludes every hyperbolic matrix, so no search pair
+    # has one.
+    power = {m: m.power_map() for m in in_class}
+    found: list[tuple[Mat2, Mat2]] = []
     for phi in in_class:
-        p = phi.entries()
-        phi_power = power[p]
+        phi_power = power[phi]
         for psi in _search_partners(phi, bound, in_class, involutions):
-            q = psi.entries()
             if commutes(phi, psi) and all(
-                _power_identities(p, q, phi_power, power[q], True, False, False)
+                _power_identities(phi, psi, phi_power, power[psi], True, False, False)
             ):
-                found.append((p, q))
+                found.append((phi, psi))
     valid = set(found)
     members = _row_instances(bound, in_class)
     listed = {pair for _, pair in members}
@@ -782,9 +793,7 @@ def exhaustive_search(bound: int) -> SearchReport:
         bound=bound,
         candidates_examined=box_size**2,
         valid_pairs=len(valid),
-        unmatched_valid=[
-            BraceSpec(Mat2(*p), Mat2(*q)) for p, q in found if (p, q) not in listed
-        ],
+        unmatched_valid=[BraceSpec(p, q) for p, q in found if (p, q) not in listed],
         invalid_row_instances=invalid_instances,
         row_histogram=dict(Counter(label for label, pair in members if pair in valid)),
     )

@@ -10,12 +10,20 @@ and non-unimodular matrices.  Mat2.__pow__ is that map applied once.
 
 Everything works on plain Python integers, so every result is exact; there
 is no floating point and no fixed-width wraparound anywhere.
+
+A Mat2 is a typing.NamedTuple: the matrix is its own entry tuple
+(a11, a12, a21, a22), and it hashes, compares and sorts as that tuple, so
+callers key dicts, join sets and sort lists on matrices with no second
+representation.  The tuple operators that mean nothing for a matrix,
+concatenation and repetition by an integer, raise TypeError.  MatOrder
+validates in its constructor: a NamedTuple base holds the field, and a
+subclass with a checking __new__ (which NamedTuple forbids in its own body)
+is the public type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 __all__ = [
     "FINITE_ORDERS",
@@ -41,9 +49,25 @@ _FINITE_ORDER = {(-1, 0): 2, (1, -1): 3, (1, 0): 4, (1, 1): 6}
 FINITE_ORDERS = (1, *sorted(set(_FINITE_ORDER.values())))
 
 
-@dataclass(frozen=True, slots=True)
-class Mat2:
-    """2x2 integer matrix ((a11, a12), (a21, a22)), immutable and hashable."""
+def _undefined(self, other):
+    # A tuple operator that means nothing for a matrix or a vector.
+    return NotImplemented
+
+
+def _no_concatenation(self, other):
+    # __radd__ of a matrix or vector: returning NotImplemented would let a
+    # plain tuple on the left of + concatenate with it.
+    raise TypeError(
+        f"unsupported operand type(s) for +: '{type(other).__name__}' and '{type(self).__name__}'"
+    )
+
+
+class Mat2(NamedTuple):
+    """2x2 integer matrix ((a11, a12), (a21, a22)), immutable and hashable.
+
+    The matrix is the tuple (a11, a12, a21, a22): it hashes and compares
+    as that tuple and sorts lexicographically by its entries.
+    """
 
     a11: int
     a12: int
@@ -72,10 +96,12 @@ class Mat2:
         return [[self.a11, self.a12], [self.a21, self.a22]]
 
     def entries(self) -> tuple[int, int, int, int]:
-        return (self.a11, self.a12, self.a21, self.a22)
+        """The entries as a plain tuple, not a Mat2."""
+        return tuple(self)
 
     def det(self) -> int:
-        return self.a11 * self.a22 - self.a12 * self.a21
+        a11, a12, a21, a22 = self
+        return a11 * a22 - a12 * a21
 
     def trace(self) -> int:
         return self.a11 + self.a22
@@ -97,25 +123,32 @@ class Mat2:
 
     def inverse(self) -> "Mat2":
         """Exact inverse: the adjugate for det +1, its negative for det -1."""
-        d = self.det()
+        a11, a12, a21, a22 = self
+        d = a11 * a22 - a12 * a21
         if d == 1:
-            return Mat2(self.a22, -self.a12, -self.a21, self.a11)
+            return Mat2(a22, -a12, -a21, a11)
         if d == -1:
-            return Mat2(-self.a22, self.a12, self.a21, -self.a11)
+            return Mat2(-a22, a12, a21, -a11)
         raise NotUnimodular(f"{self} has determinant {d}, no integer inverse")
 
     def __mul__(self, other: "Mat2") -> "Mat2":
         if not isinstance(other, Mat2):
             return NotImplemented
+        a11, a12, a21, a22 = self
+        b11, b12, b21, b22 = other
         return Mat2(
-            self.a11 * other.a11 + self.a12 * other.a21,
-            self.a11 * other.a12 + self.a12 * other.a22,
-            self.a21 * other.a11 + self.a22 * other.a21,
-            self.a21 * other.a12 + self.a22 * other.a22,
+            a11 * b11 + a12 * b21,
+            a11 * b12 + a12 * b22,
+            a21 * b11 + a22 * b21,
+            a21 * b12 + a22 * b22,
         )
 
+    __add__ = __rmul__ = _undefined
+    __radd__ = _no_concatenation
+
     def __neg__(self) -> "Mat2":
-        return Mat2(-self.a11, -self.a12, -self.a21, -self.a22)
+        a11, a12, a21, a22 = self
+        return Mat2(-a11, -a12, -a21, -a22)
 
     def power_map(self) -> Callable[[int], tuple[int, int, int, int]]:
         """The map k -> entries (a11, a12, a21, a22) of self^k, any sign of k.
@@ -140,7 +173,8 @@ class Mat2:
         d, t = self.det(), self.trace()
         if d == 1 and t in (2, -2):
             s = t // 2
-            n11, n12, n21, n22 = s * self.a11 - 1, s * self.a12, s * self.a21, s * self.a22 - 1
+            a11, a12, a21, a22 = self
+            n11, n12, n21, n22 = s * a11 - 1, s * a12, s * a21, s * a22 - 1
 
             def power(k):
                 e = s if k & 1 else 1
@@ -187,8 +221,11 @@ IDENTITY = Mat2(1, 0, 0, 1)
 _NEG_IDENTITY = -IDENTITY
 
 
-@dataclass(frozen=True, slots=True)
-class MatOrder:
+class _MatOrderFields(NamedTuple):
+    n: int | None
+
+
+class MatOrder(_MatOrderFields):
     """Multiplicative order of a GL2(Z) element: finite n, or infinite (n is None).
 
     Only 1, 2, 3, 4 and 6 occur as finite orders in GL2(Z); any other finite
@@ -196,11 +233,15 @@ class MatOrder:
     being carried along.
     """
 
-    n: int | None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n is not None and self.n not in FINITE_ORDERS:
-            raise ValueError(f"{self.n} is not a finite order of a GL2(Z) element")
+    def __new__(cls, n: int | None) -> "MatOrder":
+        if n is not None and n not in FINITE_ORDERS:
+            raise ValueError(f"{n} is not a finite order of a GL2(Z) element")
+        return super().__new__(cls, n)
+
+    # _replace builds through _make, which would skip the check above.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     @classmethod
     def finite(cls, n: int) -> "MatOrder":
@@ -262,10 +303,8 @@ def commutes(a: Mat2, b: Mat2) -> bool:
     b12 (a11 - a22) - a12 (b11 - b22) and the lower entry
     a21 (b11 - b22) - b21 (a11 - a22), so it vanishes iff these three do.
     """
-    da, db = a.a11 - a.a22, b.a11 - b.a22
-    return (
-        a.a12 * b.a21 == a.a21 * b.a12
-        and a.a12 * db == b.a12 * da
-        and a.a21 * db == b.a21 * da
-    )
+    a11, a12, a21, a22 = a
+    b11, b12, b21, b22 = b
+    da, db = a11 - a22, b11 - b22
+    return a12 * b21 == a21 * b12 and a12 * db == b12 * da and a21 * db == b21 * da
 

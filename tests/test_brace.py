@@ -291,9 +291,10 @@ class TestLambdaMap:
 
 def decided_verdict(phi, psi):
     # The verdict read off _power_identities with flags from is_hyperbolic
-    # and power maps built for this call alone.
+    # and power maps built for this call alone; the decider yields its
+    # truths lazily, so all four are drawn here.
     commuting = commutes(phi, psi)
-    power = _power_identities(
+    power = tuple(_power_identities(
         phi.entries(),
         psi.entries(),
         phi.power_map(),
@@ -301,7 +302,7 @@ def decided_verdict(phi, psi):
         commuting,
         phi.is_hyperbolic(),
         psi.is_hyperbolic(),
-    )
+    ))
     return Verdict(
         valid=commuting and all(power), commuting=commuting, power_identities=power
     )
@@ -321,6 +322,24 @@ class TestPowerIdentities:
     def test_matches_check_pair_on_hyperbolic_pairs(self, bits):
         for phi, psi in hyperbolic_test_pairs(bits):
             assert decided_verdict(phi, psi) == check_pair(BraceSpec(phi, psi)), (phi, psi)
+
+    def test_identities_are_decided_as_they_are_drawn(self):
+        # For (shear, E) the first identity, phi^0 psi^0 = E, holds and the
+        # second, phi^1 psi^0 = E, fails: all() takes two powers of phi and
+        # stops there, where check_pair's tuple() draws all four.
+        shear = Mat2(1, 1, 0, 1)
+        for draw, verdict, taken in ((all, False, 2), (tuple, (True, False, True, True), 4)):
+            exponents = []
+            phi_power = shear.power_map()
+
+            def recording_power(k):
+                exponents.append(k)
+                return phi_power(k)
+
+            assert draw(_power_identities(
+                shear, IDENTITY, recording_power, IDENTITY.power_map(), True, False, False
+            )) == verdict
+            assert len(exponents) == taken
 
 
 # The finite-order matrices of GL2(Z) up to conjugation, other than +-E:

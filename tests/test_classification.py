@@ -12,7 +12,6 @@ import signal
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import fields, replace
 from itertools import product
 
 import pytest
@@ -208,11 +207,11 @@ class TestGenerators:
         # Each family rejects every parameter outside its signature, and the
         # message names it.
         for label, params in ROW_FIXTURE_PARAMS.items():
-            unset = [f.name for f in fields(params) if getattr(params, f.name) is None]
+            unset = [name for name in params._fields if getattr(params, name) is None]
             assert unset, label
             for name in unset:
                 with pytest.raises(BadParams, match=f"takes no parameter {name}$"):
-                    generate_row(label, replace(params, **{name: 1}))
+                    generate_row(label, params._replace(**{name: 1}))
 
     def test_soundness_over_parameter_grid(self):
         # Every constructible member with |parameters| <= 3 is valid and
@@ -904,6 +903,74 @@ class TestExhaustiveSearch:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             exhaustive_search(0)
+
+
+#: The 8 signed permutation matrices g, which preserve every entry box.
+SIGNED_PERMUTATIONS = [
+    *(Mat2(e1, 0, 0, e2) for e1 in (1, -1) for e2 in (1, -1)),
+    *(Mat2(0, e2, e1, 0) for e1 in (1, -1) for e2 in (1, -1)),
+]
+
+#: The labels the transport by the swap [[0, 1], [1, 0]] exchanges, and
+#: those the transport by diag(1, -1) exchanges; pinned from the transports.
+SWAP_EXCHANGES = {"1.3": "1.4", "2.1": "3.1", "2.2": "3.2"}
+REFLECTION_EXCHANGES = {"1.5": "1.6"}
+
+
+def transport(g, phi, psi):
+    # The pair of the brace carried along the additive automorphism g:
+    # phi' = g^-1 phi^g11 psi^g21 g and psi' = g^-1 phi^g12 psi^g22 g.
+    g11, g12, g21, g22 = g
+    h = g.inverse()
+    return h * phi**g11 * psi**g21 * g, h * phi**g12 * psi**g22 * g
+
+
+def label_permutation(g):
+    # g = P diag(e1, e2) with P the identity or the swap.  The transport
+    # exchanges the swap's labels when P is the swap, and diag(1, -1)'s when
+    # e1 != e2, that is when the two nonzero entries of g differ in sign.
+    exchanges = {}
+    if g.a12:
+        exchanges.update(SWAP_EXCHANGES)
+    if sum(g) == 0:
+        exchanges.update(REFLECTION_EXCHANGES)
+    both_ways = {**exchanges, **{b: a for a, b in exchanges.items()}}
+    return {label: row_label(both_ways.get(label.value, label.value)) for label in RowLabel}
+
+
+class TestBoxSymmetries:
+    """The signed permutation matrices g preserve the entry box, and so do
+    the pairs they transport: the transport conjugates by g and takes
+    phi^+-1 or psi^+-1, and an inverse has the |entries| of its matrix.  So
+    each box's valid pairs are closed under the 8 transports, which
+    permute the family labels."""
+
+    @pytest.mark.parametrize(
+        "bound, pairs, orbits", [(4, 226, 62), (8, 522, 133), (12, 874, 221)]
+    )
+    def test_valid_pairs_closed_under_signed_permutations(self, bound, pairs, orbits):
+        in_class, partners = TestExhaustiveSearch.partner_rule(bound)
+        valid = {
+            (phi, psi)
+            for phi in in_class
+            for psi in partners(phi)
+            if check_pair(BraceSpec(phi, psi)).valid
+        }
+        assert len(valid) == pairs == exhaustive_search(bound).valid_pairs
+        relabel = {g: label_permutation(g) for g in SIGNED_PERMUTATIONS}
+        orbit_sets = set()
+        for phi, psi in valid:
+            labels = row_membership(BraceSpec(phi, psi))
+            orbit = set()
+            for g in SIGNED_PERMUTATIONS:
+                image = transport(g, phi, psi)
+                assert image in valid, (g, phi, psi)
+                assert row_membership(BraceSpec(*image)) == {
+                    relabel[g][label] for label in labels
+                }, (g, phi, psi)
+                orbit.add(image)
+            orbit_sets.add(frozenset(orbit))
+        assert len(orbit_sets) == orbits
 
 
 class TestOrdersCrosscheck:
