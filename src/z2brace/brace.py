@@ -11,10 +11,11 @@ must all hold.
 lambda is read off the power maps of phi and psi (Mat2.power_map).
 lambda_map takes both once per pair and returns a -> entries of lambda_a
 as plain integers; lambda_of wraps the same map in a Mat2.  The four
-identities are decided in one place, _power_identities, which multiplies
-phi^k psi^l out of two power maps and yields the truths one at a time.
-check_pair calls it with the pair's own two power maps and hyperbolic
-flags, built once per call, and keeps all four truths;
+identities are decided in one place, _power_identities, which reads each
+phi^k psi^l = E as phi^k = psi^(-l): it compares the two powers from the
+two power maps, forms no product of them, and yields the truths one at a
+time.  check_pair calls it with the pair's own two power maps and
+hyperbolic flags, built once per call, and keeps all four truths;
 classification.exhaustive_search calls it with one power map per in-class
 matrix, built once per search, and both flags false, and stops at the
 first false identity.
@@ -26,9 +27,9 @@ hyperbolic matrix is hyperbolic and no power of any other matrix is
 psi^l are both hyperbolic powers or neither is.  Two equal hyperbolic
 powers X commute with phi and with psi, and the centralizer of the
 non-scalar X is commutative, so phi and psi commute.  Every other
-identity is multiplied out without a hyperbolic power, in O(1) at any
-entry size; only a commuting pair of two hyperbolic matrices still takes
-powers whose cost grows with its entries.
+identity compares phi^k with psi^(-l) without a hyperbolic power, in O(1)
+at any entry size; only a commuting pair of two hyperbolic matrices still
+takes powers whose cost grows with its entries.
 
 The module holds the paper's objects and the verdict, all NamedTuples
 like Mat2: a Vec2 is its coordinate tuple, and BraceSpec checks its two
@@ -207,12 +208,14 @@ def _power_identities(
     column of phi - E or psi - E, goes through one rule.  Let big_k say
     that phi is hyperbolic and k != 0, and big_l the same for psi and l.
     The identity is false if big_k != big_l, or if both hold on a pair
-    that does not commute; otherwise it is phi^k psi^l, multiplied out
-    from the two power maps, compared with E.  So a hyperbolic power is
-    taken only on a commuting pair of two hyperbolic matrices.  An
-    identity is decided only when it is drawn, so all() stops at the first
-    false one.  Nothing else decides the identities: check_pair and the
-    exhaustive search both call this.
+    that does not commute; otherwise it holds iff phi^k = psi^(-l), two
+    entry tuples from the power maps compared as they are, so no product
+    is formed and the comparison stops at the first entry that differs.
+    Every power map takes negative exponents (Mat2.power_map).  So a
+    hyperbolic power is taken only on a commuting pair of two hyperbolic
+    matrices.  An identity is decided only when it is drawn, so all()
+    stops at the first false one.  Nothing else decides the identities:
+    check_pair and the exhaustive search both call this.
     """
     p11, p12, p21, p22 = phi
     q11, q12, q21, q22 = psi
@@ -221,14 +224,7 @@ def _power_identities(
         if big != (psi_big and l != 0) or (big and not commuting):
             yield False
             continue
-        a11, a12, a21, a22 = phi_power(k)
-        b11, b12, b21, b22 = psi_power(l)
-        yield (
-            a11 * b11 + a12 * b21 == 1
-            and a21 * b12 + a22 * b22 == 1
-            and a11 * b12 + a12 * b22 == 0
-            and a21 * b11 + a22 * b21 == 0
-        )
+        yield phi_power(k) == psi_power(-l)
 
 
 def check_pair(spec: BraceSpec) -> Verdict:
@@ -241,9 +237,9 @@ def check_pair(spec: BraceSpec) -> Verdict:
 
     hold exactly; the exponents (k, l) of each condition are a column of
     phi - E or psi - E.  Commutation is gl2z.commutes.  The conditions are
-    decided by _power_identities, from the pair's two power maps and
-    hyperbolic flags (Mat2.is_hyperbolic), built here once per pair; all
-    four are drawn, so the verdict names each one.
+    decided by _power_identities, each as phi^k = psi^(-l), from the pair's
+    two power maps and hyperbolic flags (Mat2.is_hyperbolic), built here
+    once per pair; all four are drawn, so the verdict names each one.
     """
     phi, psi = spec
     commuting = commutes(phi, psi)

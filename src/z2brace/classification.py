@@ -70,7 +70,6 @@ from .gl2z import (
     _NEG_IDENTITY,
     IDENTITY,
     Mat2,
-    commutes,
     order_by_iteration,
     order_by_predicate,
 )
@@ -171,16 +170,18 @@ class RowParams(_RowParamsFields):
     4.1: m, n, plus p exactly when m = n (m = n in {0, -1}), where the
          division that fixes h reads h * 0 = 0.
 
-    A family's constructor rejects every other field that is set.
+    A family's constructor rejects every other field that is set.  A set
+    field must be a plain int (not a bool), or BadParams names it.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> "RowParams":
         self = super().__new__(cls, *args, **kwargs)
-        for name in ("sign1", "sign2"):
-            value = getattr(self, name)
-            if value is not None and value not in (1, -1):
+        for name, value in zip(self._fields, self):
+            if value is not None and type(value) is not int:
+                raise BadParams(f"{name} must be an integer, got {value!r}")
+            if name in ("sign1", "sign2") and value not in (None, 1, -1):
                 raise BadParams(f"{name} must be +1 or -1, got {value}")
         return self
 
@@ -693,7 +694,8 @@ def _search_partners(
         -E and -phi.  An order-3 phi keeps E, phi and phi^2 = phi^-1: -phi
         and -phi^-1 have trace 1, order 6, and lie in no class, and the -E
         rule drops -E because phi phi != E.
-    Every pair these rules leave is still decided in full.
+    Each partner left is E, -E, +-phi, phi^-1 or E + cA beside phi = E + A,
+    so it commutes with phi; its four power identities are decided in full.
     """
     if phi == IDENTITY:
         return in_class
@@ -737,13 +739,14 @@ def exhaustive_search(bound: int) -> SearchReport:
     is its own entry tuple: the in-class list, the power-map keys, the
     partners, the valid pairs and the join hold those matrices, with no
     second representation.  Each in-class matrix gets one power map,
-    built once, and each pair that commutes is decided by
-    brace._power_identities, the decider check_pair wraps, from the two
-    cached maps; the scan stops at the pair's first false identity.  The
-    member list holds the constructors' plain entry-tuple pairs, which
-    equal and hash as the Mat2 pairs they join with.  A BraceSpec is
-    built only for a pair the report lists (and for a member the forward
-    scan did not find valid, which check_pair then decides).
+    built once, and each pair is decided by brace._power_identities, the
+    decider check_pair wraps, from the two cached maps, with no commutation
+    test (every partner commutes with phi); the scan stops at the pair's
+    first false identity.  The member list holds the constructors' plain
+    entry-tuple pairs, which equal and hash as the Mat2 pairs they join
+    with.  A BraceSpec is built only for a pair the report lists (and for
+    a member the forward scan did not find valid, which check_pair then
+    decides).
 
     Both directions read one list, _row_instances(bound, in_class): every
     in-box family member with its label, read off the in-class matrices
@@ -775,9 +778,7 @@ def exhaustive_search(bound: int) -> SearchReport:
     for phi in in_class:
         phi_power = power[phi]
         for psi in _search_partners(phi, bound, in_class, involutions):
-            if commutes(phi, psi) and all(
-                _power_identities(phi, psi, phi_power, power[psi], True, False, False)
-            ):
+            if all(_power_identities(phi, psi, phi_power, power[psi], True, False, False)):
                 found.append((phi, psi))
     valid = set(found)
     members = _row_instances(bound, in_class)

@@ -52,6 +52,24 @@ def hyperbolic_test_pairs(bits):
     )
 
 
+def commuting_power_pairs(a):
+    # The commuting pairs (M^i, M^j), i, j in [-2, 2], of the hyperbolic
+    # M = [[a, a+1], [a-1, a]]: psi^-l goes through inverse() wherever
+    # l > 0, and identities hold where i or j is 0.
+    m = Mat2(a, a + 1, a - 1, a)
+    return [(m**i, m**j) for i in range(-2, 3) for j in range(-2, 3)]
+
+
+def hyperbolic_inputs(bit_sizes):
+    # hyperbolic_test_pairs at each size, with the size as its id, then the
+    # commuting powers at a = 10 and 22, whose entries reach 2a(a+1) = 220
+    # and 1012: pairs of 8 and 10 bits.
+    return [pytest.param(hyperbolic_test_pairs(bits), id=str(bits)) for bits in bit_sizes] + [
+        pytest.param(commuting_power_pairs(a), id=f"powers-{bits}-bit")
+        for a, bits in ((10, 8), (22, 10))
+    ]
+
+
 vectors = st.builds(Vec2, st.integers(-4, 4), st.integers(-4, 4))
 valid_specs = st.sampled_from(ALL_FIXTURE_SPECS)
 
@@ -196,9 +214,9 @@ class TestSharedEvaluation:
                 spec = BraceSpec(phi, psi)
                 assert check_pair(spec) == direct_products_check_pair(spec), spec
 
-    @pytest.mark.parametrize("bits", range(8, 13))
-    def test_matches_two_reading_verdicts_on_hyperbolic_pairs(self, bits):
-        for phi, psi in hyperbolic_test_pairs(bits):
+    @pytest.mark.parametrize("pairs", hyperbolic_inputs(range(8, 13)))
+    def test_matches_two_reading_verdicts_on_hyperbolic_pairs(self, pairs):
+        for phi, psi in pairs:
             spec = BraceSpec(phi, psi)
             assert check_pair(spec) == direct_products_check_pair(spec), spec
 
@@ -282,9 +300,9 @@ class TestLambdaMap:
                 spec = BraceSpec(phi, psi)
                 assert check_pair(spec) == squared_check_pair(spec), spec
 
-    @pytest.mark.parametrize("bits", range(10, 15))
-    def test_check_pair_matches_the_entry_reading_on_hyperbolic_pairs(self, bits):
-        for phi, psi in hyperbolic_test_pairs(bits):
+    @pytest.mark.parametrize("pairs", hyperbolic_inputs(range(10, 15)))
+    def test_check_pair_matches_the_entry_reading_on_hyperbolic_pairs(self, pairs):
+        for phi, psi in pairs:
             spec = BraceSpec(phi, psi)
             assert check_pair(spec) == squared_check_pair(spec), spec
 
@@ -318,9 +336,9 @@ class TestPowerIdentities:
             for psi in BOX_3:
                 assert decided_verdict(phi, psi) == check_pair(BraceSpec(phi, psi)), (phi, psi)
 
-    @pytest.mark.parametrize("bits", range(8, 15))
-    def test_matches_check_pair_on_hyperbolic_pairs(self, bits):
-        for phi, psi in hyperbolic_test_pairs(bits):
+    @pytest.mark.parametrize("pairs", hyperbolic_inputs(range(8, 15)))
+    def test_matches_check_pair_on_hyperbolic_pairs(self, pairs):
+        for phi, psi in pairs:
             assert decided_verdict(phi, psi) == check_pair(BraceSpec(phi, psi)), (phi, psi)
 
     def test_identities_are_decided_as_they_are_drawn(self):

@@ -8,6 +8,7 @@ frozen so regressions are caught even if both sides drift together.
 
 import hashlib
 import math
+import random
 import signal
 import time
 from collections import Counter
@@ -58,6 +59,13 @@ GOLDEN_HISTOGRAM_BOUND2 = {
     "1.1": 4, "1.2": 13, "1.3": 0, "1.4": 0, "1.5": 2, "1.6": 2,
     "2.1": 14, "2.2": 10, "3.1": 14, "3.2": 10, "4.1": 12, "4.2": 10,
 }
+
+#: The pairs the search decides, phi with each of its partners, at the
+#: bounds 1 to 20; recorded from the partner rule.
+PARTNER_COUNTS = [
+    100, 168, 316, 448, 564, 680, 860, 1096, 1244, 1360,
+    1476, 1704, 1884, 2000, 2212, 2480, 2596, 2744, 2924, 3152,
+]
 
 
 def row12_pair(m: int, p: int, q: int) -> BraceSpec:
@@ -689,6 +697,47 @@ class TestExhaustiveSearch:
             assert all(max(map(abs, m.entries())) <= bound for m in got), phi
         assert seen[2] > 0 and seen[3] > 0
 
+    @pytest.mark.parametrize("bound, decided", enumerate(PARTNER_COUNTS, start=1))
+    def test_partners_commute_with_phi(self, bound, decided):
+        # The search decides no commutation: every partner the rules give is
+        # E, -E, +-phi, phi^-1 or E + cA beside phi = E + A, so it commutes
+        # with phi.
+        in_class, partners = self.partner_rule(bound)
+        pairs = [(phi, psi) for phi in in_class for psi in partners(phi)]
+        assert len(pairs) == decided
+        assert [pair for pair in pairs if not commutes(*pair)] == []
+
+    def test_partners_of_64_bit_conjugates_commute_with_phi(self):
+        # The same for g^-1 C g, with g in GL2(Z) of up to 64 bits, for each
+        # class representative C: order 3, the two reflection classes, and
+        # E + mN with N = [[0, 1], [0, 0]].  g^-1 N g = u v^T with u the first
+        # column of g^-1, and phi has a parabolic partner iff u2 divides m,
+        # so m is drawn both freely and as a multiple of u2.  The bound
+        # holds every partner: E + cA has entries below (|phi| + 2)^2.
+        rng = random.Random(21)
+        counts = Counter()
+        for _ in range(200):
+            s, t = (rng.randint(-(2**32), 2**32) for _ in range(2))
+            g = Mat2(1, s, 0, 1) * Mat2(1, 0, t, 1) * Mat2(1, 0, 0, rng.choice((1, -1)))
+            h = g.inverse()
+            m = rng.choice((1, -1)) * rng.randint(1, 2**16)
+            for kind, c in (
+                ("order 3", Mat2(0, -1, 1, -1)),
+                ("diag", Mat2(1, 0, 0, -1)),
+                ("swap", Mat2(0, 1, 1, 0)),
+                ("parabolic", Mat2(1, m, 0, 1)),
+                ("parabolic", Mat2(1, m * h.a21, 0, 1)),
+            ):
+                phi = h * c * g
+                bound = (max(map(abs, phi)) + 2) ** 2
+                partners = classification._search_partners(phi, bound, [], [])
+                assert all(commutes(phi, psi) for psi in partners), (phi, partners)
+                counts[kind, len(partners)] += 1
+        assert counts == {
+            ("order 3", 3): 200, ("diag", 4): 200, ("swap", 4): 200,
+            ("parabolic", 1): 200, ("parabolic", 2): 200,
+        }
+
     def test_wrong_constructor_is_reported(self, monkeypatch, capsys):
         # A constructor that yields an invalid pair must surface in the
         # report and make search exit 1, not raise out of the search.
@@ -938,39 +987,79 @@ def label_permutation(g):
     return {label: row_label(both_ways.get(label.value, label.value)) for label in RowLabel}
 
 
+#: (bound, valid pairs, orbits under the 8 transports) at every bound up
+#: to 20; recorded from the box's own partner rule and check_pair.
+BOX_ORBITS = [
+    (1, 34, 15), (2, 90, 29), (3, 122, 36), (4, 226, 62), (5, 250, 68),
+    (6, 354, 94), (7, 394, 102), (8, 522, 133), (9, 546, 139), (10, 650, 165),
+    (11, 674, 171), (12, 874, 221), (13, 914, 229), (14, 1018, 255),
+    (15, 1058, 265), (16, 1186, 296), (17, 1210, 302), (18, 1314, 328),
+    (19, 1354, 336), (20, 1554, 386),
+]
+
+
+@pytest.fixture(scope="module")
+def transported_pairs():
+    # The valid pairs of the largest box of BOX_ORBITS, from the partner
+    # rule and check_pair, each with its families and its images under
+    # SIGNED_PERMUTATIONS in order.
+    in_class, partners = TestExhaustiveSearch.partner_rule(BOX_ORBITS[-1][0])
+    valid = [
+        (phi, psi)
+        for phi in in_class
+        for psi in partners(phi)
+        if check_pair(BraceSpec(phi, psi)).valid
+    ]
+    return {
+        pair: (
+            row_membership(BraceSpec(*pair)),
+            [transport(g, *pair) for g in SIGNED_PERMUTATIONS],
+        )
+        for pair in valid
+    }
+
+
 class TestBoxSymmetries:
     """The signed permutation matrices g preserve the entry box, and so do
     the pairs they transport: the transport conjugates by g and takes
     phi^+-1 or psi^+-1, and an inverse has the |entries| of its matrix.  So
-    each box's valid pairs are closed under the 8 transports, which
-    permute the family labels."""
+    each box's valid pairs, and its family members, are closed under the 8
+    transports, which permute the family labels."""
 
-    @pytest.mark.parametrize(
-        "bound, pairs, orbits", [(4, 226, 62), (8, 522, 133), (12, 874, 221)]
-    )
-    def test_valid_pairs_closed_under_signed_permutations(self, bound, pairs, orbits):
-        in_class, partners = TestExhaustiveSearch.partner_rule(bound)
+    @pytest.mark.parametrize("bound, pairs, orbits", BOX_ORBITS)
+    def test_valid_pairs_closed_under_signed_permutations(
+        self, transported_pairs, bound, pairs, orbits
+    ):
+        # The valid pairs of a box are those of the bound-20 box with no
+        # larger entry, and a transport keeps the largest |entry|, so one
+        # pass at bound 20 serves every smaller box.
         valid = {
-            (phi, psi)
-            for phi in in_class
-            for psi in partners(phi)
-            if check_pair(BraceSpec(phi, psi)).valid
+            pair for pair in transported_pairs if max(abs(e) for m in pair for e in m) <= bound
         }
         assert len(valid) == pairs == exhaustive_search(bound).valid_pairs
         relabel = {g: label_permutation(g) for g in SIGNED_PERMUTATIONS}
         orbit_sets = set()
-        for phi, psi in valid:
-            labels = row_membership(BraceSpec(phi, psi))
-            orbit = set()
-            for g in SIGNED_PERMUTATIONS:
-                image = transport(g, phi, psi)
-                assert image in valid, (g, phi, psi)
-                assert row_membership(BraceSpec(*image)) == {
+        for pair in valid:
+            labels, images = transported_pairs[pair]
+            for g, image in zip(SIGNED_PERMUTATIONS, images):
+                assert image in valid, (g, pair)
+                assert transported_pairs[image][0] == {
                     relabel[g][label] for label in labels
-                }, (g, phi, psi)
-                orbit.add(image)
-            orbit_sets.add(frozenset(orbit))
+                }, (g, pair)
+            orbit_sets.add(frozenset(images))
         assert len(orbit_sets) == orbits
+
+    @pytest.mark.parametrize("bound, members", [(4, 227), (8, 523), (12, 875)])
+    def test_members_closed_under_signed_permutations(self, bound, members):
+        # Each transport of an in-box member is an in-box member of the
+        # family its label maps to.
+        listed = set(generated_row_instances(bound))
+        assert len(listed) == members
+        relabel = {g: label_permutation(g) for g in SIGNED_PERMUTATIONS}
+        for label, (phi, psi) in listed:
+            for g in SIGNED_PERMUTATIONS:
+                image = BraceSpec(*transport(g, phi, psi))
+                assert (relabel[g][label], image) in listed, (g, label, phi, psi)
 
 
 class TestOrdersCrosscheck:

@@ -116,6 +116,20 @@ def test_validating_constructors_keep_their_messages(index):
     assert str(raised.value) == message
 
 
+@pytest.mark.parametrize("value", [True, 1.0, "1"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("field", RowParams._fields)
+def test_row_params_fields_are_plain_integers(field, value):
+    # As in Mat2.from_rows, a bool is no integer here; _replace checks too.
+    message = f"{field} must be an integer, got {value!r}"
+    for build in (
+        lambda: RowParams(**{field: value}),
+        lambda: RowParams()._replace(**{field: value}),
+    ):
+        with pytest.raises(BadParams) as raised:
+            build()
+        assert str(raised.value) == message
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # A fresh interpreter, with -S so that no site hook loads modules of its
     # own: importing the CLI must not pull in dataclasses or inspect.
