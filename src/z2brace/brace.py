@@ -8,17 +8,25 @@ a (*) b = a + lambda_a(b).  check_pair decides exactly when this makes
 phi^k psi^l = E, whose exponents are read off the entries of phi and psi,
 must all hold.
 
-lambda is read off the power maps of phi and psi (Mat2.power_map).
-lambda_map takes both once per pair and returns a -> entries of lambda_a
-as plain integers; lambda_of wraps the same map in a Mat2.  The four
-identities are decided in one place, _power_identities, which reads each
-phi^k psi^l = E as phi^k = psi^(-l): it compares the two powers from the
-two power maps, forms no product of them, and yields the truths one at a
-time.  check_pair calls it with the pair's own two power maps and
-hyperbolic flags, built once per call, and keeps all four truths;
-classification.exhaustive_search calls it with one power map per in-class
-matrix, built once per search, and both flags false, and stops at the
-first false identity.
+lambda_map returns a -> entries of lambda_a as plain integers.  It reads
+the orders of phi and psi once per pair, through order_by_predicate, the
+det/trace table that Mat2.power_map also reads.  If both are finite, as
+in every family but 1.2, lambda_a depends only on a1 mod the order of phi
+and a2 mod the order of psi; lambda_map tabulates those at most 36 values
+(9 on a valid pair, whose finite orders are 1, 2 or 3) from the two power
+maps, and each evaluation is one lookup.  If either order is infinite,
+each evaluation takes one power from each power map and forms their
+product.  lambda_of forms the single product phi^a1 psi^a2 and builds no
+table.
+
+The four identities are decided in one place, _power_identities, which
+reads each phi^k psi^l = E as phi^k = psi^(-l): it compares the two
+powers from the two power maps, forms no product of them, and yields the
+truths one at a time.  check_pair calls it with the pair's own two power
+maps and hyperbolic flags, built once per call, and keeps all four
+truths; classification.exhaustive_search calls it with one power map per
+in-class matrix, built once per search, and both flags false, and stops
+at the first false identity.
 
 Before it takes a power, _power_identities applies one rule to each
 identity.  phi^k psi^l = E says phi^k = psi^(-l).  A nonzero power of a
@@ -42,7 +50,14 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, NamedTuple
 
-from .gl2z import Mat2, NotUnimodular, _no_concatenation, _undefined, commutes
+from .gl2z import (
+    Mat2,
+    NotUnimodular,
+    _no_concatenation,
+    _undefined,
+    commutes,
+    order_by_predicate,
+)
 
 __all__ = [
     "BraceSpec",
@@ -162,10 +177,17 @@ class Verdict(NamedTuple):
 def lambda_map(spec: BraceSpec) -> Callable[[int, int], tuple[int, int, int, int]]:
     """The map (x1, x2) -> entries (a11, a12, a21, a22) of phi^x1 * psi^x2.
 
-    Built from the power maps of phi and psi, so each generator's power
-    class is read once per pair, not once per exponent.
+    Both generators' orders are read once, through order_by_predicate.
+    If both are finite, n_phi and n_psi, then phi^x1 = phi^(x1 mod n_phi)
+    and the same for psi, so lambda takes at most n_phi * n_psi values:
+    they are tabulated here, each as one product of two powers, and every
+    evaluation is a lookup at (x1 mod n_phi, x2 mod n_psi).  This holds
+    for every pair, commuting or not.  If either order is infinite
+    (parabolic or hyperbolic), each evaluation takes one power from each
+    power map and forms their product.
     """
-    phi_power, psi_power = spec.phi.power_map(), spec.psi.power_map()
+    phi, psi = spec
+    phi_power, psi_power = phi.power_map(), psi.power_map()
 
     def lam(x1, x2):
         a11, a12, a21, a22 = phi_power(x1)
@@ -177,12 +199,17 @@ def lambda_map(spec: BraceSpec) -> Callable[[int, int], tuple[int, int, int, int
             a21 * b12 + a22 * b22,
         )
 
-    return lam
+    n_phi, n_psi = order_by_predicate(phi).n, order_by_predicate(psi).n
+    if n_phi is None or n_psi is None:
+        return lam
+    rows = [[lam(i, j) for j in range(n_psi)] for i in range(n_phi)]
+    return lambda x1, x2: rows[x1 % n_phi][x2 % n_psi]
 
 
 def lambda_of(spec: BraceSpec, a: Vec2) -> Mat2:
-    """The automorphism lambda_a = phi^a1 * psi^a2, read off lambda_map."""
-    return Mat2(*lambda_map(spec)(a.x1, a.x2))
+    """The automorphism lambda_a = phi^a1 * psi^a2: one power of each
+    generator (Mat2.__pow__) and one product, with no table built."""
+    return spec.phi ** a.x1 * spec.psi ** a.x2
 
 
 def odot(spec: BraceSpec, a: Vec2, b: Vec2) -> Vec2:

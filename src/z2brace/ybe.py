@@ -18,8 +18,12 @@ non-degenerate on all of Z^2, not only on a sampled box.
 Each public call builds one brace.lambda_map for its pair and evaluates r
 on plain integer tuples: lambda_x(y) is the entry tuple of lambda_x applied
 to y, and lambda_y^-1(x) applies the adjugate of lambda_y's entries, signed
-by its determinant +-1.  sample_report runs every sample through that one
-map and converts only the failures to lists.
+by its determinant +-1.  When phi and psi both have finite order, as in
+every family but 1.2, lambda_x is a lookup in a table of at most 9 entry
+tuples, built once per call; otherwise (1.2, parabolic) each lambda_x is
+one product of a power of phi and a power of psi.  sample_report runs
+every sample through that one map and converts only the failures to
+lists.
 """
 
 from __future__ import annotations
@@ -136,13 +140,15 @@ def sample_report(
 
     Draws `samples` triples with coordinates uniform in [-box, box] and
     records every braid-relation, involutivity and non-degeneracy failure
-    (expected none).  Identical arguments give an identical report.
+    (expected none).  samples and box must be positive plain integers
+    (bools are rejected).  Identical arguments give an identical report.
     """
     _require_valid(spec)
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    if box < 1:
-        raise ValueError("box must be positive")
+    for name, value in (("samples", samples), ("box", box)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be positive")
     rng = random.Random(seed)
     lam = lambda_map(spec)
 

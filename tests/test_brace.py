@@ -21,6 +21,7 @@ from z2brace import (
     Mat2,
     NotUnimodular,
     RowLabel,
+    RowParams,
     Vec2,
     Verdict,
     ZERO,
@@ -28,6 +29,7 @@ from z2brace import (
     check_pair,
     commutes,
     enumerate_unimodular,
+    generate_row,
     lambda_map,
     lambda_of,
     odot,
@@ -263,6 +265,37 @@ def squared_check_pair(spec):
 
 BOX_3 = list(enumerate_unimodular(3))
 
+#: The finite-order matrices with entries in [-2, 2], orders read by
+#: explicit multiplication, not by the det/trace table lambda_map reads.
+FINITE_BOX_2 = [m for m in enumerate_unimodular(2) if order_by_iteration(m).is_finite]
+
+#: generate_row members whose parameters reach 64 bits: the table families
+#: of the CI list, each finite-order in both matrices, and 4.1's free-p
+#: branch with p drawn.
+MEMBERS_64_BIT = [
+    generate_row(RowLabel(label), RowParams(**params))
+    for label, params in (
+        ("1.3", dict(p=1, q=-55340232234013556737, sign1=1)),
+        ("1.4", dict(p=-55340232234013556737, q=1, sign1=-1)),
+        ("2.1", dict(p=2**64, q=-(2**63) - 1, sign1=1)),
+        ("2.2", dict(p=2**63, q=-(2**63) - 1, sign1=-1)),
+        ("3.1", dict(p=-(2**63) - 1, q=2**64, sign1=-1)),
+        ("3.2", dict(p=-(2**63) - 1, q=2**63, sign1=1)),
+        ("4.2", dict(p=2**63, q=-(2**63) - 1, sign1=1)),
+        ("1.5", dict(m=2**64, n=2**64 + 1)),
+        ("1.6", dict(m=2**64, n=-(2**64))),
+        ("4.1", dict(m=2**64, n=2**64 + 1)),
+    )
+]
+finite_64_bit = st.one_of(
+    st.sampled_from([m for spec in MEMBERS_64_BIT for m in spec]),
+    st.builds(
+        lambda m, p: generate_row(RowLabel.R4_1, RowParams(m=m, n=m, p=p)).phi,
+        st.sampled_from((0, -1)),
+        st.integers(-(2**64), 2**64),
+    ),
+)
+
 
 class TestLambdaMap:
     """lambda_map and check_pair against repeated Mat2 multiplication."""
@@ -290,6 +323,37 @@ class TestLambdaMap:
     )
     def test_fixture_families_at_64_bit_coordinates(self, spec, x1, x2):
         expected = squared_power(spec.phi, x1) * squared_power(spec.psi, x2)
+        assert lambda_map(spec)(x1, x2) == expected.entries()
+        assert lambda_of(spec, Vec2(x1, x2)) == expected
+
+    def test_table_matches_products_on_every_finite_order_pair_at_bound_2(self):
+        # Every ordered pair, commuting or not, valid or not: the lookup at
+        # (x1 mod n_phi, x2 mod n_psi) against phi^x1 psi^x2 multiplied out.
+        assert len(FINITE_BOX_2) == 40
+        assert {order_by_iteration(m).n for m in FINITE_BOX_2} == {1, 2, 3, 4, 6}
+        powers = {m: repeated_powers(m, 6) for m in FINITE_BOX_2}
+        grid = [(x1, x2) for x1 in range(-6, 7) for x2 in range(-6, 7)]
+        kinds = set()
+        for phi in FINITE_BOX_2:
+            for psi in FINITE_BOX_2:
+                spec = BraceSpec(phi, psi)
+                kinds.add((commutes(phi, psi), check_pair(spec).valid))
+                lam = lambda_map(spec)
+                for x1, x2 in grid:
+                    expected = (powers[phi][x1] * powers[psi][x2]).entries()
+                    assert lam(x1, x2) == expected, (spec, x1, x2)
+        assert kinds == {(False, False), (True, False), (True, True)}
+
+    @given(
+        phi=finite_64_bit,
+        psi=finite_64_bit,
+        x1=st.integers(-(2**63), 2**63),
+        x2=st.integers(-(2**63), 2**63),
+    )
+    def test_table_matches_products_on_64_bit_finite_order_pairs(self, phi, psi, x1, x2):
+        assert order_by_iteration(phi).is_finite and order_by_iteration(psi).is_finite
+        spec = BraceSpec(phi, psi)
+        expected = squared_power(phi, x1) * squared_power(psi, x2)
         assert lambda_map(spec)(x1, x2) == expected.entries()
         assert lambda_of(spec, Vec2(x1, x2)) == expected
 

@@ -6,6 +6,8 @@ below recomputes r from the brace multiplication and its inverse, as an
 independent oracle for it.
 """
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -183,3 +185,9 @@ class TestSampleReport:
             sample_report(SPEC_12, samples=0)
         with pytest.raises(ValueError):
             sample_report(SPEC_12, samples=5, box=0)
+
+    @pytest.mark.parametrize("name", ["samples", "box"])
+    @pytest.mark.parametrize("value", [True, 2.5, "3"], ids=["bool", "float", "str"])
+    def test_rejects_arguments_that_are_not_plain_integers(self, name, value):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            sample_report(SPEC_12, **{name: value})
