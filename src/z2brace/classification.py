@@ -250,22 +250,17 @@ def _build_1_2(m: int, p: int, q: int) -> tuple[_Entries, _Entries]:
 
 
 def _recover_1_2(phi: _Entries, psi: _Entries) -> tuple[int, int, int]:
-    # The entries of phi - E and psi - E are m times p^3, p^2 q, p q^2 and
-    # q^3 up to sign, whose gcd is 1, so their gcd g is |m|.  Then
-    # -phi21 / g = s p^3 and psi12 / g = s q^3 with s the sign of m, and
-    # integer cube roots give the candidate, in the canonical form of
-    # row12_parameters.
-    g = math.gcd(
-        phi[0] - 1, phi[1], phi[2], phi[3] - 1,
-        psi[0] - 1, psi[1], psi[2], psi[3] - 1,
-    )
+    # phi - E = m p N and psi - E = m q N with N = ((p q, q^2), (-p^2, -p q))
+    # primitive, so gcd(phi - E) = |m p|, gcd(psi - E) = |m q| and their
+    # gcd is |m|.  -phi21 = m p^3 and psi12 = m q^3 give the signs, in the
+    # canonical form of row12_parameters.
+    a = math.gcd(phi[0] - 1, phi[1], phi[2], phi[3] - 1)
+    b = math.gcd(psi[0] - 1, psi[1], psi[2], psi[3] - 1)
+    g = math.gcd(a, b)
     if g == 0:
         return (0, 1, 0)
-    p_cube, q_cube = -phi[2] // g, psi[1] // g
-    s = _sign(p_cube) or _sign(q_cube)
-    p = _integer_cbrt(abs(p_cube))
-    q = _sign(s * q_cube) * _integer_cbrt(abs(q_cube))
-    return (s * g, p, q)
+    s = _sign(-phi[2]) or _sign(psi[1])
+    return (s * g, a // g, _sign(s * psi[1]) * (b // g))
 
 
 class _RootFamily(NamedTuple):
@@ -420,22 +415,6 @@ def generate_row(label: RowLabel, params: RowParams) -> BraceSpec:
     return spec
 
 
-def _integer_cbrt(n: int) -> int:
-    """Floor of the real cube root of n >= 0, by integer Newton iteration."""
-    if n < 0:
-        raise ValueError(f"cube root of negative {n}")
-    if n == 0:
-        return 0
-    # 2^ceil(bits/3) exceeds the root; from above the iteration decreases
-    # strictly until it reaches the floor, where it stops decreasing.
-    x = 1 << -(-n.bit_length() // 3)
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            return x
-        x = y
-
-
 def _member_params(label: RowLabel, phi: _Entries, psi: _Entries) -> tuple | None:
     """The parameters that generate the pair in the family, or None if
     the pair is not a member: those _recover reads must regenerate it."""
@@ -489,6 +468,11 @@ def row_membership(spec: BraceSpec) -> set[RowLabel]:
     }
 
 
+def _require_integer_bound(bound: int) -> None:
+    if type(bound) is not int:
+        raise ValueError(f"bound must be an integer, got {bound!r}")
+
+
 def enumerate_unimodular(bound: int) -> Iterator[Mat2]:
     """All matrices with entries in [-bound, bound] and determinant +-1.
 
@@ -497,8 +481,10 @@ def enumerate_unimodular(bound: int) -> Iterator[Mat2]:
     each (a11, a22) and determinant d the pairs with a12 a21 = a11 a22 - d
     are looked up, and each a11 group is sorted.  Every lookup hit is a
     matrix of the box, so the cost is O(|U_B| log |U_B|) for the |U_B|
-    matrices listed, plus O(bound^2) for the index.
+    matrices listed, plus O(bound^2) for the index.  bound must be a
+    positive plain integer (bools are rejected).
     """
+    _require_integer_bound(bound)
     if bound < 1:
         raise ValueError("bound must be positive")
     rng = range(-bound, bound + 1)
@@ -564,7 +550,9 @@ def _row_instances(
     # (E, E) for every (p, q).
     build, members = _CONSTRUCTORS[RowLabel.R1_2], found[RowLabel.R1_2]
     add(build, (0, 1, 0), members)
-    cap = _integer_cbrt(bound)
+    cap = 0
+    while (cap + 1) ** 3 <= bound:
+        cap += 1
     for p, q in product(range(cap + 1), range(-cap, cap + 1)):
         if (p > 0 or q > 0) and math.gcd(p, q) == 1:
             m_max = bound // max(p, abs(q)) ** 3
@@ -597,8 +585,10 @@ def generated_row_instances(bound: int) -> list[tuple[RowLabel, BraceSpec]]:
     parameter recovery and built by the raw family constructors
     (_row_instances), so validity is left to the caller.  The list is
     complete, so a pair's labels here are exactly row_membership of the
-    pair.  An empty box (bound < 1) holds no member.
+    pair.  An empty box (bound < 1) holds no member; a bound that is not
+    a plain integer is a ValueError.
     """
+    _require_integer_bound(bound)
     if bound < 1:
         return []
     in_class = [m for m in enumerate_unimodular(bound) if _in_pair_class(m)]
@@ -760,9 +750,8 @@ def exhaustive_search(bound: int) -> SearchReport:
     forward scan visits every pair that can be valid, so a family member it
     found valid is not checked again.  Every other member gets check_pair,
     and an invalid one is reported in invalid_row_instances.
+    enumerate_unimodular rejects a bound that is not a positive integer.
     """
-    if bound < 1:
-        raise ValueError("bound must be positive")
     box_size = 0
     in_class: list[Mat2] = []
     for m in enumerate_unimodular(bound):
@@ -805,7 +794,8 @@ def orders_crosscheck(bound: int):
 
     Returns the list of disagreements (matrix, by_predicate, by_iteration);
     an empty list means the two independent classifications agree on every
-    unimodular matrix in the box.
+    unimodular matrix in the box.  enumerate_unimodular rejects a bound
+    that is not a positive integer.
     """
     disagreements = []
     for matrix in enumerate_unimodular(bound):

@@ -20,7 +20,6 @@ import sys
 
 from .brace import BraceSpec, check_pair
 from .classification import (
-    BadParams,
     RowParams,
     exhaustive_search,
     generate_row,
@@ -28,8 +27,7 @@ from .classification import (
     row_label,
     row_membership,
 )
-from .gl2z import NotUnimodular
-from .ybe import InvalidSpec, sample_report
+from .ybe import sample_report
 
 __all__ = ["main"]
 
@@ -162,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         help="sampling range only: sample coordinates are drawn from "
-        "[-box, box]; non-degeneracy is checked through explicit inverses",
+        "[-box, box]; non-degeneracy is checked as det lambda = +-1",
     )
     add_output(p_ybe)
     p_ybe.set_defaults(func=_cmd_ybe)
@@ -179,15 +177,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        BadParams,
-        InvalidSpec,
-        NotUnimodular,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-        RecursionError,
-    ) as exc:
+    # BadParams, InvalidSpec, NotUnimodular and json.JSONDecodeError are
+    # all ValueErrors.
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

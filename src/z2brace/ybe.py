@@ -13,7 +13,8 @@ Proof: -x + (x*y) = lambda_x(y) =: u, and in a brace u^-1 * v =
 lambda_u^-1(v - u), so the second component is lambda_u^-1(x); since
 u - y lies in the kernel of lambda, lambda_u = lambda_y.  Both components
 are matrix-vector products with elements of GL2(Z), so r is
-non-degenerate on all of Z^2, not only on a sampled box.
+non-degenerate on all of Z^2, not only on a sampled box; nondegenerate_at
+checks exactly that, det lambda_x = +-1 = det lambda_y.
 
 Each public call builds one brace.lambda_map for its pair and evaluates r
 on plain integer tuples: lambda_x(y) is the entry tuple of lambda_x applied
@@ -92,9 +93,10 @@ def _involutive_at(lam, x: tuple, y: tuple) -> bool:
 
 
 def _nondegenerate_at(lam, x: tuple, y: tuple) -> bool:
-    left = _act_inverse(lam(*x), y)
-    right = _act(lam(*y), x)
-    return _r(lam, x, left)[0] == y and _r(lam, right, y)[1] == x
+    # An integer matrix is a bijection of Z^2 iff its determinant is +-1.
+    a11, a12, a21, a22 = lam(*x)
+    b11, b12, b21, b22 = lam(*y)
+    return abs(a11 * a22 - a12 * a21) == 1 == abs(b11 * b22 - b12 * b21)
 
 
 def r_map(spec: BraceSpec, x: Vec2, y: Vec2) -> PairZ2:
@@ -121,13 +123,12 @@ def involutive_at(spec: BraceSpec, x: Vec2, y: Vec2) -> bool:
 
 
 def nondegenerate_at(spec: BraceSpec, x: Vec2, y: Vec2) -> bool:
-    """Non-degeneracy of r at (x, y), through explicit inverses.
+    """Non-degeneracy of r at (x, y): det lambda_x = +-1 = det lambda_y.
 
-    Left component: v -> first(r(x, v)) is lambda_x, so the preimage of y
-    is lambda_x^-1(y).  Right component: w -> second(r(w, y)) is
-    lambda_y^-1, so the preimage of x is lambda_y(x).  Both maps lie in
-    GL2(Z) and are therefore bijections of Z^2; the check confirms that
-    each preimage round-trips through r.
+    Left component: v -> first(r(x, v)) is lambda_x.  Right component:
+    w -> second(r(w, y)) is lambda_y^-1.  An integer matrix is a bijection
+    of Z^2 exactly when its determinant is +-1, so the two determinants
+    decide both components, with no preimage built.
     """
     _require_valid(spec)
     return _nondegenerate_at(lambda_map(spec), x.coords(), y.coords())
@@ -140,13 +141,16 @@ def sample_report(
 
     Draws `samples` triples with coordinates uniform in [-box, box] and
     records every braid-relation, involutivity and non-degeneracy failure
-    (expected none).  samples and box must be positive plain integers
-    (bools are rejected).  Identical arguments give an identical report.
+    (expected none).  samples, seed and box must be plain integers (bools
+    are rejected), and samples and box positive; seed=None would draw from
+    OS entropy, which the report could not name.  Identical arguments give
+    an identical report.
     """
     _require_valid(spec)
-    for name, value in (("samples", samples), ("box", box)):
+    for name, value in (("samples", samples), ("seed", seed), ("box", box)):
         if type(value) is not int:
             raise ValueError(f"{name} must be an integer, got {value!r}")
+    for name, value in (("samples", samples), ("box", box)):
         if value < 1:
             raise ValueError(f"{name} must be positive")
     rng = random.Random(seed)

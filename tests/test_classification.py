@@ -9,6 +9,7 @@ frozen so regressions are caught even if both sides drift together.
 import hashlib
 import math
 import random
+import re
 import signal
 import time
 from collections import Counter
@@ -124,10 +125,12 @@ def triple_loop_unimodular(bound):
 def grid_row_instances(bound):
     # generated_row_instances as it was before the parameters were solved:
     # every point of a parameter grid goes through the constructor, which
-    # takes the plain parameters in the order _SIGNATURES lists them.
+    # takes the plain parameters in the order _SIGNATURES lists them.  A
+    # 1.2 member has |m| max(|p|, |q|)^3 <= bound, and the square root caps
+    # the cube root; the box filter drops the extra grid points.
     wide = range(-bound - 1, bound + 2)
     signs = (1, -1)
-    cap = classification._integer_cbrt(bound + 1)
+    cap = math.isqrt(bound + 1)
     grids = {
         RowLabel.R1_1: list(product(signs, signs)),
         RowLabel.R1_2: list(product(wide, range(-cap, cap + 1), range(-cap, cap + 1))),
@@ -367,6 +370,19 @@ class TestRecovery:
         with deadline(1):
             assert row12_parameters(row12_pair(m, p, q)) == canonical
 
+    @given(
+        m=st.integers(-(2**128), 2**128).filter(bool),
+        p=st.integers(-(2**40), 2**40),
+        q=st.integers(-(2**40), 2**40),
+    )
+    def test_generated_members_round_trip_canonically(self, m, p, q):
+        # The gcds of phi - E and psi - E give |m p| and |m q|, with no cube
+        # root, at 128-bit m.
+        assume(math.gcd(p, q) == 1)
+        canonical = (m, p, q) if p > 0 or (p == 0 and q > 0) else (-m, -p, -q)
+        spec = generate_row(RowLabel.R1_2, RowParams(m=m, p=p, q=q))
+        assert row12_parameters(spec) == canonical
+
 
 TABLE_LABELS = [
     RowLabel.R1_3, RowLabel.R1_4, RowLabel.R1_5, RowLabel.R1_6, RowLabel.R2_1,
@@ -450,25 +466,6 @@ class TestTableRoundTrip:
             self.round_trip(label, params, m)
 
 
-class TestIntegerCubeRoot:
-    def test_floor_on_small_range(self):
-        for n in range(5000):
-            r = classification._integer_cbrt(n)
-            assert r**3 <= n < (r + 1) ** 3
-
-    @given(k=st.integers(0, 2**400))
-    def test_exact_on_cubes_and_their_neighbours(self, k):
-        cbrt = classification._integer_cbrt
-        assert cbrt(k**3) == k
-        if k > 0:
-            assert cbrt(k**3 + 1) == k
-            assert cbrt(k**3 - 1) == k - 1
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            classification._integer_cbrt(-8)
-
-
 class TestEnumeration:
     @pytest.mark.parametrize("bound", range(1, 16))
     def test_matches_triple_loop(self, bound):
@@ -508,6 +505,34 @@ class TestEnumeration:
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):
             list(enumerate_unimodular(0))
+
+
+#: Every public entry point that takes an entry bound, each run to the end.
+BOUND_CALLS = {
+    "enumerate_unimodular": lambda bound: list(enumerate_unimodular(bound)),
+    "exhaustive_search": exhaustive_search,
+    "orders_crosscheck": orders_crosscheck,
+    "generated_row_instances": generated_row_instances,
+}
+
+
+class TestBoundArguments:
+    @pytest.mark.parametrize("call", BOUND_CALLS.values(), ids=BOUND_CALLS.keys())
+    @pytest.mark.parametrize(
+        "value", [True, 2.5, "3", None], ids=["bool", "float", "str", "none"]
+    )
+    def test_rejects_bounds_that_are_not_plain_integers(self, call, value):
+        with pytest.raises(ValueError, match=re.escape(f"bound must be an integer, got {value!r}")):
+            call(value)
+
+    @pytest.mark.parametrize("call", BOUND_CALLS.values(), ids=BOUND_CALLS.keys())
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_nonpositive_bound_is_an_error_or_an_empty_box(self, call, bound):
+        if call is generated_row_instances:
+            assert call(bound) == []
+        else:
+            with pytest.raises(ValueError, match="bound must be positive"):
+                call(bound)
 
 
 class TestExhaustiveSearch:

@@ -11,6 +11,8 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+import z2brace.ybe as ybe
+
 from conftest import ALL_FIXTURE_SPECS, ROW_SPECS, TRIVIAL_SPEC
 
 from oracles import odot_inverse
@@ -154,6 +156,19 @@ class TestNondegeneracy:
         spec = generate_row(RowLabel.R1_2, RowParams(m=2, p=1, q=1))
         assert nondegenerate_at(spec, x, y)
 
+    def test_determinant_two_is_degenerate_even_at_the_origin(self):
+        # lambda_x = diag(2, 1) is injective but not onto Z^2.  At x = y = 0
+        # both preimages are 0 and round-trip through r, so only the
+        # determinant shows the failure.
+        def det_two_at_origin(x1, x2):
+            return (2, 0, 0, 1) if (x1, x2) == (0, 0) else (1, 0, 0, 1)
+
+        for lam in (lambda x1, x2: (2, 0, 0, 1), det_two_at_origin):
+            assert not ybe._nondegenerate_at(lam, (0, 0), (0, 0))
+            assert not ybe._nondegenerate_at(lam, (0, 0), (1, 0))
+            assert not ybe._nondegenerate_at(lam, (1, 0), (0, 0))
+        assert ybe._nondegenerate_at(det_two_at_origin, (1, 0), (0, 1))
+
     @pytest.mark.parametrize("spec", ALL_FIXTURE_SPECS, ids=str)
     @given(x=big_vectors(10**9), y=big_vectors(10**9))
     def test_explicit_preimages_round_trip_at_large_coordinates(self, spec, x, y):
@@ -186,8 +201,10 @@ class TestSampleReport:
         with pytest.raises(ValueError):
             sample_report(SPEC_12, samples=5, box=0)
 
-    @pytest.mark.parametrize("name", ["samples", "box"])
-    @pytest.mark.parametrize("value", [True, 2.5, "3"], ids=["bool", "float", "str"])
+    @pytest.mark.parametrize("name", ["samples", "seed", "box"])
+    @pytest.mark.parametrize(
+        "value", [True, 2.5, "3", None], ids=["bool", "float", "str", "none"]
+    )
     def test_rejects_arguments_that_are_not_plain_integers(self, name, value):
         with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
             sample_report(SPEC_12, **{name: value})
