@@ -8,16 +8,20 @@ a (*) b = a + lambda_a(b).  check_pair decides exactly when this makes
 phi^k psi^l = E, whose exponents are read off the entries of phi and psi,
 must all hold.
 
-lambda_map returns a -> entries of lambda_a as plain integers.  It reads
-the orders of phi and psi once per pair, through order_by_predicate, the
-det/trace table that Mat2.power_map also reads.  If both are finite, as
-in every family but 1.2, lambda_a depends only on a1 mod the order of phi
-and a2 mod the order of psi; lambda_map tabulates those at most 36 values
-(9 on a valid pair, whose finite orders are 1, 2 or 3) from the two power
-maps, and each evaluation is one lookup.  If either order is infinite,
-each evaluation takes one power from each power map and forms their
-product.  lambda_of forms the single product phi^a1 psi^a2 and builds no
-table.
+lambda_map is the lambda of a brace: it raises InvalidSpec unless
+check_pair finds the pair valid, and returns a -> entries of lambda_a as
+plain integers in one of two closed forms.  By the partner rules of the
+search (classification._in_pair_class, _search_partners) each generator of
+a valid pair is +-E, of order 3, a reflection or parabolic of trace 2, and
+a parabolic E + A pairs only with E + B, B a multiple of A's primitive
+part.  So either both orders are finite (1, 2 or 3), and lambda_map
+tabulates the at most 9 values phi^i psi^j once from the two power maps,
+each evaluation a lookup; or (phi - E)(psi - E) = 0, and lambda_a =
+E + a1 (phi - E) + a2 (psi - E) is affine in a.  The orders are read
+through order_by_predicate, the det/trace table Mat2.power_map reads.  A
+valid pair commutes, so lambda is a homomorphism: lambda_a^-1 = lambda_-a.
+lambda_of forms the single product phi^a1 psi^a2 for any pair, valid or
+not.
 
 The four identities are decided in one place, _power_identities, which
 reads each phi^k psi^l = E as phi^k = psi^(-l): it compares the two
@@ -71,6 +75,10 @@ __all__ = [
     "odot",
     "odot_associative",
 ]
+
+
+class InvalidSpec(ValueError):
+    """The pair does not define a brace, so there is no solution to build."""
 
 
 class Vec2(NamedTuple):
@@ -175,34 +183,35 @@ class Verdict(NamedTuple):
 
 
 def lambda_map(spec: BraceSpec) -> Callable[[int, int], tuple[int, int, int, int]]:
-    """The map (x1, x2) -> entries (a11, a12, a21, a22) of phi^x1 * psi^x2.
+    """The lambda of a valid pair: (x1, x2) -> entries (a11, a12, a21, a22)
+    of phi^x1 * psi^x2.  Raises InvalidSpec if check_pair finds the pair
+    invalid.
 
-    Both generators' orders are read once, through order_by_predicate.
-    If both are finite, n_phi and n_psi, then phi^x1 = phi^(x1 mod n_phi)
-    and the same for psi, so lambda takes at most n_phi * n_psi values:
-    they are tabulated here, each as one product of two powers, and every
-    evaluation is a lookup at (x1 mod n_phi, x2 mod n_psi).  This holds
-    for every pair, commuting or not.  If either order is infinite
-    (parabolic or hyperbolic), each evaluation takes one power from each
-    power map and forms their product.
+    If phi and psi have finite orders n_phi and n_psi, each evaluation is a
+    lookup at (x1 mod n_phi, x2 mod n_psi) in a table of the at most 9
+    values, built here; otherwise it is E + x1 (phi - E) + x2 (psi - E).
+    No evaluation forms a matrix product (the module docstring says why
+    these are the only two shapes).
     """
+    if not check_pair(spec).valid:
+        raise InvalidSpec(f"{spec} fails the pair conditions; run check_pair for details")
     phi, psi = spec
-    phi_power, psi_power = phi.power_map(), psi.power_map()
-
-    def lam(x1, x2):
-        a11, a12, a21, a22 = phi_power(x1)
-        b11, b12, b21, b22 = psi_power(x2)
-        return (
-            a11 * b11 + a12 * b21,
-            a11 * b12 + a12 * b22,
-            a21 * b11 + a22 * b21,
-            a21 * b12 + a22 * b22,
-        )
-
     n_phi, n_psi = order_by_predicate(phi).n, order_by_predicate(psi).n
     if n_phi is None or n_psi is None:
-        return lam
-    rows = [[lam(i, j) for j in range(n_psi)] for i in range(n_phi)]
+        a11, a12, a21, a22 = phi
+        b11, b12, b21, b22 = psi
+        a11, a22, b11, b22 = a11 - 1, a22 - 1, b11 - 1, b22 - 1
+        return lambda x1, x2: (
+            1 + x1 * a11 + x2 * b11,
+            x1 * a12 + x2 * b12,
+            x1 * a21 + x2 * b21,
+            1 + x1 * a22 + x2 * b22,
+        )
+    phi_power, psi_power = phi.power_map(), psi.power_map()
+    rows = [
+        [(Mat2(*phi_power(i)) * Mat2(*psi_power(j))).entries() for j in range(n_psi)]
+        for i in range(n_phi)
+    ]
     return lambda x1, x2: rows[x1 % n_phi][x2 % n_psi]
 
 

@@ -11,20 +11,20 @@ in the closed form
 
 Proof: -x + (x*y) = lambda_x(y) =: u, and in a brace u^-1 * v =
 lambda_u^-1(v - u), so the second component is lambda_u^-1(x); since
-u - y lies in the kernel of lambda, lambda_u = lambda_y.  Both components
-are matrix-vector products with elements of GL2(Z), so r is
-non-degenerate on all of Z^2, not only on a sampled box; nondegenerate_at
-checks exactly that, det lambda_x = +-1 = det lambda_y.
+u - y lies in the kernel of lambda, lambda_u = lambda_y.  On a valid pair
+phi and psi commute, so lambda is a homomorphism and lambda_y^-1 =
+lambda_-y.  Both components are matrix-vector products with elements of
+GL2(Z), so r is non-degenerate on all of Z^2, not only on a sampled box;
+nondegenerate_at checks exactly that, det lambda_x = +-1 = det lambda_y.
 
-Each public call builds one brace.lambda_map for its pair and evaluates r
-on plain integer tuples: lambda_x(y) is the entry tuple of lambda_x applied
-to y, and lambda_y^-1(x) applies the adjugate of lambda_y's entries, signed
-by its determinant +-1.  When phi and psi both have finite order, as in
-every family but 1.2, lambda_x is a lookup in a table of at most 9 entry
-tuples, built once per call; otherwise (1.2, parabolic) each lambda_x is
-one product of a power of phi and a power of psi.  sample_report runs
-every sample through that one map and converts only the failures to
-lists.
+Each public call builds one brace.lambda_map for its pair, which raises
+InvalidSpec on an invalid pair, and evaluates r on plain integer tuples:
+the entry tuples of lambda_x and lambda_-y applied to y and x.  lambda_map
+is a lookup in a table of at most 9 entry tuples when phi and psi both
+have finite order, as in every family but 1.2, and otherwise (1.2) the
+affine E + x1 (phi - E) + x2 (psi - E); neither forms a matrix product
+per point.  sample_report runs every sample through that one map and
+converts only the failures to lists.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .brace import BraceSpec, Vec2, check_pair, lambda_map
+from .brace import BraceSpec, InvalidSpec, Vec2, lambda_map
 
 __all__ = [
     "InvalidSpec",
@@ -45,18 +45,9 @@ __all__ = [
 ]
 
 
-class InvalidSpec(ValueError):
-    """The pair does not define a brace, so there is no solution to build."""
-
-
 class PairZ2(NamedTuple):
     first: Vec2
     second: Vec2
-
-
-def _require_valid(spec: BraceSpec) -> None:
-    if not check_pair(spec).valid:
-        raise InvalidSpec(f"{spec} fails the pair conditions; run check_pair for details")
 
 
 def _act(m: tuple, v: tuple) -> tuple[int, int]:
@@ -65,16 +56,8 @@ def _act(m: tuple, v: tuple) -> tuple[int, int]:
     return (a11 * v1 + a12 * v2, a21 * v1 + a22 * v2)
 
 
-def _act_inverse(m: tuple, v: tuple) -> tuple[int, int]:
-    # m^-1 v for det m = d = +-1: the adjugate of m, times d.
-    a11, a12, a21, a22 = m
-    v1, v2 = v
-    d = a11 * a22 - a12 * a21
-    return (d * (a22 * v1 - a12 * v2), d * (a11 * v2 - a21 * v1))
-
-
 def _r(lam, x: tuple, y: tuple) -> tuple[tuple[int, int], tuple[int, int]]:
-    return _act(lam(*x), y), _act_inverse(lam(*y), x)
+    return _act(lam(*x), y), _act(lam(-y[0], -y[1]), x)
 
 
 def _ybe_holds(lam, x: tuple, y: tuple, z: tuple) -> bool:
@@ -101,7 +84,6 @@ def _nondegenerate_at(lam, x: tuple, y: tuple) -> bool:
 
 def r_map(spec: BraceSpec, x: Vec2, y: Vec2) -> PairZ2:
     """The Yang-Baxter map of the brace at (x, y)."""
-    _require_valid(spec)
     first, second = _r(lambda_map(spec), x.coords(), y.coords())
     return PairZ2(Vec2(*first), Vec2(*second))
 
@@ -112,13 +94,11 @@ def ybe_holds(spec: BraceSpec, x: Vec2, y: Vec2, z: Vec2) -> bool:
     Applies r to positions (1,2) and (2,3) in the two alternating orders
     and compares all three output components.
     """
-    _require_valid(spec)
     return _ybe_holds(lambda_map(spec), x.coords(), y.coords(), z.coords())
 
 
 def involutive_at(spec: BraceSpec, x: Vec2, y: Vec2) -> bool:
     """True iff r(r(x, y)) = (x, y) exactly."""
-    _require_valid(spec)
     return _involutive_at(lambda_map(spec), x.coords(), y.coords())
 
 
@@ -130,7 +110,6 @@ def nondegenerate_at(spec: BraceSpec, x: Vec2, y: Vec2) -> bool:
     of Z^2 exactly when its determinant is +-1, so the two determinants
     decide both components, with no preimage built.
     """
-    _require_valid(spec)
     return _nondegenerate_at(lambda_map(spec), x.coords(), y.coords())
 
 
@@ -139,14 +118,15 @@ def sample_report(
 ) -> dict:
     """Seeded sampling report for one valid spec.
 
-    Draws `samples` triples with coordinates uniform in [-box, box] and
-    records every braid-relation, involutivity and non-degeneracy failure
-    (expected none).  samples, seed and box must be plain integers (bools
-    are rejected), and samples and box positive; seed=None would draw from
-    OS entropy, which the report could not name.  Identical arguments give
-    an identical report.
+    An invalid spec raises InvalidSpec, from lambda_map, before any other
+    argument is checked.  Draws `samples` triples with coordinates uniform
+    in [-box, box] and records every braid-relation, involutivity and
+    non-degeneracy failure (expected none).  samples, seed and box must be
+    plain integers (bools are rejected), and samples and box positive;
+    seed=None would draw from OS entropy, which the report could not name.
+    Identical arguments give an identical report.
     """
-    _require_valid(spec)
+    lam = lambda_map(spec)
     for name, value in (("samples", samples), ("seed", seed), ("box", box)):
         if type(value) is not int:
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -154,7 +134,6 @@ def sample_report(
         if value < 1:
             raise ValueError(f"{name} must be positive")
     rng = random.Random(seed)
-    lam = lambda_map(spec)
 
     def draw() -> tuple[int, int]:
         return (rng.randint(-box, box), rng.randint(-box, box))

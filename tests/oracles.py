@@ -21,7 +21,7 @@ public z2brace names:
     definition.  test_ybe builds the definitional r(x, y) from it and checks
     r_map against that.
   * in_lambda_kernel is the kernel of lambda by its definition,
-    lambda_v = E, read off lambda_map.
+    lambda_v = E, read off lambda_of, so it takes any pair, valid or not.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from z2brace import (
     NotUnimodular,
     Vec2,
     act,
-    lambda_map,
     lambda_of,
     odot,
     order_by_predicate,
@@ -145,4 +144,4 @@ def odot_inverse(spec: BraceSpec, a: Vec2) -> Vec2:
 
 def in_lambda_kernel(spec: BraceSpec, v: Vec2) -> bool:
     """True iff lambda_v = phi^v1 * psi^v2 is the identity."""
-    return lambda_map(spec)(v.x1, v.x2) == IDENTITY.entries()
+    return lambda_of(spec, v) == IDENTITY

@@ -2,6 +2,8 @@
 verdict, and the holomorph closure property.
 """
 
+from math import gcd
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -18,6 +20,7 @@ from oracles import HolElement, h_lambda_closed, hol_mul, in_lambda_kernel, odot
 from z2brace import (
     BraceSpec,
     IDENTITY,
+    InvalidSpec,
     Mat2,
     NotUnimodular,
     RowLabel,
@@ -287,23 +290,39 @@ MEMBERS_64_BIT = [
         ("4.1", dict(m=2**64, n=2**64 + 1)),
     )
 ]
-finite_64_bit = st.one_of(
-    st.sampled_from([m for spec in MEMBERS_64_BIT for m in spec]),
-    st.builds(
-        lambda m, p: generate_row(RowLabel.R4_1, RowParams(m=m, n=m, p=p)).phi,
-        st.sampled_from((0, -1)),
-        st.integers(-(2**64), 2**64),
-    ),
+free_p_4_1 = st.builds(
+    lambda m, p: generate_row(RowLabel.R4_1, RowParams(m=m, n=m, p=p)),
+    st.sampled_from((0, -1)),
+    st.integers(-(2**64), 2**64),
 )
+finite_64_bit_specs = st.one_of(st.sampled_from(MEMBERS_64_BIT), free_p_4_1)
+finite_64_bit = finite_64_bit_specs.flatmap(st.sampled_from)
+coordinates_64_bit = st.integers(-(2**63), 2**63)
+
+
+def affine_lambda(spec, x1, x2):
+    # E + x1 (phi - E) + x2 (psi - E), entry by entry.
+    identity = IDENTITY.entries()
+    return tuple(
+        e + x1 * (p - e) + x2 * (q - e) for e, p, q in zip(identity, spec.phi, spec.psi)
+    )
+
+
+def has_infinite_order(spec):
+    return not (order_by_iteration(spec.phi).is_finite and order_by_iteration(spec.psi).is_finite)
 
 
 class TestLambdaMap:
-    """lambda_map and check_pair against repeated Mat2 multiplication."""
+    """lambda_map against repeated Mat2 multiplication, and check_pair
+    against the entry reading with squared powers."""
 
     def test_every_valid_pair_at_bound_3(self):
         # x in [-6, 6]^2: lambda_x = phi^x1 psi^x2 from one product per step.
+        # The pairs with a generator of infinite order take the affine
+        # branch, and there lambda_x is E + x1 (phi - E) + x2 (psi - E).
         pairs = (BraceSpec(phi, psi) for phi in BOX_3 for psi in BOX_3)
         valid = [spec for spec in pairs if check_pair(spec).valid]
+        affine = [spec for spec in valid if has_infinite_order(spec)]
         wrong = []
         for spec in valid:
             lam = lambda_map(spec)
@@ -311,51 +330,81 @@ class TestLambdaMap:
             psi_powers = repeated_powers(spec.psi, 6)
             for x1 in range(-6, 7):
                 for x2 in range(-6, 7):
-                    if lam(x1, x2) != (phi_powers[x1] * psi_powers[x2]).entries():
+                    expected = (phi_powers[x1] * psi_powers[x2]).entries()
+                    if lam(x1, x2) != expected:
                         wrong.append((spec, x1, x2))
+                    if spec in affine and affine_lambda(spec, x1, x2) != expected:
+                        wrong.append((spec, x1, x2, "affine"))
         assert len(valid) == 122
+        assert len(affine) == 20
         assert wrong == []
 
-    @given(
-        spec=valid_specs,
-        x1=st.integers(-(2**63), 2**63),
-        x2=st.integers(-(2**63), 2**63),
-    )
+    @given(spec=valid_specs, x1=coordinates_64_bit, x2=coordinates_64_bit)
     def test_fixture_families_at_64_bit_coordinates(self, spec, x1, x2):
         expected = squared_power(spec.phi, x1) * squared_power(spec.psi, x2)
         assert lambda_map(spec)(x1, x2) == expected.entries()
         assert lambda_of(spec, Vec2(x1, x2)) == expected
 
     def test_table_matches_products_on_every_finite_order_pair_at_bound_2(self):
-        # Every ordered pair, commuting or not, valid or not: the lookup at
-        # (x1 mod n_phi, x2 mod n_psi) against phi^x1 psi^x2 multiplied out.
+        # Every ordered pair, commuting or not: on the valid ones the lookup
+        # at (x1 mod n_phi, x2 mod n_psi) against phi^x1 psi^x2 multiplied
+        # out; every other one is refused.
         assert len(FINITE_BOX_2) == 40
         assert {order_by_iteration(m).n for m in FINITE_BOX_2} == {1, 2, 3, 4, 6}
         powers = {m: repeated_powers(m, 6) for m in FINITE_BOX_2}
         grid = [(x1, x2) for x1 in range(-6, 7) for x2 in range(-6, 7)]
         kinds = set()
+        valid = refused = 0
         for phi in FINITE_BOX_2:
             for psi in FINITE_BOX_2:
                 spec = BraceSpec(phi, psi)
-                kinds.add((commutes(phi, psi), check_pair(spec).valid))
+                is_valid = check_pair(spec).valid
+                kinds.add((commutes(phi, psi), is_valid))
+                if not is_valid:
+                    with pytest.raises(InvalidSpec):
+                        lambda_map(spec)
+                    refused += 1
+                    continue
+                valid += 1
                 lam = lambda_map(spec)
                 for x1, x2 in grid:
                     expected = (powers[phi][x1] * powers[psi][x2]).entries()
                     assert lam(x1, x2) == expected, (spec, x1, x2)
         assert kinds == {(False, False), (True, False), (True, True)}
+        assert (valid, refused) == (78, 1522)
 
-    @given(
-        phi=finite_64_bit,
-        psi=finite_64_bit,
-        x1=st.integers(-(2**63), 2**63),
-        x2=st.integers(-(2**63), 2**63),
-    )
-    def test_table_matches_products_on_64_bit_finite_order_pairs(self, phi, psi, x1, x2):
-        assert order_by_iteration(phi).is_finite and order_by_iteration(psi).is_finite
-        spec = BraceSpec(phi, psi)
-        expected = squared_power(phi, x1) * squared_power(psi, x2)
+    @given(spec=finite_64_bit_specs, x1=coordinates_64_bit, x2=coordinates_64_bit)
+    def test_table_matches_products_on_64_bit_finite_order_pairs(self, spec, x1, x2):
+        assert not has_infinite_order(spec)
+        assert check_pair(spec).valid
+        expected = squared_power(spec.phi, x1) * squared_power(spec.psi, x2)
         assert lambda_map(spec)(x1, x2) == expected.entries()
         assert lambda_of(spec, Vec2(x1, x2)) == expected
+
+    @given(phi=finite_64_bit, psi=finite_64_bit, x1=coordinates_64_bit, x2=coordinates_64_bit)
+    def test_refuses_invalid_64_bit_finite_order_pairs(self, phi, psi, x1, x2):
+        spec = BraceSpec(phi, psi)
+        assume(not check_pair(spec).valid)
+        assert not has_infinite_order(spec)
+        with pytest.raises(InvalidSpec):
+            lambda_map(spec)
+        expected = squared_power(phi, x1) * squared_power(psi, x2)
+        assert lambda_of(spec, Vec2(x1, x2)) == expected
+
+    @given(
+        m=st.integers(-(2**64), 2**64).filter(bool),
+        p=st.integers(-(2**64), 2**64),
+        q=st.integers(-(2**64), 2**64),
+        x1=coordinates_64_bit,
+        x2=coordinates_64_bit,
+    )
+    def test_affine_branch_on_64_bit_members_of_1_2(self, m, p, q, x1, x2):
+        assume(gcd(p, q) == 1)
+        spec = generate_row(RowLabel.R1_2, RowParams(m=m, p=p, q=q))
+        assert has_infinite_order(spec)
+        expected = squared_power(spec.phi, x1) * squared_power(spec.psi, x2)
+        assert lambda_map(spec)(x1, x2) == expected.entries()
+        assert affine_lambda(spec, x1, x2) == expected.entries()
 
     def test_check_pair_matches_the_entry_reading_on_every_pair_at_bound_3(self):
         assert len(BOX_3) ** 2 == 53824

@@ -1013,13 +1013,19 @@ def label_permutation(g):
 
 
 #: (bound, valid pairs, orbits under the 8 transports) at every bound up
-#: to 20; recorded from the box's own partner rule and check_pair.
+#: to 40; recorded bound by bound from each box's own partner rule and
+#: check_pair.
 BOX_ORBITS = [
     (1, 34, 15), (2, 90, 29), (3, 122, 36), (4, 226, 62), (5, 250, 68),
     (6, 354, 94), (7, 394, 102), (8, 522, 133), (9, 546, 139), (10, 650, 165),
     (11, 674, 171), (12, 874, 221), (13, 914, 229), (14, 1018, 255),
     (15, 1058, 265), (16, 1186, 296), (17, 1210, 302), (18, 1314, 328),
-    (19, 1354, 336), (20, 1554, 386),
+    (19, 1354, 336), (20, 1554, 386), (21, 1610, 398), (22, 1714, 424),
+    (23, 1738, 430), (24, 1978, 489), (25, 2002, 495), (26, 2106, 521),
+    (27, 2146, 529), (28, 2346, 579), (29, 2370, 585), (30, 2570, 635),
+    (31, 2610, 643), (32, 2738, 674), (33, 2778, 684), (34, 2882, 710),
+    (35, 2922, 720), (36, 3122, 770), (37, 3162, 778), (38, 3266, 804),
+    (39, 3322, 816), (40, 3562, 875),
 ]
 
 
@@ -1055,9 +1061,9 @@ class TestBoxSymmetries:
     def test_valid_pairs_closed_under_signed_permutations(
         self, transported_pairs, bound, pairs, orbits
     ):
-        # The valid pairs of a box are those of the bound-20 box with no
+        # The valid pairs of a box are those of the bound-40 box with no
         # larger entry, and a transport keeps the largest |entry|, so one
-        # pass at bound 20 serves every smaller box.
+        # pass at bound 40 serves every smaller box.
         valid = {
             pair for pair in transported_pairs if max(abs(e) for m in pair for e in m) <= bound
         }

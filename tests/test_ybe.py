@@ -11,6 +11,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+import z2brace.brace as brace
 import z2brace.ybe as ybe
 
 from conftest import ALL_FIXTURE_SPECS, ROW_SPECS, TRIVIAL_SPEC
@@ -29,6 +30,7 @@ from z2brace import (
     commutes,
     enumerate_unimodular,
     involutive_at,
+    lambda_map,
     lambda_of,
     nondegenerate_at,
     odot,
@@ -39,6 +41,13 @@ from z2brace import (
 
 SPEC_12 = BraceSpec(Mat2(2, 1, -1, 0), Mat2(2, 1, -1, 0))
 SPEC_BAD = BraceSpec(Mat2(1, 1, 0, 1), IDENTITY)
+#: Invalid pairs: one that does not commute, the commuting SPEC_BAD, and a
+#: commuting hyperbolic pair.
+INVALID_SPECS = [
+    BraceSpec(Mat2(1, 1, 0, 1), Mat2(1, 0, 1, 1)),
+    SPEC_BAD,
+    BraceSpec(Mat2(2, 1, 1, 1), Mat2(2, 1, 1, 1)),
+]
 
 vectors = st.builds(Vec2, st.integers(-4, 4), st.integers(-4, 4))
 valid_specs = st.sampled_from(ALL_FIXTURE_SPECS)
@@ -84,6 +93,28 @@ class TestRMap:
     @given(x=vectors)
     def test_trivial_diagonal_is_fixed(self, x):
         assert r_map(TRIVIAL_SPEC, x, x) == PairZ2(x, x)
+
+
+class TestInvalidSpec:
+    """lambda_map decides validity, and every solution built from it
+    refuses an invalid pair."""
+
+    def test_one_class_in_both_layers(self):
+        assert ybe.InvalidSpec is brace.InvalidSpec is InvalidSpec
+
+    @pytest.mark.parametrize("spec", INVALID_SPECS, ids=str)
+    def test_lambda_map_r_map_and_sample_report_refuse(self, spec):
+        assert not check_pair(spec).valid
+        zero = Vec2(0, 0)
+        with pytest.raises(InvalidSpec):
+            lambda_map(spec)
+        with pytest.raises(InvalidSpec):
+            r_map(spec, zero, zero)
+        with pytest.raises(InvalidSpec):
+            sample_report(spec, samples=5)
+        # The spec is refused before the other arguments are read.
+        with pytest.raises(InvalidSpec):
+            sample_report(spec, samples=True, box=0)
 
 
 class TestAgreementWithDefinition:
