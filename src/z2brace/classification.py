@@ -508,6 +508,7 @@ _TABLE_LABELS = {
     for key in {(row.det, row.trace) for row in _TABLE_FAMILIES.values()}
 }
 
+
 def _row_instances(
     bound: int, in_class: Iterable[Mat2]
 ) -> list[tuple[RowLabel, tuple[_Entries, _Entries]]]:
@@ -720,10 +721,10 @@ def exhaustive_search(bound: int) -> SearchReport:
     _search_partners solves from phi's own pair conditions.  phi = E pairs
     with every in-class matrix and -E with the in-class involutions; every
     other phi has at most four partners: a reflection 4, an order-3 phi 3,
-    and a parabolic one only E and at most one parabolic psi.  The box is streamed once, counted and
-    filtered; candidates_examined still counts every ordered pair of it,
-    |U_B|^2.  Unmatched pairs come out in the lexicographic order of
-    enumerate_unimodular.
+    and a parabolic one only E and at most one parabolic psi.  The box is
+    streamed once, counted and filtered; candidates_examined still counts
+    every ordered pair of it, |U_B|^2.  Unmatched pairs come out in the
+    lexicographic order of enumerate_unimodular.
 
     The whole search works on the Mat2s the listing yields, each of which
     is its own entry tuple: the in-class list, the power-map keys, the

@@ -229,13 +229,16 @@ class MatOrder(_MatOrderFields):
     """Multiplicative order of a GL2(Z) element: finite n, or infinite (n is None).
 
     Only 1, 2, 3, 4 and 6 occur as finite orders in GL2(Z); any other finite
-    value is rejected so a wrong order computation fails loudly instead of
-    being carried along.
+    value, and any n that is neither None nor a plain int (True and 2.0
+    included), is rejected so a wrong order computation fails loudly
+    instead of being carried along.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int | None) -> "MatOrder":
+        if n is not None and type(n) is not int:
+            raise ValueError(f"order must be an integer or None, got {n!r}")
         if n is not None and n not in FINITE_ORDERS:
             raise ValueError(f"{n} is not a finite order of a GL2(Z) element")
         return super().__new__(cls, n)

@@ -18,13 +18,17 @@ GL2(Z), so r is non-degenerate on all of Z^2, not only on a sampled box;
 nondegenerate_at checks exactly that, det lambda_x = +-1 = det lambda_y.
 
 Each public call builds one brace.lambda_map for its pair, which raises
-InvalidSpec on an invalid pair, and evaluates r on plain integer tuples:
-the entry tuples of lambda_x and lambda_-y applied to y and x.  lambda_map
-is a lookup in a table of at most 9 entry tuples when phi and psi both
-have finite order, as in every family but 1.2, and otherwise (1.2) the
-affine E + x1 (phi - E) + x2 (psi - E); neither forms a matrix product
-per point.  sample_report runs every sample through that one map and
-converts only the failures to lists.
+InvalidSpec on an invalid pair, and evaluates r on four integers
+(x1, x2, y1, y2): the entry tuples of lambda_x and lambda_-y applied to y
+and x, with both matrix-vector products written out, giving the four
+coordinates of r(x, y).  The public functions unpack their Vec2s into the
+same helpers that sample_report calls.  lambda_map is a lookup in a table
+of at most 9 entry tuples when phi and psi both have finite order, as in
+every family but 1.2, and otherwise (1.2) the affine
+E + x1 (phi - E) + x2 (psi - E); neither forms a matrix product per point.
+sample_report runs every sample through that one map, draws each
+coordinate from getrandbits exactly as random.Random.randint does, so a
+seed names the same samples, and converts only the failures to lists.
 """
 
 from __future__ import annotations
@@ -50,29 +54,33 @@ class PairZ2(NamedTuple):
     second: Vec2
 
 
-def _act(m: tuple, v: tuple) -> tuple[int, int]:
-    a11, a12, a21, a22 = m
-    v1, v2 = v
-    return (a11 * v1 + a12 * v2, a21 * v1 + a22 * v2)
+def _r(lam, x1: int, x2: int, y1: int, y2: int) -> tuple[int, int, int, int]:
+    # (lambda_x y, lambda_-y x) as four integers.
+    a11, a12, a21, a22 = lam(x1, x2)
+    b11, b12, b21, b22 = lam(-y1, -y2)
+    return (
+        a11 * y1 + a12 * y2,
+        a21 * y1 + a22 * y2,
+        b11 * x1 + b12 * x2,
+        b21 * x1 + b22 * x2,
+    )
 
 
-def _r(lam, x: tuple, y: tuple) -> tuple[tuple[int, int], tuple[int, int]]:
-    return _act(lam(*x), y), _act(lam(-y[0], -y[1]), x)
-
-
-def _ybe_holds(lam, x: tuple, y: tuple, z: tuple) -> bool:
+def _ybe_holds(
+    lam, x1: int, x2: int, y1: int, y2: int, z1: int, z2: int
+) -> bool:
     # r12 r23 r12 against r23 r12 r23, applied right to left.
-    a, b = _r(lam, x, y)
-    b, c = _r(lam, b, z)
-    left = (*_r(lam, a, b), c)
-    b, c = _r(lam, y, z)
-    a, b = _r(lam, x, b)
-    right = (a, *_r(lam, b, c))
+    a1, a2, b1, b2 = _r(lam, x1, x2, y1, y2)
+    b1, b2, c1, c2 = _r(lam, b1, b2, z1, z2)
+    left = (*_r(lam, a1, a2, b1, b2), c1, c2)
+    b1, b2, c1, c2 = _r(lam, y1, y2, z1, z2)
+    a1, a2, b1, b2 = _r(lam, x1, x2, b1, b2)
+    right = (a1, a2, *_r(lam, b1, b2, c1, c2))
     return left == right
 
 
-def _involutive_at(lam, x: tuple, y: tuple) -> bool:
-    return _r(lam, *_r(lam, x, y)) == (x, y)
+def _involutive_at(lam, x1: int, x2: int, y1: int, y2: int) -> bool:
+    return _r(lam, *_r(lam, x1, x2, y1, y2)) == (x1, x2, y1, y2)
 
 
 def _nondegenerate_at(lam, x: tuple, y: tuple) -> bool:
@@ -84,8 +92,8 @@ def _nondegenerate_at(lam, x: tuple, y: tuple) -> bool:
 
 def r_map(spec: BraceSpec, x: Vec2, y: Vec2) -> PairZ2:
     """The Yang-Baxter map of the brace at (x, y)."""
-    first, second = _r(lambda_map(spec), x.coords(), y.coords())
-    return PairZ2(Vec2(*first), Vec2(*second))
+    u1, u2, v1, v2 = _r(lambda_map(spec), *x, *y)
+    return PairZ2(Vec2(u1, u2), Vec2(v1, v2))
 
 
 def ybe_holds(spec: BraceSpec, x: Vec2, y: Vec2, z: Vec2) -> bool:
@@ -94,12 +102,12 @@ def ybe_holds(spec: BraceSpec, x: Vec2, y: Vec2, z: Vec2) -> bool:
     Applies r to positions (1,2) and (2,3) in the two alternating orders
     and compares all three output components.
     """
-    return _ybe_holds(lambda_map(spec), x.coords(), y.coords(), z.coords())
+    return _ybe_holds(lambda_map(spec), *x, *y, *z)
 
 
 def involutive_at(spec: BraceSpec, x: Vec2, y: Vec2) -> bool:
     """True iff r(r(x, y)) = (x, y) exactly."""
-    return _involutive_at(lambda_map(spec), x.coords(), y.coords())
+    return _involutive_at(lambda_map(spec), *x, *y)
 
 
 def nondegenerate_at(spec: BraceSpec, x: Vec2, y: Vec2) -> bool:
@@ -110,7 +118,7 @@ def nondegenerate_at(spec: BraceSpec, x: Vec2, y: Vec2) -> bool:
     of Z^2 exactly when its determinant is +-1, so the two determinants
     decide both components, with no preimage built.
     """
-    return _nondegenerate_at(lambda_map(spec), x.coords(), y.coords())
+    return _nondegenerate_at(lambda_map(spec), x, y)
 
 
 def sample_report(
@@ -121,8 +129,12 @@ def sample_report(
     An invalid spec raises InvalidSpec, from lambda_map, before any other
     argument is checked.  Draws `samples` triples with coordinates uniform
     in [-box, box] and records every braid-relation, involutivity and
-    non-degeneracy failure (expected none).  samples, seed and box must be
-    plain integers (bools are rejected), and samples and box positive;
+    non-degeneracy failure (expected none).  Each sample draws x1, x2, y1,
+    y2, z1, z2 in that order, each one the value rng.randint(-box, box)
+    would return: getrandbits of width's bit length, redrawn until it is
+    below width = 2 box + 1, minus box.  r is evaluated on four integers
+    at a time, with no tuple built per point.  samples, seed and box must
+    be plain integers (bools are rejected), and samples and box positive;
     seed=None would draw from OS entropy, which the report could not name.
     Identical arguments give an identical report.
     """
@@ -133,22 +145,27 @@ def sample_report(
     for name, value in (("samples", samples), ("box", box)):
         if value < 1:
             raise ValueError(f"{name} must be positive")
-    rng = random.Random(seed)
-
-    def draw() -> tuple[int, int]:
-        return (rng.randint(-box, box), rng.randint(-box, box))
-
+    # randint(-box, box) inline: the same stream without its four frames.
+    getrandbits = random.Random(seed).getrandbits
+    width = 2 * box + 1
+    k = width.bit_length()
     ybe_failures = []
     involutivity_failures = []
     nondegeneracy_failures = []
     for _ in range(samples):
-        x, y, z = draw(), draw(), draw()
-        if not _ybe_holds(lam, x, y, z):
-            ybe_failures.append([list(x), list(y), list(z)])
-        if not _involutive_at(lam, x, y):
-            involutivity_failures.append([list(x), list(y)])
-        if not _nondegenerate_at(lam, x, y):
-            nondegeneracy_failures.append([list(x), list(y)])
+        coords = []
+        for _ in range(6):
+            v = getrandbits(k)
+            while v >= width:
+                v = getrandbits(k)
+            coords.append(v - box)
+        x1, x2, y1, y2, z1, z2 = coords
+        if not _ybe_holds(lam, x1, x2, y1, y2, z1, z2):
+            ybe_failures.append([[x1, x2], [y1, y2], [z1, z2]])
+        if not _involutive_at(lam, x1, x2, y1, y2):
+            involutivity_failures.append([[x1, x2], [y1, y2]])
+        if not _nondegenerate_at(lam, (x1, x2), (y1, y2)):
+            nondegeneracy_failures.append([[x1, x2], [y1, y2]])
     return {
         "spec": spec.to_dict(),
         "samples": samples,

@@ -44,6 +44,23 @@ TRIVIAL_SPEC = BraceSpec(IDENTITY, IDENTITY)
 #: The trivial pair plus one representative per family.
 ALL_FIXTURE_SPECS = [TRIVIAL_SPEC, *ROW_SPECS.values()]
 
+#: One member of each family, in the order of the ybe-families benchmark
+#: workload, as the JSON the CLI reads.
+YBE_MEMBERS = [
+    {"phi": [[-1, 0], [0, -1]], "psi": [[-1, 0], [0, -1]]},
+    {"phi": [[2, 1], [-1, 0]], "psi": [[2, 1], [-1, 0]]},
+    {"phi": [[1, 0], [0, 1]], "psi": [[-2, -1], [3, 1]]},
+    {"phi": [[1, 3], [-1, -2]], "psi": [[1, 0], [0, 1]]},
+    {"phi": [[2, 7], [-1, -3]], "psi": [[2, 7], [-1, -3]]},
+    {"phi": [[0, 1], [-1, -1]], "psi": [[-1, -1], [1, 0]]},
+    {"phi": [[1, 0], [0, 1]], "psi": [[-1, 1], [0, 1]]},
+    {"phi": [[-1, 0], [0, -1]], "psi": [[-1, 0], [2, 1]]},
+    {"phi": [[1, 0], [1, -1]], "psi": [[1, 0], [0, 1]]},
+    {"phi": [[1, 2], [0, -1]], "psi": [[-1, 0], [0, -1]]},
+    {"phi": [[1, 2], [0, -1]], "psi": [[1, 2], [0, -1]]},
+    {"phi": [[1, 2], [0, -1]], "psi": [[-1, -2], [0, 1]]},
+]
+
 
 def repeated_powers(a, k_max):
     """a^k for |k| <= k_max by one multiplication per step, never through

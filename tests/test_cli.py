@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import z2brace
-from conftest import hyperbolic_pair
+from conftest import YBE_MEMBERS, hyperbolic_pair
 from z2brace import BraceSpec, IDENTITY, Mat2
 from z2brace.cli import main
 
@@ -28,24 +28,6 @@ SEARCH_DIGESTS = {
     20: "41909560412bb17124a693e0adfc0f5d2570aa24f44bbd3706343a9263be14d3",
     40: "8d37f5b19bf457697e9da147fba9cfff568064b1f82835ec315be23ada29303e",
 }
-
-
-# One member of each family, in the order of the ybe-families benchmark
-# workload.
-YBE_MEMBERS = [
-    {"phi": [[-1, 0], [0, -1]], "psi": [[-1, 0], [0, -1]]},
-    {"phi": [[2, 1], [-1, 0]], "psi": [[2, 1], [-1, 0]]},
-    {"phi": [[1, 0], [0, 1]], "psi": [[-2, -1], [3, 1]]},
-    {"phi": [[1, 3], [-1, -2]], "psi": [[1, 0], [0, 1]]},
-    {"phi": [[2, 7], [-1, -3]], "psi": [[2, 7], [-1, -3]]},
-    {"phi": [[0, 1], [-1, -1]], "psi": [[-1, -1], [1, 0]]},
-    {"phi": [[1, 0], [0, 1]], "psi": [[-1, 1], [0, 1]]},
-    {"phi": [[-1, 0], [0, -1]], "psi": [[-1, 0], [2, 1]]},
-    {"phi": [[1, 0], [1, -1]], "psi": [[1, 0], [0, 1]]},
-    {"phi": [[1, 2], [0, -1]], "psi": [[-1, 0], [0, -1]]},
-    {"phi": [[1, 2], [0, -1]], "psi": [[1, 2], [0, -1]]},
-    {"phi": [[1, 2], [0, -1]], "psi": [[-1, -2], [0, 1]]},
-]
 
 
 def generate_grid():
@@ -297,6 +279,31 @@ class TestYbe:
         assert digest.hexdigest() == (
             "e7e1d18feb2e5b6537f017fda719f2638bcb5a0595acea843154c3bd04f465e6"
         )
+
+    @pytest.mark.parametrize(
+        "box, expected",
+        [
+            # Width 3 needs 2 bits, so a quarter of the draws are redrawn.
+            ("1", "5042140d6292d622d9d6370d724a9939ebe9887f7884972671ef2aacc665ea90"),
+            # 2^70: each coordinate takes three 32-bit words of the stream.
+            (
+                "1180591620717411303424",
+                "428c594dbd51db569f501968f41ae4cb799764b9c7fdd4a851134b8cf6376df1",
+            ),
+        ],
+        ids=["box-1", "box-2^70"],
+    )
+    def test_output_bytes_pinned_at_extreme_boxes(self, capsys, box, expected):
+        # sha256 over stdout and exit code of `ybe` on one member of each
+        # family, recorded from the ybe that drew each coordinate with
+        # random.Random.randint and evaluated r on nested (x, y) tuples.
+        digest = hashlib.sha256()
+        for spec in YBE_MEMBERS:
+            code, out, _ = run(
+                capsys, "ybe", json.dumps(spec), "--samples", "500", "--box", box, "--seed", "3"
+            )
+            digest.update(f"{out}{code}\n".encode())
+        assert digest.hexdigest() == expected
 
     def test_huge_sampling_box_finishes(self, capsys):
         start = time.perf_counter()

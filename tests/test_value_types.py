@@ -98,6 +98,9 @@ VALIDATION = [
      "psi = [[2,0],[0,1]] has determinant 2"),
     (lambda: MatOrder(5), ValueError, "5 is not a finite order of a GL2(Z) element"),
     (lambda: MatOrder.finite(12), ValueError, "12 is not a finite order of a GL2(Z) element"),
+    # True == 1 and 2.0 == 2 would pass the order check and print as given.
+    (lambda: MatOrder(True), ValueError, "order must be an integer or None, got True"),
+    (lambda: MatOrder(2.0), ValueError, "order must be an integer or None, got 2.0"),
     (lambda: RowParams(sign1=2), BadParams, "sign1 must be +1 or -1, got 2"),
     (lambda: RowParams(sign2=0), BadParams, "sign2 must be +1 or -1, got 0"),
     # _replace builds a new value, which must pass the same checks.

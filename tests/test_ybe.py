@@ -6,6 +6,7 @@ below recomputes r from the brace multiplication and its inverse, as an
 independent oracle for it.
 """
 
+import random
 import re
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, strategies as st
 import z2brace.brace as brace
 import z2brace.ybe as ybe
 
-from conftest import ALL_FIXTURE_SPECS, ROW_SPECS, TRIVIAL_SPEC
+from conftest import ALL_FIXTURE_SPECS, ROW_SPECS, TRIVIAL_SPEC, YBE_MEMBERS
 
 from oracles import odot_inverse
 from z2brace import (
@@ -62,6 +63,62 @@ def definitional_r(spec, x, y):
     xy = odot(spec, x, y)
     first = -x + xy
     return PairZ2(first, odot(spec, odot_inverse(spec, first), xy))
+
+
+def randint_sample_report(lam, samples, seed, box):
+    """The sampling loop ybe ran before r took four integers: coordinates
+    from rng.randint, r on nested (x, y) tuples through a matrix-vector
+    helper.  Returns the three failure lists, sorted as the report sorts
+    them."""
+
+    def act_(m, v):
+        a11, a12, a21, a22 = m
+        v1, v2 = v
+        return (a11 * v1 + a12 * v2, a21 * v1 + a22 * v2)
+
+    def r_(x, y):
+        return act_(lam(*x), y), act_(lam(-y[0], -y[1]), x)
+
+    def braid(x, y, z):
+        a, b = r_(x, y)
+        b, c = r_(b, z)
+        left = (*r_(a, b), c)
+        b, c = r_(y, z)
+        a, b = r_(x, b)
+        right = (a, *r_(b, c))
+        return left == right
+
+    def nondegenerate(x, y):
+        a11, a12, a21, a22 = lam(*x)
+        b11, b12, b21, b22 = lam(*y)
+        return abs(a11 * a22 - a12 * a21) == 1 == abs(b11 * b22 - b12 * b21)
+
+    rng = random.Random(seed)
+
+    def draw():
+        return (rng.randint(-box, box), rng.randint(-box, box))
+
+    ybe_failures, involutivity_failures, nondegeneracy_failures = [], [], []
+    for _ in range(samples):
+        x, y, z = draw(), draw(), draw()
+        if not braid(x, y, z):
+            ybe_failures.append([list(x), list(y), list(z)])
+        if r_(*r_(x, y)) != (x, y):
+            involutivity_failures.append([list(x), list(y)])
+        if not nondegenerate(x, y):
+            nondegeneracy_failures.append([list(x), list(y)])
+    return {
+        "ybe_failures": sorted(ybe_failures),
+        "involutivity_failures": sorted(involutivity_failures),
+        "nondegeneracy_failures": sorted(nondegeneracy_failures),
+    }
+
+
+FAILURE_KEYS = ("ybe_failures", "involutivity_failures", "nondegeneracy_failures")
+
+
+def failure_lists(report):
+    return {key: report[key] for key in FAILURE_KEYS}
 
 
 def valid_specs_in_box(bound):
@@ -239,3 +296,54 @@ class TestSampleReport:
     def test_rejects_arguments_that_are_not_plain_integers(self, name, value):
         with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
             sample_report(SPEC_12, **{name: value})
+
+
+#: Width 3 redraws a quarter of the draws; 2^70 takes three words per draw.
+BOXES = pytest.mark.parametrize("box", [1, 2, 8, 2**70], ids=["1", "2", "8", "2^70"])
+
+
+class TestAgreementWithRandintLoop:
+    """sample_report against randint_sample_report: the getrandbits draws
+    name the same samples as randint, and the four-integer r gives the same
+    verdicts as the tuple r, failures included."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [BraceSpec.from_dict(member) for member in YBE_MEMBERS] + ALL_FIXTURE_SPECS,
+        ids=str,
+    )
+    @BOXES
+    def test_valid_specs_at_five_seeds(self, spec, box):
+        lam = lambda_map(spec)
+        for seed in range(5):
+            report = sample_report(spec, samples=30, seed=seed, box=box)
+            assert failure_lists(report) == randint_sample_report(lam, 30, seed, box)
+            assert failure_lists(report) == dict.fromkeys(FAILURE_KEYS, [])
+
+    @pytest.mark.parametrize("bad", [INVALID_SPECS[0], SPEC_BAD], ids=str)
+    @BOXES
+    def test_non_homomorphic_lambda_fills_braid_and_involutivity(
+        self, monkeypatch, bad, box
+    ):
+        # lambda_a = phi^a1 psi^a2 of an invalid pair is not a homomorphism
+        # Z^2 -> GL2(Z) with lambda_-y = lambda_y^-1, so r breaks both.
+        def lam(x1, x2):
+            return lambda_of(bad, Vec2(x1, x2)).entries()
+
+        monkeypatch.setattr(ybe, "lambda_map", lambda spec: lam)
+        for seed in range(5):
+            report = failure_lists(sample_report(SPEC_12, samples=30, seed=seed, box=box))
+            assert report == randint_sample_report(lam, 30, seed, box)
+            assert report["ybe_failures"] and report["involutivity_failures"]
+            assert report["nondegeneracy_failures"] == []
+
+    @BOXES
+    def test_determinant_two_fills_nondegeneracy(self, monkeypatch, box):
+        def lam(x1, x2):
+            return (2, 0, 0, 1)
+
+        monkeypatch.setattr(ybe, "lambda_map", lambda spec: lam)
+        for seed in range(5):
+            report = failure_lists(sample_report(SPEC_12, samples=30, seed=seed, box=box))
+            assert report == randint_sample_report(lam, 30, seed, box)
+            assert len(report["nondegeneracy_failures"]) == 30
