@@ -4,9 +4,9 @@ The additive group is Z^2 with componentwise addition.  A pair (phi, psi)
 of unimodular matrices assigns to each a = (a1, a2) the automorphism
 lambda_a = phi^a1 * psi^a2, and the candidate multiplication is
 a (*) b = a + lambda_a(b).  check_pair decides exactly when this makes
-(Z^2, +, *) a brace: phi and psi must commute and four power identities
-phi^k psi^l = E, whose exponents are read off the entries of phi and psi,
-must all hold.
+(Z^2, +, *) a lambda-homomorphic brace: phi and psi must commute and four
+power identities phi^k psi^l = E, whose exponents are read off the entries
+of phi and psi, must all hold.
 
 lambda_map is the lambda of a brace: it raises InvalidSpec unless
 check_pair finds the pair valid, and returns a -> entries of lambda_a as
@@ -14,12 +14,12 @@ plain integers in one of two closed forms.  By the partner rules of the
 search (classification._in_pair_class, _search_partners) each generator of
 a valid pair is +-E, of order 3, a reflection or parabolic of trace 2, and
 a parabolic E + A pairs only with E + B, B a multiple of A's primitive
-part.  So either both orders are finite (1, 2 or 3), and lambda_map
-tabulates the at most 9 values phi^i psi^j once from the two power maps,
-each evaluation a lookup; or (phi - E)(psi - E) = 0, and lambda_a =
-E + a1 (phi - E) + a2 (psi - E) is affine in a.  The orders are read
-through order_by_predicate, the det/trace table Mat2.power_map reads.  A
-valid pair commutes, so lambda is a homomorphism: lambda_a^-1 = lambda_-a.
+part.  So either both shapes (Mat2._shape, the (period, degree) that
+Mat2.power_map reads) have degree 0, and lambda_map tabulates the at most
+9 values phi^i psi^j, i and j below the periods, once from the two power
+maps, each evaluation a lookup; or (phi - E)(psi - E) = 0, and lambda_a =
+E + a1 (phi - E) + a2 (psi - E) is affine in a.  A valid pair commutes,
+so lambda is a homomorphism: lambda_a^-1 = lambda_-a.
 lambda_of forms the single product phi^a1 psi^a2 for any pair, valid or
 not.
 
@@ -60,7 +60,6 @@ from .gl2z import (
     _no_concatenation,
     _undefined,
     commutes,
-    order_by_predicate,
 )
 
 __all__ = [
@@ -102,10 +101,6 @@ class Vec2(NamedTuple):
 
     __mul__ = __rmul__ = _undefined
     __radd__ = _no_concatenation
-
-    def coords(self) -> tuple[int, int]:
-        """The coordinates as a plain tuple, not a Vec2."""
-        return tuple(self)
 
     def __str__(self) -> str:
         return f"({self.x1},{self.x2})"
@@ -185,19 +180,23 @@ class Verdict(NamedTuple):
 def lambda_map(spec: BraceSpec) -> Callable[[int, int], tuple[int, int, int, int]]:
     """The lambda of a valid pair: (x1, x2) -> entries (a11, a12, a21, a22)
     of phi^x1 * psi^x2.  Raises InvalidSpec if check_pair finds the pair
-    invalid.
+    invalid, or, before any power is taken, if a generator is hyperbolic:
+    a valid pair has (phi - E)Z^2 in ker lambda, which for a hyperbolic
+    phi (det(phi - E) != 0) has finite index and so gives phi = lambda_e1
+    finite order; likewise for psi.
 
-    If phi and psi have finite orders n_phi and n_psi, each evaluation is a
-    lookup at (x1 mod n_phi, x2 mod n_psi) in a table of the at most 9
-    values, built here; otherwise it is E + x1 (phi - E) + x2 (psi - E).
-    No evaluation forms a matrix product (the module docstring says why
-    these are the only two shapes).
+    If both shapes (Mat2._shape) have degree 0, with periods n_phi and
+    n_psi, each evaluation is a lookup at (x1 mod n_phi, x2 mod n_psi) in
+    a table of the at most 9 values, built here; otherwise it is
+    E + x1 (phi - E) + x2 (psi - E).  No evaluation forms a matrix product
+    (the module docstring says why these are the only two forms).
     """
-    if not check_pair(spec).valid:
-        raise InvalidSpec(f"{spec} fails the pair conditions; run check_pair for details")
     phi, psi = spec
-    n_phi, n_psi = order_by_predicate(phi).n, order_by_predicate(psi).n
-    if n_phi is None or n_psi is None:
+    shapes = phi._shape(), psi._shape()
+    if None in shapes or not check_pair(spec).valid:
+        raise InvalidSpec(f"{spec} fails the pair conditions; run check_pair for details")
+    (n_phi, phi_degree), (n_psi, psi_degree) = shapes
+    if phi_degree or psi_degree:
         a11, a12, a21, a22 = phi
         b11, b12, b21, b22 = psi
         a11, a22, b11, b22 = a11 - 1, a22 - 1, b11 - 1, b22 - 1

@@ -637,8 +637,8 @@ class SearchReport(NamedTuple):
 def _in_pair_class(m: Mat2) -> bool:
     """Whether m lies in one of the five classes a valid pair can use.
 
-    The classes are E and -E, the parabolic matrices of trace 2, order 3
-    (det 1, trace -1) and the reflections (det -1, trace 0).
+    The classes, by shape (Mat2._shape): E (1, 0), -E and the reflections
+    (2, 0), the parabolic matrices of trace 2 (1, 1), and order 3 (3, 0).
 
     Lemma.  A valid pair commutes, so lambda is additive, and then
     lambda_(a*b) = lambda_a lambda_b with a*b = a + lambda_a(b) gives
@@ -652,7 +652,7 @@ def _in_pair_class(m: Mat2) -> bool:
     orders 4 and 6 (index 2 and 1).  What remains is the five classes; the
     same argument applies to psi.
     """
-    return m == _NEG_IDENTITY or (m.det(), m.trace()) in ((1, 2), (1, -1), (-1, 0))
+    return m._shape() in {(1, 0), (1, 1), (2, 0), (3, 0)}
 
 
 def _search_partners(
@@ -692,7 +692,8 @@ def _search_partners(
         return in_class
     if phi == _NEG_IDENTITY:
         return involutions
-    if phi.trace() == 2:
+    period, degree = phi._shape()
+    if degree:
         # a holds the entries of A = phi - E, (c1, c2) its first column
         # with c2 != 0 if any.  c1 = 0 solves B = 0, psi = E.
         a11, a12, a21, a22 = phi
@@ -706,7 +707,7 @@ def _search_partners(
         return [IDENTITY]
     # -phi and phi^-1 = adj(phi) have the entries of phi up to sign and
     # place, so every finite-order partner already lies in the box.
-    if phi.det() == 1:
+    if period == 3:
         return sorted((IDENTITY, phi, phi.inverse()))
     return sorted((IDENTITY, phi, _NEG_IDENTITY, -phi))
 

@@ -1,12 +1,12 @@
 """Exact arithmetic on 2x2 integer matrices and the GL2(Z) facts the brace
-machinery relies on: multiplicative orders read off determinant and trace.
+machinery relies on, all read off determinant and trace by one table.
 
-Powers use the same determinant and trace.  Mat2.power_map reads them
-once and returns k -> entries of M^k: affine in k for a parabolic matrix
-(det 1, trace +-2, including +-E), a lookup in the table of its n powers
-for a matrix of finite order n, and binary exponentiation, O(log |k|)
-products of growing integers, only for hyperbolic (Mat2.is_hyperbolic)
-and non-unimodular matrices.  Mat2.__pow__ is that map applied once.
+_SHAPES, read only by Mat2._shape and FINITE_ORDERS, gives the (period,
+degree) of k -> M^k: degree 1 for a parabolic M but +-E, degree 0 and
+period n for +-E and each finite order n, none for a hyperbolic or
+non-unimodular M.  Mat2.power_map forms M^k by the shape: affine in k, a
+lookup among n powers, or binary exponentiation (O(log |k|) products of
+growing integers); Mat2.__pow__ is that map applied once.
 
 Everything works on plain Python integers, so every result is exact; there
 is no floating point and no fixed-width wraparound anywhere.
@@ -41,12 +41,14 @@ class NotUnimodular(ValueError):
     """The operation needs determinant +1 or -1."""
 
 
-#: (det, trace) -> order of every non-scalar finite-order matrix in GL2(Z).
-#: No scalar matrix has these values; +-E are the only other finite orders.
-_FINITE_ORDER = {(-1, 0): 2, (1, -1): 3, (1, 0): 4, (1, 1): 6}
+#: (det, trace) -> (period, degree): on each residue class of k mod period
+#: the entries of M^k are polynomials in k of that degree.  The parabolic
+#: keys also hold +-E, which Mat2._shape gives degree 0.
+_SHAPES = {(1, 2): (1, 1), (1, -2): (2, 1), (-1, 0): (2, 0),
+           (1, -1): (3, 0), (1, 0): (4, 0), (1, 1): (6, 0)}
 
-#: The finite multiplicative orders in GL2(Z): E's 1, then the table's.
-FINITE_ORDERS = (1, *sorted(set(_FINITE_ORDER.values())))
+#: The finite multiplicative orders in GL2(Z): E's 1, then degree-0 periods.
+FINITE_ORDERS = (1, *sorted({period for period, degree in _SHAPES.values() if not degree}))
 
 
 def _undefined(self, other):
@@ -109,17 +111,25 @@ class Mat2(NamedTuple):
     def is_unimodular(self) -> bool:
         return self.det() in (1, -1)
 
-    def is_hyperbolic(self) -> bool:
-        """Whether the unimodular self is hyperbolic: t^2 > 4 det + 4.
+    def _shape(self) -> tuple[int, int] | None:
+        """(period, degree) of k -> self^k from _SHAPES, or None for a
+        hyperbolic or non-unimodular matrix.  A diagonal matrix with a
+        shape is +-E or +-diag(1, -1), so degree 0 is right for all four."""
+        a11, a12, a21, a22 = self
+        shape = _SHAPES.get((a11 * a22 - a12 * a21, a11 + a22))
+        if shape is not None and not (a12 or a21):
+            return shape[0], 0
+        return shape
 
-        That is |t| > 2 for det 1 and t != 0 for det -1, the unimodular
-        matrices that are neither +-E, parabolic nor of finite order, and
-        exactly those whose powers power_map forms by binary
-        exponentiation.  A nonzero power of a hyperbolic matrix is
-        hyperbolic, and no power of any other unimodular matrix is.
+    def is_hyperbolic(self) -> bool:
+        """Whether the unimodular self is hyperbolic: it has no _shape.
+
+        That is |t| > 2 for det 1 and t != 0 for det -1, the matrices whose
+        powers power_map forms by binary exponentiation.  A nonzero power
+        of a hyperbolic matrix is hyperbolic, and no power of any other
+        unimodular matrix is.
         """
-        t = self.trace()
-        return t * t > 4 * self.det() + 4
+        return self._shape() is None
 
     def inverse(self) -> "Mat2":
         """Exact inverse: the adjugate for det +1, its negative for det -1."""
@@ -153,26 +163,26 @@ class Mat2(NamedTuple):
     def power_map(self) -> Callable[[int], tuple[int, int, int, int]]:
         """The map k -> entries (a11, a12, a21, a22) of self^k, any sign of k.
 
-        Determinant and trace are read once, here, and pick how every power
+        The shape (_shape) is read once, here, and picks how every power
         is formed.  Cayley-Hamilton (M^2 = tM - dE for det d, trace t) gives
         closed forms that use no matrix product and no inverse, so their
         cost does not grow with k:
 
-          * det 1, trace 2s with s = +-1 (+-E and the parabolic matrices):
-            N = sM - E has N^2 = 0, so M^k = s^k (E + kN), affine in k up
-            to the sign s^k.
-          * non-scalar finite order n (2, 3, 4 or 6, from _FINITE_ORDER):
+          * degree 1 (parabolic, not +-E), trace 2s with s = -1 for period
+            2 and s = 1 otherwise: N = sM - E has N^2 = 0, so
+            M^k = s^k (E + kN), affine in k up to the sign s^k.
+          * degree 0, period n (+-E and the finite orders 2, 3, 4, 6):
             M^k is entry k mod n of the table E, M, ..., M^(n-1), built by
             M^(j+1) = t M^j - d M^(j-1).
 
-        Every other matrix (is_hyperbolic, or not unimodular) is raised by
-        binary exponentiation: O(log |k|) products whose entries grow with
-        k itself.  There a negative exponent goes through inverse() and
-        therefore requires determinant +1 or -1.
+        A matrix without a shape (is_hyperbolic, or not unimodular) is
+        raised by binary exponentiation: O(log |k|) products whose entries
+        grow with k itself.  There a negative exponent goes through
+        inverse() and therefore requires determinant +1 or -1.
         """
-        d, t = self.det(), self.trace()
-        if d == 1 and t in (2, -2):
-            s = t // 2
+        shape = self._shape()
+        if shape is not None and shape[1]:
+            s = -1 if shape[0] == 2 else 1
             a11, a12, a21, a22 = self
             n11, n12, n21, n22 = s * a11 - 1, s * a12, s * a21, s * a22 - 1
 
@@ -181,8 +191,9 @@ class Mat2(NamedTuple):
                 return (e * (1 + k * n11), e * k * n12, e * k * n21, e * (1 + k * n22))
 
             return power
-        n = _FINITE_ORDER.get((d, t))
-        if n is not None:
+        if shape is not None:
+            n = shape[0]
+            d, t = self.det(), self.trace()
             table = [(1, 0, 0, 1), self.entries()]
             while len(table) < n:
                 (p11, p12, p21, p22), (c11, c12, c21, c22) = table[-2], table[-1]
@@ -246,14 +257,6 @@ class MatOrder(_MatOrderFields):
     # _replace builds through _make, which would skip the check above.
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
-    @classmethod
-    def finite(cls, n: int) -> "MatOrder":
-        return cls(n)
-
-    @classmethod
-    def infinite(cls) -> "MatOrder":
-        return cls(None)
-
     @property
     def is_finite(self) -> bool:
         return self.n is not None
@@ -265,18 +268,14 @@ class MatOrder(_MatOrderFields):
 def order_by_predicate(a: Mat2) -> MatOrder:
     """Multiplicative order from determinant and trace alone.
 
-    For unimodular a: order 1 iff a = E, order 2 if a = -E; otherwise the
-    order _FINITE_ORDER gives for (det, trace), or infinite if it gives
-    none.  Mat2.power_map reads the same table.
+    For unimodular a: the period of a's shape (Mat2._shape) when its
+    degree is 0, and infinite for degree 1 or no shape.  Mat2.power_map
+    reads the same shape.
     """
     if not a.is_unimodular():
         raise NotUnimodular(f"{a} has determinant {a.det()}")
-    if a == IDENTITY:
-        return MatOrder.finite(1)
-    if a == _NEG_IDENTITY:
-        return MatOrder.finite(2)
-    n = _FINITE_ORDER.get((a.det(), a.trace()))
-    return MatOrder.infinite() if n is None else MatOrder.finite(n)
+    shape = a._shape()
+    return MatOrder(shape[0] if shape is not None and not shape[1] else None)
 
 
 #: Every finite order in GL2(Z) divides 12, so iteration stops there.
@@ -294,9 +293,9 @@ def order_by_iteration(a: Mat2) -> MatOrder:
     power = a
     for n in range(1, _ITERATION_CUTOFF + 1):
         if power == IDENTITY:
-            return MatOrder.finite(n)
+            return MatOrder(n)
         power = power * a
-    return MatOrder.infinite()
+    return MatOrder(None)
 
 
 def commutes(a: Mat2, b: Mat2) -> bool:

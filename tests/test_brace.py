@@ -2,6 +2,7 @@
 verdict, and the holomorph closure property.
 """
 
+import random
 from math import gcd
 
 import pytest
@@ -39,6 +40,7 @@ from z2brace import (
     odot_associative,
     order_by_iteration,
 )
+from z2brace import brace
 from z2brace.brace import _power_identities
 
 M_2110 = Mat2(2, 1, -1, 0)
@@ -406,6 +408,31 @@ class TestLambdaMap:
         assert lambda_map(spec)(x1, x2) == expected.entries()
         assert affine_lambda(spec, x1, x2) == expected.entries()
 
+    def test_no_pair_with_a_hyperbolic_member_is_valid_at_bound_3(self):
+        # The lemma lambda_map refuses a hyperbolic generator by, on every
+        # box up to bound 3; hyperbolic is the formula t^2 > 4 det + 4 here.
+        hyperbolic = {m for m in BOX_3 if m.trace() ** 2 > 4 * m.det() + 4}
+        pairs = [
+            BraceSpec(phi, psi)
+            for phi in BOX_3
+            for psi in BOX_3
+            if phi in hyperbolic or psi in hyperbolic
+        ]
+        assert (len(hyperbolic), len(pairs)) == (120, 41_280)
+        assert [spec for spec in pairs if check_pair(spec).valid] == []
+
+    @pytest.mark.parametrize("bits", [14, 41, 256])
+    def test_refuses_a_hyperbolic_generator_before_check_pair(self, bits, monkeypatch):
+        # At 41 bits check_pair on (m, m) takes powers too large to finish.
+        def no_check_pair(spec):
+            raise AssertionError(f"check_pair called on {spec}")
+
+        monkeypatch.setattr(brace, "check_pair", no_check_pair)
+        m, n = hyperbolic_pair(bits)
+        for phi, psi in ((m, m), (m, n), (m, IDENTITY), (-IDENTITY, m), (M_2110, m)):
+            with pytest.raises(InvalidSpec, match="fails the pair conditions"):
+                lambda_map(BraceSpec(phi, psi))
+
     def test_check_pair_matches_the_entry_reading_on_every_pair_at_bound_3(self):
         assert len(BOX_3) ** 2 == 53824
         for phi in BOX_3:
@@ -599,6 +626,20 @@ class TestAssociativity:
     @given(spec=valid_specs, a=vectors, b=vectors, c=vectors)
     def test_holds_for_valid_specs(self, spec, a, b, c):
         assert odot_associative(spec, a, b, c)
+
+    def test_an_associative_pair_that_check_pair_rejects(self):
+        # check_pair decides lambda-homomorphic braces, not every brace:
+        # this pair does not commute, so lambda is no homomorphism, yet the
+        # multiplication is associative on a seeded box.
+        spec = BraceSpec(Mat2(1, 0, 2, 1), Mat2(-1, 0, 0, 1))
+        verdict = check_pair(spec)
+        assert not verdict.valid and not verdict.commuting
+        rng = random.Random(2026)
+        triples = [
+            [Vec2(rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(3)]
+            for _ in range(3000)
+        ]
+        assert [t for t in triples if not odot_associative(spec, *t)] == []
 
 
 class TestHolomorph:

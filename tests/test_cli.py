@@ -411,6 +411,16 @@ class TestScalarBesideHyperbolicLargeEntries(LargeEntryVerdicts):
     commuting = True
 
 
+def test_ybe_refuses_a_commuting_hyperbolic_pair_at_41_bits():
+    # phi = psi = [[a, a+1], [a-1, a]] with a = 2^40 + 7: lambda_map refuses
+    # the hyperbolic generator before check_pair would take its powers at
+    # 41-bit exponents, so ybe exits 2 well inside run_process's timeout.
+    m, _ = hyperbolic_pair(41)
+    proc = run_process("ybe", json.dumps(BraceSpec(m, m).to_dict()))
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "fails the pair conditions" in proc.stderr
+
+
 class TestOutputFile:
     def test_matches_stdout(self, capsys, tmp_path):
         _, stdout_text, _ = run(capsys, "search", "--bound", "1")

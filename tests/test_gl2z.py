@@ -3,6 +3,9 @@ and commutants.  Where a value was derived by hand it is frozen here and,
 for the cheap cases, re-checked against a naive textbook computation.
 """
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -176,7 +179,7 @@ class TestPowerClosedForm:
         for name, a in CLOSED_FORM.items():
             order = order_by_predicate(a)
             if name.startswith("order"):
-                assert order == MatOrder.finite(int(name[6]))
+                assert order == MatOrder(int(name[6]))
             elif name in ("E", "-E"):
                 assert order.is_finite
             else:
@@ -285,16 +288,16 @@ class TestOrders:
         ],
     )
     def test_predicate_finite(self, matrix, n):
-        assert order_by_predicate(matrix) == MatOrder.finite(n)
+        assert order_by_predicate(matrix) == MatOrder(n)
 
     def test_predicate_infinite(self):
-        assert order_by_predicate(SHEAR) == MatOrder.infinite()
+        assert order_by_predicate(SHEAR) == MatOrder(None)
 
     def test_iteration_examples(self):
-        assert order_by_iteration(IDENTITY) == MatOrder.finite(1)
-        assert order_by_iteration(-IDENTITY) == MatOrder.finite(2)
-        assert order_by_iteration(Mat2(0, -1, 1, -1)) == MatOrder.finite(3)
-        assert order_by_iteration(SHEAR) == MatOrder.infinite()
+        assert order_by_iteration(IDENTITY) == MatOrder(1)
+        assert order_by_iteration(-IDENTITY) == MatOrder(2)
+        assert order_by_iteration(Mat2(0, -1, 1, -1)) == MatOrder(3)
+        assert order_by_iteration(SHEAR) == MatOrder(None)
 
     def test_rejects_non_unimodular(self):
         with pytest.raises(NotUnimodular):
@@ -309,8 +312,133 @@ class TestOrders:
     def test_matorder_rejects_impossible_finite_orders(self):
         for n in (0, 5, 7, 12):
             with pytest.raises(ValueError):
-                MatOrder.finite(n)
+                MatOrder(n)
         assert set(FINITE_ORDERS) == {1, 2, 3, 4, 6}
+
+
+def hyperbolic_by_formula(m: Mat2) -> bool:
+    # The test Mat2.is_hyperbolic made before _SHAPES: t^2 > 4 det + 4.
+    t = m.trace()
+    return t * t > 4 * m.det() + 4
+
+
+def second_difference(powers, k, p):
+    # Entries of M^(k+2p) - 2 M^(k+p) + M^k.
+    return tuple(
+        a - 2 * b + c for a, b, c in zip(powers[k + 2 * p], powers[k + p], powers[k])
+    )
+
+
+SHAPE_EXPONENTS = 12
+NO_DIFFERENCE = (0, 0, 0, 0)
+
+
+def shape_disagreements(m: Mat2) -> list:
+    """Where m._shape() disagrees with its three references, [] if nowhere.
+
+    m^k for |k| <= 12 comes from repeated multiplication, and power_map
+    must give the same entries.  Then: None exactly when the old formula
+    says hyperbolic; degree 0 exactly when order_by_iteration finds a
+    finite order, and then period = order; with degree 0, M^(k+period) =
+    M^k; with degree 1, the second differences with step period vanish on
+    every residue class, the first differences do not, and no shorter
+    step makes the second differences vanish; with None, no step up to 6
+    does (M^2p - 2M^p + E = (M^p - E)^2 = 0 would make M^p unipotent).
+    """
+    shape = m._shape()
+    powers = {k: p.entries() for k, p in repeated_powers(m, SHAPE_EXPONENTS).items()}
+    power = m.power_map()
+    wrong = [("power_map", k) for k in powers if power(k) != powers[k]]
+    if (shape is None) != hyperbolic_by_formula(m):
+        wrong.append("formula")
+    order = order_by_iteration(m).n
+    if shape is None:
+        if order is not None:
+            wrong.append("order")
+        if any(second_difference(powers, 0, p) == NO_DIFFERENCE for p in range(1, 7)):
+            wrong.append("powers")
+        return wrong
+    period, degree = shape
+    if (order is None) != bool(degree) or (not degree and order != period):
+        wrong.append("order")
+    ks = range(-SHAPE_EXPONENTS, SHAPE_EXPONENTS + 1 - 2 * period)
+    if degree:
+        affine = all(
+            second_difference(powers, k, period) == NO_DIFFERENCE
+            and powers[k + period] != powers[k]
+            for k in ks
+        )
+        shortest = all(
+            second_difference(powers, 0, p) != NO_DIFFERENCE for p in range(1, period)
+        )
+        if not (affine and shortest):
+            wrong.append("powers")
+    elif any(powers[k + period] != powers[k] for k in ks):
+        wrong.append("powers")
+    return wrong
+
+
+UNIMODULAR_8 = list(enumerate_unimodular(8))
+
+# A representative of each shape up to conjugation in GL2(Z), with its
+# shape: the classes an in-class matrix can come from (order 3, the two
+# reflection classes, E + mN), then orders 4 and 6, trace -2 and two
+# hyperbolic matrices.  +-E are central, so they have no other conjugate.
+SHAPE_CLASSES = [
+    pytest.param(Mat2(0, -1, 1, -1), (3, 0), id="order-3"),
+    pytest.param(Mat2(1, 0, 0, -1), (2, 0), id="diag(1,-1)"),
+    pytest.param(SWAP, (2, 0), id="swap"),
+    pytest.param(Mat2(1, 5, 0, 1), (1, 1), id="E+5N"),
+    pytest.param(Mat2(1, -1, 0, 1), (1, 1), id="E-N"),
+    pytest.param(Mat2(0, -1, 1, 0), (4, 0), id="order-4"),
+    pytest.param(Mat2(0, -1, 1, 1), (6, 0), id="order-6"),
+    pytest.param(Mat2(-1, 3, 0, -1), (2, 1), id="trace-minus-2"),
+    pytest.param(Mat2(2, 1, 1, 1), None, id="hyperbolic-det-1"),
+    pytest.param(Mat2(1, 1, 1, 0), None, id="hyperbolic-det-minus-1"),
+]
+
+
+def conjugates_64_bit(c: Mat2, seed: int, count: int) -> list[Mat2]:
+    # g^-1 c g for seeded g = [[1, s], [0, 1]] [[1, 0], [t, 1]], times the
+    # swap for about half of them, with |s|, |t| < 2^32: g has entries of
+    # about 64 bits, and the conjugates of SHAPE_CLASSES have 52 to 127.
+    rng = random.Random(seed)
+    result = []
+    for _ in range(count):
+        s, t = (rng.getrandbits(33) - 2**32 for _ in range(2))
+        g = Mat2(1, s, 0, 1) * Mat2(1, 0, t, 1)
+        if rng.getrandbits(1):
+            g = g * SWAP
+        result.append(g.inverse() * c * g)
+    return result
+
+
+class TestShape:
+    """Mat2._shape, the one reading of _SHAPES, against order_by_iteration,
+    repeated multiplication and the old hyperbolic formula."""
+
+    def test_agrees_with_the_references_on_the_box_of_bound_8(self):
+        assert [(m, wrong) for m in UNIMODULAR_8 if (wrong := shape_disagreements(m))] == []
+        assert Counter(m._shape() for m in UNIMODULAR_8) == {
+            (1, 0): 1, (2, 0): 133, (1, 1): 76, (2, 1): 76,
+            (3, 0): 28, (4, 0): 26, (6, 0): 28, None: 1016,
+        }
+
+    def test_plus_minus_identity_have_degree_0(self):
+        assert IDENTITY._shape() == (1, 0)
+        assert (-IDENTITY)._shape() == (2, 0)
+
+    def test_non_unimodular_matrices_have_no_shape(self):
+        for m in (Mat2(0, 0, 0, 0), Mat2(2, 0, 0, 2), Mat2(1, 1, 1, 1), Mat2(2, 1, 0, 0)):
+            assert m._shape() is None
+
+    @pytest.mark.parametrize("c,shape", SHAPE_CLASSES)
+    def test_agrees_with_the_references_on_64_bit_conjugates(self, c, shape):
+        assert c._shape() == shape
+        for m in conjugates_64_bit(c, seed=2026, count=20):
+            assert max(map(abs, m)).bit_length() >= 48
+            assert m._shape() == shape, m
+            assert shape_disagreements(m) == [], m
 
 
 def order_by_recurrence(d: int, t: int) -> int | None:
