@@ -15,22 +15,26 @@ search (classification._in_pair_class, _search_partners) each generator of
 a valid pair is +-E, of order 3, a reflection or parabolic of trace 2, and
 a parabolic E + A pairs only with E + B, B a multiple of A's primitive
 part.  So either both shapes (Mat2._shape, the (period, degree) that
-Mat2.power_map reads) have degree 0, and lambda_map tabulates the at most
-9 values phi^i psi^j, i and j below the periods, once from the two power
-maps, each evaluation a lookup; or (phi - E)(psi - E) = 0, and lambda_a =
-E + a1 (phi - E) + a2 (psi - E) is affine in a.  A valid pair commutes,
+Mat2.power_map reads) have degree 0, and lambda is the table of the at
+most 9 values phi^i psi^j, i and j below the periods, each evaluation a
+lookup; or (phi - E)(psi - E) = 0, and lambda_a = E + a1 (phi - E) +
+a2 (psi - E) is affine in a.  _lambda_form decides validity and builds
+that form once from one power map per generator; lambda_map and the
+Yang-Baxter map of the ybe module both read it.  A valid pair commutes,
 so lambda is a homomorphism: lambda_a^-1 = lambda_-a.
 lambda_of forms the single product phi^a1 psi^a2 for any pair, valid or
 not.
 
-The four identities are decided in one place, _power_identities, which
-reads each phi^k psi^l = E as phi^k = psi^(-l): it compares the two
-powers from the two power maps, forms no product of them, and yields the
-truths one at a time.  check_pair calls it with the pair's own two power
-maps and hyperbolic flags, built once per call, and keeps all four
-truths; classification.exhaustive_search calls it with one power map per
-in-class matrix, built once per search, and both flags false, and stops
-at the first false identity.
+The exponents of the four identities are written in one place,
+_exponents, and each identity phi^k psi^l = E is read as phi^k =
+psi^(-l): two powers from the two power maps compared, with no product
+of them formed.  _identities_hold decides all four for a pair with no
+hyperbolic member and stops at the first false one;
+classification.exhaustive_search calls it with one power map per
+in-class matrix, built once per search, and _lambda_form with the pair's
+own two.  check_pair, the one caller that can meet a hyperbolic matrix,
+calls _power_identities with the pair's two power maps and hyperbolic
+flags, built once per call, and keeps all four truths.
 
 Before it takes a power, _power_identities applies one rule to each
 identity.  phi^k psi^l = E says phi^k = psi^(-l).  A nonzero power of a
@@ -52,7 +56,7 @@ check_pair against, lives in tests/oracles.py.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .gl2z import (
     Mat2,
@@ -177,41 +181,89 @@ class Verdict(NamedTuple):
         }
 
 
-def lambda_map(spec: BraceSpec) -> Callable[[int, int], tuple[int, int, int, int]]:
-    """The lambda of a valid pair: (x1, x2) -> entries (a11, a12, a21, a22)
-    of phi^x1 * psi^x2.  Raises InvalidSpec if check_pair finds the pair
-    invalid, or, before any power is taken, if a generator is hyperbolic:
-    a valid pair has (phi - E)Z^2 in ker lambda, which for a hyperbolic
-    phi (det(phi - E) != 0) has finite index and so gives phi = lambda_e1
-    finite order; likewise for psi.
+class _LambdaTable(NamedTuple):
+    """lambda of a valid pair whose generators both have finite order:
+    rows[i][j] is the entry tuple of phi^i psi^j, for i below n_phi and j
+    below n_psi, the two periods."""
 
-    If both shapes (Mat2._shape) have degree 0, with periods n_phi and
-    n_psi, each evaluation is a lookup at (x1 mod n_phi, x2 mod n_psi) in
-    a table of the at most 9 values, built here; otherwise it is
-    E + x1 (phi - E) + x2 (psi - E).  No evaluation forms a matrix product
-    (the module docstring says why these are the only two forms).
+    rows: list[list[tuple[int, int, int, int]]]
+    n_phi: int
+    n_psi: int
+
+
+class _LambdaAffine(NamedTuple):
+    """lambda of a valid pair with a parabolic generator: the entry tuples
+    of a = phi - E and b = psi - E, so lambda_x = E + x1 a + x2 b."""
+
+    a: tuple[int, int, int, int]
+    b: tuple[int, int, int, int]
+
+
+def _lambda_form(spec: BraceSpec) -> _LambdaTable | _LambdaAffine:
+    """lambda's closed form for a valid pair, built once per call.
+
+    Raises InvalidSpec unless the pair is valid, deciding as check_pair
+    does but with no verdict built: first, before any power is taken, if
+    a generator is hyperbolic (a valid pair has (phi - E)Z^2 in ker
+    lambda, which for a hyperbolic phi, det(phi - E) != 0, has finite
+    index and so gives phi = lambda_e1 finite order; likewise for psi);
+    then unless the pair commutes and _identities_hold from one pair of
+    power maps.  With no hyperbolic generator the hyperbolic rule of
+    _power_identities never applies, so this is check_pair's verdict.
+    If both shapes (Mat2._shape) have degree 0, the table is filled from
+    those same power maps; otherwise the form is affine.
     """
     phi, psi = spec
     shapes = phi._shape(), psi._shape()
-    if None in shapes or not check_pair(spec).valid:
+    valid = None not in shapes and commutes(phi, psi)
+    if valid:
+        phi_power, psi_power = phi.power_map(), psi.power_map()
+        valid = _identities_hold(phi, psi, phi_power, psi_power)
+    if not valid:
         raise InvalidSpec(f"{spec} fails the pair conditions; run check_pair for details")
     (n_phi, phi_degree), (n_psi, psi_degree) = shapes
     if phi_degree or psi_degree:
         a11, a12, a21, a22 = phi
         b11, b12, b21, b22 = psi
-        a11, a22, b11, b22 = a11 - 1, a22 - 1, b11 - 1, b22 - 1
-        return lambda x1, x2: (
-            1 + x1 * a11 + x2 * b11,
-            x1 * a12 + x2 * b12,
-            x1 * a21 + x2 * b21,
-            1 + x1 * a22 + x2 * b22,
-        )
-    phi_power, psi_power = phi.power_map(), psi.power_map()
+        return _LambdaAffine((a11 - 1, a12, a21, a22 - 1), (b11 - 1, b12, b21, b22 - 1))
     rows = [
         [(Mat2(*phi_power(i)) * Mat2(*psi_power(j))).entries() for j in range(n_psi)]
         for i in range(n_phi)
     ]
-    return lambda x1, x2: rows[x1 % n_phi][x2 % n_psi]
+    return _LambdaTable(rows, n_phi, n_psi)
+
+
+def _lambda_of_form(
+    form: _LambdaTable | _LambdaAffine,
+) -> Callable[[int, int], tuple[int, int, int, int]]:
+    """(x1, x2) -> entries of lambda_x, read off the form: a lookup at
+    (x1 mod n_phi, x2 mod n_psi), or E + x1 a + x2 b."""
+    if isinstance(form, _LambdaTable):
+        rows, n_phi, n_psi = form
+        return lambda x1, x2: rows[x1 % n_phi][x2 % n_psi]
+    (a11, a12, a21, a22), (b11, b12, b21, b22) = form
+    return lambda x1, x2: (
+        1 + x1 * a11 + x2 * b11,
+        x1 * a12 + x2 * b12,
+        x1 * a21 + x2 * b21,
+        1 + x1 * a22 + x2 * b22,
+    )
+
+
+def lambda_map(spec: BraceSpec) -> Callable[[int, int], tuple[int, int, int, int]]:
+    """The lambda of a valid pair: (x1, x2) -> entries (a11, a12, a21, a22)
+    of phi^x1 * psi^x2.  Raises InvalidSpec if check_pair finds the pair
+    invalid, or, before any power is taken, if a generator is hyperbolic.
+
+    The map is read off lambda's closed form, built here once from one
+    power map per generator: if both shapes (Mat2._shape) have degree 0,
+    with periods n_phi and n_psi, each evaluation is a lookup at
+    (x1 mod n_phi, x2 mod n_psi) in a table of the at most 9 values;
+    otherwise it is E + x1 (phi - E) + x2 (psi - E).  No evaluation forms
+    a matrix product (the module docstring says why these are the only
+    two forms).
+    """
+    return _lambda_of_form(_lambda_form(spec))
 
 
 def lambda_of(spec: BraceSpec, a: Vec2) -> Mat2:
@@ -225,6 +277,36 @@ def odot(spec: BraceSpec, a: Vec2, b: Vec2) -> Vec2:
     return a + act(lambda_of(spec, a), b)
 
 
+def _exponents(
+    phi: tuple[int, int, int, int], psi: tuple[int, int, int, int]
+) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int], tuple[int, int]]:
+    """The exponents (k, l) of the four identities phi^k psi^l = E, in
+    generator order: the columns of phi - E, then those of psi - E."""
+    p11, p12, p21, p22 = phi
+    q11, q12, q21, q22 = psi
+    return (p11 - 1, p21), (p12, p22 - 1), (q11 - 1, q21), (q12, q22 - 1)
+
+
+def _identities_hold(
+    phi: tuple[int, int, int, int],
+    psi: tuple[int, int, int, int],
+    phi_power: Callable[[int], tuple[int, int, int, int]],
+    psi_power: Callable[[int], tuple[int, int, int, int]],
+) -> bool:
+    """Whether all four power identities hold for a commuting pair with no
+    hyperbolic member, stopping at the first false one.
+
+    phi_power and psi_power are the pair's power maps (Mat2.power_map).
+    Each identity phi^k psi^l = E is read as phi^k = psi^(-l): two entry
+    tuples from the power maps compared as they are, so no product is
+    formed.  The exhaustive search and _lambda_form decide validity here.
+    """
+    for k, l in _exponents(phi, psi):
+        if phi_power(k) != psi_power(-l):
+            return False
+    return True
+
+
 def _power_identities(
     phi: tuple[int, int, int, int],
     psi: tuple[int, int, int, int],
@@ -233,33 +315,28 @@ def _power_identities(
     commuting: bool,
     phi_big: bool,
     psi_big: bool,
-) -> Iterator[bool]:
-    """The four power identities of the pair with entries phi and psi,
-    yielded one at a time in generator order.
+) -> tuple[bool, bool, bool, bool]:
+    """The truths of the four power identities of any pair, in generator
+    order: check_pair's verdict.
 
     phi_power and psi_power are the pair's power maps (Mat2.power_map),
     commuting says whether the pair commutes and phi_big, psi_big whether
-    phi, psi are hyperbolic.  Each identity phi^k psi^l = E, with (k, l) a
-    column of phi - E or psi - E, goes through one rule.  Let big_k say
-    that phi is hyperbolic and k != 0, and big_l the same for psi and l.
-    The identity is false if big_k != big_l, or if both hold on a pair
-    that does not commute; otherwise it holds iff phi^k = psi^(-l), two
-    entry tuples from the power maps compared as they are, so no product
-    is formed and the comparison stops at the first entry that differs.
-    Every power map takes negative exponents (Mat2.power_map).  So a
-    hyperbolic power is taken only on a commuting pair of two hyperbolic
-    matrices.  An identity is decided only when it is drawn, so all()
-    stops at the first false one.  Nothing else decides the identities:
-    check_pair and the exhaustive search both call this.
+    phi, psi are hyperbolic.  Each identity phi^k psi^l = E goes through
+    one rule.  Let big_k say that phi is hyperbolic and k != 0, and big_l
+    the same for psi and l.  The identity is false if big_k != big_l, or
+    if both hold on a pair that does not commute; otherwise it holds iff
+    phi^k = psi^(-l), as in _identities_hold.  Every power map takes
+    negative exponents (Mat2.power_map).  So a hyperbolic power is taken
+    only on a commuting pair of two hyperbolic matrices.
     """
-    p11, p12, p21, p22 = phi
-    q11, q12, q21, q22 = psi
-    for k, l in ((p11 - 1, p21), (p12, p22 - 1), (q11 - 1, q21), (q12, q22 - 1)):
+    truths = []
+    for k, l in _exponents(phi, psi):
         big = phi_big and k != 0
         if big != (psi_big and l != 0) or (big and not commuting):
-            yield False
-            continue
-        yield phi_power(k) == psi_power(-l)
+            truths.append(False)
+        else:
+            truths.append(phi_power(k) == psi_power(-l))
+    return tuple(truths)
 
 
 def check_pair(spec: BraceSpec) -> Verdict:
@@ -278,7 +355,7 @@ def check_pair(spec: BraceSpec) -> Verdict:
     """
     phi, psi = spec
     commuting = commutes(phi, psi)
-    power = tuple(_power_identities(
+    power = _power_identities(
         phi,
         psi,
         phi.power_map(),
@@ -286,7 +363,7 @@ def check_pair(spec: BraceSpec) -> Verdict:
         commuting,
         phi.is_hyperbolic(),
         psi.is_hyperbolic(),
-    ))
+    )
     return Verdict(
         valid=commuting and all(power), commuting=commuting, power_identities=power
     )

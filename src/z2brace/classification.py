@@ -65,7 +65,7 @@ from functools import partial
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
-from .brace import BraceSpec, _power_identities, check_pair
+from .brace import BraceSpec, _identities_hold, check_pair
 from .gl2z import (
     _NEG_IDENTITY,
     IDENTITY,
@@ -406,12 +406,14 @@ def generate_row(label: RowLabel, params: RowParams) -> BraceSpec:
 
     Raises BadParams (or its subclasses IntegralityError / GcdError) when
     the parameters do not produce a member, including when one of them is
-    not a parameter of the family.  Every constructed pair
-    satisfies check_pair, which is asserted here.
+    not a parameter of the family.  Every constructed pair is checked by
+    check_pair here, under python -O too; an invalid one raises
+    AssertionError, a fault of the constructor.
     """
     phi, psi = _CONSTRUCTORS[label](*_need(params, label))
     spec = BraceSpec(Mat2(*phi), Mat2(*psi))
-    assert check_pair(spec).valid, f"family {label} produced invalid pair {spec}"
+    if not check_pair(spec).valid:
+        raise AssertionError(f"family {label} produced invalid pair {spec}")
     return spec
 
 
@@ -731,14 +733,14 @@ def exhaustive_search(bound: int) -> SearchReport:
     is its own entry tuple: the in-class list, the power-map keys, the
     partners, the valid pairs and the join hold those matrices, with no
     second representation.  Each in-class matrix gets one power map,
-    built once, and each pair is decided by brace._power_identities, the
-    decider check_pair wraps, from the two cached maps, with no commutation
-    test (every partner commutes with phi); the scan stops at the pair's
-    first false identity.  The member list holds the constructors' plain
-    entry-tuple pairs, which equal and hash as the Mat2 pairs they join
-    with.  A BraceSpec is built only for a pair the report lists (and for
-    a member the forward scan did not find valid, which check_pair then
-    decides).
+    built once, and each pair is decided by brace._identities_hold, which
+    reads the identities as check_pair does, from the two cached maps, with
+    no commutation test (every partner commutes with phi); the scan stops at
+    the pair's first false identity.  The member list holds the
+    constructors' plain entry-tuple pairs, which equal and hash as the Mat2
+    pairs they join with.  A BraceSpec is built only for a pair the report
+    lists (and for a member the forward scan did not find valid, which
+    check_pair then decides).
 
     Both directions read one list, _row_instances(bound, in_class): every
     in-box family member with its label, read off the in-class matrices
@@ -761,15 +763,15 @@ def exhaustive_search(bound: int) -> SearchReport:
         if _in_pair_class(m):
             in_class.append(m)
     involutions = [m for m in in_class if m * m == IDENTITY]
-    # One power map per in-class matrix.  Both hyperbolic flags are False:
-    # _in_pair_class excludes every hyperbolic matrix, so no search pair
-    # has one.
+    # One power map per in-class matrix.  _identities_hold takes no
+    # hyperbolic rule: _in_pair_class excludes every hyperbolic matrix, so
+    # no search pair has one.
     power = {m: m.power_map() for m in in_class}
     found: list[tuple[Mat2, Mat2]] = []
     for phi in in_class:
         phi_power = power[phi]
         for psi in _search_partners(phi, bound, in_class, involutions):
-            if all(_power_identities(phi, psi, phi_power, power[psi], True, False, False)):
+            if _identities_hold(phi, psi, phi_power, power[psi]):
                 found.append((phi, psi))
     valid = set(found)
     members = _row_instances(bound, in_class)

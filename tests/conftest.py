@@ -62,6 +62,29 @@ YBE_MEMBERS = [
 ]
 
 
+#: The members with 64-bit parameters that the CI workflow classifies and
+#: runs ybe on, in its order, with their labels: one member of each family
+#: but 1.1, and 4.1's free-p branch.  1.2's lambda is affine; every other
+#: one is a table.
+CI_64_BIT_MEMBERS = [
+    (RowLabel(label), generate_row(RowLabel(label), RowParams(**params)))
+    for label, params in (
+        ("1.3", dict(p=1, q=-55340232234013556737, sign1=1)),
+        ("1.4", dict(p=-55340232234013556737, q=1, sign1=-1)),
+        ("2.1", dict(p=2**64, q=-(2**63) - 1, sign1=1)),
+        ("2.2", dict(p=2**63, q=-(2**63) - 1, sign1=-1)),
+        ("3.1", dict(p=-(2**63) - 1, q=2**64, sign1=-1)),
+        ("3.2", dict(p=-(2**63) - 1, q=2**63, sign1=1)),
+        ("4.2", dict(p=2**63, q=-(2**63) - 1, sign1=1)),
+        ("1.5", dict(m=2**64, n=2**64 + 1)),
+        ("1.6", dict(m=2**64, n=-(2**64))),
+        ("4.1", dict(m=2**64, n=2**64 + 1)),
+        ("4.1", dict(m=-1, n=-1, p=2**64)),
+        ("1.2", dict(m=2**64, p=3, q=-7)),
+    )
+]
+
+
 def repeated_powers(a, k_max):
     """a^k for |k| <= k_max by one multiplication per step, never through
     Mat2.power_map or Mat2.__pow__; negative k only when a has an integer

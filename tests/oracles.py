@@ -22,6 +22,10 @@ public z2brace names:
     r_map against that.
   * in_lambda_kernel is the kernel of lambda by its definition,
     lambda_v = E, read off lambda_of, so it takes any pair, valid or not.
+  * r_of_lambda is r(x, y) = (lambda_x y, lambda_-y x) on four integers
+    from any lambda map, two calls to it per point: the evaluation ybe
+    made before it read lambda's closed form in place.  test_ybe checks
+    the per-form r against it.
 """
 
 from __future__ import annotations
@@ -145,3 +149,16 @@ def odot_inverse(spec: BraceSpec, a: Vec2) -> Vec2:
 def in_lambda_kernel(spec: BraceSpec, v: Vec2) -> bool:
     """True iff lambda_v = phi^v1 * psi^v2 is the identity."""
     return lambda_of(spec, v) == IDENTITY
+
+
+def r_of_lambda(lam, x1: int, x2: int, y1: int, y2: int) -> tuple[int, int, int, int]:
+    """(lambda_x y, lambda_-y x) as four integers, lam(x1, x2) giving the
+    entries of lambda_x (as lambda_map does)."""
+    a11, a12, a21, a22 = lam(x1, x2)
+    b11, b12, b21, b22 = lam(-y1, -y2)
+    return (
+        a11 * y1 + a12 * y2,
+        a21 * y1 + a22 * y2,
+        b11 * x1 + b12 * x2,
+        b21 * x1 + b22 * x2,
+    )

@@ -10,6 +10,7 @@ from hypothesis import assume, given, strategies as st
 
 from conftest import (
     ALL_FIXTURE_SPECS,
+    CI_64_BIT_MEMBERS,
     ROW_SPECS,
     TRIVIAL_SPEC,
     holomorph_reading,
@@ -41,7 +42,7 @@ from z2brace import (
     order_by_iteration,
 )
 from z2brace import brace
-from z2brace.brace import _power_identities
+from z2brace.brace import _identities_hold, _lambda_form, _power_identities
 
 M_2110 = Mat2(2, 1, -1, 0)
 SPEC_12 = BraceSpec(M_2110, M_2110)
@@ -277,21 +278,7 @@ FINITE_BOX_2 = [m for m in enumerate_unimodular(2) if order_by_iteration(m).is_f
 #: generate_row members whose parameters reach 64 bits: the table families
 #: of the CI list, each finite-order in both matrices, and 4.1's free-p
 #: branch with p drawn.
-MEMBERS_64_BIT = [
-    generate_row(RowLabel(label), RowParams(**params))
-    for label, params in (
-        ("1.3", dict(p=1, q=-55340232234013556737, sign1=1)),
-        ("1.4", dict(p=-55340232234013556737, q=1, sign1=-1)),
-        ("2.1", dict(p=2**64, q=-(2**63) - 1, sign1=1)),
-        ("2.2", dict(p=2**63, q=-(2**63) - 1, sign1=-1)),
-        ("3.1", dict(p=-(2**63) - 1, q=2**64, sign1=-1)),
-        ("3.2", dict(p=-(2**63) - 1, q=2**63, sign1=1)),
-        ("4.2", dict(p=2**63, q=-(2**63) - 1, sign1=1)),
-        ("1.5", dict(m=2**64, n=2**64 + 1)),
-        ("1.6", dict(m=2**64, n=-(2**64))),
-        ("4.1", dict(m=2**64, n=2**64 + 1)),
-    )
-]
+MEMBERS_64_BIT = [spec for label, spec in CI_64_BIT_MEMBERS if label is not RowLabel.R1_2]
 free_p_4_1 = st.builds(
     lambda m, p: generate_row(RowLabel.R4_1, RowParams(m=m, n=m, p=p)),
     st.sampled_from((0, -1)),
@@ -423,15 +410,39 @@ class TestLambdaMap:
 
     @pytest.mark.parametrize("bits", [14, 41, 256])
     def test_refuses_a_hyperbolic_generator_before_check_pair(self, bits, monkeypatch):
-        # At 41 bits check_pair on (m, m) takes powers too large to finish.
+        # At 41 bits check_pair on (m, m) takes powers too large to finish,
+        # so the refusal must come before check_pair or any power map.
         def no_check_pair(spec):
             raise AssertionError(f"check_pair called on {spec}")
 
+        def no_power_map(m):
+            raise AssertionError(f"power map built for {m}")
+
         monkeypatch.setattr(brace, "check_pair", no_check_pair)
+        monkeypatch.setattr(Mat2, "power_map", no_power_map)
         m, n = hyperbolic_pair(bits)
         for phi, psi in ((m, m), (m, n), (m, IDENTITY), (-IDENTITY, m), (M_2110, m)):
             with pytest.raises(InvalidSpec, match="fails the pair conditions"):
                 lambda_map(BraceSpec(phi, psi))
+
+    @pytest.mark.parametrize(
+        "spec", [*ALL_FIXTURE_SPECS, *(spec for _, spec in CI_64_BIT_MEMBERS)], ids=str
+    )
+    def test_one_power_map_per_generator_per_build(self, spec, monkeypatch):
+        # _lambda_form decides validity and fills the table from the same
+        # two power maps; lambda_map builds nothing more.
+        built = []
+        power_map = Mat2.power_map
+
+        def counting_power_map(m):
+            built.append(m)
+            return power_map(m)
+
+        monkeypatch.setattr(Mat2, "power_map", counting_power_map)
+        _lambda_form(spec)
+        assert built == [spec.phi, spec.psi]
+        lambda_map(spec)
+        assert built == [spec.phi, spec.psi] * 2
 
     def test_check_pair_matches_the_entry_reading_on_every_pair_at_bound_3(self):
         assert len(BOX_3) ** 2 == 53824
@@ -449,8 +460,7 @@ class TestLambdaMap:
 
 def decided_verdict(phi, psi):
     # The verdict read off _power_identities with flags from is_hyperbolic
-    # and power maps built for this call alone; the decider yields its
-    # truths lazily, so all four are drawn here.
+    # and power maps built for this call alone.
     commuting = commutes(phi, psi)
     power = tuple(_power_identities(
         phi.entries(),
@@ -467,14 +477,21 @@ def decided_verdict(phi, psi):
 
 
 class TestPowerIdentities:
-    """_power_identities, the one decider of the four identities, against
-    check_pair's public verdict."""
+    """_power_identities, check_pair's decider of the four identities, and
+    _identities_hold, the early-exit test of the search and of
+    _lambda_form, against check_pair's public verdict."""
 
     def test_matches_check_pair_on_every_pair_at_bound_3(self):
         assert len(BOX_3) ** 2 == 53824
         for phi in BOX_3:
             for psi in BOX_3:
-                assert decided_verdict(phi, psi) == check_pair(BraceSpec(phi, psi)), (phi, psi)
+                verdict = check_pair(BraceSpec(phi, psi))
+                assert decided_verdict(phi, psi) == verdict, (phi, psi)
+                if not (phi.is_hyperbolic() or psi.is_hyperbolic()):
+                    held = verdict.commuting and _identities_hold(
+                        phi, psi, phi.power_map(), psi.power_map()
+                    )
+                    assert held == verdict.valid, (phi, psi)
 
     @pytest.mark.parametrize("pairs", hyperbolic_inputs(range(8, 15)))
     def test_matches_check_pair_on_hyperbolic_pairs(self, pairs):
@@ -483,10 +500,22 @@ class TestPowerIdentities:
 
     def test_identities_are_decided_as_they_are_drawn(self):
         # For (shear, E) the first identity, phi^0 psi^0 = E, holds and the
-        # second, phi^1 psi^0 = E, fails: all() takes two powers of phi and
-        # stops there, where check_pair's tuple() draws all four.
+        # second, phi^1 psi^0 = E, fails: _identities_hold takes two powers
+        # of phi and stops there, where check_pair's _power_identities
+        # decides all four.
         shear = Mat2(1, 1, 0, 1)
-        for draw, verdict, taken in ((all, False, 2), (tuple, (True, False, True, True), 4)):
+        e_power = IDENTITY.power_map()
+        deciders = (
+            (lambda power: _identities_hold(shear, IDENTITY, power, e_power), False, 2),
+            (
+                lambda power: _power_identities(
+                    shear, IDENTITY, power, e_power, True, False, False
+                ),
+                (True, False, True, True),
+                4,
+            ),
+        )
+        for decide, verdict, taken in deciders:
             exponents = []
             phi_power = shear.power_map()
 
@@ -494,9 +523,7 @@ class TestPowerIdentities:
                 exponents.append(k)
                 return phi_power(k)
 
-            assert draw(_power_identities(
-                shear, IDENTITY, recording_power, IDENTITY.power_map(), True, False, False
-            )) == verdict
+            assert decide(recording_power) == verdict
             assert len(exponents) == taken
 
 

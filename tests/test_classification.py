@@ -8,13 +8,17 @@ frozen so regressions are caught even if both sides drift together.
 
 import hashlib
 import math
+import os
 import random
 import re
 import signal
+import subprocess
+import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -46,7 +50,7 @@ from z2brace import (
     row_label,
     row_membership,
 )
-from z2brace.brace import _power_identities
+from z2brace.brace import _identities_hold
 from z2brace.cli import main
 
 # Frozen after agreement with the oracle loops below.
@@ -174,6 +178,35 @@ class TestGenerators:
         assert spec.phi == Mat2(1, 0, 5, -1)
         assert spec.psi == IDENTITY
         assert spec.phi.det() == -1 and spec.phi.trace() == 0
+
+    @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "-O"])
+    def test_invalid_constructed_pair_raises_under_optimize(self, optimize):
+        # A constructor that returns an invalid pair is a program fault, and
+        # generate_row must report it with or without python -O, which strips
+        # assert statements.  The 1.1 constructor is replaced by one that
+        # returns the commuting invalid pair (shear, E).
+        script = "\n".join((
+            "import sys",
+            "import z2brace.classification as c",
+            "c._CONSTRUCTORS[c.RowLabel.R1_1] = lambda s1, s2: ((1, 1, 0, 1), (1, 0, 0, 1))",
+            "try:",
+            "    c.generate_row(c.RowLabel.R1_1, c.RowParams(sign1=1, sign2=1))",
+            "except AssertionError as exc:",
+            "    print(sys.flags.optimize, type(exc).__name__, exc)",
+        ))
+        src = Path(classification.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, *optimize, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            f"{len(optimize)} AssertionError family 1.1 produced invalid pair "
+            "(phi=[[1,1],[0,1]], psi=[[1,0],[0,1]])\n"
+        )
 
     def test_gcd_rejected(self):
         with pytest.raises(GcdError):
@@ -906,20 +939,20 @@ class TestExhaustiveSearch:
 
     def test_reverse_direction_reuses_forward_verdicts(self, monkeypatch):
         # 448 pairs at bound 4 pass the partner rules, and the forward scan
-        # decides each of them once through _power_identities; the 227
+        # decides each of them once through _identities_hold; the 227
         # family members in the box are all among the valid ones, so none
         # reaches check_pair in the reverse direction.
         decided, checked = [], []
 
         def counting_decider(phi, psi, *rest):
             decided.append((phi, psi))
-            return _power_identities(phi, psi, *rest)
+            return _identities_hold(phi, psi, *rest)
 
         def counting_check_pair(spec):
             checked.append(spec)
             return check_pair(spec)
 
-        monkeypatch.setattr(classification, "_power_identities", counting_decider)
+        monkeypatch.setattr(classification, "_identities_hold", counting_decider)
         monkeypatch.setattr(classification, "check_pair", counting_check_pair)
         report = exhaustive_search(4)
         assert report.confirms_classification
@@ -929,8 +962,8 @@ class TestExhaustiveSearch:
 
     def test_search_decider_matches_check_pair_on_every_search_pair(self):
         # The forward scan's call, power maps built once per in-class matrix
-        # and both hyperbolic flags False, against check_pair's verdict on
-        # every pair _search_partners gives at each bound up to 40.
+        # and no hyperbolic rule, against check_pair's verdict on every pair
+        # _search_partners gives at each bound up to 40.
         pairs = {}
         for bound in range(1, 41):
             in_class, partners = self.partner_rule(bound)
@@ -942,9 +975,7 @@ class TestExhaustiveSearch:
         power = {m.entries(): m.power_map() for m in in_class}
         for (p, q), (phi, psi) in pairs.items():
             commuting = commutes(phi, psi)
-            decided = commuting and all(
-                _power_identities(p, q, power[p], power[q], commuting, False, False)
-            )
+            decided = commuting and _identities_hold(p, q, power[p], power[q])
             assert decided == check_pair(BraceSpec(phi, psi)).valid, (phi, psi)
 
     def test_no_in_class_matrix_is_hyperbolic(self):

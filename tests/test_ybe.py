@@ -8,6 +8,7 @@ independent oracle for it.
 
 import random
 import re
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,9 +16,15 @@ from hypothesis import given, strategies as st
 import z2brace.brace as brace
 import z2brace.ybe as ybe
 
-from conftest import ALL_FIXTURE_SPECS, ROW_SPECS, TRIVIAL_SPEC, YBE_MEMBERS
+from conftest import (
+    ALL_FIXTURE_SPECS,
+    CI_64_BIT_MEMBERS,
+    ROW_SPECS,
+    TRIVIAL_SPEC,
+    YBE_MEMBERS,
+)
 
-from oracles import odot_inverse
+from oracles import odot_inverse, r_of_lambda
 from z2brace import (
     BraceSpec,
     IDENTITY,
@@ -39,6 +46,7 @@ from z2brace import (
     sample_report,
     ybe_holds,
 )
+from z2brace.brace import _LambdaAffine, _LambdaTable, _lambda_form
 
 SPEC_12 = BraceSpec(Mat2(2, 1, -1, 0), Mat2(2, 1, -1, 0))
 SPEC_BAD = BraceSpec(Mat2(1, 1, 0, 1), IDENTITY)
@@ -50,8 +58,15 @@ INVALID_SPECS = [
     BraceSpec(Mat2(2, 1, 1, 1), Mat2(2, 1, 1, 1)),
 ]
 
+#: The twelve benchmark members and the fixture pairs.
+MEMBER_AND_FIXTURE_SPECS = [
+    *(BraceSpec.from_dict(member) for member in YBE_MEMBERS),
+    *ALL_FIXTURE_SPECS,
+]
+
 vectors = st.builds(Vec2, st.integers(-4, 4), st.integers(-4, 4))
 valid_specs = st.sampled_from(ALL_FIXTURE_SPECS)
+coordinates_64_bit = st.integers(-(2**63), 2**63)
 
 
 def big_vectors(limit):
@@ -252,10 +267,10 @@ class TestNondegeneracy:
             return (2, 0, 0, 1) if (x1, x2) == (0, 0) else (1, 0, 0, 1)
 
         for lam in (lambda x1, x2: (2, 0, 0, 1), det_two_at_origin):
-            assert not ybe._nondegenerate_at(lam, (0, 0), (0, 0))
-            assert not ybe._nondegenerate_at(lam, (0, 0), (1, 0))
-            assert not ybe._nondegenerate_at(lam, (1, 0), (0, 0))
-        assert ybe._nondegenerate_at(det_two_at_origin, (1, 0), (0, 1))
+            assert not ybe._nondegenerate_at(lam, 0, 0, 0, 0)
+            assert not ybe._nondegenerate_at(lam, 0, 0, 1, 0)
+            assert not ybe._nondegenerate_at(lam, 1, 0, 0, 0)
+        assert ybe._nondegenerate_at(det_two_at_origin, 1, 0, 0, 1)
 
     @pytest.mark.parametrize("spec", ALL_FIXTURE_SPECS, ids=str)
     @given(x=big_vectors(10**9), y=big_vectors(10**9))
@@ -302,16 +317,122 @@ class TestSampleReport:
 BOXES = pytest.mark.parametrize("box", [1, 2, 8, 2**70], ids=["1", "2", "8", "2^70"])
 
 
+def affine_form(spec):
+    # (phi - E, psi - E) of any pair, as _lambda_form gives it for 1.2.
+    a11, a12, a21, a22 = spec.phi
+    b11, b12, b21, b22 = spec.psi
+    return _LambdaAffine((a11 - 1, a12, a21, a22 - 1), (b11 - 1, b12, b21, b22 - 1))
+
+
+def table_form(spec, n_phi, n_psi):
+    # The values phi^i psi^j of any pair, multiplied out, as _lambda_form
+    # tabulates them for a valid pair of finite orders n_phi and n_psi.
+    rows = [
+        [(spec.phi**i * spec.psi**j).entries() for j in range(n_psi)] for i in range(n_phi)
+    ]
+    return _LambdaTable(rows, n_phi, n_psi)
+
+
+def form_lambda(form):
+    # lambda_x read off a form, entry by entry, for the randint loop.
+    if isinstance(form, _LambdaTable):
+        rows, n_phi, n_psi = form
+        return lambda x1, x2: rows[x1 % n_phi][x2 % n_psi]
+    a, b = form
+    return lambda x1, x2: tuple(
+        e + x1 * p + x2 * q for e, p, q in zip(IDENTITY.entries(), a, b)
+    )
+
+
+class TestPerFormR:
+    """ybe._r_of_form, r with lambda read in place from its closed form,
+    against oracles.r_of_lambda, which calls a lambda map twice per point:
+    lambda_map's, and lambda_of's products of powers."""
+
+    @pytest.mark.parametrize("spec", MEMBER_AND_FIXTURE_SPECS, ids=str)
+    def test_equals_the_lambda_map_r_on_a_grid(self, spec):
+        # Every residue of (x, y) modulo the periods (at most 3) and both
+        # signs of every coordinate.
+        lam = lambda_map(spec)
+        r = ybe._r_of_form(_lambda_form(spec))
+        grid = range(-4, 5)
+        wrong = [
+            point
+            for point in product(grid, repeat=4)
+            if r(*point) != r_of_lambda(lam, *point)
+        ]
+        assert wrong == []
+
+    @given(
+        member=st.sampled_from(CI_64_BIT_MEMBERS),
+        x1=coordinates_64_bit,
+        x2=coordinates_64_bit,
+        y1=coordinates_64_bit,
+        y2=coordinates_64_bit,
+    )
+    def test_equals_the_lambda_r_on_64_bit_members(self, member, x1, x2, y1, y2):
+        _, spec = member
+        r = ybe._r_of_form(_lambda_form(spec))
+        assert r(x1, x2, y1, y2) == r_of_lambda(lambda_map(spec), x1, x2, y1, y2)
+        powers = lambda v1, v2: lambda_of(spec, Vec2(v1, v2)).entries()
+        assert r(x1, x2, y1, y2) == r_of_lambda(powers, x1, x2, y1, y2)
+
+    def test_forms_of_the_ci_members(self):
+        # 1.2 reads the affine form; every other family a table.
+        kinds = {label.value: type(_lambda_form(spec)) for label, spec in CI_64_BIT_MEMBERS}
+        assert kinds.pop("1.2") is _LambdaAffine
+        assert set(kinds.values()) == {_LambdaTable}
+
+    @pytest.mark.parametrize("spec", MEMBER_AND_FIXTURE_SPECS, ids=str)
+    def test_seven_r_evaluations_per_sample(self, spec, monkeypatch):
+        # u = r(x, y) is shared by the braid relation (3 + 3 evaluations)
+        # and the involutivity check (1 more).
+        calls = []
+        r_of_form = ybe._r_of_form
+
+        def counting_r_of_form(form):
+            r = r_of_form(form)
+
+            def counted(*point):
+                calls.append(point)
+                return r(*point)
+
+            return counted
+
+        monkeypatch.setattr(ybe, "_r_of_form", counting_r_of_form)
+        report = sample_report(spec, samples=40, seed=1, box=8)
+        assert failure_lists(report) == dict.fromkeys(FAILURE_KEYS, [])
+        assert len(calls) == 7 * 40
+
+
+#: Width 3 redraws a quarter of the draws; 2^70 takes three words per draw.
+BOXES = pytest.mark.parametrize("box", [1, 2, 8, 2**70], ids=["1", "2", "8", "2^70"])
+
+#: Forms of invalid pairs, whose lambda is not a homomorphism Z^2 -> GL2(Z)
+#: with lambda_-y = lambda_y^-1, so r breaks the braid relation and
+#: involutivity; and whether every lambda_x of the form is unimodular.  The
+#: affine form of INVALID_SPECS[0] is [[1, x1], [x2, 1]], of determinant
+#: 1 - x1 x2; SPEC_BAD's is its shear power; the table is phi^i psi^j for the
+#: non-commuting diag(1, -1) and swap.
+NON_HOMOMORPHIC_FORMS = [
+    pytest.param(affine_form(INVALID_SPECS[0]), False, id="affine-noncommuting"),
+    pytest.param(affine_form(SPEC_BAD), True, id="affine-SPEC_BAD"),
+    pytest.param(
+        table_form(BraceSpec(Mat2(1, 0, 0, -1), Mat2(0, 1, 1, 0)), 2, 2),
+        True,
+        id="table-noncommuting",
+    ),
+]
+
+
 class TestAgreementWithRandintLoop:
     """sample_report against randint_sample_report: the getrandbits draws
-    name the same samples as randint, and the four-integer r gives the same
-    verdicts as the tuple r, failures included."""
+    name the same samples as randint, and the per-form r gives the same
+    verdicts as the tuple r, failures included.  The failures are injected
+    at the form seam: ybe._lambda_form is replaced by one returning a form
+    of an invalid pair, which both r and the non-degeneracy check read."""
 
-    @pytest.mark.parametrize(
-        "spec",
-        [BraceSpec.from_dict(member) for member in YBE_MEMBERS] + ALL_FIXTURE_SPECS,
-        ids=str,
-    )
+    @pytest.mark.parametrize("spec", MEMBER_AND_FIXTURE_SPECS, ids=str)
     @BOXES
     def test_valid_specs_at_five_seeds(self, spec, box):
         lam = lambda_map(spec)
@@ -320,29 +441,27 @@ class TestAgreementWithRandintLoop:
             assert failure_lists(report) == randint_sample_report(lam, 30, seed, box)
             assert failure_lists(report) == dict.fromkeys(FAILURE_KEYS, [])
 
-    @pytest.mark.parametrize("bad", [INVALID_SPECS[0], SPEC_BAD], ids=str)
+    @pytest.mark.parametrize("form, unimodular", NON_HOMOMORPHIC_FORMS)
     @BOXES
     def test_non_homomorphic_lambda_fills_braid_and_involutivity(
-        self, monkeypatch, bad, box
+        self, monkeypatch, form, unimodular, box
     ):
-        # lambda_a = phi^a1 psi^a2 of an invalid pair is not a homomorphism
-        # Z^2 -> GL2(Z) with lambda_-y = lambda_y^-1, so r breaks both.
-        def lam(x1, x2):
-            return lambda_of(bad, Vec2(x1, x2)).entries()
-
-        monkeypatch.setattr(ybe, "lambda_map", lambda spec: lam)
+        lam = form_lambda(form)
+        monkeypatch.setattr(ybe, "_lambda_form", lambda spec: form)
         for seed in range(5):
             report = failure_lists(sample_report(SPEC_12, samples=30, seed=seed, box=box))
             assert report == randint_sample_report(lam, 30, seed, box)
             assert report["ybe_failures"] and report["involutivity_failures"]
-            assert report["nondegeneracy_failures"] == []
+            if unimodular:
+                assert report["nondegeneracy_failures"] == []
+            else:
+                assert report["nondegeneracy_failures"]
 
     @BOXES
     def test_determinant_two_fills_nondegeneracy(self, monkeypatch, box):
-        def lam(x1, x2):
-            return (2, 0, 0, 1)
-
-        monkeypatch.setattr(ybe, "lambda_map", lambda spec: lam)
+        form = _LambdaTable([[(2, 0, 0, 1)]], 1, 1)
+        lam = form_lambda(form)
+        monkeypatch.setattr(ybe, "_lambda_form", lambda spec: form)
         for seed in range(5):
             report = failure_lists(sample_report(SPEC_12, samples=30, seed=seed, box=box))
             assert report == randint_sample_report(lam, 30, seed, box)
