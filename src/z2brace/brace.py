@@ -33,11 +33,11 @@ hyperbolic member and stops at the first false one;
 classification.exhaustive_search calls it with one power map per
 in-class matrix, built once per search, and _lambda_form with the pair's
 own two.  check_pair, the one caller that can meet a hyperbolic matrix,
-calls _power_identities with the pair's two power maps and hyperbolic
+decides each identity from the pair's two power maps and hyperbolic
 flags, built once per call, and keeps all four truths.
 
-Before it takes a power, _power_identities applies one rule to each
-identity.  phi^k psi^l = E says phi^k = psi^(-l).  A nonzero power of a
+Before it takes a power, check_pair applies one rule to each identity.
+phi^k psi^l = E says phi^k = psi^(-l).  A nonzero power of a
 hyperbolic matrix is hyperbolic and no power of any other matrix is
 (Mat2.is_hyperbolic), so the two sides can be equal only if phi^k and
 psi^l are both hyperbolic powers or neither is.  Two equal hyperbolic
@@ -209,7 +209,7 @@ def _lambda_form(spec: BraceSpec) -> _LambdaTable | _LambdaAffine:
     index and so gives phi = lambda_e1 finite order; likewise for psi);
     then unless the pair commutes and _identities_hold from one pair of
     power maps.  With no hyperbolic generator the hyperbolic rule of
-    _power_identities never applies, so this is check_pair's verdict.
+    check_pair never applies, so this is check_pair's verdict.
     If both shapes (Mat2._shape) have degree 0, the table is filled from
     those same power maps; otherwise the form is affine.
     """
@@ -252,8 +252,10 @@ def _lambda_of_form(
 
 def lambda_map(spec: BraceSpec) -> Callable[[int, int], tuple[int, int, int, int]]:
     """The lambda of a valid pair: (x1, x2) -> entries (a11, a12, a21, a22)
-    of phi^x1 * psi^x2.  Raises InvalidSpec if check_pair finds the pair
-    invalid, or, before any power is taken, if a generator is hyperbolic.
+    of phi^x1 * psi^x2.  Raises InvalidSpec unless the pair is valid,
+    deciding as check_pair does, through _lambda_form: before any power is
+    taken if a generator is hyperbolic, then unless the pair commutes and
+    the four identities hold.
 
     The map is read off lambda's closed form, built here once from one
     power map per generator: if both shapes (Mat2._shape) have degree 0,
@@ -307,38 +309,6 @@ def _identities_hold(
     return True
 
 
-def _power_identities(
-    phi: tuple[int, int, int, int],
-    psi: tuple[int, int, int, int],
-    phi_power: Callable[[int], tuple[int, int, int, int]],
-    psi_power: Callable[[int], tuple[int, int, int, int]],
-    commuting: bool,
-    phi_big: bool,
-    psi_big: bool,
-) -> tuple[bool, bool, bool, bool]:
-    """The truths of the four power identities of any pair, in generator
-    order: check_pair's verdict.
-
-    phi_power and psi_power are the pair's power maps (Mat2.power_map),
-    commuting says whether the pair commutes and phi_big, psi_big whether
-    phi, psi are hyperbolic.  Each identity phi^k psi^l = E goes through
-    one rule.  Let big_k say that phi is hyperbolic and k != 0, and big_l
-    the same for psi and l.  The identity is false if big_k != big_l, or
-    if both hold on a pair that does not commute; otherwise it holds iff
-    phi^k = psi^(-l), as in _identities_hold.  Every power map takes
-    negative exponents (Mat2.power_map).  So a hyperbolic power is taken
-    only on a commuting pair of two hyperbolic matrices.
-    """
-    truths = []
-    for k, l in _exponents(phi, psi):
-        big = phi_big and k != 0
-        if big != (psi_big and l != 0) or (big and not commuting):
-            truths.append(False)
-        else:
-            truths.append(phi_power(k) == psi_power(-l))
-    return tuple(truths)
-
-
 def check_pair(spec: BraceSpec) -> Verdict:
     """Decide whether (phi, psi) defines a brace on Z^2.
 
@@ -348,22 +318,29 @@ def check_pair(spec: BraceSpec) -> Verdict:
         phi^(psi11-1) psi^(psi21) = E,   phi^(psi12) psi^(psi22-1) = E
 
     hold exactly; the exponents (k, l) of each condition are a column of
-    phi - E or psi - E.  Commutation is gl2z.commutes.  The conditions are
-    decided by _power_identities, each as phi^k = psi^(-l), from the pair's
-    two power maps and hyperbolic flags (Mat2.is_hyperbolic), built here
-    once per pair; all four are drawn, so the verdict names each one.
+    phi - E or psi - E.  Commutation is gl2z.commutes.  Each condition
+    goes through one rule, from the pair's two power maps (Mat2.power_map)
+    and hyperbolic flags (Mat2.is_hyperbolic), built here once per pair.
+    Let big_k say that phi is hyperbolic and k != 0, and big_l the same
+    for psi and l.  The condition is false if big_k != big_l, or if both
+    hold on a pair that does not commute; otherwise it holds iff phi^k =
+    psi^(-l), as in _identities_hold.  Every power map takes negative
+    exponents.  So a hyperbolic power is taken only on a commuting pair of
+    two hyperbolic matrices.  All four are drawn, so the verdict names
+    each one.
     """
     phi, psi = spec
     commuting = commutes(phi, psi)
-    power = _power_identities(
-        phi,
-        psi,
-        phi.power_map(),
-        psi.power_map(),
-        commuting,
-        phi.is_hyperbolic(),
-        psi.is_hyperbolic(),
-    )
+    phi_power, psi_power = phi.power_map(), psi.power_map()
+    phi_big, psi_big = phi.is_hyperbolic(), psi.is_hyperbolic()
+    truths = []
+    for k, l in _exponents(phi, psi):
+        big = phi_big and k != 0
+        if big != (psi_big and l != 0) or (big and not commuting):
+            truths.append(False)
+        else:
+            truths.append(phi_power(k) == psi_power(-l))
+    power = tuple(truths)
     return Verdict(
         valid=commuting and all(power), commuting=commuting, power_identities=power
     )

@@ -15,58 +15,48 @@ u - y lies in the kernel of lambda, lambda_u = lambda_y.  On a valid pair
 phi and psi commute, so lambda is a homomorphism and lambda_y^-1 =
 lambda_-y.  Both components are matrix-vector products with elements of
 GL2(Z), so r is non-degenerate on all of Z^2, not only on a sampled box;
-nondegenerate_at checks exactly that, det lambda_x = +-1 = det lambda_y.
+the non-degeneracy check is exactly that, det lambda_x = +-1 = det lambda_y.
 
-Each public call builds lambda's closed form for its pair once
-(brace._lambda_form, which raises InvalidSpec on an invalid pair) and
-turns it into r on four integers, (x1, x2, y1, y2) -> the four coordinates
-of r(x, y), with lambda read in place: for a table form (phi and psi both
-of finite order, as in every family but 1.2) two lookups,
-lambda_x = rows[x1 mod n_phi][x2 mod n_psi] and lambda_-y likewise, then
-both matrix-vector products written out; for the affine form of 1.2,
-lambda_x = E + x1 a + x2 b, r is written out as
-(y + x1 a y + x2 b y, x - y1 a x - y2 b x).  No evaluation forms a matrix
-product or calls another function.  The public functions unpack their
-Vec2s into the same helpers that sample_report calls.  The braid and
-involutivity helpers take u = r(x, y) as given: it is the first step of
-r12 r23 r12 and the argument of the involutivity check, so sample_report
-computes it once and a sample takes 7 evaluations of r.  Non-degeneracy
-reads det lambda through lambda's map from the same form
-(brace._lambda_of_form, the map lambda_map returns).  sample_report draws
-each coordinate from getrandbits exactly as random.Random.randint does, so
-a seed names the same samples, and converts only the failures to lists.
+r_map(spec) returns that map for one pair: it builds lambda's closed form
+once (brace._lambda_form, which raises InvalidSpec on an invalid pair)
+and returns r on four integers, (x1, x2, y1, y2) -> the four
+coordinates of r(x, y), as brace.lambda_map returns lambda on two.  lambda
+is read in place: for a table form (phi and psi both of finite order, as
+in every family but 1.2) two lookups, lambda_x = rows[x1 mod n_phi][x2
+mod n_psi] and lambda_-y likewise, then both matrix-vector products
+written out; for the affine form of 1.2, lambda_x = E + x1 a + x2 b, r is
+written out as (y + x1 a y + x2 b y, x - y1 a x - y2 b x).  No evaluation
+forms a matrix product or calls another function.  The braid,
+involutivity and non-degeneracy checks are private helpers on four
+integers.  The braid and involutivity helpers take u = r(x, y) as given:
+it is the first step of r12 r23 r12 and the argument of the involutivity
+check, so sample_report computes it once and a sample takes 7
+evaluations of r.  Non-degeneracy reads det lambda through lambda's map
+from the same form (brace._lambda_of_form, the map lambda_map returns).
+sample_report draws each coordinate from getrandbits exactly as
+random.Random.randint does, so a seed names the same samples, and
+converts only the failures to lists.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .brace import (
     BraceSpec,
     InvalidSpec,
-    Vec2,
     _lambda_form,
     _lambda_of_form,
     _LambdaAffine,
     _LambdaTable,
-    lambda_map,
 )
 
 __all__ = [
     "InvalidSpec",
-    "PairZ2",
-    "involutive_at",
-    "nondegenerate_at",
     "r_map",
     "sample_report",
-    "ybe_holds",
 ]
-
-
-class PairZ2(NamedTuple):
-    first: Vec2
-    second: Vec2
 
 
 def _r_of_form(
@@ -121,43 +111,23 @@ def _involutive_at(r, u: tuple, x1: int, x2: int, y1: int, y2: int) -> bool:
 
 
 def _nondegenerate_at(lam, x1: int, x2: int, y1: int, y2: int) -> bool:
-    # An integer matrix is a bijection of Z^2 iff its determinant is +-1.
+    # v -> first(r(x, v)) is lambda_x and w -> second(r(w, y)) is
+    # lambda_y^-1; an integer matrix is a bijection of Z^2 iff its
+    # determinant is +-1, so no preimage is built.
     a11, a12, a21, a22 = lam(x1, x2)
     b11, b12, b21, b22 = lam(y1, y2)
     return abs(a11 * a22 - a12 * a21) == 1 == abs(b11 * b22 - b12 * b21)
 
 
-def r_map(spec: BraceSpec, x: Vec2, y: Vec2) -> PairZ2:
-    """The Yang-Baxter map of the brace at (x, y)."""
-    u1, u2, v1, v2 = _r_of_form(_lambda_form(spec))(*x, *y)
-    return PairZ2(Vec2(u1, u2), Vec2(v1, v2))
+def r_map(spec: BraceSpec) -> Callable[[int, int, int, int], tuple[int, int, int, int]]:
+    """The Yang-Baxter map of a valid pair: (x1, x2, y1, y2) -> the
+    coordinates (u1, u2, v1, v2) of r(x, y) = (lambda_x y, lambda_-y x).
 
-
-def ybe_holds(spec: BraceSpec, x: Vec2, y: Vec2, z: Vec2) -> bool:
-    """Exact braid relation check at one triple.
-
-    Applies r to positions (1,2) and (2,3) in the two alternating orders
-    and compares all three output components.
+    lambda's closed form is built here once, so each evaluation is two
+    lookups or the affine form written out, with no matrix product.
+    Raises InvalidSpec, from _lambda_form, unless the pair is valid.
     """
-    r = _r_of_form(_lambda_form(spec))
-    return _ybe_holds(r, r(*x, *y), *x, *y, *z)
-
-
-def involutive_at(spec: BraceSpec, x: Vec2, y: Vec2) -> bool:
-    """True iff r(r(x, y)) = (x, y) exactly."""
-    r = _r_of_form(_lambda_form(spec))
-    return _involutive_at(r, r(*x, *y), *x, *y)
-
-
-def nondegenerate_at(spec: BraceSpec, x: Vec2, y: Vec2) -> bool:
-    """Non-degeneracy of r at (x, y): det lambda_x = +-1 = det lambda_y.
-
-    Left component: v -> first(r(x, v)) is lambda_x.  Right component:
-    w -> second(r(w, y)) is lambda_y^-1.  An integer matrix is a bijection
-    of Z^2 exactly when its determinant is +-1, so the two determinants
-    decide both components, with no preimage built.
-    """
-    return _nondegenerate_at(lambda_map(spec), *x, *y)
+    return _r_of_form(_lambda_form(spec))
 
 
 def sample_report(

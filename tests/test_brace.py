@@ -3,6 +3,7 @@ verdict, and the holomorph closure property.
 """
 
 import random
+from itertools import product
 from math import gcd
 
 import pytest
@@ -40,9 +41,10 @@ from z2brace import (
     odot,
     odot_associative,
     order_by_iteration,
+    r_map,
 )
 from z2brace import brace
-from z2brace.brace import _identities_hold, _lambda_form, _power_identities
+from z2brace.brace import _identities_hold, _lambda_form
 
 M_2110 = Mat2(2, 1, -1, 0)
 SPEC_12 = BraceSpec(M_2110, M_2110)
@@ -430,7 +432,8 @@ class TestLambdaMap:
     )
     def test_one_power_map_per_generator_per_build(self, spec, monkeypatch):
         # _lambda_form decides validity and fills the table from the same
-        # two power maps; lambda_map builds nothing more.
+        # two power maps; lambda_map and ybe's r_map build nothing more,
+        # and evaluating r builds no power map at all.
         built = []
         power_map = Mat2.power_map
 
@@ -439,10 +442,18 @@ class TestLambdaMap:
             return power_map(m)
 
         monkeypatch.setattr(Mat2, "power_map", counting_power_map)
-        _lambda_form(spec)
+        for build in (_lambda_form, lambda_map):
+            built.clear()
+            build(spec)
+            assert built == [spec.phi, spec.psi], build
+        built.clear()
+        r = r_map(spec)
         assert built == [spec.phi, spec.psi]
-        lambda_map(spec)
-        assert built == [spec.phi, spec.psi] * 2
+        for point in product(range(-4, 5), repeat=4):
+            r(*point)
+        assert built == [spec.phi, spec.psi]
+        with pytest.raises(InvalidSpec):
+            r_map(SPEC_BAD)
 
     def test_check_pair_matches_the_entry_reading_on_every_pair_at_bound_3(self):
         assert len(BOX_3) ** 2 == 53824
@@ -458,73 +469,49 @@ class TestLambdaMap:
             assert check_pair(spec) == squared_check_pair(spec), spec
 
 
-def decided_verdict(phi, psi):
-    # The verdict read off _power_identities with flags from is_hyperbolic
-    # and power maps built for this call alone.
-    commuting = commutes(phi, psi)
-    power = tuple(_power_identities(
-        phi.entries(),
-        psi.entries(),
-        phi.power_map(),
-        psi.power_map(),
-        commuting,
-        phi.is_hyperbolic(),
-        psi.is_hyperbolic(),
-    ))
-    return Verdict(
-        valid=commuting and all(power), commuting=commuting, power_identities=power
-    )
-
-
 class TestPowerIdentities:
-    """_power_identities, check_pair's decider of the four identities, and
-    _identities_hold, the early-exit test of the search and of
-    _lambda_form, against check_pair's public verdict."""
+    """_identities_hold, the early-exit test of the search and of
+    _lambda_form, against check_pair's public verdict, and the powers
+    each of them draws."""
 
     def test_matches_check_pair_on_every_pair_at_bound_3(self):
         assert len(BOX_3) ** 2 == 53824
         for phi in BOX_3:
             for psi in BOX_3:
+                if phi.is_hyperbolic() or psi.is_hyperbolic():
+                    continue
                 verdict = check_pair(BraceSpec(phi, psi))
-                assert decided_verdict(phi, psi) == verdict, (phi, psi)
-                if not (phi.is_hyperbolic() or psi.is_hyperbolic()):
-                    held = verdict.commuting and _identities_hold(
-                        phi, psi, phi.power_map(), psi.power_map()
-                    )
-                    assert held == verdict.valid, (phi, psi)
+                held = verdict.commuting and _identities_hold(
+                    phi, psi, phi.power_map(), psi.power_map()
+                )
+                assert held == verdict.valid, (phi, psi)
 
-    @pytest.mark.parametrize("pairs", hyperbolic_inputs(range(8, 15)))
-    def test_matches_check_pair_on_hyperbolic_pairs(self, pairs):
-        for phi, psi in pairs:
-            assert decided_verdict(phi, psi) == check_pair(BraceSpec(phi, psi)), (phi, psi)
-
-    def test_identities_are_decided_as_they_are_drawn(self):
+    def test_identities_are_decided_as_they_are_drawn(self, monkeypatch):
         # For (shear, E) the first identity, phi^0 psi^0 = E, holds and the
         # second, phi^1 psi^0 = E, fails: _identities_hold takes two powers
-        # of phi and stops there, where check_pair's _power_identities
-        # decides all four.
+        # of phi and stops there, where check_pair decides all four.
         shear = Mat2(1, 1, 0, 1)
-        e_power = IDENTITY.power_map()
-        deciders = (
-            (lambda power: _identities_hold(shear, IDENTITY, power, e_power), False, 2),
-            (
-                lambda power: _power_identities(
-                    shear, IDENTITY, power, e_power, True, False, False
-                ),
-                (True, False, True, True),
-                4,
-            ),
-        )
-        for decide, verdict, taken in deciders:
-            exponents = []
-            phi_power = shear.power_map()
+        exponents = []
+        power_map = Mat2.power_map
+
+        def recording_power_map(m):
+            power = power_map(m)
+            if m != shear:
+                return power
 
             def recording_power(k):
                 exponents.append(k)
-                return phi_power(k)
+                return power(k)
 
-            assert decide(recording_power) == verdict
-            assert len(exponents) == taken
+            return recording_power
+
+        monkeypatch.setattr(Mat2, "power_map", recording_power_map)
+        assert not _identities_hold(shear, IDENTITY, shear.power_map(), IDENTITY.power_map())
+        assert len(exponents) == 2
+        exponents.clear()
+        verdict = check_pair(BraceSpec(shear, IDENTITY))
+        assert verdict.power_identities == (True, False, True, True)
+        assert len(exponents) == 4
 
 
 # The finite-order matrices of GL2(Z) up to conjugation, other than +-E:

@@ -979,8 +979,9 @@ class TestExhaustiveSearch:
             assert decided == check_pair(BraceSpec(phi, psi)).valid, (phi, psi)
 
     def test_no_in_class_matrix_is_hyperbolic(self):
-        # The search passes both hyperbolic flags as False; at bound 40 the
-        # in-class matrices of every smaller box are among these.
+        # The search decides its pairs with _identities_hold, which has no
+        # hyperbolic rule; at bound 40 the in-class matrices of every
+        # smaller box are among these.
         in_class, _ = self.partner_rule(40)
         assert len(in_class) > 1000
         assert not any(m.is_hyperbolic() for m in in_class)

@@ -15,7 +15,6 @@ PUBLIC = [
     "Mat2",
     "MatOrder",
     "NotUnimodular",
-    "PairZ2",
     "ROW_BLOCKS",
     "RowLabel",
     "RowParams",
@@ -30,10 +29,8 @@ PUBLIC = [
     "exhaustive_search",
     "generate_row",
     "generated_row_instances",
-    "involutive_at",
     "lambda_map",
     "lambda_of",
-    "nondegenerate_at",
     "odot",
     "odot_associative",
     "order_by_iteration",
@@ -44,7 +41,6 @@ PUBLIC = [
     "row_label",
     "row_membership",
     "sample_report",
-    "ybe_holds",
 ]
 
 # Test-only reference paths; they live in tests/oracles.py.

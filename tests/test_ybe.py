@@ -1,9 +1,11 @@
 """Yang-Baxter layer: the map built from a valid pair, braid relation,
 involutivity, non-degeneracy, and the seeded sampling report.
 
-r_map is the closed form (lambda_x(y), lambda_y^-1(x)); definitional_r
-below recomputes r from the brace multiplication and its inverse, as an
-independent oracle for it.
+r_map(spec) is the closed form (lambda_x(y), lambda_y^-1(x)) on four
+integers, built once per pair; definitional_r below recomputes r from the
+brace multiplication and its inverse, as an independent oracle for it.
+The braid, involutivity and non-degeneracy checks are ybe's private
+helpers, run on that r and on lambda_map.
 """
 
 import random
@@ -30,21 +32,17 @@ from z2brace import (
     IDENTITY,
     InvalidSpec,
     Mat2,
-    PairZ2,
     RowLabel,
     Vec2,
     act,
     check_pair,
     commutes,
     enumerate_unimodular,
-    involutive_at,
     lambda_map,
     lambda_of,
-    nondegenerate_at,
     odot,
     r_map,
     sample_report,
-    ybe_holds,
 )
 from z2brace.brace import _LambdaAffine, _LambdaTable, _lambda_form
 
@@ -74,10 +72,11 @@ def big_vectors(limit):
 
 
 def definitional_r(spec, x, y):
-    """r(x, y) = (-x + x*y, (-x + x*y)^-1 * x * y) in the brace multiplication."""
+    """r(x, y) = (-x + x*y, (-x + x*y)^-1 * x * y) in the brace
+    multiplication, as the 4-tuple r_map's r returns."""
     xy = odot(spec, x, y)
     first = -x + xy
-    return PairZ2(first, odot(spec, odot_inverse(spec, first), xy))
+    return (*first, *odot(spec, odot_inverse(spec, first), xy))
 
 
 def randint_sample_report(lam, samples, seed, box):
@@ -145,26 +144,25 @@ def valid_specs_in_box(bound):
 class TestRMap:
     @given(x=vectors, y=vectors)
     def test_trivial_spec_gives_the_flip(self, x, y):
-        assert r_map(TRIVIAL_SPEC, x, y) == PairZ2(y, x)
+        assert r_map(TRIVIAL_SPEC)(*x, *y) == (*y, *x)
 
     def test_fixed_point(self):
-        x, y = Vec2(1, 0), Vec2(0, 1)
-        assert r_map(SPEC_12, x, y) == PairZ2(x, y)
+        assert r_map(SPEC_12)(1, 0, 0, 1) == (1, 0, 0, 1)
 
     def test_hand_computed_image(self):
-        assert r_map(SPEC_12, Vec2(0, 1), Vec2(1, 0)) == PairZ2(Vec2(2, -1), Vec2(-1, 2))
+        assert r_map(SPEC_12)(0, 1, 1, 0) == (2, -1, -1, 2)
 
     @given(spec=valid_specs, x=vectors, y=vectors)
     def test_first_component_is_lambda_image(self, spec, x, y):
-        assert r_map(spec, x, y).first == act(lambda_of(spec, x), y)
+        assert r_map(spec)(*x, *y)[:2] == act(lambda_of(spec, x), y)
 
     def test_rejects_invalid_spec(self):
         with pytest.raises(InvalidSpec):
-            r_map(SPEC_BAD, Vec2(0, 0), Vec2(0, 0))
+            r_map(SPEC_BAD)
 
     @given(x=vectors)
     def test_trivial_diagonal_is_fixed(self, x):
-        assert r_map(TRIVIAL_SPEC, x, x) == PairZ2(x, x)
+        assert r_map(TRIVIAL_SPEC)(*x, *x) == (*x, *x)
 
 
 class TestInvalidSpec:
@@ -177,11 +175,10 @@ class TestInvalidSpec:
     @pytest.mark.parametrize("spec", INVALID_SPECS, ids=str)
     def test_lambda_map_r_map_and_sample_report_refuse(self, spec):
         assert not check_pair(spec).valid
-        zero = Vec2(0, 0)
         with pytest.raises(InvalidSpec):
             lambda_map(spec)
         with pytest.raises(InvalidSpec):
-            r_map(spec, zero, zero)
+            r_map(spec)
         with pytest.raises(InvalidSpec):
             sample_report(spec, samples=5)
         # The spec is refused before the other arguments are read.
@@ -193,71 +190,81 @@ class TestAgreementWithDefinition:
     def test_every_valid_pair_at_bound_3_on_a_grid(self):
         specs = valid_specs_in_box(3)
         grid = [Vec2(a, b) for a in range(-2, 3) for b in range(-2, 3)]
-        mismatches = [
-            (spec, x, y)
-            for spec in specs
-            for x in grid
-            for y in grid
-            if r_map(spec, x, y) != definitional_r(spec, x, y)
-        ]
+        mismatches = []
+        for spec in specs:
+            r = r_map(spec)
+            mismatches += [
+                (spec, x, y)
+                for x in grid
+                for y in grid
+                if r(*x, *y) != definitional_r(spec, x, y)
+            ]
         assert len(specs) == 122
         assert mismatches == []
 
     @given(spec=valid_specs, x=big_vectors(10**6), y=big_vectors(10**6))
     def test_fixture_families_at_large_coordinates(self, spec, x, y):
-        assert r_map(spec, x, y) == definitional_r(spec, x, y)
+        assert r_map(spec)(*x, *y) == definitional_r(spec, x, y)
+
+
+def braid_holds(r, x, y, z):
+    return ybe._ybe_holds(r, r(*x, *y), *x, *y, *z)
+
+
+def involutive(r, x, y):
+    return ybe._involutive_at(r, r(*x, *y), *x, *y)
+
+
+def nondegenerate(spec, x, y):
+    return ybe._nondegenerate_at(lambda_map(spec), *x, *y)
 
 
 class TestBraidRelation:
     @given(x=vectors, y=vectors, z=vectors)
     def test_flip_satisfies_it(self, x, y, z):
-        assert ybe_holds(TRIVIAL_SPEC, x, y, z)
+        assert braid_holds(r_map(TRIVIAL_SPEC), x, y, z)
 
     @given(spec=valid_specs, x=vectors, y=vectors, z=vectors)
     def test_valid_specs_satisfy_it(self, spec, x, y, z):
-        assert ybe_holds(spec, x, y, z)
+        assert braid_holds(r_map(spec), x, y, z)
 
     def test_zero_triple(self):
         zero = Vec2(0, 0)
-        assert ybe_holds(SPEC_12, zero, zero, zero)
-
-    def test_rejects_invalid_spec(self):
-        with pytest.raises(InvalidSpec):
-            ybe_holds(SPEC_BAD, Vec2(0, 0), Vec2(0, 0), Vec2(0, 0))
+        assert braid_holds(r_map(SPEC_12), zero, zero, zero)
 
 
 class TestInvolutivity:
     def test_hand_computed_round_trip(self):
-        x, y = Vec2(0, 1), Vec2(1, 0)
-        once = r_map(SPEC_12, x, y)
-        assert once == PairZ2(Vec2(2, -1), Vec2(-1, 2))
-        assert r_map(SPEC_12, once.first, once.second) == PairZ2(x, y)
-        assert involutive_at(SPEC_12, x, y)
+        r = r_map(SPEC_12)
+        once = r(0, 1, 1, 0)
+        assert once == (2, -1, -1, 2)
+        assert r(*once) == (0, 1, 1, 0)
+        assert ybe._involutive_at(r, once, 0, 1, 1, 0)
 
     @given(spec=valid_specs, x=vectors, y=vectors)
     def test_valid_specs_involutive(self, spec, x, y):
-        assert involutive_at(spec, x, y)
+        assert involutive(r_map(spec), x, y)
 
     @given(x=vectors, y=vectors)
     def test_block4_family_involutive(self, x, y):
-        assert involutive_at(ROW_SPECS[RowLabel.R4_1], x, y)
+        assert involutive(r_map(ROW_SPECS[RowLabel.R4_1]), x, y)
 
 
 class TestNondegeneracy:
     @given(x=vectors, y=vectors)
     def test_flip(self, x, y):
-        assert nondegenerate_at(TRIVIAL_SPEC, x, y)
+        assert nondegenerate(TRIVIAL_SPEC, x, y)
 
     @given(spec=valid_specs, x=vectors, y=vectors)
     def test_valid_specs(self, spec, x, y):
-        assert nondegenerate_at(spec, x, y)
+        assert nondegenerate(spec, x, y)
 
     @given(x=vectors, y=vectors)
     def test_larger_family_12_member(self, x, y):
         from z2brace import RowParams, generate_row
 
         spec = generate_row(RowLabel.R1_2, RowParams(m=2, p=1, q=1))
-        assert nondegenerate_at(spec, x, y)
+        assert nondegenerate(spec, x, y)
 
     def test_determinant_two_is_degenerate_even_at_the_origin(self):
         # lambda_x = diag(2, 1) is injective but not onto Z^2.  At x = y = 0
@@ -277,9 +284,9 @@ class TestNondegeneracy:
     def test_explicit_preimages_round_trip_at_large_coordinates(self, spec, x, y):
         left = act(lambda_of(spec, x).inverse(), y)
         right = act(lambda_of(spec, y), x)
-        assert definitional_r(spec, x, left).first == y
-        assert definitional_r(spec, right, y).second == x
-        assert nondegenerate_at(spec, x, y)
+        assert definitional_r(spec, x, left)[:2] == y
+        assert definitional_r(spec, right, y)[2:] == x
+        assert nondegenerate(spec, x, y)
 
 
 class TestSampleReport:
@@ -345,8 +352,8 @@ def form_lambda(form):
 
 
 class TestPerFormR:
-    """ybe._r_of_form, r with lambda read in place from its closed form,
-    against oracles.r_of_lambda, which calls a lambda map twice per point:
+    """r_map's r (ybe._r_of_form), with lambda read in place from its
+    closed form, against oracles.r_of_lambda, which calls a lambda map twice per point:
     lambda_map's, and lambda_of's products of powers."""
 
     @pytest.mark.parametrize("spec", MEMBER_AND_FIXTURE_SPECS, ids=str)
@@ -354,7 +361,7 @@ class TestPerFormR:
         # Every residue of (x, y) modulo the periods (at most 3) and both
         # signs of every coordinate.
         lam = lambda_map(spec)
-        r = ybe._r_of_form(_lambda_form(spec))
+        r = r_map(spec)
         grid = range(-4, 5)
         wrong = [
             point
@@ -372,7 +379,7 @@ class TestPerFormR:
     )
     def test_equals_the_lambda_r_on_64_bit_members(self, member, x1, x2, y1, y2):
         _, spec = member
-        r = ybe._r_of_form(_lambda_form(spec))
+        r = r_map(spec)
         assert r(x1, x2, y1, y2) == r_of_lambda(lambda_map(spec), x1, x2, y1, y2)
         powers = lambda v1, v2: lambda_of(spec, Vec2(v1, v2)).entries()
         assert r(x1, x2, y1, y2) == r_of_lambda(powers, x1, x2, y1, y2)
