@@ -486,6 +486,19 @@ class TestPowerIdentities:
                 )
                 assert held == verdict.valid, (phi, psi)
 
+    @pytest.mark.parametrize("pairs", hyperbolic_inputs(range(8, 15)))
+    def test_matches_check_pair_on_hyperbolic_pairs(self, pairs):
+        # phi^k psi^l = E iff phi^k = psi^(-l) on any pair, so
+        # _identities_hold, which takes every power it reads in full, is the
+        # plain reading of the four identities here too.  check_pair's
+        # hyperbolic rule skips those powers where the flags differ or the
+        # pair does not commute; its verdict must not change by it.
+        for phi, psi in pairs:
+            verdict = check_pair(BraceSpec(phi, psi))
+            held = _identities_hold(phi, psi, phi.power_map(), psi.power_map())
+            assert held == all(verdict.power_identities), (phi, psi)
+            assert (verdict.commuting and held) == verdict.valid, (phi, psi)
+
     def test_identities_are_decided_as_they_are_drawn(self, monkeypatch):
         # For (shear, E) the first identity, phi^0 psi^0 = E, holds and the
         # second, phi^1 psi^0 = E, fails: _identities_hold takes two powers

@@ -232,6 +232,12 @@ class TestBraidRelation:
         zero = Vec2(0, 0)
         assert braid_holds(r_map(SPEC_12), zero, zero, zero)
 
+    def test_rejects_invalid_spec(self):
+        # The braid check runs on r_map's r, which an invalid pair never gets.
+        zero = Vec2(0, 0)
+        with pytest.raises(InvalidSpec):
+            braid_holds(r_map(SPEC_BAD), zero, zero, zero)
+
 
 class TestInvolutivity:
     def test_hand_computed_round_trip(self):
