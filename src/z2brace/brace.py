@@ -81,7 +81,7 @@ __all__ = [
 
 
 class InvalidSpec(ValueError):
-    """The pair does not define a brace, so there is no solution to build."""
+    """The pair does not define a lambda-homomorphic brace, so there is no solution to build."""
 
 
 class Vec2(NamedTuple):
@@ -129,7 +129,7 @@ class BraceSpec(_BraceSpecFields):
     """Candidate pair (phi, psi): the automorphisms attached to the generators.
 
     Construction only enforces membership in GL2(Z); whether the pair
-    actually defines a brace is decided by check_pair.
+    actually defines a lambda-homomorphic brace is decided by check_pair.
     """
 
     __slots__ = ()
@@ -310,7 +310,7 @@ def _identities_hold(
 
 
 def check_pair(spec: BraceSpec) -> Verdict:
-    """Decide whether (phi, psi) defines a brace on Z^2.
+    """Decide whether (phi, psi) defines a lambda-homomorphic brace on Z^2.
 
     The pair is valid iff phi*psi = psi*phi and the four conditions
 

@@ -10,6 +10,11 @@ Specs are accepted inline ('{"phi": [[...]], "psi": [[...]]}') or as a
 path to a file holding the same JSON; an argument starting with "{" or
 "[" is read as inline JSON.  All output is deterministic:
 identical arguments and seed produce byte-identical bytes.
+
+main parses each call once: when the first argument names a command, the
+rest goes straight to that command's own parser, the one the top-level
+parser holds; anything else (no argument, -h, an unknown command) goes to
+the top-level parser, which prints its help or its error.
 """
 
 from __future__ import annotations
@@ -64,7 +69,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             print("valid pair outside every family; classification falsified", file=sys.stderr)
             return 1
         return 0
-    print("note: not a brace (pair fails the validity conditions)", file=sys.stderr)
+    print(
+        "note: not a lambda-homomorphic brace (pair fails the validity conditions)",
+        file=sys.stderr,
+    )
     return 0
 
 
@@ -106,10 +114,12 @@ def _cmd_ybe(args: argparse.Namespace) -> int:
     return 0 if clean else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subparsers' choices: each command's parser."""
     parser = argparse.ArgumentParser(
         prog="z2brace",
-        description="Exact construction, validation and classification of braces on Z^2.",
+        description="Exact construction, validation and classification of "
+        "lambda-homomorphic braces on Z^2.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -165,16 +175,23 @@ def _build_parser() -> argparse.ArgumentParser:
     add_output(p_ybe)
     p_ybe.set_defaults(func=_cmd_ybe)
 
-    return parser
+    return parser, sub.choices
 
 
-# Built once at import: parse_args leaves the parser unchanged, so every
-# main() call in a process shares it.
-_PARSER = _build_parser()
+# Built once at import: parse_args leaves a parser unchanged, so every
+# main() call in a process shares them.  _COMMANDS holds the same command
+# parsers as _PARSER.
+_PARSER, _COMMANDS = _build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        args = _PARSER.parse_args(argv)
+    else:
+        args = command.parse_args(argv[1:])
     try:
         return args.func(args)
     # BadParams, InvalidSpec, NotUnimodular and json.JSONDecodeError are

@@ -5,6 +5,8 @@ round trips between subcommands.
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -16,11 +18,14 @@ import pytest
 import z2brace
 from conftest import YBE_MEMBERS, hyperbolic_pair
 from z2brace import BraceSpec, IDENTITY, Mat2
-from z2brace.cli import main
+from z2brace.cli import _COMMANDS, _PARSER, main
 
 VALID_INLINE = '{"phi":[[1,0],[0,1]],"psi":[[1,0],[0,1]]}'
 FAMILY_12_INLINE = '{"phi":[[2,1],[-1,0]],"psi":[[2,1],[-1,0]]}'
 INVALID_INLINE = '{"phi":[[1,1],[0,1]],"psi":[[1,0],[0,1]]}'
+ASSOCIATIVE_NON_COMMUTING = '{"phi":[[1,0],[2,1]],"psi":[[-1,0],[0,1]]}'
+TOP_LEVEL_USAGE = "usage: z2brace [-h] {check,classify,generate,search,orders,ybe} ..."
+INVALID_NOTE = "note: not a lambda-homomorphic brace (pair fails the validity conditions)\n"
 
 # sha256 of the search --bound B stdout, recorded from a search that
 # paired each phi with its whole in-class commutant.
@@ -133,7 +138,15 @@ class TestClassify:
         code, out, err = run(capsys, "classify", INVALID_INLINE)
         assert code == 0
         assert json.loads(out) == []
-        assert "not a brace" in err
+        assert err == INVALID_NOTE
+
+    def test_associative_non_commuting_pair_is_not_called_no_brace(self, capsys):
+        # This pair's multiplication is associative, so it is a brace
+        # (test_brace.TestAssociativity), but not a lambda-homomorphic one.
+        code, out, err = run(capsys, "classify", ASSOCIATIVE_NON_COMMUTING)
+        assert code == 0
+        assert json.loads(out) == []
+        assert err == INVALID_NOTE
 
 
 class TestGenerate:
@@ -246,7 +259,11 @@ class TestSearchAndOrders:
         with pytest.raises(SystemExit) as exc:
             main(["search", "--bound", "1", "--jobs", "2"])
         assert exc.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
+        # The search command's own parser reports the stray option.
+        assert capsys.readouterr().err == (
+            "usage: z2brace search [-h] --bound BOUND [--output OUTPUT]\n"
+            "z2brace search: error: unrecognized arguments: --jobs 2\n"
+        )
 
     def test_orders_clean(self, capsys):
         code, out, _ = run(capsys, "orders", "--bound", "2")
@@ -454,3 +471,189 @@ def test_parser_is_shared_across_calls(capsys):
     code, out, _ = run(capsys, "check", member)
     assert code == 0
     assert out == first_check
+
+    # A bare ybe after one with every option set reads the defaults again.
+    code, _, _ = run(capsys, "ybe", FAMILY_12_INLINE, "--samples", "7", "--seed", "3")
+    assert code == 0
+    code, out, _ = run(capsys, "ybe", FAMILY_12_INLINE)
+    assert code == 0
+    report = json.loads(out)
+    assert (report["samples"], report["seed"], report["box"]) == (1000, 0, 4)
+
+
+# Argument lists for each command: every option set, defaults only,
+# abbreviated options, "=" forms, options before the positional and -1 as
+# an option value.
+DISPATCH_ARGVS = [
+    ["check", VALID_INLINE],
+    ["check", VALID_INLINE, "--output", "out.json"],
+    ["check", "--out=out.json", "spec.json"],
+    ["classify", FAMILY_12_INLINE],
+    ["classify", "--output", "out.json", "spec.json"],
+    ["generate", "--row", "1.2", "--m", "1", "--p", "1", "--q", "1"],
+    ["generate", "--row", "1.1", "--m", "1", "--p", "2", "--q", "3", "--n", "4",
+     "--sign1", "-1", "--sign2", "1", "--output", "out.json"],
+    ["generate", "--ro", "3.1", "--p", "0", "--q", "5", "--sign1", "-1"],
+    ["generate", "--row=1.1", "--sign1=-1", "--sign2", "-1"],
+    ["search", "--bound", "2"],
+    ["search", "--bound", "-3", "--output", "out.json"],
+    ["search", "--b", "2", "--o", "out.json"],
+    ["orders", "--bound", "5"],
+    ["orders", "--output", "out.json", "--bou=5"],
+    ["ybe", FAMILY_12_INLINE],
+    ["ybe", FAMILY_12_INLINE, "--samples", "5", "--seed", "3", "--box", "2",
+     "--output", "out.json"],
+    ["ybe", FAMILY_12_INLINE, "--sam", "5"],
+    ["ybe", "--seed", "-1", "spec.json", "--bo", "7"],
+]
+
+# Argument lists that both parse paths refuse with exit 2: missing required
+# arguments, values of the wrong type or outside the choices, ambiguous
+# prefixes and unknown options.
+DISPATCH_ERRORS = [
+    ["check"],
+    ["classify", "--output"],
+    ["generate"],
+    ["generate", "--row", "1.1", "--sign1", "2"],
+    ["generate", "--row", "1.2", "--m", "x"],
+    ["generate", "--row", "1.1", "--sign", "1"],
+    ["search"],
+    ["search", "--bound", "x"],
+    ["orders", "--bound"],
+    ["ybe", FAMILY_12_INLINE, "--s", "5"],
+    ["ybe", FAMILY_12_INLINE, "--samples", "1.5"],
+    ["check", VALID_INLINE, "--bogus"],
+    ["search", "--bound", "2", "extra"],
+]
+
+
+class TestDispatch:
+    """main parses a named command with that command's own parser; each
+    parse must agree with the top-level parser's."""
+
+    def test_every_command_is_dispatched(self):
+        assert sorted(_COMMANDS) == sorted(
+            ["check", "classify", "generate", "search", "orders", "ybe"]
+        )
+        assert {argv[0] for argv in DISPATCH_ARGVS} == set(_COMMANDS)
+
+    @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
+    def test_parse_agrees_with_the_top_level_parser(self, argv):
+        direct = vars(_COMMANDS[argv[0]].parse_args(argv[1:]))
+        full = vars(_PARSER.parse_args(argv))
+        assert full.pop("command") == argv[0]
+        assert direct == full
+
+    @pytest.mark.parametrize("argv", DISPATCH_ERRORS, ids=" ".join)
+    def test_errors_agree_with_the_top_level_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as direct:
+            _COMMANDS[argv[0]].parse_args(argv[1:])
+        direct_err = capsys.readouterr().err
+        with pytest.raises(SystemExit) as full:
+            _PARSER.parse_args(argv)
+        full_err = capsys.readouterr().err
+        assert direct.value.code == full.value.code == 2
+        assert direct_err.startswith(f"usage: z2brace {argv[0]} ")
+        assert f"z2brace {argv[0]}: error: " in direct_err
+        if "unrecognized arguments" not in full_err:
+            # Only a leftover argument used to be reported by the top-level
+            # parser; every other error already came from the command's.
+            assert direct_err == full_err
+
+    def test_command_help_agrees(self, capsys):
+        with pytest.raises(SystemExit) as direct:
+            main(["check", "-h"])
+        direct_out = capsys.readouterr().out
+        with pytest.raises(SystemExit) as full:
+            _PARSER.parse_args(["check", "-h"])
+        full_out = capsys.readouterr().out
+        assert direct.value.code == full.value.code == 0
+        assert direct_out == full_out
+        assert direct_out.startswith("usage: z2brace check [-h] [--output OUTPUT] spec\n")
+
+
+class TestEntryPoint:
+    def test_none_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["z2brace", "classify", VALID_INLINE])
+        code = main(None)
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == ["1.1", "1.2"]
+
+    def test_no_arguments_exit_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"{TOP_LEVEL_USAGE}\n"
+            "z2brace: error: the following arguments are required: command\n"
+        )
+
+    def test_unknown_command_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus"])
+        assert exc.value.code == 2
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage == TOP_LEVEL_USAGE
+        # The choices are read without their quotes, which depend on the
+        # Python version.
+        prefix = "z2brace: error: argument command: invalid choice: 'bogus' (choose from "
+        assert error.startswith(prefix) and error.endswith(")")
+        choices = error[len(prefix):-1].split(", ")
+        assert [c.strip("'") for c in choices] == list(_COMMANDS)
+
+    def test_top_level_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"{TOP_LEVEL_USAGE}\n\n")
+        assert (
+            "Exact construction, validation and classification of "
+            "lambda-homomorphic braces on Z^2."
+        ) in " ".join(out.split())
+        for command in _COMMANDS:
+            assert f"    {command} " in out
+
+
+def readme_command_lines():
+    # The z2brace lines of the sh block under "## Command line" in
+    # README.md, each with the text of the "# ->" comment that follows it
+    # ("" if none), continuation lines joined.
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    calls = []
+    for line in block.splitlines():
+        if line.startswith("z2brace "):
+            calls.append([line, ""])
+        elif line.startswith("# -> ") and calls:
+            calls[-1][1] = line[len("# -> "):]
+        elif line.startswith("#  ") and calls and calls[-1][1]:
+            calls[-1][1] += " " + line[1:].strip()
+    return calls
+
+
+README_CALLS = readme_command_lines()
+
+
+def test_readme_lists_every_command():
+    assert {shlex.split(line)[1] for line, _ in README_CALLS} == set(_COMMANDS)
+    assert sum(1 for _, shown in README_CALLS if shown) == 2
+
+
+@pytest.mark.parametrize("line, shown", README_CALLS, ids=[c[0][:60] for c in README_CALLS])
+def test_readme_command_line_runs(capsys, line, shown):
+    code, out, err = run(capsys, *shlex.split(line)[1:])
+    assert code == 0, err
+    if not shown:
+        return
+    result = json.loads(out)
+    if shown.startswith("["):
+        assert result == json.loads(shown)
+    else:
+        # An abridged object: every "key": integer it shows must match.
+        pairs = re.findall(r'"(\w+)": (-?\d+)', shown)
+        assert pairs
+        assert {key: result[key] for key, _ in pairs} == {
+            key: int(value) for key, value in pairs
+        }
