@@ -9,7 +9,11 @@ block 3 = (-1, 1), block 4 = (-1, -1).  This module provides
   * a membership test that reads each family's parameters off the pair in
     O(1) and keeps the family iff its constructor regenerates the pair
     exactly (row_membership; row12_parameters for family 1.2), so the
-    family definitions live only in the constructors and their tables,
+    family definitions live only in the constructors and their tables;
+    it tries only the families listed under the pair's signature
+    ((det phi, tr phi), (det psi, tr psi)) in _SIGNATURE_LABELS, a table
+    derived from those definitions, since a family whose constructor
+    fixes other (det, trace) values can never regenerate the pair,
   * a duplicate-free lexicographic enumeration of unimodular matrices
     with bounded entries, in time proportional to their number
     (enumerate_unimodular),
@@ -288,6 +292,13 @@ class _RootFamily(NamedTuple):
             partner = (unit, 0, 0, unit)
         return (m, partner) if self.side == "phi" else (partner, _swap_conj(m))
 
+    def signature(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The (det, trace) of phi and of psi in every member: M's on its
+        side (the coordinate swap keeps both), the partner's on the other."""
+        m = (self.det, self.trace)
+        partner = {"E": (1, 2), "-E": (1, -2), "-M": (self.det, -self.trace)}[self.partner]
+        return (m, partner) if self.side == "phi" else (partner, m)
+
     def recover(self, m: _Entries) -> tuple[int, int, int] | None:
         """(p, q, sign1) read off the entries of M, or None if a scale
         does not divide its entry or the diagonal is constant."""
@@ -344,6 +355,12 @@ class _RationalFamily(NamedTuple):
         e, c = self.e, self.c
         phi = (h, self.u + c * n + e * h, e * (self.v + c * m - h), self.trace - h)
         return phi, (Mat2(*phi).inverse().entries() if self.inverse else phi)
+
+    def signature(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The (det, trace) of phi and of psi in every member.  M^-1 is
+        adj(M) / det, so its trace is trace / det = det * trace."""
+        m = (self.det, self.trace)
+        return m, ((self.det, self.det * self.trace) if self.inverse else m)
 
     def recover(self, m: _Entries) -> tuple[int, int, int | None] | None:
         """(m, n, p) read off the entries of M = phi, p set only where the
@@ -445,27 +462,53 @@ def row12_parameters(spec: BraceSpec) -> tuple[int, int, int] | None:
     return _member_params(RowLabel.R1_2, *spec)
 
 
-_BLOCK_LABELS = {
-    block: tuple(label for label in RowLabel if ROW_BLOCKS[label] == block)
-    for block in ROW_BLOCKS.values()
-}
+def _signature(m: _Entries) -> tuple[int, int]:
+    """(det, trace) of an entry 4-tuple, a Mat2 included."""
+    a11, a12, a21, a22 = m
+    return a11 * a22 - a12 * a21, a11 + a22
+
+
+def _signature_labels() -> dict[tuple[tuple[int, int], tuple[int, int]], tuple[RowLabel, ...]]:
+    # 1.1's members are its four constructed +-E pairs.  Every 1.2 member
+    # is (E + m p N, E + m q N) with N^2 = 0, and E + X with X^2 = 0 has
+    # det 1 and trace 2, as its member (E, E) shows.  A table family's row
+    # fixes M's (det, trace) and its partner's.
+    built = [
+        *((RowLabel.R1_1, _build_1_1(*signs)) for signs in product((1, -1), repeat=2)),
+        (RowLabel.R1_2, _build_1_2(0, 1, 0)),
+    ]
+    keyed = [(label, (_signature(phi), _signature(psi))) for label, (phi, psi) in built]
+    keyed += [(label, row.signature()) for label, row in _TABLE_FAMILIES.items()]
+    table: dict = {}
+    for label, key in keyed:
+        table[key] = table.get(key, ()) + (label,)
+    return table
+
+
+#: The families that can hold a pair, keyed on the pair's signature
+#: ((det phi, tr phi), (det psi, tr psi)), from the family definitions.
+_SIGNATURE_LABELS = _signature_labels()
 
 
 def row_membership(spec: BraceSpec) -> set[RowLabel]:
     """Every family that has the pair among its members.
 
-    For each family of the pair's (det phi, det psi) block, the parameters
-    are recovered from a few entries and the family constructor must
-    regenerate the pair exactly, so each test is a fixed number of
-    integer operations, with no search, whatever the size of the entries.
-    Families may overlap; for example the identity pair belongs to both
-    1.1 and 1.2 (with m = 0).  Membership does not require the pair to be
-    valid.
+    The candidates are the families listed under the pair's signature
+    ((det phi, tr phi), (det psi, tr psi)) in _SIGNATURE_LABELS; a family
+    outside it can never regenerate the pair, because each family's
+    constructor fixes the (det, trace) of both matrices of every member.
+    A random (hyperbolic) pair has no candidate, and a 1.5 member has two,
+    1.5 and 1.6.  For each candidate the parameters are recovered from a
+    few entries and the family constructor must regenerate the pair
+    exactly, so each test is a fixed number of integer operations, with
+    no search, whatever the size of the entries.  Families may overlap;
+    for example the identity pair belongs to both 1.1 and 1.2 (with
+    m = 0).  Membership does not require the pair to be valid.
     """
     phi, psi = spec
     return {
         label
-        for label in _BLOCK_LABELS[phi.det(), psi.det()]
+        for label in _SIGNATURE_LABELS.get((_signature(phi), _signature(psi)), ())
         if _member_params(label, phi, psi) is not None
     }
 

@@ -44,8 +44,14 @@ def _load_spec(text: str) -> BraceSpec:
     return BraceSpec.from_dict(json.loads(text))
 
 
+# json.dumps(payload, indent=2) builds this same encoder on every call;
+# one shared encoder writes the same bytes without that per-call setup.
+# encode keeps no state between calls.
+_ENCODER = json.JSONEncoder(indent=2)
+
+
 def _emit(payload: object, output: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    text = _ENCODER.encode(payload) + "\n"
     if output is None:
         sys.stdout.write(text)
     else:

@@ -80,18 +80,19 @@ class Mat2(NamedTuple):
     def from_rows(cls, rows: object) -> "Mat2":
         """Build from the JSON form [[a11, a12], [a21, a22]].
 
-        Entries must be plain integers (bools are rejected).
+        Entries must be plain integers (bools are rejected).  The rows and
+        the pair of them must be lists or tuples of length 2.
         """
         if (
-            not isinstance(rows, (list, tuple))
-            or len(rows) != 2
-            or any(not isinstance(r, (list, tuple)) or len(r) != 2 for r in rows)
+            isinstance(rows, (list, tuple)) and len(rows) == 2
+            and isinstance(rows[0], (list, tuple)) and len(rows[0]) == 2
+            and isinstance(rows[1], (list, tuple)) and len(rows[1]) == 2
         ):
-            raise ValueError(f"expected a 2x2 nested list, got {rows!r}")
-        flat = [rows[0][0], rows[0][1], rows[1][0], rows[1][1]]
-        if any(type(e) is not int for e in flat):
+            (a11, a12), (a21, a22) = rows
+            if type(a11) is int and type(a12) is int and type(a21) is int and type(a22) is int:
+                return cls(a11, a12, a21, a22)
             raise ValueError(f"matrix entries must be integers, got {rows!r}")
-        return cls(*flat)
+        raise ValueError(f"expected a 2x2 nested list, got {rows!r}")
 
     def rows(self) -> list[list[int]]:
         """JSON form [[a11, a12], [a21, a22]]."""

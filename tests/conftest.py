@@ -3,6 +3,8 @@ holomorph-closure reading of the pair conditions used as a test oracle, plus
 session-scoped search reports so the expensive sweeps run once.
 """
 
+import math
+
 import pytest
 
 from oracles import h_lambda_closed
@@ -106,6 +108,23 @@ def hyperbolic_pair(bits):
     not commute."""
     a = (1 << (bits - 1)) + 7
     return Mat2(a, a + 1, a - 1, a), Mat2(a, a - 1, a + 1, a)
+
+
+def random_unimodular(rng, limit):
+    """A unimodular matrix with entries in [-limit, limit]: a coprime first
+    row (a, b) completed by the extended Euclid cofactors, whose sizes
+    stay below |a| and |b|; half of them get determinant -1."""
+    while True:
+        a, b = rng.randint(-limit, limit), rng.randint(-limit, limit)
+        if math.gcd(a, b) == 1:
+            break
+    s0, s1, t0, t1, x, y = 1, 0, 0, 1, a, b
+    while y:
+        k = x // y
+        x, y, s0, s1, t0, t1 = y, x - k * y, s1, s0 - k * s1, t1, t0 - k * t1
+    # a s0 + b t0 = x = +-1, so ((a, b), (-x t0, x s0)) has determinant 1.
+    c, d = -x * t0, x * s0
+    return Mat2(a, b, -c, -d) if rng.random() < 0.5 else Mat2(a, b, c, d)
 
 
 def holomorph_reading(spec):

@@ -26,6 +26,12 @@ public z2brace names:
     from any lambda map, two calls to it per point: the evaluation ybe
     made before it read lambda's closed form in place.  test_ybe checks
     the per-form r against it.
+  * block_membership is row_membership as it was before the pair's
+    (det, trace) signature named its candidate families: it tries every
+    family of the pair's determinant block.  It alone reads a private
+    name, the parameter recovery and exact regeneration that both share,
+    so only the choice of candidates differs.  test_classification checks
+    row_membership against it.
 """
 
 from __future__ import annotations
@@ -35,15 +41,18 @@ from math import gcd, isqrt
 
 from z2brace import (
     IDENTITY,
+    ROW_BLOCKS,
     BraceSpec,
     Mat2,
     NotUnimodular,
+    RowLabel,
     Vec2,
     act,
     lambda_of,
     odot,
     order_by_predicate,
 )
+from z2brace.classification import _member_params
 
 
 def commutant_in_box(a: Mat2, bound: int) -> list[Mat2]:
@@ -162,3 +171,15 @@ def r_of_lambda(lam, x1: int, x2: int, y1: int, y2: int) -> tuple[int, int, int,
         b11 * x1 + b12 * x2,
         b21 * x1 + b22 * x2,
     )
+
+
+def block_membership(spec: BraceSpec) -> set[RowLabel]:
+    """Every family that has the pair among its members, trying each
+    family of the pair's (det phi, det psi) block in ROW_BLOCKS."""
+    phi, psi = spec
+    block = (phi.det(), psi.det())
+    return {
+        label
+        for label in RowLabel
+        if ROW_BLOCKS[label] == block and _member_params(label, phi, psi) is not None
+    }

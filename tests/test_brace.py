@@ -104,9 +104,21 @@ class TestBraceSpec:
         spec = BraceSpec.from_dict(data)
         assert spec.to_dict() == data
 
-    def test_from_dict_rejects_extra_keys(self):
-        with pytest.raises(ValueError):
-            BraceSpec.from_dict({"phi": [[1, 0], [0, 1]]})
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"phi": [[1, 0], [0, 1]]},
+            {"phi": [[1, 0], [0, 1]], "psi": [[1, 0], [0, 1]], "x": 1},
+            [[1, 0], [0, 1]],
+        ],
+        ids=["missing key", "extra key", "not an object"],
+    )
+    def test_from_dict_rejects_wrong_keys(self, data):
+        with pytest.raises(ValueError) as exc:
+            BraceSpec.from_dict(data)
+        assert str(exc.value) == (
+            f'expected an object with exactly the keys "phi" and "psi", got {data!r}'
+        )
 
 
 class TestLambda:

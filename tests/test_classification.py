@@ -23,11 +23,11 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import ROW_FIXTURE_PARAMS, ROW_SPECS
+from conftest import ROW_FIXTURE_PARAMS, ROW_SPECS, random_unimodular
 
 import z2brace.classification as classification
 
-from oracles import centralizer_finite, commutant_in_box
+from oracles import block_membership, centralizer_finite, commutant_in_box
 from z2brace import (
     BadParams,
     BraceSpec,
@@ -497,6 +497,118 @@ class TestTableRoundTrip:
             bits = max(abs(v).bit_length() for v in values if v is not None)
             assert 100 <= bits <= 130, (label, bits)
             self.round_trip(label, params, m)
+
+
+def signature(spec):
+    # ((det phi, tr phi), (det psi, tr psi)), read off the Mat2s.
+    return tuple((m.det(), m.trace()) for m in spec)
+
+
+def large_members(rng, bits):
+    # A seeded member of each family with a parameter of at least `bits`
+    # bits (1.1 has none): 1.2 with a `bits`-bit m, each table family by a
+    # level-6 conjugate of its fixture's M under shears of bits/5 + 2 bits,
+    # and 4.1's free-p branch with a `bits`-bit p.
+    def sized(k):
+        return rng.choice((1, -1)) * (rng.getrandbits(k - 1) | 1 << (k - 1))
+
+    members = [
+        (RowLabel.R1_1, generate_row(RowLabel.R1_1, RowParams(sign1=s1, sign2=s2)))
+        for s1, s2 in product((1, -1), repeat=2)
+    ]
+    while True:
+        p, q = sized(8), sized(8)
+        if math.gcd(p, q) == 1:
+            break
+    members.append((RowLabel.R1_2, row12_pair(sized(bits), p, q)))
+    for label in TABLE_LABELS:
+        shears = [sized(bits // 5 + 2) for _ in range(3)]
+        m = level6_conjugate(table_matrix(label, ROW_SPECS[label]), *shears)
+        params = table_params(label, m)
+        values = (params.m, params.n, params.p, params.q)
+        assert max(abs(v).bit_length() for v in values if v is not None) >= bits
+        members.append((label, generate_row(label, params)))
+    n = rng.choice((0, -1))
+    members.append((RowLabel.R4_1, generate_row(RowLabel.R4_1, RowParams(m=n, n=n, p=sized(bits)))))
+    return members
+
+
+class TestSignatureLookup:
+    # row_membership tries only the families listed under the pair's
+    # (det, trace) signature; block_membership (oracles) tries every family
+    # of the pair's determinant block, as row_membership did before.
+
+    def test_agrees_with_block_membership_on_every_pair_at_bound3(self):
+        box = list(enumerate_unimodular(3))
+        mismatches = [
+            spec
+            for spec in (BraceSpec(phi, psi) for phi in box for psi in box)
+            if row_membership(spec) != block_membership(spec)
+        ]
+        assert len(box) ** 2 == 53824 and mismatches == []
+
+    def test_agrees_with_block_membership_on_every_member_at_bound12(self):
+        instances = generated_row_instances(12)
+        assert len(instances) == 875
+        for label, spec in instances:
+            labels = row_membership(spec)
+            assert label in labels and labels == block_membership(spec), (label, spec)
+
+    @pytest.mark.parametrize("bits", [64, 256])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_agrees_with_block_membership_on_large_members(self, bits, seed):
+        members = large_members(random.Random(seed), bits)
+        assert {label for label, _ in members} == set(RowLabel)
+        with deadline(5):
+            for label, spec in members:
+                labels = row_membership(spec)
+                assert label in labels and labels == block_membership(spec), (label, spec)
+
+    @pytest.mark.parametrize("limit", [2**3, 2**8, 2**64])
+    def test_agrees_with_block_membership_on_random_pairs(self, limit):
+        rng = random.Random(limit)
+        for _ in range(1000):
+            spec = BraceSpec(random_unimodular(rng, limit), random_unimodular(rng, limit))
+            assert row_membership(spec) == block_membership(spec), spec
+
+    def test_every_member_at_bound12_is_under_its_own_signature(self):
+        table = classification._SIGNATURE_LABELS
+        for label, spec in generated_row_instances(12):
+            assert label in table[signature(spec)], (label, spec)
+
+    def test_table_is_built_from_the_family_rows(self, monkeypatch):
+        # Twelve signatures: 1.1's four +-E pairs, one each for 1.2 and the
+        # table families, with 1.2 beside 1.1 at (E, E), 1.6 beside 1.5 and
+        # 4.1 beside 4.2.
+        table = classification._SIGNATURE_LABELS
+        assert len(table) == 12
+        assert Counter(label for labels in table.values() for label in labels) == {
+            label: 4 if label is RowLabel.R1_1 else 1 for label in RowLabel
+        }
+        for label, row in classification._TABLE_FAMILIES.items():
+            assert row.signature() == signature(ROW_SPECS[label]), label
+        assert set(table[(1, -1), (1, -1)]) == {RowLabel.R1_5, RowLabel.R1_6}
+        # A row moved to the other side moves its key.
+        moved = classification._ROOT_FAMILIES[RowLabel.R1_3]._replace(side="phi")
+        monkeypatch.setitem(classification._TABLE_FAMILIES, RowLabel.R1_3, moved)
+        rebuilt = classification._signature_labels()
+        assert ((1, 2), (1, -1)) not in rebuilt
+        assert set(rebuilt[(1, -1), (1, 2)]) == {RowLabel.R1_3, RowLabel.R1_4}
+
+    def test_candidates_tried(self, monkeypatch):
+        # A hyperbolic pair tries no family and a 1.5 member only 1.5 and 1.6.
+        tried = []
+        member_params = classification._member_params
+
+        def recording(label, phi, psi):
+            tried.append(label)
+            return member_params(label, phi, psi)
+
+        monkeypatch.setattr(classification, "_member_params", recording)
+        assert row_membership(BraceSpec(Mat2(2, 1, 1, 1), Mat2(1, 1, 1, 0))) == set()
+        assert tried == []
+        assert row_membership(ROW_SPECS[RowLabel.R1_5]) == {RowLabel.R1_5}
+        assert sorted(tried, key=str) == [RowLabel.R1_5, RowLabel.R1_6]
 
 
 class TestEnumeration:

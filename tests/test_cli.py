@@ -5,6 +5,7 @@ round trips between subcommands.
 import hashlib
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import z2brace
-from conftest import YBE_MEMBERS, hyperbolic_pair
+from conftest import ROW_FIXTURE_PARAMS, YBE_MEMBERS, hyperbolic_pair, random_unimodular
 from z2brace import BraceSpec, IDENTITY, Mat2
 from z2brace.cli import _COMMANDS, _PARSER, main
 
@@ -147,6 +148,54 @@ class TestClassify:
         assert code == 0
         assert json.loads(out) == []
         assert err == INVALID_NOTE
+
+
+def verdict_path_calls():
+    # check and classify on 16 seeded random unimodular pairs with entries up
+    # to 2^8, generate then classify on one member of each family, and
+    # malformed input: bad JSON, a non-unimodular spec and the decoder's
+    # rejections.  A PREV argument stands for the stdout of the call before.
+    rng = random.Random(30)
+    calls = []
+    for _ in range(16):
+        spec = json.dumps(BraceSpec(
+            random_unimodular(rng, 256), random_unimodular(rng, 256)
+        ).to_dict())
+        calls += [["check", spec], ["classify", spec]]
+    for label, params in ROW_FIXTURE_PARAMS.items():
+        options = [
+            word
+            for name, value in params._asdict().items() if value is not None
+            for word in (f"--{name}", str(value))
+        ]
+        calls += [["generate", "--row", label.value, *options], ["classify", "PREV"]]
+    for command in ("check", "classify"):
+        calls += [
+            [command, '{"phi": [[1, 0], [0, 1]], "psi": '],
+            [command, '{"phi": [[2, 0], [0, 1]], "psi": [[1, 0], [0, 1]]}'],
+            [command, '{"phi": [[1, 0], [0, 1]], "psi": [[1, 0], [0, 1.0]]}'],
+            [command, '{"phi": [[1, 0, 0], [0, 1]], "psi": [[1, 0], [0, 1]]}'],
+            [command, '{"phi": [[1, 0], [0, 1]], "psi": [[1, 0], [0, 1]], "x": 1}'],
+        ]
+    return calls
+
+
+def test_verdict_path_bytes_pinned(capsys):
+    # sha256 over stdout, stderr and exit code of every call of
+    # verdict_path_calls, recorded before membership was looked up by the
+    # pair's (det, trace) signature, output went through one shared JSON
+    # encoder and Mat2.from_rows decoded in one pass.
+    calls = verdict_path_calls()
+    assert len(calls) == 66
+    digest = hashlib.sha256()
+    out = ""
+    for argv in calls:
+        argv = [out.strip() if word == "PREV" else word for word in argv]
+        code, out, err = run(capsys, *argv)
+        digest.update(f"{out}{err}{code}\n".encode())
+    assert digest.hexdigest() == (
+        "ba1bf011ec9617214256a046514dd6318d8982c08f509433adab374446f84bea"
+    )
 
 
 class TestGenerate:

@@ -630,10 +630,37 @@ class TestConstruction:
         assert m == Mat2(1, 2, 3, 4)
         assert m.rows() == [[1, 2], [3, 4]]
 
+    def test_from_rows_accepts_tuple_rows(self):
+        for rows in ([(1, 2), (3, 4)], ((1, 2), [3, 4]), ((1, 2), (3, 4))):
+            m = Mat2.from_rows(rows)
+            assert m == Mat2(1, 2, 3, 4) and type(m.a11) is int
+
     @pytest.mark.parametrize(
-        "bad",
-        [[[1, 2], [3]], [1, 2, 3, 4], [[1, 2], [3, "4"]], [[1, 2], [3, True]]],
+        "bad, shape",
+        [
+            ([[1, 2], [3]], True),
+            ([1, 2, 3, 4], True),
+            ("ab", True),
+            (["ab", "cd"], True),
+            ([{"a": 1, "b": 2}, [3, 4]], True),
+            ([[1, 2, 0], [3, 4]], True),
+            ([[1, 2], [3, 4], [5, 6]], True),
+            (None, True),
+            ({"phi": 1, "psi": 2}, True),
+            ([[1, 2], [3, "4"]], False),
+            ([[1, 2], [3, True]], False),
+            ([[1, 2.0], [3, 4]], False),
+            ([[1, 2], [3, None]], False),
+        ],
     )
-    def test_from_rows_rejects_malformed(self, bad):
-        with pytest.raises(ValueError):
+    def test_from_rows_rejects_malformed(self, bad, shape):
+        # A wrong shape and a non-integer entry each have their own message,
+        # which the CLI prints after "error: ".
+        message = (
+            f"expected a 2x2 nested list, got {bad!r}"
+            if shape
+            else f"matrix entries must be integers, got {bad!r}"
+        )
+        with pytest.raises(ValueError) as exc:
             Mat2.from_rows(bad)
+        assert str(exc.value) == message
