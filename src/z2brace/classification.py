@@ -9,19 +9,19 @@ block 3 = (-1, 1), block 4 = (-1, -1).  This module provides
   * a membership test that reads each family's parameters off the pair in
     O(1) and keeps the family iff its constructor regenerates the pair
     exactly (row_membership; row12_parameters for family 1.2), so the
-    family definitions live only in the constructors and their tables;
-    it tries only the families listed under the pair's signature
+    family definitions live only in the family records; it tries only
+    the families listed under the pair's signature
     ((det phi, tr phi), (det psi, tr psi)) in _SIGNATURE_LABELS, a table
-    derived from those definitions, since a family whose constructor
-    fixes other (det, trace) values can never regenerate the pair,
+    read off those records, since a family whose constructor fixes other
+    (det, trace) values can never regenerate the pair,
   * a duplicate-free lexicographic enumeration of unimodular matrices
     with bounded entries, in time proportional to their number
     (enumerate_unimodular),
   * a bidirectional exhaustive cross-validation (exhaustive_search):
     every valid pair in the bounded box must match a family, and every
     family instance that fits in the box must be valid; the instances are
-    read off the box's in-class matrices by each family's parameter
-    recovery and rebuilt by its constructor, on entry 4-tuples
+    the parameters each family's record reads off the box's in-class
+    matrices, rebuilt by its constructor on entry 4-tuples
     (generated_row_instances wraps them in BraceSpecs), and that one
     member list serves both directions: the forward labels of each valid
     pair are read off it by a join on entry tuples, which a pair of Mat2s
@@ -30,34 +30,44 @@ block 3 = (-1, 1), block 4 = (-1, -1).  This module provides
   * an order-classification cross-check over the same box
     (orders_crosscheck).
 
-Each family has one constructor and one recoverer, both on entry 4-tuples
-(a11, a12, a21, a22).  A constructor (_CONSTRUCTORS) takes the plain
-parameters and returns (phi entries, psi entries) as plain tuples, or
-raises BadParams; a recoverer reads any entry 4-tuple, a Mat2 included,
-and returns the plain parameters, or None.  generate_row checks a
-RowParams against the family's signature (_SIGNATURES), calls the
-constructor and wraps the pair in a BraceSpec; row_membership recovers
-from the pair's matrices and compares the regenerated entries with them;
-the search calls both on its in-class matrices and builds no BraceSpec
-for a member.  A Mat2 equals and hashes as its entry tuple, so the plain
-pairs a constructor returns join directly with pairs of Mat2s.
+Each family is one record in _FAMILIES, the module's only table of
+family definitions, keyed by RowLabel in label order.  A record holds
+  * label, which its error messages name,
+  * names and optional: its RowParams fields, required then optional,
+    in the order its constructor takes them,
+  * build(*params): the plain parameters -> (phi entries, psi entries)
+    as plain entry 4-tuples (a11, a12, a21, a22), or BadParams,
+  * recover(phi, psi): the plain parameters read off any pair of entry
+    4-tuples, Mat2s included, or None,
+  * signatures(): the ((det phi, tr phi), (det psi, tr psi)) its members
+    have,
+  * candidates(bound, groups): the parameters to try in the box
+    [-bound, bound], given its in-class matrices grouped by (det, trace).
+_SIGNATURE_LABELS, ROW_BLOCKS and generate_row's parameter check (_need)
+are read off the records.  generate_row checks a RowParams against the
+record's names, calls build and wraps the pair in a BraceSpec;
+row_membership recovers from the pair's matrices and compares the
+regenerated entries with them; the search builds each record's
+candidates and builds no BraceSpec for a member.  A Mat2 equals and
+hashes as its entry tuple, so the plain pairs a constructor returns join
+directly with pairs of Mat2s.
 
 RowParams and SearchReport are NamedTuples like Mat2; RowParams checks
 its signs in the __new__ of a subclass of its NamedTuple fields.
 
-Families 1.1 and 1.2 are written out; the other ten are rows of two
-tables.  In a square-root family (_ROOT_FAMILIES: 1.3, 1.4, 2.1, 2.2, 3.1,
-3.2, 4.2) phi, or psi conjugated by the coordinate swap, is one
-finite-order matrix M of fixed det and trace with off-diagonal entries
-p_scale p and q_scale q, whose diagonal needs the exact root of a
-radicand; M's partner is E, -E or -M.  In a rational family
-(_RATIONAL_FAMILIES: 1.5, 1.6, 4.1) M = phi has a11 = h fixed by one
-exact division of its determinant equation, and psi is M or M^-1.  Both
-tables key on M's (det, trace), and each row's recover reads only M's
-entry tuple, raising nothing.  The in-box members are the recovered
-parameters of the box's in-class matrices.  Every constructor rejects
-non-squares, inexact divisions and any parameter outside its family's
-signature.
+Families 1.1 (_ScalarFamily) and 1.2 (_UnipotentFamily) are written out;
+the other ten are records of two shapes.  In a square-root family
+(_RootFamily: 1.3, 1.4, 2.1, 2.2, 3.1, 3.2, 4.2) phi, or psi conjugated
+by the coordinate swap, is one finite-order matrix M of fixed det and
+trace with off-diagonal entries p_scale p and q_scale q, whose diagonal
+needs the exact root of a radicand; M's partner is E, -E or -M.  In a
+rational family (_RationalFamily: 1.5, 1.6, 4.1) M = phi has a11 = h
+fixed by one exact division of its determinant equation, and psi is M or
+M^-1.  Both shapes fix M's (det, trace); their recover reads only M's
+entry tuple (read), raising nothing, and their candidates are what read
+takes off the box's in-class matrices of M's (det, trace).  Every
+constructor rejects non-squares, inexact divisions and any parameter
+outside its family's signature.
 """
 
 from __future__ import annotations
@@ -65,7 +75,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from enum import Enum
-from functools import partial
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
@@ -129,30 +138,11 @@ class RowLabel(Enum):
         return self.value
 
 
-#: (det phi, det psi) of each family's block.
-ROW_BLOCKS: dict[RowLabel, tuple[int, int]] = {
-    RowLabel.R1_1: (1, 1),
-    RowLabel.R1_2: (1, 1),
-    RowLabel.R1_3: (1, 1),
-    RowLabel.R1_4: (1, 1),
-    RowLabel.R1_5: (1, 1),
-    RowLabel.R1_6: (1, 1),
-    RowLabel.R2_1: (1, -1),
-    RowLabel.R2_2: (1, -1),
-    RowLabel.R3_1: (-1, 1),
-    RowLabel.R3_2: (-1, 1),
-    RowLabel.R4_1: (-1, -1),
-    RowLabel.R4_2: (-1, -1),
-}
-
-_LABEL_BY_VALUE = {label.value: label for label in RowLabel}
-
-
 def row_label(value: str) -> RowLabel:
     """Look up a label from its dotted form, e.g. "1.2"."""
     try:
-        return _LABEL_BY_VALUE[value]
-    except KeyError:
+        return RowLabel(value)
+    except ValueError:
         raise BadParams(f"unknown family label {value!r}") from None
 
 
@@ -197,12 +187,18 @@ class RowParams(_RowParamsFields):
 #: constructors, recoverers and the search's member list work on.
 _Entries = tuple[int, int, int, int]
 
+#: ((det phi, tr phi), (det psi, tr psi)) of a pair.
+_PairSignature = tuple[tuple[int, int], tuple[int, int]]
 
-def _need(params: RowParams, label: RowLabel) -> list[int | None]:
-    # The values of the family's parameters, in _SIGNATURES order: each
+#: The box's in-class matrices grouped by their (det, trace).
+_Groups = dict[tuple[int, int], list[Mat2]]
+
+
+def _need(params: RowParams, family: _Family) -> list[int | None]:
+    # The values of the family's parameters, in the record's order: each
     # required one must be set, an optional one may be None, and every
     # other field must be unset.
-    names, optional = _SIGNATURES[label]
+    names, optional, label = family.names, family.optional, family.label
     stray = [
         name
         for name in RowParams._fields
@@ -240,31 +236,70 @@ def _swap_conj(m: _Entries) -> _Entries:
     return (a22, a21, a12, a11)
 
 
-def _build_1_1(sign1: int, sign2: int) -> tuple[_Entries, _Entries]:
-    return (sign1, 0, 0, sign1), (sign2, 0, 0, sign2)
+class _ScalarFamily:
+    """1.1: phi = sign1 E and psi = sign2 E."""
+
+    label = RowLabel.R1_1
+    names, optional = ("sign1", "sign2"), ()
+
+    def build(self, sign1: int, sign2: int) -> tuple[_Entries, _Entries]:
+        return (sign1, 0, 0, sign1), (sign2, 0, 0, sign2)
+
+    def recover(self, phi: _Entries, psi: _Entries) -> tuple[int, int]:
+        return (phi[0], psi[0])
+
+    def signatures(self) -> tuple[_PairSignature, ...]:
+        # s E has det 1 and trace 2 s.
+        return tuple(((1, 2 * s1), (1, 2 * s2)) for s1, s2 in product((1, -1), repeat=2))
+
+    def candidates(self, bound: int, groups: _Groups) -> Iterable[tuple[int, int]]:
+        return product((1, -1), repeat=2)
 
 
-def _build_1_2(m: int, p: int, q: int) -> tuple[_Entries, _Entries]:
-    if math.gcd(p, q) != 1:
-        raise GcdError(f"gcd({p}, {q}) = {math.gcd(p, q)}, must be 1")
-    return (
-        (1 + m * p * p * q, m * p * q * q, -m * p**3, 1 - m * p * p * q),
-        (1 + m * p * q * q, m * q**3, -m * p * p * q, 1 - m * p * q * q),
-    )
+class _UnipotentFamily:
+    """1.2: phi = E + m p N and psi = E + m q N with N the primitive
+    nilpotent ((p q, q^2), (-p^2, -p q)) and gcd(p, q) = 1."""
 
+    label = RowLabel.R1_2
+    names, optional = ("m", "p", "q"), ()
 
-def _recover_1_2(phi: _Entries, psi: _Entries) -> tuple[int, int, int]:
-    # phi - E = m p N and psi - E = m q N with N = ((p q, q^2), (-p^2, -p q))
-    # primitive, so gcd(phi - E) = |m p|, gcd(psi - E) = |m q| and their
-    # gcd is |m|.  -phi21 = m p^3 and psi12 = m q^3 give the signs, in the
-    # canonical form of row12_parameters.
-    a = math.gcd(phi[0] - 1, phi[1], phi[2], phi[3] - 1)
-    b = math.gcd(psi[0] - 1, psi[1], psi[2], psi[3] - 1)
-    g = math.gcd(a, b)
-    if g == 0:
-        return (0, 1, 0)
-    s = _sign(-phi[2]) or _sign(psi[1])
-    return (s * g, a // g, _sign(s * psi[1]) * (b // g))
+    def build(self, m: int, p: int, q: int) -> tuple[_Entries, _Entries]:
+        if math.gcd(p, q) != 1:
+            raise GcdError(f"gcd({p}, {q}) = {math.gcd(p, q)}, must be 1")
+        return (
+            (1 + m * p * p * q, m * p * q * q, -m * p**3, 1 - m * p * p * q),
+            (1 + m * p * q * q, m * q**3, -m * p * p * q, 1 - m * p * q * q),
+        )
+
+    def recover(self, phi: _Entries, psi: _Entries) -> tuple[int, int, int]:
+        # N is primitive, so gcd(phi - E) = |m p|, gcd(psi - E) = |m q| and
+        # their gcd is |m|.  -phi21 = m p^3 and psi12 = m q^3 give the signs,
+        # in the canonical form of row12_parameters.
+        a = math.gcd(phi[0] - 1, phi[1], phi[2], phi[3] - 1)
+        b = math.gcd(psi[0] - 1, psi[1], psi[2], psi[3] - 1)
+        g = math.gcd(a, b)
+        if g == 0:
+            return (0, 1, 0)
+        s = _sign(-phi[2]) or _sign(psi[1])
+        return (s * g, a // g, _sign(s * psi[1]) * (b // g))
+
+    def signatures(self) -> tuple[_PairSignature, ...]:
+        # N^2 = 0, and E + X with X^2 = 0 has det 1 and trace 2.
+        return (((1, 2), (1, 2)),)
+
+    def candidates(self, bound: int, groups: _Groups) -> Iterator[tuple[int, int, int]]:
+        # Each pair once, in the canonical form of row12_parameters:
+        # (m, p, q) and (-m, -p, -q) give the same pair, and m = 0 gives
+        # (E, E) for every (p, q).  A member in the box has
+        # |m| max(|p|, |q|)^3 <= bound.
+        yield (0, 1, 0)
+        cap = 0
+        while (cap + 1) ** 3 <= bound:
+            cap += 1
+        for p, q in product(range(cap + 1), range(-cap, cap + 1)):
+            if (p > 0 or q > 0) and math.gcd(p, q) == 1:
+                m_max = bound // max(p, abs(q)) ** 3
+                yield from ((m, p, q) for m in range(-m_max, m_max + 1) if m)
 
 
 class _RootFamily(NamedTuple):
@@ -272,12 +307,15 @@ class _RootFamily(NamedTuple):
     sits on one side of the pair beside its partner.  det M = det makes
     r^2 = radicand(p, q); r and trace have one parity, and r is never 0."""
 
+    label: RowLabel
     det: int
     trace: int
     p_scale: int
     q_scale: int
     side: str  # "phi" or "psi"
     partner: str  # "E", "-E" or "-M"
+
+    names, optional = ("p", "q", "sign1"), ()
 
     def radicand(self, p: int, q: int) -> int:
         return self.trace**2 - 4 * self.det - 4 * self.p_scale * self.q_scale * p * q
@@ -292,14 +330,14 @@ class _RootFamily(NamedTuple):
             partner = (unit, 0, 0, unit)
         return (m, partner) if self.side == "phi" else (partner, _swap_conj(m))
 
-    def signature(self) -> tuple[tuple[int, int], tuple[int, int]]:
+    def signatures(self) -> tuple[_PairSignature, ...]:
         """The (det, trace) of phi and of psi in every member: M's on its
         side (the coordinate swap keeps both), the partner's on the other."""
         m = (self.det, self.trace)
         partner = {"E": (1, 2), "-E": (1, -2), "-M": (self.det, -self.trace)}[self.partner]
-        return (m, partner) if self.side == "phi" else (partner, m)
+        return ((m, partner) if self.side == "phi" else (partner, m),)
 
-    def recover(self, m: _Entries) -> tuple[int, int, int] | None:
+    def read(self, m: _Entries) -> tuple[int, int, int] | None:
         """(p, q, sign1) read off the entries of M, or None if a scale
         does not divide its entry or the diagonal is constant."""
         a11, a12, a21, a22 = m
@@ -309,16 +347,12 @@ class _RootFamily(NamedTuple):
             return None
         return (p, q, _sign(a11 - a22))
 
+    def recover(self, phi: _Entries, psi: _Entries) -> tuple[int, int, int] | None:
+        return self.read(phi if self.side == "phi" else _swap_conj(psi))
 
-_ROOT_FAMILIES = {
-    RowLabel.R1_3: _RootFamily(1, -1, 3, 1, "psi", "E"),
-    RowLabel.R1_4: _RootFamily(1, -1, 3, 1, "phi", "E"),
-    RowLabel.R2_1: _RootFamily(-1, 0, 2, 1, "psi", "E"),
-    RowLabel.R2_2: _RootFamily(-1, 0, 2, 2, "psi", "-E"),
-    RowLabel.R3_1: _RootFamily(-1, 0, 2, 1, "phi", "E"),
-    RowLabel.R3_2: _RootFamily(-1, 0, 2, 2, "phi", "-E"),
-    RowLabel.R4_2: _RootFamily(-1, 0, 2, 2, "phi", "-M"),
-}
+    def candidates(self, bound: int, groups: _Groups) -> list[tuple[int, int, int]]:
+        read = map(self.read, groups.get((self.det, self.trace), ()))
+        return [params for params in read if params is not None]
 
 
 class _RationalFamily(NamedTuple):
@@ -327,6 +361,7 @@ class _RationalFamily(NamedTuple):
     h * divisor = dividend (division).  Where both are 0, h is the free
     parameter p; where only the divisor is 0, the family has no member."""
 
+    label: RowLabel
     det: int
     u: int
     v: int
@@ -336,33 +371,32 @@ class _RationalFamily(NamedTuple):
     inverse: bool
 
     side = "phi"
+    names, optional = ("m", "n"), ("p",)
 
     def division(self, m: int, n: int) -> tuple[int, int]:
         """(divisor, dividend) of the equation h * divisor = dividend."""
         a, b = self.u + self.c * n, self.v + self.c * m
         return self.trace + self.e * a - b, self.det + self.e * a * b
 
-    def build(
-        self, label: RowLabel, m: int, n: int, p: int | None
-    ) -> tuple[_Entries, _Entries]:
+    def build(self, m: int, n: int, p: int | None) -> tuple[_Entries, _Entries]:
         divisor, dividend = self.division(m, n)
         if not divisor and dividend:
-            raise BadParams(f"family {label} has no member with m = {m}, n = {n}")
+            raise BadParams(f"family {self.label} has no member with m = {m}, n = {n}")
         if (p is None) == (not divisor):
             needs = "needs the free" if p is None else "takes no"
-            raise BadParams(f"family {label} with m = {m}, n = {n} {needs} parameter p")
+            raise BadParams(f"family {self.label} with m = {m}, n = {n} {needs} parameter p")
         h = _exact_div(dividend, divisor) if divisor else p
         e, c = self.e, self.c
         phi = (h, self.u + c * n + e * h, e * (self.v + c * m - h), self.trace - h)
         return phi, (Mat2(*phi).inverse().entries() if self.inverse else phi)
 
-    def signature(self) -> tuple[tuple[int, int], tuple[int, int]]:
+    def signatures(self) -> tuple[_PairSignature, ...]:
         """The (det, trace) of phi and of psi in every member.  M^-1 is
         adj(M) / det, so its trace is trace / det = det * trace."""
         m = (self.det, self.trace)
-        return m, ((self.det, self.det * self.trace) if self.inverse else m)
+        return ((m, (self.det, self.det * self.trace) if self.inverse else m),)
 
-    def recover(self, m: _Entries) -> tuple[int, int, int | None] | None:
+    def read(self, m: _Entries) -> tuple[int, int, int | None] | None:
         """(m, n, p) read off the entries of M = phi, p set only where the
         divisor is 0, or None if a division by c is inexact."""
         h, a12, a21, _ = m
@@ -372,50 +406,39 @@ class _RationalFamily(NamedTuple):
             return None
         return (m_, n, None if self.division(m_, n)[0] else h)
 
+    def recover(self, phi: _Entries, psi: _Entries) -> tuple[int, int, int | None] | None:
+        return self.read(phi)
 
-_RATIONAL_FAMILIES = {
-    RowLabel.R1_5: _RationalFamily(1, 2, 1, -1, 3, 1, inverse=False),
-    RowLabel.R1_6: _RationalFamily(1, 1, 1, -1, 3, -1, inverse=True),
-    RowLabel.R4_1: _RationalFamily(-1, 1, 1, 0, 2, 1, inverse=False),
+    def candidates(self, bound: int, groups: _Groups) -> list[tuple[int, int, int | None]]:
+        read = map(self.read, groups.get((self.det, self.trace), ()))
+        return [params for params in read if params is not None]
+
+
+_Family = _ScalarFamily | _UnipotentFamily | _RootFamily | _RationalFamily
+
+#: The record of every family, in the order of RowLabel.
+_FAMILIES: dict[RowLabel, _Family] = {
+    family.label: family
+    for family in (
+        _ScalarFamily(),
+        _UnipotentFamily(),
+        _RootFamily(RowLabel.R1_3, 1, -1, 3, 1, "psi", "E"),
+        _RootFamily(RowLabel.R1_4, 1, -1, 3, 1, "phi", "E"),
+        _RationalFamily(RowLabel.R1_5, 1, 2, 1, -1, 3, 1, inverse=False),
+        _RationalFamily(RowLabel.R1_6, 1, 1, 1, -1, 3, -1, inverse=True),
+        _RootFamily(RowLabel.R2_1, -1, 0, 2, 1, "psi", "E"),
+        _RootFamily(RowLabel.R2_2, -1, 0, 2, 2, "psi", "-E"),
+        _RootFamily(RowLabel.R3_1, -1, 0, 2, 1, "phi", "E"),
+        _RootFamily(RowLabel.R3_2, -1, 0, 2, 2, "phi", "-E"),
+        _RationalFamily(RowLabel.R4_1, -1, 1, 1, 0, 2, 1, inverse=False),
+        _RootFamily(RowLabel.R4_2, -1, 0, 2, 2, "phi", "-M"),
+    )
 }
 
-_TABLE_FAMILIES: dict[RowLabel, _RootFamily | _RationalFamily] = {
-    **_ROOT_FAMILIES, **_RATIONAL_FAMILIES
+#: (det phi, det psi) of each family's block, read off its first signature.
+ROW_BLOCKS: dict[RowLabel, tuple[int, int]] = {
+    label: tuple(det for det, _ in family.signatures()[0]) for label, family in _FAMILIES.items()
 }
-
-#: The RowParams fields of each family, in the order its constructor takes
-#: them: the required ones, then the optional ones.
-_SIGNATURES = {
-    RowLabel.R1_1: (("sign1", "sign2"), ()),
-    RowLabel.R1_2: (("m", "p", "q"), ()),
-    **{label: (("p", "q", "sign1"), ()) for label in _ROOT_FAMILIES},
-    **{label: (("m", "n"), ("p",)) for label in _RATIONAL_FAMILIES},
-}
-
-#: Each family's constructor: plain parameters -> (phi entries, psi
-#: entries), or BadParams.
-_CONSTRUCTORS = {
-    RowLabel.R1_1: _build_1_1,
-    RowLabel.R1_2: _build_1_2,
-    **{label: row.build for label, row in _ROOT_FAMILIES.items()},
-    **{label: partial(row.build, label) for label, row in _RATIONAL_FAMILIES.items()},
-}
-
-
-def _recover(label: RowLabel, phi: _Entries, psi: _Entries) -> tuple | None:
-    """The family's parameters read off the pair in O(1), or None.
-
-    For a member they are the parameters that generate it; for anything
-    else they are arbitrary, which the regeneration in _member_params
-    rejects.  A table family reads its M: phi, or psi conjugated by the
-    coordinate swap.
-    """
-    if label is RowLabel.R1_1:
-        return (phi[0], psi[0])
-    if label is RowLabel.R1_2:
-        return _recover_1_2(phi, psi)
-    family = _TABLE_FAMILIES[label]
-    return family.recover(phi if family.side == "phi" else _swap_conj(psi))
 
 
 def generate_row(label: RowLabel, params: RowParams) -> BraceSpec:
@@ -427,7 +450,8 @@ def generate_row(label: RowLabel, params: RowParams) -> BraceSpec:
     check_pair here, under python -O too; an invalid one raises
     AssertionError, a fault of the constructor.
     """
-    phi, psi = _CONSTRUCTORS[label](*_need(params, label))
+    family = _FAMILIES[label]
+    phi, psi = family.build(*_need(params, family))
     spec = BraceSpec(Mat2(*phi), Mat2(*psi))
     if not check_pair(spec).valid:
         raise AssertionError(f"family {label} produced invalid pair {spec}")
@@ -436,12 +460,15 @@ def generate_row(label: RowLabel, params: RowParams) -> BraceSpec:
 
 def _member_params(label: RowLabel, phi: _Entries, psi: _Entries) -> tuple | None:
     """The parameters that generate the pair in the family, or None if
-    the pair is not a member: those _recover reads must regenerate it."""
-    params = _recover(label, phi, psi)
+    the pair is not a member: those the record's recover reads must
+    regenerate it.  For anything else they are arbitrary, which the
+    regeneration rejects."""
+    family = _FAMILIES[label]
+    params = family.recover(phi, psi)
     if params is None:
         return None
     try:
-        return params if _CONSTRUCTORS[label](*params) == (phi, psi) else None
+        return params if family.build(*params) == (phi, psi) else None
     except BadParams:
         return None
 
@@ -456,8 +483,8 @@ def row12_parameters(spec: BraceSpec) -> tuple[int, int, int] | None:
 
     with gcd(p, q) = 1.  (m, p, q) and (-m, -p, -q) give the same pair, so
     the answer is canonicalized to p > 0, or p = 0 with q > 0; the identity
-    pair reports (0, 1, 0).  The parameters are read off the pair by
-    _recover_1_2 and must regenerate it exactly.
+    pair reports (0, 1, 0).  The parameters are read off the pair by the
+    recover of 1.2's record and must regenerate it exactly.
     """
     return _member_params(RowLabel.R1_2, *spec)
 
@@ -468,26 +495,18 @@ def _signature(m: _Entries) -> tuple[int, int]:
     return a11 * a22 - a12 * a21, a11 + a22
 
 
-def _signature_labels() -> dict[tuple[tuple[int, int], tuple[int, int]], tuple[RowLabel, ...]]:
-    # 1.1's members are its four constructed +-E pairs.  Every 1.2 member
-    # is (E + m p N, E + m q N) with N^2 = 0, and E + X with X^2 = 0 has
-    # det 1 and trace 2, as its member (E, E) shows.  A table family's row
-    # fixes M's (det, trace) and its partner's.
-    built = [
-        *((RowLabel.R1_1, _build_1_1(*signs)) for signs in product((1, -1), repeat=2)),
-        (RowLabel.R1_2, _build_1_2(0, 1, 0)),
-    ]
-    keyed = [(label, (_signature(phi), _signature(psi))) for label, (phi, psi) in built]
-    keyed += [(label, row.signature()) for label, row in _TABLE_FAMILIES.items()]
-    table: dict = {}
-    for label, key in keyed:
-        table[key] = table.get(key, ()) + (label,)
+def _signature_labels(families: Iterable[_Family]) -> dict[_PairSignature, tuple[RowLabel, ...]]:
+    """The labels of the families listed under each signature they have."""
+    table: dict[_PairSignature, tuple[RowLabel, ...]] = {}
+    for family in families:
+        for key in family.signatures():
+            table[key] = table.get(key, ()) + (family.label,)
     return table
 
 
 #: The families that can hold a pair, keyed on the pair's signature
-#: ((det phi, tr phi), (det psi, tr psi)), from the family definitions.
-_SIGNATURE_LABELS = _signature_labels()
+#: ((det phi, tr phi), (det psi, tr psi)), from the family records.
+_SIGNATURE_LABELS = _signature_labels(_FAMILIES.values())
 
 
 def row_membership(spec: BraceSpec) -> set[RowLabel]:
@@ -547,80 +566,47 @@ def enumerate_unimodular(bound: int) -> Iterator[Mat2]:
             yield Mat2(a11, a12, a21, a22)
 
 
-#: The table families, grouped by the (det, trace) of their matrix M.
-_TABLE_LABELS = {
-    key: tuple(label for label, row in _TABLE_FAMILIES.items() if (row.det, row.trace) == key)
-    for key in {(row.det, row.trace) for row in _TABLE_FAMILIES.values()}
-}
-
-
 def _row_instances(
     bound: int, in_class: Iterable[Mat2]
 ) -> list[tuple[RowLabel, tuple[_Entries, _Entries]]]:
     """Every family member whose entries all fit in [-bound, bound], as
     (label, (phi entries, psi entries)).
 
-    in_class holds the in-class matrices of the box (_in_pair_class).  1.1
-    has four members, and 1.2 bounds |m| by bound / max(|p|, |q|)^3 for
-    each coprime (p, q) in canonical form.  The ten table families are
-    read off in_class: for each m of it and each table family whose M has
-    m's (det, trace), the family's recoverer reads its parameters off m
-    as M.  Every candidate is built by the raw family constructor
-    on entry tuples, not by generate_row, so validity is left to the
-    caller and a wrong constructor shows up as an invalid instance.
-    Deduplicated per (label, pair) and sorted lexicographically, so the
-    result is independent of the order in_class comes in.
+    in_class holds the in-class matrices of the box (_in_pair_class),
+    grouped once by (det, trace).  Each family's record names the
+    parameters to try (candidates): 1.1 its four sign pairs, 1.2 each
+    coprime (p, q) in canonical form with |m| up to bound / max(|p|, |q|)^3,
+    and a table family the parameters its read takes off each in-class m
+    with the (det, trace) of its M.  Every candidate is built by the raw
+    family constructor on entry tuples, not by generate_row, so validity
+    is left to the caller and a wrong constructor shows up as an invalid
+    instance.  Deduplicated per (label, pair) and sorted lexicographically,
+    so the result is independent of the order in_class comes in.
 
     The list is complete.  The M of every table family has (det, trace)
     (1, -1) or (-1, 0), so it is in class, and its partner (E, -E, -M, M
     or M^-1) has M's |entries|; so an in-box member has its M in the box
     and in in_class, which is closed under the coordinate swap that a
-    psi-side family applies.  A recoverer reads only M, and for a member
-    it returns the parameters that generate it; so every in-box table
-    member is rebuilt from in_class, and 1.1 and 1.2 list theirs outright.
+    psi-side family applies.  read takes only M, and for a member it
+    returns the parameters that generate it; so every in-box table member
+    is rebuilt from in_class, and 1.1 and 1.2 list theirs outright.
     """
-    found: dict[RowLabel, set[tuple[_Entries, _Entries]]] = {label: set() for label in RowLabel}
-
-    def add(build, params, members):
-        try:
-            pair = build(*params)
-        except BadParams:
-            return
-        if max(map(abs, pair[0] + pair[1])) <= bound:
-            members.add(pair)
-
-    for signs in product((1, -1), repeat=2):
-        add(_CONSTRUCTORS[RowLabel.R1_1], signs, found[RowLabel.R1_1])
-    # Each 1.2 pair once, in the canonical form of row12_parameters:
-    # (m, p, q) and (-m, -p, -q) give the same pair, and m = 0 gives
-    # (E, E) for every (p, q).
-    build, members = _CONSTRUCTORS[RowLabel.R1_2], found[RowLabel.R1_2]
-    add(build, (0, 1, 0), members)
-    cap = 0
-    while (cap + 1) ** 3 <= bound:
-        cap += 1
-    for p, q in product(range(cap + 1), range(-cap, cap + 1)):
-        if (p > 0 or q > 0) and math.gcd(p, q) == 1:
-            m_max = bound // max(p, abs(q)) ** 3
-            for m in range(-m_max, m_max + 1):
-                if m:
-                    add(build, (m, p, q), members)
-    # Per (det, trace): each table family's recoverer, constructor and
-    # member set, looked up once per call rather than once per matrix.
-    tables = {
-        key: [
-            (_TABLE_FAMILIES[label].recover, _CONSTRUCTORS[label], found[label])
-            for label in labels
-        ]
-        for key, labels in _TABLE_LABELS.items()
-    }
+    groups: _Groups = {}
     for m in in_class:
-        for recover, build, members in tables.get((m.det(), m.trace()), ()):
-            params = recover(m)
-            if params is not None:
-                add(build, params, members)
-    # RowLabel lists the families in the order of their dotted labels.
-    return [(label, pair) for label, members in found.items() for pair in sorted(members)]
+        groups.setdefault((m.det(), m.trace()), []).append(m)
+    found = []
+    # _FAMILIES lists the families in the order of their dotted labels.
+    for label, family in _FAMILIES.items():
+        members = set()
+        for params in family.candidates(bound, groups):
+            try:
+                pair = family.build(*params)
+            except BadParams:
+                continue
+            if max(map(abs, pair[0] + pair[1])) <= bound:
+                members.add(pair)
+        found += [(label, pair) for pair in sorted(members)]
+    return found
 
 
 def generated_row_instances(bound: int) -> list[tuple[RowLabel, BraceSpec]]:

@@ -128,8 +128,8 @@ def triple_loop_unimodular(bound):
 
 def grid_row_instances(bound):
     # generated_row_instances as it was before the parameters were solved:
-    # every point of a parameter grid goes through the constructor, which
-    # takes the plain parameters in the order _SIGNATURES lists them.  A
+    # every point of a parameter grid goes through the family's build, which
+    # takes the plain parameters in the order its record's names list them.  A
     # 1.2 member has |m| max(|p|, |q|)^3 <= bound, and the square root caps
     # the cube root; the box filter drops the extra grid points.
     wide = range(-bound - 1, bound + 2)
@@ -149,7 +149,7 @@ def grid_row_instances(bound):
     for label in RowLabel:
         for params in grids.get(label, root_grid):
             try:
-                phi, psi = classification._CONSTRUCTORS[label](*params)
+                phi, psi = classification._FAMILIES[label].build(*params)
             except BadParams:
                 continue
             if max(map(abs, phi + psi)) <= bound:
@@ -183,12 +183,12 @@ class TestGenerators:
     def test_invalid_constructed_pair_raises_under_optimize(self, optimize):
         # A constructor that returns an invalid pair is a program fault, and
         # generate_row must report it with or without python -O, which strips
-        # assert statements.  The 1.1 constructor is replaced by one that
-        # returns the commuting invalid pair (shear, E).
+        # assert statements.  The build of 1.1's record is replaced by one
+        # that returns the commuting invalid pair (shear, E).
         script = "\n".join((
             "import sys",
             "import z2brace.classification as c",
-            "c._CONSTRUCTORS[c.RowLabel.R1_1] = lambda s1, s2: ((1, 1, 0, 1), (1, 0, 0, 1))",
+            "c._FAMILIES[c.RowLabel.R1_1].build = lambda s1, s2: ((1, 1, 0, 1), (1, 0, 0, 1))",
             "try:",
             "    c.generate_row(c.RowLabel.R1_1, c.RowParams(sign1=1, sign2=1))",
             "except AssertionError as exc:",
@@ -429,7 +429,7 @@ SHEAR = st.integers(-(2**19), 2**19)
 
 def table_matrix(label, spec):
     # The family's matrix M: phi, or psi conjugated by the coordinate swap.
-    if classification._TABLE_FAMILIES[label].side == "phi":
+    if classification._FAMILIES[label].side == "phi":
         return spec.phi
     psi = spec.psi
     return Mat2(psi.a22, psi.a21, psi.a12, psi.a11)
@@ -448,9 +448,9 @@ def table_params(label, m):
     # The parameters that generate the member whose M is m, read off the
     # family's defining form (see _RootFamily and _RationalFamily), each
     # division checked exact.
-    row = classification._TABLE_FAMILIES[label]
+    row = classification._FAMILIES[label]
     a11, a12, a21, a22 = m.entries()
-    if label in classification._ROOT_FAMILIES:
+    if isinstance(row, classification._RootFamily):
         assert a12 % row.p_scale == 0 and a21 % row.q_scale == 0
         sign1 = 1 if a11 > a22 else -1
         return RowParams(p=a12 // row.p_scale, q=a21 // row.q_scale, sign1=sign1)
@@ -462,18 +462,19 @@ def table_params(label, m):
 
 class TestTableRoundTrip:
     # Each table family: a member built by generate_row lists its label in
-    # row_membership, and the family's recoverer, reading M's entry tuple,
-    # returns the generating parameters.
+    # row_membership, and the family's record, reading M's entry tuple or
+    # the pair, returns the generating parameters.
 
     @staticmethod
     def round_trip(label, params, m):
-        names, optional = classification._SIGNATURES[label]
-        plain = tuple(getattr(params, name) for name in names + optional)
+        row = classification._FAMILIES[label]
+        plain = tuple(getattr(params, name) for name in row.names + row.optional)
         with deadline(1):
             spec = generate_row(label, params)
             assert table_matrix(label, spec) == m
             assert label in row_membership(spec)
-            assert classification._TABLE_FAMILIES[label].recover(m.entries()) == plain
+            assert row.read(m.entries()) == plain
+            assert row.recover(*spec) == plain
 
     @pytest.mark.parametrize("label", TABLE_LABELS, ids=str)
     @given(a=SHEAR, b=SHEAR, c=SHEAR)
@@ -585,13 +586,14 @@ class TestSignatureLookup:
         assert Counter(label for labels in table.values() for label in labels) == {
             label: 4 if label is RowLabel.R1_1 else 1 for label in RowLabel
         }
-        for label, row in classification._TABLE_FAMILIES.items():
-            assert row.signature() == signature(ROW_SPECS[label]), label
+        for label in TABLE_LABELS:
+            row = classification._FAMILIES[label]
+            assert row.signatures() == (signature(ROW_SPECS[label]),), label
         assert set(table[(1, -1), (1, -1)]) == {RowLabel.R1_5, RowLabel.R1_6}
         # A row moved to the other side moves its key.
-        moved = classification._ROOT_FAMILIES[RowLabel.R1_3]._replace(side="phi")
-        monkeypatch.setitem(classification._TABLE_FAMILIES, RowLabel.R1_3, moved)
-        rebuilt = classification._signature_labels()
+        moved = classification._FAMILIES[RowLabel.R1_3]._replace(side="phi")
+        monkeypatch.setitem(classification._FAMILIES, RowLabel.R1_3, moved)
+        rebuilt = classification._signature_labels(classification._FAMILIES.values())
         assert ((1, 2), (1, -1)) not in rebuilt
         assert set(rebuilt[(1, -1), (1, 2)]) == {RowLabel.R1_3, RowLabel.R1_4}
 
@@ -609,6 +611,40 @@ class TestSignatureLookup:
         assert tried == []
         assert row_membership(ROW_SPECS[RowLabel.R1_5]) == {RowLabel.R1_5}
         assert sorted(tried, key=str) == [RowLabel.R1_5, RowLabel.R1_6]
+
+
+class TestFamilyRecords:
+    # _FAMILIES holds one record per label; the signature table, ROW_BLOCKS
+    # and the order of the member list are read off it.
+
+    def test_one_record_per_label_in_label_order(self):
+        # The search's member list and histogram follow this order.
+        assert list(classification._FAMILIES) == list(RowLabel)
+        assert all(row.label is label for label, row in classification._FAMILIES.items())
+
+    def test_signatures_are_those_of_the_members_at_bound12(self):
+        seen = {label: set() for label in RowLabel}
+        for label, spec in generated_row_instances(12):
+            seen[label].add(signature(spec))
+        for label, row in classification._FAMILIES.items():
+            assert len(set(row.signatures())) == len(row.signatures()), label
+            assert set(row.signatures()) == seen[label], label
+
+    def test_row_blocks_are_the_determinant_blocks(self):
+        assert ROW_BLOCKS == {
+            RowLabel.R1_1: (1, 1),
+            RowLabel.R1_2: (1, 1),
+            RowLabel.R1_3: (1, 1),
+            RowLabel.R1_4: (1, 1),
+            RowLabel.R1_5: (1, 1),
+            RowLabel.R1_6: (1, 1),
+            RowLabel.R2_1: (1, -1),
+            RowLabel.R2_2: (1, -1),
+            RowLabel.R3_1: (-1, 1),
+            RowLabel.R3_2: (-1, 1),
+            RowLabel.R4_1: (-1, -1),
+            RowLabel.R4_2: (-1, -1),
+        }
 
 
 class TestEnumeration:
@@ -912,9 +948,9 @@ class TestExhaustiveSearch:
         # A constructor that yields an invalid pair must surface in the
         # report and make search exit 1, not raise out of the search.
         shear = BraceSpec(Mat2(1, 1, 0, 1), IDENTITY)
-        monkeypatch.setitem(
-            classification._CONSTRUCTORS,
-            RowLabel.R1_1,
+        monkeypatch.setattr(
+            classification._FAMILIES[RowLabel.R1_1],
+            "build",
             lambda *params: (shear.phi.entries(), shear.psi.entries()),
         )
         report = exhaustive_search(1)
@@ -1252,6 +1288,19 @@ class TestLabels:
         assert row_label("1.2") is RowLabel.R1_2
         with pytest.raises(BadParams):
             row_label("5.1")
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("9.9", "unknown family label '9.9'"),
+            ("1", "unknown family label '1'"),
+            ("", "unknown family label ''"),
+        ],
+    )
+    def test_unknown_label_message(self, value, message):
+        with pytest.raises(BadParams) as info:
+            row_label(value)
+        assert type(info.value) is BadParams and str(info.value) == message
 
     def test_fixture_params_cover_every_family(self):
         assert set(ROW_FIXTURE_PARAMS) == set(RowLabel)
