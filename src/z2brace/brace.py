@@ -211,7 +211,8 @@ def _lambda_form(spec: BraceSpec) -> _LambdaTable | _LambdaAffine:
     power maps.  With no hyperbolic generator the hyperbolic rule of
     check_pair never applies, so this is check_pair's verdict.
     If both shapes (Mat2._shape) have degree 0, the table is filled from
-    those same power maps; otherwise the form is affine.
+    those same power maps, each cell phi^i psi^j multiplied out on the
+    entry tuples; otherwise the form is affine.
     """
     phi, psi = spec
     shapes = phi._shape(), psi._shape()
@@ -226,10 +227,15 @@ def _lambda_form(spec: BraceSpec) -> _LambdaTable | _LambdaAffine:
         a11, a12, a21, a22 = phi
         b11, b12, b21, b22 = psi
         return _LambdaAffine((a11 - 1, a12, a21, a22 - 1), (b11 - 1, b12, b21, b22 - 1))
-    rows = [
-        [(Mat2(*phi_power(i)) * Mat2(*psi_power(j))).entries() for j in range(n_psi)]
-        for i in range(n_phi)
-    ]
+    psi_powers = [psi_power(j) for j in range(n_psi)]
+    rows = []
+    for i in range(n_phi):
+        p11, p12, p21, p22 = phi_power(i)
+        rows.append([
+            (p11 * q11 + p12 * q21, p11 * q12 + p12 * q22,
+             p21 * q11 + p22 * q21, p21 * q12 + p22 * q22)
+            for q11, q12, q21, q22 in psi_powers
+        ])
     return _LambdaTable(rows, n_phi, n_psi)
 
 

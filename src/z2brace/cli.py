@@ -11,6 +11,13 @@ path to a file holding the same JSON; an argument starting with "{" or
 "[" is read as inline JSON.  All output is deterministic:
 identical arguments and seed produce byte-identical bytes.
 
+Every command writes its JSON through _emit, which builds the whole text
+with one small writer, _write, before writing anything.  The bytes are
+those of json.dumps(payload, indent=2), but json's indented encoding runs
+in pure Python, while _write covers just the payload types the commands
+emit (dicts with str keys, lists, str, int, bool and None) and raises
+TypeError on any other.  json itself only decodes the specs.
+
 main parses each call once: when the first argument names a command, the
 rest goes straight to that command's own parser, the one the top-level
 parser holds; anything else (no argument, -h, an unknown command) goes to
@@ -22,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .brace import BraceSpec, check_pair
 from .classification import (
@@ -44,14 +52,53 @@ def _load_spec(text: str) -> BraceSpec:
     return BraceSpec.from_dict(json.loads(text))
 
 
-# json.dumps(payload, indent=2) builds this same encoder on every call;
-# one shared encoder writes the same bytes without that per-call setup.
-# encode keeps no state between calls.
-_ENCODER = json.JSONEncoder(indent=2)
+def _write(value: object, parts: list[str], indent: str) -> None:
+    """Append value's JSON to parts as json.dumps(value, indent=2) writes it,
+    at nesting depth len(indent) // 2.  Only the types the commands emit are
+    accepted: dicts with str keys, lists, str, int, bool and None."""
+    if isinstance(value, bool):
+        parts.append("true" if value else "false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif isinstance(value, list):
+        if not value:
+            parts.append("[]")
+            return
+        inner = indent + "  "
+        separator = "[\n" + inner
+        for item in value:
+            parts.append(separator)
+            _write(item, parts, inner)
+            separator = ",\n" + inner
+        parts.append("\n" + indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = indent + "  "
+        separator = "{\n" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(separator + encode_basestring_ascii(key) + ": ")
+            _write(item, parts, inner)
+            separator = ",\n" + inner
+        parts.append("\n" + indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(payload: object, output: str | None) -> None:
-    text = _ENCODER.encode(payload) + "\n"
+    # The whole text is built before anything is written, so a payload
+    # that cannot be written (an int past int's digit limit) leaves stdout
+    # empty and creates no output file.
+    parts: list[str] = []
+    _write(payload, parts, "")
+    text = "".join(parts) + "\n"
     if output is None:
         sys.stdout.write(text)
     else:

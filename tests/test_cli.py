@@ -15,11 +15,12 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import z2brace
 from conftest import ROW_FIXTURE_PARAMS, YBE_MEMBERS, hyperbolic_pair, random_unimodular
 from z2brace import BraceSpec, IDENTITY, Mat2
-from z2brace.cli import _COMMANDS, _PARSER, main
+from z2brace.cli import _COMMANDS, _PARSER, _write, main
 
 VALID_INLINE = '{"phi":[[1,0],[0,1]],"psi":[[1,0],[0,1]]}'
 FAMILY_12_INLINE = '{"phi":[[2,1],[-1,0]],"psi":[[2,1],[-1,0]]}'
@@ -494,6 +495,58 @@ class TestOutputFile:
         code, out, _ = run(capsys, "search", "--bound", "1", "--output", str(path))
         assert code == 0 and out == ""
         assert path.read_text() == stdout_text
+
+
+def write(value):
+    parts = []
+    _write(value, parts, "")
+    return "".join(parts)
+
+
+# Strings drawn with quotes, backslashes, control characters and non-ASCII
+# characters (inside and beyond the BMP) among any others.
+JSON_TEXT = st.text(st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\u00e9\u2028\U0001d11e') | st.characters())
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**200), 2**200) | JSON_TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(JSON_TEXT, children, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(value=JSON_VALUES)
+@example(value=[])
+@example(value={})
+@example(value={"": [[], {}, [[]]], "a": {"b": None}})
+@example(value=[True, False, None, 0, -1, 2**200, -(2**200)])
+def test_writer_matches_json_dumps(value):
+    assert write(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, (1, 2), {1}, {1: 2}, {None: 1}, [[1.0]], {"a": [(0,)]}, {"a": {"b": {2}}}],
+    ids=repr,
+)
+def test_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        write(value)
+
+
+def test_integer_past_the_digit_limit_exits_two(capsys, tmp_path):
+    # m has 4,299 digits, inside int's 4,300-digit string limit, so argparse
+    # reads it; the member's entries (m p^2 q + 1 and the like, p = 50) have
+    # more, so writing them fails.  The text is built before anything is
+    # written: stdout stays empty and --output creates no file.
+    argv = ["generate", "--row", "1.2", "--m", "9" * 4299, "--p", "50", "--q", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: Exceeds the limit")
+    path = tmp_path / "member.json"
+    code, out, err = run(capsys, *argv, "--output", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: Exceeds the limit")
+    assert not path.exists()
 
 
 def test_parser_is_shared_across_calls(capsys):
