@@ -1,7 +1,7 @@
 """Exact-integer engine for braces on Z^2 defined by unimodular matrix pairs.
 
 Layers: gl2z (2x2 exact matrix arithmetic, orders), brace
-(the additive/multiplicative structure and the pair validity conditions),
+(the pair validity conditions and lambda's closed form for a valid pair),
 ybe (the derived Yang-Baxter map and its properties), classification (the
 twelve parametric families, membership, and exhaustive cross-validation),
 cli (JSON command-line surface).  The package exports exactly the names in

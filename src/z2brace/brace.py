@@ -22,8 +22,6 @@ a2 (psi - E) is affine in a.  _lambda_form decides validity and builds
 that form once from one power map per generator; lambda_map and the
 Yang-Baxter map of the ybe module both read it.  A valid pair commutes,
 so lambda is a homomorphism: lambda_a^-1 = lambda_-a.
-lambda_of forms the single product phi^a1 psi^a2 for any pair, valid or
-not.
 
 The exponents of the four identities are written in one place,
 _exponents, and each identity phi^k psi^l = E is read as phi^k =
@@ -47,77 +45,25 @@ identity compares phi^k with psi^(-l) without a hyperbolic power, in O(1)
 at any entry size; only a commuting pair of two hyperbolic matrices still
 takes powers whose cost grows with its entries.
 
-The module holds the paper's objects and the verdict, all NamedTuples
-like Mat2: a Vec2 is its coordinate tuple, and BraceSpec checks its two
-matrices in the __new__ of a subclass of its NamedTuple fields.  The
-holomorph reading of the pair conditions, which the tests check
-check_pair against, lives in tests/oracles.py.
+BraceSpec and Verdict are NamedTuples like Mat2; BraceSpec checks its
+two matrices in the __new__ of a subclass of its NamedTuple fields.  The
+multiplication by its definition, on vectors with lambda_a formed as the
+product of two powers, and the holomorph reading of the pair conditions
+live in tests/oracles.py, where the tests check check_pair and
+lambda_map against them.
 """
 
 from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .gl2z import (
-    Mat2,
-    NotUnimodular,
-    _no_concatenation,
-    _undefined,
-    commutes,
-)
+from .gl2z import Mat2, NotUnimodular, commutes
 
-__all__ = [
-    "BraceSpec",
-    "Vec2",
-    "Verdict",
-    "ZERO",
-    "act",
-    "check_pair",
-    "lambda_map",
-    "lambda_of",
-    "odot",
-    "odot_associative",
-]
+__all__ = ["BraceSpec", "Verdict", "check_pair", "lambda_map"]
 
 
 class InvalidSpec(ValueError):
     """The pair does not define a lambda-homomorphic brace, so there is no solution to build."""
-
-
-class Vec2(NamedTuple):
-    """Element of Z^2, the tuple (x1, x2); addition is componentwise."""
-
-    x1: int
-    x2: int
-
-    def __add__(self, other: "Vec2") -> "Vec2":
-        if not isinstance(other, Vec2):
-            return NotImplemented
-        return Vec2(self.x1 + other.x1, self.x2 + other.x2)
-
-    def __neg__(self) -> "Vec2":
-        return Vec2(-self.x1, -self.x2)
-
-    def __sub__(self, other: "Vec2") -> "Vec2":
-        if not isinstance(other, Vec2):
-            return NotImplemented
-        return Vec2(self.x1 - other.x1, self.x2 - other.x2)
-
-    __mul__ = __rmul__ = _undefined
-    __radd__ = _no_concatenation
-
-    def __str__(self) -> str:
-        return f"({self.x1},{self.x2})"
-
-
-ZERO = Vec2(0, 0)
-
-
-def act(m: Mat2, v: Vec2) -> Vec2:
-    """The automorphism m applied to v."""
-    a11, a12, a21, a22 = m
-    x1, x2 = v
-    return Vec2(a11 * x1 + a12 * x2, a21 * x1 + a22 * x2)
 
 
 class _BraceSpecFields(NamedTuple):
@@ -274,17 +220,6 @@ def lambda_map(spec: BraceSpec) -> Callable[[int, int], tuple[int, int, int, int
     return _lambda_of_form(_lambda_form(spec))
 
 
-def lambda_of(spec: BraceSpec, a: Vec2) -> Mat2:
-    """The automorphism lambda_a = phi^a1 * psi^a2: one power of each
-    generator (Mat2.__pow__) and one product, with no table built."""
-    return spec.phi ** a.x1 * spec.psi ** a.x2
-
-
-def odot(spec: BraceSpec, a: Vec2, b: Vec2) -> Vec2:
-    """The candidate multiplication a + lambda_a(b)."""
-    return a + act(lambda_of(spec, a), b)
-
-
 def _exponents(
     phi: tuple[int, int, int, int], psi: tuple[int, int, int, int]
 ) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int], tuple[int, int]]:
@@ -350,8 +285,3 @@ def check_pair(spec: BraceSpec) -> Verdict:
     return Verdict(
         valid=commuting and all(power), commuting=commuting, power_identities=power
     )
-
-
-def odot_associative(spec: BraceSpec, a: Vec2, b: Vec2, c: Vec2) -> bool:
-    """Exact check of a*(b*c) = (a*b)*c at one triple."""
-    return odot(spec, a, odot(spec, b, c)) == odot(spec, odot(spec, a, b), c)

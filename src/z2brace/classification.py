@@ -8,12 +8,12 @@ block 3 = (-1, 1), block 4 = (-1, -1).  This module provides
   * exact constructors for every family (generate_row),
   * a membership test that reads each family's parameters off the pair in
     O(1) and keeps the family iff its constructor regenerates the pair
-    exactly (row_membership; row12_parameters for family 1.2), so the
-    family definitions live only in the family records; it tries only
-    the families listed under the pair's signature
-    ((det phi, tr phi), (det psi, tr psi)) in _SIGNATURE_LABELS, a table
-    read off those records, since a family whose constructor fixes other
-    (det, trace) values can never regenerate the pair,
+    exactly (row_membership), so the family definitions live only in
+    the family records; it tries only the families listed under the
+    pair's signature ((det phi, tr phi), (det psi, tr psi)) in
+    _SIGNATURE_LABELS, a table read off those records, since a family
+    whose constructor fixes other (det, trace) values can never
+    regenerate the pair,
   * a duplicate-free lexicographic enumeration of unimodular matrices
     with bounded entries, in time proportional to their number
     (enumerate_unimodular),
@@ -43,14 +43,13 @@ family definitions, keyed by RowLabel in label order.  A record holds
     have,
   * candidates(bound, groups): the parameters to try in the box
     [-bound, bound], given its in-class matrices grouped by (det, trace).
-_SIGNATURE_LABELS, ROW_BLOCKS and generate_row's parameter check (_need)
-are read off the records.  generate_row checks a RowParams against the
-record's names, calls build and wraps the pair in a BraceSpec;
-row_membership recovers from the pair's matrices and compares the
-regenerated entries with them; the search builds each record's
-candidates and builds no BraceSpec for a member.  A Mat2 equals and
-hashes as its entry tuple, so the plain pairs a constructor returns join
-directly with pairs of Mat2s.
+_SIGNATURE_LABELS and generate_row's parameter check (_need) are read
+off the records.  generate_row checks a RowParams against the record's
+names, calls build and wraps the pair in a BraceSpec; row_membership
+recovers from the pair's matrices and compares the regenerated entries
+with them; the search builds each record's candidates and builds no
+BraceSpec for a member.  A Mat2 equals and hashes as its entry tuple, so
+the plain pairs a constructor returns join directly with pairs of Mat2s.
 
 RowParams and SearchReport are NamedTuples like Mat2; RowParams checks
 its signs in the __new__ of a subclass of its NamedTuple fields.
@@ -91,7 +90,6 @@ __all__ = [
     "BadParams",
     "GcdError",
     "IntegralityError",
-    "ROW_BLOCKS",
     "RowLabel",
     "RowParams",
     "SearchReport",
@@ -100,7 +98,6 @@ __all__ = [
     "generate_row",
     "generated_row_instances",
     "orders_crosscheck",
-    "row12_parameters",
     "row_label",
     "row_membership",
 ]
@@ -258,7 +255,12 @@ class _ScalarFamily:
 
 class _UnipotentFamily:
     """1.2: phi = E + m p N and psi = E + m q N with N the primitive
-    nilpotent ((p q, q^2), (-p^2, -p q)) and gcd(p, q) = 1."""
+    nilpotent ((p q, q^2), (-p^2, -p q)) and gcd(p, q) = 1.
+
+    (m, p, q) and (-m, -p, -q) give the same pair, and m = 0 gives (E, E)
+    for every (p, q), so recover and candidates use one canonical form:
+    p > 0, or p = 0 with q > 0, and (0, 1, 0) for (E, E).
+    """
 
     label = RowLabel.R1_2
     names, optional = ("m", "p", "q"), ()
@@ -274,7 +276,7 @@ class _UnipotentFamily:
     def recover(self, phi: _Entries, psi: _Entries) -> tuple[int, int, int]:
         # N is primitive, so gcd(phi - E) = |m p|, gcd(psi - E) = |m q| and
         # their gcd is |m|.  -phi21 = m p^3 and psi12 = m q^3 give the signs,
-        # in the canonical form of row12_parameters.
+        # in the canonical form.
         a = math.gcd(phi[0] - 1, phi[1], phi[2], phi[3] - 1)
         b = math.gcd(psi[0] - 1, psi[1], psi[2], psi[3] - 1)
         g = math.gcd(a, b)
@@ -288,9 +290,7 @@ class _UnipotentFamily:
         return (((1, 2), (1, 2)),)
 
     def candidates(self, bound: int, groups: _Groups) -> Iterator[tuple[int, int, int]]:
-        # Each pair once, in the canonical form of row12_parameters:
-        # (m, p, q) and (-m, -p, -q) give the same pair, and m = 0 gives
-        # (E, E) for every (p, q).  A member in the box has
+        # Each pair once, in the canonical form.  A member in the box has
         # |m| max(|p|, |q|)^3 <= bound.
         yield (0, 1, 0)
         cap = 0
@@ -435,11 +435,6 @@ _FAMILIES: dict[RowLabel, _Family] = {
     )
 }
 
-#: (det phi, det psi) of each family's block, read off its first signature.
-ROW_BLOCKS: dict[RowLabel, tuple[int, int]] = {
-    label: tuple(det for det, _ in family.signatures()[0]) for label, family in _FAMILIES.items()
-}
-
 
 def generate_row(label: RowLabel, params: RowParams) -> BraceSpec:
     """Construct the exact family member for the given parameters.
@@ -471,22 +466,6 @@ def _member_params(label: RowLabel, phi: _Entries, psi: _Entries) -> tuple | Non
         return params if family.build(*params) == (phi, psi) else None
     except BadParams:
         return None
-
-
-def row12_parameters(spec: BraceSpec) -> tuple[int, int, int] | None:
-    """Recover (m, p, q) for family 1.2, or None if the pair is not in it.
-
-    The family is
-
-        phi = (1 + m p^2 q,  m p q^2)      psi = (1 + m p q^2,  m q^3)
-              (   -m p^3,  1 - m p^2 q)          (  -m p^2 q,  1 - m p q^2)
-
-    with gcd(p, q) = 1.  (m, p, q) and (-m, -p, -q) give the same pair, so
-    the answer is canonicalized to p > 0, or p = 0 with q > 0; the identity
-    pair reports (0, 1, 0).  The parameters are read off the pair by the
-    recover of 1.2's record and must regenerate it exactly.
-    """
-    return _member_params(RowLabel.R1_2, *spec)
 
 
 def _signature(m: _Entries) -> tuple[int, int]:

@@ -7,14 +7,13 @@ import math
 
 import pytest
 
-from oracles import h_lambda_closed
+from oracles import Vec2, h_lambda_closed
 from z2brace import (
     BraceSpec,
     IDENTITY,
     Mat2,
     RowLabel,
     RowParams,
-    Vec2,
     exhaustive_search,
     generate_row,
 )

@@ -1,9 +1,14 @@
 """Reference readings that the tests check the program against.
 
 None of these runs in a CLI command; each is a second, slower or more
-literal path to a fact the program computes another way, and it uses only
-public z2brace names:
+literal path to a fact the program computes another way.  They import the
+package; nothing in the package imports them.
 
+  * Vec2, ZERO, act, lambda_of, odot and odot_associative are the brace by
+    its definition: a (*) b = a + lambda_a(b) on vectors of Z^2, with
+    lambda_a = phi^a1 psi^a2 formed as one product of two powers
+    (Mat2.__pow__) for any pair, valid or not.  The tests check
+    check_pair, lambda_map and r_map against this multiplication.
   * commutant_in_box lists the whole commutant of a matrix in an entry box.
     It checks the partners that classification._search_partners gives
     exhaustive_search for each phi, and, through a search over every
@@ -26,11 +31,20 @@ public z2brace names:
     from any lambda map, two calls to it per point: the evaluation ybe
     made before it read lambda's closed form in place.  test_ybe checks
     the per-form r against it.
+  * ROW_BLOCKS is the (det phi, det psi) block of each family, read off
+    the paper's numbering alone: label b.x lies in block b, and blocks 1
+    to 4 are (1, 1), (1, -1), (-1, 1) and (-1, -1).  test_classification
+    checks every signature of every family record against it.
+  * row12_parameters recovers (m, p, q) of a 1.2 member through the
+    parameter recovery and exact regeneration row_membership uses, and
+    names the canonical form; test_classification and test_acceptance
+    check it on the family's members and on non-members.
   * block_membership is row_membership as it was before the pair's
     (det, trace) signature named its candidate families: it tries every
-    family of the pair's determinant block.  It alone reads a private
-    name, the parameter recovery and exact regeneration that both share,
-    so only the choice of candidates differs.  test_classification checks
+    family of the pair's determinant block in ROW_BLOCKS.  It and
+    row12_parameters read a private name, the parameter recovery and
+    exact regeneration (_member_params) that row_membership uses, so only
+    the choice of candidates differs.  test_classification checks
     row_membership against it.
 """
 
@@ -38,21 +52,63 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import NamedTuple
 
-from z2brace import (
-    IDENTITY,
-    ROW_BLOCKS,
-    BraceSpec,
-    Mat2,
-    NotUnimodular,
-    RowLabel,
-    Vec2,
-    act,
-    lambda_of,
-    odot,
-    order_by_predicate,
-)
+from z2brace import IDENTITY, BraceSpec, Mat2, NotUnimodular, RowLabel, order_by_predicate
 from z2brace.classification import _member_params
+from z2brace.gl2z import _no_concatenation, _undefined
+
+
+class Vec2(NamedTuple):
+    """Element of Z^2, the tuple (x1, x2); addition is componentwise."""
+
+    x1: int
+    x2: int
+
+    def __add__(self, other: "Vec2") -> "Vec2":
+        if not isinstance(other, Vec2):
+            return NotImplemented
+        return Vec2(self.x1 + other.x1, self.x2 + other.x2)
+
+    def __neg__(self) -> "Vec2":
+        return Vec2(-self.x1, -self.x2)
+
+    def __sub__(self, other: "Vec2") -> "Vec2":
+        if not isinstance(other, Vec2):
+            return NotImplemented
+        return Vec2(self.x1 - other.x1, self.x2 - other.x2)
+
+    __mul__ = __rmul__ = _undefined
+    __radd__ = _no_concatenation
+
+    def __str__(self) -> str:
+        return f"({self.x1},{self.x2})"
+
+
+ZERO = Vec2(0, 0)
+
+
+def act(m: Mat2, v: Vec2) -> Vec2:
+    """The automorphism m applied to v."""
+    a11, a12, a21, a22 = m
+    x1, x2 = v
+    return Vec2(a11 * x1 + a12 * x2, a21 * x1 + a22 * x2)
+
+
+def lambda_of(spec: BraceSpec, a: Vec2) -> Mat2:
+    """The automorphism lambda_a = phi^a1 * psi^a2: one power of each
+    generator (Mat2.__pow__) and one product, with no table built."""
+    return spec.phi ** a.x1 * spec.psi ** a.x2
+
+
+def odot(spec: BraceSpec, a: Vec2, b: Vec2) -> Vec2:
+    """The candidate multiplication a + lambda_a(b)."""
+    return a + act(lambda_of(spec, a), b)
+
+
+def odot_associative(spec: BraceSpec, a: Vec2, b: Vec2, c: Vec2) -> bool:
+    """Exact check of a*(b*c) = (a*b)*c at one triple."""
+    return odot(spec, a, odot(spec, b, c)) == odot(spec, odot(spec, a, b), c)
 
 
 def commutant_in_box(a: Mat2, bound: int) -> list[Mat2]:
@@ -171,6 +227,31 @@ def r_of_lambda(lam, x1: int, x2: int, y1: int, y2: int) -> tuple[int, int, int,
         b11 * x1 + b12 * x2,
         b21 * x1 + b22 * x2,
     )
+
+
+#: (det phi, det psi) of blocks 1 to 4, in the paper's numbering.
+_BLOCK_DETS = {"1": (1, 1), "2": (1, -1), "3": (-1, 1), "4": (-1, -1)}
+
+#: The block of each family: label b.x lies in block b.
+ROW_BLOCKS: dict[RowLabel, tuple[int, int]] = {
+    label: _BLOCK_DETS[label.value.split(".")[0]] for label in RowLabel
+}
+
+
+def row12_parameters(spec: BraceSpec) -> tuple[int, int, int] | None:
+    """Recover (m, p, q) for family 1.2, or None if the pair is not in it.
+
+    The family is
+
+        phi = (1 + m p^2 q,  m p q^2)      psi = (1 + m p q^2,  m q^3)
+              (   -m p^3,  1 - m p^2 q)          (  -m p^2 q,  1 - m p q^2)
+
+    with gcd(p, q) = 1.  (m, p, q) and (-m, -p, -q) give the same pair, so
+    the answer is canonicalized to p > 0, or p = 0 with q > 0; the identity
+    pair reports (0, 1, 0).  The parameters are read off the pair by the
+    recover of 1.2's record and must regenerate it exactly.
+    """
+    return _member_params(RowLabel.R1_2, *spec)
 
 
 def block_membership(spec: BraceSpec) -> set[RowLabel]:

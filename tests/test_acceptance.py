@@ -14,22 +14,18 @@ from itertools import product
 import pytest
 
 from conftest import ROW_SPECS, TRIVIAL_SPEC, holomorph_reading
-from oracles import centralizer_finite
+from oracles import Vec2, centralizer_finite, odot, odot_associative, row12_parameters
 
 from z2brace import (
     BraceSpec,
     IDENTITY,
     Mat2,
     RowLabel,
-    Vec2,
     check_pair,
     commutes,
     enumerate_unimodular,
-    odot,
-    odot_associative,
     order_by_predicate,
     orders_crosscheck,
-    row12_parameters,
     row_membership,
     sample_report,
 )

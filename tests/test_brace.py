@@ -19,7 +19,19 @@ from conftest import (
     repeated_powers,
 )
 
-from oracles import HolElement, h_lambda_closed, hol_mul, in_lambda_kernel, odot_inverse
+from oracles import (
+    HolElement,
+    Vec2,
+    ZERO,
+    act,
+    h_lambda_closed,
+    hol_mul,
+    in_lambda_kernel,
+    lambda_of,
+    odot,
+    odot_associative,
+    odot_inverse,
+)
 from z2brace import (
     BraceSpec,
     IDENTITY,
@@ -28,18 +40,12 @@ from z2brace import (
     NotUnimodular,
     RowLabel,
     RowParams,
-    Vec2,
     Verdict,
-    ZERO,
-    act,
     check_pair,
     commutes,
     enumerate_unimodular,
     generate_row,
     lambda_map,
-    lambda_of,
-    odot,
-    odot_associative,
     order_by_iteration,
     r_map,
 )

@@ -27,7 +27,13 @@ from conftest import ROW_FIXTURE_PARAMS, ROW_SPECS, random_unimodular
 
 import z2brace.classification as classification
 
-from oracles import block_membership, centralizer_finite, commutant_in_box
+from oracles import (
+    ROW_BLOCKS,
+    block_membership,
+    centralizer_finite,
+    commutant_in_box,
+    row12_parameters,
+)
 from z2brace import (
     BadParams,
     BraceSpec,
@@ -35,7 +41,6 @@ from z2brace import (
     IDENTITY,
     IntegralityError,
     Mat2,
-    ROW_BLOCKS,
     RowLabel,
     RowParams,
     check_pair,
@@ -46,7 +51,6 @@ from z2brace import (
     generated_row_instances,
     order_by_predicate,
     orders_crosscheck,
-    row12_parameters,
     row_label,
     row_membership,
 )
@@ -614,8 +618,8 @@ class TestSignatureLookup:
 
 
 class TestFamilyRecords:
-    # _FAMILIES holds one record per label; the signature table, ROW_BLOCKS
-    # and the order of the member list are read off it.
+    # _FAMILIES holds one record per label; the signature table and the
+    # order of the member list are read off it.
 
     def test_one_record_per_label_in_label_order(self):
         # The search's member list and histogram follow this order.
@@ -631,6 +635,12 @@ class TestFamilyRecords:
             assert set(row.signatures()) == seen[label], label
 
     def test_row_blocks_are_the_determinant_blocks(self):
+        # Every signature of every record has the determinants of the
+        # label's block in the oracle table, which reads the paper's
+        # numbering and not the records.
+        for label, row in classification._FAMILIES.items():
+            for (det_phi, _), (det_psi, _) in row.signatures():
+                assert (det_phi, det_psi) == ROW_BLOCKS[label], label
         assert ROW_BLOCKS == {
             RowLabel.R1_1: (1, 1),
             RowLabel.R1_2: (1, 1),

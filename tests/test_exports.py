@@ -15,14 +15,10 @@ PUBLIC = [
     "Mat2",
     "MatOrder",
     "NotUnimodular",
-    "ROW_BLOCKS",
     "RowLabel",
     "RowParams",
     "SearchReport",
-    "Vec2",
     "Verdict",
-    "ZERO",
-    "act",
     "check_pair",
     "commutes",
     "enumerate_unimodular",
@@ -30,14 +26,10 @@ PUBLIC = [
     "generate_row",
     "generated_row_instances",
     "lambda_map",
-    "lambda_of",
-    "odot",
-    "odot_associative",
     "order_by_iteration",
     "order_by_predicate",
     "orders_crosscheck",
     "r_map",
-    "row12_parameters",
     "row_label",
     "row_membership",
     "sample_report",
@@ -46,12 +38,20 @@ PUBLIC = [
 # Test-only reference paths; they live in tests/oracles.py.
 ORACLES = [
     "HolElement",
+    "ROW_BLOCKS",
+    "Vec2",
+    "ZERO",
+    "act",
     "centralizer_finite",
     "commutant_in_box",
     "h_lambda_closed",
     "hol_mul",
     "in_lambda_kernel",
+    "lambda_of",
+    "odot",
+    "odot_associative",
     "odot_inverse",
+    "row12_parameters",
 ]
 
 

@@ -1,8 +1,9 @@
-"""Value types: Mat2, Vec2, BraceSpec, Verdict, MatOrder, RowParams and
-SearchReport are NamedTuples.  They keep the reprs, hashes and error
-messages the frozen dataclasses they replaced had, the tuple operators
-that mean nothing for a matrix or a vector still raise TypeError, and
-importing the CLI loads neither dataclasses nor inspect.
+"""Value types: Mat2, BraceSpec, Verdict, MatOrder, RowParams and
+SearchReport, and the reference Vec2 of tests/oracles.py, are NamedTuples.
+They keep the reprs, hashes and error messages the frozen dataclasses they
+replaced had, the tuple operators that mean nothing for a matrix or a
+vector still raise TypeError, and importing the CLI loads neither
+dataclasses nor inspect.
 """
 
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import z2brace
+from oracles import Vec2
 from z2brace import (
     IDENTITY,
     BadParams,
@@ -21,7 +23,6 @@ from z2brace import (
     MatOrder,
     NotUnimodular,
     RowParams,
-    Vec2,
     check_pair,
     exhaustive_search,
 )

@@ -26,21 +26,17 @@ from conftest import (
     YBE_MEMBERS,
 )
 
-from oracles import odot_inverse, r_of_lambda
+from oracles import Vec2, act, lambda_of, odot, odot_inverse, r_of_lambda
 from z2brace import (
     BraceSpec,
     IDENTITY,
     InvalidSpec,
     Mat2,
     RowLabel,
-    Vec2,
-    act,
     check_pair,
     commutes,
     enumerate_unimodular,
     lambda_map,
-    lambda_of,
-    odot,
     r_map,
     sample_report,
 )
