@@ -18,10 +18,20 @@ in pure Python, while _write covers just the payload types the commands
 emit (dicts with str keys, lists, str, int, bool and None) and raises
 TypeError on any other.  json itself only decodes the specs.
 
-main parses each call once: when the first argument names a command, the
-rest goes straight to that command's own parser, the one the top-level
-parser holds; anything else (no argument, -h, an unknown command) goes to
-the top-level parser, which prints its help or its error.
+main parses each call once.  When the first argument names a command, the
+rest goes to _parse_direct, which reads that command's grammar off the
+Actions its add_argument calls returned, so each argument is declared
+once.  It takes exact option strings ("--name value" or "--name=value"),
+positionals in declared order, and an option value that starts with "-"
+only as an ASCII -[0-9]+ integer; it converts each value with the
+Action's type, checks its choices and fills the defaults, at a fraction
+of argparse's cost per call.  On anything else (an abbreviation, an
+unknown or repeated option, -h, --, a missing value or argument, an extra
+positional, a failed type or choice) it returns None, and the command's
+own argparse parser, the one the top-level parser holds, parses the call
+instead, so every help text, usage line, error message and exit code is
+argparse's.  No argument, -h or an unknown command goes to the top-level
+parser, which prints its help or its error.
 """
 
 from __future__ import annotations
@@ -167,58 +177,68 @@ def _cmd_ybe(args: argparse.Namespace) -> int:
     return 0 if clean else 1
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subparsers' choices: each command's parser."""
+def _build_parser() -> tuple[
+    argparse.ArgumentParser,
+    dict[str, argparse.ArgumentParser],
+    dict[str, _Grammar],
+]:
+    """The top-level parser, its subparsers' choices (each command's parser)
+    and each command's grammar for _parse_direct."""
     parser = argparse.ArgumentParser(
         prog="z2brace",
         description="Exact construction, validation and classification of "
         "lambda-homomorphic braces on Z^2.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    actions: dict[argparse.ArgumentParser, list[argparse.Action]] = {}
+
+    def add(p: argparse.ArgumentParser, *names: str, **kwargs: object) -> None:
+        actions.setdefault(p, []).append(p.add_argument(*names, **kwargs))
 
     def add_output(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--output", help="write JSON to this file instead of stdout")
+        add(p, "--output", help="write JSON to this file instead of stdout")
 
     p_check = sub.add_parser("check", help="validate a pair (exit 0 valid, 1 invalid)")
-    p_check.add_argument("spec", help="inline JSON or a path to a spec file")
+    add(p_check, "spec", help="inline JSON or a path to a spec file")
     add_output(p_check)
     p_check.set_defaults(func=_cmd_check)
 
     p_classify = sub.add_parser("classify", help="list the families a pair belongs to")
-    p_classify.add_argument("spec", help="inline JSON or a path to a spec file")
+    add(p_classify, "spec", help="inline JSON or a path to a spec file")
     add_output(p_classify)
     p_classify.set_defaults(func=_cmd_classify)
 
     p_generate = sub.add_parser("generate", help="construct a family member")
-    p_generate.add_argument("--row", required=True, help='family label, e.g. "1.2"')
-    p_generate.add_argument("--m", type=int)
-    p_generate.add_argument("--p", type=int)
-    p_generate.add_argument("--q", type=int)
-    p_generate.add_argument("--n", type=int)
-    p_generate.add_argument("--sign1", type=int, choices=(1, -1))
-    p_generate.add_argument("--sign2", type=int, choices=(1, -1))
+    add(p_generate, "--row", required=True, help='family label, e.g. "1.2"')
+    add(p_generate, "--m", type=int)
+    add(p_generate, "--p", type=int)
+    add(p_generate, "--q", type=int)
+    add(p_generate, "--n", type=int)
+    add(p_generate, "--sign1", type=int, choices=(1, -1))
+    add(p_generate, "--sign2", type=int, choices=(1, -1))
     add_output(p_generate)
     p_generate.set_defaults(func=_cmd_generate)
 
     p_search = sub.add_parser(
         "search", help="exhaustive cross-validation over a bounded entry box"
     )
-    p_search.add_argument("--bound", type=int, required=True, help="entry box half-width")
+    add(p_search, "--bound", type=int, required=True, help="entry box half-width")
     add_output(p_search)
     p_search.set_defaults(func=_cmd_search)
 
     p_orders = sub.add_parser(
         "orders", help="cross-check order classification against iteration"
     )
-    p_orders.add_argument("--bound", type=int, required=True, help="entry box half-width")
+    add(p_orders, "--bound", type=int, required=True, help="entry box half-width")
     add_output(p_orders)
     p_orders.set_defaults(func=_cmd_orders)
 
     p_ybe = sub.add_parser("ybe", help="sampled Yang-Baxter checks for a valid pair")
-    p_ybe.add_argument("spec", help="inline JSON or a path to a spec file")
-    p_ybe.add_argument("--samples", type=int, default=1000)
-    p_ybe.add_argument("--seed", type=int, default=0)
-    p_ybe.add_argument(
+    add(p_ybe, "spec", help="inline JSON or a path to a spec file")
+    add(p_ybe, "--samples", type=int, default=1000)
+    add(p_ybe, "--seed", type=int, default=0)
+    add(
+        p_ybe,
         "--box",
         type=int,
         default=4,
@@ -228,13 +248,80 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     add_output(p_ybe)
     p_ybe.set_defaults(func=_cmd_ybe)
 
-    return parser, sub.choices
+    grammars = {name: _grammar(p, actions[p]) for name, p in sub.choices.items()}
+    return parser, sub.choices, grammars
+
+
+# One command's grammar, read off the public attributes of its Actions:
+# the Action of each option string, the positional Actions in declared
+# order, every dest's default (func's from set_defaults) and the dests
+# that must be given.
+_Grammar = tuple[
+    dict[str, argparse.Action],
+    tuple[argparse.Action, ...],
+    dict[str, object],
+    frozenset[str],
+]
+
+
+def _grammar(parser: argparse.ArgumentParser, actions: list[argparse.Action]) -> _Grammar:
+    options = {name: action for action in actions for name in action.option_strings}
+    positionals = tuple(action for action in actions if not action.option_strings)
+    defaults = {action.dest: action.default for action in actions}
+    defaults["func"] = parser.get_default("func")
+    required = frozenset(action.dest for action in actions if action.required)
+    return options, positionals, defaults, required
+
+
+def _parse_direct(grammar: _Grammar, argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace the command's parse_args(argv) returns, for a call
+    written only in the forms the module docstring lists; None for any
+    other, which argparse then parses.  Every Action the commands declare
+    stores one value, the only kind of Action this reads."""
+    options, positionals, defaults, required = grammar
+    values: dict[str, object] = {}
+    position = 0
+    index = 0
+    while index < len(argv):
+        token = argv[index]
+        index += 1
+        if token[:1] == "-":
+            name, equals, value = token.partition("=")
+            action = options.get(name)
+            if action is None or action.dest in values:
+                return None
+            if not equals:
+                if index == len(argv):
+                    return None
+                value = argv[index]
+                index += 1
+            # argparse reads another "-" token as an option or, depending on
+            # its version, as a number, and drops a "--" value.
+            if value[:1] == "-" and not (value[1:].isascii() and value[1:].isdigit()):
+                return None
+        elif position < len(positionals):
+            action = positionals[position]
+            position += 1
+            value = token
+        else:
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not required <= values.keys():
+        return None
+    return argparse.Namespace(**{**defaults, **values})
 
 
 # Built once at import: parse_args leaves a parser unchanged, so every
 # main() call in a process shares them.  _COMMANDS holds the same command
-# parsers as _PARSER.
-_PARSER, _COMMANDS = _build_parser()
+# parsers as _PARSER; _GRAMMARS holds each one's grammar.
+_PARSER, _COMMANDS, _GRAMMARS = _build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -244,7 +331,9 @@ def main(argv: list[str] | None = None) -> int:
     if command is None:
         args = _PARSER.parse_args(argv)
     else:
-        args = command.parse_args(argv[1:])
+        args = _parse_direct(_GRAMMARS[argv[0]], argv[1:])
+        if args is None:
+            args = command.parse_args(argv[1:])
     try:
         return args.func(args)
     # BadParams, InvalidSpec, NotUnimodular and json.JSONDecodeError are

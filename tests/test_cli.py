@@ -2,7 +2,9 @@
 round trips between subcommands.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -15,12 +17,12 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import z2brace
 from conftest import ROW_FIXTURE_PARAMS, YBE_MEMBERS, hyperbolic_pair, random_unimodular
-from z2brace import BraceSpec, IDENTITY, Mat2
-from z2brace.cli import _COMMANDS, _PARSER, _write, main
+from z2brace import BraceSpec, IDENTITY, Mat2, cli
+from z2brace.cli import _COMMANDS, _GRAMMARS, _PARSER, _parse_direct, _write, main
 
 VALID_INLINE = '{"phi":[[1,0],[0,1]],"psi":[[1,0],[0,1]]}'
 FAMILY_12_INLINE = '{"phi":[[2,1],[-1,0]],"psi":[[2,1],[-1,0]]}'
@@ -629,9 +631,58 @@ DISPATCH_ERRORS = [
 ]
 
 
+# Tokens for the direct parser's parity test: every command's exact options,
+# their abbreviations, "=" forms (with an empty value among them), values
+# argparse reads in different ways, -h, -- and -, and inline specs.
+PARITY_OPTIONS = sorted(
+    {name for options, *_ in _GRAMMARS.values() for name in options} | {"--bogus", "--help"}
+)
+PARITY_VALUES = [
+    "-1", "-1.5", "-1_0", "-²", "-٣", "7", "1_0", "x", "", "1", "1.1", "out.json",
+    "-h", "--", "-", VALID_INLINE, FAMILY_12_INLINE,
+]
+PARITY_TOKENS = (
+    PARITY_OPTIONS
+    + [name[:end] for name in PARITY_OPTIONS for end in range(3, len(name))]
+    + [f"{name}={value}" for name in PARITY_OPTIONS for value in PARITY_VALUES]
+    + PARITY_VALUES
+)
+
+
+def parity_value(action):
+    # One of PARITY_VALUES, or as often a value the action takes.
+    plain = ["-1", "1", "7"] if action.type is int else ["1.1", "out.json", FAMILY_12_INLINE]
+    return st.one_of(st.sampled_from(plain), st.sampled_from(PARITY_VALUES))
+
+
+@st.composite
+def parity_calls(draw):
+    # A command, its required arguments and a run of its own options with
+    # a value, as two tokens or one "=" token, lone values and any other
+    # tokens, in any order; some calls repeat an option.
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    options, positionals, _, required = _GRAMMARS[command]
+    pair = st.sampled_from(sorted(options)).flatmap(
+        lambda name: st.tuples(st.just(name), parity_value(options[name]))
+    )
+    chunk = st.one_of(
+        pair,
+        pair.map(lambda pair: ("=".join(pair),)),
+        st.tuples(st.sampled_from(PARITY_TOKENS)),
+    )
+    chunks = draw(st.lists(chunk, max_size=4))
+    for action in (*positionals, *(a for a in options.values() if a.dest in required)):
+        names = action.option_strings[:1]
+        chunks.insert(draw(st.integers(0, len(chunks))), (*names, draw(parity_value(action))))
+    return command, [token for chunk in chunks for token in chunk]
+
+
 class TestDispatch:
-    """main parses a named command with that command's own parser; each
-    parse must agree with the top-level parser's."""
+    """main parses a named command with the direct parser, or, for a call
+    it returns None on, with that command's own argparse parser.  Each
+    parse must agree with the top-level parser's, and main must give the
+    same exit code, stdout, stderr and --output bytes with the direct
+    parser switched off."""
 
     def test_every_command_is_dispatched(self):
         assert sorted(_COMMANDS) == sorted(
@@ -661,6 +712,67 @@ class TestDispatch:
             # Only a leftover argument used to be reported by the top-level
             # parser; every other error already came from the command's.
             assert direct_err == full_err
+
+    @pytest.mark.parametrize("argv", DISPATCH_ARGVS + DISPATCH_ERRORS, ids=" ".join)
+    def test_main_agrees_without_the_direct_parser(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("spec.json").write_text(FAMILY_12_INLINE)
+        output = Path("out.json")
+
+        def outcome():
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            written = output.read_bytes() if output.exists() else None
+            output.unlink(missing_ok=True)
+            return code, out, err, written
+
+        direct = outcome()
+        monkeypatch.setattr(cli, "_parse_direct", lambda grammar, argv: None)
+        assert outcome() == direct
+
+    @settings(max_examples=1000)
+    @given(parity_calls())
+    @example(("generate", ["--row", "1.1", "--sign1", "-٣"]))
+    @example(("search", ["--bound", "-1_0"]))
+    @example(("check", ["--output=--", VALID_INLINE]))
+    @example(("ybe", ["--seed", "-1", FAMILY_12_INLINE, "--seed", "2"]))
+    def test_direct_parse_is_argparse_or_none(self, call):
+        # Either the direct parser gives up, or argparse returns the same
+        # Namespace; whenever argparse exits, the direct parser gives up.
+        command, argv = call
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                expected = _COMMANDS[command].parse_args(argv)
+            except SystemExit:
+                expected = None
+        direct = _parse_direct(_GRAMMARS[command], argv)
+        assert direct is None or direct == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--b", "2"],
+            ["search", "--bound", "2", "--bogus", "1"],
+            ["search", "--bound", "2", "--bound", "3"],
+            ["check", "-h"],
+            ["check", "--", VALID_INLINE],
+            ["search", "--bound"],
+            ["generate", "--m", "1"],
+            ["check", VALID_INLINE, VALID_INLINE],
+            ["search", "--bound", "x"],
+            ["search", "--bound", "-٣"],
+            ["generate", "--row", "1.1", "--sign1", "2"],
+        ],
+        ids=" ".join,
+    )
+    def test_other_calls_fall_back_to_argparse(self, argv):
+        # An abbreviation, an unknown or repeated option, -h, --, a missing
+        # value or required argument, an extra positional, a failed type
+        # and a value outside the choices.
+        assert _parse_direct(_GRAMMARS[argv[0]], argv[1:]) is None
 
     def test_command_help_agrees(self, capsys):
         with pytest.raises(SystemExit) as direct:
@@ -759,3 +871,27 @@ def test_readme_command_line_runs(capsys, line, shown):
         assert {key: result[key] for key, _ in pairs} == {
             key: int(value) for key, value in pairs
         }
+
+
+# The benchmark's call shapes.  With the README's lines they must take the
+# direct parser, or a change that sent every call to argparse would pass
+# every parity test.
+BENCHMARK_CALLS = [
+    ["check", FAMILY_12_INLINE],
+    ["classify", FAMILY_12_INLINE],
+    ["generate", "--row", "1.1", "--sign1", "-1", "--sign2", "1"],
+    ["search", "--bound", "4"],
+    ["search", "--bound=4", "--output=out.json"],
+    ["ybe", FAMILY_12_INLINE, "--box", "8", "--samples", "60", "--seed", "3"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [shlex.split(line)[1:] for line, _ in README_CALLS] + BENCHMARK_CALLS,
+    ids=lambda argv: " ".join(argv)[:60],
+)
+def test_common_calls_parse_directly(argv):
+    direct = _parse_direct(_GRAMMARS[argv[0]], argv[1:])
+    assert direct is not None
+    assert direct == _COMMANDS[argv[0]].parse_args(argv[1:])
