@@ -185,23 +185,6 @@ def _lambda_form(spec: BraceSpec) -> _LambdaTable | _LambdaAffine:
     return _LambdaTable(rows, n_phi, n_psi)
 
 
-def _lambda_of_form(
-    form: _LambdaTable | _LambdaAffine,
-) -> Callable[[int, int], tuple[int, int, int, int]]:
-    """(x1, x2) -> entries of lambda_x, read off the form: a lookup at
-    (x1 mod n_phi, x2 mod n_psi), or E + x1 a + x2 b."""
-    if isinstance(form, _LambdaTable):
-        rows, n_phi, n_psi = form
-        return lambda x1, x2: rows[x1 % n_phi][x2 % n_psi]
-    (a11, a12, a21, a22), (b11, b12, b21, b22) = form
-    return lambda x1, x2: (
-        1 + x1 * a11 + x2 * b11,
-        x1 * a12 + x2 * b12,
-        x1 * a21 + x2 * b21,
-        1 + x1 * a22 + x2 * b22,
-    )
-
-
 def lambda_map(spec: BraceSpec) -> Callable[[int, int], tuple[int, int, int, int]]:
     """The lambda of a valid pair: (x1, x2) -> entries (a11, a12, a21, a22)
     of phi^x1 * psi^x2.  Raises InvalidSpec unless the pair is valid,
@@ -217,7 +200,17 @@ def lambda_map(spec: BraceSpec) -> Callable[[int, int], tuple[int, int, int, int
     a matrix product (the module docstring says why these are the only
     two forms).
     """
-    return _lambda_of_form(_lambda_form(spec))
+    form = _lambda_form(spec)
+    if isinstance(form, _LambdaTable):
+        rows, n_phi, n_psi = form
+        return lambda x1, x2: rows[x1 % n_phi][x2 % n_psi]
+    (a11, a12, a21, a22), (b11, b12, b21, b22) = form
+    return lambda x1, x2: (
+        1 + x1 * a11 + x2 * b11,
+        x1 * a12 + x2 * b12,
+        x1 * a21 + x2 * b21,
+        1 + x1 * a22 + x2 * b22,
+    )
 
 
 def _exponents(

@@ -31,6 +31,11 @@ package; nothing in the package imports them.
     from any lambda map, two calls to it per point: the evaluation ybe
     made before it read lambda's closed form in place.  test_ybe checks
     the per-form r against it.
+  * ybe_holds, involutive_at and nondegenerate_at are the braid,
+    involutivity and non-degeneracy checks at one point, on r_map's r and
+    a lambda map, one call of r or lambda per evaluation: the checks
+    sample_report made before its kernels wrote each sample's seven r's
+    out inline.  test_ybe runs them on every family's r.
   * ROW_BLOCKS is the (det phi, det psi) block of each family, read off
     the paper's numbering alone: label b.x lies in block b, and blocks 1
     to 4 are (1, 1), (1, -1), (-1, 1) and (-1, -1).  test_classification
@@ -227,6 +232,33 @@ def r_of_lambda(lam, x1: int, x2: int, y1: int, y2: int) -> tuple[int, int, int,
         b11 * x1 + b12 * x2,
         b21 * x1 + b22 * x2,
     )
+
+
+def ybe_holds(r, u: tuple, x1: int, x2: int, y1: int, y2: int, z1: int, z2: int) -> bool:
+    """r12 r23 r12 against r23 r12 r23 at (x, y, z), applied right to left,
+    for r on four integers (as r_map returns it) and u = r(x, y)."""
+    a1, a2, b1, b2 = u
+    b1, b2, c1, c2 = r(b1, b2, z1, z2)
+    left = (*r(a1, a2, b1, b2), c1, c2)
+    b1, b2, c1, c2 = r(y1, y2, z1, z2)
+    a1, a2, b1, b2 = r(x1, x2, b1, b2)
+    right = (a1, a2, *r(b1, b2, c1, c2))
+    return left == right
+
+
+def involutive_at(r, u: tuple, x1: int, x2: int, y1: int, y2: int) -> bool:
+    """r(r(x, y)) = (x, y), with u = r(x, y)."""
+    return r(*u) == (x1, x2, y1, y2)
+
+
+def nondegenerate_at(lam, x1: int, x2: int, y1: int, y2: int) -> bool:
+    """det lambda_x = +-1 = det lambda_y, for lam(x1, x2) giving the entries
+    of lambda_x.  v -> first(r(x, v)) is lambda_x and w -> second(r(w, y))
+    is lambda_y^-1; an integer matrix is a bijection of Z^2 iff its
+    determinant is +-1, so no preimage is built."""
+    a11, a12, a21, a22 = lam(x1, x2)
+    b11, b12, b21, b22 = lam(y1, y2)
+    return abs(a11 * a22 - a12 * a21) == 1 == abs(b11 * b22 - b12 * b21)
 
 
 #: (det phi, det psi) of blocks 1 to 4, in the paper's numbering.

@@ -47,11 +47,14 @@ ORACLES = [
     "h_lambda_closed",
     "hol_mul",
     "in_lambda_kernel",
+    "involutive_at",
     "lambda_of",
+    "nondegenerate_at",
     "odot",
     "odot_associative",
     "odot_inverse",
     "row12_parameters",
+    "ybe_holds",
 ]
 
 

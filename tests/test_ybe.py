@@ -4,13 +4,19 @@ involutivity, non-degeneracy, and the seeded sampling report.
 r_map(spec) is the closed form (lambda_x(y), lambda_y^-1(x)) on four
 integers, built once per pair; definitional_r below recomputes r from the
 brace multiplication and its inverse, as an independent oracle for it.
-The braid, involutivity and non-degeneracy checks are ybe's private
-helpers, run on that r and on lambda_map.
+The braid, involutivity and non-degeneracy checks at one point are
+oracles.ybe_holds, involutive_at and nondegenerate_at, run on that r and
+on lambda_map.  sample_report writes those checks out inline, one kernel
+per form of lambda; randint_sample_report below is the loop it replaced,
+and the tests hold the two to the same failures on any injected form.
 """
 
 import random
 import re
+import runpy
+import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,7 +32,17 @@ from conftest import (
     YBE_MEMBERS,
 )
 
-from oracles import Vec2, act, lambda_of, odot, odot_inverse, r_of_lambda
+from oracles import (
+    Vec2,
+    act,
+    involutive_at,
+    lambda_of,
+    nondegenerate_at,
+    odot,
+    odot_inverse,
+    r_of_lambda,
+    ybe_holds,
+)
 from z2brace import (
     BraceSpec,
     IDENTITY,
@@ -204,15 +220,15 @@ class TestAgreementWithDefinition:
 
 
 def braid_holds(r, x, y, z):
-    return ybe._ybe_holds(r, r(*x, *y), *x, *y, *z)
+    return ybe_holds(r, r(*x, *y), *x, *y, *z)
 
 
 def involutive(r, x, y):
-    return ybe._involutive_at(r, r(*x, *y), *x, *y)
+    return involutive_at(r, r(*x, *y), *x, *y)
 
 
 def nondegenerate(spec, x, y):
-    return ybe._nondegenerate_at(lambda_map(spec), *x, *y)
+    return nondegenerate_at(lambda_map(spec), *x, *y)
 
 
 class TestBraidRelation:
@@ -241,7 +257,7 @@ class TestInvolutivity:
         once = r(0, 1, 1, 0)
         assert once == (2, -1, -1, 2)
         assert r(*once) == (0, 1, 1, 0)
-        assert ybe._involutive_at(r, once, 0, 1, 1, 0)
+        assert involutive_at(r, once, 0, 1, 1, 0)
 
     @given(spec=valid_specs, x=vectors, y=vectors)
     def test_valid_specs_involutive(self, spec, x, y):
@@ -276,10 +292,10 @@ class TestNondegeneracy:
             return (2, 0, 0, 1) if (x1, x2) == (0, 0) else (1, 0, 0, 1)
 
         for lam in (lambda x1, x2: (2, 0, 0, 1), det_two_at_origin):
-            assert not ybe._nondegenerate_at(lam, 0, 0, 0, 0)
-            assert not ybe._nondegenerate_at(lam, 0, 0, 1, 0)
-            assert not ybe._nondegenerate_at(lam, 1, 0, 0, 0)
-        assert ybe._nondegenerate_at(det_two_at_origin, 1, 0, 0, 1)
+            assert not nondegenerate_at(lam, 0, 0, 0, 0)
+            assert not nondegenerate_at(lam, 0, 0, 1, 0)
+            assert not nondegenerate_at(lam, 1, 0, 0, 0)
+        assert nondegenerate_at(det_two_at_origin, 1, 0, 0, 1)
 
     @pytest.mark.parametrize("spec", ALL_FIXTURE_SPECS, ids=str)
     @given(x=big_vectors(10**9), y=big_vectors(10**9))
@@ -342,6 +358,28 @@ def table_form(spec, n_phi, n_psi):
     return _LambdaTable(rows, n_phi, n_psi)
 
 
+#: Entries of a lambda_x: the unimodular matrices with entries in [-3, 3],
+#: or any four entries there (rarely unimodular).
+lambda_entries = st.one_of(
+    st.sampled_from([m.entries() for m in enumerate_unimodular(3)]),
+    st.tuples(*[st.integers(-3, 3)] * 4),
+)
+
+
+@st.composite
+def table_forms(draw):
+    n_phi, n_psi = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rows = [[draw(lambda_entries) for _ in range(n_psi)] for _ in range(n_phi)]
+    return _LambdaTable(rows, n_phi, n_psi)
+
+
+#: Forms of any pair of tables or affine coefficients, valid or not.
+lambda_forms = st.one_of(
+    table_forms(),
+    st.builds(_LambdaAffine, *[st.tuples(*[st.integers(-3, 3)] * 4)] * 2),
+)
+
+
 def form_lambda(form):
     # lambda_x read off a form, entry by entry, for the randint loop.
     if isinstance(form, _LambdaTable):
@@ -356,7 +394,9 @@ def form_lambda(form):
 class TestPerFormR:
     """r_map's r (ybe._r_of_form), with lambda read in place from its
     closed form, against oracles.r_of_lambda, which calls a lambda map twice per point:
-    lambda_map's, and lambda_of's products of powers."""
+    lambda_map's, and lambda_of's products of powers; and the sampling
+    kernel of each form against the randint loop on random forms and near
+    each pair's own form."""
 
     @pytest.mark.parametrize("spec", MEMBER_AND_FIXTURE_SPECS, ids=str)
     def test_equals_the_lambda_map_r_on_a_grid(self, spec):
@@ -392,30 +432,55 @@ class TestPerFormR:
         assert kinds.pop("1.2") is _LambdaAffine
         assert set(kinds.values()) == {_LambdaTable}
 
+    @BOXES
+    @given(form=lambda_forms, seed=st.integers(0, 2**32))
+    def test_kernels_agree_with_the_randint_loop_on_any_form(self, form, seed, box):
+        # Random forms, almost none of a valid pair, fill every failure
+        # list; each kernel must fill them as the loop does.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ybe, "_lambda_form", lambda spec: form)
+            report = sample_report(SPEC_12, samples=20, seed=seed, box=box)
+        assert failure_lists(report) == randint_sample_report(form_lambda(form), 20, seed, box)
+
     @pytest.mark.parametrize("spec", MEMBER_AND_FIXTURE_SPECS, ids=str)
-    def test_seven_r_evaluations_per_sample(self, spec, monkeypatch):
-        # u = r(x, y) is shared by the braid relation (3 + 3 evaluations)
-        # and the involutivity check (1 more).
-        calls = []
-        r_of_form = ybe._r_of_form
+    def test_kernels_agree_with_the_randint_loop_near_each_form(self, spec, monkeypatch):
+        # The pair's own form with one value changed: a table's last cell
+        # times [[2, 1], [1, 1]] (still unimodular, of infinite order) or
+        # times diag(2, 1), an affine
+        # form with a12 or b21 raised by one.  A table then fails only on
+        # the samples that read that cell, so the kernel must index each
+        # cell, and the cell of -y, as the loop does.
+        form = _lambda_form(spec)
+        if isinstance(form, _LambdaTable):
+            rows, n_phi, n_psi = form
+            p, q, r, s = rows[-1][-1]
+            corrupted = [
+                ((2 * p + q, p + q, 2 * r + s, r + s), True),
+                ((2 * p, q, 2 * r, s), False),
+            ]
+            near = []
+            for cell, unimodular in corrupted:
+                changed = [list(row) for row in rows]
+                changed[-1][-1] = cell
+                near.append((_LambdaTable(changed, n_phi, n_psi), unimodular))
+        else:
+            a, b = form
+            near = [
+                (_LambdaAffine((a[0], a[1] + 1, *a[2:]), b), False),
+                (_LambdaAffine(a, (*b[:2], b[2] + 1, b[3])), False),
+            ]
+        for changed, unimodular in near:
+            lam = form_lambda(changed)
+            monkeypatch.setattr(ybe, "_lambda_form", lambda spec: changed)
+            failures = dict.fromkeys(FAILURE_KEYS, 0)
+            for seed, box in product(range(3), [8, 2**70]):
+                report = failure_lists(sample_report(spec, samples=30, seed=seed, box=box))
+                assert report == randint_sample_report(lam, 30, seed, box)
+                for key in FAILURE_KEYS:
+                    failures[key] += len(report[key])
+            assert failures["ybe_failures"] + failures["involutivity_failures"] > 0
+            assert (failures["nondegeneracy_failures"] == 0) == unimodular
 
-        def counting_r_of_form(form):
-            r = r_of_form(form)
-
-            def counted(*point):
-                calls.append(point)
-                return r(*point)
-
-            return counted
-
-        monkeypatch.setattr(ybe, "_r_of_form", counting_r_of_form)
-        report = sample_report(spec, samples=40, seed=1, box=8)
-        assert failure_lists(report) == dict.fromkeys(FAILURE_KEYS, [])
-        assert len(calls) == 7 * 40
-
-
-#: Width 3 redraws a quarter of the draws; 2^70 takes three words per draw.
-BOXES = pytest.mark.parametrize("box", [1, 2, 8, 2**70], ids=["1", "2", "8", "2^70"])
 
 #: Forms of invalid pairs, whose lambda is not a homomorphism Z^2 -> GL2(Z)
 #: with lambda_-y = lambda_y^-1, so r breaks the braid relation and
@@ -475,3 +540,33 @@ class TestAgreementWithRandintLoop:
             report = failure_lists(sample_report(SPEC_12, samples=30, seed=seed, box=box))
             assert report == randint_sample_report(lam, 30, seed, box)
             assert len(report["nondegeneracy_failures"]) == 30
+
+
+class TestBoundedMemory:
+    """sample_report draws one sample at a time, so its peak memory does
+    not grow with `samples`, even at three words per coordinate: about
+    6 KiB on a table member and on 1.2, where drawing every coordinate
+    first would take 450-630 KiB at 2,000 samples and ten times that at
+    20,000.  tracemalloc slows the bigint arithmetic some 70-fold, so
+    2,000 samples keep the test to about two seconds per member."""
+
+    @pytest.mark.parametrize(
+        "spec", [BraceSpec.from_dict(YBE_MEMBERS[i]) for i in (0, 1)], ids=["1.1", "1.2"]
+    )
+    def test_peak_below_64_kib(self, spec):
+        tracemalloc.start()
+        try:
+            report = sample_report(spec, samples=2_000, seed=0, box=2**70)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert failure_lists(report) == dict.fromkeys(FAILURE_KEYS, [])
+        assert peak < 64 * 1024
+
+
+def test_members_are_the_benchmark_members():
+    # One list of the twelve: the benchmark's, read from its file.
+    workloads = runpy.run_path(
+        str(Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py")
+    )
+    assert YBE_MEMBERS == list(workloads["YBE_MEMBERS"].values())
