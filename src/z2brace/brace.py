@@ -8,31 +8,32 @@ a (*) b = a + lambda_a(b).  check_pair decides exactly when this makes
 power identities phi^k psi^l = E, whose exponents are read off the entries
 of phi and psi, must all hold.
 
-lambda_map is the lambda of a brace: it raises InvalidSpec unless
-check_pair finds the pair valid, and returns a -> entries of lambda_a as
-plain integers in one of two closed forms.  By the partner rules of the
-search (classification._in_pair_class, _search_partners) each generator of
-a valid pair is +-E, of order 3, a reflection or parabolic of trace 2, and
-a parabolic E + A pairs only with E + B, B a multiple of A's primitive
-part.  So either both shapes (Mat2._shape, the (period, degree) that
-Mat2.power_map reads) have degree 0, and lambda is the table of the at
-most 9 values phi^i psi^j, i and j below the periods, each evaluation a
-lookup; or (phi - E)(psi - E) = 0, and lambda_a = E + a1 (phi - E) +
-a2 (psi - E) is affine in a.  _lambda_form decides validity and builds
-that form once from one power map per generator; lambda_map and the
-Yang-Baxter map of the ybe module both read it.  A valid pair commutes,
-so lambda is a homomorphism: lambda_a^-1 = lambda_-a.
+_lambda_form is the lambda of a brace in closed form: it raises
+InvalidSpec unless check_pair finds the pair valid.  By the partner rules
+of the search (classification._pair_classes, _search_partners) each
+generator of a valid pair is +-E, of order 3, a reflection or parabolic
+of trace 2, and a parabolic E + A pairs only with E + B, B a multiple of
+A's primitive part.  So either both shapes (Mat2._shape, the (period,
+degree) that Mat2.power_map reads) have degree 0, and lambda is the
+table of the at most 9 values phi^i psi^j, i and j below the periods; or
+(phi - E)(psi - E) = 0, and lambda_a = E + a1 (phi - E) + a2 (psi - E)
+is affine in a.  _lambda_form decides validity and builds that form once
+from one power map per generator; the Yang-Baxter kernels of the ybe
+module read it.  A valid pair commutes, so lambda is a homomorphism:
+lambda_a^-1 = lambda_-a.
 
-The exponents of the four identities are written in one place,
-_exponents, and each identity phi^k psi^l = E is read as phi^k =
+The exponents (k, l) of the four identities are the columns of phi - E
+and psi - E, and each identity phi^k psi^l = E is read as phi^k =
 psi^(-l): two powers from the two power maps compared, with no product
 of them formed.  _identities_hold decides all four for a pair with no
-hyperbolic member and stops at the first false one;
-classification.exhaustive_search calls it with one power map per
-in-class matrix, built once per search, and _lambda_form with the pair's
-own two.  check_pair, the one caller that can meet a hyperbolic matrix,
-decides each identity from the pair's two power maps and hyperbolic
-flags, built once per call, and keeps all four truths.
+hyperbolic member, reading the exponents in place off the entries and
+stopping at the first false identity; classification.exhaustive_search
+calls it with one power map per in-class matrix, built once per search,
+and _lambda_form with the pair's own two.  check_pair, the one caller
+that can meet a hyperbolic matrix, reads the exponents through
+_exponents, decides each identity from the pair's hyperbolic flags and,
+once an identity reaches a comparison, the pair's two power maps, and
+keeps all four truths.
 
 Before it takes a power, check_pair applies one rule to each identity.
 phi^k psi^l = E says phi^k = psi^(-l).  A nonzero power of a
@@ -46,11 +47,12 @@ at any entry size; only a commuting pair of two hyperbolic matrices still
 takes powers whose cost grows with its entries.
 
 BraceSpec and Verdict are NamedTuples like Mat2; BraceSpec checks its
-two matrices in the __new__ of a subclass of its NamedTuple fields.  The
+two matrices in the __new__ of a subclass of its NamedTuple fields,
+reading each determinant once off the entries, phi first.  The
 multiplication by its definition, on vectors with lambda_a formed as the
-product of two powers, and the holomorph reading of the pair conditions
-live in tests/oracles.py, where the tests check check_pair and
-lambda_map against them.
+product of two powers, the holomorph reading of the pair conditions and
+lambda on two integers (lambda_map) live in tests/oracles.py, where the
+tests check check_pair and _lambda_form against them.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from typing import Callable, NamedTuple
 
 from .gl2z import Mat2, NotUnimodular, commutes
 
-__all__ = ["BraceSpec", "Verdict", "check_pair", "lambda_map"]
+__all__ = ["BraceSpec", "Verdict", "check_pair"]
 
 
 class InvalidSpec(ValueError):
@@ -81,22 +83,28 @@ class BraceSpec(_BraceSpecFields):
     __slots__ = ()
 
     def __new__(cls, phi: Mat2, psi: Mat2) -> "BraceSpec":
-        for name, m in (("phi", phi), ("psi", psi)):
-            if not m.is_unimodular():
-                raise NotUnimodular(f"{name} = {m} has determinant {m.det()}")
-        return super().__new__(cls, phi, psi)
+        a11, a12, a21, a22 = phi
+        det = a11 * a22 - a12 * a21
+        if det != 1 and det != -1:
+            raise NotUnimodular(f"phi = {phi} has determinant {det}")
+        a11, a12, a21, a22 = psi
+        det = a11 * a22 - a12 * a21
+        if det != 1 and det != -1:
+            raise NotUnimodular(f"psi = {psi} has determinant {det}")
+        return tuple.__new__(cls, (phi, psi))
 
     # _replace builds through _make, which would skip the check above.
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     @classmethod
     def from_dict(cls, data: object) -> "BraceSpec":
-        """Parse the JSON form {"phi": [[..]], "psi": [[..]]}."""
-        if not isinstance(data, dict) or set(data) != {"phi", "psi"}:
-            raise ValueError(
-                f'expected an object with exactly the keys "phi" and "psi", got {data!r}'
-            )
-        return cls(Mat2.from_rows(data["phi"]), Mat2.from_rows(data["psi"]))
+        """Parse the JSON form {"phi": [[..]], "psi": [[..]]}: an object
+        with exactly those two keys, each a matrix for Mat2.from_rows."""
+        if isinstance(data, dict) and len(data) == 2 and "phi" in data and "psi" in data:
+            return cls(Mat2.from_rows(data["phi"]), Mat2.from_rows(data["psi"]))
+        raise ValueError(
+            f'expected an object with exactly the keys "phi" and "psi", got {data!r}'
+        )
 
     def to_dict(self) -> dict:
         return {"phi": self.phi.rows(), "psi": self.psi.rows()}
@@ -185,34 +193,6 @@ def _lambda_form(spec: BraceSpec) -> _LambdaTable | _LambdaAffine:
     return _LambdaTable(rows, n_phi, n_psi)
 
 
-def lambda_map(spec: BraceSpec) -> Callable[[int, int], tuple[int, int, int, int]]:
-    """The lambda of a valid pair: (x1, x2) -> entries (a11, a12, a21, a22)
-    of phi^x1 * psi^x2.  Raises InvalidSpec unless the pair is valid,
-    deciding as check_pair does, through _lambda_form: before any power is
-    taken if a generator is hyperbolic, then unless the pair commutes and
-    the four identities hold.
-
-    The map is read off lambda's closed form, built here once from one
-    power map per generator: if both shapes (Mat2._shape) have degree 0,
-    with periods n_phi and n_psi, each evaluation is a lookup at
-    (x1 mod n_phi, x2 mod n_psi) in a table of the at most 9 values;
-    otherwise it is E + x1 (phi - E) + x2 (psi - E).  No evaluation forms
-    a matrix product (the module docstring says why these are the only
-    two forms).
-    """
-    form = _lambda_form(spec)
-    if isinstance(form, _LambdaTable):
-        rows, n_phi, n_psi = form
-        return lambda x1, x2: rows[x1 % n_phi][x2 % n_psi]
-    (a11, a12, a21, a22), (b11, b12, b21, b22) = form
-    return lambda x1, x2: (
-        1 + x1 * a11 + x2 * b11,
-        x1 * a12 + x2 * b12,
-        x1 * a21 + x2 * b21,
-        1 + x1 * a22 + x2 * b22,
-    )
-
-
 def _exponents(
     phi: tuple[int, int, int, int], psi: tuple[int, int, int, int]
 ) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int], tuple[int, int]]:
@@ -235,12 +215,19 @@ def _identities_hold(
     phi_power and psi_power are the pair's power maps (Mat2.power_map).
     Each identity phi^k psi^l = E is read as phi^k = psi^(-l): two entry
     tuples from the power maps compared as they are, so no product is
-    formed.  The exhaustive search and _lambda_form decide validity here.
+    formed.  The exponents (k, l), a column of phi - E or psi - E in the
+    order of _exponents, are read in place off the unpacked entries, in
+    one short-circuiting expression.  The exhaustive search and
+    _lambda_form decide validity here.
     """
-    for k, l in _exponents(phi, psi):
-        if phi_power(k) != psi_power(-l):
-            return False
-    return True
+    p11, p12, p21, p22 = phi
+    q11, q12, q21, q22 = psi
+    return (
+        phi_power(p11 - 1) == psi_power(-p21)
+        and phi_power(p12) == psi_power(1 - p22)
+        and phi_power(q11 - 1) == psi_power(-q21)
+        and phi_power(q12) == psi_power(1 - q22)
+    )
 
 
 def check_pair(spec: BraceSpec) -> Verdict:
@@ -253,26 +240,31 @@ def check_pair(spec: BraceSpec) -> Verdict:
 
     hold exactly; the exponents (k, l) of each condition are a column of
     phi - E or psi - E.  Commutation is gl2z.commutes.  Each condition
-    goes through one rule, from the pair's two power maps (Mat2.power_map)
-    and hyperbolic flags (Mat2.is_hyperbolic), built here once per pair.
+    goes through one rule, from the pair's hyperbolic flags
+    (Mat2.is_hyperbolic) and two power maps (Mat2.power_map), each built
+    at most once per pair.
     Let big_k say that phi is hyperbolic and k != 0, and big_l the same
     for psi and l.  The condition is false if big_k != big_l, or if both
     hold on a pair that does not commute; otherwise it holds iff phi^k =
     psi^(-l), as in _identities_hold.  Every power map takes negative
     exponents.  So a hyperbolic power is taken only on a commuting pair of
-    two hyperbolic matrices.  All four are drawn, so the verdict names
-    each one.
+    two hyperbolic matrices.  The power maps are built only once an
+    identity reaches that comparison, so a pair whose identities the rule
+    settles, such as a non-commuting pair of two hyperbolic matrices,
+    builds none.  All four are drawn, so the verdict names each one.
     """
     phi, psi = spec
     commuting = commutes(phi, psi)
-    phi_power, psi_power = phi.power_map(), psi.power_map()
     phi_big, psi_big = phi.is_hyperbolic(), psi.is_hyperbolic()
+    phi_power = psi_power = None
     truths = []
     for k, l in _exponents(phi, psi):
         big = phi_big and k != 0
         if big != (psi_big and l != 0) or (big and not commuting):
             truths.append(False)
         else:
+            if phi_power is None:
+                phi_power, psi_power = phi.power_map(), psi.power_map()
             truths.append(phi_power(k) == psi_power(-l))
     power = tuple(truths)
     return Verdict(

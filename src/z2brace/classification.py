@@ -15,13 +15,17 @@ block 3 = (-1, 1), block 4 = (-1, -1).  This module provides
     whose constructor fixes other (det, trace) values can never
     regenerate the pair,
   * a duplicate-free lexicographic enumeration of unimodular matrices
-    with bounded entries, in time proportional to their number
-    (enumerate_unimodular),
+    with bounded entries, in time proportional to their number, each
+    Mat2 made by tuple.__new__ (enumerate_unimodular),
+  * one pass over that listing (_pair_classes) that reads each matrix's
+    (det, trace) once off its entries and with that key decides whether
+    a valid pair can use it, files it into its (det, trace) group and
+    collects the in-class involutions,
   * a bidirectional exhaustive cross-validation (exhaustive_search):
     every valid pair in the bounded box must match a family, and every
     family instance that fits in the box must be valid; the instances are
-    the parameters each family's record reads off the box's in-class
-    matrices, rebuilt by its constructor on entry 4-tuples
+    the parameters each family's record reads off the pass's groups,
+    rebuilt by its constructor on entry 4-tuples
     (generated_row_instances wraps them in BraceSpecs), and that one
     member list serves both directions: the forward labels of each valid
     pair are read off it by a join on entry tuples, which a pair of Mat2s
@@ -524,12 +528,15 @@ def enumerate_unimodular(bound: int) -> Iterator[Mat2]:
     each (a11, a22) and determinant d the pairs with a12 a21 = a11 a22 - d
     are looked up, and each a11 group is sorted.  Every lookup hit is a
     matrix of the box, so the cost is O(|U_B| log |U_B|) for the |U_B|
-    matrices listed, plus O(bound^2) for the index.  bound must be a
-    positive plain integer (bools are rejected).
+    matrices listed, plus O(bound^2) for the index.  Each Mat2 is made by
+    tuple.__new__ from its entry tuple, as Mat2's own constructor makes
+    it, without a Python-level call per matrix.  bound must be a positive
+    plain integer (bools are rejected).
     """
     _require_integer_bound(bound)
     if bound < 1:
         raise ValueError("bound must be positive")
+    new = tuple.__new__
     rng = range(-bound, bound + 1)
     by_product: dict[int, list[tuple[int, int]]] = {}
     for a12, a21 in product(rng, rng):
@@ -542,37 +549,35 @@ def enumerate_unimodular(bound: int) -> Iterator[Mat2]:
             for a12, a21 in by_product.get(a11 * a22 - det, ())
         )
         for a12, a21, a22 in group:
-            yield Mat2(a11, a12, a21, a22)
+            yield new(Mat2, (a11, a12, a21, a22))
 
 
 def _row_instances(
-    bound: int, in_class: Iterable[Mat2]
+    bound: int, groups: _Groups
 ) -> list[tuple[RowLabel, tuple[_Entries, _Entries]]]:
     """Every family member whose entries all fit in [-bound, bound], as
     (label, (phi entries, psi entries)).
 
-    in_class holds the in-class matrices of the box (_in_pair_class),
-    grouped once by (det, trace).  Each family's record names the
-    parameters to try (candidates): 1.1 its four sign pairs, 1.2 each
+    groups holds the in-class matrices of the box by (det, trace), as
+    the one pass of _pair_classes files them.  Each family's record names
+    the parameters to try (candidates): 1.1 its four sign pairs, 1.2 each
     coprime (p, q) in canonical form with |m| up to bound / max(|p|, |q|)^3,
     and a table family the parameters its read takes off each in-class m
-    with the (det, trace) of its M.  Every candidate is built by the raw
-    family constructor on entry tuples, not by generate_row, so validity
-    is left to the caller and a wrong constructor shows up as an invalid
-    instance.  Deduplicated per (label, pair) and sorted lexicographically,
-    so the result is independent of the order in_class comes in.
+    in the group of its M's (det, trace).  Every candidate is built by the
+    raw family constructor on entry tuples, not by generate_row, so
+    validity is left to the caller and a wrong constructor shows up as an
+    invalid instance.  Deduplicated per (label, pair) and sorted
+    lexicographically, so the result is independent of the order each
+    group comes in.
 
     The list is complete.  The M of every table family has (det, trace)
     (1, -1) or (-1, 0), so it is in class, and its partner (E, -E, -M, M
     or M^-1) has M's |entries|; so an in-box member has its M in the box
-    and in in_class, which is closed under the coordinate swap that a
+    and in its group, which is closed under the coordinate swap that a
     psi-side family applies.  read takes only M, and for a member it
     returns the parameters that generate it; so every in-box table member
-    is rebuilt from in_class, and 1.1 and 1.2 list theirs outright.
+    is rebuilt from groups, and 1.1 and 1.2 list theirs outright.
     """
-    groups: _Groups = {}
-    for m in in_class:
-        groups.setdefault((m.det(), m.trace()), []).append(m)
     found = []
     # _FAMILIES lists the families in the order of their dotted labels.
     for label, family in _FAMILIES.items():
@@ -592,7 +597,8 @@ def generated_row_instances(bound: int) -> list[tuple[RowLabel, BraceSpec]]:
     """Every family member whose entries all fit in [-bound, bound].
 
     Deduplicated per (label, pair) and sorted lexicographically.  The
-    members are read off the in-class matrices of the box by each family's
+    members are read off the box's in-class matrices, grouped by
+    (det, trace) in the one pass of _pair_classes, by each family's
     parameter recovery and built by the raw family constructors
     (_row_instances), so validity is left to the caller.  The list is
     complete, so a pair's labels here are exactly row_membership of the
@@ -602,10 +608,9 @@ def generated_row_instances(bound: int) -> list[tuple[RowLabel, BraceSpec]]:
     _require_integer_bound(bound)
     if bound < 1:
         return []
-    in_class = [m for m in enumerate_unimodular(bound) if _in_pair_class(m)]
     return [
         (label, BraceSpec(Mat2(*phi), Mat2(*psi)))
-        for label, (phi, psi) in _row_instances(bound, in_class)
+        for label, (phi, psi) in _row_instances(bound, _pair_classes(bound).groups)
     ]
 
 
@@ -644,11 +649,27 @@ class SearchReport(NamedTuple):
         }
 
 
-def _in_pair_class(m: Mat2) -> bool:
-    """Whether m lies in one of the five classes a valid pair can use.
+class _Box(NamedTuple):
+    """What the one pass of _pair_classes reads off U_B."""
 
-    The classes, by shape (Mat2._shape): E (1, 0), -E and the reflections
-    (2, 0), the parabolic matrices of trace 2 (1, 1), and order 3 (3, 0).
+    size: int  # |U_B|, every matrix listed
+    in_class: list[Mat2]  # the in-class matrices, in the listing's order
+    groups: _Groups  # in_class by (det, trace)
+    involutions: list[Mat2]  # the m of in_class with m m = E, in order
+
+
+def _pair_classes(bound: int) -> _Box:
+    """One pass over U_B that keeps the matrices in the five classes a
+    valid pair can use.
+
+    Each listed matrix's key (det, trace) is read once off its entries.
+    The key decides the class: (1, 2) holds E and the parabolic matrices
+    of trace 2, (-1, 0) the reflections, (1, -1) order 3, and of (1, -2)
+    only -E is kept; these are the shapes (Mat2._shape) (1, 0), (1, 1),
+    (2, 0) and (3, 0).  The same key files the matrix into the groups that
+    _row_instances reads.  The in-class involutions are the reflections
+    and +-E: M^2 = tM - dE is E for (d, t) = (-1, 0), and it is 2M - E
+    for (1, 2) and -M - E for (1, -1), which is E only for M = E.
 
     Lemma.  A valid pair commutes, so lambda is additive, and then
     lambda_(a*b) = lambda_a lambda_b with a*b = a + lambda_a(b) gives
@@ -661,8 +682,23 @@ def _in_pair_class(m: Mat2) -> bool:
     and trace -2 other than -E (parabolic, infinite order, index 4), and
     orders 4 and 6 (index 2 and 1).  What remains is the five classes; the
     same argument applies to psi.
+
+    enumerate_unimodular rejects a bound that is not a positive integer.
     """
-    return m._shape() in {(1, 0), (1, 1), (2, 0), (3, 0)}
+    size = 0
+    in_class: list[Mat2] = []
+    groups: _Groups = {}
+    involutions: list[Mat2] = []
+    for size, m in enumerate(enumerate_unimodular(bound), 1):
+        a11, a12, a21, a22 = m
+        det = a11 * a22 - a12 * a21
+        key = (det, a11 + a22)
+        if key in {(1, 2), (-1, 0), (1, -1)} or m == _NEG_IDENTITY:
+            in_class.append(m)
+            groups.setdefault(key, []).append(m)
+            if det == -1 or m == IDENTITY or m == _NEG_IDENTITY:
+                involutions.append(m)
+    return _Box(size, in_class, groups, involutions)
 
 
 def _search_partners(
@@ -670,7 +706,7 @@ def _search_partners(
 ) -> list[Mat2]:
     """The in-class psi of the box for which (phi, psi) can be valid.
 
-    phi lies in one of the five classes of _in_pair_class; in_class lists
+    phi lies in one of the five classes of _pair_classes; in_class lists
     the in-class matrices of the box and involutions those m of them with
     m m = E.  The result is sorted in the order of enumerate_unimodular,
     and for a non-scalar phi it has at most four members, found in O(1).
@@ -728,32 +764,35 @@ def exhaustive_search(bound: int) -> SearchReport:
     Both orderings of every unimodular pair are covered independently (the
     families are not symmetric under swapping phi and psi), but a pair is
     decided only if it can be valid: both matrices in one of the five
-    classes of _in_pair_class, and psi among the partners that
+    classes of _pair_classes, and psi among the partners that
     _search_partners solves from phi's own pair conditions.  phi = E pairs
     with every in-class matrix and -E with the in-class involutions; every
     other phi has at most four partners: a reflection 4, an order-3 phi 3,
     and a parabolic one only E and at most one parabolic psi.  The box is
-    streamed once, counted and filtered; candidates_examined still counts
-    every ordered pair of it, |U_B|^2.  Unmatched pairs come out in the
+    listed once, by the one pass of _pair_classes, which reads each
+    matrix's (det, trace) once off its entries and with that key counts
+    it, keeps it if it is in class, files it into its (det, trace) group
+    and collects the involutions; candidates_examined still counts every
+    ordered pair of the box, |U_B|^2.  Unmatched pairs come out in the
     lexicographic order of enumerate_unimodular.
 
     The whole search works on the Mat2s the listing yields, each of which
-    is its own entry tuple: the in-class list, the power-map keys, the
-    partners, the valid pairs and the join hold those matrices, with no
-    second representation.  Each in-class matrix gets one power map,
-    built once, and each pair is decided by brace._identities_hold, which
-    reads the identities as check_pair does, from the two cached maps, with
-    no commutation test (every partner commutes with phi); the scan stops at
-    the pair's first false identity.  The member list holds the
-    constructors' plain entry-tuple pairs, which equal and hash as the Mat2
-    pairs they join with.  A BraceSpec is built only for a pair the report
-    lists (and for a member the forward scan did not find valid, which
-    check_pair then decides).
+    is its own entry tuple: the in-class list, the groups, the power-map
+    keys, the partners, the valid pairs and the join hold those matrices,
+    with no second representation.  Each in-class matrix gets one power
+    map, built once, and each pair is decided by brace._identities_hold,
+    which reads the four exponents in place off the two entry tuples and
+    compares the powers from the two cached maps, with no commutation test
+    (every partner commutes with phi); it stops at the pair's first false
+    identity.  The member list holds the constructors' plain entry-tuple
+    pairs, which equal and hash as the Mat2 pairs they join with.  A
+    BraceSpec is built only for a pair the report lists (and for a member
+    the forward scan did not find valid, which check_pair then decides).
 
-    Both directions read one list, _row_instances(bound, in_class): every
-    in-box family member with its label, read off the in-class matrices
-    the scan already holds by each table family's recoverer and rebuilt by
-    its constructor, so the box is listed once (the public
+    Both directions read one list, _row_instances(bound, groups): every
+    in-box family member with its label, read off the pass's (det, trace)
+    groups by each table family's recoverer and rebuilt by its
+    constructor, so the box is listed once (the public
     generated_row_instances lists it again).  Forward, a valid pair
     takes the labels it has in that list, a join that equals row_membership
     because the list is complete; a valid pair the list lacks is unmatched,
@@ -764,15 +803,9 @@ def exhaustive_search(bound: int) -> SearchReport:
     and an invalid one is reported in invalid_row_instances.
     enumerate_unimodular rejects a bound that is not a positive integer.
     """
-    box_size = 0
-    in_class: list[Mat2] = []
-    for m in enumerate_unimodular(bound):
-        box_size += 1
-        if _in_pair_class(m):
-            in_class.append(m)
-    involutions = [m for m in in_class if m * m == IDENTITY]
+    box_size, in_class, groups, involutions = _pair_classes(bound)
     # One power map per in-class matrix.  _identities_hold takes no
-    # hyperbolic rule: _in_pair_class excludes every hyperbolic matrix, so
+    # hyperbolic rule: _pair_classes excludes every hyperbolic matrix, so
     # no search pair has one.
     power = {m: m.power_map() for m in in_class}
     found: list[tuple[Mat2, Mat2]] = []
@@ -782,7 +815,7 @@ def exhaustive_search(bound: int) -> SearchReport:
             if _identities_hold(phi, psi, phi_power, power[psi]):
                 found.append((phi, psi))
     valid = set(found)
-    members = _row_instances(bound, in_class)
+    members = _row_instances(bound, groups)
     listed = {pair for _, pair in members}
     invalid_instances = []
     for label, (p, q) in members:

@@ -81,17 +81,20 @@ class Mat2(NamedTuple):
         """Build from the JSON form [[a11, a12], [a21, a22]].
 
         Entries must be plain integers (bools are rejected).  The rows and
-        the pair of them must be lists or tuples of length 2.
+        the pair of them must be lists or tuples of length 2.  Each is
+        unpacked once, and the checked entry tuple becomes the matrix
+        through tuple.__new__, as Mat2's own constructor makes it.
         """
-        if (
-            isinstance(rows, (list, tuple)) and len(rows) == 2
-            and isinstance(rows[0], (list, tuple)) and len(rows[0]) == 2
-            and isinstance(rows[1], (list, tuple)) and len(rows[1]) == 2
-        ):
-            (a11, a12), (a21, a22) = rows
-            if type(a11) is int and type(a12) is int and type(a21) is int and type(a22) is int:
-                return cls(a11, a12, a21, a22)
-            raise ValueError(f"matrix entries must be integers, got {rows!r}")
+        if isinstance(rows, (list, tuple)) and len(rows) == 2:
+            first, second = rows
+            if (
+                isinstance(first, (list, tuple)) and len(first) == 2
+                and isinstance(second, (list, tuple)) and len(second) == 2
+            ):
+                (a11, a12), (a21, a22) = first, second
+                if type(a11) is int and type(a12) is int and type(a21) is int and type(a22) is int:
+                    return tuple.__new__(cls, (a11, a12, a21, a22))
+                raise ValueError(f"matrix entries must be integers, got {rows!r}")
         raise ValueError(f"expected a 2x2 nested list, got {rows!r}")
 
     def rows(self) -> list[list[int]]:

@@ -20,8 +20,7 @@ the non-degeneracy check is exactly that, det lambda_x = +-1 = det lambda_y.
 r_map(spec) returns that map for one pair: it builds lambda's closed form
 once (brace._lambda_form, which raises InvalidSpec on an invalid pair)
 and returns r on four integers, (x1, x2, y1, y2) -> the four
-coordinates of r(x, y), as brace.lambda_map returns lambda on two.  lambda
-is read in place: for a table form (phi and psi both of finite order, as
+coordinates of r(x, y).  lambda is read in place: for a table form (phi and psi both of finite order, as
 in every family but 1.2) the table is flattened once (_flat_table) and r
 looks up lambda_x and lambda_-y by cell, x's cell being (x1 mod n_phi,
 x2 mod n_psi), then writes out both matrix-vector products; for the

@@ -51,15 +51,31 @@ package; nothing in the package imports them.
     exact regeneration (_member_params) that row_membership uses, so only
     the choice of candidates differs.  test_classification checks
     row_membership against it.
+  * enumerate_by_constructor is enumerate_unimodular as it was before
+    each matrix was made by tuple.__new__: the same index and sort, with
+    Mat2's own constructor called per matrix.  test_classification holds
+    the listing to it.
+  * rows_by_checks, spec_by_checks and spec_from_dict_by_checks are
+    Mat2.from_rows, BraceSpec's constructor and BraceSpec.from_dict as
+    they were before decoding was written as one pass: a key set, index
+    and length checks per row, and a determinant method call for each
+    matrix's check and another for its message.  test_brace holds the
+    decoder to them on JSON-shaped values, results and errors alike.
+  * lambda_map is the lambda of a valid pair read off brace._lambda_form,
+    on two integers: the map the ybe kernels replaced, which no command
+    calls.  test_brace checks it against lambda_of and the brace
+    identities, and test_ybe builds the per-form r's reference from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import gcd, isqrt
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from z2brace import IDENTITY, BraceSpec, Mat2, NotUnimodular, RowLabel, order_by_predicate
+from z2brace.brace import _lambda_form, _LambdaTable
 from z2brace.classification import _member_params
 from z2brace.gl2z import _no_concatenation, _undefined
 
@@ -296,3 +312,82 @@ def block_membership(spec: BraceSpec) -> set[RowLabel]:
         for label in RowLabel
         if ROW_BLOCKS[label] == block and _member_params(label, phi, psi) is not None
     }
+
+
+def enumerate_by_constructor(bound: int) -> Iterator[Mat2]:
+    """enumerate_unimodular with Mat2's constructor called per matrix:
+    the (a12, a21) pairs indexed by their product, each a11 group looked
+    up and sorted.  bound must be a positive integer."""
+    rng = range(-bound, bound + 1)
+    by_product: dict[int, list[tuple[int, int]]] = {}
+    for a12, a21 in product(rng, rng):
+        by_product.setdefault(a12 * a21, []).append((a12, a21))
+    for a11 in rng:
+        group = sorted(
+            (a12, a21, a22)
+            for a22 in rng
+            for det in (1, -1)
+            for a12, a21 in by_product.get(a11 * a22 - det, ())
+        )
+        for a12, a21, a22 in group:
+            yield Mat2(a11, a12, a21, a22)
+
+
+def rows_by_checks(rows: object) -> Mat2:
+    """Mat2 from the JSON form [[a11, a12], [a21, a22]]: the pair and
+    each row a list or tuple of length 2, each entry a plain int."""
+    if (
+        isinstance(rows, (list, tuple)) and len(rows) == 2
+        and isinstance(rows[0], (list, tuple)) and len(rows[0]) == 2
+        and isinstance(rows[1], (list, tuple)) and len(rows[1]) == 2
+    ):
+        (a11, a12), (a21, a22) = rows
+        if type(a11) is int and type(a12) is int and type(a21) is int and type(a22) is int:
+            return Mat2(a11, a12, a21, a22)
+        raise ValueError(f"matrix entries must be integers, got {rows!r}")
+    raise ValueError(f"expected a 2x2 nested list, got {rows!r}")
+
+
+def spec_by_checks(phi: Mat2, psi: Mat2) -> BraceSpec:
+    """The pair, once both matrices are unimodular, phi checked first."""
+    for name, m in (("phi", phi), ("psi", psi)):
+        if not m.is_unimodular():
+            raise NotUnimodular(f"{name} = {m} has determinant {m.det()}")
+    return tuple.__new__(BraceSpec, (phi, psi))
+
+
+def spec_from_dict_by_checks(data: object) -> BraceSpec:
+    """The pair from the JSON form {"phi": [[..]], "psi": [[..]]}."""
+    if not isinstance(data, dict) or set(data) != {"phi", "psi"}:
+        raise ValueError(
+            f'expected an object with exactly the keys "phi" and "psi", got {data!r}'
+        )
+    return spec_by_checks(rows_by_checks(data["phi"]), rows_by_checks(data["psi"]))
+
+
+def lambda_map(spec: BraceSpec) -> Callable[[int, int], tuple[int, int, int, int]]:
+    """The lambda of a valid pair: (x1, x2) -> entries (a11, a12, a21, a22)
+    of phi^x1 * psi^x2.  Raises InvalidSpec unless the pair is valid,
+    deciding as check_pair does, through _lambda_form: before any power is
+    taken if a generator is hyperbolic, then unless the pair commutes and
+    the four identities hold.
+
+    The map is read off lambda's closed form, built here once from one
+    power map per generator: if both shapes (Mat2._shape) have degree 0,
+    with periods n_phi and n_psi, each evaluation is a lookup at
+    (x1 mod n_phi, x2 mod n_psi) in a table of the at most 9 values;
+    otherwise it is E + x1 (phi - E) + x2 (psi - E).  No evaluation forms
+    a matrix product (brace's module docstring says why these are the
+    only two forms).
+    """
+    form = _lambda_form(spec)
+    if isinstance(form, _LambdaTable):
+        rows, n_phi, n_psi = form
+        return lambda x1, x2: rows[x1 % n_phi][x2 % n_psi]
+    (a11, a12, a21, a22), (b11, b12, b21, b22) = form
+    return lambda x1, x2: (
+        1 + x1 * a11 + x2 * b11,
+        x1 * a12 + x2 * b12,
+        x1 * a21 + x2 * b21,
+        1 + x1 * a22 + x2 * b22,
+    )

@@ -7,7 +7,7 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     ALL_FIXTURE_SPECS,
@@ -27,10 +27,12 @@ from oracles import (
     h_lambda_closed,
     hol_mul,
     in_lambda_kernel,
+    lambda_map,
     lambda_of,
     odot,
     odot_associative,
     odot_inverse,
+    spec_from_dict_by_checks,
 )
 from z2brace import (
     BraceSpec,
@@ -45,7 +47,6 @@ from z2brace import (
     commutes,
     enumerate_unimodular,
     generate_row,
-    lambda_map,
     order_by_iteration,
     r_map,
 )
@@ -126,6 +127,91 @@ class TestBraceSpec:
             f'expected an object with exactly the keys "phi" and "psi", got {data!r}'
         )
 
+
+#: A 4,000-digit integer, below Python's 4,300-digit limit on int to str.
+HUGE = 10**3999 + 7
+
+#: Matrix entries as JSON may carry them: small and 4,000-digit integers,
+#: bools, floats, strings and null.
+json_entries = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from((HUGE, -HUGE, HUGE + 1)),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=2),
+    st.none(),
+)
+
+#: Values in the matrix slot: unimodular and non-unimodular 2x2s of small
+#: and 4,000-digit entries, rows and pairs of wrong lengths, lists and
+#: tuples, and scalars.
+json_matrices = st.one_of(
+    st.sampled_from([m.rows() for m in enumerate_unimodular(1)]),
+    st.sampled_from([[[HUGE, HUGE + 1], [HUGE - 1, HUGE]], [[HUGE, HUGE], [HUGE, HUGE]]]),
+    st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2), min_size=2, max_size=2),
+    st.lists(st.lists(json_entries, max_size=3), max_size=3),
+    st.tuples(st.tuples(json_entries, json_entries), st.lists(json_entries, min_size=2, max_size=2)),
+    json_entries,
+)
+
+#: Whole JSON values: objects with any of the keys phi, psi and a stray
+#: one, and values that are no object at all.
+json_specs = st.one_of(
+    st.dictionaries(st.sampled_from(["phi", "psi", "x"]), json_matrices),
+    st.fixed_dictionaries({"phi": json_matrices, "psi": json_matrices}),
+    json_matrices,
+)
+
+
+def decoded(decode, data):
+    # The spec with the types of its parts, or the error's type and text.
+    try:
+        spec = decode(data)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return spec, type(spec), [type(m) for m in spec]
+
+
+class TestSpecDecoding:
+    """BraceSpec.from_dict, Mat2.from_rows and BraceSpec's constructor in
+    one pass, against the bodies they replaced (oracles.*_by_checks)."""
+
+    @settings(max_examples=500)
+    @given(data=json_specs)
+    def test_same_spec_or_same_error(self, data):
+        assert decoded(BraceSpec.from_dict, data) == decoded(spec_from_dict_by_checks, data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"phi": [[1, 0], [0, 1]], "psi": [[2, 1], [-1, 0]]},
+            {"phi": [[HUGE, HUGE + 1], [HUGE - 1, HUGE]], "psi": [[1, 0], [0, 1]]},
+            {"phi": [[2, 0], [0, 2]], "psi": [[1, 0], [0, 1]]},
+            {"phi": [[1, 0], [0, 1]], "psi": [[1, 1], [1, 1]]},
+            {"phi": [[2, 0], [0, 2]], "psi": [[1, 0], [0]]},
+            {"phi": [[HUGE, HUGE], [HUGE, HUGE]], "psi": [[1, 0], [0, 1]]},
+            {"phi": [[1, 0], [0, 1]], "psi": [[HUGE, 0], [0, HUGE]]},
+            {"phi": [[True, 0], [0, 1]], "psi": [[1, 0], [0, 1]]},
+            {"phi": ((1, 0), [0, 1]), "psi": [(1, 0), (0, 1)]},
+            {"psi": [[1, 0], [0, 1]], "phi": [[1, 0], [0, 1]]},
+        ],
+    )
+    def test_same_spec_or_same_error_on_edges(self, data):
+        # Non-unimodular after a malformed psi, a bool entry, tuples, keys in
+        # the other order, and 4,000-digit entries whose determinant is too
+        # long to print, which both readings refuse alike.
+        assert decoded(BraceSpec.from_dict, data) == decoded(spec_from_dict_by_checks, data)
+
+    def test_subclasses_are_accepted(self):
+        class Rows(list):
+            pass
+
+        class Object(dict):
+            pass
+
+        data = Object(phi=Rows([Rows([2, 1]), (-1, 0)]), psi=((1, 0), (0, 1)))
+        assert BraceSpec.from_dict(data) == BraceSpec(Mat2(2, 1, -1, 0), IDENTITY)
+        assert decoded(BraceSpec.from_dict, data) == decoded(spec_from_dict_by_checks, data)
 
 class TestLambda:
     @given(a=vectors)
@@ -653,6 +739,21 @@ class TestNonCommutingPairs:
             valid=False, commuting=False, power_identities=(False, False, False, False)
         )
         assert check_pair(spec) == squared_check_pair(spec)
+
+    @pytest.mark.parametrize("bits", [14, 256, 13_288])
+    def test_two_hyperbolic_matrices_build_no_power_map(self, bits, monkeypatch):
+        # No identity of a pair of two hyperbolic matrices has k = l = 0, so
+        # on a non-commuting one the rule settles all four and check_pair
+        # builds no power map, at 4,000 digits (13,288 bits) too.
+        def no_power_map(m):
+            raise AssertionError(f"power map built for {m}")
+
+        monkeypatch.setattr(Mat2, "power_map", no_power_map)
+        m, n = hyperbolic_pair(bits)
+        for spec in (BraceSpec(m, n), BraceSpec(n, m)):
+            assert check_pair(spec) == Verdict(
+                valid=False, commuting=False, power_identities=(False, False, False, False)
+            )
 
     @given(phi=large_conjugates, psi=large_conjugates)
     def test_conjugates_with_64_bit_entries_match_the_entry_reading(self, phi, psi):

@@ -15,9 +15,10 @@ import signal
 import subprocess
 import sys
 import time
+from array import array
 from collections import Counter
 from contextlib import contextmanager
-from itertools import product
+from itertools import chain, islice, product
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,7 @@ from oracles import (
     block_membership,
     centralizer_finite,
     commutant_in_box,
+    enumerate_by_constructor,
     row12_parameters,
 )
 from z2brace import (
@@ -657,7 +659,31 @@ class TestFamilyRecords:
         }
 
 
+def listing_digest(listing) -> str:
+    # sha256 over the entries of each matrix in turn, as little-endian int64s.
+    hashed = hashlib.sha256()
+    while chunk := array("q", chain.from_iterable(islice(listing, 1 << 16))):
+        if sys.byteorder != "little":
+            chunk.byteswap()
+        hashed.update(chunk.tobytes())
+    return hashed.hexdigest()
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize("bound", range(1, 31))
+    def test_matches_the_constructor_listing(self, bound):
+        # tuple.__new__ makes the same matrices, of the same type, as
+        # Mat2's own constructor called per matrix.
+        listed = list(enumerate_unimodular(bound))
+        assert listed == list(enumerate_by_constructor(bound))
+        assert all(type(m) is Mat2 for m in listed)
+
+    def test_listing_bytes_pinned_at_bound_400(self):
+        # Recorded from enumerate_by_constructor: 3,115,368 matrices.
+        assert listing_digest(enumerate_unimodular(400)) == (
+            "01d28f8d1f0526c3cd3e41b42fc4c8c48c3f2aa4aa1d3e6b5cb5572b9ef31135"
+        )
+
     @pytest.mark.parametrize("bound", range(1, 16))
     def test_matches_triple_loop(self, bound):
         assert list(enumerate_unimodular(bound)) == list(triple_loop_unimodular(bound))
@@ -835,28 +861,48 @@ class TestExhaustiveSearch:
     def test_matches_all_commutant_scan_at_bound_12(self):
         assert exhaustive_search(12).to_dict() == self.all_commutant_report(12)
 
-    def test_pair_classes_follow_from_the_kernel_index(self):
+    @pytest.mark.parametrize("bound", range(1, 13))
+    def test_pair_classes_follow_from_the_kernel_index(self, bound):
         # A matrix is kept iff det(m - E) = 0, or m has finite order dividing
-        # the index |det(m - E)| of (m - E)Z^2, as the lemma requires.
-        box = list(enumerate_unimodular(4))
-        kept = 0
+        # the index |det(m - E)| of (m - E)Z^2, as the lemma requires: the
+        # (det, trace) rule of the one pass against the lemma's index rule.
+        box = list(enumerate_unimodular(bound))
+        allowed = []
         for m in box:
             index = abs(m.det() - m.trace() + 1)
             order = str(order_by_predicate(m))
-            allowed = index == 0 or (order != "inf" and index % int(order) == 0)
-            assert classification._in_pair_class(m) == allowed, m
-            kept += allowed
-        assert 0 < kept < len(box)
+            if index == 0 or (order != "inf" and index % int(order) == 0):
+                allowed.append(m)
+        classes = classification._pair_classes(bound)
+        assert classes.size == len(box)
+        assert classes.in_class == allowed
+        assert 0 < len(allowed) < len(box)
+
+    @pytest.mark.parametrize("bound", range(1, 13))
+    def test_pair_class_groups_are_the_det_trace_regroup(self, bound):
+        # The groups the pass files each in-class matrix into by its key are
+        # the in-class list regrouped by m.det(), m.trace(), in its order.
+        classes = classification._pair_classes(bound)
+        regrouped = {}
+        for m in classes.in_class:
+            regrouped.setdefault((m.det(), m.trace()), []).append(m)
+        assert classes.groups == regrouped
+        assert set(regrouped) == {(1, 2), (-1, 0), (1, -1), (1, -2)}
+        assert regrouped[1, -2] == [-IDENTITY]
+
+    @pytest.mark.parametrize("bound", range(1, 21))
+    def test_involutions_are_the_in_class_square_roots_of_e(self, bound):
+        # The involutions the pass collects by key (det -1, or +-E) are the
+        # in-class m with m m = E, as a product finds them, in list order.
+        classes = classification._pair_classes(bound)
+        assert classes.involutions == [m for m in classes.in_class if m * m == IDENTITY]
 
     @staticmethod
     def partner_rule(bound):
         # The in-class matrices of the box, and _search_partners over them.
-        in_class = [
-            m for m in enumerate_unimodular(bound) if classification._in_pair_class(m)
-        ]
-        involutions = [m for m in in_class if m * m == IDENTITY]
-        return in_class, lambda phi: classification._search_partners(
-            phi, bound, in_class, involutions
+        classes = classification._pair_classes(bound)
+        return classes.in_class, lambda phi: classification._search_partners(
+            phi, bound, classes.in_class, classes.involutions
         )
 
     def test_pairs_with_minus_identity_need_an_involution(self):
@@ -894,6 +940,7 @@ class TestExhaustiveSearch:
         # reflection.  The whole centralizer lies in the box, even at
         # bound 1, so the rule needs no box filter.
         in_class, partners = self.partner_rule(bound)
+        kept = set(in_class)
         seen = Counter()
         for phi in in_class:
             order = order_by_predicate(phi).n
@@ -905,8 +952,7 @@ class TestExhaustiveSearch:
             expected = [
                 m
                 for m in commutant
-                if classification._in_pair_class(m)
-                and (m != -IDENTITY or phi * phi == IDENTITY)
+                if m in kept and (m != -IDENTITY or phi * phi == IDENTITY)
             ]
             got = partners(phi)
             assert got == expected, phi
@@ -1088,9 +1134,7 @@ class TestExhaustiveSearch:
         # family member of the grid oracle has both matrices in class, and
         # the in-class matrices of the box are closed under conjugation by
         # the coordinate swap, which the psi-side families read.
-        in_class = {
-            m.entries() for m in enumerate_unimodular(bound) if classification._in_pair_class(m)
-        }
+        in_class = {m.entries() for m in classification._pair_classes(bound).in_class}
         for value, phi, psi in grid_row_instances(bound):
             assert phi in in_class and psi in in_class, (value, phi, psi)
         assert {(d, c, b, a) for a, b, c, d in in_class} == in_class

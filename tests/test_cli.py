@@ -481,7 +481,7 @@ class TestScalarBesideHyperbolicLargeEntries(LargeEntryVerdicts):
 
 
 def test_ybe_refuses_a_commuting_hyperbolic_pair_at_41_bits():
-    # phi = psi = [[a, a+1], [a-1, a]] with a = 2^40 + 7: lambda_map refuses
+    # phi = psi = [[a, a+1], [a-1, a]] with a = 2^40 + 7: _lambda_form refuses
     # the hyperbolic generator before check_pair would take its powers at
     # 41-bit exponents, so ybe exits 2 well inside run_process's timeout.
     m, _ = hyperbolic_pair(41)

@@ -25,7 +25,6 @@ PUBLIC = [
     "exhaustive_search",
     "generate_row",
     "generated_row_instances",
-    "lambda_map",
     "order_by_iteration",
     "order_by_predicate",
     "orders_crosscheck",
@@ -48,6 +47,7 @@ ORACLES = [
     "hol_mul",
     "in_lambda_kernel",
     "involutive_at",
+    "lambda_map",
     "lambda_of",
     "nondegenerate_at",
     "odot",

@@ -6,7 +6,7 @@ integers, built once per pair; definitional_r below recomputes r from the
 brace multiplication and its inverse, as an independent oracle for it.
 The braid, involutivity and non-degeneracy checks at one point are
 oracles.ybe_holds, involutive_at and nondegenerate_at, run on that r and
-on lambda_map.  sample_report writes those checks out inline, one kernel
+on oracles.lambda_map.  sample_report writes those checks out inline, one kernel
 per form of lambda; randint_sample_report below is the loop it replaced,
 and the tests hold the two to the same failures on any injected form.
 """
@@ -36,6 +36,7 @@ from oracles import (
     Vec2,
     act,
     involutive_at,
+    lambda_map,
     lambda_of,
     nondegenerate_at,
     odot,
@@ -52,7 +53,6 @@ from z2brace import (
     check_pair,
     commutes,
     enumerate_unimodular,
-    lambda_map,
     r_map,
     sample_report,
 )
@@ -178,8 +178,8 @@ class TestRMap:
 
 
 class TestInvalidSpec:
-    """lambda_map decides validity, and every solution built from it
-    refuses an invalid pair."""
+    """_lambda_form decides validity, and the oracle lambda_map and every
+    solution built from the form refuse an invalid pair."""
 
     def test_one_class_in_both_layers(self):
         assert ybe.InvalidSpec is brace.InvalidSpec is InvalidSpec
