@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .gl2z import Mat2, NotUnimodular, commutes
+from .gl2z import Mat2, NotUnimodular, _has_determinant, commutes
 
 __all__ = ["BraceSpec", "Verdict", "check_pair"]
 
@@ -86,11 +86,11 @@ class BraceSpec(_BraceSpecFields):
         a11, a12, a21, a22 = phi
         det = a11 * a22 - a12 * a21
         if det != 1 and det != -1:
-            raise NotUnimodular(f"phi = {phi} has determinant {det}")
+            raise NotUnimodular(f"phi = {_has_determinant(phi, det)}")
         a11, a12, a21, a22 = psi
         det = a11 * a22 - a12 * a21
         if det != 1 and det != -1:
-            raise NotUnimodular(f"psi = {psi} has determinant {det}")
+            raise NotUnimodular(f"psi = {_has_determinant(psi, det)}")
         return tuple.__new__(cls, (phi, psi))
 
     # _replace builds through _make, which would skip the check above.

@@ -15,8 +15,10 @@ block 3 = (-1, 1), block 4 = (-1, -1).  This module provides
     whose constructor fixes other (det, trace) values can never
     regenerate the pair,
   * a duplicate-free lexicographic enumeration of unimodular matrices
-    with bounded entries, in time proportional to their number, each
-    Mat2 made by tuple.__new__ (enumerate_unimodular),
+    with bounded entries, streamed with no index in O(bound) memory and
+    in time proportional to their number, each (a11, a12) solving its
+    own a21 and a22 and each Mat2 made by tuple.__new__
+    (enumerate_unimodular),
   * one pass over that listing (_pair_classes) that reads each matrix's
     (det, trace) once off its entries and with that key decides whether
     a valid pair can use it, files it into its (det, trace) group and
@@ -26,11 +28,12 @@ block 3 = (-1, 1), block 4 = (-1, -1).  This module provides
     family instance that fits in the box must be valid; the instances are
     the parameters each family's record reads off the pass's groups,
     rebuilt by its constructor on entry 4-tuples
-    (generated_row_instances wraps them in BraceSpecs), and that one
-    member list serves both directions: the forward labels of each valid
-    pair are read off it by a join on entry tuples, which a pair of Mat2s
-    already is, and the members the forward scan already found valid are
-    not checked again,
+    (generated_row_instances lists them with their labels in BraceSpecs),
+    and one dict from each member pair to the positions of its families
+    serves both directions: each valid pair the forward scan finds is
+    popped from it on its entry tuples, which a pair of Mat2s already is,
+    and counted under its families, and only the members left are
+    checked,
   * an order-classification cross-check over the same box
     (orders_crosscheck).
 
@@ -76,7 +79,6 @@ outside its family's signature.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from enum import Enum
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
@@ -491,6 +493,9 @@ def _signature_labels(families: Iterable[_Family]) -> dict[_PairSignature, tuple
 #: ((det phi, tr phi), (det psi, tr psi)), from the family records.
 _SIGNATURE_LABELS = _signature_labels(_FAMILIES.values())
 
+#: The labels by their position in _FAMILIES.
+_LABELS = tuple(_FAMILIES)
+
 
 def row_membership(spec: BraceSpec) -> set[RowLabel]:
     """Every family that has the pair among its members.
@@ -523,12 +528,17 @@ def _require_integer_bound(bound: int) -> None:
 def enumerate_unimodular(bound: int) -> Iterator[Mat2]:
     """All matrices with entries in [-bound, bound] and determinant +-1.
 
-    Lexicographic in (a11, a12, a21, a22), each matrix exactly once.  The
-    (a12, a21) pairs of the box are indexed by their product once; then for
-    each (a11, a22) and determinant d the pairs with a12 a21 = a11 a22 - d
-    are looked up, and each a11 group is sorted.  Every lookup hit is a
-    matrix of the box, so the cost is O(|U_B| log |U_B|) for the |U_B|
-    matrices listed, plus O(bound^2) for the index.  Each Mat2 is made by
+    Lexicographic in (a11, a12, a21, a22), each matrix exactly once, with
+    no index: each (a11, a12) solves its own a21 and a22.  For a11 = 0 the
+    determinant -a12 a21 is +-1 exactly when a12 and a21 are +-1, and a22
+    is free.  For a11 != 0 and determinant d, a12 a21 + d = a11 a22 forces
+    a12 a21 = -d (mod |a11|), so an a12 that is not a unit mod |a11| has
+    no matrix, and for a unit the a21 of each d form one progression of
+    step |a11|, read from a12's inverse.  The walk keeps to the a21 of the
+    box whose a22 = (a12 a21 + d) / a11 is in the box too, so each step is
+    a matrix listed; the few hits of each a12 are sorted by (a21, a22).
+    The cost is O(|U_B| + bound^2) for the |U_B| matrices listed, and the
+    memory O(bound), one a12's hits at a time.  Each Mat2 is made by
     tuple.__new__ from its entry tuple, as Mat2's own constructor makes
     it, without a Python-level call per matrix.  bound must be a positive
     plain integer (bools are rejected).
@@ -536,27 +546,41 @@ def enumerate_unimodular(bound: int) -> Iterator[Mat2]:
     _require_integer_bound(bound)
     if bound < 1:
         raise ValueError("bound must be positive")
-    new = tuple.__new__
+    new, gcd = tuple.__new__, math.gcd
     rng = range(-bound, bound + 1)
-    by_product: dict[int, list[tuple[int, int]]] = {}
-    for a12, a21 in product(rng, rng):
-        by_product.setdefault(a12 * a21, []).append((a12, a21))
     for a11 in rng:
-        group = sorted(
-            (a12, a21, a22)
-            for a22 in rng
-            for det in (1, -1)
-            for a12, a21 in by_product.get(a11 * a22 - det, ())
-        )
-        for a12, a21, a22 in group:
-            yield new(Mat2, (a11, a12, a21, a22))
+        if not a11:
+            for a12, a21 in product((-1, 1), repeat=2):
+                for a22 in rng:
+                    yield new(Mat2, (0, a12, a21, a22))
+            continue
+        step = abs(a11)
+        # |a12 a21 + d| = |a11 a22| <= top keeps a22 in the box.
+        top = bound * step
+        for a12 in rng:
+            if gcd(a12, step) != 1:
+                continue
+            inverse = pow(a12, -1, step)
+            size = abs(a12)
+            hits = []
+            for d in (1, -1):
+                # The a21 of the box with a12 a21 = -d (mod step) and
+                # |a12 a21 + d| <= top, from the lowest up.
+                low, high = -bound, bound
+                if size:
+                    e = d if a12 > 0 else -d
+                    low, high = max(low, -((top + e) // size)), min(high, (top - e) // size)
+                start = low + (-d * inverse - low) % step
+                hits += [(a21, (a12 * a21 + d) // a11) for a21 in range(start, high + 1, step)]
+            hits.sort()
+            for a21, a22 in hits:
+                yield new(Mat2, (a11, a12, a21, a22))
 
 
-def _row_instances(
-    bound: int, groups: _Groups
-) -> list[tuple[RowLabel, tuple[_Entries, _Entries]]]:
-    """Every family member whose entries all fit in [-bound, bound], as
-    (label, (phi entries, psi entries)).
+def _row_instances(bound: int, groups: _Groups) -> dict[tuple[_Entries, _Entries], list[int]]:
+    """Every family member whose entries all fit in [-bound, bound], as a
+    dict from its pair (phi entries, psi entries) to the positions in
+    _FAMILIES of its families.
 
     groups holds the in-class matrices of the box by (det, trace), as
     the one pass of _pair_classes files them.  Each family's record names
@@ -566,11 +590,11 @@ def _row_instances(
     in the group of its M's (det, trace).  Every candidate is built by the
     raw family constructor on entry tuples, not by generate_row, so
     validity is left to the caller and a wrong constructor shows up as an
-    invalid instance.  Deduplicated per (label, pair) and sorted
-    lexicographically, so the result is independent of the order each
-    group comes in.
+    invalid instance.  A pair's positions are ints in label order, each
+    family once however many of its candidates build the pair; the dict
+    itself is in no particular order.
 
-    The list is complete.  The M of every table family has (det, trace)
+    The dict is complete.  The M of every table family has (det, trace)
     (1, -1) or (-1, 0), so it is in class, and its partner (E, -E, -M, M
     or M^-1) has M's |entries|; so an in-box member has its M in the box
     and in its group, which is closed under the coordinate swap that a
@@ -578,40 +602,53 @@ def _row_instances(
     returns the parameters that generate it; so every in-box table member
     is rebuilt from groups, and 1.1 and 1.2 list theirs outright.
     """
-    found = []
+    found: dict[tuple[_Entries, _Entries], list[int]] = {}
     # _FAMILIES lists the families in the order of their dotted labels.
-    for label, family in _FAMILIES.items():
-        members = set()
+    for position, family in enumerate(_FAMILIES.values()):
         for params in family.candidates(bound, groups):
             try:
                 pair = family.build(*params)
             except BadParams:
                 continue
             if max(map(abs, pair[0] + pair[1])) <= bound:
-                members.add(pair)
-        found += [(label, pair) for pair in sorted(members)]
+                positions = found.get(pair)
+                if positions is None:
+                    found[pair] = [position]
+                elif positions[-1] != position:
+                    positions.append(position)
     return found
+
+
+def _labelled(
+    members: Iterable[tuple[tuple[_Entries, _Entries], list[int]]],
+) -> list[tuple[RowLabel, BraceSpec]]:
+    """(label, spec) for each family position of each member pair, sorted
+    by (position, pair): families in label order, each family's pairs
+    lexicographically."""
+    return [
+        (_LABELS[position], BraceSpec(Mat2(*phi), Mat2(*psi)))
+        for position, (phi, psi) in sorted(
+            (position, pair) for pair, positions in members for position in positions
+        )
+    ]
 
 
 def generated_row_instances(bound: int) -> list[tuple[RowLabel, BraceSpec]]:
     """Every family member whose entries all fit in [-bound, bound].
 
-    Deduplicated per (label, pair) and sorted lexicographically.  The
-    members are read off the box's in-class matrices, grouped by
-    (det, trace) in the one pass of _pair_classes, by each family's
-    parameter recovery and built by the raw family constructors
-    (_row_instances), so validity is left to the caller.  The list is
-    complete, so a pair's labels here are exactly row_membership of the
-    pair.  An empty box (bound < 1) holds no member; a bound that is not
-    a plain integer is a ValueError.
+    Deduplicated per (label, pair) and sorted by label, then
+    lexicographically by pair.  The members are read off the box's
+    in-class matrices, grouped by (det, trace) in the one pass of
+    _pair_classes, by each family's parameter recovery and built by the
+    raw family constructors (_row_instances), so validity is left to the
+    caller.  The list is complete, so a pair's labels here are exactly
+    row_membership of the pair.  An empty box (bound < 1) holds no
+    member; a bound that is not a plain integer is a ValueError.
     """
     _require_integer_bound(bound)
     if bound < 1:
         return []
-    return [
-        (label, BraceSpec(Mat2(*phi), Mat2(*psi)))
-        for label, (phi, psi) in _row_instances(bound, _pair_classes(bound).groups)
-    ]
+    return _labelled(_row_instances(bound, _pair_classes(bound).groups).items())
 
 
 class SearchReport(NamedTuple):
@@ -784,24 +821,29 @@ def exhaustive_search(bound: int) -> SearchReport:
     which reads the four exponents in place off the two entry tuples and
     compares the powers from the two cached maps, with no commutation test
     (every partner commutes with phi); it stops at the pair's first false
-    identity.  The member list holds the constructors' plain entry-tuple
+    identity.  The members are keyed by the constructors' plain entry-tuple
     pairs, which equal and hash as the Mat2 pairs they join with.  A
     BraceSpec is built only for a pair the report lists (and for a member
     the forward scan did not find valid, which check_pair then decides).
 
-    Both directions read one list, _row_instances(bound, groups): every
-    in-box family member with its label, read off the pass's (det, trace)
-    groups by each table family's recoverer and rebuilt by its
-    constructor, so the box is listed once (the public
-    generated_row_instances lists it again).  Forward, a valid pair
-    takes the labels it has in that list, a join that equals row_membership
-    because the list is complete; a valid pair the list lacks is unmatched,
-    so a member missing from it fails the search loudly.  The reverse
-    direction reuses the forward verdicts: the decision is pure and the
-    forward scan visits every pair that can be valid, so a family member it
-    found valid is not checked again.  Every other member gets check_pair,
-    and an invalid one is reported in invalid_row_instances.
-    enumerate_unimodular rejects a bound that is not a positive integer.
+    Both directions read one dict, _row_instances(bound, groups): every
+    in-box family member, mapped to the positions of its families, read
+    off the pass's (det, trace) groups by each table family's recoverer
+    and rebuilt by its constructor, so the box is listed once (the public
+    generated_row_instances lists it again).  The join pops each valid
+    pair the forward scan found from that dict, so each member pair is
+    hashed once there.  The pop relies on found holding no pair twice:
+    in_class lists each matrix once and _search_partners each partner of
+    phi once.  A hit adds one to the count of each of its families, a
+    join that equals row_membership because the dict is complete; a miss
+    is unmatched, so a member missing from the dict fails the search
+    loudly.  The reverse direction reuses the forward verdicts: the
+    decision is pure and the forward scan visits every pair that can be
+    valid, so a popped member is not checked again.  Each pair left gets
+    check_pair once, and an invalid one is reported in
+    invalid_row_instances once per family, sorted by label and then by
+    pair.  enumerate_unimodular rejects a bound that is not a positive
+    integer.
     """
     box_size, in_class, groups, involutions = _pair_classes(bound)
     # One power map per in-class matrix.  _identities_hold takes no
@@ -814,23 +856,28 @@ def exhaustive_search(bound: int) -> SearchReport:
         for psi in _search_partners(phi, bound, in_class, involutions):
             if _identities_hold(phi, psi, phi_power, power[psi]):
                 found.append((phi, psi))
-    valid = set(found)
     members = _row_instances(bound, groups)
-    listed = {pair for _, pair in members}
-    invalid_instances = []
-    for label, (p, q) in members:
-        if (p, q) not in valid:
-            spec = BraceSpec(Mat2(*p), Mat2(*q))
-            if not check_pair(spec).valid:
-                invalid_instances.append((label, spec))
-
+    counts = [0] * len(_LABELS)
+    unmatched = []
+    for pair in found:
+        positions = members.pop(pair, None)
+        if positions is None:
+            unmatched.append(BraceSpec(*pair))
+        else:
+            for position in positions:
+                counts[position] += 1
+    invalid = [
+        (pair, positions)
+        for pair, positions in members.items()
+        if not check_pair(BraceSpec(Mat2(*pair[0]), Mat2(*pair[1]))).valid
+    ]
     return SearchReport(
         bound=bound,
         candidates_examined=box_size**2,
-        valid_pairs=len(valid),
-        unmatched_valid=[BraceSpec(p, q) for p, q in found if (p, q) not in listed],
-        invalid_row_instances=invalid_instances,
-        row_histogram=dict(Counter(label for label, pair in members if pair in valid)),
+        valid_pairs=len(found),
+        unmatched_valid=unmatched,
+        invalid_row_instances=_labelled(invalid),
+        row_histogram={_LABELS[i]: count for i, count in enumerate(counts) if count},
     )
 
 

@@ -41,6 +41,22 @@ class NotUnimodular(ValueError):
     """The operation needs determinant +1 or -1."""
 
 
+def _decimal(n: int) -> str:
+    # n in decimal, or its bit length where n passes the digits Python
+    # converts between int and str (sys.get_int_max_str_digits).
+    try:
+        return str(n)
+    except ValueError:
+        return f"<{n.bit_length()}-bit integer>"
+
+
+def _has_determinant(m: tuple[int, int, int, int], det: int) -> str:
+    """"<m> has determinant <det>" for a NotUnimodular message, with a
+    number too long to print given by its bit length."""
+    a11, a12, a21, a22 = map(_decimal, m)
+    return f"[[{a11},{a12}],[{a21},{a22}]] has determinant {_decimal(det)}"
+
+
 #: (det, trace) -> (period, degree): on each residue class of k mod period
 #: the entries of M^k are polynomials in k of that degree.  The parabolic
 #: keys also hold +-E, which Mat2._shape gives degree 0.
@@ -143,7 +159,7 @@ class Mat2(NamedTuple):
             return Mat2(a22, -a12, -a21, a11)
         if d == -1:
             return Mat2(-a22, a12, a21, -a11)
-        raise NotUnimodular(f"{self} has determinant {d}, no integer inverse")
+        raise NotUnimodular(f"{_has_determinant(self, d)}, no integer inverse")
 
     def __mul__(self, other: "Mat2") -> "Mat2":
         if not isinstance(other, Mat2):
@@ -277,7 +293,7 @@ def order_by_predicate(a: Mat2) -> MatOrder:
     reads the same shape.
     """
     if not a.is_unimodular():
-        raise NotUnimodular(f"{a} has determinant {a.det()}")
+        raise NotUnimodular(_has_determinant(a, a.det()))
     shape = a._shape()
     return MatOrder(shape[0] if shape is not None and not shape[1] else None)
 
@@ -293,7 +309,7 @@ def order_by_iteration(a: Mat2) -> MatOrder:
     other.
     """
     if not a.is_unimodular():
-        raise NotUnimodular(f"{a} has determinant {a.det()}")
+        raise NotUnimodular(_has_determinant(a, a.det()))
     power = a
     for n in range(1, _ITERATION_CUTOFF + 1):
         if power == IDENTITY:

@@ -52,9 +52,10 @@ package; nothing in the package imports them.
     the choice of candidates differs.  test_classification checks
     row_membership against it.
   * enumerate_by_constructor is enumerate_unimodular as it was before
-    each matrix was made by tuple.__new__: the same index and sort, with
-    Mat2's own constructor called per matrix.  test_classification holds
-    the listing to it.
+    the listing was streamed and each matrix made by tuple.__new__: the
+    (a12, a21) pairs of the box indexed by their product, each a11 group
+    looked up and sorted, with Mat2's own constructor called per matrix.
+    test_classification holds the listing to it.
   * rows_by_checks, spec_by_checks and spec_from_dict_by_checks are
     Mat2.from_rows, BraceSpec's constructor and BraceSpec.from_dict as
     they were before decoding was written as one pass: a key set, index
@@ -69,6 +70,7 @@ package; nothing in the package imports them.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import product
 from math import gcd, isqrt
@@ -315,9 +317,9 @@ def block_membership(spec: BraceSpec) -> set[RowLabel]:
 
 
 def enumerate_by_constructor(bound: int) -> Iterator[Mat2]:
-    """enumerate_unimodular with Mat2's constructor called per matrix:
-    the (a12, a21) pairs indexed by their product, each a11 group looked
-    up and sorted.  bound must be a positive integer."""
+    """The box listing by an index: the (a12, a21) pairs indexed by their
+    product, each a11 group looked up and sorted, with Mat2's constructor
+    called per matrix.  bound must be a positive integer."""
     rng = range(-bound, bound + 1)
     by_product: dict[int, list[tuple[int, int]]] = {}
     for a12, a21 in product(rng, rng):
@@ -349,10 +351,14 @@ def rows_by_checks(rows: object) -> Mat2:
 
 
 def spec_by_checks(phi: Mat2, psi: Mat2) -> BraceSpec:
-    """The pair, once both matrices are unimodular, phi checked first."""
+    """The pair, once both matrices are unimodular, phi checked first.  A
+    determinant past the digits Python prints is given by its bit length."""
     for name, m in (("phi", phi), ("psi", psi)):
         if not m.is_unimodular():
-            raise NotUnimodular(f"{name} = {m} has determinant {m.det()}")
+            # Python before 3.10.7 has no limit on int to str.
+            det, limit = m.det(), getattr(sys, "get_int_max_str_digits", int)()
+            shown = f"<{det.bit_length()}-bit integer>" if limit and abs(det) >= 10**limit else det
+            raise NotUnimodular(f"{name} = {m} has determinant {shown}")
     return tuple.__new__(BraceSpec, (phi, psi))
 
 

@@ -670,10 +670,11 @@ def listing_digest(listing) -> str:
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("bound", range(1, 31))
+    @pytest.mark.parametrize("bound", range(1, 61))
     def test_matches_the_constructor_listing(self, bound):
-        # tuple.__new__ makes the same matrices, of the same type, as
-        # Mat2's own constructor called per matrix.
+        # The streamed listing makes the same matrices, in the same order
+        # and of the same type, as the product index with Mat2's own
+        # constructor called per matrix.
         listed = list(enumerate_unimodular(bound))
         assert listed == list(enumerate_by_constructor(bound))
         assert all(type(m) is Mat2 for m in listed)
@@ -683,6 +684,39 @@ class TestEnumeration:
         assert listing_digest(enumerate_unimodular(400)) == (
             "01d28f8d1f0526c3cd3e41b42fc4c8c48c3f2aa4aa1d3e6b5cb5572b9ef31135"
         )
+
+    def test_listing_bound_400_streams_in_small_memory(self):
+        # Listing U_400 in a fresh interpreter holds one a12's hits at a
+        # time: a peak RSS of about 16 MiB, where the (a12, a21) product
+        # index took about 73 MiB.  On Linux ru_maxrss also counts the
+        # forked copy of this test process before the exec, so the child
+        # reads its own peak, VmHWM, where /proc has it.  ru_maxrss is in
+        # KiB on Linux and in bytes on macOS.
+        script = "\n".join((
+            "import pathlib, resource, sys",
+            "from z2brace import enumerate_unimodular",
+            "count = sum(1 for _ in enumerate_unimodular(400))",
+            "status = pathlib.Path('/proc/self/status')",
+            "if status.exists():",
+            "    (line,) = [l for l in status.read_text().splitlines() if l.startswith('VmHWM:')]",
+            "    peak = int(line.split()[1])",
+            "else:",
+            "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
+            "    peak //= 1024 if sys.platform == 'darwin' else 1",
+            "print(count, peak)",
+        ))
+        src = Path(classification.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        count, peak_kib = map(int, proc.stdout.split())
+        assert count == 3115368
+        assert peak_kib < 40 * 1024
 
     @pytest.mark.parametrize("bound", range(1, 16))
     def test_matches_triple_loop(self, bound):
@@ -1015,6 +1049,31 @@ class TestExhaustiveSearch:
         assert main(["search", "--bound", "1"]) == 1
         assert capsys.readouterr().err == ""
 
+    def test_invalid_member_of_two_families_is_checked_once(self, monkeypatch):
+        # One invalid pair built under both 1.1 and 1.2 is one key of the
+        # member dict: check_pair decides it once, and the report lists it
+        # once per family, in label order.
+        shear = BraceSpec(Mat2(1, 1, 0, 1), IDENTITY)
+        for label in (RowLabel.R1_2, RowLabel.R1_1):
+            monkeypatch.setattr(
+                classification._FAMILIES[label],
+                "build",
+                lambda *params: (shear.phi.entries(), shear.psi.entries()),
+            )
+        checked = []
+
+        def counting_check_pair(spec):
+            checked.append(spec)
+            return check_pair(spec)
+
+        monkeypatch.setattr(classification, "check_pair", counting_check_pair)
+        report = exhaustive_search(1)
+        assert report.invalid_row_instances == [
+            (RowLabel.R1_1, shear), (RowLabel.R1_2, shear)
+        ]
+        assert checked == [shear]
+        assert not report.confirms_classification
+
     @pytest.mark.parametrize(
         "bound, valid_pairs", [(6, 354), (10, 650), (20, 1554)]
     )
@@ -1097,10 +1156,12 @@ class TestExhaustiveSearch:
         assert (RowLabel.R1_2, dropped) in full
         histogram = exhaustive_search(4).row_histogram
         row_instances = classification._row_instances
-        dropped_entries = (RowLabel.R1_2, (dropped.phi.entries(), dropped.psi.entries()))
+        dropped_entries = (dropped.phi.entries(), dropped.psi.entries())
 
-        def without_member(bound, in_class):
-            return [item for item in row_instances(bound, in_class) if item != dropped_entries]
+        def without_member(bound, groups):
+            members = row_instances(bound, groups)
+            assert members.pop(dropped_entries) == [list(RowLabel).index(RowLabel.R1_2)]
+            return members
 
         monkeypatch.setattr(classification, "_row_instances", without_member)
         report = exhaustive_search(4)

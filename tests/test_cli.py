@@ -551,6 +551,20 @@ def test_integer_past_the_digit_limit_exits_two(capsys, tmp_path):
     assert not path.exists()
 
 
+def test_determinant_past_the_digit_limit_names_the_matrix(capsys):
+    # a = 10^2200 prints, but det phi = a^2 has 4,401 digits, past int's
+    # 4,300-digit string limit: the message names phi and gives the
+    # determinant's bit length instead.
+    a = 10**2200
+    spec = json.dumps({"phi": [[a, 0], [0, a]], "psi": [[1, 0], [0, 1]]})
+    code, out, err = run(capsys, "check", spec)
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: phi = [[{a},0],[0,{a}]] has determinant "
+        f"<{(a * a).bit_length()}-bit integer>\n"
+    )
+
+
 def test_parser_is_shared_across_calls(capsys):
     # main() parses every call with one parser built at import; no option
     # value or error may carry over from one call to the next.
