@@ -21,15 +21,13 @@ block 3 = (-1, 1), block 4 = (-1, -1).  This module provides
     (enumerate_unimodular),
   * one pass over that listing (_pair_classes) that reads each matrix's
     (det, trace) once off its entries and with that key decides whether
-    a valid pair can use it, files it into its (det, trace) group and
-    collects the in-class involutions,
+    a valid pair can use it and files it into its (det, trace) group,
   * a bidirectional exhaustive cross-validation (exhaustive_search):
     every valid pair in the bounded box must match a family, and every
     family instance that fits in the box must be valid; the instances are
     the parameters each family's record reads off the pass's groups,
-    rebuilt by its constructor on entry 4-tuples
-    (generated_row_instances lists them with their labels in BraceSpecs),
-    and one dict from each member pair to the positions of its families
+    rebuilt by its constructor on entry 4-tuples (_row_instances), and
+    one dict from each member pair to the positions of its families
     serves both directions: each valid pair the forward scan finds is
     popped from it on its entry tuples, which a pair of Mat2s already is,
     and counted under its families, and only the members left are
@@ -102,7 +100,6 @@ __all__ = [
     "enumerate_unimodular",
     "exhaustive_search",
     "generate_row",
-    "generated_row_instances",
     "orders_crosscheck",
     "row_label",
     "row_membership",
@@ -520,11 +517,6 @@ def row_membership(spec: BraceSpec) -> set[RowLabel]:
     }
 
 
-def _require_integer_bound(bound: int) -> None:
-    if type(bound) is not int:
-        raise ValueError(f"bound must be an integer, got {bound!r}")
-
-
 def enumerate_unimodular(bound: int) -> Iterator[Mat2]:
     """All matrices with entries in [-bound, bound] and determinant +-1.
 
@@ -543,7 +535,8 @@ def enumerate_unimodular(bound: int) -> Iterator[Mat2]:
     it, without a Python-level call per matrix.  bound must be a positive
     plain integer (bools are rejected).
     """
-    _require_integer_bound(bound)
+    if type(bound) is not int:
+        raise ValueError(f"bound must be an integer, got {bound!r}")
     if bound < 1:
         raise ValueError("bound must be positive")
     new, gcd = tuple.__new__, math.gcd
@@ -633,24 +626,6 @@ def _labelled(
     ]
 
 
-def generated_row_instances(bound: int) -> list[tuple[RowLabel, BraceSpec]]:
-    """Every family member whose entries all fit in [-bound, bound].
-
-    Deduplicated per (label, pair) and sorted by label, then
-    lexicographically by pair.  The members are read off the box's
-    in-class matrices, grouped by (det, trace) in the one pass of
-    _pair_classes, by each family's parameter recovery and built by the
-    raw family constructors (_row_instances), so validity is left to the
-    caller.  The list is complete, so a pair's labels here are exactly
-    row_membership of the pair.  An empty box (bound < 1) holds no
-    member; a bound that is not a plain integer is a ValueError.
-    """
-    _require_integer_bound(bound)
-    if bound < 1:
-        return []
-    return _labelled(_row_instances(bound, _pair_classes(bound).groups).items())
-
-
 class SearchReport(NamedTuple):
     """Outcome of the bidirectional exhaustive cross-validation.
 
@@ -692,7 +667,6 @@ class _Box(NamedTuple):
     size: int  # |U_B|, every matrix listed
     in_class: list[Mat2]  # the in-class matrices, in the listing's order
     groups: _Groups  # in_class by (det, trace)
-    involutions: list[Mat2]  # the m of in_class with m m = E, in order
 
 
 def _pair_classes(bound: int) -> _Box:
@@ -704,9 +678,7 @@ def _pair_classes(bound: int) -> _Box:
     of trace 2, (-1, 0) the reflections, (1, -1) order 3, and of (1, -2)
     only -E is kept; these are the shapes (Mat2._shape) (1, 0), (1, 1),
     (2, 0) and (3, 0).  The same key files the matrix into the groups that
-    _row_instances reads.  The in-class involutions are the reflections
-    and +-E: M^2 = tM - dE is E for (d, t) = (-1, 0), and it is 2M - E
-    for (1, 2) and -M - E for (1, -1), which is E only for M = E.
+    _row_instances reads.
 
     Lemma.  A valid pair commutes, so lambda is additive, and then
     lambda_(a*b) = lambda_a lambda_b with a*b = a + lambda_a(b) gives
@@ -725,28 +697,23 @@ def _pair_classes(bound: int) -> _Box:
     size = 0
     in_class: list[Mat2] = []
     groups: _Groups = {}
-    involutions: list[Mat2] = []
     for size, m in enumerate(enumerate_unimodular(bound), 1):
         a11, a12, a21, a22 = m
-        det = a11 * a22 - a12 * a21
-        key = (det, a11 + a22)
+        key = (a11 * a22 - a12 * a21, a11 + a22)
         if key in {(1, 2), (-1, 0), (1, -1)} or m == _NEG_IDENTITY:
             in_class.append(m)
             groups.setdefault(key, []).append(m)
-            if det == -1 or m == IDENTITY or m == _NEG_IDENTITY:
-                involutions.append(m)
-    return _Box(size, in_class, groups, involutions)
+    return _Box(size, in_class, groups)
 
 
-def _search_partners(
-    phi: Mat2, bound: int, in_class: list[Mat2], involutions: list[Mat2]
-) -> list[Mat2]:
+def _search_partners(phi: Mat2, bound: int, in_class: list[Mat2]) -> list[Mat2]:
     """The in-class psi of the box for which (phi, psi) can be valid.
 
-    phi lies in one of the five classes of _pair_classes; in_class lists
-    the in-class matrices of the box and involutions those m of them with
-    m m = E.  The result is sorted in the order of enumerate_unimodular,
-    and for a non-scalar phi it has at most four members, found in O(1).
+    phi lies in one of the five classes of _pair_classes, and in_class
+    lists the in-class matrices of the box.  The result is sorted in the
+    order of enumerate_unimodular, and for a non-scalar phi it has at most
+    four members, found in O(1).  Past +-E, phi's trace names its class:
+    2 parabolic, -1 order 3 and 0 a reflection.
 
     Lemma.  A valid pair commutes, and lambda_c = E for every column c of
     phi - E and of psi - E.
@@ -774,12 +741,16 @@ def _search_partners(
     if phi == IDENTITY:
         return in_class
     if phi == _NEG_IDENTITY:
-        return involutions
-    period, degree = phi._shape()
-    if degree:
+        # The in-class involutions, in order: M^2 = tM - dE is E for the
+        # reflections, (d, t) = (-1, 0), and it is 2M - E for (1, 2) and
+        # -M - E for (1, -1), which is E only for M = E; -E squares to E.
+        # So they are the m of det -1 and the diagonal ones, +-E.
+        return [m for m in in_class if m[0] * m[3] - m[1] * m[2] == -1 or not (m[1] or m[2])]
+    a11, a12, a21, a22 = phi
+    trace = a11 + a22
+    if trace == 2:
         # a holds the entries of A = phi - E, (c1, c2) its first column
         # with c2 != 0 if any.  c1 = 0 solves B = 0, psi = E.
-        a11, a12, a21, a22 = phi
         a = (a11 - 1, a12, a21, a22 - 1)
         c1, c2 = (a[0], a[2]) if a[2] else (a[1], a[3])
         if c2 and c1 and not any(c1 * e % c2 for e in a):
@@ -790,7 +761,7 @@ def _search_partners(
         return [IDENTITY]
     # -phi and phi^-1 = adj(phi) have the entries of phi up to sign and
     # place, so every finite-order partner already lies in the box.
-    if period == 3:
+    if trace == -1:
         return sorted((IDENTITY, phi, phi.inverse()))
     return sorted((IDENTITY, phi, _NEG_IDENTITY, -phi))
 
@@ -808,10 +779,10 @@ def exhaustive_search(bound: int) -> SearchReport:
     and a parabolic one only E and at most one parabolic psi.  The box is
     listed once, by the one pass of _pair_classes, which reads each
     matrix's (det, trace) once off its entries and with that key counts
-    it, keeps it if it is in class, files it into its (det, trace) group
-    and collects the involutions; candidates_examined still counts every
-    ordered pair of the box, |U_B|^2.  Unmatched pairs come out in the
-    lexicographic order of enumerate_unimodular.
+    it, keeps it if it is in class and files it into its (det, trace)
+    group; candidates_examined still counts every ordered pair of the box,
+    |U_B|^2.  Unmatched pairs come out in the lexicographic order of
+    enumerate_unimodular.
 
     The whole search works on the Mat2s the listing yields, each of which
     is its own entry tuple: the in-class list, the groups, the power-map
@@ -829,15 +800,14 @@ def exhaustive_search(bound: int) -> SearchReport:
     Both directions read one dict, _row_instances(bound, groups): every
     in-box family member, mapped to the positions of its families, read
     off the pass's (det, trace) groups by each table family's recoverer
-    and rebuilt by its constructor, so the box is listed once (the public
-    generated_row_instances lists it again).  The join pops each valid
-    pair the forward scan found from that dict, so each member pair is
-    hashed once there.  The pop relies on found holding no pair twice:
-    in_class lists each matrix once and _search_partners each partner of
-    phi once.  A hit adds one to the count of each of its families, a
-    join that equals row_membership because the dict is complete; a miss
-    is unmatched, so a member missing from the dict fails the search
-    loudly.  The reverse direction reuses the forward verdicts: the
+    and rebuilt by its constructor, so the box is listed once.  The join
+    pops each valid pair the forward scan found from that dict, so each
+    member pair is hashed once there.  The pop relies on found holding no
+    pair twice: in_class lists each matrix once and _search_partners each
+    partner of phi once.  A hit adds one to the count of each of its
+    families, a join that equals row_membership because the dict is
+    complete; a miss is unmatched, so a member missing from the dict fails
+    the search loudly.  The reverse direction reuses the forward verdicts: the
     decision is pure and the forward scan visits every pair that can be
     valid, so a popped member is not checked again.  Each pair left gets
     check_pair once, and an invalid one is reported in
@@ -845,7 +815,7 @@ def exhaustive_search(bound: int) -> SearchReport:
     pair.  enumerate_unimodular rejects a bound that is not a positive
     integer.
     """
-    box_size, in_class, groups, involutions = _pair_classes(bound)
+    box_size, in_class, groups = _pair_classes(bound)
     # One power map per in-class matrix.  _identities_hold takes no
     # hyperbolic rule: _pair_classes excludes every hyperbolic matrix, so
     # no search pair has one.
@@ -853,7 +823,7 @@ def exhaustive_search(bound: int) -> SearchReport:
     found: list[tuple[Mat2, Mat2]] = []
     for phi in in_class:
         phi_power = power[phi]
-        for psi in _search_partners(phi, bound, in_class, involutions):
+        for psi in _search_partners(phi, bound, in_class):
             if _identities_hold(phi, psi, phi_power, power[psi]):
                 found.append((phi, psi))
     members = _row_instances(bound, groups)

@@ -17,27 +17,23 @@ lambda_-y.  Both components are matrix-vector products with elements of
 GL2(Z), so r is non-degenerate on all of Z^2, not only on a sampled box;
 the non-degeneracy check is exactly that, det lambda_x = +-1 = det lambda_y.
 
-r_map(spec) returns that map for one pair: it builds lambda's closed form
-once (brace._lambda_form, which raises InvalidSpec on an invalid pair)
-and returns r on four integers, (x1, x2, y1, y2) -> the four
-coordinates of r(x, y).  lambda is read in place: for a table form (phi and psi both of finite order, as
-in every family but 1.2) the table is flattened once (_flat_table) and r
-looks up lambda_x and lambda_-y by cell, x's cell being (x1 mod n_phi,
-x2 mod n_psi), then writes out both matrix-vector products; for the
-affine form of 1.2, lambda_x = E + x1 a + x2 b, r is written out as
-(y + x1 a y + x2 b y, x - y1 a x - y2 b x).
-
-sample_report runs one sampling kernel per form, _sample_table or
-_sample_affine.  Each evaluates a sample's seven r's inline, with no
-function call and no tuple per evaluation: u = r(x, y), the first step of
-r12 r23 r12 and the argument of the involutivity check, is computed once,
-then two more for r12 r23 r12, three for r23 r12 r23, and r(u) for
-involutivity.  The table kernel reads lambda from the same flattened
-table as r_map's r, lambda_v and lambda_-w of r(v, w) in one lookup, and
-decides det lambda = +-1 once per cell, so a sample is degenerate iff the
-cell of x or of y is.  The affine kernel forms m_v = v1 a + v2 b once per
-point and takes det(E + m_x) and det(E + m_y) per sample, since an
-injected form of a non-commuting pair need not be unimodular.  The
+sample_report checks that map for one pair on seeded samples.  It builds
+lambda's closed form once (brace._lambda_form, which raises InvalidSpec on
+an invalid pair) and runs one sampling kernel per form, _sample_table or
+_sample_affine.  Each evaluates a sample's seven r's inline, on four
+integers per evaluation, with no function call and no tuple: u = r(x, y),
+the first step of r12 r23 r12 and the argument of the involutivity check,
+is computed once, then two more for r12 r23 r12, three for r23 r12 r23,
+and r(u) for involutivity.  For a table form (phi and psi both of finite
+order, as in every family but 1.2) the table kernel flattens the table
+once by cell, x's cell being (x1 mod n_phi, x2 mod n_psi), reads lambda_v
+and lambda_-w of r(v, w) in one lookup, writes out both matrix-vector
+products, and decides det lambda = +-1 once per cell, so a sample is
+degenerate iff the cell of x or of y is.  For the affine form of 1.2,
+lambda_x = E + x1 a + x2 b, r(x, y) is (y + x1 a y + x2 b y,
+x - y1 a x - y2 b x) written out; the affine kernel forms m_v = v1 a + v2 b
+once per point and takes det(E + m_x) and det(E + m_y) per sample, since
+an injected form of a non-commuting pair need not be unimodular.  The
 coordinates come from getrandbits exactly as random.Random.randint draws
 them (_coordinates), one sample at a time, so a seed names the same
 samples and memory does not grow with their number; only the failures
@@ -48,71 +44,14 @@ from __future__ import annotations
 
 import random
 from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .brace import BraceSpec, InvalidSpec, _lambda_form, _LambdaAffine, _LambdaTable
 
 __all__ = [
     "InvalidSpec",
-    "r_map",
     "sample_report",
 ]
-
-
-def _flat_table(form: _LambdaTable) -> tuple[list, list]:
-    """lambda on the cells of a table form: lam[c] holds the entries of
-    lambda_v and neg[c] those of lambda_-v, for every v in the cell
-    c = (v1 mod n_phi) n_psi + v2 mod n_psi."""
-    rows, n_phi, n_psi = form
-    cells = [(i, j) for i in range(n_phi) for j in range(n_psi)]
-    lam = [rows[i][j] for i, j in cells]
-    neg = [rows[-i % n_phi][-j % n_psi] for i, j in cells]
-    return lam, neg
-
-
-def _r_of_form(
-    form: _LambdaTable | _LambdaAffine,
-) -> Callable[[int, int, int, int], tuple[int, int, int, int]]:
-    """r on four integers, (x1, x2, y1, y2) -> (lambda_x y, lambda_-y x),
-    with lambda read in place from its closed form."""
-    if isinstance(form, _LambdaTable):
-        _, n_phi, n_psi = form
-        lam, neg = _flat_table(form)
-
-        def r(x1: int, x2: int, y1: int, y2: int) -> tuple[int, int, int, int]:
-            a11, a12, a21, a22 = lam[x1 % n_phi * n_psi + x2 % n_psi]
-            b11, b12, b21, b22 = neg[y1 % n_phi * n_psi + y2 % n_psi]
-            return (
-                a11 * y1 + a12 * y2,
-                a21 * y1 + a22 * y2,
-                b11 * x1 + b12 * x2,
-                b21 * x1 + b22 * x2,
-            )
-
-        return r
-    (a11, a12, a21, a22), (b11, b12, b21, b22) = form
-
-    def r(x1: int, x2: int, y1: int, y2: int) -> tuple[int, int, int, int]:
-        # lambda_x = E + x1 a + x2 b and lambda_-y = E - y1 a - y2 b.
-        return (
-            y1 + x1 * (a11 * y1 + a12 * y2) + x2 * (b11 * y1 + b12 * y2),
-            y2 + x1 * (a21 * y1 + a22 * y2) + x2 * (b21 * y1 + b22 * y2),
-            x1 - y1 * (a11 * x1 + a12 * x2) - y2 * (b11 * x1 + b12 * x2),
-            x2 - y1 * (a21 * x1 + a22 * x2) - y2 * (b21 * x1 + b22 * x2),
-        )
-
-    return r
-
-
-def r_map(spec: BraceSpec) -> Callable[[int, int, int, int], tuple[int, int, int, int]]:
-    """The Yang-Baxter map of a valid pair: (x1, x2, y1, y2) -> the
-    coordinates (u1, u2, v1, v2) of r(x, y) = (lambda_x y, lambda_-y x).
-
-    lambda's closed form is built here once, so each evaluation is two
-    lookups or the affine form written out, with no matrix product.
-    Raises InvalidSpec, from _lambda_form, unless the pair is valid.
-    """
-    return _r_of_form(_lambda_form(spec))
 
 
 # The kernels name a sample's points as r12 r23 r12 and r23 r12 r23 reach
@@ -128,8 +67,12 @@ def _sample_table(form: _LambdaTable, draws: Iterable[tuple]) -> tuple[list, lis
     form: a point's cell is computed once, and r(p, q) is one lookup,
     pair[cell of p][cell of q] = lambda_p and lambda_-q, then two products
     per coordinate."""
-    _, n_phi, n_psi = form
-    lam, neg = _flat_table(form)
+    rows, n_phi, n_psi = form
+    # lam[c] holds the entries of lambda_v and neg[c] those of lambda_-v,
+    # for every v in the cell c = (v1 mod n_phi) n_psi + v2 mod n_psi.
+    cells = [(i, j) for i in range(n_phi) for j in range(n_psi)]
+    lam = [rows[i][j] for i, j in cells]
+    neg = [rows[-i % n_phi][-j % n_psi] for i, j in cells]
     pair = [[entries + negated for negated in neg] for entries in lam]
     unimodular = [abs(a11 * a22 - a12 * a21) == 1 for a11, a12, a21, a22 in lam]
     ybe_failures, involutivity_failures, nondegeneracy_failures = [], [], []

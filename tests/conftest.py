@@ -8,6 +8,7 @@ import math
 import pytest
 
 from oracles import Vec2, h_lambda_closed
+from z2brace import classification
 from z2brace import (
     BraceSpec,
     IDENTITY,
@@ -84,6 +85,14 @@ CI_64_BIT_MEMBERS = [
         ("1.2", dict(m=2**64, p=3, q=-7)),
     )
 ]
+
+
+def member_list(bound):
+    """Every family member whose entries all fit in [-bound, bound], as
+    (label, BraceSpec), sorted by label and then by pair: the member dict
+    the search reads, listed."""
+    groups = classification._pair_classes(bound).groups
+    return classification._labelled(classification._row_instances(bound, groups).items())
 
 
 def repeated_powers(a, k_max):

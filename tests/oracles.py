@@ -29,8 +29,10 @@ package; nothing in the package imports them.
     lambda_v = E, read off lambda_of, so it takes any pair, valid or not.
   * r_of_lambda is r(x, y) = (lambda_x y, lambda_-y x) on four integers
     from any lambda map, two calls to it per point: the evaluation ybe
-    made before it read lambda's closed form in place.  test_ybe checks
-    the per-form r against it.
+    made before it read lambda's closed form in place.  r_map(spec) is
+    r_of_lambda on lambda_map(spec), the Yang-Baxter map of a valid pair
+    that the sampling kernels write out inline; test_ybe and test_brace
+    check it against the definitional r and lambda_of.
   * ybe_holds, involutive_at and nondegenerate_at are the braid,
     involutivity and non-degeneracy checks at one point, on r_map's r and
     a lambda map, one call of r or lambda per evaluation: the checks
@@ -65,13 +67,14 @@ package; nothing in the package imports them.
   * lambda_map is the lambda of a valid pair read off brace._lambda_form,
     on two integers: the map the ybe kernels replaced, which no command
     calls.  test_brace checks it against lambda_of and the brace
-    identities, and test_ybe builds the per-form r's reference from it.
+    identities, and r_map reads it.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from math import gcd, isqrt
 from typing import Callable, Iterator, NamedTuple
@@ -397,3 +400,11 @@ def lambda_map(spec: BraceSpec) -> Callable[[int, int], tuple[int, int, int, int
         x1 * a21 + x2 * b21,
         1 + x1 * a22 + x2 * b22,
     )
+
+
+def r_map(spec: BraceSpec) -> Callable[[int, int, int, int], tuple[int, int, int, int]]:
+    """The Yang-Baxter map of a valid pair on four integers, (x1, x2, y1,
+    y2) -> the coordinates of r(x, y) = (lambda_x y, lambda_-y x), read
+    off lambda_map.  Raises InvalidSpec, from lambda_map, unless the pair
+    is valid."""
+    return partial(r_of_lambda, lambda_map(spec))

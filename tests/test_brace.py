@@ -32,6 +32,7 @@ from oracles import (
     odot,
     odot_associative,
     odot_inverse,
+    r_map,
     spec_from_dict_by_checks,
 )
 from z2brace import (
@@ -48,7 +49,6 @@ from z2brace import (
     enumerate_unimodular,
     generate_row,
     order_by_iteration,
-    r_map,
 )
 from z2brace import brace
 from z2brace.brace import _identities_hold, _lambda_form
@@ -536,7 +536,7 @@ class TestLambdaMap:
     )
     def test_one_power_map_per_generator_per_build(self, spec, monkeypatch):
         # _lambda_form decides validity and fills the table from the same
-        # two power maps; lambda_map and ybe's r_map build nothing more,
+        # two power maps; lambda_map and the r_map on it build nothing more,
         # and evaluating r builds no power map at all.
         built = []
         power_map = Mat2.power_map

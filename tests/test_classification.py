@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import ROW_FIXTURE_PARAMS, ROW_SPECS, random_unimodular
+from conftest import ROW_FIXTURE_PARAMS, ROW_SPECS, member_list, random_unimodular
 
 import z2brace.classification as classification
 
@@ -50,7 +50,6 @@ from z2brace import (
     enumerate_unimodular,
     exhaustive_search,
     generate_row,
-    generated_row_instances,
     order_by_predicate,
     orders_crosscheck,
     row_label,
@@ -133,7 +132,7 @@ def triple_loop_unimodular(bound):
 
 
 def grid_row_instances(bound):
-    # generated_row_instances as it was before the parameters were solved:
+    # The member list as it was before the parameters were solved:
     # every point of a parameter grid goes through the family's build, which
     # takes the plain parameters in the order its record's names list them.  A
     # 1.2 member has |m| max(|p|, |q|)^3 <= bound, and the square root caps
@@ -340,7 +339,7 @@ class TestMembership:
     def test_matches_generated_instances_on_every_pair_at_bound3(self):
         # Independent oracle: the family members that the parameter grid
         # generates in the box (grid_row_instances), not the recoverers
-        # that generated_row_instances shares with row_membership.  Covers
+        # that the member list shares with row_membership.  Covers
         # invalid pairs as well as valid ones.
         expected: dict[BraceSpec, set] = {}
         for value, phi, psi in grid_row_instances(3):
@@ -555,7 +554,7 @@ class TestSignatureLookup:
         assert len(box) ** 2 == 53824 and mismatches == []
 
     def test_agrees_with_block_membership_on_every_member_at_bound12(self):
-        instances = generated_row_instances(12)
+        instances = member_list(12)
         assert len(instances) == 875
         for label, spec in instances:
             labels = row_membership(spec)
@@ -580,7 +579,7 @@ class TestSignatureLookup:
 
     def test_every_member_at_bound12_is_under_its_own_signature(self):
         table = classification._SIGNATURE_LABELS
-        for label, spec in generated_row_instances(12):
+        for label, spec in member_list(12):
             assert label in table[signature(spec)], (label, spec)
 
     def test_table_is_built_from_the_family_rows(self, monkeypatch):
@@ -630,7 +629,7 @@ class TestFamilyRecords:
 
     def test_signatures_are_those_of_the_members_at_bound12(self):
         seen = {label: set() for label in RowLabel}
-        for label, spec in generated_row_instances(12):
+        for label, spec in member_list(12):
             seen[label].add(signature(spec))
         for label, row in classification._FAMILIES.items():
             assert len(set(row.signatures())) == len(row.signatures()), label
@@ -763,7 +762,6 @@ BOUND_CALLS = {
     "enumerate_unimodular": lambda bound: list(enumerate_unimodular(bound)),
     "exhaustive_search": exhaustive_search,
     "orders_crosscheck": orders_crosscheck,
-    "generated_row_instances": generated_row_instances,
 }
 
 
@@ -778,12 +776,9 @@ class TestBoundArguments:
 
     @pytest.mark.parametrize("call", BOUND_CALLS.values(), ids=BOUND_CALLS.keys())
     @pytest.mark.parametrize("bound", [0, -3])
-    def test_nonpositive_bound_is_an_error_or_an_empty_box(self, call, bound):
-        if call is generated_row_instances:
-            assert call(bound) == []
-        else:
-            with pytest.raises(ValueError, match="bound must be positive"):
-                call(bound)
+    def test_rejects_nonpositive_bounds(self, call, bound):
+        with pytest.raises(ValueError, match="bound must be positive"):
+            call(bound)
 
 
 class TestExhaustiveSearch:
@@ -834,7 +829,7 @@ class TestExhaustiveSearch:
             "unmatched_valid": unmatched,
             "invalid_row_instances": [
                 {"row": label.value, "spec": spec.to_dict()}
-                for label, spec in generated_row_instances(bound)
+                for label, spec in member_list(bound)
                 if not check_pair(spec).valid
             ],
         }
@@ -884,7 +879,7 @@ class TestExhaustiveSearch:
             "unmatched_valid": unmatched,
             "invalid_row_instances": [
                 {"row": label.value, "spec": spec.to_dict()}
-                for label, spec in generated_row_instances(bound)
+                for label, spec in member_list(bound)
                 if not check_pair(spec).valid
             ],
         }
@@ -926,18 +921,16 @@ class TestExhaustiveSearch:
 
     @pytest.mark.parametrize("bound", range(1, 21))
     def test_involutions_are_the_in_class_square_roots_of_e(self, bound):
-        # The involutions the pass collects by key (det -1, or +-E) are the
+        # The partners of -E, read by entries (det -1, or diagonal), are the
         # in-class m with m m = E, as a product finds them, in list order.
-        classes = classification._pair_classes(bound)
-        assert classes.involutions == [m for m in classes.in_class if m * m == IDENTITY]
+        in_class, partners = self.partner_rule(bound)
+        assert partners(-IDENTITY) == [m for m in in_class if m * m == IDENTITY]
 
     @staticmethod
     def partner_rule(bound):
         # The in-class matrices of the box, and _search_partners over them.
-        classes = classification._pair_classes(bound)
-        return classes.in_class, lambda phi: classification._search_partners(
-            phi, bound, classes.in_class, classes.involutions
-        )
+        in_class = classification._pair_classes(bound).in_class
+        return in_class, lambda phi: classification._search_partners(phi, bound, in_class)
 
     def test_pairs_with_minus_identity_need_an_involution(self):
         # -E rule: a valid pair that contains -E has an involution beside it.
@@ -1026,7 +1019,7 @@ class TestExhaustiveSearch:
             ):
                 phi = h * c * g
                 bound = (max(map(abs, phi)) + 2) ** 2
-                partners = classification._search_partners(phi, bound, [], [])
+                partners = classification._search_partners(phi, bound, [])
                 assert all(commutes(phi, psi) for psi in partners), (phi, partners)
                 counts[kind, len(partners)] += 1
         assert counts == {
@@ -1100,7 +1093,7 @@ class TestExhaustiveSearch:
     def test_solved_instances_match_the_parameter_grid(self, bound):
         solved = [
             (label.value, spec.phi.entries(), spec.psi.entries())
-            for label, spec in generated_row_instances(bound)
+            for label, spec in member_list(bound)
         ]
         assert solved == grid_row_instances(bound)
 
@@ -1115,7 +1108,7 @@ class TestExhaustiveSearch:
         # sha256 over each member's label and entries, past the B <= 30 the
         # grid oracle reaches.  Recorded from the member list that rebuilt
         # each member as a BraceSpec.
-        instances = generated_row_instances(bound)
+        instances = member_list(bound)
         hashed = hashlib.sha256()
         for label, spec in instances:
             hashed.update(f"{label.value} {spec.phi.entries()} {spec.psi.entries()}\n".encode())
@@ -1123,11 +1116,11 @@ class TestExhaustiveSearch:
 
     @pytest.mark.parametrize("bound", [*range(4, 13), 20])
     def test_member_list_join_equals_row_membership(self, bound):
-        # The labels a valid pair has in generated_row_instances are exactly
+        # The labels a valid pair has in the member list are exactly
         # row_membership of the pair, for every valid pair the forward scan
         # finds, and the report's histogram counts them.
         joined: dict[BraceSpec, set] = {}
-        for label, spec in generated_row_instances(bound):
+        for label, spec in member_list(bound):
             joined.setdefault(spec, set()).add(label)
         in_class, partners = self.partner_rule(bound)
         histogram = Counter()
@@ -1152,7 +1145,7 @@ class TestExhaustiveSearch:
         # the valid pair is reported unmatched and search exits 1.
         dropped = generate_row(RowLabel.R1_2, RowParams(m=1, p=1, q=1))
         assert row_membership(dropped) == {RowLabel.R1_2}
-        full = generated_row_instances(4)
+        full = member_list(4)
         assert (RowLabel.R1_2, dropped) in full
         histogram = exhaustive_search(4).row_histogram
         row_instances = classification._row_instances
@@ -1219,7 +1212,7 @@ class TestExhaustiveSearch:
         monkeypatch.setattr(classification, "check_pair", counting_check_pair)
         report = exhaustive_search(4)
         assert report.confirms_classification
-        assert len(generated_row_instances(4)) == 227
+        assert len(member_list(4)) == 227
         assert len(decided) == len(set(decided)) == 448
         assert checked == []
 
@@ -1250,7 +1243,7 @@ class TestExhaustiveSearch:
         assert not any(m.is_hyperbolic() for m in in_class)
 
     def test_generated_instances_fit_and_are_valid(self):
-        instances = generated_row_instances(2)
+        instances = member_list(2)
         assert instances
         for label, spec in instances:
             entries = spec.phi.entries() + spec.psi.entries()
@@ -1379,7 +1372,7 @@ class TestBoxSymmetries:
     def test_members_closed_under_signed_permutations(self, bound, members):
         # Each transport of an in-box member is an in-box member of the
         # family its label maps to.
-        listed = set(generated_row_instances(bound))
+        listed = set(member_list(bound))
         assert len(listed) == members
         relabel = {g: label_permutation(g) for g in SIGNED_PERMUTATIONS}
         for label, (phi, psi) in listed:

@@ -24,11 +24,9 @@ PUBLIC = [
     "enumerate_unimodular",
     "exhaustive_search",
     "generate_row",
-    "generated_row_instances",
     "order_by_iteration",
     "order_by_predicate",
     "orders_crosscheck",
-    "r_map",
     "row_label",
     "row_membership",
     "sample_report",
@@ -53,6 +51,7 @@ ORACLES = [
     "odot",
     "odot_associative",
     "odot_inverse",
+    "r_map",
     "row12_parameters",
     "ybe_holds",
 ]

@@ -1,14 +1,15 @@
 """Yang-Baxter layer: the map built from a valid pair, braid relation,
 involutivity, non-degeneracy, and the seeded sampling report.
 
-r_map(spec) is the closed form (lambda_x(y), lambda_y^-1(x)) on four
-integers, built once per pair; definitional_r below recomputes r from the
-brace multiplication and its inverse, as an independent oracle for it.
-The braid, involutivity and non-degeneracy checks at one point are
-oracles.ybe_holds, involutive_at and nondegenerate_at, run on that r and
-on oracles.lambda_map.  sample_report writes those checks out inline, one kernel
-per form of lambda; randint_sample_report below is the loop it replaced,
-and the tests hold the two to the same failures on any injected form.
+oracles.r_map(spec) is the closed form (lambda_x(y), lambda_y^-1(x)) on
+four integers, read off oracles.lambda_map; definitional_r below
+recomputes r from the brace multiplication and its inverse, as an
+independent oracle for it.  The braid, involutivity and non-degeneracy
+checks at one point are oracles.ybe_holds, involutive_at and
+nondegenerate_at, run on that r and on lambda_map.  sample_report, the
+one r in the package, writes those checks out inline, one kernel per form
+of lambda; randint_sample_report below is the loop it replaced, and the
+tests hold the two to the same failures on any injected form.
 """
 
 import random
@@ -41,6 +42,7 @@ from oracles import (
     nondegenerate_at,
     odot,
     odot_inverse,
+    r_map,
     r_of_lambda,
     ybe_holds,
 )
@@ -53,7 +55,6 @@ from z2brace import (
     check_pair,
     commutes,
     enumerate_unimodular,
-    r_map,
     sample_report,
 )
 from z2brace.brace import _LambdaAffine, _LambdaTable, _lambda_form
@@ -392,25 +393,10 @@ def form_lambda(form):
 
 
 class TestPerFormR:
-    """r_map's r (ybe._r_of_form), with lambda read in place from its
-    closed form, against oracles.r_of_lambda, which calls a lambda map twice per point:
-    lambda_map's, and lambda_of's products of powers; and the sampling
+    """The r of lambda_map, read off lambda's closed form, against the r
+    of lambda_of's products of powers on 64-bit members; and the sampling
     kernel of each form against the randint loop on random forms and near
     each pair's own form."""
-
-    @pytest.mark.parametrize("spec", MEMBER_AND_FIXTURE_SPECS, ids=str)
-    def test_equals_the_lambda_map_r_on_a_grid(self, spec):
-        # Every residue of (x, y) modulo the periods (at most 3) and both
-        # signs of every coordinate.
-        lam = lambda_map(spec)
-        r = r_map(spec)
-        grid = range(-4, 5)
-        wrong = [
-            point
-            for point in product(grid, repeat=4)
-            if r(*point) != r_of_lambda(lam, *point)
-        ]
-        assert wrong == []
 
     @given(
         member=st.sampled_from(CI_64_BIT_MEMBERS),
@@ -421,10 +407,8 @@ class TestPerFormR:
     )
     def test_equals_the_lambda_r_on_64_bit_members(self, member, x1, x2, y1, y2):
         _, spec = member
-        r = r_map(spec)
-        assert r(x1, x2, y1, y2) == r_of_lambda(lambda_map(spec), x1, x2, y1, y2)
         powers = lambda v1, v2: lambda_of(spec, Vec2(v1, v2)).entries()
-        assert r(x1, x2, y1, y2) == r_of_lambda(powers, x1, x2, y1, y2)
+        assert r_map(spec)(x1, x2, y1, y2) == r_of_lambda(powers, x1, x2, y1, y2)
 
     def test_forms_of_the_ci_members(self):
         # 1.2 reads the affine form; every other family a table.
