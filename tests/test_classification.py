@@ -757,11 +757,13 @@ class TestEnumeration:
             list(enumerate_unimodular(0))
 
 
-#: Every public entry point that takes an entry bound, each run to the end.
+#: Every public entry point that takes an entry bound, and the member list
+#: the search reads, each run to the end.
 BOUND_CALLS = {
     "enumerate_unimodular": lambda bound: list(enumerate_unimodular(bound)),
     "exhaustive_search": exhaustive_search,
     "orders_crosscheck": orders_crosscheck,
+    "member_list": member_list,
 }
 
 

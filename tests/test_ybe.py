@@ -393,10 +393,25 @@ def form_lambda(form):
 
 
 class TestPerFormR:
-    """The r of lambda_map, read off lambda's closed form, against the r
-    of lambda_of's products of powers on 64-bit members; and the sampling
-    kernel of each form against the randint loop on random forms and near
-    each pair's own form."""
+    """The r of lambda_map, read off lambda's closed form, against the
+    definitional r of the brace multiplication on a grid and against the
+    r of lambda_of's products of powers on 64-bit members; and the
+    sampling kernel of each form against the randint loop on random forms
+    and near each pair's own form."""
+
+    @pytest.mark.parametrize("spec", MEMBER_AND_FIXTURE_SPECS, ids=str)
+    def test_equals_the_lambda_map_r_on_a_grid(self, spec):
+        # Every residue of (x, y) modulo the periods (at most 3) and both
+        # signs of every coordinate, on members beyond the bound-3 box
+        # that TestAgreementWithDefinition covers.
+        r = r_map(spec)
+        grid = range(-4, 5)
+        wrong = [
+            point
+            for point in product(grid, repeat=4)
+            if r(*point) != definitional_r(spec, Vec2(*point[:2]), Vec2(*point[2:]))
+        ]
+        assert wrong == []
 
     @given(
         member=st.sampled_from(CI_64_BIT_MEMBERS),
