@@ -20,7 +20,7 @@ block 3 = (-1, 1), block 4 = (-1, -1).  This module provides
     own a21 and a22 and each Mat2 made by tuple.__new__
     (enumerate_unimodular),
   * one pass over that listing (_pair_classes) that reads each matrix's
-    (det, trace) once off its entries and with that key decides whether
+    (det, trace) once, trace first, and with that key decides whether
     a valid pair can use it and files it into its (det, trace) group,
   * a bidirectional exhaustive cross-validation (exhaustive_search):
     every valid pair in the bounded box must match a family, and every
@@ -47,7 +47,9 @@ family definitions, keyed by RowLabel in label order.  A record holds
   * signatures(): the ((det phi, tr phi), (det psi, tr psi)) its members
     have,
   * candidates(bound, groups): the parameters to try in the box
-    [-bound, bound], given its in-class matrices grouped by (det, trace).
+    [-bound, bound], given its in-class matrices grouped by (det, trace);
+    a square-root record gives instead the matrices M of its members
+    (matrices), which place puts beside their partners.
 _SIGNATURE_LABELS and generate_row's parameter check (_need) are read
 off the records.  generate_row checks a RowParams against the record's
 names, calls build and wraps the pair in a BraceSpec; row_membership
@@ -86,6 +88,7 @@ from .gl2z import (
     _NEG_IDENTITY,
     IDENTITY,
     Mat2,
+    _power_map,
     order_by_iteration,
     order_by_predicate,
 )
@@ -324,8 +327,16 @@ class _RootFamily(NamedTuple):
         return self.trace**2 - 4 * self.det - 4 * self.p_scale * self.q_scale * p * q
 
     def build(self, p: int, q: int, sign1: int) -> tuple[_Entries, _Entries]:
+        return self.place(self.matrix(p, q, sign1))
+
+    def matrix(self, p: int, q: int, sign1: int) -> _Entries:
+        """The entries of M, or IntegralityError for a non-square radicand."""
         t, r = self.trace, sign1 * _exact_sqrt(self.radicand(p, q))
-        m = ((t + r) // 2, self.p_scale * p, self.q_scale * q, (t - r) // 2)
+        return ((t + r) // 2, self.p_scale * p, self.q_scale * q, (t - r) // 2)
+
+    def place(self, m: _Entries) -> tuple[_Entries, _Entries]:
+        """The pair of M beside its partner, on the record's side; every
+        entry is one of M's up to sign, or 0 or +-1."""
         if self.partner == "-M":
             partner = (-m[0], -m[1], -m[2], -m[3])
         else:
@@ -353,9 +364,19 @@ class _RootFamily(NamedTuple):
     def recover(self, phi: _Entries, psi: _Entries) -> tuple[int, int, int] | None:
         return self.read(phi if self.side == "phi" else _swap_conj(psi))
 
-    def candidates(self, bound: int, groups: _Groups) -> list[tuple[int, int, int]]:
-        read = map(self.read, groups.get((self.det, self.trace), ()))
-        return [params for params in read if params is not None]
+    def matrices(self, bound: int, groups: _Groups) -> list[_Entries]:
+        """M as matrix builds it from what read takes off each in-class
+        matrix of M's (det, trace), where it fits in the box: the same for
+        every record of its (det, trace, p_scale, q_scale)."""
+        found = []
+        for params in filter(None, map(self.read, groups.get((self.det, self.trace), ()))):
+            try:
+                m = self.matrix(*params)
+            except BadParams:
+                continue
+            if max(map(abs, m)) <= bound:
+                found.append(m)
+        return found
 
 
 class _RationalFamily(NamedTuple):
@@ -526,9 +547,10 @@ def enumerate_unimodular(bound: int) -> Iterator[Mat2]:
     is free.  For a11 != 0 and determinant d, a12 a21 + d = a11 a22 forces
     a12 a21 = -d (mod |a11|), so an a12 that is not a unit mod |a11| has
     no matrix, and for a unit the a21 of each d form one progression of
-    step |a11|, read from a12's inverse.  The walk keeps to the a21 of the
-    box whose a22 = (a12 a21 + d) / a11 is in the box too, so each step is
-    a matrix listed; the few hits of each a12 are sorted by (a21, a22).
+    step |a11|, read from a12's inverse, tabulated once per a11.  The walk
+    keeps to the a21 of the box whose a22 = (a12 a21 + d) / a11 is in the
+    box too, so each step is a matrix listed; the few hits of each a12 are
+    sorted by (a21, a22).
     The cost is O(|U_B| + bound^2) for the |U_B| matrices listed, and the
     memory O(bound), one a12's hits at a time.  Each Mat2 is made by
     tuple.__new__ from its entry tuple, as Mat2's own constructor makes
@@ -550,10 +572,12 @@ def enumerate_unimodular(bound: int) -> Iterator[Mat2]:
         step = abs(a11)
         # |a12 a21 + d| = |a11 a22| <= top keeps a22 in the box.
         top = bound * step
+        # The inverse of each unit residue mod step, None for a non-unit.
+        inverses = [pow(r, -1, step) if gcd(r, step) == 1 else None for r in range(step)]
         for a12 in rng:
-            if gcd(a12, step) != 1:
+            inverse = inverses[a12 % step]
+            if inverse is None:
                 continue
-            inverse = pow(a12, -1, step)
             size = abs(a12)
             hits = []
             for d in (1, -1):
@@ -579,11 +603,15 @@ def _row_instances(bound: int, groups: _Groups) -> dict[tuple[_Entries, _Entries
     the one pass of _pair_classes files them.  Each family's record names
     the parameters to try (candidates): 1.1 its four sign pairs, 1.2 each
     coprime (p, q) in canonical form with |m| up to bound / max(|p|, |q|)^3,
-    and a table family the parameters its read takes off each in-class m
-    in the group of its M's (det, trace).  Every candidate is built by the
-    raw family constructor on entry tuples, not by generate_row, so
+    and a rational family the parameters its read takes off each in-class
+    m in the group of its M's (det, trace).  Every candidate is built by
+    the raw family constructor on entry tuples, not by generate_row, so
     validity is left to the caller and a wrong constructor shows up as an
-    invalid instance.  A pair's positions are ints in label order, each
+    invalid instance.  A square-root record gives its M's in the box
+    (matrices), built once for each (det, trace, p_scale, q_scale) that
+    1.3 and 1.4, 2.1 and 3.1, or 2.2, 3.2 and 4.2 share, and places them
+    beside its partner, which keeps the pair in the box; its build is
+    place after matrix.  A pair's positions are ints in label order, each
     family once however many of its candidates build the pair; the dict
     itself is in no particular order.
 
@@ -596,19 +624,29 @@ def _row_instances(bound: int, groups: _Groups) -> dict[tuple[_Entries, _Entries
     is rebuilt from groups, and 1.1 and 1.2 list theirs outright.
     """
     found: dict[tuple[_Entries, _Entries], list[int]] = {}
+    readings: dict[tuple[int, int, int, int], list[_Entries]] = {}
     # _FAMILIES lists the families in the order of their dotted labels.
     for position, family in enumerate(_FAMILIES.values()):
-        for params in family.candidates(bound, groups):
-            try:
-                pair = family.build(*params)
-            except BadParams:
-                continue
-            if max(map(abs, pair[0] + pair[1])) <= bound:
-                positions = found.get(pair)
-                if positions is None:
-                    found[pair] = [position]
-                elif positions[-1] != position:
-                    positions.append(position)
+        if isinstance(family, _RootFamily):
+            reading = (family.det, family.trace, family.p_scale, family.q_scale)
+            if reading not in readings:
+                readings[reading] = family.matrices(bound, groups)
+            pairs = map(family.place, readings[reading])
+        else:
+            pairs = []
+            for params in family.candidates(bound, groups):
+                try:
+                    pair = family.build(*params)
+                except BadParams:
+                    continue
+                if max(map(abs, pair[0] + pair[1])) <= bound:
+                    pairs.append(pair)
+        for pair in pairs:
+            positions = found.get(pair)
+            if positions is None:
+                found[pair] = [position]
+            elif positions[-1] != position:
+                positions.append(position)
     return found
 
 
@@ -673,12 +711,13 @@ def _pair_classes(bound: int) -> _Box:
     """One pass over U_B that keeps the matrices in the five classes a
     valid pair can use.
 
-    Each listed matrix's key (det, trace) is read once off its entries.
-    The key decides the class: (1, 2) holds E and the parabolic matrices
+    Each listed matrix's trace is read first, and its determinant only if
+    |trace| <= 2, as every class has trace 2, -1, 0 or -2.  The key (det,
+    trace) decides the class: (1, 2) holds E and the parabolic matrices
     of trace 2, (-1, 0) the reflections, (1, -1) order 3, and of (1, -2)
     only -E is kept; these are the shapes (Mat2._shape) (1, 0), (1, 1),
     (2, 0) and (3, 0).  The same key files the matrix into the groups that
-    _row_instances reads.
+    the search's power maps and _row_instances read.
 
     Lemma.  A valid pair commutes, so lambda is additive, and then
     lambda_(a*b) = lambda_a lambda_b with a*b = a + lambda_a(b) gives
@@ -699,10 +738,12 @@ def _pair_classes(bound: int) -> _Box:
     groups: _Groups = {}
     for size, m in enumerate(enumerate_unimodular(bound), 1):
         a11, a12, a21, a22 = m
-        key = (a11 * a22 - a12 * a21, a11 + a22)
-        if key in {(1, 2), (-1, 0), (1, -1)} or m == _NEG_IDENTITY:
-            in_class.append(m)
-            groups.setdefault(key, []).append(m)
+        trace = a11 + a22
+        if -2 <= trace <= 2:
+            key = (a11 * a22 - a12 * a21, trace)
+            if key in {(1, 2), (-1, 0), (1, -1)} or m == _NEG_IDENTITY:
+                in_class.append(m)
+                groups.setdefault(key, []).append(m)
     return _Box(size, in_class, groups)
 
 
@@ -788,7 +829,8 @@ def exhaustive_search(bound: int) -> SearchReport:
     is its own entry tuple: the in-class list, the groups, the power-map
     keys, the partners, the valid pairs and the join hold those matrices,
     with no second representation.  Each in-class matrix gets one power
-    map, built once, and each pair is decided by brace._identities_hold,
+    map, built once from its group's key by Mat2.power_map's builder
+    (gl2z._power_map), and each pair is decided by brace._identities_hold,
     which reads the four exponents in place off the two entry tuples and
     compares the powers from the two cached maps, with no commutation test
     (every partner commutes with phi); it stops at the pair's first false
@@ -819,7 +861,7 @@ def exhaustive_search(bound: int) -> SearchReport:
     # One power map per in-class matrix.  _identities_hold takes no
     # hyperbolic rule: _pair_classes excludes every hyperbolic matrix, so
     # no search pair has one.
-    power = {m: m.power_map() for m in in_class}
+    power = {m: _power_map(m, *key) for key, group in groups.items() for m in group}
     found: list[tuple[Mat2, Mat2]] = []
     for phi in in_class:
         phi_power = power[phi]

@@ -1,12 +1,13 @@
 """Exact arithmetic on 2x2 integer matrices and the GL2(Z) facts the brace
 machinery relies on, all read off determinant and trace by one table.
 
-_SHAPES, read only by Mat2._shape and FINITE_ORDERS, gives the (period,
-degree) of k -> M^k: degree 1 for a parabolic M but +-E, degree 0 and
-period n for +-E and each finite order n, none for a hyperbolic or
-non-unimodular M.  Mat2.power_map forms M^k by the shape: affine in k, a
-lookup among n powers, or binary exponentiation (O(log |k|) products of
-growing integers); Mat2.__pow__ is that map applied once.
+_SHAPES, read only by Mat2._shape, _power_map and FINITE_ORDERS, gives the
+(period, degree) of k -> M^k: degree 1 for a parabolic M but +-E, degree 0
+and period n for +-E and each finite order n, none for a hyperbolic or
+non-unimodular M.  _power_map, Mat2.power_map's builder, forms M^k by the
+shape: affine in k, a lookup among n powers, or binary exponentiation
+(O(log |k|) products of growing integers); Mat2.__pow__ is that map
+applied once.
 
 Everything works on plain Python integers, so every result is exact; there
 is no floating point and no fixed-width wraparound anywhere.
@@ -24,6 +25,8 @@ is the public type.
 from __future__ import annotations
 
 from typing import Callable, NamedTuple
+
+_new = tuple.__new__
 
 __all__ = [
     "FINITE_ORDERS",
@@ -156,9 +159,9 @@ class Mat2(NamedTuple):
         a11, a12, a21, a22 = self
         d = a11 * a22 - a12 * a21
         if d == 1:
-            return Mat2(a22, -a12, -a21, a11)
+            return _new(Mat2, (a22, -a12, -a21, a11))
         if d == -1:
-            return Mat2(-a22, a12, a21, -a11)
+            return _new(Mat2, (-a22, a12, a21, -a11))
         raise NotUnimodular(f"{_has_determinant(self, d)}, no integer inverse")
 
     def __mul__(self, other: "Mat2") -> "Mat2":
@@ -166,27 +169,27 @@ class Mat2(NamedTuple):
             return NotImplemented
         a11, a12, a21, a22 = self
         b11, b12, b21, b22 = other
-        return Mat2(
+        return _new(Mat2, (
             a11 * b11 + a12 * b21,
             a11 * b12 + a12 * b22,
             a21 * b11 + a22 * b21,
             a21 * b12 + a22 * b22,
-        )
+        ))
 
     __add__ = __rmul__ = _undefined
     __radd__ = _no_concatenation
 
     def __neg__(self) -> "Mat2":
         a11, a12, a21, a22 = self
-        return Mat2(-a11, -a12, -a21, -a22)
+        return _new(Mat2, (-a11, -a12, -a21, -a22))
 
     def power_map(self) -> Callable[[int], tuple[int, int, int, int]]:
         """The map k -> entries (a11, a12, a21, a22) of self^k, any sign of k.
 
-        The shape (_shape) is read once, here, and picks how every power
-        is formed.  Cayley-Hamilton (M^2 = tM - dE for det d, trace t) gives
-        closed forms that use no matrix product and no inverse, so their
-        cost does not grow with k:
+        The (det, trace) key is read once, here, and _power_map forms every
+        power by its shape.  Cayley-Hamilton (M^2 = tM - dE for det d,
+        trace t) gives closed forms that use no matrix product and no
+        inverse, so their cost does not grow with k:
 
           * degree 1 (parabolic, not +-E), trace 2s with s = -1 for period
             2 and s = 1 otherwise: N = sM - E has N^2 = 0, so
@@ -200,43 +203,8 @@ class Mat2(NamedTuple):
         grow with k itself.  There a negative exponent goes through
         inverse() and therefore requires determinant +1 or -1.
         """
-        shape = self._shape()
-        if shape is not None and shape[1]:
-            s = -1 if shape[0] == 2 else 1
-            a11, a12, a21, a22 = self
-            n11, n12, n21, n22 = s * a11 - 1, s * a12, s * a21, s * a22 - 1
-
-            def power(k):
-                e = s if k & 1 else 1
-                return (e * (1 + k * n11), e * k * n12, e * k * n21, e * (1 + k * n22))
-
-            return power
-        if shape is not None:
-            n = shape[0]
-            d, t = self.det(), self.trace()
-            table = [(1, 0, 0, 1), self.entries()]
-            while len(table) < n:
-                (p11, p12, p21, p22), (c11, c12, c21, c22) = table[-2], table[-1]
-                table.append((
-                    t * c11 - d * p11, t * c12 - d * p12, t * c21 - d * p21, t * c22 - d * p22
-                ))
-            return lambda k: table[k % n]
-
-        def power(k):
-            base = self
-            if k < 0:
-                base = self.inverse()
-                k = -k
-            result = IDENTITY
-            while k:
-                if k & 1:
-                    result = result * base
-                k >>= 1
-                if k:
-                    base = base * base
-            return result.entries()
-
-        return power
+        a11, a12, a21, a22 = self
+        return _power_map(self, a11 * a22 - a12 * a21, a11 + a22)
 
     def __pow__(self, k: int) -> "Mat2":
         """Exact k-th power, any sign of k: power_map applied once."""
@@ -250,6 +218,48 @@ class Mat2(NamedTuple):
 
 IDENTITY = Mat2(1, 0, 0, 1)
 _NEG_IDENTITY = -IDENTITY
+
+
+def _power_map(m: Mat2, det: int, trace: int) -> Callable[[int], tuple[int, int, int, int]]:
+    """Mat2.power_map of m, given its det and trace, as the search has
+    read them; +-E, with no off-diagonal entry, has degree 0 (Mat2._shape)."""
+    a11, a12, a21, a22 = m
+    shape = _SHAPES.get((det, trace))
+    if shape is None:
+
+        def power(k):
+            base = m
+            if k < 0:
+                base = m.inverse()
+                k = -k
+            result = IDENTITY
+            while k:
+                if k & 1:
+                    result = result * base
+                k >>= 1
+                if k:
+                    base = base * base
+            return result.entries()
+
+        return power
+    n, degree = shape
+    if degree and (a12 or a21):
+        s = -1 if n == 2 else 1
+        n11, n12, n21, n22 = s * a11 - 1, s * a12, s * a21, s * a22 - 1
+
+        def power(k):
+            e = s if k & 1 else 1
+            return (e * (1 + k * n11), e * k * n12, e * k * n21, e * (1 + k * n22))
+
+        return power
+    table = [(1, 0, 0, 1), (a11, a12, a21, a22)]
+    while len(table) < n:
+        (p11, p12, p21, p22), (c11, c12, c21, c22) = table[-2], table[-1]
+        table.append((
+            trace * c11 - det * p11, trace * c12 - det * p12,
+            trace * c21 - det * p21, trace * c22 - det * p22,
+        ))
+    return lambda k: table[k % n]
 
 
 class _MatOrderFields(NamedTuple):

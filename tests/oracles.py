@@ -68,6 +68,12 @@ package; nothing in the package imports them.
     on two integers: the map the ybe kernels replaced, which no command
     calls.  test_brace checks it against lambda_of and the brace
     identities, and r_map reads it.
+  * row_instances_by_record is classification._row_instances as it was
+    before the square-root families shared their readings: one record at
+    a time, each candidate built by the record's own build, a square-root
+    family's candidates being what its read takes off the in-class
+    matrices of M's (det, trace).  test_classification holds the member
+    dict to it, keys and position lists alike.
 """
 
 from __future__ import annotations
@@ -81,7 +87,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from z2brace import IDENTITY, BraceSpec, Mat2, NotUnimodular, RowLabel, order_by_predicate
 from z2brace.brace import _lambda_form, _LambdaTable
-from z2brace.classification import _member_params
+from z2brace.classification import _FAMILIES, BadParams, _member_params, _RootFamily
 from z2brace.gl2z import _no_concatenation, _undefined
 
 
@@ -336,6 +342,30 @@ def enumerate_by_constructor(bound: int) -> Iterator[Mat2]:
         )
         for a12, a21, a22 in group:
             yield Mat2(a11, a12, a21, a22)
+
+
+def row_instances_by_record(bound: int, groups: dict) -> dict:
+    """The in-box family members, as a dict from each pair of entry tuples
+    to the positions in _FAMILIES of its families, built one record at a
+    time: each candidate goes through the record's build and is kept if
+    it fits in the box.  groups is _pair_classes(bound).groups."""
+    found: dict = {}
+    for position, family in enumerate(_FAMILIES.values()):
+        if isinstance(family, _RootFamily):
+            read = map(family.read, groups.get((family.det, family.trace), ()))
+            candidates = [params for params in read if params is not None]
+        else:
+            candidates = family.candidates(bound, groups)
+        for params in candidates:
+            try:
+                pair = family.build(*params)
+            except BadParams:
+                continue
+            if max(map(abs, pair[0] + pair[1])) <= bound:
+                positions = found.setdefault(pair, [])
+                if position not in positions:
+                    positions.append(position)
+    return found
 
 
 def rows_by_checks(rows: object) -> Mat2:

@@ -24,7 +24,13 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import ROW_FIXTURE_PARAMS, ROW_SPECS, member_list, random_unimodular
+from conftest import (
+    ROW_FIXTURE_PARAMS,
+    ROW_SPECS,
+    member_list,
+    random_unimodular,
+    repeated_powers,
+)
 
 import z2brace.classification as classification
 
@@ -35,6 +41,7 @@ from oracles import (
     commutant_in_box,
     enumerate_by_constructor,
     row12_parameters,
+    row_instances_by_record,
 )
 from z2brace import (
     BadParams,
@@ -678,6 +685,13 @@ class TestEnumeration:
         assert listed == list(enumerate_by_constructor(bound))
         assert all(type(m) is Mat2 for m in listed)
 
+    @pytest.mark.parametrize("bound", [97, 120])
+    def test_matches_the_constructor_listing_past_the_grid(self, bound):
+        # The table of unit inverses mod |a11| has one non-unit for the
+        # prime 97 and 88 of 120 residues for 120 = 2^3 3 5, the most of any
+        # modulus up to 120.
+        assert list(enumerate_unimodular(bound)) == list(enumerate_by_constructor(bound))
+
     def test_listing_bytes_pinned_at_bound_400(self):
         # Recorded from enumerate_by_constructor: 3,115,368 matrices.
         assert listing_digest(enumerate_unimodular(400)) == (
@@ -1183,6 +1197,47 @@ class TestExhaustiveSearch:
         monkeypatch.setattr(classification, "enumerate_unimodular", counting_enumerate)
         assert exhaustive_search(2).confirms_classification
         assert len(drawn) == GOLDEN_UNIMODULAR_COUNTS[2] == 104
+
+    @pytest.mark.parametrize("bound", [*range(1, 31), 100])
+    def test_member_dict_equals_the_per_record_build(self, bound):
+        # The square-root families read and build each M once per shared
+        # reading; the dict, keys and position lists, is the one that
+        # building every candidate record by record gives.
+        groups = classification._pair_classes(bound).groups
+        members = classification._row_instances(bound, groups)
+        assert members == row_instances_by_record(bound, groups)
+
+    @pytest.mark.parametrize("bound", range(1, 21))
+    def test_power_maps_from_the_pass_keys(self, bound):
+        # The map the search builds from the (det, trace) key its pass read
+        # is Mat2.power_map's, and both are the repeated products.
+        k_max = 13
+        for (det, trace), group in classification._pair_classes(bound).groups.items():
+            for m in group:
+                from_key, own = classification._power_map(m, det, trace), m.power_map()
+                powers = repeated_powers(m, k_max)
+                for k in range(-k_max, k_max + 1):
+                    assert from_key(k) == own(k) == powers[k].entries(), (m, k)
+
+    def test_search_reads_no_shape(self, monkeypatch):
+        # exhaustive_search(4) builds one power map for each of its 102
+        # in-class matrices from the pass's keys, and reads no Mat2._shape.
+        built, shapes = [], []
+        power_map, shape = classification._power_map, Mat2._shape
+
+        def counting_power_map(m, det, trace):
+            built.append(m)
+            return power_map(m, det, trace)
+
+        def counting_shape(m):
+            shapes.append(m)
+            return shape(m)
+
+        monkeypatch.setattr(classification, "_power_map", counting_power_map)
+        monkeypatch.setattr(Mat2, "_shape", counting_shape)
+        assert exhaustive_search(4).confirms_classification
+        assert len(built) == len(set(built)) == 102
+        assert shapes == []
 
     @pytest.mark.parametrize("bound", range(1, 21))
     def test_member_list_rests_on_in_class_matrices_closed_under_swap(self, bound):

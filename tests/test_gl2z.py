@@ -625,6 +625,16 @@ class TestCommutantInBox:
 
 
 class TestConstruction:
+    @given(a=unimodular_3, b=unimodular_3)
+    def test_products_negatives_and_inverses_are_mat2(self, a, b):
+        # Made by tuple.__new__ from their entry tuples, each is a Mat2
+        # with the entries of its formula.
+        product, negative, inverse = a * b, -a, a.inverse()
+        assert type(product) is type(negative) is type(inverse) is Mat2
+        assert product == naive_mul(a, b)
+        assert negative.entries() == tuple(-e for e in a)
+        assert naive_mul(a, inverse) == IDENTITY
+
     def test_from_rows_round_trip(self):
         m = Mat2.from_rows([[1, 2], [3, 4]])
         assert m == Mat2(1, 2, 3, 4)
