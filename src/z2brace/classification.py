@@ -46,34 +46,39 @@ family definitions, keyed by RowLabel in label order.  A record holds
     4-tuples, Mat2s included, or None,
   * signatures(): the ((det phi, tr phi), (det psi, tr psi)) its members
     have,
-  * candidates(bound, groups): the parameters to try in the box
-    [-bound, bound], given its in-class matrices grouped by (det, trace);
-    a square-root record gives instead the matrices M of its members
-    (matrices), which place puts beside their partners.
+  * members(bound, groups, readings): its members whose entries all fit
+    in the box [-bound, bound], as pairs of entry 4-tuples, given its
+    in-class matrices grouped by (det, trace); readings is one dict per
+    search in which the records that read M alike share their rebuilt M's.
 _SIGNATURE_LABELS and generate_row's parameter check (_need) are read
 off the records.  generate_row checks a RowParams against the record's
 names, calls build and wraps the pair in a BraceSpec; row_membership
 recovers from the pair's matrices and compares the regenerated entries
-with them; the search builds each record's candidates and builds no
+with them; the search reads every record's members and builds no
 BraceSpec for a member.  A Mat2 equals and hashes as its entry tuple, so
 the plain pairs a constructor returns join directly with pairs of Mat2s.
 
 RowParams and SearchReport are NamedTuples like Mat2; RowParams checks
 its signs in the __new__ of a subclass of its NamedTuple fields.
 
-Families 1.1 (_ScalarFamily) and 1.2 (_UnipotentFamily) are written out;
-the other ten are records of two shapes.  In a square-root family
-(_RootFamily: 1.3, 1.4, 2.1, 2.2, 3.1, 3.2, 4.2) phi, or psi conjugated
-by the coordinate swap, is one finite-order matrix M of fixed det and
-trace with off-diagonal entries p_scale p and q_scale q, whose diagonal
-needs the exact root of a radicand; M's partner is E, -E or -M.  In a
-rational family (_RationalFamily: 1.5, 1.6, 4.1) M = phi has a11 = h
-fixed by one exact division of its determinant equation, and psi is M or
-M^-1.  Both shapes fix M's (det, trace); their recover reads only M's
-entry tuple (read), raising nothing, and their candidates are what read
-takes off the box's in-class matrices of M's (det, trace).  Every
-constructor rejects non-squares, inexact divisions and any parameter
-outside its family's signature.
+Families 1.1 (_ScalarFamily) and 1.2 (_UnipotentFamily) are written out
+and list their members outright.  In the other ten, the table families
+(_TableFamily), one matrix M of fixed (det, trace) sits beside its
+partner s M + c E: E, -E, M, -M, or M^-1 = -M - E for an order-3 M.
+phi is M, or psi is M conjugated by the coordinate swap with phi the
+partner (side).  One placement (place), one signature formula, one
+recovery (recover, which reads only M's entry tuple) and one in-box
+listing serve all ten; only how M is read off its entries (read,
+raising nothing) and rebuilt (matrix) differs between the two record
+classes.  In a square-root family (_RootFamily: 1.3, 1.4, 2.1, 2.2,
+3.1, 3.2, 4.2) M's off-diagonal entries are p_scale p and q_scale q,
+and its diagonal needs the exact root of a radicand.  In a rational
+family (_RationalFamily: 1.5, 1.6, 4.1) M = phi has a11 = h fixed by one
+exact division of its determinant equation.  A table record's members
+are the M's that matrix rebuilds from what read takes off the box's
+in-class matrices of M's (det, trace), placed beside their partners.
+Every constructor rejects non-squares, inexact divisions and any
+parameter outside its family's signature.
 """
 
 from __future__ import annotations
@@ -190,11 +195,18 @@ class RowParams(_RowParamsFields):
 #: constructors, recoverers and the search's member list work on.
 _Entries = tuple[int, int, int, int]
 
+#: A pair (phi entries, psi entries).
+_Pair = tuple[_Entries, _Entries]
+
 #: ((det phi, tr phi), (det psi, tr psi)) of a pair.
 _PairSignature = tuple[tuple[int, int], tuple[int, int]]
 
 #: The box's in-class matrices grouped by their (det, trace).
 _Groups = dict[tuple[int, int], list[Mat2]]
+
+#: The M's that the table records rebuild in one search, by what fixes
+#: their read and matrix (_TableFamily.members).
+_Readings = dict[tuple, list[_Entries]]
 
 
 def _need(params: RowParams, family: _Family) -> list[int | None]:
@@ -245,7 +257,7 @@ class _ScalarFamily:
     label = RowLabel.R1_1
     names, optional = ("sign1", "sign2"), ()
 
-    def build(self, sign1: int, sign2: int) -> tuple[_Entries, _Entries]:
+    def build(self, sign1: int, sign2: int) -> _Pair:
         return (sign1, 0, 0, sign1), (sign2, 0, 0, sign2)
 
     def recover(self, phi: _Entries, psi: _Entries) -> tuple[int, int]:
@@ -255,8 +267,8 @@ class _ScalarFamily:
         # s E has det 1 and trace 2 s.
         return tuple(((1, 2 * s1), (1, 2 * s2)) for s1, s2 in product((1, -1), repeat=2))
 
-    def candidates(self, bound: int, groups: _Groups) -> Iterable[tuple[int, int]]:
-        return product((1, -1), repeat=2)
+    def members(self, bound: int, groups: _Groups, readings: _Readings) -> list[_Pair]:
+        return [self.build(*signs) for signs in product((1, -1), repeat=2)]
 
 
 class _UnipotentFamily:
@@ -264,14 +276,14 @@ class _UnipotentFamily:
     nilpotent ((p q, q^2), (-p^2, -p q)) and gcd(p, q) = 1.
 
     (m, p, q) and (-m, -p, -q) give the same pair, and m = 0 gives (E, E)
-    for every (p, q), so recover and candidates use one canonical form:
+    for every (p, q), so recover and members use one canonical form:
     p > 0, or p = 0 with q > 0, and (0, 1, 0) for (E, E).
     """
 
     label = RowLabel.R1_2
     names, optional = ("m", "p", "q"), ()
 
-    def build(self, m: int, p: int, q: int) -> tuple[_Entries, _Entries]:
+    def build(self, m: int, p: int, q: int) -> _Pair:
         if math.gcd(p, q) != 1:
             raise GcdError(f"gcd({p}, {q}) = {math.gcd(p, q)}, must be 1")
         return (
@@ -295,61 +307,96 @@ class _UnipotentFamily:
         # N^2 = 0, and E + X with X^2 = 0 has det 1 and trace 2.
         return (((1, 2), (1, 2)),)
 
-    def candidates(self, bound: int, groups: _Groups) -> Iterator[tuple[int, int, int]]:
+    def members(self, bound: int, groups: _Groups, readings: _Readings) -> Iterator[_Pair]:
         # Each pair once, in the canonical form.  A member in the box has
-        # |m| max(|p|, |q|)^3 <= bound.
-        yield (0, 1, 0)
+        # |m| max(|p|, |q|)^3 <= bound, and its diagonal entries
+        # 1 +- m p^2 q or 1 +- m p q^2 may still pass the bound by one.
+        yield self.build(0, 1, 0)
         cap = 0
         while (cap + 1) ** 3 <= bound:
             cap += 1
         for p, q in product(range(cap + 1), range(-cap, cap + 1)):
             if (p > 0 or q > 0) and math.gcd(p, q) == 1:
                 m_max = bound // max(p, abs(q)) ** 3
-                yield from ((m, p, q) for m in range(-m_max, m_max + 1) if m)
+                pairs = (self.build(m, p, q) for m in range(-m_max, m_max + 1) if m)
+                yield from (pair for pair in pairs if max(map(abs, pair[0] + pair[1])) <= bound)
 
 
-class _RootFamily(NamedTuple):
-    """M = ((trace + sign1 r) / 2, p_scale p, q_scale q, (trace - sign1 r) / 2)
-    sits on one side of the pair beside its partner.  det M = det makes
-    r^2 = radicand(p, q); r and trace have one parity, and r is never 0."""
+class _TableFamily:
+    """What the ten table families share.  Each has one matrix M of fixed
+    (det, trace), which its record class reads the parameters off (read)
+    and rebuilds from them (matrix), and which sits beside its partner
+    s M + c E, partner = (s, c): E is (0, 1), -E (0, -1), M (1, 0), -M
+    (-1, 0), and M^-1 is (-1, -1), since an order-3 M has
+    M^2 + M + E = 0.  A record's fields start with label, side and
+    partner; the fields after them fix read and matrix."""
 
+    __slots__ = ()
+
+    def build(self, *params) -> _Pair:
+        return self.place(self.matrix(*params))
+
+    def place(self, m: _Entries) -> _Pair:
+        """(M, partner) for a phi-side record; a psi-side one conjugates
+        both by the coordinate swap and exchanges them.  For a member every
+        entry of the partner is one of M's up to sign, or 0 or +-1."""
+        s, c = self.partner
+        if self.side == "psi":
+            m = m[3], m[2], m[1], m[0]  # _swap_conj(m), inline: place runs per member
+        a11, a12, a21, a22 = m
+        # A partner M is M's own tuple: a 1.5 or 4.1 member holds one.
+        partner = m if s == 1 and not c else (s * a11 + c, s * a12, s * a21, s * a22 + c)
+        return (m, partner) if self.side == "phi" else (partner, m)
+
+    def signatures(self) -> tuple[_PairSignature, ...]:
+        """The (det, trace) of phi and of psi in every member: M's on its
+        side (the coordinate swap keeps both), the partner's on the other,
+        det(s M + c E) = s^2 det + s c trace + c^2 and trace s trace + 2 c."""
+        det, trace, (s, c) = self.det, self.trace, self.partner
+        m, partner = (det, trace), (s * s * det + s * c * trace + c * c, s * trace + 2 * c)
+        return ((m, partner) if self.side == "phi" else (partner, m),)
+
+    def recover(self, phi: _Entries, psi: _Entries) -> tuple | None:
+        return self.read(phi if self.side == "phi" else _swap_conj(psi))
+
+    def members(self, bound: int, groups: _Groups, readings: _Readings) -> Iterator[_Pair]:
+        """Each M that matrix rebuilds from what read takes off an in-class
+        matrix of M's (det, trace), placed beside its partner.  The rebuilt
+        list is kept in readings under the record's class and the fields
+        that fix read and matrix, so the records that share them rebuild
+        each M once."""
+        key = (type(self), *self[3:])
+        if key not in readings:
+            read = filter(None, map(self.read, groups.get((self.det, self.trace), ())))
+            readings[key] = [self.matrix(*params) for params in read]
+        return map(self.place, readings[key])
+
+
+class _RootFields(NamedTuple):
     label: RowLabel
+    side: str  # "phi" or "psi"
+    partner: tuple[int, int]  # (s, c) of the partner s M + c E
     det: int
     trace: int
     p_scale: int
     q_scale: int
-    side: str  # "phi" or "psi"
-    partner: str  # "E", "-E" or "-M"
 
+
+class _RootFamily(_RootFields, _TableFamily):
+    """M = ((trace + sign1 r) / 2, p_scale p, q_scale q, (trace - sign1 r) / 2).
+    det M = det makes r^2 = radicand(p, q); r and trace have one parity,
+    and r is never 0."""
+
+    __slots__ = ()
     names, optional = ("p", "q", "sign1"), ()
 
     def radicand(self, p: int, q: int) -> int:
         return self.trace**2 - 4 * self.det - 4 * self.p_scale * self.q_scale * p * q
 
-    def build(self, p: int, q: int, sign1: int) -> tuple[_Entries, _Entries]:
-        return self.place(self.matrix(p, q, sign1))
-
     def matrix(self, p: int, q: int, sign1: int) -> _Entries:
         """The entries of M, or IntegralityError for a non-square radicand."""
         t, r = self.trace, sign1 * _exact_sqrt(self.radicand(p, q))
         return ((t + r) // 2, self.p_scale * p, self.q_scale * q, (t - r) // 2)
-
-    def place(self, m: _Entries) -> tuple[_Entries, _Entries]:
-        """The pair of M beside its partner, on the record's side; every
-        entry is one of M's up to sign, or 0 or +-1."""
-        if self.partner == "-M":
-            partner = (-m[0], -m[1], -m[2], -m[3])
-        else:
-            unit = 1 if self.partner == "E" else -1
-            partner = (unit, 0, 0, unit)
-        return (m, partner) if self.side == "phi" else (partner, _swap_conj(m))
-
-    def signatures(self) -> tuple[_PairSignature, ...]:
-        """The (det, trace) of phi and of psi in every member: M's on its
-        side (the coordinate swap keeps both), the partner's on the other."""
-        m = (self.det, self.trace)
-        partner = {"E": (1, 2), "-E": (1, -2), "-M": (self.det, -self.trace)}[self.partner]
-        return ((m, partner) if self.side == "phi" else (partner, m),)
 
     def read(self, m: _Entries) -> tuple[int, int, int] | None:
         """(p, q, sign1) read off the entries of M, or None if a scale
@@ -361,48 +408,34 @@ class _RootFamily(NamedTuple):
             return None
         return (p, q, _sign(a11 - a22))
 
-    def recover(self, phi: _Entries, psi: _Entries) -> tuple[int, int, int] | None:
-        return self.read(phi if self.side == "phi" else _swap_conj(psi))
 
-    def matrices(self, bound: int, groups: _Groups) -> list[_Entries]:
-        """M as matrix builds it from what read takes off each in-class
-        matrix of M's (det, trace), where it fits in the box: the same for
-        every record of its (det, trace, p_scale, q_scale)."""
-        found = []
-        for params in filter(None, map(self.read, groups.get((self.det, self.trace), ()))):
-            try:
-                m = self.matrix(*params)
-            except BadParams:
-                continue
-            if max(map(abs, m)) <= bound:
-                found.append(m)
-        return found
-
-
-class _RationalFamily(NamedTuple):
-    """phi = (h, u + c n + e h, e (v + c m - h), trace - h) with e = +-1, and psi
-    is phi, or phi^-1 when inverse is set.  det phi = det reads
-    h * divisor = dividend (division).  Where both are 0, h is the free
-    parameter p; where only the divisor is 0, the family has no member."""
-
+class _RationalFields(NamedTuple):
     label: RowLabel
+    side: str  # "phi"
+    partner: tuple[int, int]  # (s, c) of the partner s M + c E
     det: int
+    trace: int
     u: int
     v: int
-    trace: int
-    c: int
+    k: int
     e: int
-    inverse: bool
 
-    side = "phi"
+
+class _RationalFamily(_RationalFields, _TableFamily):
+    """M = (h, u + k n + e h, e (v + k m - h), trace - h) with e = +-1.
+    det M = det reads h * divisor = dividend (division).  Where both are
+    0, h is the free parameter p; where only the divisor is 0, the family
+    has no member."""
+
+    __slots__ = ()
     names, optional = ("m", "n"), ("p",)
 
     def division(self, m: int, n: int) -> tuple[int, int]:
         """(divisor, dividend) of the equation h * divisor = dividend."""
-        a, b = self.u + self.c * n, self.v + self.c * m
+        a, b = self.u + self.k * n, self.v + self.k * m
         return self.trace + self.e * a - b, self.det + self.e * a * b
 
-    def build(self, m: int, n: int, p: int | None) -> tuple[_Entries, _Entries]:
+    def matrix(self, m: int, n: int, p: int | None) -> _Entries:
         divisor, dividend = self.division(m, n)
         if not divisor and dividend:
             raise BadParams(f"family {self.label} has no member with m = {m}, n = {n}")
@@ -410,52 +443,40 @@ class _RationalFamily(NamedTuple):
             needs = "needs the free" if p is None else "takes no"
             raise BadParams(f"family {self.label} with m = {m}, n = {n} {needs} parameter p")
         h = _exact_div(dividend, divisor) if divisor else p
-        e, c = self.e, self.c
-        phi = (h, self.u + c * n + e * h, e * (self.v + c * m - h), self.trace - h)
-        return phi, (Mat2(*phi).inverse().entries() if self.inverse else phi)
-
-    def signatures(self) -> tuple[_PairSignature, ...]:
-        """The (det, trace) of phi and of psi in every member.  M^-1 is
-        adj(M) / det, so its trace is trace / det = det * trace."""
-        m = (self.det, self.trace)
-        return ((m, (self.det, self.det * self.trace) if self.inverse else m),)
+        e, k = self.e, self.k
+        return (h, self.u + k * n + e * h, e * (self.v + k * m - h), self.trace - h)
 
     def read(self, m: _Entries) -> tuple[int, int, int | None] | None:
-        """(m, n, p) read off the entries of M = phi, p set only where the
-        divisor is 0, or None if a division by c is inexact."""
+        """(m, n, p) read off the entries of M, p set only where the
+        divisor is 0, or None if a division by k is inexact."""
         h, a12, a21, _ = m
-        n, n_rest = divmod(a12 - self.u - self.e * h, self.c)
-        m_, m_rest = divmod(self.e * a21 - self.v + h, self.c)
+        n, n_rest = divmod(a12 - self.u - self.e * h, self.k)
+        m_, m_rest = divmod(self.e * a21 - self.v + h, self.k)
         if n_rest or m_rest:
             return None
         return (m_, n, None if self.division(m_, n)[0] else h)
 
-    def recover(self, phi: _Entries, psi: _Entries) -> tuple[int, int, int | None] | None:
-        return self.read(phi)
-
-    def candidates(self, bound: int, groups: _Groups) -> list[tuple[int, int, int | None]]:
-        read = map(self.read, groups.get((self.det, self.trace), ()))
-        return [params for params in read if params is not None]
-
 
 _Family = _ScalarFamily | _UnipotentFamily | _RootFamily | _RationalFamily
 
-#: The record of every family, in the order of RowLabel.
+#: The record of every family, in the order of RowLabel.  A table record's
+#: partner (s, c) is s M + c E: (0, 1) E, (0, -1) -E, (1, 0) M, (-1, 0) -M
+#: and (-1, -1) M^-1.
 _FAMILIES: dict[RowLabel, _Family] = {
     family.label: family
     for family in (
         _ScalarFamily(),
         _UnipotentFamily(),
-        _RootFamily(RowLabel.R1_3, 1, -1, 3, 1, "psi", "E"),
-        _RootFamily(RowLabel.R1_4, 1, -1, 3, 1, "phi", "E"),
-        _RationalFamily(RowLabel.R1_5, 1, 2, 1, -1, 3, 1, inverse=False),
-        _RationalFamily(RowLabel.R1_6, 1, 1, 1, -1, 3, -1, inverse=True),
-        _RootFamily(RowLabel.R2_1, -1, 0, 2, 1, "psi", "E"),
-        _RootFamily(RowLabel.R2_2, -1, 0, 2, 2, "psi", "-E"),
-        _RootFamily(RowLabel.R3_1, -1, 0, 2, 1, "phi", "E"),
-        _RootFamily(RowLabel.R3_2, -1, 0, 2, 2, "phi", "-E"),
-        _RationalFamily(RowLabel.R4_1, -1, 1, 1, 0, 2, 1, inverse=False),
-        _RootFamily(RowLabel.R4_2, -1, 0, 2, 2, "phi", "-M"),
+        _RootFamily(RowLabel.R1_3, "psi", (0, 1), 1, -1, 3, 1),
+        _RootFamily(RowLabel.R1_4, "phi", (0, 1), 1, -1, 3, 1),
+        _RationalFamily(RowLabel.R1_5, "phi", (1, 0), 1, -1, 2, 1, 3, 1),
+        _RationalFamily(RowLabel.R1_6, "phi", (-1, -1), 1, -1, 1, 1, 3, -1),
+        _RootFamily(RowLabel.R2_1, "psi", (0, 1), -1, 0, 2, 1),
+        _RootFamily(RowLabel.R2_2, "psi", (0, -1), -1, 0, 2, 2),
+        _RootFamily(RowLabel.R3_1, "phi", (0, 1), -1, 0, 2, 1),
+        _RootFamily(RowLabel.R3_2, "phi", (0, -1), -1, 0, 2, 2),
+        _RationalFamily(RowLabel.R4_1, "phi", (1, 0), -1, 0, 1, 1, 2, 1),
+        _RootFamily(RowLabel.R4_2, "phi", (-1, 0), -1, 0, 2, 2),
     )
 }
 
@@ -594,54 +615,42 @@ def enumerate_unimodular(bound: int) -> Iterator[Mat2]:
                 yield new(Mat2, (a11, a12, a21, a22))
 
 
-def _row_instances(bound: int, groups: _Groups) -> dict[tuple[_Entries, _Entries], list[int]]:
+def _row_instances(bound: int, groups: _Groups) -> dict[_Pair, list[int]]:
     """Every family member whose entries all fit in [-bound, bound], as a
     dict from its pair (phi entries, psi entries) to the positions in
     _FAMILIES of its families.
 
     groups holds the in-class matrices of the box by (det, trace), as
-    the one pass of _pair_classes files them.  Each family's record names
-    the parameters to try (candidates): 1.1 its four sign pairs, 1.2 each
-    coprime (p, q) in canonical form with |m| up to bound / max(|p|, |q|)^3,
-    and a rational family the parameters its read takes off each in-class
-    m in the group of its M's (det, trace).  Every candidate is built by
-    the raw family constructor on entry tuples, not by generate_row, so
-    validity is left to the caller and a wrong constructor shows up as an
-    invalid instance.  A square-root record gives its M's in the box
-    (matrices), built once for each (det, trace, p_scale, q_scale) that
-    1.3 and 1.4, 2.1 and 3.1, or 2.2, 3.2 and 4.2 share, and places them
-    beside its partner, which keeps the pair in the box; its build is
-    place after matrix.  A pair's positions are ints in label order, each
-    family once however many of its candidates build the pair; the dict
-    itself is in no particular order.
+    the one pass of _pair_classes files them.  Every record lists its own
+    in-box members (members), built by the raw family constructor on
+    entry tuples, not by generate_row, so validity is left to the caller
+    and a wrong constructor shows up as an invalid instance.  1.1 lists
+    its four sign pairs, and 1.2 each coprime (p, q) in canonical form
+    with |m| up to bound / max(|p|, |q|)^3 that fits in the box.  A table
+    record rebuilds M from what its read takes off each in-class matrix
+    of M's (det, trace) and places it beside its partner; the records
+    that read M alike (1.3 and 1.4, 2.1 and 3.1, and 2.2, 3.2 and 4.2)
+    share one rebuilt list through readings.  A pair's positions are ints
+    in label order, each family once however many of its parameter sets
+    build the pair; the dict itself is in no particular order.
 
-    The dict is complete.  The M of every table family has (det, trace)
-    (1, -1) or (-1, 0), so it is in class, and its partner (E, -E, -M, M
-    or M^-1) has M's |entries|; so an in-box member has its M in the box
-    and in its group, which is closed under the coordinate swap that a
-    psi-side family applies.  read takes only M, and for a member it
-    returns the parameters that generate it; so every in-box table member
-    is rebuilt from groups, and 1.1 and 1.2 list theirs outright.
+    The dict is complete, and a table member needs no box check and no
+    BadParams catch.  The M of every table family has (det, trace)
+    (1, -1) or (-1, 0), so it is in class, and its partner (E, -E, M, -M
+    or M^-1) has M's |entries| up to place, or 0 and 1; so an in-box
+    member has its M in the box and in its group, which is closed under
+    the coordinate swap that a psi-side family applies.  For every M of
+    the group that read accepts, matrix(*read(M)) == M: the radicand is
+    (a11 - a22)^2, and the division gives h = a11.  So every in-box table
+    member is rebuilt from groups, every pair rebuilt is in the box, and
+    a constructor that raises on its own reading is a fault that raises
+    out of the search.
     """
-    found: dict[tuple[_Entries, _Entries], list[int]] = {}
-    readings: dict[tuple[int, int, int, int], list[_Entries]] = {}
+    found: dict[_Pair, list[int]] = {}
+    readings: _Readings = {}
     # _FAMILIES lists the families in the order of their dotted labels.
     for position, family in enumerate(_FAMILIES.values()):
-        if isinstance(family, _RootFamily):
-            reading = (family.det, family.trace, family.p_scale, family.q_scale)
-            if reading not in readings:
-                readings[reading] = family.matrices(bound, groups)
-            pairs = map(family.place, readings[reading])
-        else:
-            pairs = []
-            for params in family.candidates(bound, groups):
-                try:
-                    pair = family.build(*params)
-                except BadParams:
-                    continue
-                if max(map(abs, pair[0] + pair[1])) <= bound:
-                    pairs.append(pair)
-        for pair in pairs:
+        for pair in family.members(bound, groups, readings):
             positions = found.get(pair)
             if positions is None:
                 found[pair] = [position]
@@ -651,7 +660,7 @@ def _row_instances(bound: int, groups: _Groups) -> dict[tuple[_Entries, _Entries
 
 
 def _labelled(
-    members: Iterable[tuple[tuple[_Entries, _Entries], list[int]]],
+    members: Iterable[tuple[_Pair, list[int]]],
 ) -> list[tuple[RowLabel, BraceSpec]]:
     """(label, spec) for each family position of each member pair, sorted
     by (position, pair): families in label order, each family's pairs
@@ -840,9 +849,9 @@ def exhaustive_search(bound: int) -> SearchReport:
     the forward scan did not find valid, which check_pair then decides).
 
     Both directions read one dict, _row_instances(bound, groups): every
-    in-box family member, mapped to the positions of its families, read
-    off the pass's (det, trace) groups by each table family's recoverer
-    and rebuilt by its constructor, so the box is listed once.  The join
+    in-box family member, mapped to the positions of its families, each
+    table family's M read off the pass's (det, trace) groups and rebuilt
+    by its constructor, so the box is listed once.  The join
     pops each valid pair the forward scan found from that dict, so each
     member pair is hashed once there.  The pop relies on found holding no
     pair twice: in_class lists each matrix once and _search_partners each

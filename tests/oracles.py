@@ -68,12 +68,14 @@ package; nothing in the package imports them.
     on two integers: the map the ybe kernels replaced, which no command
     calls.  test_brace checks it against lambda_of and the brace
     identities, and r_map reads it.
-  * row_instances_by_record is classification._row_instances as it was
-    before the square-root families shared their readings: one record at
-    a time, each candidate built by the record's own build, a square-root
-    family's candidates being what its read takes off the in-class
-    matrices of M's (det, trace).  test_classification holds the member
-    dict to it, keys and position lists alike.
+  * row_instances_by_record is classification._row_instances written
+    one record at a time, with no call to a record's members: every
+    parameter set goes through the record's own build, and the pair is
+    kept if it fits in the box.  It draws 1.1's four sign pairs and 1.2's
+    (m, p, q) itself, and reads each table family's parameters off the
+    in-class matrices of its M's (det, trace) with the record's read.
+    test_classification holds the member dict to it, keys and position
+    lists alike.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from z2brace import IDENTITY, BraceSpec, Mat2, NotUnimodular, RowLabel, order_by_predicate
 from z2brace.brace import _lambda_form, _LambdaTable
-from z2brace.classification import _FAMILIES, BadParams, _member_params, _RootFamily
+from z2brace.classification import _FAMILIES, BadParams, _member_params
 from z2brace.gl2z import _no_concatenation, _undefined
 
 
@@ -347,16 +349,34 @@ def enumerate_by_constructor(bound: int) -> Iterator[Mat2]:
 def row_instances_by_record(bound: int, groups: dict) -> dict:
     """The in-box family members, as a dict from each pair of entry tuples
     to the positions in _FAMILIES of its families, built one record at a
-    time: each candidate goes through the record's build and is kept if
-    it fits in the box.  groups is _pair_classes(bound).groups."""
+    time: each parameter set goes through the record's build and the pair
+    is kept if it fits in the box.  groups is _pair_classes(bound).groups.
+
+    1.1 takes its four sign pairs.  1.2 takes every (m, p, q) with
+    gcd(p, q) = 1, |p|, |q| <= cap and |m| <= bound, where cap is the
+    largest with cap^3 <= bound: a member with m != 0 has the entries
+    -m p^3 and m q^3, and m = 0 gives (E, E) for every (p, q).  A table
+    family takes what its read returns on each in-class matrix of its
+    M's (det, trace)."""
+    cap = max(c for c in range(bound + 1) if c**3 <= bound)
+    near = range(-cap, cap + 1)
+    drawn = {
+        RowLabel.R1_1: list(product((1, -1), repeat=2)),
+        RowLabel.R1_2: [
+            (m, p, q)
+            for m in range(-bound, bound + 1)
+            for p in near
+            for q in near
+            if gcd(p, q) == 1
+        ],
+    }
     found: dict = {}
-    for position, family in enumerate(_FAMILIES.values()):
-        if isinstance(family, _RootFamily):
+    for position, (label, family) in enumerate(_FAMILIES.items()):
+        params_list = drawn.get(label)
+        if params_list is None:
             read = map(family.read, groups.get((family.det, family.trace), ()))
-            candidates = [params for params in read if params is not None]
-        else:
-            candidates = family.candidates(bound, groups)
-        for params in candidates:
+            params_list = [params for params in read if params is not None]
+        for params in params_list:
             try:
                 pair = family.build(*params)
             except BadParams:

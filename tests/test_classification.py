@@ -466,16 +466,33 @@ def table_params(label, m):
         assert a12 % row.p_scale == 0 and a21 % row.q_scale == 0
         sign1 = 1 if a11 > a22 else -1
         return RowParams(p=a12 // row.p_scale, q=a21 // row.q_scale, sign1=sign1)
-    n, rest_n = divmod(a12 - row.u - row.e * a11, row.c)
-    m_, rest_m = divmod(row.e * a21 - row.v + a11, row.c)
+    n, rest_n = divmod(a12 - row.u - row.e * a11, row.k)
+    m_, rest_m = divmod(row.e * a21 - row.v + a11, row.k)
     assert rest_n == 0 and rest_m == 0
     return RowParams(m=m_, n=n, p=None if row.division(m_, n)[0] else a11)
 
 
+#: The partner beside each table family's M, by the family's definition,
+#: through Mat2 operations.
+PARTNERS = {
+    RowLabel.R1_3: lambda m: IDENTITY,
+    RowLabel.R1_4: lambda m: IDENTITY,
+    RowLabel.R1_5: lambda m: m,
+    RowLabel.R1_6: lambda m: m.inverse(),
+    RowLabel.R2_1: lambda m: IDENTITY,
+    RowLabel.R2_2: lambda m: -IDENTITY,
+    RowLabel.R3_1: lambda m: IDENTITY,
+    RowLabel.R3_2: lambda m: -IDENTITY,
+    RowLabel.R4_1: lambda m: m,
+    RowLabel.R4_2: lambda m: -m,
+}
+
+
 class TestTableRoundTrip:
-    # Each table family: a member built by generate_row lists its label in
-    # row_membership, and the family's record, reading M's entry tuple or
-    # the pair, returns the generating parameters.
+    # Each table family: a member built by generate_row has M beside the
+    # partner the family defines, lists its label in row_membership, and
+    # the family's record, reading M's entry tuple or the pair, returns the
+    # generating parameters.
 
     @staticmethod
     def round_trip(label, params, m):
@@ -484,6 +501,8 @@ class TestTableRoundTrip:
         with deadline(1):
             spec = generate_row(label, params)
             assert table_matrix(label, spec) == m
+            partner = spec.psi if row.side == "phi" else spec.phi
+            assert partner == PARTNERS[label](m)
             assert label in row_membership(spec)
             assert row.read(m.entries()) == plain
             assert row.recover(*spec) == plain
@@ -1058,6 +1077,30 @@ class TestExhaustiveSearch:
         assert main(["search", "--bound", "1"]) == 1
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize(
+        "label, fault", [(RowLabel.R1_5, (-1, 0)), (RowLabel.R2_1, (0, 1))], ids=str
+    )
+    def test_constructor_fault_on_its_own_reading_raises(self, monkeypatch, label, fault):
+        # For every in-class M that a table family's read accepts, matrix
+        # rebuilds M, so the listing catches nothing: a constructor that
+        # fails on parameters its own read produced raises out of the
+        # search.  Neither does it drop the member (and 3.1's, which
+        # shares 2.1's reading) nor report 1.5's pair as a valid pair
+        # outside every family.
+        record = classification._FAMILIES[label]
+
+        class Faulty(type(record)):
+            __slots__ = ()
+
+            def matrix(self, *params):
+                if params[:2] == fault:
+                    raise IntegralityError(f"fault at {params}")
+                return super().matrix(*params)
+
+        monkeypatch.setitem(classification._FAMILIES, label, Faulty(*record))
+        with pytest.raises(IntegralityError, match="fault at"):
+            exhaustive_search(3)
+
     def test_invalid_member_of_two_families_is_checked_once(self, monkeypatch):
         # One invalid pair built under both 1.1 and 1.2 is one key of the
         # member dict: check_pair decides it once, and the report lists it
@@ -1200,12 +1243,21 @@ class TestExhaustiveSearch:
 
     @pytest.mark.parametrize("bound", [*range(1, 31), 100])
     def test_member_dict_equals_the_per_record_build(self, bound):
-        # The square-root families read and build each M once per shared
-        # reading; the dict, keys and position lists, is the one that
-        # building every candidate record by record gives.
+        # The table families that share a reading rebuild each M once; the
+        # dict, keys and position lists, is the one that building every
+        # parameter set record by record gives.
         groups = classification._pair_classes(bound).groups
         members = classification._row_instances(bound, groups)
         assert members == row_instances_by_record(bound, groups)
+        # The lemma the listing rests on, with no box check or BadParams
+        # catch for a table member: each in-class M that read accepts is
+        # rebuilt exactly by matrix.
+        for label in TABLE_LABELS:
+            row = classification._FAMILIES[label]
+            for m in groups.get((row.det, row.trace), ()):
+                params = row.read(m)
+                if params is not None:
+                    assert row.matrix(*params) == m, (label, m)
 
     @pytest.mark.parametrize("bound", range(1, 21))
     def test_power_maps_from_the_pass_keys(self, bound):
