@@ -9,11 +9,12 @@ power identities phi^k psi^l = E, whose exponents are read off the entries
 of phi and psi, must all hold.
 
 _lambda_form is the lambda of a brace in closed form: it raises
-InvalidSpec unless check_pair finds the pair valid.  By the partner rules
-of the search (classification._pair_classes, _search_partners) each
-generator of a valid pair is +-E, of order 3, a reflection or parabolic
-of trace 2, and a parabolic E + A pairs only with E + B, B a multiple of
-A's primitive part.  So either both shapes (Mat2._shape, the (period,
+InvalidSpec unless check_pair finds the pair valid.  By the class lemma
+of the search's pass (classification._pair_classes) each generator of a
+valid pair is +-E, of order 3, a reflection or parabolic of trace 2, and
+by the partner rules, which read no bound and hold on all of Z^2
+(classification._search_partners), a parabolic E + A pairs only with
+E + B, B a multiple of A's primitive part.  So either both shapes (Mat2._shape, the (period,
 degree) that Mat2.power_map reads) have degree 0, and lambda is the
 table of the at most 9 values phi^i psi^j, i and j below the periods; or
 (phi - E)(psi - E) = 0, and lambda_a = E + a1 (phi - E) + a2 (psi - E)

@@ -21,7 +21,8 @@ block 3 = (-1, 1), block 4 = (-1, -1).  This module provides
     (enumerate_unimodular),
   * one pass over that listing (_pair_classes) that reads each matrix's
     (det, trace) once, trace first, and with that key decides whether
-    a valid pair can use it and files it into its (det, trace) group,
+    a valid pair can use it, builds its power map and files it into its
+    (det, trace) group,
   * a bidirectional exhaustive cross-validation (exhaustive_search):
     every valid pair in the bounded box must match a family, and every
     family instance that fits in the box must be valid; the instances are
@@ -86,7 +87,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from itertools import product
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .brace import BraceSpec, _identities_hold, check_pair
 from .gl2z import (
@@ -203,6 +204,9 @@ _PairSignature = tuple[tuple[int, int], tuple[int, int]]
 
 #: The box's in-class matrices grouped by their (det, trace).
 _Groups = dict[tuple[int, int], list[Mat2]]
+
+#: Each in-class matrix of the box to its power map, in listing order.
+_Powers = dict[Mat2, Callable[[int], _Entries]]
 
 #: The M's that the table records rebuild in one search, by what fixes
 #: their read and matrix (_TableFamily.members).
@@ -712,8 +716,8 @@ class _Box(NamedTuple):
     """What the one pass of _pair_classes reads off U_B."""
 
     size: int  # |U_B|, every matrix listed
-    in_class: list[Mat2]  # the in-class matrices, in the listing's order
-    groups: _Groups  # in_class by (det, trace)
+    power: _Powers  # each in-class matrix's power map, in the listing's order
+    groups: _Groups  # the in-class matrices by (det, trace)
 
 
 def _pair_classes(bound: int) -> _Box:
@@ -725,8 +729,9 @@ def _pair_classes(bound: int) -> _Box:
     trace) decides the class: (1, 2) holds E and the parabolic matrices
     of trace 2, (-1, 0) the reflections, (1, -1) order 3, and of (1, -2)
     only -E is kept; these are the shapes (Mat2._shape) (1, 0), (1, 1),
-    (2, 0) and (3, 0).  The same key files the matrix into the groups that
-    the search's power maps and _row_instances read.
+    (2, 0) and (3, 0).  The same key builds the matrix's power map
+    (gl2z._power_map), whose dict is the search's one box test, and files
+    the matrix into the groups that _row_instances reads.
 
     Lemma.  A valid pair commutes, so lambda is additive, and then
     lambda_(a*b) = lambda_a lambda_b with a*b = a + lambda_a(b) gives
@@ -743,7 +748,7 @@ def _pair_classes(bound: int) -> _Box:
     enumerate_unimodular rejects a bound that is not a positive integer.
     """
     size = 0
-    in_class: list[Mat2] = []
+    power: _Powers = {}
     groups: _Groups = {}
     for size, m in enumerate(enumerate_unimodular(bound), 1):
         a11, a12, a21, a22 = m
@@ -751,51 +756,41 @@ def _pair_classes(bound: int) -> _Box:
         if -2 <= trace <= 2:
             key = (a11 * a22 - a12 * a21, trace)
             if key in {(1, 2), (-1, 0), (1, -1)} or m == _NEG_IDENTITY:
-                in_class.append(m)
+                power[m] = _power_map(m, *key)
                 groups.setdefault(key, []).append(m)
-    return _Box(size, in_class, groups)
+    return _Box(size, power, groups)
 
 
-def _search_partners(phi: Mat2, bound: int, in_class: list[Mat2]) -> list[Mat2]:
-    """The in-class psi of the box for which (phi, psi) can be valid.
+def _search_partners(phi: Mat2) -> list[Mat2]:
+    """Every unimodular psi for which (phi, psi) can be valid, for a
+    non-scalar phi in one of the five classes of _pair_classes.
 
-    phi lies in one of the five classes of _pair_classes, and in_class
-    lists the in-class matrices of the box.  The result is sorted in the
-    order of enumerate_unimodular, and for a non-scalar phi it has at most
-    four members, found in O(1).  Past +-E, phi's trace names its class:
-    2 parabolic, -1 order 3 and 0 a reflection.
+    The rule reads no box: it gives phi's partners on all of Z^2, at most
+    four, in O(1), sorted in the order of enumerate_unimodular.  phi's
+    trace names its class: 2 parabolic, -1 order 3 and 0 a reflection.
 
     Lemma.  A valid pair commutes, and lambda_c = E for every column c of
     phi - E and of psi - E.
       * -E rule.  The columns of -E - E are (-2, 0) and (0, -2), where the
         conditions read m^-2 = E for the other matrix m.  So a pair with
-        -E is valid only if the other matrix is an involution: -E pairs
-        with E, -E and the reflections, and a phi with phi phi != E does
-        not pair with -E.  phi = E keeps every in-class partner.
+        -E is valid only if the other matrix is an involution, and a phi
+        with phi phi != E does not pair with -E.
       * Parabolic rule.  Write phi = E + A, A != 0, A^2 = 0.  The matrices
         commuting with phi are xE + tN for the primitive part N of A, and
-        the in-class ones other than +-E are E + B with B a multiple of N.
-        So AB = BA = 0 and lambda_v = E + v1 A + v2 B.  At a column c of
-        A with c2 != 0 the condition reads c1 A + c2 B = 0, which leaves
-        B = -(c1/c2) A when the division is exact.  If no column has
-        c2 != 0, A = ((0, x), (0, 0)), and the condition at (x, 0) asks
-        x A = 0 whatever B is, so no parabolic partner exists.
+        the unimodular ones of trace 2 other than E are E + B with B a
+        multiple of N.  So AB = BA = 0 and lambda_v = E + v1 A + v2 B.  At
+        a column c of A with c2 != 0 the condition reads c1 A + c2 B = 0,
+        which leaves B = -(c1/c2) A when the division is exact.  If no
+        column has c2 != 0, A = ((0, x), (0, 0)), and the condition at
+        (x, 0) asks x A = 0 whatever B is, so no parabolic partner exists.
       * Finite orders.  An order-3 or reflection phi commutes only with
         +-E, +-phi and, for order 3, +-phi^-1.  A reflection keeps E, phi,
         -E and -phi.  An order-3 phi keeps E, phi and phi^2 = phi^-1: -phi
         and -phi^-1 have trace 1, order 6, and lie in no class, and the -E
         rule drops -E because phi phi != E.
-    Each partner left is E, -E, +-phi, phi^-1 or E + cA beside phi = E + A,
-    so it commutes with phi; its four power identities are decided in full.
+    Each partner is E, -E, +-phi, phi^-1 or E + cA beside phi = E + A, so
+    it commutes with phi; its four power identities are decided in full.
     """
-    if phi == IDENTITY:
-        return in_class
-    if phi == _NEG_IDENTITY:
-        # The in-class involutions, in order: M^2 = tM - dE is E for the
-        # reflections, (d, t) = (-1, 0), and it is 2M - E for (1, 2) and
-        # -M - E for (1, -1), which is E only for M = E; -E squares to E.
-        # So they are the m of det -1 and the diagonal ones, +-E.
-        return [m for m in in_class if m[0] * m[3] - m[1] * m[2] == -1 or not (m[1] or m[2])]
     a11, a12, a21, a22 = phi
     trace = a11 + a22
     if trace == 2:
@@ -805,12 +800,8 @@ def _search_partners(phi: Mat2, bound: int, in_class: list[Mat2]) -> list[Mat2]:
         c1, c2 = (a[0], a[2]) if a[2] else (a[1], a[3])
         if c2 and c1 and not any(c1 * e % c2 for e in a):
             b11, b12, b21, b22 = (-c1 * e // c2 for e in a)
-            psi = Mat2(1 + b11, b12, b21, 1 + b22)
-            if max(map(abs, psi)) <= bound:
-                return sorted((IDENTITY, psi))
+            return sorted((IDENTITY, Mat2(1 + b11, b12, b21, 1 + b22)))
         return [IDENTITY]
-    # -phi and phi^-1 = adj(phi) have the entries of phi up to sign and
-    # place, so every finite-order partner already lies in the box.
     if trace == -1:
         return sorted((IDENTITY, phi, phi.inverse()))
     return sorted((IDENTITY, phi, _NEG_IDENTITY, -phi))
@@ -822,26 +813,26 @@ def exhaustive_search(bound: int) -> SearchReport:
     Both orderings of every unimodular pair are covered independently (the
     families are not symmetric under swapping phi and psi), but a pair is
     decided only if it can be valid: both matrices in one of the five
-    classes of _pair_classes, and psi among the partners that
-    _search_partners solves from phi's own pair conditions.  phi = E pairs
-    with every in-class matrix and -E with the in-class involutions; every
-    other phi has at most four partners: a reflection 4, an order-3 phi 3,
-    and a parabolic one only E and at most one parabolic psi.  The box is
+    classes of _pair_classes, and psi among phi's partners.  phi = E pairs
+    with every in-class matrix and -E with the in-class involutions, rows
+    read off the pass; every other phi has at most four partners on Z^2,
+    which _search_partners solves from phi's own pair conditions: a
+    reflection 4, an order-3 phi 3, and a parabolic one only E and at
+    most one parabolic psi.  The box is
     listed once, by the one pass of _pair_classes, which reads each
     matrix's (det, trace) once off its entries and with that key counts
-    it, keeps it if it is in class and files it into its (det, trace)
-    group; candidates_examined still counts every ordered pair of the box,
-    |U_B|^2.  Unmatched pairs come out in the lexicographic order of
-    enumerate_unimodular.
+    it, keeps it if it is in class, builds its power map and files it
+    into its (det, trace) group; candidates_examined still counts every
+    ordered pair of the box, |U_B|^2.  A partner is decided iff it has a
+    power map in the pass's dict, the one box test.  Unmatched pairs come
+    out in the lexicographic order of enumerate_unimodular.
 
     The whole search works on the Mat2s the listing yields, each of which
-    is its own entry tuple: the in-class list, the groups, the power-map
-    keys, the partners, the valid pairs and the join hold those matrices,
-    with no second representation.  Each in-class matrix gets one power
-    map, built once from its group's key by Mat2.power_map's builder
-    (gl2z._power_map), and each pair is decided by brace._identities_hold,
+    is its own entry tuple: the power-map keys, the groups, the partners,
+    the valid pairs and the join hold those matrices, with no second
+    representation.  Each pair is decided by brace._identities_hold,
     which reads the four exponents in place off the two entry tuples and
-    compares the powers from the two cached maps, with no commutation test
+    compares the powers from the pass's two maps, with no commutation test
     (every partner commutes with phi); it stops at the pair's first false
     identity.  The members are keyed by the constructors' plain entry-tuple
     pairs, which equal and hash as the Mat2 pairs they join with.  A
@@ -854,7 +845,7 @@ def exhaustive_search(bound: int) -> SearchReport:
     by its constructor, so the box is listed once.  The join
     pops each valid pair the forward scan found from that dict, so each
     member pair is hashed once there.  The pop relies on found holding no
-    pair twice: in_class lists each matrix once and _search_partners each
+    pair twice: the power dict holds each matrix once and each row each
     partner of phi once.  A hit adds one to the count of each of its
     families, a join that equals row_membership because the dict is
     complete; a miss is unmatched, so a member missing from the dict fails
@@ -866,16 +857,17 @@ def exhaustive_search(bound: int) -> SearchReport:
     pair.  enumerate_unimodular rejects a bound that is not a positive
     integer.
     """
-    box_size, in_class, groups = _pair_classes(bound)
-    # One power map per in-class matrix.  _identities_hold takes no
-    # hyperbolic rule: _pair_classes excludes every hyperbolic matrix, so
-    # no search pair has one.
-    power = {m: _power_map(m, *key) for key, group in groups.items() for m in group}
+    box_size, power, groups = _pair_classes(bound)
+    # -E's row is the in-class involutions: M^2 = tM - dE is E for the
+    # reflections, (d, t) = (-1, 0), and for (1, 2) and (1, -1) only at E.
+    rows = {IDENTITY: list(power), _NEG_IDENTITY: sorted((IDENTITY, _NEG_IDENTITY, *groups[-1, 0]))}
     found: list[tuple[Mat2, Mat2]] = []
-    for phi in in_class:
-        phi_power = power[phi]
-        for psi in _search_partners(phi, bound, in_class):
-            if _identities_hold(phi, psi, phi_power, power[psi]):
+    for phi, phi_power in power.items():
+        for psi in rows[phi] if phi in rows else _search_partners(phi):
+            # The box test.  No in-class matrix is hyperbolic, so
+            # _identities_hold needs no hyperbolic rule.
+            psi_power = power.get(psi)
+            if psi_power is not None and _identities_hold(phi, psi, phi_power, psi_power):
                 found.append((phi, psi))
     members = _row_instances(bound, groups)
     counts = [0] * len(_LABELS)

@@ -10,14 +10,23 @@ package; nothing in the package imports them.
     (Mat2.__pow__) for any pair, valid or not.  The tests check
     check_pair, lambda_map and r_map against this multiplication.
   * commutant_in_box lists the whole commutant of a matrix in an entry box.
-    It checks the partners that classification._search_partners gives
-    exhaustive_search for each phi, and, through a search over every
-    commutant (test_classification), the search report itself.
+    It checks the partners exhaustive_search decides for each phi, which
+    the bound-free classification._search_partners gives and the search
+    keeps when they have a power map in its pass's dict, and, through a
+    search over every commutant (test_classification), the search report
+    itself.
   * centralizer_finite lists the whole centralizer of a finite-order
     matrix other than +-E by group theory, with no box.  It checks
     commutant_in_box (test_gl2z), the brute-force commutant of a box
     (test_acceptance), and that the finite-order partners _search_partners
-    reads off phi's own powers need no box filter (test_classification).
+    reads off phi's own powers all lie in the box, so the search's box
+    test drops none of them (test_classification).
+  * norm_form_partners solves the partners a non-scalar phi can have on
+    all of Z^2 from the norm form of its centralizer Z E + Z N: one
+    quadratic equation in y per target class, and for a parabolic phi
+    the exact integer roots of the four identity polynomials in y on the
+    line E + y N0.  test_classification holds _search_partners to it in
+    every box up to bound 20 and on 256-bit conjugates of each class.
   * HolElement, hol_mul and h_lambda_closed read the pair conditions as
     closure of {(a, lambda_a)} in the holomorph Z^2 x| GL2(Z).  Through
     conftest.holomorph_reading they check the four power identities of
@@ -202,6 +211,77 @@ def centralizer_finite(a: Mat2) -> frozenset[Mat2]:
         inv = a.inverse()
         members.update((inv, -inv))
     return frozenset(members)
+
+
+def _integer_roots(c0: int, c1: int, c2: int) -> set[int] | None:
+    """The integer roots of c0 + c1 y + c2 y^2, solved exactly, or None
+    when the polynomial is 0 and every y is a root."""
+    if c2:
+        disc = c1 * c1 - 4 * c2 * c0
+        root = isqrt(disc) if disc >= 0 else -1
+        if root * root != disc:
+            return set()
+        return {(r - c1) // (2 * c2) for r in (root, -root) if (r - c1) % (2 * c2) == 0}
+    if c1:
+        return {-c0 // c1} if c0 % c1 == 0 else set()
+    return None if c0 == 0 else set()
+
+
+def norm_form_partners(phi: Mat2) -> list[Mat2]:
+    """The psi on all of Z^2 that can make (phi, psi) valid, for a
+    non-scalar phi of the classes classification._pair_classes keeps,
+    read off the norm form of phi's centralizer, with no box.
+
+    The integer matrices commuting with phi are xE + yN with
+    N = (phi - a11 E)/g, g = gcd(a12, a21, a22 - a11) (Latimer-MacDuffee,
+    as in commutant_in_box).  psi = xE + yN has trace T = 2x + y tr N and
+    det D = (T^2 - y^2 disc N)/4, so the psi of each class (D, T) solve
+    y^2 disc N = T^2 - 4D, with x = (T - y tr N)/2 an integer.
+      * disc N != 0 (phi of order 3 or a reflection): y^2 is one exact
+        quotient, so each class gives at most two psi.
+      * disc N = 0 (phi parabolic of trace 2): of the classes only (1, 2)
+        and (1, -2) solve, each for every y.  The trace-2 psi form the line
+        E + yN0, with N0 = N - (tr N / 2) E the primitive nilpotent, and
+        phi = E + g N0.  As N0^2 = 0, phi^k psi^l = E + (kg + ly) N0, so
+        the identity at the exponents (k, l), a column of phi - E or of
+        psi - E, reads kg + ly = 0: of degree 1 in y at phi's columns and
+        2 at psi's.  The y kept are the exact integer roots common to all
+        four.
+    The class (1, -2) holds -E alone, kept only beside an involution: the
+    identity at the column (-2, 0) of -E - E reads phi^-2 = E.  The result
+    is sorted in the order of enumerate_unimodular.
+    """
+    a11, a12, a21, a22 = phi
+    g = gcd(a12, a21, a22 - a11)
+    if g == 0:
+        raise ValueError(f"{phi} is scalar; every matrix commutes with it")
+    n12, n21, n22 = a12 // g, a21 // g, (a22 - a11) // g
+    disc = n22 * n22 + 4 * n12 * n21
+    found = [-IDENTITY] if phi * phi == IDENTITY else []
+    if disc:
+        for det, trace in ((1, 2), (-1, 0), (1, -1)):
+            square, rest = divmod(trace * trace - 4 * det, disc)
+            if rest or square < 0 or isqrt(square) ** 2 != square:
+                continue
+            for y in {isqrt(square), -isqrt(square)}:
+                twice_x = trace - y * n22
+                if twice_x % 2 == 0:
+                    x = twice_x // 2
+                    found.append(Mat2(x, y * n12, y * n21, x + y * n22))
+        return sorted(found)
+    if a11 + a22 != 2:
+        raise ValueError(f"{phi} is in none of the classes of a valid pair")
+    # disc N = 0 makes n22 even.  Each column (u, v) of N0 is a column of
+    # phi - E times g and of psi - E times y.
+    h = n22 // 2
+    ys = None
+    for u, v in ((-h, n21), (n12, h)):
+        for poly in ((g * g * u, g * v, 0), (0, g * u, v)):
+            roots = _integer_roots(*poly)
+            if roots is not None:
+                ys = roots if ys is None else ys & roots
+    found += (Mat2(1 - y * h, y * n12, y * n21, 1 + y * h) for y in ys)
+    return sorted(found)
 
 
 @dataclass(frozen=True, slots=True)

@@ -40,6 +40,7 @@ from oracles import (
     centralizer_finite,
     commutant_in_box,
     enumerate_by_constructor,
+    norm_form_partners,
     row12_parameters,
     row_instances_by_record,
 )
@@ -939,16 +940,17 @@ class TestExhaustiveSearch:
                 allowed.append(m)
         classes = classification._pair_classes(bound)
         assert classes.size == len(box)
-        assert classes.in_class == allowed
+        assert list(classes.power) == allowed
         assert 0 < len(allowed) < len(box)
 
     @pytest.mark.parametrize("bound", range(1, 13))
     def test_pair_class_groups_are_the_det_trace_regroup(self, bound):
         # The groups the pass files each in-class matrix into by its key are
-        # the in-class list regrouped by m.det(), m.trace(), in its order.
+        # the in-class list (the power dict's keys) regrouped by m.det(),
+        # m.trace(), in its order.
         classes = classification._pair_classes(bound)
         regrouped = {}
-        for m in classes.in_class:
+        for m in classes.power:
             regrouped.setdefault((m.det(), m.trace()), []).append(m)
         assert classes.groups == regrouped
         assert set(regrouped) == {(1, 2), (-1, 0), (1, -1), (1, -2)}
@@ -963,9 +965,20 @@ class TestExhaustiveSearch:
 
     @staticmethod
     def partner_rule(bound):
-        # The in-class matrices of the box, and _search_partners over them.
-        in_class = classification._pair_classes(bound).in_class
-        return in_class, lambda phi: classification._search_partners(phi, bound, in_class)
+        # The in-class matrices of the box, in the listing's order, and for
+        # each phi the partners the search decides beside it, recorded
+        # through _identities_hold as exhaustive_search calls it.
+        in_class = list(classification._pair_classes(bound).power)
+        decided = {}
+
+        def recording_decider(phi, psi, *rest):
+            decided.setdefault(phi, []).append(psi)
+            return _identities_hold(phi, psi, *rest)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classification, "_identities_hold", recording_decider)
+            exhaustive_search(bound)
+        return in_class, lambda phi: decided.get(phi, [])
 
     def test_pairs_with_minus_identity_need_an_involution(self):
         # -E rule: a valid pair that contains -E has an involution beside it.
@@ -1000,7 +1013,8 @@ class TestExhaustiveSearch:
         # Finite orders: the partners of an order-3 or reflection phi are
         # the in-class part of its commutant, with -E only beside a
         # reflection.  The whole centralizer lies in the box, even at
-        # bound 1, so the rule needs no box filter.
+        # bound 1, so the search's box test drops none of the partners
+        # that the bound-free rule gives.
         in_class, partners = self.partner_rule(bound)
         kept = set(in_class)
         seen = Counter()
@@ -1017,7 +1031,7 @@ class TestExhaustiveSearch:
                 if m in kept and (m != -IDENTITY or phi * phi == IDENTITY)
             ]
             got = partners(phi)
-            assert got == expected, phi
+            assert got == expected == classification._search_partners(phi), phi
             assert all(max(map(abs, m.entries())) <= bound for m in got), phi
         assert seen[2] > 0 and seen[3] > 0
 
@@ -1036,8 +1050,8 @@ class TestExhaustiveSearch:
         # class representative C: order 3, the two reflection classes, and
         # E + mN with N = [[0, 1], [0, 0]].  g^-1 N g = u v^T with u the first
         # column of g^-1, and phi has a parabolic partner iff u2 divides m,
-        # so m is drawn both freely and as a multiple of u2.  The bound
-        # holds every partner: E + cA has entries below (|phi| + 2)^2.
+        # so m is drawn both freely and as a multiple of u2.  The rule reads
+        # no box, so every partner on Z^2 is returned.
         rng = random.Random(21)
         counts = Counter()
         for _ in range(200):
@@ -1053,8 +1067,7 @@ class TestExhaustiveSearch:
                 ("parabolic", Mat2(1, m * h.a21, 0, 1)),
             ):
                 phi = h * c * g
-                bound = (max(map(abs, phi)) + 2) ** 2
-                partners = classification._search_partners(phi, bound, [])
+                partners = classification._search_partners(phi)
                 assert all(commutes(phi, psi) for psi in partners), (phi, partners)
                 counts[kind, len(partners)] += 1
         assert counts == {
@@ -1261,12 +1274,14 @@ class TestExhaustiveSearch:
 
     @pytest.mark.parametrize("bound", range(1, 21))
     def test_power_maps_from_the_pass_keys(self, bound):
-        # The map the search builds from the (det, trace) key its pass read
-        # is Mat2.power_map's, and both are the repeated products.
+        # The map the pass builds from the (det, trace) key it read, the
+        # one the search decides with, is Mat2.power_map's, and both are
+        # the repeated products.
         k_max = 13
-        for (det, trace), group in classification._pair_classes(bound).groups.items():
+        box = classification._pair_classes(bound)
+        for group in box.groups.values():
             for m in group:
-                from_key, own = classification._power_map(m, det, trace), m.power_map()
+                from_key, own = box.power[m], m.power_map()
                 powers = repeated_powers(m, k_max)
                 for k in range(-k_max, k_max + 1):
                     assert from_key(k) == own(k) == powers[k].entries(), (m, k)
@@ -1297,7 +1312,7 @@ class TestExhaustiveSearch:
         # family member of the grid oracle has both matrices in class, and
         # the in-class matrices of the box are closed under conjugation by
         # the coordinate swap, which the psi-side families read.
-        in_class = {m.entries() for m in classification._pair_classes(bound).in_class}
+        in_class = {m.entries() for m in classification._pair_classes(bound).power}
         for value, phi, psi in grid_row_instances(bound):
             assert phi in in_class and psi in in_class, (value, phi, psi)
         assert {(d, c, b, a) for a, b, c, d in in_class} == in_class
@@ -1328,7 +1343,7 @@ class TestExhaustiveSearch:
     def test_search_decider_matches_check_pair_on_every_search_pair(self):
         # The forward scan's call, power maps built once per in-class matrix
         # and no hyperbolic rule, against check_pair's verdict on every pair
-        # _search_partners gives at each bound up to 40.
+        # the search decides at each bound up to 40.
         pairs = {}
         for bound in range(1, 41):
             in_class, partners = self.partner_rule(bound)
@@ -1394,6 +1409,14 @@ def transport(g, phi, psi):
     g11, g12, g21, g22 = g
     h = g.inverse()
     return h * phi**g11 * psi**g21 * g, h * phi**g12 * psi**g22 * g
+
+
+def shear_product(rng):
+    # A seeded g in GL2(Z) far past every box: two shears with parameters
+    # up to 2^64 and a signed permutation, so g has entries of about 128
+    # bits.
+    s, t = (rng.randint(-(2**64), 2**64) for _ in range(2))
+    return Mat2(1, s, 0, 1) * Mat2(1, 0, t, 1) * rng.choice(SIGNED_PERMUTATIONS)
 
 
 def label_permutation(g):
@@ -1488,6 +1511,143 @@ class TestBoxSymmetries:
             for g in SIGNED_PERMUTATIONS:
                 image = BraceSpec(*transport(g, phi, psi))
                 assert (relabel[g][label], image) in listed, (g, label, phi, psi)
+
+
+class TestNormFormPartners:
+    """_search_partners against norm_form_partners, which solves each
+    non-scalar phi's partners on all of Z^2 from the norm form of its
+    centralizer Z E + Z N, with no box and no reading of the rule."""
+
+    @staticmethod
+    def check_rule(phi):
+        # The norm-form candidates that check_pair finds valid are the valid
+        # partners of the rule.  A finite-order phi's partners are the norm
+        # form's whole list; a parabolic phi's valid ones are the norm
+        # form's line roots, which solve the four identities in full.
+        partners = classification._search_partners(phi)
+        candidates = norm_form_partners(phi)
+        valid = [psi for psi in partners if check_pair(BraceSpec(phi, psi)).valid]
+        assert [psi for psi in candidates if check_pair(BraceSpec(phi, psi)).valid] == valid, phi
+        assert candidates == (valid if phi.trace() == 2 else partners), phi
+        return partners, valid
+
+    @pytest.mark.parametrize("bound", range(1, 21))
+    def test_rule_is_the_norm_form_in_the_box(self, bound):
+        # Every non-scalar in-class phi of the box; and the search decides
+        # exactly the rule's partners that fit in the box, since those are
+        # the ones with a power map in the pass's dict.
+        in_class, decided = TestExhaustiveSearch.partner_rule(bound)
+        traces = Counter()
+        for phi in in_class:
+            if phi in (IDENTITY, -IDENTITY):
+                continue
+            partners, _ = self.check_rule(phi)
+            in_box = [psi for psi in partners if max(map(abs, psi)) <= bound]
+            assert decided(phi) == in_box, phi
+            traces[phi.trace()] += 1
+        assert set(traces) == {2, -1, 0}
+
+    def test_rule_is_the_norm_form_on_256_bit_conjugates(self):
+        # g^-1 C g with g = shear_product, so phi has entries of about 256
+        # bits, for each class representative C: order 3, the two
+        # reflection classes, and E + m e12 with |m| up to 2^64.  Such a
+        # phi is E + m u v^T, u the first column of g^-1, and has a
+        # parabolic partner iff u2 divides m, so m is drawn both freely
+        # and as a multiple of u2.
+        rng = random.Random(29)
+        counts = Counter()
+        bits = 0
+        for _ in range(100):
+            g = shear_product(rng)
+            h = g.inverse()
+            u2 = h.a21
+            free = rng.choice((1, -1)) * rng.randint(1, 2**64)
+            multiple = rng.choice((1, -1)) * u2 * rng.randint(1, 2**64 // abs(u2))
+            for kind, c in (
+                ("order 3", Mat2(0, -1, 1, -1)),
+                ("diag", Mat2(1, 0, 0, -1)),
+                ("swap", Mat2(0, 1, 1, 0)),
+                ("parabolic", Mat2(1, free, 0, 1)),
+                ("parabolic", Mat2(1, multiple, 0, 1)),
+            ):
+                phi = h * c * g
+                bits = max(bits, *(e.bit_length() for e in phi))
+                partners, valid = self.check_rule(phi)
+                counts[kind, len(partners), len(valid)] += 1
+        assert bits > 250
+        assert counts == NORM_FORM_COUNTS
+
+
+#: (class, partners, valid partners) of the 500 conjugates of
+#: test_rule_is_the_norm_form_on_256_bit_conjugates, with how many of
+#: them have it; recorded.
+NORM_FORM_COUNTS = {
+    ("order 3", 3, 0): 20, ("order 3", 3, 1): 80, ("diag", 4, 4): 100,
+    ("swap", 4, 0): 36, ("swap", 4, 1): 64,
+    ("parabolic", 1, 0): 46, ("parabolic", 2, 1): 154,
+}
+
+
+class TestTransport:
+    """A brace isomorphism of Z^2 is additive, so it is some g in GL2(Z),
+    and it carries a commuting pair to transport(g, phi, psi).  So the
+    valid pairs and the twelve families are unions of GL2(Z)-orbits.  The
+    g here are shear_product's, far past the signed permutations of
+    TestBoxSymmetries.  Every pair has no hyperbolic member, and neither
+    has its image, so every power costs O(1) (Mat2.power_map)."""
+
+    def test_valid_pairs_transport_to_family_members(self):
+        # Each of the 226 valid pairs of the bound-4 box, by three g each:
+        # the image is valid, row_membership names a family for it, and
+        # g^-1 transports it back.  The images reach every family and
+        # entries of over 250 bits.
+        rng = random.Random(8)
+        in_class, partners = TestExhaustiveSearch.partner_rule(4)
+        valid = [
+            (phi, psi)
+            for phi in in_class
+            for psi in partners(phi)
+            if check_pair(BraceSpec(phi, psi)).valid
+        ]
+        assert len(valid) == 226
+        reached, bits = set(), 0
+        for pair in valid:
+            for _ in range(3):
+                g = shear_product(rng)
+                image = transport(g, *pair)
+                spec = BraceSpec(*image)
+                labels = row_membership(spec)
+                assert check_pair(spec).valid, (g, pair)
+                assert labels, (g, pair)
+                assert transport(g.inverse(), *image) == pair, (g, pair)
+                reached |= labels
+                bits = max(bits, *(e.bit_length() for m in image for e in m))
+        assert reached == set(RowLabel) and bits > 250
+
+    def test_commuting_invalid_pairs_stay_invalid(self):
+        # Every commuting pair of the bound-2 box with no hyperbolic member
+        # that check_pair rejects: its image commutes, is rejected too, and
+        # g^-1 transports it back.
+        rng = random.Random(9)
+        box = [m for m in enumerate_unimodular(2) if not m.is_hyperbolic()]
+        invalid = [
+            (phi, psi)
+            for phi in box
+            for psi in box
+            if commutes(phi, psi) and not check_pair(BraceSpec(phi, psi)).valid
+        ]
+        assert len(invalid) == INVALID_COMMUTING_PAIRS
+        for pair in invalid:
+            g = shear_product(rng)
+            image = transport(g, *pair)
+            assert commutes(*image), (g, pair)
+            assert not check_pair(BraceSpec(*image)).valid, (g, pair)
+            assert transport(g.inverse(), *image) == pair, (g, pair)
+
+
+#: The commuting pairs of the bound-2 box with no hyperbolic member that
+#: check_pair rejects; recorded.
+INVALID_COMMUTING_PAIRS = 414
 
 
 class TestOrdersCrosscheck:
