@@ -31,10 +31,9 @@ hyperbolic member, reading the exponents in place off the entries and
 stopping at the first false identity; classification.exhaustive_search
 calls it with one power map per in-class matrix, built once per search,
 and _lambda_form with the pair's own two.  check_pair, the one caller
-that can meet a hyperbolic matrix, reads the exponents through
-_exponents, decides each identity from the pair's hyperbolic flags and,
-once an identity reaches a comparison, the pair's two power maps, and
-keeps all four truths.
+that can meet a hyperbolic matrix, decides each identity from the pair's
+hyperbolic flags and, once an identity reaches a comparison, the pair's
+two power maps, and keeps all four truths.
 
 Before it takes a power, check_pair applies one rule to each identity.
 phi^k psi^l = E says phi^k = psi^(-l).  A nonzero power of a
@@ -194,16 +193,6 @@ def _lambda_form(spec: BraceSpec) -> _LambdaTable | _LambdaAffine:
     return _LambdaTable(rows, n_phi, n_psi)
 
 
-def _exponents(
-    phi: tuple[int, int, int, int], psi: tuple[int, int, int, int]
-) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int], tuple[int, int]]:
-    """The exponents (k, l) of the four identities phi^k psi^l = E, in
-    generator order: the columns of phi - E, then those of psi - E."""
-    p11, p12, p21, p22 = phi
-    q11, q12, q21, q22 = psi
-    return (p11 - 1, p21), (p12, p22 - 1), (q11 - 1, q21), (q12, q22 - 1)
-
-
 def _identities_hold(
     phi: tuple[int, int, int, int],
     psi: tuple[int, int, int, int],
@@ -216,8 +205,8 @@ def _identities_hold(
     phi_power and psi_power are the pair's power maps (Mat2.power_map).
     Each identity phi^k psi^l = E is read as phi^k = psi^(-l): two entry
     tuples from the power maps compared as they are, so no product is
-    formed.  The exponents (k, l), a column of phi - E or psi - E in the
-    order of _exponents, are read in place off the unpacked entries, in
+    formed.  The exponents (k, l), a column of phi - E or psi - E in
+    generator order, are read in place off the unpacked entries, in
     one short-circuiting expression.  The exhaustive search and
     _lambda_form decide validity here.
     """
@@ -259,7 +248,9 @@ def check_pair(spec: BraceSpec) -> Verdict:
     phi_big, psi_big = phi.is_hyperbolic(), psi.is_hyperbolic()
     phi_power = psi_power = None
     truths = []
-    for k, l in _exponents(phi, psi):
+    p11, p12, p21, p22 = phi
+    q11, q12, q21, q22 = psi
+    for k, l in (p11 - 1, p21), (p12, p22 - 1), (q11 - 1, q21), (q12, q22 - 1):
         big = phi_big and k != 0
         if big != (psi_big and l != 0) or (big and not commuting):
             truths.append(False)

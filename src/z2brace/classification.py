@@ -790,9 +790,17 @@ def _search_partners(phi: Mat2) -> list[Mat2]:
         rule drops -E because phi phi != E.
     Each partner is E, -E, +-phi, phi^-1 or E + cA beside phi = E + A, so
     it commutes with phi; its four power identities are decided in full.
+
+    Raises ValueError for a scalar phi (a12 = a21 = 0 and a11 = a22),
+    whose row the rules do not give, and for a phi whose (det, trace) is
+    not (1, 2), (1, -1) or (-1, 0).
     """
     a11, a12, a21, a22 = phi
     trace = a11 + a22
+    if (a11 * a22 - a12 * a21, trace) not in {(1, 2), (1, -1), (-1, 0)} or (
+        not a12 and not a21 and a11 == a22
+    ):
+        raise ValueError(f"no partner rule for {phi}: scalar or in no non-scalar class")
     if trace == 2:
         # a holds the entries of A = phi - E, (c1, c2) its first column
         # with c2 != 0 if any.  c1 = 0 solves B = 0, psi = E.

@@ -18,14 +18,17 @@ in pure Python, while _write covers just the payload types the commands
 emit (dicts with str keys, lists, str, int, bool and None) and raises
 TypeError on any other.  json itself only decodes the specs.
 
-main parses each call once.  When the first argument names a command, the
-rest goes to _parse_direct, which reads that command's grammar off the
-Actions its add_argument calls returned, so each argument is declared
-once.  It takes exact option strings ("--name value" or "--name=value"),
-positionals in declared order, and an option value that starts with "-"
-only as an ASCII -[0-9]+ integer; it converts each value with the
-Action's type, checks its choices and fills the defaults, at a fraction
-of argparse's cost per call.  On anything else (an abbreviation, an
+Each command is declared once, in the table _DECLARATIONS: its help, its
+handler and each argument's name or flag with its add_argument keywords.
+_build_parser adds every command's parser from it in one loop, with
+--output last, and reads each command's grammar off the Actions its
+add_argument calls returned.  main parses each call once.  When the
+first argument names a command, the rest goes to _parse_direct, with
+that command's grammar.  It takes exact option strings ("--name value"
+or "--name=value"), positionals in declared order, and an option value
+that starts with "-" only as an ASCII -[0-9]+ integer; it converts each
+value with the Action's type, checks its choices and fills the defaults,
+at a fraction of argparse's cost per call.  On anything else (an abbreviation, an
 unknown or repeated option, -h, --, a missing value or argument, an extra
 positional, a failed type or choice) it returns None, and the command's
 own argparse parser, the one the top-level parser holds, parses the call
@@ -40,6 +43,7 @@ import argparse
 import json
 import sys
 from json.encoder import encode_basestring_ascii
+from typing import Callable
 
 from .brace import BraceSpec, check_pair
 from .classification import (
@@ -177,78 +181,64 @@ def _cmd_ybe(args: argparse.Namespace) -> int:
     return 0 if clean else 1
 
 
+# Each command's help, handler and arguments: the name or flag of each
+# and its add_argument keywords, in declared order.  _build_parser adds
+# --output to every command after them.
+_DECLARATIONS: dict[str, tuple[str, Callable[[argparse.Namespace], int], list]] = {
+    "check": ("validate a pair (exit 0 valid, 1 invalid)", _cmd_check, [
+        ("spec", {"help": "inline JSON or a path to a spec file"}),
+    ]),
+    "classify": ("list the families a pair belongs to", _cmd_classify, [
+        ("spec", {"help": "inline JSON or a path to a spec file"}),
+    ]),
+    "generate": ("construct a family member", _cmd_generate, [
+        ("--row", {"required": True, "help": 'family label, e.g. "1.2"'}),
+        ("--m", {"type": int}),
+        ("--p", {"type": int}),
+        ("--q", {"type": int}),
+        ("--n", {"type": int}),
+        ("--sign1", {"type": int, "choices": (1, -1)}),
+        ("--sign2", {"type": int, "choices": (1, -1)}),
+    ]),
+    "search": ("exhaustive cross-validation over a bounded entry box", _cmd_search, [
+        ("--bound", {"type": int, "required": True, "help": "entry box half-width"}),
+    ]),
+    "orders": ("cross-check order classification against iteration", _cmd_orders, [
+        ("--bound", {"type": int, "required": True, "help": "entry box half-width"}),
+    ]),
+    "ybe": ("sampled Yang-Baxter checks for a valid pair", _cmd_ybe, [
+        ("spec", {"help": "inline JSON or a path to a spec file"}),
+        ("--samples", {"type": int, "default": 1000}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--box", {"type": int, "default": 4, "help": "sampling range only: sample "
+                   "coordinates are drawn from [-box, box]; non-degeneracy is "
+                   "checked as det lambda = +-1"}),
+    ]),
+}
+
+
 def _build_parser() -> tuple[
     argparse.ArgumentParser,
     dict[str, argparse.ArgumentParser],
     dict[str, _Grammar],
 ]:
     """The top-level parser, its subparsers' choices (each command's parser)
-    and each command's grammar for _parse_direct."""
+    and each command's grammar for _parse_direct, all from _DECLARATIONS."""
     parser = argparse.ArgumentParser(
         prog="z2brace",
         description="Exact construction, validation and classification of "
         "lambda-homomorphic braces on Z^2.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    actions: dict[argparse.ArgumentParser, list[argparse.Action]] = {}
-
-    def add(p: argparse.ArgumentParser, *names: str, **kwargs: object) -> None:
-        actions.setdefault(p, []).append(p.add_argument(*names, **kwargs))
-
-    def add_output(p: argparse.ArgumentParser) -> None:
-        add(p, "--output", help="write JSON to this file instead of stdout")
-
-    p_check = sub.add_parser("check", help="validate a pair (exit 0 valid, 1 invalid)")
-    add(p_check, "spec", help="inline JSON or a path to a spec file")
-    add_output(p_check)
-    p_check.set_defaults(func=_cmd_check)
-
-    p_classify = sub.add_parser("classify", help="list the families a pair belongs to")
-    add(p_classify, "spec", help="inline JSON or a path to a spec file")
-    add_output(p_classify)
-    p_classify.set_defaults(func=_cmd_classify)
-
-    p_generate = sub.add_parser("generate", help="construct a family member")
-    add(p_generate, "--row", required=True, help='family label, e.g. "1.2"')
-    add(p_generate, "--m", type=int)
-    add(p_generate, "--p", type=int)
-    add(p_generate, "--q", type=int)
-    add(p_generate, "--n", type=int)
-    add(p_generate, "--sign1", type=int, choices=(1, -1))
-    add(p_generate, "--sign2", type=int, choices=(1, -1))
-    add_output(p_generate)
-    p_generate.set_defaults(func=_cmd_generate)
-
-    p_search = sub.add_parser(
-        "search", help="exhaustive cross-validation over a bounded entry box"
-    )
-    add(p_search, "--bound", type=int, required=True, help="entry box half-width")
-    add_output(p_search)
-    p_search.set_defaults(func=_cmd_search)
-
-    p_orders = sub.add_parser(
-        "orders", help="cross-check order classification against iteration"
-    )
-    add(p_orders, "--bound", type=int, required=True, help="entry box half-width")
-    add_output(p_orders)
-    p_orders.set_defaults(func=_cmd_orders)
-
-    p_ybe = sub.add_parser("ybe", help="sampled Yang-Baxter checks for a valid pair")
-    add(p_ybe, "spec", help="inline JSON or a path to a spec file")
-    add(p_ybe, "--samples", type=int, default=1000)
-    add(p_ybe, "--seed", type=int, default=0)
-    add(
-        p_ybe,
-        "--box",
-        type=int,
-        default=4,
-        help="sampling range only: sample coordinates are drawn from "
-        "[-box, box]; non-degeneracy is checked as det lambda = +-1",
-    )
-    add_output(p_ybe)
-    p_ybe.set_defaults(func=_cmd_ybe)
-
-    grammars = {name: _grammar(p, actions[p]) for name, p in sub.choices.items()}
+    grammars = {}
+    for name, (help_text, handler, arguments) in _DECLARATIONS.items():
+        command = sub.add_parser(name, help=help_text)
+        actions = [command.add_argument(flag, **keywords) for flag, keywords in arguments]
+        actions.append(
+            command.add_argument("--output", help="write JSON to this file instead of stdout")
+        )
+        command.set_defaults(func=handler)
+        grammars[name] = _grammar(command, actions)
     return parser, sub.choices, grammars
 
 

@@ -1513,6 +1513,25 @@ class TestBoxSymmetries:
                 assert (relabel[g][label], image) in listed, (g, label, phi, psi)
 
 
+@pytest.mark.parametrize("phi", [
+    IDENTITY,
+    -IDENTITY,
+    Mat2(0, -1, 1, 0),  # order 4
+    Mat2(1, -1, 1, 0),  # order 6
+    Mat2(2, 1, 1, 1),  # hyperbolic
+    Mat2(2, 1, 1, 0),  # det -1, trace 2
+], ids=str)
+def test_partner_rule_refuses_phi_outside_the_non_scalar_classes(phi):
+    with pytest.raises(ValueError, match="no partner rule"):
+        classification._search_partners(phi)
+
+
+def test_partner_rule_takes_a_diagonal_reflection():
+    # diag(-1, 1) has a12 = a21 = 0 but is not scalar.
+    phi = Mat2(-1, 0, 0, 1)
+    assert classification._search_partners(phi) == sorted((IDENTITY, -IDENTITY, phi, -phi))
+
+
 class TestNormFormPartners:
     """_search_partners against norm_form_partners, which solves each
     non-scalar phi's partners on all of Z^2 from the norm form of its

@@ -800,6 +800,116 @@ class TestDispatch:
         assert direct_out.startswith("usage: z2brace check [-h] [--output OUTPUT] spec\n")
 
 
+#: Each command as declared: the help the top-level parser lists it with,
+#: each Action of its parser in order as (option_strings, dest, type name,
+#: choices, default, required, help), and the name of its func.  Recorded
+#: from the parsers as they were declared one add_argument call at a time.
+DECLARED = {
+    "check": ("validate a pair (exit 0 valid, 1 invalid)", [
+        (["-h", "--help"], "help", None, None, "==SUPPRESS==", False,
+         "show this help message and exit"),
+        ([], "spec", None, None, None, True, "inline JSON or a path to a spec file"),
+        (["--output"], "output", None, None, None, False,
+         "write JSON to this file instead of stdout"),
+    ], "_cmd_check"),
+    "classify": ("list the families a pair belongs to", [
+        (["-h", "--help"], "help", None, None, "==SUPPRESS==", False,
+         "show this help message and exit"),
+        ([], "spec", None, None, None, True, "inline JSON or a path to a spec file"),
+        (["--output"], "output", None, None, None, False,
+         "write JSON to this file instead of stdout"),
+    ], "_cmd_classify"),
+    "generate": ("construct a family member", [
+        (["-h", "--help"], "help", None, None, "==SUPPRESS==", False,
+         "show this help message and exit"),
+        (["--row"], "row", None, None, None, True, 'family label, e.g. "1.2"'),
+        (["--m"], "m", "int", None, None, False, None),
+        (["--p"], "p", "int", None, None, False, None),
+        (["--q"], "q", "int", None, None, False, None),
+        (["--n"], "n", "int", None, None, False, None),
+        (["--sign1"], "sign1", "int", (1, -1), None, False, None),
+        (["--sign2"], "sign2", "int", (1, -1), None, False, None),
+        (["--output"], "output", None, None, None, False,
+         "write JSON to this file instead of stdout"),
+    ], "_cmd_generate"),
+    "search": ("exhaustive cross-validation over a bounded entry box", [
+        (["-h", "--help"], "help", None, None, "==SUPPRESS==", False,
+         "show this help message and exit"),
+        (["--bound"], "bound", "int", None, None, True, "entry box half-width"),
+        (["--output"], "output", None, None, None, False,
+         "write JSON to this file instead of stdout"),
+    ], "_cmd_search"),
+    "orders": ("cross-check order classification against iteration", [
+        (["-h", "--help"], "help", None, None, "==SUPPRESS==", False,
+         "show this help message and exit"),
+        (["--bound"], "bound", "int", None, None, True, "entry box half-width"),
+        (["--output"], "output", None, None, None, False,
+         "write JSON to this file instead of stdout"),
+    ], "_cmd_orders"),
+    "ybe": ("sampled Yang-Baxter checks for a valid pair", [
+        (["-h", "--help"], "help", None, None, "==SUPPRESS==", False,
+         "show this help message and exit"),
+        ([], "spec", None, None, None, True, "inline JSON or a path to a spec file"),
+        (["--samples"], "samples", "int", None, 1000, False, None),
+        (["--seed"], "seed", "int", None, 0, False, None),
+        (["--box"], "box", "int", None, 4, False,
+         "sampling range only: sample coordinates are drawn from [-box, box]; "
+         "non-degeneracy is checked as det lambda = +-1"),
+        (["--output"], "output", None, None, None, False,
+         "write JSON to this file instead of stdout"),
+    ], "_cmd_ybe"),
+}
+
+
+def declared_action(action):
+    # An Action as DECLARED records it.
+    return (
+        action.option_strings, action.dest, getattr(action.type, "__name__", None),
+        action.choices, action.default, action.required, action.help,
+    )
+
+
+class TestDeclaration:
+    """The parsers' declaration, pinned field by field: prog, description,
+    each command's help, every Action and func.  Unlike format_help(),
+    whose layout differs between Python versions, these fields read the
+    same on every supported version."""
+
+    def test_top_level_parser(self):
+        assert _PARSER.prog == "z2brace"
+        assert _PARSER.description == (
+            "Exact construction, validation and classification of "
+            "lambda-homomorphic braces on Z^2."
+        )
+        help_action, sub = _PARSER._actions
+        assert declared_action(help_action) == DECLARED["check"][1][0]
+        assert (sub.option_strings, sub.dest, sub.required) == ([], "command", True)
+        assert sub.choices is _COMMANDS
+        assert {choice.dest: choice.help for choice in sub._choices_actions} == {
+            name: help_text for name, (help_text, _, _) in DECLARED.items()
+        }
+
+    @pytest.mark.parametrize("name", DECLARED)
+    def test_command_parser(self, name):
+        _, actions, func = DECLARED[name]
+        parser = _COMMANDS[name]
+        assert (parser.prog, parser.description) == (f"z2brace {name}", None)
+        assert [declared_action(action) for action in parser._actions] == actions
+        assert parser.get_default("func") is getattr(cli, func)
+
+    @pytest.mark.parametrize("name", DECLARED)
+    def test_grammar_is_the_parser_s_actions(self, name):
+        # Every Action but -h, as _parse_direct reads it.
+        parser = _COMMANDS[name]
+        declared = parser._actions[1:]
+        options, positionals, defaults, required = _GRAMMARS[name]
+        assert options == {flag: a for a in declared for flag in a.option_strings}
+        assert positionals == tuple(a for a in declared if not a.option_strings)
+        func = parser.get_default("func")
+        assert defaults == {**{a.dest: a.default for a in declared}, "func": func}
+        assert required == {a.dest for a in declared if a.required}
+
+
 class TestEntryPoint:
     def test_none_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["z2brace", "classify", VALID_INLINE])
