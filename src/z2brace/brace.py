@@ -14,14 +14,15 @@ of the search's pass (classification._pair_classes) each generator of a
 valid pair is +-E, of order 3, a reflection or parabolic of trace 2, and
 by the partner rules, which read no bound and hold on all of Z^2
 (classification._search_partners), a parabolic E + A pairs only with
-E + B, B a multiple of A's primitive part.  So either both shapes (Mat2._shape, the (period,
-degree) that Mat2.power_map reads) have degree 0, and lambda is the
-table of the at most 9 values phi^i psi^j, i and j below the periods; or
-(phi - E)(psi - E) = 0, and lambda_a = E + a1 (phi - E) + a2 (psi - E)
-is affine in a.  _lambda_form decides validity and builds that form once
-from one power map per generator; the Yang-Baxter kernels of the ybe
-module read it.  A valid pair commutes, so lambda is a homomorphism:
-lambda_a^-1 = lambda_-a.
+E + B, B a multiple of A's primitive part.  So either both shapes
+(Mat2._shape, the (period, degree) of gl2z._SHAPES, which Mat2.power_map
+and the search read through gl2z._power_map) have degree 0, and lambda
+is the table of the at most 9 values phi^i psi^j, i and j below the
+periods; or (phi - E)(psi - E) = 0, and lambda_a = E + a1 (phi - E) +
+a2 (psi - E) is affine in a.  _lambda_form decides validity and builds
+that form once from one power map per generator; the Yang-Baxter
+kernels of the ybe module read it.  A valid pair commutes, so lambda is
+a homomorphism: lambda_a^-1 = lambda_-a.
 
 The exponents (k, l) of the four identities are the columns of phi - E
 and psi - E, and each identity phi^k psi^l = E is read as phi^k =

@@ -29,10 +29,11 @@ block 3 = (-1, 1), block 4 = (-1, -1).  This module provides
     the parameters each family's record reads off the pass's groups,
     rebuilt by its constructor on entry 4-tuples (_row_instances), and
     one dict from each member pair to the positions of its families
-    serves both directions: each valid pair the forward scan finds is
-    popped from it on its entry tuples, which a pair of Mat2s already is,
-    and counted under its families, and only the members left are
-    checked,
+    serves both directions: one forward loop over the in-class matrices
+    decides each pair once, and each valid pair is counted where it is
+    found, popped from the dict on its entry tuples, which a pair of
+    Mat2s already is, and counted under its families, with no list of
+    valid pairs kept; only the members left are checked,
   * an order-classification cross-check over the same box
     (orders_crosscheck).
 
@@ -822,71 +823,72 @@ def exhaustive_search(bound: int) -> SearchReport:
     families are not symmetric under swapping phi and psi), but a pair is
     decided only if it can be valid: both matrices in one of the five
     classes of _pair_classes, and psi among phi's partners.  phi = E pairs
-    with every in-class matrix and -E with the in-class involutions, rows
-    read off the pass; every other phi has at most four partners on Z^2,
-    which _search_partners solves from phi's own pair conditions: a
-    reflection 4, an order-3 phi 3, and a parabolic one only E and at
-    most one parabolic psi.  The box is
-    listed once, by the one pass of _pair_classes, which reads each
-    matrix's (det, trace) once off its entries and with that key counts
-    it, keeps it if it is in class, builds its power map and files it
-    into its (det, trace) group; candidates_examined still counts every
-    ordered pair of the box, |U_B|^2.  A partner is decided iff it has a
-    power map in the pass's dict, the one box test.  Unmatched pairs come
-    out in the lexicographic order of enumerate_unimodular.
+    with every in-class matrix (its row is the pass's power dict itself)
+    and -E with the in-class involutions; every other phi has at most four
+    partners on Z^2, which _search_partners solves from phi's own pair
+    conditions: a reflection 4, an order-3 phi 3, and a parabolic one only
+    E and at most one parabolic psi.  The box is listed once, by the one
+    pass of _pair_classes, which reads each matrix's (det, trace) once off
+    its entries and with that key counts it, keeps it if it is in class,
+    builds its power map and files it into its (det, trace) group;
+    candidates_examined still counts every ordered pair of the box,
+    |U_B|^2.  A partner is decided iff it has a power map in the pass's
+    dict, the one box test.  Unmatched pairs come out in the lexicographic
+    order of enumerate_unimodular.
 
     The whole search works on the Mat2s the listing yields, each of which
-    is its own entry tuple: the power-map keys, the groups, the partners,
-    the valid pairs and the join hold those matrices, with no second
-    representation.  Each pair is decided by brace._identities_hold,
-    which reads the four exponents in place off the two entry tuples and
-    compares the powers from the pass's two maps, with no commutation test
-    (every partner commutes with phi); it stops at the pair's first false
-    identity.  The members are keyed by the constructors' plain entry-tuple
-    pairs, which equal and hash as the Mat2 pairs they join with.  A
-    BraceSpec is built only for a pair the report lists (and for a member
-    the forward scan did not find valid, which check_pair then decides).
+    is its own entry tuple: the power-map keys, the groups, the partners
+    and the join hold those matrices, with no second representation.
+    Each pair is decided by brace._identities_hold, which reads the four
+    exponents in place off the two entry tuples and compares the powers
+    from the pass's two maps, with no commutation test (every partner
+    commutes with phi); it stops at the pair's first false identity.  The
+    members are keyed by the constructors' plain entry-tuple pairs, which
+    equal and hash as the Mat2 pairs they join with.  A BraceSpec is built
+    only for a pair the report lists (and for a member the forward scan
+    did not find valid, which check_pair then decides).
 
     Both directions read one dict, _row_instances(bound, groups): every
     in-box family member, mapped to the positions of its families, each
     table family's M read off the pass's (det, trace) groups and rebuilt
-    by its constructor, so the box is listed once.  The join
-    pops each valid pair the forward scan found from that dict, so each
-    member pair is hashed once there.  The pop relies on found holding no
-    pair twice: the power dict holds each matrix once and each row each
-    partner of phi once.  A hit adds one to the count of each of its
+    by its constructor, so the box is listed once.  The dict is built
+    before the forward scan, and the scan is the join: in its one loop
+    over the in-class matrices each pair is decided, and popped, once, as
+    the power dict holds each matrix once and each row each partner of
+    phi once.  A valid pair adds one to valid_pairs where it is found,
+    so no list of valid pairs is kept, and each member pair is hashed
+    once in the dict.  A hit adds one to the count of each of its
     families, a join that equals row_membership because the dict is
     complete; a miss is unmatched, so a member missing from the dict fails
-    the search loudly.  The reverse direction reuses the forward verdicts: the
-    decision is pure and the forward scan visits every pair that can be
-    valid, so a popped member is not checked again.  Each pair left gets
-    check_pair once, and an invalid one is reported in
+    the search loudly.  The reverse direction reuses the forward verdicts:
+    the decision is pure and the forward scan visits every pair that can
+    be valid, so a popped member is not checked again.  Each pair left
+    gets check_pair once, and an invalid one is reported in
     invalid_row_instances once per family, sorted by label and then by
     pair.  enumerate_unimodular rejects a bound that is not a positive
     integer.
     """
     box_size, power, groups = _pair_classes(bound)
+    members = _row_instances(bound, groups)
     # -E's row is the in-class involutions: M^2 = tM - dE is E for the
     # reflections, (d, t) = (-1, 0), and for (1, 2) and (1, -1) only at E.
-    rows = {IDENTITY: list(power), _NEG_IDENTITY: sorted((IDENTITY, _NEG_IDENTITY, *groups[-1, 0]))}
-    found: list[tuple[Mat2, Mat2]] = []
+    rows = {IDENTITY: power, _NEG_IDENTITY: sorted((IDENTITY, _NEG_IDENTITY, *groups[-1, 0]))}
+    valid = 0
+    counts = [0] * len(_LABELS)
+    unmatched = []
     for phi, phi_power in power.items():
         for psi in rows[phi] if phi in rows else _search_partners(phi):
             # The box test.  No in-class matrix is hyperbolic, so
             # _identities_hold needs no hyperbolic rule.
             psi_power = power.get(psi)
             if psi_power is not None and _identities_hold(phi, psi, phi_power, psi_power):
-                found.append((phi, psi))
-    members = _row_instances(bound, groups)
-    counts = [0] * len(_LABELS)
-    unmatched = []
-    for pair in found:
-        positions = members.pop(pair, None)
-        if positions is None:
-            unmatched.append(BraceSpec(*pair))
-        else:
-            for position in positions:
-                counts[position] += 1
+                valid += 1
+                positions = members.pop((phi, psi), None)
+                if positions is None:
+                    unmatched.append(BraceSpec(phi, psi))
+                else:
+                    for position in positions:
+                        counts[position] += 1
     invalid = [
         (pair, positions)
         for pair, positions in members.items()
@@ -895,7 +897,7 @@ def exhaustive_search(bound: int) -> SearchReport:
     return SearchReport(
         bound=bound,
         candidates_examined=box_size**2,
-        valid_pairs=len(found),
+        valid_pairs=valid,
         unmatched_valid=unmatched,
         invalid_row_instances=_labelled(invalid),
         row_histogram={_LABELS[i]: count for i, count in enumerate(counts) if count},

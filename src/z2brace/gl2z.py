@@ -300,7 +300,7 @@ def order_by_predicate(a: Mat2) -> MatOrder:
 
     For unimodular a: the period of a's shape (Mat2._shape) when its
     degree is 0, and infinite for degree 1 or no shape.  Mat2.power_map
-    reads the same shape.
+    reads the same _SHAPES entry, through _power_map.
     """
     if not a.is_unimodular():
         raise NotUnimodular(_has_determinant(a, a.det()))

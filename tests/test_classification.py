@@ -15,6 +15,8 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
+import types
 from array import array
 from collections import Counter
 from contextlib import contextmanager
@@ -170,6 +172,81 @@ def grid_row_instances(bound):
     return sorted(found)
 
 
+class Poly:
+    """An exact polynomial in (m, p, q): a dict from exponent triples to
+    nonzero int coefficients, closed under +, -, * and ** by an int, with
+    ints taken as constants."""
+
+    def __init__(self, terms):
+        self.terms = {exponents: c for exponents, c in terms.items() if c}
+
+    @staticmethod
+    def lift(x):
+        return x if isinstance(x, Poly) else Poly({(0, 0, 0): x})
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for exponents, c in Poly.lift(other).terms.items():
+            terms[exponents] = terms.get(exponents, 0) + c
+        return Poly(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly({exponents: -c for exponents, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -Poly.lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        terms = {}
+        for e, c in self.terms.items():
+            for f, d in Poly.lift(other).terms.items():
+                g = (e[0] + f[0], e[1] + f[1], e[2] + f[2])
+                terms[g] = terms.get(g, 0) + c * d
+        return Poly(terms)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        result = Poly.lift(1)
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def __eq__(self, other):
+        return self.terms == Poly.lift(other).terms
+
+
+def unipotent_failures(phi, psi):
+    """The identities the 1.2 proof needs that fail for the entry 4-tuples
+    (phi, psi) of polynomials, by name."""
+
+    def mul(x, y):
+        return (
+            x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3],
+        )
+
+    a = (phi[0] - 1, phi[1], phi[2], phi[3] - 1)
+    b = (psi[0] - 1, psi[1], psi[2], psi[3] - 1)
+    # The exponent columns (k, l): the columns of A, then those of B.
+    columns = [column for x in (a, b) for column in ((x[0], x[2]), (x[1], x[3]))]
+    checks = {
+        "AA": mul(a, a), "BB": mul(b, b), "AB": mul(a, b), "BA": mul(b, a),
+        "det phi": (phi[0] * phi[3] - phi[1] * phi[2] - 1,),
+        "det psi": (psi[0] * psi[3] - psi[1] * psi[2] - 1,),
+        **{
+            f"identity {i}": tuple(k * x + l * y for x, y in zip(a, b))
+            for i, (k, l) in enumerate(columns, 1)
+        },
+    }
+    return [name for name, entries in checks.items() if any(e != 0 for e in entries)]
+
+
 class TestGenerators:
     def test_family_12_unit_parameters(self):
         spec = generate_row(RowLabel.R1_2, RowParams(m=1, p=1, q=1))
@@ -313,6 +390,33 @@ class TestGenerators:
                 assert check_pair(spec).valid, (label, params)
                 assert label in row_membership(spec), (label, params, spec)
         assert constructed > 100
+
+    def test_family_12_is_valid_on_all_of_z3(self):
+        """Every member of family 1.2 is valid, whatever (m, p, q) in Z^3.
+
+        The constructor's own formula, evaluated on three polynomial
+        variables, gives phi and psi with A = phi - E and B = psi - E
+        satisfying A^2 = B^2 = AB = BA = 0, det phi = det psi = 1 and
+        k A + l B = 0 for each of the four exponent columns (k, l) of A and
+        B, as identities of polynomials.  A^2 = 0 gives phi^k = E + k A for
+        every integer k, and AB = 0 then phi^k psi^l = E + k A + l B, so
+        each of the four power identities reads k A + l B = 0 and holds.
+        With 1.1's four pairs and the ten table families' residues mod 6
+        (tests/test_table_residues.py), every family member is valid on
+        all of Z^2, with no box.
+        """
+        m, p, q = (Poly({exponents: 1}) for exponents in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        # build calls math.gcd only for its guard (gcd(p, q) = 1).
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classification, "math", types.SimpleNamespace(gcd=lambda *args: 1))
+            phi, psi = classification._FAMILIES[RowLabel.R1_2].build(m, p, q)
+        assert unipotent_failures(phi, psi) == []
+        # Mutation: adding m to psi12 breaks the identities.
+        mutated = (psi[0], psi[1] + m, psi[2], psi[3])
+        assert unipotent_failures(phi, mutated) == [
+            "BB", "AB", "BA", "det psi",
+            "identity 1", "identity 2", "identity 3", "identity 4",
+        ]
 
 
 class TestMembership:
@@ -1253,6 +1357,30 @@ class TestExhaustiveSearch:
         monkeypatch.setattr(classification, "enumerate_unimodular", counting_enumerate)
         assert exhaustive_search(2).confirms_classification
         assert len(drawn) == GOLDEN_UNIMODULAR_COUNTS[2] == 104
+
+    def test_search_holds_little_beyond_the_pass_and_the_member_dict(self):
+        # The forward scan decides, joins and counts each valid pair where
+        # it finds it, so the search's peak memory at B = 100 is that of the
+        # pass's box and the member dict held together, within 5%: a list
+        # of the 10,338 valid pairs would add about 17%.  Both peaks measure
+        # the same structures in one interpreter, so the ratio does not
+        # shift across Python versions as an absolute bound would.
+        def traced_peak(build):
+            tracemalloc.start()
+            try:
+                build()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def pass_and_members():
+            box = classification._pair_classes(100)
+            return box, classification._row_instances(100, box.groups)
+
+        exhaustive_search(2)  # warm-up
+        held = traced_peak(pass_and_members)
+        searched = traced_peak(lambda: exhaustive_search(100))
+        assert searched <= 1.05 * held, (searched, held)
 
     @pytest.mark.parametrize("bound", [*range(1, 31), 100])
     def test_member_dict_equals_the_per_record_build(self, bound):
