@@ -19,10 +19,15 @@ block 3 = (-1, 1), block 4 = (-1, -1).  This module provides
     in time proportional to their number, each (a11, a12) solving its
     own a21 and a22 and each Mat2 made by tuple.__new__
     (enumerate_unimodular),
+  * one table of the (det, trace) classes a valid pair can use
+    (_CLASSES: (1, 2), (1, -1) and (-1, 0)), in which E is the only
+    scalar, read both by the pass and by the partner rules,
   * one pass over that listing (_pair_classes) that reads each matrix's
     (det, trace) once, trace first, and with that key decides whether
-    a valid pair can use it, builds its power map and files it into its
-    (det, trace) group,
+    a valid pair can use it (a class of _CLASSES, or -E), builds its
+    power map and files it into its (det, trace) group,
+  * the partner rules (_search_partners): every psi that can pair with
+    a phi of _CLASSES other than E, on all of Z^2,
   * a bidirectional exhaustive cross-validation (exhaustive_search):
     every valid pair in the bounded box must match a family, and every
     family instance that fits in the box must be valid; the instances are
@@ -33,7 +38,9 @@ block 3 = (-1, 1), block 4 = (-1, -1).  This module provides
     decides each pair once, and each valid pair is counted where it is
     found, popped from the dict on its entry tuples, which a pair of
     Mat2s already is, and counted under its families, with no list of
-    valid pairs kept; only the members left are checked,
+    valid pairs kept; only the members left are checked, and one that
+    is valid, which the forward loop never decided, raises
+    AssertionError,
   * an order-classification cross-check over the same box
     (orders_crosscheck).
 
@@ -67,14 +74,14 @@ Families 1.1 (_ScalarFamily) and 1.2 (_UnipotentFamily) are written out
 and list their members outright.  In the other ten, the table families
 (_TableFamily), one matrix M of fixed (det, trace) sits beside its
 partner s M + c E: E, -E, M, -M, or M^-1 = -M - E for an order-3 M.
-phi is M, or psi is M conjugated by the coordinate swap with phi the
-partner (side).  One placement (place), one signature formula, one
-recovery (recover, which reads only M's entry tuple) and one in-box
-listing serve all ten; only how M is read off its entries (read,
-raising nothing) and rebuilt (matrix) differs between the two record
-classes.  In a square-root family (_RootFamily: 1.3, 1.4, 2.1, 2.2,
-3.1, 3.2, 4.2) M's off-diagonal entries are p_scale p and q_scale q,
-and its diagonal needs the exact root of a radicand.  In a rational
+phi is M, or psi is M conjugated by the coordinate swap, which reverses
+an entry tuple, with phi the partner (side).  One placement (place), one
+signature formula, one recovery (recover, which reads only M's entry
+tuple) and one in-box listing serve all ten; only how M is read off its
+entries (read, raising nothing) and rebuilt (matrix) differs between the
+two record classes.  In a square-root family (_RootFamily: 1.3, 1.4,
+2.1, 2.2, 3.1, 3.2, 4.2) M's off-diagonal entries are p_scale p and
+q_scale q, and its diagonal needs the exact root of a radicand.  In a rational
 family (_RationalFamily: 1.5, 1.6, 4.1) M = phi has a11 = h fixed by one
 exact division of its determinant equation.  A table record's members
 are the M's that matrix rebuilds from what read takes off the box's
@@ -203,6 +210,12 @@ _Pair = tuple[_Entries, _Entries]
 #: ((det phi, tr phi), (det psi, tr psi)) of a pair.
 _PairSignature = tuple[tuple[int, int], tuple[int, int]]
 
+#: The (det, trace) classes of the non-scalar matrices a valid pair can
+#: use: (1, 2) parabolic, (1, -1) order 3 and (-1, 0) the reflections.
+#: Of the scalars, E has (1, 2) and -E (1, -2); a E has det a^2 = 1 and
+#: trace 2 a, so E is the only scalar in a class.
+_CLASSES = frozenset({(1, 2), (1, -1), (-1, 0)})
+
 #: The box's in-class matrices grouped by their (det, trace).
 _Groups = dict[tuple[int, int], list[Mat2]]
 
@@ -248,12 +261,6 @@ def _exact_div(num: int, den: int) -> int:
     if den == 0 or num % den != 0:
         raise IntegralityError(f"{num}/{den} is not an integer")
     return num // den
-
-
-def _swap_conj(m: _Entries) -> _Entries:
-    """Conjugation by the coordinate swap: exchanges both index pairs."""
-    a11, a12, a21, a22 = m
-    return (a22, a21, a12, a11)
 
 
 class _ScalarFamily:
@@ -343,11 +350,12 @@ class _TableFamily:
 
     def place(self, m: _Entries) -> _Pair:
         """(M, partner) for a phi-side record; a psi-side one conjugates
-        both by the coordinate swap and exchanges them.  For a member every
-        entry of the partner is one of M's up to sign, or 0 or +-1."""
+        both by the coordinate swap, which reverses an entry tuple, and
+        exchanges them.  For a member every entry of the partner is one of
+        M's up to sign, or 0 or +-1."""
         s, c = self.partner
         if self.side == "psi":
-            m = m[3], m[2], m[1], m[0]  # _swap_conj(m), inline: place runs per member
+            m = m[::-1]
         a11, a12, a21, a22 = m
         # A partner M is M's own tuple: a 1.5 or 4.1 member holds one.
         partner = m if s == 1 and not c else (s * a11 + c, s * a12, s * a21, s * a22 + c)
@@ -362,7 +370,7 @@ class _TableFamily:
         return ((m, partner) if self.side == "phi" else (partner, m),)
 
     def recover(self, phi: _Entries, psi: _Entries) -> tuple | None:
-        return self.read(phi if self.side == "phi" else _swap_conj(psi))
+        return self.read(phi if self.side == "phi" else psi[::-1])
 
     def members(self, bound: int, groups: _Groups, readings: _Readings) -> Iterator[_Pair]:
         """Each M that matrix rebuilds from what read takes off an in-class
@@ -723,7 +731,8 @@ class _Box(NamedTuple):
 
 def _pair_classes(bound: int) -> _Box:
     """One pass over U_B that keeps the matrices in the five classes a
-    valid pair can use.
+    valid pair can use: the three (det, trace) classes of _CLASSES, E
+    among them, and -E.
 
     Each listed matrix's trace is read first, and its determinant only if
     |trace| <= 2, as every class has trace 2, -1, 0 or -2.  The key (det,
@@ -756,15 +765,15 @@ def _pair_classes(bound: int) -> _Box:
         trace = a11 + a22
         if -2 <= trace <= 2:
             key = (a11 * a22 - a12 * a21, trace)
-            if key in {(1, 2), (-1, 0), (1, -1)} or m == _NEG_IDENTITY:
+            if key in _CLASSES or m == _NEG_IDENTITY:
                 power[m] = _power_map(m, *key)
                 groups.setdefault(key, []).append(m)
     return _Box(size, power, groups)
 
 
 def _search_partners(phi: Mat2) -> list[Mat2]:
-    """Every unimodular psi for which (phi, psi) can be valid, for a
-    non-scalar phi in one of the five classes of _pair_classes.
+    """Every unimodular psi for which (phi, psi) can be valid, for a phi
+    other than E whose (det, trace) is in _CLASSES.
 
     The rule reads no box: it gives phi's partners on all of Z^2, at most
     four, in O(1), sorted in the order of enumerate_unimodular.  phi's
@@ -792,15 +801,14 @@ def _search_partners(phi: Mat2) -> list[Mat2]:
     Each partner is E, -E, +-phi, phi^-1 or E + cA beside phi = E + A, so
     it commutes with phi; its four power identities are decided in full.
 
-    Raises ValueError for a scalar phi (a12 = a21 = 0 and a11 = a22),
-    whose row the rules do not give, and for a phi whose (det, trace) is
-    not (1, 2), (1, -1) or (-1, 0).
+    Raises ValueError for a phi whose (det, trace) is not in _CLASSES,
+    and for E, whose row the rules do not give.  That is every scalar
+    phi: a E has det a^2 = 1 and trace 2 a, which is 2, -1 or 0 only for
+    a = 1, so E is the only scalar in a class, and -E fails the class test.
     """
     a11, a12, a21, a22 = phi
     trace = a11 + a22
-    if (a11 * a22 - a12 * a21, trace) not in {(1, 2), (1, -1), (-1, 0)} or (
-        not a12 and not a21 and a11 == a22
-    ):
+    if (a11 * a22 - a12 * a21, trace) not in _CLASSES or phi == IDENTITY:
         raise ValueError(f"no partner rule for {phi}: scalar or in no non-scalar class")
     if trace == 2:
         # a holds the entries of A = phi - E, (c1, c2) its first column
@@ -865,8 +873,10 @@ def exhaustive_search(bound: int) -> SearchReport:
     be valid, so a popped member is not checked again.  Each pair left
     gets check_pair once, and an invalid one is reported in
     invalid_row_instances once per family, sorted by label and then by
-    pair.  enumerate_unimodular rejects a bound that is not a positive
-    integer.
+    pair.  A pair left that check_pair finds valid is one the forward scan
+    never decided, a fault of the partner rules, and raises AssertionError
+    naming it, under python -O too.  enumerate_unimodular rejects a bound
+    that is not a positive integer.
     """
     box_size, power, groups = _pair_classes(bound)
     members = _row_instances(bound, groups)
@@ -889,11 +899,12 @@ def exhaustive_search(bound: int) -> SearchReport:
                 else:
                     for position in positions:
                         counts[position] += 1
-    invalid = [
-        (pair, positions)
-        for pair, positions in members.items()
-        if not check_pair(BraceSpec(Mat2(*pair[0]), Mat2(*pair[1]))).valid
-    ]
+    invalid = []
+    for pair, positions in members.items():
+        spec = BraceSpec(Mat2(*pair[0]), Mat2(*pair[1]))
+        if check_pair(spec).valid:
+            raise AssertionError(f"the search never decided the valid member {spec}")
+        invalid.append((pair, positions))
     return SearchReport(
         bound=bound,
         candidates_examined=box_size**2,

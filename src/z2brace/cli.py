@@ -3,8 +3,13 @@
 Subcommands: check, classify, generate, search, orders, ybe.  Exit codes
 follow one convention everywhere: 0 means the mathematical check passed,
 1 means it found a genuine failure (an invalid pair, a counterexample, a
-valid pair outside every family), 2 means the invocation itself was bad
-(malformed JSON, non-unimodular matrices, unusable parameters).
+valid pair outside every family, a family member that is not valid), 2
+means the invocation itself was bad (malformed JSON, non-unimodular
+matrices, unusable parameters).  classify exits 0 on a valid family
+member and on an invalid pair outside every family (with a note on
+stderr), and 1, with a stderr line saying the classification is
+falsified, on a valid pair outside every family and on a family member
+that check_pair finds invalid.
 
 Specs are accepted inline ('{"phi": [[...]], "psi": [[...]]}') or as a
 path to a file holding the same JSON; an argument starting with "{" or
@@ -132,15 +137,19 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     labels = sorted(label.value for label in row_membership(spec))
     _emit(labels, args.output)
     if check_pair(spec).valid:
-        if not labels:
-            print("valid pair outside every family; classification falsified", file=sys.stderr)
-            return 1
+        if labels:
+            return 0
+        failure = "valid pair outside every family"
+    elif labels:
+        failure = f"member of {', '.join(labels)} fails the validity conditions"
+    else:
+        print(
+            "note: not a lambda-homomorphic brace (pair fails the validity conditions)",
+            file=sys.stderr,
+        )
         return 0
-    print(
-        "note: not a lambda-homomorphic brace (pair fails the validity conditions)",
-        file=sys.stderr,
-    )
-    return 0
+    print(f"{failure}; classification falsified", file=sys.stderr)
+    return 1
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

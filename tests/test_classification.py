@@ -20,7 +20,7 @@ import types
 from array import array
 from collections import Counter
 from contextlib import contextmanager
-from itertools import chain, islice, product
+from itertools import chain, islice, product, zip_longest
 from pathlib import Path
 
 import pytest
@@ -173,16 +173,29 @@ def grid_row_instances(bound):
 
 
 class Poly:
-    """An exact polynomial in (m, p, q): a dict from exponent triples to
-    nonzero int coefficients, closed under +, -, * and ** by an int, with
-    ints taken as constants."""
+    """An exact polynomial in any number of variables: a dict from exponent
+    tuples to nonzero int coefficients, closed under +, -, * and ** by an
+    int, with ints taken as constants.  A key drops its trailing zero
+    exponents, so (1, 0, 0) and (1,) are one monomial and keys of any
+    length mix."""
 
     def __init__(self, terms):
-        self.terms = {exponents: c for exponents, c in terms.items() if c}
+        trimmed = {}
+        for exponents, c in terms.items():
+            exponents = tuple(exponents)
+            while exponents and not exponents[-1]:
+                exponents = exponents[:-1]
+            trimmed[exponents] = trimmed.get(exponents, 0) + c
+        self.terms = {exponents: c for exponents, c in trimmed.items() if c}
+
+    @staticmethod
+    def variables(count):
+        """The first count variables, each of degree 1."""
+        return [Poly({(0,) * i + (1,): 1}) for i in range(count)]
 
     @staticmethod
     def lift(x):
-        return x if isinstance(x, Poly) else Poly({(0, 0, 0): x})
+        return x if isinstance(x, Poly) else Poly({(): x})
 
     def __add__(self, other):
         terms = dict(self.terms)
@@ -205,7 +218,7 @@ class Poly:
         terms = {}
         for e, c in self.terms.items():
             for f, d in Poly.lift(other).terms.items():
-                g = (e[0] + f[0], e[1] + f[1], e[2] + f[2])
+                g = tuple(map(sum, zip_longest(e, f, fillvalue=0)))
                 terms[g] = terms.get(g, 0) + c * d
         return Poly(terms)
 
@@ -417,6 +430,73 @@ class TestGenerators:
             "BB", "AB", "BA", "det psi",
             "identity 1", "identity 2", "identity 3", "identity 4",
         ]
+
+    @staticmethod
+    def parabolic_pair(alpha, beta, p, q):
+        """(E + alpha N, E + beta N) as entry 4-tuples, N the nilpotent
+        ((p q, q^2), (-p^2, -p q))."""
+        n = (p * q, q * q, -p * p, -p * q)
+        return tuple((1 + x * n[0], x * n[1], x * n[2], 1 + x * n[3]) for x in (alpha, beta))
+
+    def test_parabolic_converse_on_all_of_z4(self):
+        """Every valid pair of two (1, 2)-class matrices lies in 1.2.
+
+        A valid pair commutes, and two commuting unimodular matrices of
+        trace 2 share the primitive nilpotent N = ((p q, q^2), (-p^2, -p q)),
+        gcd(p, q) = 1, of their differences from E, so the pair is
+        (E + A, E + B) with A = alpha N and B = beta N.  As identities in
+        (alpha, beta, p, q): A^2 = B^2 = AB = BA = 0 and both determinants
+        are 1, so phi^k psi^l = E + k A + l B, and at the four exponent
+        columns (k, l) of A and B the identity reads (k alpha + l beta) N = 0,
+        with k alpha + l beta = alpha p D, alpha q D, beta p D and beta q D
+        for D = alpha q - beta p.  N is not 0, so the pair is valid iff
+        D = 0; with gcd(p, q) = 1 that is (alpha, beta) = m (p, q), and then
+        the pair is 1.2's build(m, p, q), on all of Z^2.
+        """
+        alpha, beta, p, q, m = Poly.variables(5)
+        phi, psi = self.parabolic_pair(alpha, beta, p, q)
+        # Everything but the four identities holds.
+        assert unipotent_failures(phi, psi) == [f"identity {i}" for i in range(1, 5)]
+        n = (p * q, q * q, -p * p, -p * q)
+        a, b = ([x - e for x, e in zip(matrix, (1, 0, 0, 1))] for matrix in (phi, psi))
+        d = alpha * q - beta * p
+        columns = [(a[0], a[2]), (a[1], a[3]), (b[0], b[2]), (b[1], b[3])]
+        coefficients = [alpha * p * d, alpha * q * d, beta * p * d, beta * q * d]
+        for (k, l), c in zip(columns, coefficients):
+            assert k * alpha + l * beta == c
+            assert all(k * x + l * y == c * e for x, y, e in zip(a, b, n))
+        member = self.parabolic_pair(m * p, m * q, p, q)
+        assert unipotent_failures(*member) == []
+        # build calls math.gcd only for its guard (gcd(p, q) = 1).
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classification, "math", types.SimpleNamespace(gcd=lambda *args: 1))
+            assert classification._FAMILIES[RowLabel.R1_2].build(m, p, q) == member
+
+    def test_parabolic_converse_at_256_bits(self):
+        # Seeded (E + alpha N, E + beta N) with coprime (p, q) of up to 256
+        # bits: half draw (alpha, beta) = m (p, q), so D = 0, and half draw
+        # alpha and beta freely.  check_pair finds the pair valid iff D = 0,
+        # and then 1.2 has it among its members.
+        rng = random.Random(44)
+
+        def draw():
+            return rng.choice((1, -1)) * rng.randint(1, 2**256)
+
+        valid = 0
+        for i in range(200):
+            p, q = draw(), draw()
+            g = math.gcd(p, q)
+            p, q = p // g, q // g
+            m = draw()
+            alpha, beta = (m * p, m * q) if i % 2 else (draw(), draw())
+            d = alpha * q - beta * p
+            phi, psi = self.parabolic_pair(alpha, beta, p, q)
+            spec = BraceSpec(Mat2(*phi), Mat2(*psi))
+            assert check_pair(spec).valid == (d == 0), spec
+            if d == 0:
+                valid += 1
+                assert RowLabel.R1_2 in row_membership(spec), spec
+        assert valid == 100
 
 
 class TestMembership:
@@ -1242,6 +1322,35 @@ class TestExhaustiveSearch:
         ]
         assert checked == [shear]
         assert not report.confirms_classification
+
+    @pytest.mark.parametrize(
+        "drops",
+        [
+            lambda phi, psi: psi != IDENTITY and psi.trace() == 2,
+            lambda phi, psi: psi == -phi,
+        ],
+        ids=["parabolic partner", "minus phi"],
+    )
+    def test_valid_member_the_rules_drop_raises(self, monkeypatch, drops):
+        # A partner rule that drops the parabolic partner, or -phi beside
+        # each reflection, leaves valid family members undecided.  Were
+        # they only checked for invalidity, the search would report 214 or
+        # 200 valid pairs at bound 4, not 226, and still confirm the
+        # classification; a valid member left over raises instead, naming
+        # a pair the rule dropped.
+        rule = classification._search_partners
+        dropped = set()
+
+        def dropping_rule(phi):
+            partners = rule(phi)
+            dropped.update((phi, psi) for psi in partners if drops(phi, psi))
+            return [psi for psi in partners if not drops(phi, psi)]
+
+        monkeypatch.setattr(classification, "_search_partners", dropping_rule)
+        with pytest.raises(AssertionError, match="never decided the valid member") as caught:
+            exhaustive_search(4)
+        named = [pair for pair in dropped if str(BraceSpec(*pair)) in str(caught.value)]
+        assert len(named) == 1 and check_pair(BraceSpec(*named[0])).valid
 
     @pytest.mark.parametrize(
         "bound, valid_pairs", [(6, 354), (10, 650), (20, 1554)]

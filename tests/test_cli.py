@@ -20,8 +20,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import z2brace
+import z2brace.classification as classification
 from conftest import ROW_FIXTURE_PARAMS, YBE_MEMBERS, hyperbolic_pair, random_unimodular
-from z2brace import BraceSpec, IDENTITY, Mat2, cli
+from z2brace import BraceSpec, IDENTITY, Mat2, RowLabel, cli
 from z2brace.cli import _COMMANDS, _GRAMMARS, _PARSER, _parse_direct, _write, main
 
 VALID_INLINE = '{"phi":[[1,0],[0,1]],"psi":[[1,0],[0,1]]}'
@@ -151,6 +152,22 @@ class TestClassify:
         assert code == 0
         assert json.loads(out) == []
         assert err == INVALID_NOTE
+
+    def test_invalid_family_member_falsifies(self, monkeypatch, capsys):
+        # With 1.1's constructor returning the invalid (shear, E), that
+        # pair is a 1.1 member that check_pair rejects: classify lists the
+        # family as before, and fails with the falsification on stderr.
+        monkeypatch.setattr(
+            classification._FAMILIES[RowLabel.R1_1],
+            "build",
+            lambda *params: ((1, 1, 0, 1), (1, 0, 0, 1)),
+        )
+        code, out, err = run(capsys, "classify", INVALID_INLINE)
+        assert code == 1
+        assert out == '[\n  "1.1"\n]\n'
+        assert err == (
+            "member of 1.1 fails the validity conditions; classification falsified\n"
+        )
 
 
 def verdict_path_calls():
