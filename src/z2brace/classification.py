@@ -644,8 +644,10 @@ def _row_instances(bound: int, groups: _Groups) -> dict[_Pair, list[int]]:
     of M's (det, trace) and places it beside its partner; the records
     that read M alike (1.3 and 1.4, 2.1 and 3.1, and 2.2, 3.2 and 4.2)
     share one rebuilt list through readings.  A pair's positions are ints
-    in label order, each family once however many of its parameter sets
-    build the pair; the dict itself is in no particular order.
+    in label order; the dict itself is in no particular order.  No record
+    lists a member twice, so no position repeats: a table record rebuilds
+    each M that its read accepts once, 1.2 lists each canonical (m, p, q)
+    once and its recover inverts its build, and 1.1's four pairs differ.
 
     The dict is complete, and a table member needs no box check and no
     BadParams catch.  The M of every table family has (det, trace)
@@ -667,7 +669,7 @@ def _row_instances(bound: int, groups: _Groups) -> dict[_Pair, list[int]]:
             positions = found.get(pair)
             if positions is None:
                 found[pair] = [position]
-            elif positions[-1] != position:
+            else:
                 positions.append(position)
     return found
 
@@ -677,11 +679,12 @@ def _labelled(
 ) -> list[tuple[RowLabel, BraceSpec]]:
     """(label, spec) for each family position of each member pair, sorted
     by (position, pair): families in label order, each family's pairs
-    lexicographically."""
+    lexicographically.  A pair is listed once per family even when a
+    faulty constructor builds it from two parameter sets."""
     return [
         (_LABELS[position], BraceSpec(Mat2(*phi), Mat2(*psi)))
         for position, (phi, psi) in sorted(
-            (position, pair) for pair, positions in members for position in positions
+            {(position, pair) for pair, positions in members for position in positions}
         )
     ]
 

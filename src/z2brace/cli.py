@@ -16,11 +16,15 @@ path to a file holding the same JSON; an argument starting with "{" or
 "[" is read as inline JSON.  All output is deterministic:
 identical arguments and seed produce byte-identical bytes.
 
-Every command writes its JSON through _emit, which builds the whole text
-with one small writer, _write, before writing anything.  The bytes are
-those of json.dumps(payload, indent=2), but json's indented encoding runs
-in pure Python, while _write covers just the payload types the commands
-emit (dicts with str keys, lists, str, int, bool and None) and raises
+A command computes and writes nothing: it returns its JSON payload,
+whether its check passed, and at most one line for stderr.  main builds
+the whole text with one small writer, _write, before writing anything, so
+a payload that cannot be written (an int past int's digit limit) leaves
+stdout empty and creates no --output file.  main then prints the line and
+maps passed to exit code 0 and failed to 1.  The bytes are those of
+json.dumps(payload, indent=2), but json's indented encoding runs in pure
+Python, while _write covers just the payload types the commands return
+(dicts with str keys, lists, str, int, bool and None) and raises
 TypeError on any other.  json itself only decodes the specs.
 
 Each command is declared once, in the table _DECLARATIONS: its help, its
@@ -62,6 +66,10 @@ from .classification import (
 from .ybe import sample_report
 
 __all__ = ["main"]
+
+# What a command returns: its JSON payload, whether its check passed, and
+# its one stderr line or None.
+_Result = tuple[object, bool, str | None]
 
 
 def _load_spec(text: str) -> BraceSpec:
@@ -111,89 +119,58 @@ def _write(value: object, parts: list[str], indent: str) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(payload: object, output: str | None) -> None:
-    # The whole text is built before anything is written, so a payload
-    # that cannot be written (an int past int's digit limit) leaves stdout
-    # empty and creates no output file.
-    parts: list[str] = []
-    _write(payload, parts, "")
-    text = "".join(parts) + "\n"
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _cmd_check(args: argparse.Namespace) -> _Result:
+    verdict = check_pair(_load_spec(args.spec))
+    return verdict.to_dict(), verdict.valid, None
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
-    verdict = check_pair(spec)
-    _emit(verdict.to_dict(), args.output)
-    return 0 if verdict.valid else 1
-
-
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> _Result:
     spec = _load_spec(args.spec)
     labels = sorted(label.value for label in row_membership(spec))
-    _emit(labels, args.output)
     if check_pair(spec).valid:
         if labels:
-            return 0
+            return labels, True, None
         failure = "valid pair outside every family"
     elif labels:
         failure = f"member of {', '.join(labels)} fails the validity conditions"
     else:
-        print(
-            "note: not a lambda-homomorphic brace (pair fails the validity conditions)",
-            file=sys.stderr,
-        )
-        return 0
-    print(f"{failure}; classification falsified", file=sys.stderr)
-    return 1
+        note = "note: not a lambda-homomorphic brace (pair fails the validity conditions)"
+        return labels, True, note
+    return labels, False, f"{failure}; classification falsified"
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _cmd_generate(args: argparse.Namespace) -> _Result:
     label = row_label(args.row)
-    params = RowParams(
-        m=args.m, p=args.p, q=args.q, n=args.n, sign1=args.sign1, sign2=args.sign2
-    )
-    spec = generate_row(label, params)
-    _emit(spec.to_dict(), args.output)
-    return 0
+    params = RowParams(*(getattr(args, name) for name in RowParams._fields))
+    return generate_row(label, params).to_dict(), True, None
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _cmd_search(args: argparse.Namespace) -> _Result:
     report = exhaustive_search(args.bound)
-    _emit(report.to_dict(), args.output)
-    return 0 if report.confirms_classification else 1
+    return report.to_dict(), report.confirms_classification, None
 
 
-def _cmd_orders(args: argparse.Namespace) -> int:
+def _cmd_orders(args: argparse.Namespace) -> _Result:
     disagreements = orders_crosscheck(args.bound)
     payload = [
         {"matrix": matrix.rows(), "by_predicate": str(pred), "by_iteration": str(it)}
         for matrix, pred, it in disagreements
     ]
-    _emit(payload, args.output)
-    return 0 if not disagreements else 1
+    return payload, not disagreements, None
 
 
-def _cmd_ybe(args: argparse.Namespace) -> int:
+def _cmd_ybe(args: argparse.Namespace) -> _Result:
     spec = _load_spec(args.spec)
     report = sample_report(spec, samples=args.samples, seed=args.seed, box=args.box)
-    _emit(report, args.output)
-    clean = not (
-        report["ybe_failures"]
-        or report["involutivity_failures"]
-        or report["nondegeneracy_failures"]
-    )
-    return 0 if clean else 1
+    failures = ("ybe_failures", "involutivity_failures", "nondegeneracy_failures")
+    return report, not any(report[key] for key in failures), None
 
 
 # Each command's help, handler and arguments: the name or flag of each
-# and its add_argument keywords, in declared order.  _build_parser adds
-# --output to every command after them.
-_DECLARATIONS: dict[str, tuple[str, Callable[[argparse.Namespace], int], list]] = {
+# and its add_argument keywords, in declared order.  generate takes one
+# int option per RowParams field, sign1 and sign2 only as 1 or -1.
+# _build_parser adds --output to every command after them.
+_DECLARATIONS: dict[str, tuple[str, Callable[[argparse.Namespace], _Result], list]] = {
     "check": ("validate a pair (exit 0 valid, 1 invalid)", _cmd_check, [
         ("spec", {"help": "inline JSON or a path to a spec file"}),
     ]),
@@ -202,12 +179,8 @@ _DECLARATIONS: dict[str, tuple[str, Callable[[argparse.Namespace], int], list]] 
     ]),
     "generate": ("construct a family member", _cmd_generate, [
         ("--row", {"required": True, "help": 'family label, e.g. "1.2"'}),
-        ("--m", {"type": int}),
-        ("--p", {"type": int}),
-        ("--q", {"type": int}),
-        ("--n", {"type": int}),
-        ("--sign1", {"type": int, "choices": (1, -1)}),
-        ("--sign2", {"type": int, "choices": (1, -1)}),
+        *((f"--{name}", {"type": int, "choices": (1, -1) if name.startswith("sign") else None})
+          for name in RowParams._fields),
     ]),
     "search": ("exhaustive cross-validation over a bounded entry box", _cmd_search, [
         ("--bound", {"type": int, "required": True, "help": "entry box half-width"}),
@@ -334,12 +307,23 @@ def main(argv: list[str] | None = None) -> int:
         if args is None:
             args = command.parse_args(argv[1:])
     try:
-        return args.func(args)
-    # BadParams, InvalidSpec, NotUnimodular and json.JSONDecodeError are
-    # all ValueErrors.
+        payload, passed, note = args.func(args)
+        parts: list[str] = []
+        _write(payload, parts, "")
+        text = "".join(parts) + "\n"
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+    # BadParams, InvalidSpec, NotUnimodular, json.JSONDecodeError and an int
+    # past the digit limit are all ValueErrors.
     except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if note is not None:
+        print(note, file=sys.stderr)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

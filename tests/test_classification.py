@@ -1509,6 +1509,16 @@ class TestExhaustiveSearch:
                 if params is not None:
                     assert row.matrix(*params) == m, (label, m)
 
+    @pytest.mark.parametrize("bound", [*range(1, 31), 100])
+    def test_no_record_lists_a_member_twice(self, bound):
+        # _row_instances appends a record's position to each pair it lists
+        # with no check for a repeat, which rests on this.
+        groups = classification._pair_classes(bound).groups
+        readings = {}
+        for label, family in classification._FAMILIES.items():
+            members = list(family.members(bound, groups, readings))
+            assert len(set(members)) == len(members), label
+
     @pytest.mark.parametrize("bound", range(1, 21))
     def test_power_maps_from_the_pass_keys(self, bound):
         # The map the pass builds from the (det, trace) key it read, the

@@ -507,13 +507,80 @@ def test_ybe_refuses_a_commuting_hyperbolic_pair_at_41_bits():
     assert proc.stdout == "" and "fails the pair conditions" in proc.stderr
 
 
+def falsify_family_11(monkeypatch):
+    # As in test_invalid_family_member_falsifies: 1.1's constructor builds
+    # the invalid (shear, E), a 1.1 member that check_pair rejects.
+    monkeypatch.setattr(
+        classification._FAMILIES[RowLabel.R1_1],
+        "build",
+        lambda *params: ((1, 1, 0, 1), (1, 0, 0, 1)),
+    )
+
+
 class TestOutputFile:
+    """--output writes to a file the bytes the same call prints, with the
+    same exit code and stderr, and leaves stdout empty, on every command and
+    on each exit-code and stderr path classify takes."""
+
     def test_matches_stdout(self, capsys, tmp_path):
         _, stdout_text, _ = run(capsys, "search", "--bound", "1")
         path = tmp_path / "report.json"
         code, out, _ = run(capsys, "search", "--bound", "1", "--output", str(path))
         assert code == 0 and out == ""
         assert path.read_text() == stdout_text
+
+    # The other five commands, search being test_matches_stdout's: (id,
+    # argv, exit code, the file's JSON or None to skip, stderr, patch).
+    CASES = [
+        ("check-valid", ["check", FAMILY_12_INLINE], 0, None, "", None),
+        ("check-invalid", ["check", INVALID_INLINE], 1,
+         {"valid": False, "commuting": True, "power_identities": [True, False, True, True]},
+         "", None),
+        ("classify-member", ["classify", VALID_INLINE], 0, ["1.1", "1.2"], "", None),
+        ("classify-invalid", ["classify", INVALID_INLINE], 0, [], INVALID_NOTE, None),
+        ("classify-falsified", ["classify", INVALID_INLINE], 1, ["1.1"],
+         "member of 1.1 fails the validity conditions; classification falsified\n",
+         falsify_family_11),
+        ("generate", ["generate", "--row", "1.2", "--m", "1", "--p", "1", "--q", "1"], 0,
+         {"phi": [[2, 1], [-1, 0]], "psi": [[2, 1], [-1, 0]]}, "", None),
+        ("orders", ["orders", "--bound", "2"], 0, [], "", None),
+        ("ybe", ["ybe", FAMILY_12_INLINE, "--samples", "20", "--seed", "3"], 0, None, "",
+         None),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, expected_code, expected_json, expected_err, patch",
+        [case[1:] for case in CASES],
+        ids=[case[0] for case in CASES],
+    )
+    def test_every_command_matches_stdout(
+        self, capsys, tmp_path, monkeypatch, argv, expected_code, expected_json,
+        expected_err, patch,
+    ):
+        if patch is not None:
+            patch(monkeypatch)
+        code, stdout_text, err = run(capsys, *argv)
+        assert (code, err) == (expected_code, expected_err)
+        path = tmp_path / "output.json"
+        assert run(capsys, *argv, "--output", str(path)) == (code, "", err)
+        assert path.read_bytes() == stdout_text.encode()
+        if expected_json is not None:
+            assert json.loads(path.read_text()) == expected_json
+
+    def test_unwritable_payload_leaves_the_file_alone(self, capsys, tmp_path):
+        # A payload past int's digit limit (see
+        # test_integer_past_the_digit_limit_exits_two) fails before the file
+        # is opened: a new path is not created, an existing file keeps its
+        # bytes.
+        argv = ["generate", "--row", "1.2", "--m", "9" * 4299, "--p", "50", "--q", "1"]
+        new, existing = tmp_path / "new.json", tmp_path / "existing.json"
+        existing.write_text("earlier\n")
+        for path in (new, existing):
+            code, out, err = run(capsys, *argv, "--output", str(path))
+            assert code == 2 and out == ""
+            assert err.startswith("error: Exceeds the limit")
+        assert not new.exists()
+        assert existing.read_text() == "earlier\n"
 
 
 def write(value):

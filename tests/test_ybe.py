@@ -16,7 +16,10 @@ import random
 import re
 import runpy
 import tracemalloc
+from collections import Counter
+from functools import lru_cache
 from itertools import product
+from math import comb, lcm
 from pathlib import Path
 
 import pytest
@@ -539,6 +542,147 @@ class TestAgreementWithRandintLoop:
             report = failure_lists(sample_report(SPEC_12, samples=30, seed=seed, box=box))
             assert report == randint_sample_report(lam, 30, seed, box)
             assert len(report["nondegeneracy_failures"]) == 30
+
+
+def braid_sides(r, x1, x2, y1, y2, z1, z2):
+    """r12 r23 r12 and r23 r12 r23 at (x, y, z), then r(r(x, y)), as one
+    tuple of 16 integers, each point named as the kernels name it."""
+    u1, u2, v1, v2 = r(x1, x2, y1, y2)
+    s1, s2, w1, w2 = r(v1, v2, z1, z2)
+    d1, d2, e1, e2 = r(u1, u2, s1, s2)
+    f1, f2, g1, g2 = r(y1, y2, z1, z2)
+    h1, h2, i1, i2 = r(x1, x2, f1, f2)
+    j1, j2, k1, k2 = r(i1, i2, g1, g2)
+    return (d1, d2, e1, e2, w1, w2, h1, h2, j1, j2, k1, k2, *r(u1, u2, v1, v2))
+
+
+def times(m, n):
+    # The product of two 2x2 matrices given as entry tuples.
+    m11, m12, m21, m22 = m
+    n11, n12, n21, n22 = n
+    return (
+        m11 * n11 + m12 * n21, m11 * n12 + m12 * n22,
+        m21 * n11 + m22 * n21, m21 * n12 + m22 * n22,
+    )
+
+
+@lru_cache(maxsize=None)
+def valid_forms_at_bound_3():
+    return [(spec, _lambda_form(spec)) for spec in valid_specs_in_box(3)]
+
+
+def certificate_grid(form):
+    """The sampling kernel of a valid pair's form, the grid of (x, y, z)
+    on which it decides the braid relation and involutivity on all of Z^6,
+    and the stride and order of the finite differences that vanish: a
+    table's grid is [0, 2P)^6, an affine form's [0, 3)^6."""
+    if isinstance(form, _LambdaTable):
+        _, n_phi, n_psi = form
+        period = lcm(n_phi, n_psi)
+        return ybe._sample_table, product(range(2 * period), repeat=6), period, 2
+    return ybe._sample_affine, product(range(3), repeat=6), 1, 3
+
+
+class TestGridCertificate:
+    """A bound-free Yang-Baxter certificate for each valid pair at B = 3,
+    run on the sampling kernels: agreement on a finite grid of (x, y, z)
+    implies agreement on all of Z^6.
+
+    Lemma.  Let F be a coordinate of r12 r23 r12 or r23 r12 r23 at
+    (x, y, z), or of r(r(x, y)).
+      * Table form, lambda_x read off the cell (x1 mod n_phi, x2 mod
+        n_psi), with P = lcm(n_phi, n_psi) in {1, 2, 3}.  Each lambda_x is
+        an integer matrix, so lambda_x y mod P depends only on the cell
+        of x and on y mod P.  On each residue class of (x, y, z) mod P,
+        every intermediate point's residue mod P, and so its cell, is
+        therefore fixed, and F is a fixed linear form in the six
+        variables.  A function of degree at most 1 in each variable on
+        the class is fixed by its values at the class's 2^6 points of
+        [0, 2P)^6, so the kernel on [0, 2P)^6 decides F on all of Z^6.
+      * Affine form (1.2), lambda_x = E + m_x with m_x = x1 a + x2 b, so
+        r(p, q) = (q + m_p q, p - m_q p) is linear in p and in q.  In the
+        kernels' names, u, v, f and g have degree at most 1 in each
+        variable; s, w, h and i too, since each takes one variable that
+        u, v, f or g does not; d, e, j, k and r(u, v) multiply two points
+        that share a variable, so F has degree at most 2 in each
+        variable, and the 3^6 points of [0, 3)^6 fix it.
+    Non-degeneracy comes from an argument, not from the grid.  The table
+    grid meets every cell, so the kernel reads det lambda = +-1 off every
+    table value.  For an affine form lambda_x - E = x1 a + x2 b is
+    nilpotent (a^2 = b^2 = ab + ba = 0), so det lambda_x = 1 on all of Z^2.
+    """
+
+    def test_every_valid_pair_at_bound_3_holds_on_its_grid(self):
+        # 122 valid pairs: 89 tables with P = 2, 12 with P = 3, 1 with
+        # P = 1 and 20 affine forms, on 939,060 grid points in all.
+        kinds, points, failing = Counter(), 0, []
+        for spec, form in valid_forms_at_bound_3():
+            kernel, grid, period, _ = certificate_grid(form)
+            grid = list(grid)
+            kinds[kernel.__name__, period] += 1
+            points += len(grid)
+            if any(kernel(form, grid)):
+                failing.append(spec)
+            if kernel is ybe._sample_affine:
+                a, b = form
+                ab, ba = times(a, b), times(b, a)
+                assert times(a, a) == times(b, b) == (0, 0, 0, 0), spec
+                assert [s + t for s, t in zip(ab, ba)] == [0, 0, 0, 0], spec
+        assert failing == []
+        assert kinds == {
+            ("_sample_table", 2): 89,
+            ("_sample_table", 3): 12,
+            ("_sample_table", 1): 1,
+            ("_sample_affine", 1): 20,
+        }
+        assert points == 939_060
+
+    def test_finite_differences_bound_the_degree(self):
+        # The lemma's degree bound, checked with oracles.r_map and not with
+        # the kernels: at seeded points, the finite difference of order
+        # degree + 1 with stride P (2nd for a table, 3rd for an affine
+        # form) of every coordinate of both braid sides and of r(r(x, y))
+        # vanishes in each variable.
+        rng = random.Random(15)
+        for spec, form in valid_forms_at_bound_3():
+            r = r_map(spec)
+            _, _, stride, order = certificate_grid(form)
+            for _ in range(2):
+                point = [rng.randint(-50, 50) for _ in range(6)]
+                for axis in range(6):
+                    difference = [0] * 16
+                    for step in range(order + 1):
+                        shifted = list(point)
+                        shifted[axis] += step * stride
+                        weight = (-1) ** (order - step) * comb(order, step)
+                        sides = braid_sides(r, *shifted)
+                        difference = [t + weight * v for t, v in zip(difference, sides)]
+                    assert difference == [0] * 16, (spec, point, axis)
+
+    def test_near_forms_fail_on_their_grid(self):
+        # The changes test_kernels_agree_with_the_randint_loop_near_each_form
+        # makes, a table's last cell times [[2, 1], [1, 1]] and an affine
+        # form's a12 + 1, each break the braid relation or involutivity
+        # somewhere on the grid, on the first valid pair of each kind and
+        # period.
+        chosen = {}
+        for _, form in valid_forms_at_bound_3():
+            kernel, _, period, _ = certificate_grid(form)
+            chosen.setdefault((kernel.__name__, period), form)
+        assert len(chosen) == 4
+        for form in chosen.values():
+            if isinstance(form, _LambdaTable):
+                rows, n_phi, n_psi = form
+                p, q, r, s = rows[-1][-1]
+                changed = [list(row) for row in rows]
+                changed[-1][-1] = (2 * p + q, p + q, 2 * r + s, r + s)
+                near = _LambdaTable(changed, n_phi, n_psi)
+            else:
+                a, b = form
+                near = _LambdaAffine((a[0], a[1] + 1, *a[2:]), b)
+            kernel, grid, _, _ = certificate_grid(near)
+            ybe_failures, involutivity_failures, _ = kernel(near, grid)
+            assert ybe_failures or involutivity_failures, form
 
 
 class TestBoundedMemory:
