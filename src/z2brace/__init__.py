@@ -1,6 +1,6 @@
 """Exact-integer engine for braces on Z^2 defined by unimodular matrix pairs.
 
-Layers: gl2z (2x2 exact matrix arithmetic, orders), brace
+Layers: gl2z (2x2 exact matrix arithmetic and powers), brace
 (the pair validity conditions and lambda's closed form for a valid pair),
 ybe (the derived Yang-Baxter map and its properties), classification (the
 twelve parametric families, membership, and exhaustive cross-validation),

@@ -40,9 +40,7 @@ block 3 = (-1, 1), block 4 = (-1, -1).  This module provides
     Mat2s already is, and counted under its families, with no list of
     valid pairs kept; only the members left are checked, and one that
     is valid, which the forward loop never decided, raises
-    AssertionError,
-  * an order-classification cross-check over the same box
-    (orders_crosscheck).
+    AssertionError.
 
 Each family is one record in _FAMILIES, the module's only table of
 family definitions, keyed by RowLabel in label order.  A record holds
@@ -98,14 +96,7 @@ from itertools import product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .brace import BraceSpec, _identities_hold, check_pair
-from .gl2z import (
-    _NEG_IDENTITY,
-    IDENTITY,
-    Mat2,
-    _power_map,
-    order_by_iteration,
-    order_by_predicate,
-)
+from .gl2z import _NEG_IDENTITY, IDENTITY, Mat2, _power_map
 
 __all__ = [
     "BadParams",
@@ -117,7 +108,6 @@ __all__ = [
     "enumerate_unimodular",
     "exhaustive_search",
     "generate_row",
-    "orders_crosscheck",
     "row_label",
     "row_membership",
 ]
@@ -916,20 +906,3 @@ def exhaustive_search(bound: int) -> SearchReport:
         invalid_row_instances=_labelled(invalid),
         row_histogram={_LABELS[i]: count for i, count in enumerate(counts) if count},
     )
-
-
-def orders_crosscheck(bound: int):
-    """Compare the det/trace order classification with explicit iteration.
-
-    Returns the list of disagreements (matrix, by_predicate, by_iteration);
-    an empty list means the two independent classifications agree on every
-    unimodular matrix in the box.  enumerate_unimodular rejects a bound
-    that is not a positive integer.
-    """
-    disagreements = []
-    for matrix in enumerate_unimodular(bound):
-        predicted = order_by_predicate(matrix)
-        iterated = order_by_iteration(matrix)
-        if predicted != iterated:
-            disagreements.append((matrix, predicted, iterated))
-    return disagreements

@@ -1,6 +1,6 @@
 """Command-line interface with JSON input/output.
 
-Subcommands: check, classify, generate, search, orders, ybe.  Exit codes
+Subcommands: check, classify, generate, search, ybe.  Exit codes
 follow one convention everywhere: 0 means the mathematical check passed,
 1 means it found a genuine failure (an invalid pair, a counterexample, a
 valid pair outside every family, a family member that is not valid), 2
@@ -59,7 +59,6 @@ from .classification import (
     RowParams,
     exhaustive_search,
     generate_row,
-    orders_crosscheck,
     row_label,
     row_membership,
 )
@@ -150,15 +149,6 @@ def _cmd_search(args: argparse.Namespace) -> _Result:
     return report.to_dict(), report.confirms_classification, None
 
 
-def _cmd_orders(args: argparse.Namespace) -> _Result:
-    disagreements = orders_crosscheck(args.bound)
-    payload = [
-        {"matrix": matrix.rows(), "by_predicate": str(pred), "by_iteration": str(it)}
-        for matrix, pred, it in disagreements
-    ]
-    return payload, not disagreements, None
-
-
 def _cmd_ybe(args: argparse.Namespace) -> _Result:
     spec = _load_spec(args.spec)
     report = sample_report(spec, samples=args.samples, seed=args.seed, box=args.box)
@@ -183,9 +173,6 @@ _DECLARATIONS: dict[str, tuple[str, Callable[[argparse.Namespace], _Result], lis
           for name in RowParams._fields),
     ]),
     "search": ("exhaustive cross-validation over a bounded entry box", _cmd_search, [
-        ("--bound", {"type": int, "required": True, "help": "entry box half-width"}),
-    ]),
-    "orders": ("cross-check order classification against iteration", _cmd_orders, [
         ("--bound", {"type": int, "required": True, "help": "entry box half-width"}),
     ]),
     "ybe": ("sampled Yang-Baxter checks for a valid pair", _cmd_ybe, [

@@ -1,13 +1,14 @@
 """Exact arithmetic on 2x2 integer matrices and the GL2(Z) facts the brace
 machinery relies on, all read off determinant and trace by one table.
 
-_SHAPES, read only by Mat2._shape, _power_map and FINITE_ORDERS, gives the
-(period, degree) of k -> M^k: degree 1 for a parabolic M but +-E, degree 0
-and period n for +-E and each finite order n, none for a hyperbolic or
-non-unimodular M.  _power_map, Mat2.power_map's builder, forms M^k by the
-shape: affine in k, a lookup among n powers, or binary exponentiation
-(O(log |k|) products of growing integers); Mat2.__pow__ is that map
-applied once.
+_SHAPES, read only by Mat2._shape and _power_map, gives the (period,
+degree) of k -> M^k: degree 1 for a parabolic M but +-E, degree 0 and
+period n for +-E and each finite order n, none for a hyperbolic or
+non-unimodular M.  It is the package's one statement of the finite orders
+in GL2(Z): a matrix has finite order n exactly when its shape is (n, 0).
+_power_map, Mat2.power_map's builder, forms M^k by the shape: affine in
+k, a lookup among n powers, or binary exponentiation (O(log |k|)
+products of growing integers); Mat2.__pow__ is that map applied once.
 
 Everything works on plain Python integers, so every result is exact; there
 is no floating point and no fixed-width wraparound anywhere.
@@ -16,10 +17,7 @@ A Mat2 is a typing.NamedTuple: the matrix is its own entry tuple
 (a11, a12, a21, a22), and it hashes, compares and sorts as that tuple, so
 callers key dicts, join sets and sort lists on matrices with no second
 representation.  The tuple operators that mean nothing for a matrix,
-concatenation and repetition by an integer, raise TypeError.  MatOrder
-validates in its constructor: a NamedTuple base holds the field, and a
-subclass with a checking __new__ (which NamedTuple forbids in its own body)
-is the public type.
+concatenation and repetition by an integer, raise TypeError.
 """
 
 from __future__ import annotations
@@ -28,16 +26,7 @@ from typing import Callable, NamedTuple
 
 _new = tuple.__new__
 
-__all__ = [
-    "FINITE_ORDERS",
-    "IDENTITY",
-    "Mat2",
-    "MatOrder",
-    "NotUnimodular",
-    "commutes",
-    "order_by_iteration",
-    "order_by_predicate",
-]
+__all__ = ["IDENTITY", "Mat2", "NotUnimodular", "commutes"]
 
 
 class NotUnimodular(ValueError):
@@ -65,9 +54,6 @@ def _has_determinant(m: tuple[int, int, int, int], det: int) -> str:
 #: keys also hold +-E, which Mat2._shape gives degree 0.
 _SHAPES = {(1, 2): (1, 1), (1, -2): (2, 1), (-1, 0): (2, 0),
            (1, -1): (3, 0), (1, 0): (4, 0), (1, 1): (6, 0)}
-
-#: The finite multiplicative orders in GL2(Z): E's 1, then degree-0 periods.
-FINITE_ORDERS = (1, *sorted({period for period, degree in _SHAPES.values() if not degree}))
 
 
 def _undefined(self, other):
@@ -130,9 +116,6 @@ class Mat2(NamedTuple):
 
     def trace(self) -> int:
         return self.a11 + self.a22
-
-    def is_unimodular(self) -> bool:
-        return self.det() in (1, -1)
 
     def _shape(self) -> tuple[int, int] | None:
         """(period, degree) of k -> self^k from _SHAPES, or None for a
@@ -260,72 +243,6 @@ def _power_map(m: Mat2, det: int, trace: int) -> Callable[[int], tuple[int, int,
             trace * c21 - det * p21, trace * c22 - det * p22,
         ))
     return lambda k: table[k % n]
-
-
-class _MatOrderFields(NamedTuple):
-    n: int | None
-
-
-class MatOrder(_MatOrderFields):
-    """Multiplicative order of a GL2(Z) element: finite n, or infinite (n is None).
-
-    Only 1, 2, 3, 4 and 6 occur as finite orders in GL2(Z); any other finite
-    value, and any n that is neither None nor a plain int (True and 2.0
-    included), is rejected so a wrong order computation fails loudly
-    instead of being carried along.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, n: int | None) -> "MatOrder":
-        if n is not None and type(n) is not int:
-            raise ValueError(f"order must be an integer or None, got {n!r}")
-        if n is not None and n not in FINITE_ORDERS:
-            raise ValueError(f"{n} is not a finite order of a GL2(Z) element")
-        return super().__new__(cls, n)
-
-    # _replace builds through _make, which would skip the check above.
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
-
-    @property
-    def is_finite(self) -> bool:
-        return self.n is not None
-
-    def __str__(self) -> str:
-        return "inf" if self.n is None else str(self.n)
-
-
-def order_by_predicate(a: Mat2) -> MatOrder:
-    """Multiplicative order from determinant and trace alone.
-
-    For unimodular a: the period of a's shape (Mat2._shape) when its
-    degree is 0, and infinite for degree 1 or no shape.  Mat2.power_map
-    reads the same _SHAPES entry, through _power_map.
-    """
-    if not a.is_unimodular():
-        raise NotUnimodular(_has_determinant(a, a.det()))
-    shape = a._shape()
-    return MatOrder(shape[0] if shape is not None and not shape[1] else None)
-
-
-#: Every finite order in GL2(Z) divides 12, so iteration stops there.
-_ITERATION_CUTOFF = 12
-
-
-def order_by_iteration(a: Mat2) -> MatOrder:
-    """Order by explicitly multiplying out a, a^2, ... up to a^12.
-
-    Independent of order_by_predicate, so the two can cross-check each
-    other.
-    """
-    if not a.is_unimodular():
-        raise NotUnimodular(_has_determinant(a, a.det()))
-    power = a
-    for n in range(1, _ITERATION_CUTOFF + 1):
-        if power == IDENTITY:
-            return MatOrder(n)
-        power = power * a
-    return MatOrder(None)
 
 
 def commutes(a: Mat2, b: Mat2) -> bool:

@@ -95,13 +95,20 @@ def member_list(bound):
     return classification._labelled(classification._row_instances(bound, groups).items())
 
 
+def order_by_shape(m):
+    """The order gl2z._SHAPES gives m, as Mat2._shape reads it: the period
+    of a degree-0 shape, or None for degree 1 or no shape."""
+    shape = m._shape()
+    return shape[0] if shape is not None and not shape[1] else None
+
+
 def repeated_powers(a, k_max):
     """a^k for |k| <= k_max by one multiplication per step, never through
     Mat2.power_map or Mat2.__pow__; negative k only when a has an integer
     inverse."""
     powers = {0: IDENTITY}
     steps = [(1, a)]
-    if a.is_unimodular():
+    if a.det() in (1, -1):
         steps.append((-1, a.inverse()))
     for sign, factor in steps:
         power = IDENTITY

@@ -15,6 +15,12 @@ package; nothing in the package imports them.
     keeps when they have a power map in its pass's dict, and, through a
     search over every commutant (test_classification), the search report
     itself.
+  * order_by_iteration is a matrix's multiplicative order found by
+    multiplying out its powers up to the 12th, with no determinant or
+    trace read.  test_gl2z holds Mat2._shape, the package's one reading of
+    the (det, trace) order table gl2z._SHAPES, to it on every matrix of
+    the box of bound 60, and the tests that need a matrix's order read it
+    here, never off the table they check.
   * centralizer_finite lists the whole centralizer of a finite-order
     matrix other than +-E by group theory, with no box.  It checks
     commutant_in_box (test_gl2z), the brute-force commutant of a box
@@ -96,7 +102,7 @@ from itertools import product
 from math import gcd, isqrt
 from typing import Callable, Iterator, NamedTuple
 
-from z2brace import IDENTITY, BraceSpec, Mat2, NotUnimodular, RowLabel, order_by_predicate
+from z2brace import IDENTITY, BraceSpec, Mat2, NotUnimodular, RowLabel
 from z2brace.brace import _lambda_form, _LambdaTable
 from z2brace.classification import _FAMILIES, BadParams, _member_params
 from z2brace.gl2z import _no_concatenation, _undefined
@@ -194,6 +200,21 @@ def commutant_in_box(a: Mat2, bound: int) -> list[Mat2]:
     return found
 
 
+def order_by_iteration(m: Mat2) -> int | None:
+    """The multiplicative order of m, found by multiplying out m, m^2, ...
+    up to m^12, or None when none of them is E.
+
+    Every finite order in GL2(Z) divides 12, so None means infinite order;
+    a matrix that is not unimodular has no power E and gets None too.
+    """
+    power = m
+    for n in range(1, 13):
+        if power == IDENTITY:
+            return n
+        power = power * m
+    return None
+
+
 def centralizer_finite(a: Mat2) -> frozenset[Mat2]:
     """The centralizer of a in GL2(Z) when a has finite order and a != +-E.
 
@@ -201,13 +222,13 @@ def centralizer_finite(a: Mat2) -> frozenset[Mat2]:
     {+-E, +-a, +-a^-1}.  The identity, -E and infinite-order matrices have
     infinite centralizers and are rejected.
     """
-    order = order_by_predicate(a)
-    if not order.is_finite or order.n == 1 or a == -IDENTITY:
+    order = order_by_iteration(a)
+    if order is None or order == 1 or a == -IDENTITY:
         raise ValueError(
-            f"{a} has an infinite centralizer (order {order}); use commutes() directly"
+            f"{a} has an infinite centralizer (order {order or 'inf'}); use commutes() directly"
         )
     members = {IDENTITY, -IDENTITY, a, -a}
-    if order.n in (3, 6):
+    if order in (3, 6):
         inv = a.inverse()
         members.update((inv, -inv))
     return frozenset(members)
@@ -292,7 +313,7 @@ class HolElement:
     f: Mat2
 
     def __post_init__(self) -> None:
-        if not self.f.is_unimodular():
+        if self.f.det() not in (1, -1):
             raise NotUnimodular(f"automorphism part {self.f} has determinant {self.f.det()}")
 
 
@@ -487,7 +508,7 @@ def spec_by_checks(phi: Mat2, psi: Mat2) -> BraceSpec:
     """The pair, once both matrices are unimodular, phi checked first.  A
     determinant past the digits Python prints is given by its bit length."""
     for name, m in (("phi", phi), ("psi", psi)):
-        if not m.is_unimodular():
+        if m.det() not in (1, -1):
             # Python before 3.10.7 has no limit on int to str.
             det, limit = m.det(), getattr(sys, "get_int_max_str_digits", int)()
             shown = f"<{det.bit_length()}-bit integer>" if limit and abs(det) >= 10**limit else det

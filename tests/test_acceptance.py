@@ -13,8 +13,15 @@ from itertools import product
 
 import pytest
 
-from conftest import ROW_SPECS, TRIVIAL_SPEC, holomorph_reading
-from oracles import Vec2, centralizer_finite, odot, odot_associative, row12_parameters
+from conftest import ROW_SPECS, TRIVIAL_SPEC, holomorph_reading, order_by_shape
+from oracles import (
+    Vec2,
+    centralizer_finite,
+    odot,
+    odot_associative,
+    order_by_iteration,
+    row12_parameters,
+)
 
 from z2brace import (
     BraceSpec,
@@ -24,8 +31,6 @@ from z2brace import (
     check_pair,
     commutes,
     enumerate_unimodular,
-    order_by_predicate,
-    orders_crosscheck,
     row_membership,
     sample_report,
 )
@@ -136,8 +141,12 @@ def test_criterion_2_classification_complete_at_bound_2(search_bound2):
 
 
 def test_criterion_3_order_oracle_equivalence_bound_5():
+    # The order read off the (det, trace) table against the powers
+    # multiplied out.
     start = time.time()
-    disagreements = orders_crosscheck(5)
+    disagreements = [
+        m for m in enumerate_unimodular(5) if order_by_shape(m) != order_by_iteration(m)
+    ]
     _report(3, "order classification matches iteration on [-5,5]", disagreements == [], time.time() - start)
 
 
@@ -147,10 +156,10 @@ def test_criterion_4_centralizer_completeness_bound_3():
     orders_seen = set()
     ok = True
     for a in box:
-        order = order_by_predicate(a)
-        if not order.is_finite or order.n == 1 or a == -IDENTITY:
+        order = order_by_iteration(a)
+        if order is None or order == 1 or a == -IDENTITY:
             continue
-        orders_seen.add(order.n)
+        orders_seen.add(order)
         commuting = {b for b in box if commutes(a, b)}
         expected = {
             c

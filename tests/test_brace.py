@@ -32,6 +32,7 @@ from oracles import (
     odot,
     odot_associative,
     odot_inverse,
+    order_by_iteration,
     r_map,
     spec_from_dict_by_checks,
 )
@@ -48,7 +49,6 @@ from z2brace import (
     commutes,
     enumerate_unimodular,
     generate_row,
-    order_by_iteration,
 )
 from z2brace import brace
 from z2brace.brace import _identities_hold, _lambda_form
@@ -379,7 +379,7 @@ BOX_3 = list(enumerate_unimodular(3))
 
 #: The finite-order matrices with entries in [-2, 2], orders read by
 #: explicit multiplication, not by the det/trace table lambda_map reads.
-FINITE_BOX_2 = [m for m in enumerate_unimodular(2) if order_by_iteration(m).is_finite]
+FINITE_BOX_2 = [m for m in enumerate_unimodular(2) if order_by_iteration(m) is not None]
 
 #: generate_row members whose parameters reach 64 bits: the table families
 #: of the CI list, each finite-order in both matrices, and 4.1's free-p
@@ -404,7 +404,7 @@ def affine_lambda(spec, x1, x2):
 
 
 def has_infinite_order(spec):
-    return not (order_by_iteration(spec.phi).is_finite and order_by_iteration(spec.psi).is_finite)
+    return order_by_iteration(spec.phi) is None or order_by_iteration(spec.psi) is None
 
 
 class TestLambdaMap:
@@ -445,7 +445,7 @@ class TestLambdaMap:
         # at (x1 mod n_phi, x2 mod n_psi) against phi^x1 psi^x2 multiplied
         # out; every other one is refused.
         assert len(FINITE_BOX_2) == 40
-        assert {order_by_iteration(m).n for m in FINITE_BOX_2} == {1, 2, 3, 4, 6}
+        assert {order_by_iteration(m) for m in FINITE_BOX_2} == {1, 2, 3, 4, 6}
         powers = {m: repeated_powers(m, 6) for m in FINITE_BOX_2}
         grid = [(x1, x2) for x1 in range(-6, 7) for x2 in range(-6, 7)]
         kinds = set()
@@ -690,7 +690,7 @@ class TestNonCommutingPairs:
                 n * n == zero
                 for n in (Mat2(m.a11 - s, m.a12, m.a21, m.a22 - s) for s in (1, -1))
             )
-            expected = not unipotent_up_to_sign and order_by_iteration(m).n is None
+            expected = not unipotent_up_to_sign and order_by_iteration(m) is None
             hyperbolic += expected
             if m.is_hyperbolic() != expected:
                 wrong.append((m, None))

@@ -30,6 +30,7 @@ from conftest import (
     ROW_FIXTURE_PARAMS,
     ROW_SPECS,
     member_list,
+    order_by_shape,
     random_unimodular,
     repeated_powers,
 )
@@ -43,6 +44,7 @@ from oracles import (
     commutant_in_box,
     enumerate_by_constructor,
     norm_form_partners,
+    order_by_iteration,
     row12_parameters,
     row_instances_by_record,
 )
@@ -60,8 +62,6 @@ from z2brace import (
     enumerate_unimodular,
     exhaustive_search,
     generate_row,
-    order_by_predicate,
-    orders_crosscheck,
     row_label,
     row_membership,
 )
@@ -959,7 +959,7 @@ class TestEnumeration:
     def test_no_duplicates_and_all_unimodular(self):
         stream = list(enumerate_unimodular(2))
         assert len(set(stream)) == len(stream)
-        assert all(m.is_unimodular() for m in stream)
+        assert all(m.det() in (1, -1) for m in stream)
 
     def test_contains_expected_members(self):
         stream = set(enumerate_unimodular(1))
@@ -980,7 +980,7 @@ class TestEnumeration:
 BOUND_CALLS = {
     "enumerate_unimodular": lambda bound: list(enumerate_unimodular(bound)),
     "exhaustive_search": exhaustive_search,
-    "orders_crosscheck": orders_crosscheck,
+    "_pair_classes": classification._pair_classes,
     "member_list": member_list,
 }
 
@@ -1119,8 +1119,8 @@ class TestExhaustiveSearch:
         allowed = []
         for m in box:
             index = abs(m.det() - m.trace() + 1)
-            order = str(order_by_predicate(m))
-            if index == 0 or (order != "inf" and index % int(order) == 0):
+            order = order_by_iteration(m)
+            if index == 0 or (order is not None and index % order == 0):
                 allowed.append(m)
         classes = classification._pair_classes(bound)
         assert classes.size == len(box)
@@ -1203,7 +1203,7 @@ class TestExhaustiveSearch:
         kept = set(in_class)
         seen = Counter()
         for phi in in_class:
-            order = order_by_predicate(phi).n
+            order = order_by_iteration(phi)
             if phi in (IDENTITY, -IDENTITY) or order not in (2, 3):
                 continue
             seen[order] += 1
@@ -1916,14 +1916,22 @@ class TestTransport:
 INVALID_COMMUTING_PAIRS = 414
 
 
+def order_disagreements(bound):
+    # The matrices of U_B whose order read off _SHAPES is not the order
+    # found by multiplying out their powers.
+    return [
+        m for m in enumerate_unimodular(bound) if order_by_shape(m) != order_by_iteration(m)
+    ]
+
+
 class TestOrdersCrosscheck:
     def test_bound1_clean_and_all_orders_seen(self):
-        assert orders_crosscheck(1) == []
-        seen = {str(order_by_predicate(m)) for m in enumerate_unimodular(1)}
-        assert seen == {"1", "2", "3", "4", "6", "inf"}
+        assert order_disagreements(1) == []
+        seen = {order_by_shape(m) for m in enumerate_unimodular(1)}
+        assert seen == {1, 2, 3, 4, 6, None}
 
     def test_bound3_clean(self):
-        assert orders_crosscheck(3) == []
+        assert order_disagreements(3) == []
 
 
 class TestLabels:

@@ -29,7 +29,7 @@ VALID_INLINE = '{"phi":[[1,0],[0,1]],"psi":[[1,0],[0,1]]}'
 FAMILY_12_INLINE = '{"phi":[[2,1],[-1,0]],"psi":[[2,1],[-1,0]]}'
 INVALID_INLINE = '{"phi":[[1,1],[0,1]],"psi":[[1,0],[0,1]]}'
 ASSOCIATIVE_NON_COMMUTING = '{"phi":[[1,0],[2,1]],"psi":[[-1,0],[0,1]]}'
-TOP_LEVEL_USAGE = "usage: z2brace [-h] {check,classify,generate,search,orders,ybe} ..."
+TOP_LEVEL_USAGE = "usage: z2brace [-h] {check,classify,generate,search,ybe} ..."
 INVALID_NOTE = "note: not a lambda-homomorphic brace (pair fails the validity conditions)\n"
 
 # sha256 of the search --bound B stdout, recorded from a search that
@@ -301,7 +301,7 @@ class TestGenerate:
         assert row in json.loads(out)
 
 
-class TestSearchAndOrders:
+class TestSearch:
     def test_search_bound1_clean(self, capsys):
         code, out, _ = run(capsys, "search", "--bound", "1")
         assert code == 0
@@ -333,11 +333,6 @@ class TestSearchAndOrders:
             "usage: z2brace search [-h] --bound BOUND [--output OUTPUT]\n"
             "z2brace search: error: unrecognized arguments: --jobs 2\n"
         )
-
-    def test_orders_clean(self, capsys):
-        code, out, _ = run(capsys, "orders", "--bound", "2")
-        assert code == 0
-        assert json.loads(out) == []
 
 
 class TestYbe:
@@ -529,12 +524,15 @@ class TestOutputFile:
         assert code == 0 and out == ""
         assert path.read_text() == stdout_text
 
-    # The other five commands, search being test_matches_stdout's: (id,
+    # The other four commands, search being test_matches_stdout's: (id,
     # argv, exit code, the file's JSON or None to skip, stderr, patch).
     CASES = [
         ("check-valid", ["check", FAMILY_12_INLINE], 0, None, "", None),
         ("check-invalid", ["check", INVALID_INLINE], 1,
          {"valid": False, "commuting": True, "power_identities": [True, False, True, True]},
+         "", None),
+        ("check-non-commuting", ["check", ASSOCIATIVE_NON_COMMUTING], 1,
+         {"valid": False, "commuting": False, "power_identities": [True, True, False, True]},
          "", None),
         ("classify-member", ["classify", VALID_INLINE], 0, ["1.1", "1.2"], "", None),
         ("classify-invalid", ["classify", INVALID_INLINE], 0, [], INVALID_NOTE, None),
@@ -543,7 +541,6 @@ class TestOutputFile:
          falsify_family_11),
         ("generate", ["generate", "--row", "1.2", "--m", "1", "--p", "1", "--q", "1"], 0,
          {"phi": [[2, 1], [-1, 0]], "psi": [[2, 1], [-1, 0]]}, "", None),
-        ("orders", ["orders", "--bound", "2"], 0, [], "", None),
         ("ybe", ["ybe", FAMILY_12_INLINE, "--samples", "20", "--seed", "3"], 0, None, "",
          None),
     ]
@@ -692,6 +689,7 @@ DISPATCH_ARGVS = [
     ["check", "--out=out.json", "spec.json"],
     ["classify", FAMILY_12_INLINE],
     ["classify", "--output", "out.json", "spec.json"],
+    ["classify", "--o", "out.json", FAMILY_12_INLINE],
     ["generate", "--row", "1.2", "--m", "1", "--p", "1", "--q", "1"],
     ["generate", "--row", "1.1", "--m", "1", "--p", "2", "--q", "3", "--n", "4",
      "--sign1", "-1", "--sign2", "1", "--output", "out.json"],
@@ -700,8 +698,7 @@ DISPATCH_ARGVS = [
     ["search", "--bound", "2"],
     ["search", "--bound", "-3", "--output", "out.json"],
     ["search", "--b", "2", "--o", "out.json"],
-    ["orders", "--bound", "5"],
-    ["orders", "--output", "out.json", "--bou=5"],
+    ["search", "--output", "out.json", "--bou=5"],
     ["ybe", FAMILY_12_INLINE],
     ["ybe", FAMILY_12_INLINE, "--samples", "5", "--seed", "3", "--box", "2",
      "--output", "out.json"],
@@ -721,7 +718,7 @@ DISPATCH_ERRORS = [
     ["generate", "--row", "1.1", "--sign", "1"],
     ["search"],
     ["search", "--bound", "x"],
-    ["orders", "--bound"],
+    ["search", "--bound"],
     ["ybe", FAMILY_12_INLINE, "--s", "5"],
     ["ybe", FAMILY_12_INLINE, "--samples", "1.5"],
     ["check", VALID_INLINE, "--bogus"],
@@ -784,7 +781,7 @@ class TestDispatch:
 
     def test_every_command_is_dispatched(self):
         assert sorted(_COMMANDS) == sorted(
-            ["check", "classify", "generate", "search", "orders", "ybe"]
+            ["check", "classify", "generate", "search", "ybe"]
         )
         assert {argv[0] for argv in DISPATCH_ARGVS} == set(_COMMANDS)
 
@@ -923,13 +920,6 @@ DECLARED = {
         (["--output"], "output", None, None, None, False,
          "write JSON to this file instead of stdout"),
     ], "_cmd_search"),
-    "orders": ("cross-check order classification against iteration", [
-        (["-h", "--help"], "help", None, None, "==SUPPRESS==", False,
-         "show this help message and exit"),
-        (["--bound"], "bound", "int", None, None, True, "entry box half-width"),
-        (["--output"], "output", None, None, None, False,
-         "write JSON to this file instead of stdout"),
-    ], "_cmd_orders"),
     "ybe": ("sampled Yang-Baxter checks for a valid pair", [
         (["-h", "--help"], "help", None, None, "==SUPPRESS==", False,
          "show this help message and exit"),
@@ -1022,6 +1012,20 @@ class TestEntryPoint:
         assert error.startswith(prefix) and error.endswith(")")
         choices = error[len(prefix):-1].split(", ")
         assert [c.strip("'") for c in choices] == list(_COMMANDS)
+
+    def test_orders_is_refused_as_an_unknown_command(self, capsys):
+        # The order table is checked by the tests alone, so "orders" is a
+        # bad command name like any other, not a command that does nothing.
+        with pytest.raises(SystemExit) as exc:
+            main(["orders", "--bound", "2"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        usage, error = err.splitlines()
+        assert usage == TOP_LEVEL_USAGE
+        assert error.startswith(
+            "z2brace: error: argument command: invalid choice: 'orders' (choose from "
+        )
 
     def test_top_level_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

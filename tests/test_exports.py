@@ -7,13 +7,11 @@ from z2brace import brace, classification, gl2z, ybe
 PUBLIC = [
     "BadParams",
     "BraceSpec",
-    "FINITE_ORDERS",
     "GcdError",
     "IDENTITY",
     "IntegralityError",
     "InvalidSpec",
     "Mat2",
-    "MatOrder",
     "NotUnimodular",
     "RowLabel",
     "RowParams",
@@ -24,9 +22,6 @@ PUBLIC = [
     "enumerate_unimodular",
     "exhaustive_search",
     "generate_row",
-    "order_by_iteration",
-    "order_by_predicate",
-    "orders_crosscheck",
     "row_label",
     "row_membership",
     "sample_report",
@@ -51,6 +46,7 @@ ORACLES = [
     "odot",
     "odot_associative",
     "odot_inverse",
+    "order_by_iteration",
     "r_map",
     "row12_parameters",
     "ybe_holds",

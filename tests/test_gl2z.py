@@ -1,6 +1,7 @@
-"""Matrix layer: exact products, inverses, powers, orders, centralizers
-and commutants.  Where a value was derived by hand it is frozen here and,
-for the cheap cases, re-checked against a naive textbook computation.
+"""Matrix layer: exact products, inverses, powers, the (det, trace) order
+table, centralizers and commutants.  Where a value was derived by hand it
+is frozen here and, for the cheap cases, re-checked against a naive
+textbook computation.
 """
 
 import random
@@ -9,20 +10,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import repeated_powers
+from conftest import order_by_shape, repeated_powers
 
-from oracles import centralizer_finite, commutant_in_box
-from z2brace import (
-    FINITE_ORDERS,
-    IDENTITY,
-    Mat2,
-    MatOrder,
-    NotUnimodular,
-    commutes,
-    enumerate_unimodular,
-    order_by_iteration,
-    order_by_predicate,
-)
+from oracles import centralizer_finite, commutant_in_box, order_by_iteration
+from z2brace import IDENTITY, Mat2, NotUnimodular, commutes, enumerate_unimodular
+from z2brace.gl2z import _SHAPES
 
 M_2110 = Mat2(2, 1, -1, 0)
 SWAP = Mat2(0, 1, 1, 0)
@@ -177,13 +169,13 @@ class TestPowerClosedForm:
     def test_classes_are_what_the_names_say(self):
         assert ROW12_PHI * ROW12_PSI == ROW12_PSI * ROW12_PHI
         for name, a in CLOSED_FORM.items():
-            order = order_by_predicate(a)
+            order = order_by_iteration(a)
             if name.startswith("order"):
-                assert order == MatOrder(int(name[6]))
+                assert order == int(name[6])
             elif name in ("E", "-E"):
-                assert order.is_finite
+                assert order is not None
             else:
-                assert not order.is_finite and abs(a.trace()) == 2
+                assert order is None and abs(a.trace()) == 2
 
     @pytest.mark.parametrize("name", sorted(CLOSED_FORM))
     def test_huge_exponents_use_no_matrix_product(self, name, monkeypatch):
@@ -203,11 +195,11 @@ class TestPowerClosedForm:
             assert a**k == expected[k]
             assert calls == [], (name, k)
         monkeypatch.undo()
-        order = order_by_predicate(a)
-        if order.is_finite:
-            small = repeated_powers(a, order.n)
+        order = order_by_iteration(a)
+        if order is not None:
+            small = repeated_powers(a, order)
             for k in exponents:
-                assert expected[k] == small[k % order.n]
+                assert expected[k] == small[k % order]
         else:
             # Parabolic: a = s (E + N) with N = s a - E, N^2 = 0.
             s = a.trace() // 2
@@ -276,6 +268,9 @@ class TestDetTrace:
 
 
 class TestOrders:
+    """The order Mat2._shape reads off _SHAPES (order_by_shape), against
+    the powers multiplied out (oracles.order_by_iteration)."""
+
     @pytest.mark.parametrize(
         "matrix,n",
         [
@@ -285,35 +280,55 @@ class TestOrders:
             (Mat2(0, -1, 1, 0), 4),
             (Mat2(0, -1, 1, -1), 3),
             (Mat2(0, -1, 1, 1), 6),
+            # Diagonal with a shape but not +-E: degree 0, order 2.
+            (Mat2(1, 0, 0, -1), 2),
         ],
     )
     def test_predicate_finite(self, matrix, n):
-        assert order_by_predicate(matrix) == MatOrder(n)
+        assert order_by_shape(matrix) == n
+        assert order_by_iteration(matrix) == n
 
     def test_predicate_infinite(self):
-        assert order_by_predicate(SHEAR) == MatOrder(None)
+        assert order_by_shape(SHEAR) is None
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            -SHEAR,  # (1, -2): degree 1, not -E
+            Mat2(1, 0, 1, 1),  # (1, 2): the lower shear
+            Mat2(2, 1, 1, 1),  # det 1, trace 3: hyperbolic
+            Mat2(1, 1, 1, 0),  # det -1, trace 1: hyperbolic
+            Mat2(-2, 1, 1, 0),  # det -1, trace -2: hyperbolic
+        ],
+        ids=["minus-shear", "lower-shear", "det1-trace3", "det-1-trace1", "det-1-trace-2"],
+    )
+    def test_degree_1_or_no_shape_has_no_finite_order(self, matrix):
+        assert order_by_shape(matrix) is None
+        assert order_by_iteration(matrix) is None
 
     def test_iteration_examples(self):
-        assert order_by_iteration(IDENTITY) == MatOrder(1)
-        assert order_by_iteration(-IDENTITY) == MatOrder(2)
-        assert order_by_iteration(Mat2(0, -1, 1, -1)) == MatOrder(3)
-        assert order_by_iteration(SHEAR) == MatOrder(None)
+        assert order_by_iteration(IDENTITY) == 1
+        assert order_by_iteration(-IDENTITY) == 2
+        assert order_by_iteration(Mat2(0, -1, 1, -1)) == 3
+        assert order_by_iteration(SHEAR) is None
 
-    def test_rejects_non_unimodular(self):
-        with pytest.raises(NotUnimodular):
-            order_by_predicate(Mat2(2, 0, 0, 2))
-        with pytest.raises(NotUnimodular):
-            order_by_iteration(Mat2(2, 0, 0, 2))
+    def test_non_unimodular_has_no_order(self):
+        # No key of _SHAPES has a determinant other than +-1, and no power
+        # of 2E is E.
+        assert Mat2(2, 0, 0, 2)._shape() is None
+        assert order_by_shape(Mat2(2, 0, 0, 2)) is None
+        assert order_by_iteration(Mat2(2, 0, 0, 2)) is None
 
     @given(a=unimodular_3)
     def test_predicate_agrees_with_iteration(self, a):
-        assert order_by_predicate(a) == order_by_iteration(a)
+        assert order_by_shape(a) == order_by_iteration(a)
 
-    def test_matorder_rejects_impossible_finite_orders(self):
-        for n in (0, 5, 7, 12):
-            with pytest.raises(ValueError):
-                MatOrder(n)
-        assert set(FINITE_ORDERS) == {1, 2, 3, 4, 6}
+    def test_shapes_name_only_the_finite_orders_of_gl2z(self):
+        # Degree 0 periods are orders; every key is a unimodular class.
+        periods = {period for period, degree in _SHAPES.values() if not degree}
+        assert periods == {2, 3, 4, 6}
+        assert {period for period, _ in _SHAPES.values()} == {1, 2, 3, 4, 6}
+        assert {det for det, _ in _SHAPES} == {1, -1}
 
 
 def hyperbolic_by_formula(m: Mat2) -> bool:
@@ -351,7 +366,7 @@ def shape_disagreements(m: Mat2) -> list:
     wrong = [("power_map", k) for k in powers if power(k) != powers[k]]
     if (shape is None) != hyperbolic_by_formula(m):
         wrong.append("formula")
-    order = order_by_iteration(m).n
+    order = order_by_iteration(m)
     if shape is None:
         if order is not None:
             wrong.append("order")
@@ -424,6 +439,14 @@ class TestShape:
             (3, 0): 28, (4, 0): 26, (6, 0): 28, None: 1016,
         }
 
+    def test_gives_the_iterated_order_on_the_box_of_bound_60(self):
+        # Shape (n, 0) exactly when multiplying out finds order n, and
+        # degree 1 or no shape exactly when it finds no finite order.
+        box = list(enumerate_unimodular(60))
+        wrong = [m for m in box if order_by_shape(m) != order_by_iteration(m)]
+        assert len(box) == 70504
+        assert wrong == []
+
     def test_plus_minus_identity_have_degree_0(self):
         assert IDENTITY._shape() == (1, 0)
         assert (-IDENTITY)._shape() == (2, 0)
@@ -452,7 +475,7 @@ def order_by_recurrence(d: int, t: int) -> int | None:
 
 
 class TestOrderLemma:
-    """order_by_predicate on all of Z^2, with no box.
+    """_SHAPES on all of Z^2, with no box.
 
     Cayley-Hamilton gives M^n = u_n M - d u_(n-1) E for det d and trace t,
     where u_0 = 0, u_1 = 1 and u_(n+1) = t u_n - d u_(n-1).  For non-scalar
@@ -466,16 +489,17 @@ class TestOrderLemma:
     product d = +-1 and not +-1 themselves (a root +-1 needs t = +-2 for
     d = 1 and t = 0 for d = -1).  So one eigenvalue has absolute value
     above 1, and so does some eigenvalue of every power M^n, n >= 1.  With
-    +-E, of orders 1 and 2, this is order_by_predicate on every unimodular
-    matrix; orders --bound B stays a sanity check in a box.
+    +-E, of orders 1 and 2, this is _SHAPES, as Mat2._shape reads it, on
+    every unimodular matrix: finite order n exactly when the shape is
+    (n, 0).
     """
 
     @pytest.mark.parametrize("d", [1, -1])
     @pytest.mark.parametrize("t", range(-3, 4))
-    def test_recurrence_gives_the_predicate(self, d, t):
+    def test_recurrence_gives_the_shape(self, d, t):
         companion = Mat2(0, -d, 1, t)
         assert (companion.det(), companion.trace()) == (d, t)
-        assert order_by_predicate(companion) == MatOrder(order_by_recurrence(d, t))
+        assert order_by_shape(companion) == order_by_recurrence(d, t)
         # The recurrence is Cayley-Hamilton: M^n = u_n M - d u_(n-1) E.
         prev, cur, power = 0, 1, companion
         for _ in range(12):
@@ -484,7 +508,7 @@ class TestOrderLemma:
 
     def test_every_finite_order_is_reached(self):
         orders = {order_by_recurrence(d, t) for d in (1, -1) for t in range(-3, 4)}
-        assert orders == {None, *FINITE_ORDERS} - {1}
+        assert orders == {None, 2, 3, 4, 6}
 
 
 class TestCommutes:

@@ -1,9 +1,8 @@
-"""Value types: Mat2, BraceSpec, Verdict, MatOrder, RowParams and
-SearchReport, and the reference Vec2 of tests/oracles.py, are NamedTuples.
-They keep the reprs, hashes and error messages the frozen dataclasses they
-replaced had, the tuple operators that mean nothing for a matrix or a
-vector still raise TypeError, and importing the CLI loads neither
-dataclasses nor inspect.
+"""Value types: Mat2, BraceSpec, Verdict, RowParams and SearchReport, and
+the reference Vec2 of tests/oracles.py, are NamedTuples.  They keep the
+reprs, hashes and error messages the frozen dataclasses they replaced had,
+the tuple operators that mean nothing for a matrix or a vector still raise
+TypeError, and importing the CLI loads neither dataclasses nor inspect.
 """
 
 import os
@@ -20,7 +19,6 @@ from z2brace import (
     BadParams,
     BraceSpec,
     Mat2,
-    MatOrder,
     NotUnimodular,
     RowParams,
     check_pair,
@@ -81,8 +79,6 @@ def test_reprs_and_strings_unchanged():
     assert repr(check_pair(identity_pair)) == (
         "Verdict(valid=True, commuting=True, power_identities=(True, True, True, True))"
     )
-    assert repr(MatOrder(3)) == "MatOrder(n=3)"
-    assert str(MatOrder(None)) == "inf"
     assert repr(RowParams(m=1)) == (
         "RowParams(m=1, p=None, q=None, n=None, sign1=None, sign2=None)"
     )
@@ -92,29 +88,32 @@ def test_reprs_and_strings_unchanged():
     )
 
 
-VALIDATION = [
-    (lambda: BraceSpec(Mat2(1, 1, 1, 1), IDENTITY), NotUnimodular,
-     "phi = [[1,1],[1,1]] has determinant 0"),
-    (lambda: BraceSpec(IDENTITY, Mat2(2, 0, 0, 1)), NotUnimodular,
-     "psi = [[2,0],[0,1]] has determinant 2"),
-    (lambda: MatOrder(5), ValueError, "5 is not a finite order of a GL2(Z) element"),
-    (lambda: MatOrder(12), ValueError, "12 is not a finite order of a GL2(Z) element"),
-    # True == 1 and 2.0 == 2 would pass the order check and print as given.
-    (lambda: MatOrder(True), ValueError, "order must be an integer or None, got True"),
-    (lambda: MatOrder(2.0), ValueError, "order must be an integer or None, got 2.0"),
-    (lambda: RowParams(sign1=2), BadParams, "sign1 must be +1 or -1, got 2"),
-    (lambda: RowParams(sign2=0), BadParams, "sign2 must be +1 or -1, got 0"),
+# id: (build, error, message).
+VALIDATION = {
+    "spec-phi": (lambda: BraceSpec(Mat2(1, 1, 1, 1), IDENTITY), NotUnimodular,
+                 "phi = [[1,1],[1,1]] has determinant 0"),
+    "spec-psi": (lambda: BraceSpec(IDENTITY, Mat2(2, 0, 0, 1)), NotUnimodular,
+                 "psi = [[2,0],[0,1]] has determinant 2"),
+    "params-sign1": (lambda: RowParams(sign1=2), BadParams, "sign1 must be +1 or -1, got 2"),
+    "params-sign2": (lambda: RowParams(sign2=0), BadParams, "sign2 must be +1 or -1, got 0"),
     # _replace builds a new value, which must pass the same checks.
-    (lambda: BraceSpec(IDENTITY, IDENTITY)._replace(psi=Mat2(2, 0, 0, 1)), NotUnimodular,
-     "psi = [[2,0],[0,1]] has determinant 2"),
-    (lambda: MatOrder(3)._replace(n=5), ValueError, "5 is not a finite order of a GL2(Z) element"),
-    (lambda: RowParams(sign1=1)._replace(sign1=2), BadParams, "sign1 must be +1 or -1, got 2"),
-]
+    "spec-replace": (lambda: BraceSpec(IDENTITY, IDENTITY)._replace(psi=Mat2(2, 0, 0, 1)),
+                     NotUnimodular, "psi = [[2,0],[0,1]] has determinant 2"),
+    "params-replace": (lambda: RowParams(sign1=1)._replace(sign1=2), BadParams,
+                       "sign1 must be +1 or -1, got 2"),
+    # The JSON readers build through the same constructors.
+    "rows-entry": (lambda: Mat2.from_rows([[1, 0], [0, True]]), ValueError,
+                   "matrix entries must be integers, got [[1, 0], [0, True]]"),
+    "rows-shape": (lambda: Mat2.from_rows([[1, 0, 0], [0, 1]]), ValueError,
+                   "expected a 2x2 nested list, got [[1, 0, 0], [0, 1]]"),
+    "dict-keys": (lambda: BraceSpec.from_dict({"phi": [[1, 0], [0, 1]]}), ValueError,
+                  'expected an object with exactly the keys "phi" and "psi", '
+                  "got {'phi': [[1, 0], [0, 1]]}"),
+}
 
 
-@pytest.mark.parametrize("index", range(len(VALIDATION)))
-def test_validating_constructors_keep_their_messages(index):
-    build, error, message = VALIDATION[index]
+@pytest.mark.parametrize("build, error, message", VALIDATION.values(), ids=VALIDATION.keys())
+def test_validating_constructors_keep_their_messages(build, error, message):
     with pytest.raises(error) as raised:
         build()
     assert str(raised.value) == message
