@@ -96,7 +96,7 @@ from itertools import product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .brace import BraceSpec, _identities_hold, check_pair
-from .gl2z import _NEG_IDENTITY, IDENTITY, Mat2, _power_map
+from .gl2z import _NEG_IDENTITY, IDENTITY, Mat2, _decimal, _power_map
 
 __all__ = [
     "BadParams",
@@ -183,7 +183,7 @@ class RowParams(_RowParamsFields):
             if value is not None and type(value) is not int:
                 raise BadParams(f"{name} must be an integer, got {value!r}")
             if name in ("sign1", "sign2") and value not in (None, 1, -1):
-                raise BadParams(f"{name} must be +1 or -1, got {value}")
+                raise BadParams(f"{name} must be +1 or -1, got {_decimal(value)}")
         return self
 
     # _replace builds through _make, which would skip the check above.
@@ -239,7 +239,7 @@ def _exact_sqrt(radicand: int) -> int:
     """Nonnegative integer square root, or IntegralityError."""
     root = math.isqrt(max(radicand, 0))
     if root * root != radicand:
-        raise IntegralityError(f"radicand {radicand} is not a perfect square")
+        raise IntegralityError(f"radicand {_decimal(radicand)} is not a perfect square")
     return root
 
 
@@ -249,7 +249,7 @@ def _sign(x: int) -> int:
 
 def _exact_div(num: int, den: int) -> int:
     if den == 0 or num % den != 0:
-        raise IntegralityError(f"{num}/{den} is not an integer")
+        raise IntegralityError(f"{_decimal(num)}/{_decimal(den)} is not an integer")
     return num // den
 
 
@@ -287,7 +287,9 @@ class _UnipotentFamily:
 
     def build(self, m: int, p: int, q: int) -> _Pair:
         if math.gcd(p, q) != 1:
-            raise GcdError(f"gcd({p}, {q}) = {math.gcd(p, q)}, must be 1")
+            raise GcdError(
+                f"gcd({_decimal(p)}, {_decimal(q)}) = {_decimal(math.gcd(p, q))}, must be 1"
+            )
         return (
             (1 + m * p * p * q, m * p * q * q, -m * p**3, 1 - m * p * p * q),
             (1 + m * p * q * q, m * q**3, -m * p * p * q, 1 - m * p * q * q),
@@ -441,10 +443,15 @@ class _RationalFamily(_RationalFields, _TableFamily):
     def matrix(self, m: int, n: int, p: int | None) -> _Entries:
         divisor, dividend = self.division(m, n)
         if not divisor and dividend:
-            raise BadParams(f"family {self.label} has no member with m = {m}, n = {n}")
+            raise BadParams(
+                f"family {self.label} has no member with m = {_decimal(m)}, n = {_decimal(n)}"
+            )
         if (p is None) == (not divisor):
             needs = "needs the free" if p is None else "takes no"
-            raise BadParams(f"family {self.label} with m = {m}, n = {n} {needs} parameter p")
+            raise BadParams(
+                f"family {self.label} with m = {_decimal(m)}, n = {_decimal(n)} "
+                f"{needs} parameter p"
+            )
         h = _exact_div(dividend, divisor) if divisor else p
         e, k = self.e, self.k
         return (h, self.u + k * n + e * h, e * (self.v + k * m - h), self.trace - h)

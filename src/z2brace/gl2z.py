@@ -42,11 +42,10 @@ def _decimal(n: int) -> str:
         return f"<{n.bit_length()}-bit integer>"
 
 
-def _has_determinant(m: tuple[int, int, int, int], det: int) -> str:
+def _has_determinant(m: Mat2, det: int) -> str:
     """"<m> has determinant <det>" for a NotUnimodular message, with a
     number too long to print given by its bit length."""
-    a11, a12, a21, a22 = map(_decimal, m)
-    return f"[[{a11},{a12}],[{a21},{a22}]] has determinant {_decimal(det)}"
+    return f"{m} has determinant {_decimal(det)}"
 
 
 #: (det, trace) -> (period, degree): on each residue class of k mod period
@@ -196,7 +195,10 @@ class Mat2(NamedTuple):
         return Mat2(*self.power_map()(k))
 
     def __str__(self) -> str:
-        return f"[[{self.a11},{self.a12}],[{self.a21},{self.a22}]]"
+        """[[a11,a12],[a21,a22]], each entry too long to print given by
+        its bit length (_decimal)."""
+        a11, a12, a21, a22 = map(_decimal, self)
+        return f"[[{a11},{a12}],[{a21},{a22}]]"
 
 
 IDENTITY = Mat2(1, 0, 0, 1)

@@ -64,25 +64,26 @@ YBE_MEMBERS = [
 ]
 
 
-#: The members with 64-bit parameters that the CI workflow classifies and
-#: runs ybe on, in its order, with their labels: one member of each family
-#: but 1.1, and 4.1's free-p branch.  1.2's lambda is affine; every other
-#: one is a table.
-CI_64_BIT_MEMBERS = [
-    (RowLabel(label), generate_row(RowLabel(label), RowParams(**params)))
+#: One member of each family, and 4.1's free-p branch, with parameters of
+#: 64 bits and more (1.1 takes only signs), as (label, params, spec): the
+#: one list of such members the tests read.  1.2's lambda is affine; every
+#: other one is a table.
+MEMBERS_64_BIT = [
+    (label, params, generate_row(label, params))
     for label, params in (
-        ("1.3", dict(p=1, q=-55340232234013556737, sign1=1)),
-        ("1.4", dict(p=-55340232234013556737, q=1, sign1=-1)),
-        ("2.1", dict(p=2**64, q=-(2**63) - 1, sign1=1)),
-        ("2.2", dict(p=2**63, q=-(2**63) - 1, sign1=-1)),
-        ("3.1", dict(p=-(2**63) - 1, q=2**64, sign1=-1)),
-        ("3.2", dict(p=-(2**63) - 1, q=2**63, sign1=1)),
-        ("4.2", dict(p=2**63, q=-(2**63) - 1, sign1=1)),
-        ("1.5", dict(m=2**64, n=2**64 + 1)),
-        ("1.6", dict(m=2**64, n=-(2**64))),
-        ("4.1", dict(m=2**64, n=2**64 + 1)),
-        ("4.1", dict(m=-1, n=-1, p=2**64)),
-        ("1.2", dict(m=2**64, p=3, q=-7)),
+        (RowLabel.R1_3, RowParams(p=1, q=-55340232234013556737, sign1=1)),
+        (RowLabel.R1_4, RowParams(p=-55340232234013556737, q=1, sign1=-1)),
+        (RowLabel.R2_1, RowParams(p=2**64, q=-(2**63) - 1, sign1=1)),
+        (RowLabel.R2_2, RowParams(p=2**63, q=-(2**63) - 1, sign1=-1)),
+        (RowLabel.R3_1, RowParams(p=-(2**63) - 1, q=2**64, sign1=-1)),
+        (RowLabel.R3_2, RowParams(p=-(2**63) - 1, q=2**63, sign1=1)),
+        (RowLabel.R4_2, RowParams(p=2**63, q=-(2**63) - 1, sign1=1)),
+        (RowLabel.R1_5, RowParams(m=2**64, n=2**64 + 1)),
+        (RowLabel.R1_6, RowParams(m=2**64, n=-(2**64))),
+        (RowLabel.R4_1, RowParams(m=2**64, n=2**64 + 1)),
+        (RowLabel.R4_1, RowParams(m=-1, n=-1, p=2**64)),
+        (RowLabel.R1_2, RowParams(m=2**64, p=3, q=-7)),
+        (RowLabel.R1_1, RowParams(sign1=-1, sign2=1)),
     )
 ]
 
@@ -118,11 +119,15 @@ def repeated_powers(a, k_max):
     return powers
 
 
-def hyperbolic_pair(bits):
-    """Two hyperbolic matrices of trace 2a, a about 2^(bits-1); m and n do
-    not commute."""
-    a = (1 << (bits - 1)) + 7
+def hyperbolic_pair_at(a):
+    """Two hyperbolic matrices of trace 2a, for a > 1; m and n do not
+    commute."""
     return Mat2(a, a + 1, a - 1, a), Mat2(a, a - 1, a + 1, a)
+
+
+def hyperbolic_pair(bits):
+    """hyperbolic_pair_at(a) with a = 2^(bits-1) + 7, about 2^(bits-1)."""
+    return hyperbolic_pair_at((1 << (bits - 1)) + 7)
 
 
 def random_unimodular(rng, limit):

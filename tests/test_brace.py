@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     ALL_FIXTURE_SPECS,
-    CI_64_BIT_MEMBERS,
+    MEMBERS_64_BIT,
     ROW_SPECS,
     TRIVIAL_SPEC,
     holomorph_reading,
@@ -381,16 +381,18 @@ BOX_3 = list(enumerate_unimodular(3))
 #: explicit multiplication, not by the det/trace table lambda_map reads.
 FINITE_BOX_2 = [m for m in enumerate_unimodular(2) if order_by_iteration(m) is not None]
 
-#: generate_row members whose parameters reach 64 bits: the table families
-#: of the CI list, each finite-order in both matrices, and 4.1's free-p
-#: branch with p drawn.
-MEMBERS_64_BIT = [spec for label, spec in CI_64_BIT_MEMBERS if label is not RowLabel.R1_2]
+#: generate_row members whose parameters reach 64 bits: every member of
+#: MEMBERS_64_BIT but 1.2's, each finite-order in both matrices, and 4.1's
+#: free-p branch with p drawn.
+FINITE_MEMBERS_64_BIT = [
+    spec for label, _, spec in MEMBERS_64_BIT if label is not RowLabel.R1_2
+]
 free_p_4_1 = st.builds(
     lambda m, p: generate_row(RowLabel.R4_1, RowParams(m=m, n=m, p=p)),
     st.sampled_from((0, -1)),
     st.integers(-(2**64), 2**64),
 )
-finite_64_bit_specs = st.one_of(st.sampled_from(MEMBERS_64_BIT), free_p_4_1)
+finite_64_bit_specs = st.one_of(st.sampled_from(FINITE_MEMBERS_64_BIT), free_p_4_1)
 finite_64_bit = finite_64_bit_specs.flatmap(st.sampled_from)
 coordinates_64_bit = st.integers(-(2**63), 2**63)
 
@@ -532,7 +534,7 @@ class TestLambdaMap:
                 lambda_map(BraceSpec(phi, psi))
 
     @pytest.mark.parametrize(
-        "spec", [*ALL_FIXTURE_SPECS, *(spec for _, spec in CI_64_BIT_MEMBERS)], ids=str
+        "spec", [*ALL_FIXTURE_SPECS, *(spec for _, _, spec in MEMBERS_64_BIT)], ids=str
     )
     def test_one_power_map_per_generator_per_build(self, spec, monkeypatch):
         # _lambda_form decides validity and fills the table from the same

@@ -21,8 +21,28 @@ from hypothesis import example, given, settings, strategies as st
 
 import z2brace
 import z2brace.classification as classification
-from conftest import ROW_FIXTURE_PARAMS, YBE_MEMBERS, hyperbolic_pair, random_unimodular
-from z2brace import BraceSpec, IDENTITY, Mat2, RowLabel, cli
+from conftest import (
+    MEMBERS_64_BIT,
+    ROW_FIXTURE_PARAMS,
+    YBE_MEMBERS,
+    hyperbolic_pair,
+    hyperbolic_pair_at,
+    random_unimodular,
+)
+from z2brace import (
+    BadParams,
+    BraceSpec,
+    IDENTITY,
+    IntegralityError,
+    InvalidSpec,
+    Mat2,
+    NotUnimodular,
+    RowLabel,
+    RowParams,
+    cli,
+    generate_row,
+    sample_report,
+)
 from z2brace.cli import _COMMANDS, _GRAMMARS, _PARSER, _parse_direct, _write, main
 
 VALID_INLINE = '{"phi":[[1,0],[0,1]],"psi":[[1,0],[0,1]]}'
@@ -33,11 +53,17 @@ TOP_LEVEL_USAGE = "usage: z2brace [-h] {check,classify,generate,search,ybe} ..."
 INVALID_NOTE = "note: not a lambda-homomorphic brace (pair fails the validity conditions)\n"
 
 # sha256 of the search --bound B stdout, recorded from a search that
-# paired each phi with its whole in-class commutant.
+# paired each phi with its whole in-class commutant; the pin at 400 was
+# recorded from the product-index listing and the list join.
 SEARCH_DIGESTS = {
     20: "41909560412bb17124a693e0adfc0f5d2570aa24f44bbd3706343a9263be14d3",
     40: "8d37f5b19bf457697e9da147fba9cfff568064b1f82835ec315be23ada29303e",
+    100: "b86549099c2aaf38daee238d891ff3ea7bc330335649a9171fc6006763c86cc1",
+    200: "9c35bcc88947e596b3865f52c8f786c4b5f0f148a9353b7c4aa8fe26244d6b0a",
+    400: "b11fd3ab60b1970585dc4e7b8291c00fcd571357cafa06b9fface894bde23a5d",
 }
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def generate_grid():
@@ -64,6 +90,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_timed(capsys, *argv):
+    # run, failing the test if the call took 10 s or more, the limit
+    # run_process gives a call in a fresh interpreter.
+    start = time.perf_counter()
+    result = run(capsys, *argv)
+    assert time.perf_counter() - start < 10, argv
+    return result
+
+
+def generate_argv(label, params):
+    # The generate call that builds label's member from params.
+    options = [
+        word
+        for name, value in params._asdict().items() if value is not None
+        for word in (f"--{name}", str(value))
+    ]
+    return ["generate", "--row", label.value, *options]
 
 
 class TestCheck:
@@ -183,12 +228,7 @@ def verdict_path_calls():
         ).to_dict())
         calls += [["check", spec], ["classify", spec]]
     for label, params in ROW_FIXTURE_PARAMS.items():
-        options = [
-            word
-            for name, value in params._asdict().items() if value is not None
-            for word in (f"--{name}", str(value))
-        ]
-        calls += [["generate", "--row", label.value, *options], ["classify", "PREV"]]
+        calls += [generate_argv(label, params), ["classify", "PREV"]]
     for command in ("check", "classify"):
         calls += [
             [command, '{"phi": [[1, 0], [0, 1]], "psi": '],
@@ -324,6 +364,13 @@ class TestSearch:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_DIGESTS[bound]
 
+    def test_search_bound_4_equals_the_golden_file(self, capsys):
+        # The report the benchmark's search-b4 workload checks its runs
+        # against; the test only reads the file.
+        code, out, _ = run(capsys, "search", "--bound", "4")
+        assert code == 0
+        assert out.encode() == (REPO / "benchmarks" / "golden" / "search-b4.json").read_bytes()
+
     def test_search_has_no_jobs_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["search", "--bound", "1", "--jobs", "2"])
@@ -399,6 +446,41 @@ class TestYbe:
         assert report["nondegeneracy_failures"] == []
         assert elapsed < 5
 
+    def test_clean_at_volume_on_the_parabolic_pair(self, capsys):
+        # 20,000 samples with coordinates up to 1000 on family 1.2's affine
+        # form; exit 0 is a clean report.
+        code, _, err = run_timed(
+            capsys, "ybe", FAMILY_12_INLINE, "--samples", "20000", "--box", "1000"
+        )
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("spec", YBE_MEMBERS, ids=json.dumps)
+    def test_clean_at_volume_on_each_family_member(self, capsys, spec):
+        # The ybe-families benchmark's members at 20,000 samples each: 1.2's
+        # r reads lambda's affine form, every other member's a table.
+        code, _, err = run_timed(
+            capsys, "ybe", json.dumps(spec), "--samples", "20000", "--box", "8", "--seed", "1"
+        )
+        assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "label, params, spec",
+    MEMBERS_64_BIT,
+    ids=[" ".join(generate_argv(label, params)[2:]) for label, params, _ in MEMBERS_64_BIT],
+)
+def test_64_bit_member_classifies_and_gives_a_clean_report(capsys, label, params, spec):
+    # generate builds the member, classify lists its family and ybe samples
+    # coordinates up to 10^6: lambda is a table lookup for every
+    # finite-order family and affine in x for 1.2.
+    code, out, _ = run(capsys, *generate_argv(label, params))
+    assert code == 0 and json.loads(out) == spec.to_dict()
+    member = out.strip()
+    code, out, _ = run_timed(capsys, "classify", member)
+    assert code == 0 and label.value in json.loads(out)
+    code, _, err = run_timed(capsys, "ybe", member, "--samples", "2000", "--box", "1000000")
+    assert (code, err) == (0, "")
+
 
 @pytest.mark.parametrize("command", ["check", "classify", "ybe"])
 def test_deeply_nested_json_exits_two(capsys, tmp_path, command):
@@ -418,7 +500,9 @@ def test_inline_non_object_json_exits_two(capsys, command):
 
 
 # A hyperbolic phi at 64 and 256 bits beside a second hyperbolic matrix,
-# an order-4 matrix and a parabolic one; no partner commutes with phi.
+# an order-4 matrix and a parabolic one, and the two hyperbolic matrices at
+# a = 10^3999 + 7, 4,000 digits, below the 4,300 digits Python converts
+# between int and str; no partner commutes with phi.
 NON_COMMUTING_LARGE = [
     pytest.param(json.dumps(BraceSpec(m, psi).to_dict()), id=f"{bits}-bit-{name}")
     for bits in (64, 256)
@@ -428,18 +512,24 @@ NON_COMMUTING_LARGE = [
         ("order-4", Mat2(0, -1, 1, 0)),
         ("parabolic", Mat2(1, 1, 0, 1)),
     )
+] + [
+    pytest.param(
+        json.dumps(BraceSpec(*hyperbolic_pair_at(10**3999 + 7)).to_dict()),
+        id="4000-digit-hyperbolic",
+    )
 ]
 
 
 def run_process(*argv):
-    # The CLI in a fresh interpreter.  The timeout makes a verdict that does
-    # not finish fail the test instead of hanging the suite.
+    # The CLI in a fresh interpreter, as the console script runs it.  The
+    # timeout makes a call that does not finish in 10 s fail the test
+    # instead of hanging the suite.
     src = Path(z2brace.__file__).resolve().parent.parent
     return subprocess.run(
         [sys.executable, "-m", "z2brace", *argv],
         capture_output=True,
         text=True,
-        timeout=30,
+        timeout=10,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
 
@@ -474,7 +564,7 @@ class LargeEntryVerdicts:
     def test_classify_prints_no_family(self, spec):
         proc = run_process("classify", spec)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == []
+        assert (proc.stdout, proc.stderr) == ("[]\n", INVALID_NOTE)
 
     def test_ybe_exits_two(self, spec):
         proc = run_process("ybe", spec)
@@ -492,14 +582,23 @@ class TestScalarBesideHyperbolicLargeEntries(LargeEntryVerdicts):
     commuting = True
 
 
-def test_ybe_refuses_a_commuting_hyperbolic_pair_at_41_bits():
-    # phi = psi = [[a, a+1], [a-1, a]] with a = 2^40 + 7: _lambda_form refuses
-    # the hyperbolic generator before check_pair would take its powers at
-    # 41-bit exponents, so ybe exits 2 well inside run_process's timeout.
-    m, _ = hyperbolic_pair(41)
-    proc = run_process("ybe", json.dumps(BraceSpec(m, m).to_dict()))
-    assert proc.returncode == 2
-    assert proc.stdout == "" and "fails the pair conditions" in proc.stderr
+@pytest.mark.parametrize(
+    "bits, command, code", [(41, "ybe", 2), (14, "check", 1)], ids=["41-bit-ybe", "14-bit-check"]
+)
+def test_commuting_hyperbolic_pair_finishes(bits, command, code):
+    # phi = psi = [[a, a+1], [a-1, a]] with a = 2^(bits-1) + 7.  At 41 bits
+    # _lambda_form refuses the hyperbolic generator before check_pair would
+    # take its powers at 41-bit exponents, so ybe exits 2.  check takes
+    # them, each identity comparing two hyperbolic powers, at the
+    # benchmark's 14-bit size, and exits 1.  Both well inside run_process's
+    # timeout.
+    m, _ = hyperbolic_pair(bits)
+    proc = run_process(command, json.dumps(BraceSpec(m, m).to_dict()))
+    assert proc.returncode == code, proc.stderr
+    if command == "ybe":
+        assert proc.stdout == "" and "fails the pair conditions" in proc.stderr
+    else:
+        assert json.loads(proc.stdout)["valid"] is False
 
 
 def falsify_family_11(monkeypatch):
@@ -515,18 +614,12 @@ def falsify_family_11(monkeypatch):
 class TestOutputFile:
     """--output writes to a file the bytes the same call prints, with the
     same exit code and stderr, and leaves stdout empty, on every command and
-    on each exit-code and stderr path classify takes."""
+    on each exit-code and stderr path classify takes.  Those bytes are
+    json.dumps(..., indent=2) of the payload and a newline."""
 
-    def test_matches_stdout(self, capsys, tmp_path):
-        _, stdout_text, _ = run(capsys, "search", "--bound", "1")
-        path = tmp_path / "report.json"
-        code, out, _ = run(capsys, "search", "--bound", "1", "--output", str(path))
-        assert code == 0 and out == ""
-        assert path.read_text() == stdout_text
-
-    # The other four commands, search being test_matches_stdout's: (id,
-    # argv, exit code, the file's JSON or None to skip, stderr, patch).
+    # (id, argv, exit code, the file's JSON or None to skip, stderr, patch).
     CASES = [
+        ("search-bound-1", ["search", "--bound", "1"], 0, None, "", None),
         ("check-valid", ["check", FAMILY_12_INLINE], 0, None, "", None),
         ("check-invalid", ["check", INVALID_INLINE], 1,
          {"valid": False, "commuting": True, "power_identities": [True, False, True, True]},
@@ -543,6 +636,14 @@ class TestOutputFile:
          {"phi": [[2, 1], [-1, 0]], "psi": [[2, 1], [-1, 0]]}, "", None),
         ("ybe", ["ybe", FAMILY_12_INLINE, "--samples", "20", "--seed", "3"], 0, None, "",
          None),
+        # Each command once more: on family 1.2's parabolic pair, a 1.2
+        # member with m = 2 and the box of bound 2.
+        ("check-parabolic", ["check", FAMILY_12_INLINE], 0, None, "", None),
+        ("classify-parabolic", ["classify", FAMILY_12_INLINE], 0, ["1.2"], "", None),
+        ("generate-m-2", ["generate", "--row", "1.2", "--m", "2", "--p", "3", "--q", "-7"], 0,
+         None, "", None),
+        ("search-bound-2", ["search", "--bound", "2"], 0, None, "", None),
+        ("ybe-parabolic", ["ybe", FAMILY_12_INLINE, "--samples", "50"], 0, None, "", None),
     ]
 
     @pytest.mark.parametrize(
@@ -558,6 +659,7 @@ class TestOutputFile:
             patch(monkeypatch)
         code, stdout_text, err = run(capsys, *argv)
         assert (code, err) == (expected_code, expected_err)
+        assert stdout_text == json.dumps(json.loads(stdout_text), indent=2) + "\n"
         path = tmp_path / "output.json"
         assert run(capsys, *argv, "--output", str(path)) == (code, "", err)
         assert path.read_bytes() == stdout_text.encode()
@@ -632,18 +734,63 @@ def test_integer_past_the_digit_limit_exits_two(capsys, tmp_path):
     assert not path.exists()
 
 
-def test_determinant_past_the_digit_limit_names_the_matrix(capsys):
-    # a = 10^2200 prints, but det phi = a^2 has 4,401 digits, past int's
-    # 4,300-digit string limit: the message names phi and gives the
-    # determinant's bit length instead.
+def past_the_digit_limit_cases():
+    # (argv, or None where the CLI cannot pass the integer, the API call,
+    # its exception class and message).  Each message holds an integer past
+    # int's 4,300-digit string limit, given by its bit length: a = 10^2200
+    # prints, but det phi = a^2 has 4,401 digits; the 4,000-digit parameters
+    # print, but 1.3's radicand and 1.5's dividend have more.  A 4,401-digit
+    # sign or matrix entry cannot pass the CLI's int() or json.loads.
+    def bits(n):
+        return f"<{n.bit_length()}-bit integer>"
+
     a = 10**2200
-    spec = json.dumps({"phi": [[a, 0], [0, a]], "psi": [[1, 0], [0, 1]]})
-    code, out, err = run(capsys, "check", spec)
-    assert code == 2 and out == ""
-    assert err == (
-        f"error: phi = [[{a},0],[0,{a}]] has determinant "
-        f"<{(a * a).bit_length()}-bit integer>\n"
-    )
+    det_spec = {"phi": [[a, 0], [0, a]], "psi": [[1, 0], [0, 1]]}
+    p, q = int("7" * 4000), int("3" * 4000)
+    radicand = classification._FAMILIES[RowLabel.R1_3].radicand(p, q)
+    divisor, dividend = classification._FAMILIES[RowLabel.R1_5].division(p, q)
+    big = 10**4400
+    m, _ = hyperbolic_pair_at(big)
+    shown = f"[[{bits(big)},{bits(big)}],[{bits(big)},{bits(big)}]]"
+    return [
+        pytest.param(
+            ["check", json.dumps(det_spec)], lambda: BraceSpec.from_dict(det_spec),
+            NotUnimodular, f"phi = [[{a},0],[0,{a}]] has determinant {bits(a * a)}",
+            id="determinant",
+        ),
+        pytest.param(
+            ["generate", "--row", "1.3", "--p", str(p), "--q", str(q), "--sign1", "1"],
+            lambda: generate_row(RowLabel.R1_3, RowParams(p=p, q=q, sign1=1)),
+            IntegralityError, f"radicand {bits(radicand)} is not a perfect square",
+            id="radicand",
+        ),
+        pytest.param(
+            ["generate", "--row", "1.5", "--m", str(p), "--n", str(q)],
+            lambda: generate_row(RowLabel.R1_5, RowParams(m=p, n=q)),
+            IntegralityError, f"{bits(dividend)}/{divisor} is not an integer",
+            id="division",
+        ),
+        pytest.param(
+            None, lambda: RowParams(sign1=big),
+            BadParams, f"sign1 must be +1 or -1, got {bits(big)}",
+            id="sign",
+        ),
+        pytest.param(
+            None, lambda: sample_report(BraceSpec(m, m)),
+            InvalidSpec,
+            f"(phi={shown}, psi={shown}) fails the pair conditions; run check_pair for details",
+            id="hyperbolic-spec",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("argv, call, error, message", past_the_digit_limit_cases())
+def test_integers_past_the_digit_limit_print_as_bit_lengths(capsys, argv, call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert (exc.type, str(exc.value)) == (error, message)
+    if argv is not None:
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_parser_is_shared_across_calls(capsys):
@@ -1040,12 +1187,53 @@ class TestEntryPoint:
         for command in _COMMANDS:
             assert f"    {command} " in out
 
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_command_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: z2brace {command} ")
+
+    # "=" and abbreviated options, a negative value, then a missing value
+    # and a value outside the choices.
+    EXIT_CODES = [
+        (["search", "--bound=2"], 0),
+        (["search", "--b", "2"], 0),
+        (["generate", "--row", "1.1", "--sign1", "-1", "--sign2", "1"], 0),
+        (["search", "--bound"], 2),
+        (["generate", "--row", "1.1", "--sign1", "2"], 2),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, expected", EXIT_CODES, ids=[" ".join(argv) for argv, _ in EXIT_CODES]
+    )
+    def test_exit_code(self, capsys, argv, expected):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == expected, capsys.readouterr().err
+
+    def test_module_reads_sys_argv(self):
+        # python -m z2brace calls main with no argv, as the console script
+        # does, so main reads sys.argv.
+        proc = run_process("--help")
+        assert proc.returncode == 0, proc.stderr
+        for command in _COMMANDS:
+            assert re.search(rf"^ +{command} +[a-z]", proc.stdout, re.MULTILINE), command
+        proc = run_process()
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"{TOP_LEVEL_USAGE}\n"
+            "z2brace: error: the following arguments are required: command\n"
+        )
+
 
 def readme_command_lines():
     # The z2brace lines of the sh block under "## Command line" in
     # README.md, each with the text of the "# ->" comment that follows it
     # ("" if none), continuation lines joined.
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    text = (REPO / "README.md").read_text()
     section = text.split("\n## Command line\n", 1)[1]
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
     calls = []

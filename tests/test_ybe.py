@@ -30,7 +30,7 @@ import z2brace.ybe as ybe
 
 from conftest import (
     ALL_FIXTURE_SPECS,
-    CI_64_BIT_MEMBERS,
+    MEMBERS_64_BIT,
     ROW_SPECS,
     TRIVIAL_SPEC,
     YBE_MEMBERS,
@@ -417,20 +417,20 @@ class TestPerFormR:
         assert wrong == []
 
     @given(
-        member=st.sampled_from(CI_64_BIT_MEMBERS),
+        member=st.sampled_from(MEMBERS_64_BIT),
         x1=coordinates_64_bit,
         x2=coordinates_64_bit,
         y1=coordinates_64_bit,
         y2=coordinates_64_bit,
     )
     def test_equals_the_lambda_r_on_64_bit_members(self, member, x1, x2, y1, y2):
-        _, spec = member
+        _, _, spec = member
         powers = lambda v1, v2: lambda_of(spec, Vec2(v1, v2)).entries()
         assert r_map(spec)(x1, x2, y1, y2) == r_of_lambda(powers, x1, x2, y1, y2)
 
-    def test_forms_of_the_ci_members(self):
+    def test_forms_of_the_64_bit_members(self):
         # 1.2 reads the affine form; every other family a table.
-        kinds = {label.value: type(_lambda_form(spec)) for label, spec in CI_64_BIT_MEMBERS}
+        kinds = {label.value: type(_lambda_form(spec)) for label, _, spec in MEMBERS_64_BIT}
         assert kinds.pop("1.2") is _LambdaAffine
         assert set(kinds.values()) == {_LambdaTable}
 
