@@ -14,11 +14,11 @@ block 3 = (-1, 1), block 4 = (-1, -1).  This module provides
     _SIGNATURE_LABELS, a table read off those records, since a family
     whose constructor fixes other (det, trace) values can never
     regenerate the pair,
-  * a duplicate-free lexicographic enumeration of unimodular matrices
-    with bounded entries, streamed with no index in O(bound) memory and
-    in time proportional to their number, each (a11, a12) solving its
-    own a21 and a22 and each Mat2 made by tuple.__new__
-    (enumerate_unimodular),
+  * a duplicate-free enumeration of unimodular matrices with bounded
+    entries in ascending (a11, a12) rows, streamed with no index in
+    O(bound) memory and in time proportional to their number, each
+    (a11, a12) solving its own a21 and a22 and each Mat2 made by
+    tuple.__new__ (enumerate_unimodular),
   * one table of the (det, trace) classes a valid pair can use
     (_CLASSES: (1, 2), (1, -1) and (-1, 0)), in which E is the only
     scalar, read both by the pass and by the partner rules,
@@ -209,7 +209,7 @@ _CLASSES = frozenset({(1, 2), (1, -1), (-1, 0)})
 #: The box's in-class matrices grouped by their (det, trace).
 _Groups = dict[tuple[int, int], list[Mat2]]
 
-#: Each in-class matrix of the box to its power map, in listing order.
+#: Each in-class matrix of the box to its power map.
 _Powers = dict[Mat2, Callable[[int], _Entries]]
 
 #: The M's that the table records rebuild in one search, by what fixes
@@ -572,18 +572,19 @@ def row_membership(spec: BraceSpec) -> set[RowLabel]:
 def enumerate_unimodular(bound: int) -> Iterator[Mat2]:
     """All matrices with entries in [-bound, bound] and determinant +-1.
 
-    Lexicographic in (a11, a12, a21, a22), each matrix exactly once, with
-    no index: each (a11, a12) solves its own a21 and a22.  For a11 = 0 the
+    In ascending (a11, a12) rows, each row's matrices together and each
+    matrix exactly once, but not lexicographic within a row; with no
+    index, each (a11, a12) solves its own a21 and a22.  For a11 = 0 the
     determinant -a12 a21 is +-1 exactly when a12 and a21 are +-1, and a22
     is free.  For a11 != 0 and determinant d, a12 a21 + d = a11 a22 forces
     a12 a21 = -d (mod |a11|), so an a12 that is not a unit mod |a11| has
     no matrix, and for a unit the a21 of each d form one progression of
     step |a11|, read from a12's inverse, tabulated once per a11.  The walk
     keeps to the a21 of the box whose a22 = (a12 a21 + d) / a11 is in the
-    box too, so each step is a matrix listed; the few hits of each a12 are
-    sorted by (a21, a22).
+    box too, so each step is a matrix listed, yielded as the range gives
+    it: a row is its d = 1 progression and then its d = -1 one.
     The cost is O(|U_B| + bound^2) for the |U_B| matrices listed, and the
-    memory O(bound), one a12's hits at a time.  Each Mat2 is made by
+    memory O(bound), the table of inverses.  Each Mat2 is made by
     tuple.__new__ from its entry tuple, as Mat2's own constructor makes
     it, without a Python-level call per matrix.  bound must be a positive
     plain integer (bools are rejected).
@@ -610,7 +611,6 @@ def enumerate_unimodular(bound: int) -> Iterator[Mat2]:
             if inverse is None:
                 continue
             size = abs(a12)
-            hits = []
             for d in (1, -1):
                 # The a21 of the box with a12 a21 = -d (mod step) and
                 # |a12 a21 + d| <= top, from the lowest up.
@@ -619,10 +619,8 @@ def enumerate_unimodular(bound: int) -> Iterator[Mat2]:
                     e = d if a12 > 0 else -d
                     low, high = max(low, -((top + e) // size)), min(high, (top - e) // size)
                 start = low + (-d * inverse - low) % step
-                hits += [(a21, (a12 * a21 + d) // a11) for a21 in range(start, high + 1, step)]
-            hits.sort()
-            for a21, a22 in hits:
-                yield new(Mat2, (a11, a12, a21, a22))
+                for a21 in range(start, high + 1, step):
+                    yield new(Mat2, (a11, a12, a21, (a12 * a21 + d) // a11))
 
 
 def _row_instances(bound: int, groups: _Groups) -> dict[_Pair, list[int]]:
@@ -725,7 +723,7 @@ class _Box(NamedTuple):
     """What the one pass of _pair_classes reads off U_B."""
 
     size: int  # |U_B|, every matrix listed
-    power: _Powers  # each in-class matrix's power map, in the listing's order
+    power: _Powers  # each in-class matrix's power map
     groups: _Groups  # the in-class matrices by (det, trace)
 
 
@@ -776,8 +774,8 @@ def _search_partners(phi: Mat2) -> list[Mat2]:
     other than E whose (det, trace) is in _CLASSES.
 
     The rule reads no box: it gives phi's partners on all of Z^2, at most
-    four, in O(1), sorted in the order of enumerate_unimodular.  phi's
-    trace names its class: 2 parabolic, -1 order 3 and 0 a reflection.
+    four, in O(1) and in no particular order.  phi's trace names its
+    class: 2 parabolic, -1 order 3 and 0 a reflection.
 
     Lemma.  A valid pair commutes, and lambda_c = E for every column c of
     phi - E and of psi - E.
@@ -817,11 +815,11 @@ def _search_partners(phi: Mat2) -> list[Mat2]:
         c1, c2 = (a[0], a[2]) if a[2] else (a[1], a[3])
         if c2 and c1 and not any(c1 * e % c2 for e in a):
             b11, b12, b21, b22 = (-c1 * e // c2 for e in a)
-            return sorted((IDENTITY, Mat2(1 + b11, b12, b21, 1 + b22)))
+            return [IDENTITY, Mat2(1 + b11, b12, b21, 1 + b22)]
         return [IDENTITY]
     if trace == -1:
-        return sorted((IDENTITY, phi, phi.inverse()))
-    return sorted((IDENTITY, phi, _NEG_IDENTITY, -phi))
+        return [IDENTITY, phi, phi.inverse()]
+    return [IDENTITY, phi, _NEG_IDENTITY, -phi]
 
 
 def exhaustive_search(bound: int) -> SearchReport:
@@ -841,8 +839,9 @@ def exhaustive_search(bound: int) -> SearchReport:
     builds its power map and files it into its (det, trace) group;
     candidates_examined still counts every ordered pair of the box,
     |U_B|^2.  A partner is decided iff it has a power map in the pass's
-    dict, the one box test.  Unmatched pairs come out in the lexicographic
-    order of enumerate_unimodular.
+    dict, the one box test.  The report fixes its own order: the scan
+    visits pairs in no particular order, and unmatched_valid is sorted,
+    by phi and then by psi.
 
     The whole search works on the Mat2s the listing yields, each of which
     is its own entry tuple: the power-map keys, the groups, the partners
@@ -882,7 +881,7 @@ def exhaustive_search(bound: int) -> SearchReport:
     members = _row_instances(bound, groups)
     # -E's row is the in-class involutions: M^2 = tM - dE is E for the
     # reflections, (d, t) = (-1, 0), and for (1, 2) and (1, -1) only at E.
-    rows = {IDENTITY: power, _NEG_IDENTITY: sorted((IDENTITY, _NEG_IDENTITY, *groups[-1, 0]))}
+    rows = {IDENTITY: power, _NEG_IDENTITY: [IDENTITY, _NEG_IDENTITY, *groups[-1, 0]]}
     valid = 0
     counts = [0] * len(_LABELS)
     unmatched = []
@@ -899,17 +898,15 @@ def exhaustive_search(bound: int) -> SearchReport:
                 else:
                     for position in positions:
                         counts[position] += 1
-    invalid = []
-    for pair, positions in members.items():
+    for pair in members:
         spec = BraceSpec(Mat2(*pair[0]), Mat2(*pair[1]))
         if check_pair(spec).valid:
             raise AssertionError(f"the search never decided the valid member {spec}")
-        invalid.append((pair, positions))
     return SearchReport(
         bound=bound,
         candidates_examined=box_size**2,
         valid_pairs=valid,
-        unmatched_valid=unmatched,
-        invalid_row_instances=_labelled(invalid),
+        unmatched_valid=sorted(unmatched),
+        invalid_row_instances=_labelled(members.items()),
         row_histogram={_LABELS[i]: count for i, count in enumerate(counts) if count},
     )

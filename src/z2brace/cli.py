@@ -62,6 +62,7 @@ from .classification import (
     row_label,
     row_membership,
 )
+from .gl2z import _decimal
 from .ybe import sample_report
 
 __all__ = ["main"]
@@ -81,11 +82,18 @@ def _load_spec(text: str) -> BraceSpec:
 def _write(value: object, parts: list[str], indent: str) -> None:
     """Append value's JSON to parts as json.dumps(value, indent=2) writes it,
     at nesting depth len(indent) // 2.  Only the types the commands emit are
-    accepted: dicts with str keys, lists, str, int, bool and None."""
+    accepted: dicts with str keys, lists, str, int, bool and None.  An int
+    with more digits than int converts to str raises ValueError naming its
+    bit length."""
     if isinstance(value, bool):
         parts.append("true" if value else "false")
     elif isinstance(value, int):
-        parts.append(int.__repr__(value))
+        try:
+            parts.append(int.__repr__(value))
+        except ValueError:
+            # More digits than int converts to str: name the int by its size.
+            raise ValueError(f"cannot write {_decimal(value)}: it has more than "
+                             f"{sys.get_int_max_str_digits()} digits") from None
     elif isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
     elif value is None:

@@ -168,8 +168,8 @@ def commutant_in_box(a: Mat2, bound: int) -> list[Mat2]:
     g = gcd(a12, a21, a22 - a11), and x, t integers (the Latimer-MacDuffee
     correspondence: N is primitive with N11 = 0).  For each t that keeps the
     off-diagonal entries in the box, det(x E + t N) = +-1 is a quadratic in x
-    solved exactly, so the cost is O(bound).  The result is sorted in the
-    lexicographic (a11, a12, a21, a22) order of enumerate_unimodular.
+    solved exactly, so the cost is O(bound).  The result is sorted
+    lexicographically in (a11, a12, a21, a22).
     """
     if bound < 1:
         raise ValueError("bound must be positive")
@@ -270,7 +270,7 @@ def norm_form_partners(phi: Mat2) -> list[Mat2]:
         four.
     The class (1, -2) holds -E alone, kept only beside an involution: the
     identity at the column (-2, 0) of -E - E reads phi^-2 = E.  The result
-    is sorted in the order of enumerate_unimodular.
+    is sorted lexicographically in (a11, a12, a21, a22).
     """
     a11, a12, a21, a22 = phi
     g = gcd(a12, a21, a22 - a11)

@@ -20,7 +20,8 @@ import types
 from array import array
 from collections import Counter
 from contextlib import contextmanager
-from itertools import chain, islice, product, zip_longest
+from itertools import chain, groupby, islice, product, zip_longest
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -882,11 +883,11 @@ def listing_digest(listing) -> str:
 class TestEnumeration:
     @pytest.mark.parametrize("bound", range(1, 61))
     def test_matches_the_constructor_listing(self, bound):
-        # The streamed listing makes the same matrices, in the same order
-        # and of the same type, as the product index with Mat2's own
-        # constructor called per matrix.
+        # The streamed listing makes the same matrices, each once and of
+        # the same type, as the product index with Mat2's own constructor
+        # called per matrix.
         listed = list(enumerate_unimodular(bound))
-        assert listed == list(enumerate_by_constructor(bound))
+        assert sorted(listed) == list(enumerate_by_constructor(bound))
         assert all(type(m) is Mat2 for m in listed)
 
     @pytest.mark.parametrize("bound", [97, 120])
@@ -894,18 +895,21 @@ class TestEnumeration:
         # The table of unit inverses mod |a11| has one non-unit for the
         # prime 97 and 88 of 120 residues for 120 = 2^3 3 5, the most of any
         # modulus up to 120.
-        assert list(enumerate_unimodular(bound)) == list(enumerate_by_constructor(bound))
+        assert sorted(enumerate_unimodular(bound)) == list(enumerate_by_constructor(bound))
 
     def test_listing_bytes_pinned_at_bound_400(self):
-        # Recorded from enumerate_by_constructor: 3,115,368 matrices.
-        assert listing_digest(enumerate_unimodular(400)) == (
+        # Recorded from enumerate_by_constructor: 3,115,368 matrices.  The
+        # listing is lexicographic in its (a11, a12) rows, not within one,
+        # so each row is hashed sorted.
+        rows = groupby(enumerate_unimodular(400), key=itemgetter(0, 1))
+        assert listing_digest(chain.from_iterable(sorted(row) for _, row in rows)) == (
             "01d28f8d1f0526c3cd3e41b42fc4c8c48c3f2aa4aa1d3e6b5cb5572b9ef31135"
         )
 
     def test_listing_bound_400_streams_in_small_memory(self):
-        # Listing U_400 in a fresh interpreter holds one a12's hits at a
-        # time: a peak RSS of about 16 MiB, where the (a12, a21) product
-        # index took about 73 MiB.  On Linux ru_maxrss also counts the
+        # Listing U_400 in a fresh interpreter holds no list of matrices: a
+        # peak RSS of about 16 MiB, where the (a12, a21) product index took
+        # about 73 MiB.  On Linux ru_maxrss also counts the
         # forked copy of this test process before the exec, so the child
         # reads its own peak, VmHWM, where /proc has it.  ru_maxrss is in
         # KiB on Linux and in bytes on macOS.
@@ -937,7 +941,7 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("bound", range(1, 16))
     def test_matches_triple_loop(self, bound):
-        assert list(enumerate_unimodular(bound)) == list(triple_loop_unimodular(bound))
+        assert sorted(enumerate_unimodular(bound)) == list(triple_loop_unimodular(bound))
 
     @pytest.mark.parametrize("bound", [1, 2])
     def test_count_matches_oracle_and_golden(self, bound):
@@ -954,7 +958,7 @@ class TestEnumeration:
             for entry in product(entries, repeat=4)
             if abs(entry[0] * entry[3] - entry[1] * entry[2]) == 1
         ]
-        assert list(enumerate_unimodular(bound)) == expected
+        assert sorted(enumerate_unimodular(bound)) == expected
 
     def test_no_duplicates_and_all_unimodular(self):
         stream = list(enumerate_unimodular(2))
@@ -966,9 +970,15 @@ class TestEnumeration:
         for member in (IDENTITY, -IDENTITY, Mat2(0, 1, 1, 0), Mat2(1, 1, 0, 1)):
             assert member in stream
 
-    def test_lexicographic_order(self):
-        stream = [m.entries() for m in enumerate_unimodular(1)]
-        assert stream == sorted(stream)
+    @pytest.mark.parametrize("bound", [1, 2, 6, 12])
+    def test_rows_ascending_and_contiguous(self, bound):
+        # The listing's contract: its (a11, a12) rows in ascending order,
+        # each row's matrices together, and no matrix twice.  Within a row
+        # the order is free.
+        stream = list(enumerate_unimodular(bound))
+        rows = [row for row, _ in groupby(stream, key=itemgetter(0, 1))]
+        assert rows == sorted(set(rows))
+        assert len(set(stream)) == len(stream)
 
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):
@@ -1143,9 +1153,9 @@ class TestExhaustiveSearch:
     @pytest.mark.parametrize("bound", range(1, 21))
     def test_involutions_are_the_in_class_square_roots_of_e(self, bound):
         # The partners of -E, read by entries (det -1, or diagonal), are the
-        # in-class m with m m = E, as a product finds them, in list order.
+        # in-class m with m m = E, as a product finds them, each once.
         in_class, partners = self.partner_rule(bound)
-        assert partners(-IDENTITY) == [m for m in in_class if m * m == IDENTITY]
+        assert sorted(partners(-IDENTITY)) == sorted(m for m in in_class if m * m == IDENTITY)
 
     @staticmethod
     def partner_rule(bound):
@@ -1214,8 +1224,8 @@ class TestExhaustiveSearch:
                 for m in commutant
                 if m in kept and (m != -IDENTITY or phi * phi == IDENTITY)
             ]
-            got = partners(phi)
-            assert got == expected == classification._search_partners(phi), phi
+            got = sorted(partners(phi))
+            assert got == expected == sorted(classification._search_partners(phi)), phi
             assert all(max(map(abs, m.entries())) <= bound for m in got), phi
         assert seen[2] > 0 and seen[3] > 0
 
@@ -1451,6 +1461,42 @@ class TestExhaustiveSearch:
         assert not report.confirms_classification
         assert main(["search", "--bound", "4"]) == 1
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("scramble, phi", [
+        ("partners-reversed", Mat2(1, 0, 0, -1)),
+        ("power-dict-reversed", IDENTITY),
+    ])
+    def test_report_order_is_independent_of_the_scan(self, monkeypatch, scramble, phi):
+        # With two member pairs of phi's row left out of the member dict,
+        # the scan lists them unmatched; the report sorts them, so
+        # reversing the order in which the scan visits phi's row (its
+        # partners, or the power dict that is E's row) changes no byte.
+        row_instances = classification._row_instances
+
+        def without_two_of_phi_row(bound, groups):
+            members = row_instances(bound, groups)
+            for pair in sorted(pair for pair in members if pair[0] == phi)[:2]:
+                del members[pair]
+            return members
+
+        monkeypatch.setattr(classification, "_row_instances", without_two_of_phi_row)
+        expected = exhaustive_search(4)
+        if scramble == "partners-reversed":
+            rule = classification._search_partners
+            monkeypatch.setattr(classification, "_search_partners", lambda m: rule(m)[::-1])
+        else:
+            pass_classes = classification._pair_classes
+
+            def reversed_power(bound):
+                box = pass_classes(bound)
+                return box._replace(power=dict(reversed(box.power.items())))
+
+            monkeypatch.setattr(classification, "_pair_classes", reversed_power)
+        report = exhaustive_search(4)
+        assert len(report.unmatched_valid) == 2
+        assert all(spec.phi == phi for spec in report.unmatched_valid)
+        assert report.unmatched_valid == sorted(report.unmatched_valid)
+        assert report.to_dict() == expected.to_dict()
 
     def test_search_lists_the_box_once(self, monkeypatch):
         # The member list is read off the in-class matrices the forward scan
@@ -1776,7 +1822,7 @@ def test_partner_rule_refuses_phi_outside_the_non_scalar_classes(phi):
 def test_partner_rule_takes_a_diagonal_reflection():
     # diag(-1, 1) has a12 = a21 = 0 but is not scalar.
     phi = Mat2(-1, 0, 0, 1)
-    assert classification._search_partners(phi) == sorted((IDENTITY, -IDENTITY, phi, -phi))
+    assert sorted(classification._search_partners(phi)) == sorted((IDENTITY, -IDENTITY, phi, -phi))
 
 
 class TestNormFormPartners:
@@ -1790,7 +1836,7 @@ class TestNormFormPartners:
         # partners of the rule.  A finite-order phi's partners are the norm
         # form's whole list; a parabolic phi's valid ones are the norm
         # form's line roots, which solve the four identities in full.
-        partners = classification._search_partners(phi)
+        partners = sorted(classification._search_partners(phi))
         candidates = norm_form_partners(phi)
         valid = [psi for psi in partners if check_pair(BraceSpec(phi, psi)).valid]
         assert [psi for psi in candidates if check_pair(BraceSpec(phi, psi)).valid] == valid, phi
@@ -1809,7 +1855,7 @@ class TestNormFormPartners:
                 continue
             partners, _ = self.check_rule(phi)
             in_box = [psi for psi in partners if max(map(abs, psi)) <= bound]
-            assert decided(phi) == in_box, phi
+            assert sorted(decided(phi)) == in_box, phi
             traces[phi.trace()] += 1
         assert set(traces) == {2, -1, 0}
 

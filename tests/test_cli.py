@@ -677,7 +677,7 @@ class TestOutputFile:
         for path in (new, existing):
             code, out, err = run(capsys, *argv, "--output", str(path))
             assert code == 2 and out == ""
-            assert err.startswith("error: Exceeds the limit")
+            assert err.startswith("error: cannot write <14293-bit integer>")
         assert not new.exists()
         assert existing.read_text() == "earlier\n"
 
@@ -721,16 +721,14 @@ def test_writer_refuses_other_types(value):
 def test_integer_past_the_digit_limit_exits_two(capsys, tmp_path):
     # m has 4,299 digits, inside int's 4,300-digit string limit, so argparse
     # reads it; the member's entries (m p^2 q + 1 and the like, p = 50) have
-    # more, so writing them fails.  The text is built before anything is
-    # written: stdout stays empty and --output creates no file.
+    # more, so writing them fails, naming the first by its bit length.  The
+    # text is built before anything is written: stdout stays empty and
+    # --output creates no file.
     argv = ["generate", "--row", "1.2", "--m", "9" * 4299, "--p", "50", "--q", "1"]
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err.startswith("error: Exceeds the limit")
+    message = "error: cannot write <14293-bit integer>: it has more than 4300 digits\n"
+    assert run(capsys, *argv) == (2, "", message)
     path = tmp_path / "member.json"
-    code, out, err = run(capsys, *argv, "--output", str(path))
-    assert code == 2 and out == ""
-    assert err.startswith("error: Exceeds the limit")
+    assert run(capsys, *argv, "--output", str(path)) == (2, "", message)
     assert not path.exists()
 
 
@@ -739,8 +737,10 @@ def past_the_digit_limit_cases():
     # its exception class and message).  Each message holds an integer past
     # int's 4,300-digit string limit, given by its bit length: a = 10^2200
     # prints, but det phi = a^2 has 4,401 digits; the 4,000-digit parameters
-    # print, but 1.3's radicand and 1.5's dividend have more.  A 4,401-digit
-    # sign or matrix entry cannot pass the CLI's int() or json.loads.
+    # print, but 1.3's radicand and 1.5's dividend have more; the 4,299-digit
+    # m of 1.2 prints, but its member's first entry m p^2 q + 1 has more.  A
+    # 4,401-digit sign or matrix entry cannot pass the CLI's int() or
+    # json.loads.
     def bits(n):
         return f"<{n.bit_length()}-bit integer>"
 
@@ -749,6 +749,7 @@ def past_the_digit_limit_cases():
     p, q = int("7" * 4000), int("3" * 4000)
     radicand = classification._FAMILIES[RowLabel.R1_3].radicand(p, q)
     divisor, dividend = classification._FAMILIES[RowLabel.R1_5].division(p, q)
+    member = RowParams(m=int("9" * 4299), p=50, q=1)
     big = 10**4400
     m, _ = hyperbolic_pair_at(big)
     shown = f"[[{bits(big)},{bits(big)}],[{bits(big)},{bits(big)}]]"
@@ -769,6 +770,13 @@ def past_the_digit_limit_cases():
             lambda: generate_row(RowLabel.R1_5, RowParams(m=p, n=q)),
             IntegralityError, f"{bits(dividend)}/{divisor} is not an integer",
             id="division",
+        ),
+        pytest.param(
+            ["generate", "--row", "1.2", "--m", str(member.m), "--p", "50", "--q", "1"],
+            lambda: write(generate_row(RowLabel.R1_2, member).to_dict()),
+            ValueError,
+            f"cannot write {bits(member.m * 50**2 + 1)}: it has more than 4300 digits",
+            id="written-entry",
         ),
         pytest.param(
             None, lambda: RowParams(sign1=big),

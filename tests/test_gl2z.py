@@ -581,8 +581,8 @@ class TestCentralizer:
 
 
 def brute_commutant(a: Mat2, bound: int) -> list[Mat2]:
-    # The scan commutant_in_box replaces: filter the whole box.
-    return [b for b in enumerate_unimodular(bound) if commutes(a, b)]
+    # The scan commutant_in_box replaces: filter the whole box, sorted.
+    return sorted(b for b in enumerate_unimodular(bound) if commutes(a, b))
 
 
 class TestCommutantInBox:
