@@ -14,27 +14,28 @@ of the search's pass (classification._pair_classes) each generator of a
 valid pair is +-E, of order 3, a reflection or parabolic of trace 2, and
 by the partner rules, which read no bound and hold on all of Z^2
 (classification._search_partners), a parabolic E + A pairs only with
-E + B, B a multiple of A's primitive part.  So either both shapes
-(Mat2._shape, the (period, degree) of gl2z._SHAPES, which Mat2.power_map
-and the search read through gl2z._power_map) have degree 0, and lambda
-is the table of the at most 9 values phi^i psi^j, i and j below the
-periods; or (phi - E)(psi - E) = 0, and lambda_a = E + a1 (phi - E) +
-a2 (psi - E) is affine in a.  _lambda_form decides validity and builds
-that form once from one power map per generator; the Yang-Baxter
-kernels of the ybe module read it.  A valid pair commutes, so lambda is
-a homomorphism: lambda_a^-1 = lambda_-a.
+E + B, B a multiple of A's primitive part.  So either both generators
+have power tables (gl2z._powers: degree 0 in the (period, degree) of
+gl2z._SHAPES), and lambda is the table of the at most 9 values
+phi^i psi^j, i and j below the periods; or (phi - E)(psi - E) = 0, and
+lambda_a = E + a1 (phi - E) + a2 (psi - E) is affine in a.  _lambda_form
+decides validity and builds that form once from the power data of each
+generator; the Yang-Baxter kernels of the ybe module read it.  A valid
+pair commutes, so lambda is a homomorphism: lambda_a^-1 = lambda_-a.
 
 The exponents (k, l) of the four identities are the columns of phi - E
 and psi - E, and each identity phi^k psi^l = E is read as phi^k =
-psi^(-l): two powers from the two power maps compared, with no product
-of them formed.  _identities_hold decides all four for a pair with no
-hyperbolic member, reading the exponents in place off the entries and
-stopping at the first false identity; classification.exhaustive_search
-calls it with one power map per in-class matrix, built once per search,
-and _lambda_form with the pair's own two.  check_pair, the one caller
-that can meet a hyperbolic matrix, decides each identity from the pair's
-hyperbolic flags and, once an identity reaches a comparison, the pair's
-two power maps, and keeps all four truths.
+psi^(-l): two powers compared, with no product of them formed.
+_identities_hold decides all four for a pair with no hyperbolic member
+from the two matrices' power data (gl2z._powers), reading the exponents
+in place off the entries and each power in place, a table entry or a
+parabolic power written out, with no call per power, and stopping at the
+first false identity; classification.exhaustive_search calls it with
+the data its pass builds once per in-class matrix, and _lambda_form
+with the pair's own two.  check_pair, the one caller that can meet a
+hyperbolic matrix, decides each identity from the pair's hyperbolic
+flags and, once an identity reaches a comparison, the pair's two power
+maps (Mat2.power_map), and keeps all four truths.
 
 Before it takes a power, check_pair applies one rule to each identity.
 phi^k psi^l = E says phi^k = psi^(-l).  A nonzero power of a
@@ -58,9 +59,9 @@ tests check check_pair and _lambda_form against them.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from .gl2z import Mat2, NotUnimodular, _has_determinant, commutes
+from .gl2z import Mat2, NotUnimodular, _has_determinant, _PowerData, _powers, commutes
 
 __all__ = ["BraceSpec", "Verdict", "check_pair"]
 
@@ -161,64 +162,86 @@ def _lambda_form(spec: BraceSpec) -> _LambdaTable | _LambdaAffine:
     does but with no verdict built: first, before any power is taken, if
     a generator is hyperbolic (a valid pair has (phi - E)Z^2 in ker
     lambda, which for a hyperbolic phi, det(phi - E) != 0, has finite
-    index and so gives phi = lambda_e1 finite order; likewise for psi);
-    then unless the pair commutes and _identities_hold from one pair of
-    power maps.  With no hyperbolic generator the hyperbolic rule of
-    check_pair never applies, so this is check_pair's verdict.
-    If both shapes (Mat2._shape) have degree 0, the table is filled from
-    those same power maps, each cell phi^i psi^j multiplied out on the
-    entry tuples; otherwise the form is affine.
+    index and so gives phi = lambda_e1 finite order; likewise for psi),
+    which is a generator with no power data (gl2z._powers); then unless
+    the pair commutes and _identities_hold on the two generators' power
+    data.  With no hyperbolic generator the hyperbolic rule of check_pair
+    never applies, so this is check_pair's verdict.  If both generators
+    have power tables (degree 0), lambda's table is filled from those two
+    tables, each cell phi^i psi^j multiplied out on the entry tuples;
+    otherwise a generator is parabolic and the form is affine.
     """
     phi, psi = spec
-    shapes = phi._shape(), psi._shape()
-    valid = None not in shapes and commutes(phi, psi)
-    if valid:
-        phi_power, psi_power = phi.power_map(), psi.power_map()
-        valid = _identities_hold(phi, psi, phi_power, psi_power)
-    if not valid:
+    phi_powers = _powers(phi, phi.det(), phi.trace())
+    psi_powers = _powers(psi, psi.det(), psi.trace())
+    if (
+        phi_powers is None
+        or psi_powers is None
+        or not commutes(phi, psi)
+        or not _identities_hold(phi, psi, phi_powers, psi_powers)
+    ):
         raise InvalidSpec(f"{spec} fails the pair conditions; run check_pair for details")
-    (n_phi, phi_degree), (n_psi, psi_degree) = shapes
-    if phi_degree or psi_degree:
+    if type(phi_powers) is int or type(psi_powers) is int:
         a11, a12, a21, a22 = phi
         b11, b12, b21, b22 = psi
         return _LambdaAffine((a11 - 1, a12, a21, a22 - 1), (b11 - 1, b12, b21, b22 - 1))
-    psi_powers = [psi_power(j) for j in range(n_psi)]
-    rows = []
-    for i in range(n_phi):
-        p11, p12, p21, p22 = phi_power(i)
-        rows.append([
+    rows = [
+        [
             (p11 * q11 + p12 * q21, p11 * q12 + p12 * q22,
              p21 * q11 + p22 * q21, p21 * q12 + p22 * q22)
             for q11, q12, q21, q22 in psi_powers
-        ])
-    return _LambdaTable(rows, n_phi, n_psi)
+        ]
+        for p11, p12, p21, p22 in phi_powers
+    ]
+    return _LambdaTable(rows, len(phi_powers), len(psi_powers))
 
 
 def _identities_hold(
     phi: tuple[int, int, int, int],
     psi: tuple[int, int, int, int],
-    phi_power: Callable[[int], tuple[int, int, int, int]],
-    psi_power: Callable[[int], tuple[int, int, int, int]],
+    phi_powers: _PowerData,
+    psi_powers: _PowerData,
 ) -> bool:
     """Whether all four power identities hold for a commuting pair with no
     hyperbolic member, stopping at the first false one.
 
-    phi_power and psi_power are the pair's power maps (Mat2.power_map).
-    Each identity phi^k psi^l = E is read as phi^k = psi^(-l): two entry
-    tuples from the power maps compared as they are, so no product is
-    formed.  The exponents (k, l), a column of phi - E or psi - E in
-    generator order, are read in place off the unpacked entries, in
-    one short-circuiting expression.  The exhaustive search and
-    _lambda_form decide validity here.
+    phi_powers and psi_powers are the pair's power data (gl2z._powers):
+    a table t of the powers of a matrix of finite order, read in place as
+    t[k % len(t)], or the sign s of a parabolic M, whose k-th power
+    s^k (E + k(sM - E)) = s^k ((1 - k) E + k s M) is written out from M's
+    entries.  Each identity phi^k psi^l = E is read as phi^k = psi^(-l):
+    two entry tuples compared as they are, so no product is formed and no
+    function is called per power.  The exponents (k, l), a column of
+    phi - E or psi - E in generator order, are read off the unpacked
+    entries.  The exhaustive search and _lambda_form decide validity here.
     """
     p11, p12, p21, p22 = phi
     q11, q12, q21, q22 = psi
-    return (
-        phi_power(p11 - 1) == psi_power(-p21)
-        and phi_power(p12) == psi_power(1 - p22)
-        and phi_power(q11 - 1) == psi_power(-q21)
-        and phi_power(q12) == psi_power(1 - q22)
-    )
+    phi_table, psi_table = type(phi_powers) is not int, type(psi_powers) is not int
+    if phi_table and psi_table:
+        n, m = len(phi_powers), len(psi_powers)
+        return (
+            phi_powers[(p11 - 1) % n] == psi_powers[-p21 % m]
+            and phi_powers[p12 % n] == psi_powers[(1 - p22) % m]
+            and phi_powers[(q11 - 1) % n] == psi_powers[-q21 % m]
+            and phi_powers[q12 % n] == psi_powers[(1 - q22) % m]
+        )
+    for k, l in (p11 - 1, -p21), (p12, 1 - p22), (q11 - 1, -q21), (q12, 1 - q22):
+        if phi_table:
+            x = phi_powers[k % len(phi_powers)]
+        else:
+            e = phi_powers if k & 1 else 1
+            c, g = e * (1 - k), e * k * phi_powers
+            x = (c + g * p11, g * p12, g * p21, c + g * p22)
+        if psi_table:
+            y = psi_powers[l % len(psi_powers)]
+        else:
+            e = psi_powers if l & 1 else 1
+            c, g = e * (1 - l), e * l * psi_powers
+            y = (c + g * q11, g * q12, g * q21, c + g * q22)
+        if x != y:
+            return False
+    return True
 
 
 def check_pair(spec: BraceSpec) -> Verdict:

@@ -25,7 +25,8 @@ block 3 = (-1, 1), block 4 = (-1, -1).  This module provides
   * one pass over that listing (_pair_classes) that reads each matrix's
     (det, trace) once, trace first, and with that key decides whether
     a valid pair can use it (a class of _CLASSES, or -E), builds its
-    power map and files it into its (det, trace) group,
+    power data (gl2z._powers: a table of its powers, or a parabolic's
+    sign) and files it into its (det, trace) group,
   * the partner rules (_search_partners): every psi that can pair with
     a phi of _CLASSES other than E, on all of Z^2,
   * a bidirectional exhaustive cross-validation (exhaustive_search):
@@ -93,10 +94,10 @@ from __future__ import annotations
 import math
 from enum import Enum
 from itertools import product
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .brace import BraceSpec, _identities_hold, check_pair
-from .gl2z import _NEG_IDENTITY, IDENTITY, Mat2, _decimal, _power_map
+from .gl2z import _NEG_IDENTITY, IDENTITY, Mat2, _decimal, _PowerData, _powers
 
 __all__ = [
     "BadParams",
@@ -209,8 +210,8 @@ _CLASSES = frozenset({(1, 2), (1, -1), (-1, 0)})
 #: The box's in-class matrices grouped by their (det, trace).
 _Groups = dict[tuple[int, int], list[Mat2]]
 
-#: Each in-class matrix of the box to its power map.
-_Powers = dict[Mat2, Callable[[int], _Entries]]
+#: Each in-class matrix of the box to its power data (gl2z._powers).
+_Powers = dict[Mat2, _PowerData]
 
 #: The M's that the table records rebuild in one search, by what fixes
 #: their read and matrix (_TableFamily.members).
@@ -312,18 +313,22 @@ class _UnipotentFamily:
         return (((1, 2), (1, 2)),)
 
     def members(self, bound: int, groups: _Groups, readings: _Readings) -> Iterator[_Pair]:
-        # Each pair once, in the canonical form.  A member in the box has
-        # |m| max(|p|, |q|)^3 <= bound, and its diagonal entries
-        # 1 +- m p^2 q or 1 +- m p q^2 may still pass the bound by one.
+        # Each pair once, in the canonical form, and only those in the box:
+        # for m != 0 the entries fit exactly when |m| max(|p|, |q|)^3 <=
+        # bound (-m p^3 and m q^3) and |m| |p q| max(|p|, |q|) <= bound - 1
+        # (the diagonal entries 1 +- m p^2 q and 1 +- m p q^2, and with
+        # them the off-diagonal m p q^2 and -m p^2 q).
         yield self.build(0, 1, 0)
         cap = 0
         while (cap + 1) ** 3 <= bound:
             cap += 1
         for p, q in product(range(cap + 1), range(-cap, cap + 1)):
             if (p > 0 or q > 0) and math.gcd(p, q) == 1:
-                m_max = bound // max(p, abs(q)) ** 3
-                pairs = (self.build(m, p, q) for m in range(-m_max, m_max + 1) if m)
-                yield from (pair for pair in pairs if max(map(abs, pair[0] + pair[1])) <= bound)
+                top = max(p, abs(q))
+                m_max = bound // top**3
+                if p and q:
+                    m_max = min(m_max, (bound - 1) // (p * abs(q) * top))
+                yield from (self.build(m, p, q) for m in range(-m_max, m_max + 1) if m)
 
 
 class _TableFamily:
@@ -634,11 +639,12 @@ def _row_instances(bound: int, groups: _Groups) -> dict[_Pair, list[int]]:
     entry tuples, not by generate_row, so validity is left to the caller
     and a wrong constructor shows up as an invalid instance.  1.1 lists
     its four sign pairs, and 1.2 each coprime (p, q) in canonical form
-    with |m| up to bound / max(|p|, |q|)^3 that fits in the box.  A table
-    record rebuilds M from what its read takes off each in-class matrix
-    of M's (det, trace) and places it beside its partner; the records
-    that read M alike (1.3 and 1.4, 2.1 and 3.1, and 2.2, 3.2 and 4.2)
-    share one rebuilt list through readings.  A pair's positions are ints
+    with each m != 0 whose member fits in the box, m's range solved
+    exactly from the entries, so no member is built and then dropped.  A
+    table record rebuilds M from what its read takes off each in-class
+    matrix of M's (det, trace) and places it beside its partner; the
+    records that read M alike (1.3 and 1.4, 2.1 and 3.1, and 2.2, 3.2 and
+    4.2) share one rebuilt list through readings.  A pair's positions are ints
     in label order; the dict itself is in no particular order.  No record
     lists a member twice, so no position repeats: a table record rebuilds
     each M that its read accepts once, 1.2 lists each canonical (m, p, q)
@@ -723,7 +729,7 @@ class _Box(NamedTuple):
     """What the one pass of _pair_classes reads off U_B."""
 
     size: int  # |U_B|, every matrix listed
-    power: _Powers  # each in-class matrix's power map
+    power: _Powers  # each in-class matrix's power data
     groups: _Groups  # the in-class matrices by (det, trace)
 
 
@@ -737,8 +743,9 @@ def _pair_classes(bound: int) -> _Box:
     trace) decides the class: (1, 2) holds E and the parabolic matrices
     of trace 2, (-1, 0) the reflections, (1, -1) order 3, and of (1, -2)
     only -E is kept; these are the shapes (Mat2._shape) (1, 0), (1, 1),
-    (2, 0) and (3, 0).  The same key builds the matrix's power map
-    (gl2z._power_map), whose dict is the search's one box test, and files
+    (2, 0) and (3, 0).  The same key builds the matrix's power data
+    (gl2z._powers: the table of its 1, 2 or 3 powers, or the sign 1 of a
+    parabolic one), whose dict is the search's one box test, and files
     the matrix into the groups that _row_instances reads.
 
     Lemma.  A valid pair commutes, so lambda is additive, and then
@@ -764,7 +771,7 @@ def _pair_classes(bound: int) -> _Box:
         if -2 <= trace <= 2:
             key = (a11 * a22 - a12 * a21, trace)
             if key in _CLASSES or m == _NEG_IDENTITY:
-                power[m] = _power_map(m, *key)
+                power[m] = _powers(m, *key)
                 groups.setdefault(key, []).append(m)
     return _Box(size, power, groups)
 
@@ -836,20 +843,21 @@ def exhaustive_search(bound: int) -> SearchReport:
     E and at most one parabolic psi.  The box is listed once, by the one
     pass of _pair_classes, which reads each matrix's (det, trace) once off
     its entries and with that key counts it, keeps it if it is in class,
-    builds its power map and files it into its (det, trace) group;
+    builds its power data and files it into its (det, trace) group;
     candidates_examined still counts every ordered pair of the box,
-    |U_B|^2.  A partner is decided iff it has a power map in the pass's
+    |U_B|^2.  A partner is decided iff it has power data in the pass's
     dict, the one box test.  The report fixes its own order: the scan
     visits pairs in no particular order, and unmatched_valid is sorted,
     by phi and then by psi.
 
     The whole search works on the Mat2s the listing yields, each of which
-    is its own entry tuple: the power-map keys, the groups, the partners
+    is its own entry tuple: the power-data keys, the groups, the partners
     and the join hold those matrices, with no second representation.
     Each pair is decided by brace._identities_hold, which reads the four
     exponents in place off the two entry tuples and compares the powers
-    from the pass's two maps, with no commutation test (every partner
-    commutes with phi); it stops at the pair's first false identity.  The
+    it reads in place from the pass's power data of the two, with no
+    commutation test (every partner commutes with phi) and no call per
+    power; it stops at the pair's first false identity.  The
     members are keyed by the constructors' plain entry-tuple pairs, which
     equal and hash as the Mat2 pairs they join with.  A BraceSpec is built
     only for a pair the report lists (and for a member the forward scan
@@ -885,12 +893,12 @@ def exhaustive_search(bound: int) -> SearchReport:
     valid = 0
     counts = [0] * len(_LABELS)
     unmatched = []
-    for phi, phi_power in power.items():
+    for phi, phi_powers in power.items():
         for psi in rows[phi] if phi in rows else _search_partners(phi):
             # The box test.  No in-class matrix is hyperbolic, so
             # _identities_hold needs no hyperbolic rule.
-            psi_power = power.get(psi)
-            if psi_power is not None and _identities_hold(phi, psi, phi_power, psi_power):
+            psi_powers = power.get(psi)
+            if psi_powers is not None and _identities_hold(phi, psi, phi_powers, psi_powers):
                 valid += 1
                 positions = members.pop((phi, psi), None)
                 if positions is None:

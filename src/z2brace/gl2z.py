@@ -1,14 +1,18 @@
 """Exact arithmetic on 2x2 integer matrices and the GL2(Z) facts the brace
 machinery relies on, all read off determinant and trace by one table.
 
-_SHAPES, read only by Mat2._shape and _power_map, gives the (period,
+_SHAPES, read only by Mat2._shape and _powers, gives the (period,
 degree) of k -> M^k: degree 1 for a parabolic M but +-E, degree 0 and
 period n for +-E and each finite order n, none for a hyperbolic or
 non-unimodular M.  It is the package's one statement of the finite orders
 in GL2(Z): a matrix has finite order n exactly when its shape is (n, 0).
-_power_map, Mat2.power_map's builder, forms M^k by the shape: affine in
-k, a lookup among n powers, or binary exponentiation (O(log |k|)
-products of growing integers); Mat2.__pow__ is that map applied once.
+_powers gives a matrix's powers as data by the shape: the table of its n
+powers for degree 0, built by the one statement of the Cayley-Hamilton
+recurrence, or the sign of a parabolic M, whose powers are affine in k.
+The search and brace._lambda_form read that data in place.
+Mat2.power_map forms M^k from it, or by binary exponentiation (O(log |k|)
+products of growing integers) for a matrix without a shape;
+Mat2.__pow__ is that map applied once.
 
 Everything works on plain Python integers, so every result is exact; there
 is no floating point and no fixed-width wraparound anywhere.
@@ -168,17 +172,17 @@ class Mat2(NamedTuple):
     def power_map(self) -> Callable[[int], tuple[int, int, int, int]]:
         """The map k -> entries (a11, a12, a21, a22) of self^k, any sign of k.
 
-        The (det, trace) key is read once, here, and _power_map forms every
-        power by its shape.  Cayley-Hamilton (M^2 = tM - dE for det d,
-        trace t) gives closed forms that use no matrix product and no
-        inverse, so their cost does not grow with k:
+        The (det, trace) key is read once, here, and every power is formed
+        from the data _powers reads off it.  Cayley-Hamilton (M^2 = tM - dE
+        for det d, trace t) gives closed forms that use no matrix product
+        and no inverse, so their cost does not grow with k:
 
           * degree 1 (parabolic, not +-E), trace 2s with s = -1 for period
             2 and s = 1 otherwise: N = sM - E has N^2 = 0, so
             M^k = s^k (E + kN), affine in k up to the sign s^k.
           * degree 0, period n (+-E and the finite orders 2, 3, 4, 6):
             M^k is entry k mod n of the table E, M, ..., M^(n-1), built by
-            M^(j+1) = t M^j - d M^(j-1).
+            M^(j+1) = t M^j - d M^(j-1) (_powers).
 
         A matrix without a shape (is_hyperbolic, or not unimodular) is
         raised by binary exponentiation: O(log |k|) products whose entries
@@ -186,7 +190,35 @@ class Mat2(NamedTuple):
         inverse() and therefore requires determinant +1 or -1.
         """
         a11, a12, a21, a22 = self
-        return _power_map(self, a11 * a22 - a12 * a21, a11 + a22)
+        powers = _powers(self, a11 * a22 - a12 * a21, a11 + a22)
+        if powers is None:
+
+            def power(k):
+                base = self
+                if k < 0:
+                    base = self.inverse()
+                    k = -k
+                result = IDENTITY
+                while k:
+                    if k & 1:
+                        result = result * base
+                    k >>= 1
+                    if k:
+                        base = base * base
+                return result.entries()
+
+            return power
+        if type(powers) is int:
+            s = powers
+            n11, n12, n21, n22 = s * a11 - 1, s * a12, s * a21, s * a22 - 1
+
+            def power(k):
+                e = s if k & 1 else 1
+                return (e * (1 + k * n11), e * k * n12, e * k * n21, e * (1 + k * n22))
+
+            return power
+        n = len(powers)
+        return lambda k: powers[k % n]
 
     def __pow__(self, k: int) -> "Mat2":
         """Exact k-th power, any sign of k: power_map applied once."""
@@ -205,46 +237,34 @@ IDENTITY = Mat2(1, 0, 0, 1)
 _NEG_IDENTITY = -IDENTITY
 
 
-def _power_map(m: Mat2, det: int, trace: int) -> Callable[[int], tuple[int, int, int, int]]:
-    """Mat2.power_map of m, given its det and trace, as the search has
-    read them; +-E, with no off-diagonal entry, has degree 0 (Mat2._shape)."""
-    a11, a12, a21, a22 = m
+#: A non-hyperbolic matrix's powers as data (_powers): the table
+#: (E, M, ..., M^(n-1)) of entry tuples for finite order n, or the sign s
+#: of a parabolic M of trace 2s.
+_PowerData = tuple[tuple[int, int, int, int], ...] | int
+
+
+def _powers(m: Mat2, det: int, trace: int) -> _PowerData | None:
+    """The powers of m as data, given its det and trace: None for a matrix
+    without a shape (Mat2._shape), the sign s of trace 2s for a parabolic
+    one (degree 1, not +-E), whose k-th power is s^k (E + k(sM - E)), and
+    for degree 0 and period n the tuple (E, M, ..., M^(n-1)) of entry
+    tuples, built by M^(j+1) = t M^j - d M^(j-1), of which M^k is entry
+    k mod n.  +-E, with no off-diagonal entry, has degree 0."""
     shape = _SHAPES.get((det, trace))
     if shape is None:
-
-        def power(k):
-            base = m
-            if k < 0:
-                base = m.inverse()
-                k = -k
-            result = IDENTITY
-            while k:
-                if k & 1:
-                    result = result * base
-                k >>= 1
-                if k:
-                    base = base * base
-            return result.entries()
-
-        return power
+        return None
     n, degree = shape
+    a11, a12, a21, a22 = m
     if degree and (a12 or a21):
-        s = -1 if n == 2 else 1
-        n11, n12, n21, n22 = s * a11 - 1, s * a12, s * a21, s * a22 - 1
-
-        def power(k):
-            e = s if k & 1 else 1
-            return (e * (1 + k * n11), e * k * n12, e * k * n21, e * (1 + k * n22))
-
-        return power
+        return trace // 2
     table = [(1, 0, 0, 1), (a11, a12, a21, a22)]
-    while len(table) < n:
-        (p11, p12, p21, p22), (c11, c12, c21, c22) = table[-2], table[-1]
+    for _ in range(n - 2):
+        (p11, p12, p21, p22), (c11, c12, c21, c22) = table[-2:]
         table.append((
             trace * c11 - det * p11, trace * c12 - det * p12,
             trace * c21 - det * p21, trace * c22 - det * p22,
         ))
-    return lambda k: table[k % n]
+    return tuple(table[:n])
 
 
 def commutes(a: Mat2, b: Mat2) -> bool:

@@ -4,6 +4,7 @@ session-scoped search reports so the expensive sweeps run once.
 """
 
 import math
+import sys
 
 import pytest
 
@@ -18,6 +19,15 @@ from z2brace import (
     exhaustive_search,
     generate_row,
 )
+
+#: Python's default limit on the digits of an int<->str conversion, which
+#: the tests that print integers past it pin (test_cli.py).  The suite
+#: sets it itself, here and in the environment of every CLI it starts,
+#: so PYTHONINTMAXSTRDIGITS does not change what they see.  Python before
+#: 3.10.7 has no limit.
+INT_MAX_STR_DIGITS = 4300
+if hasattr(sys, "set_int_max_str_digits"):
+    sys.set_int_max_str_digits(INT_MAX_STR_DIGITS)
 
 # Smallest parameter tuples per family that give something other than a
 # pair of scaled identities (and a non-diagonal matrix where the family
@@ -117,6 +127,18 @@ def repeated_powers(a, k_max):
             power = power * factor
             powers[sign * k] = power
     return powers
+
+
+def power_from_data(m, powers, k):
+    """m^k's entry tuple read off m's power data (gl2z._powers): entry
+    k mod n of a table of n powers, or s^k (E + k N) with N = s m - E for
+    the sign s of a parabolic m, formed here on the entries."""
+    if type(powers) is not int:
+        return powers[k % len(powers)]
+    s = powers
+    e = s if k % 2 else 1
+    n = (s * m.a11 - 1, s * m.a12, s * m.a21, s * m.a22 - 1)
+    return tuple(e * (i + k * x) for i, x in zip(IDENTITY, n))
 
 
 def hyperbolic_pair_at(a):

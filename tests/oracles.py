@@ -12,7 +12,7 @@ package; nothing in the package imports them.
   * commutant_in_box lists the whole commutant of a matrix in an entry box.
     It checks the partners exhaustive_search decides for each phi, which
     the bound-free classification._search_partners gives and the search
-    keeps when they have a power map in its pass's dict, and, through a
+    keeps when they have power data in its pass's dict, and, through a
     search over every commutant (test_classification), the search report
     itself.
   * order_by_iteration is a matrix's multiplicative order found by
@@ -532,9 +532,9 @@ def lambda_map(spec: BraceSpec) -> Callable[[int, int], tuple[int, int, int, int
     taken if a generator is hyperbolic, then unless the pair commutes and
     the four identities hold.
 
-    The map is read off lambda's closed form, built here once from one
-    power map per generator: if both shapes (Mat2._shape) have degree 0,
-    with periods n_phi and n_psi, each evaluation is a lookup at
+    The map is read off lambda's closed form, built here once from the
+    power data of each generator (gl2z._powers): if both are tables, of
+    the periods n_phi and n_psi, each evaluation is a lookup at
     (x1 mod n_phi, x2 mod n_psi) in a table of the at most 9 values;
     otherwise it is E + x1 (phi - E) + x2 (psi - E).  No evaluation forms
     a matrix product (brace's module docstring says why these are the

@@ -3,6 +3,7 @@ verdict, and the holomorph closure property.
 """
 
 import random
+from collections import Counter
 from itertools import product
 from math import gcd
 
@@ -52,6 +53,7 @@ from z2brace import (
 )
 from z2brace import brace
 from z2brace.brace import _identities_hold, _lambda_form
+from z2brace.gl2z import _powers
 
 M_2110 = Mat2(2, 1, -1, 0)
 SPEC_12 = BraceSpec(M_2110, M_2110)
@@ -538,16 +540,20 @@ class TestLambdaMap:
     )
     def test_one_power_map_per_generator_per_build(self, spec, monkeypatch):
         # _lambda_form decides validity and fills the table from the same
-        # two power maps; lambda_map and the r_map on it build nothing more,
-        # and evaluating r builds no power map at all.
+        # power data, built once per generator (gl2z._powers), and builds
+        # no power map; lambda_map and the r_map on it build nothing more,
+        # and evaluating r builds no power data at all.
         built = []
-        power_map = Mat2.power_map
 
-        def counting_power_map(m):
+        def counting_powers(m, det, trace):
             built.append(m)
-            return power_map(m)
+            return _powers(m, det, trace)
 
-        monkeypatch.setattr(Mat2, "power_map", counting_power_map)
+        def no_power_map(m):
+            raise AssertionError(f"power map built for {m}")
+
+        monkeypatch.setattr(brace, "_powers", counting_powers)
+        monkeypatch.setattr(Mat2, "power_map", no_power_map)
         for build in (_lambda_form, lambda_map):
             built.clear()
             build(spec)
@@ -581,41 +587,99 @@ class TestPowerIdentities:
     each of them draws."""
 
     def test_matches_check_pair_on_every_pair_at_bound_3(self):
+        # Every pair of the box with no hyperbolic member, on the power data
+        # of both: the in-class matrices the search meets, and the trace -2
+        # parabolics and the orders 4 and 6 that _lambda_form can meet.
         assert len(BOX_3) ** 2 == 53824
-        for phi in BOX_3:
-            for psi in BOX_3:
-                if phi.is_hyperbolic() or psi.is_hyperbolic():
-                    continue
+        data = {m: _powers(m, m.det(), m.trace()) for m in BOX_3 if not m.is_hyperbolic()}
+        assert {m._shape() for m in data} == {
+            (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (4, 0), (6, 0)
+        }
+        for phi, phi_powers in data.items():
+            for psi, psi_powers in data.items():
                 verdict = check_pair(BraceSpec(phi, psi))
-                held = verdict.commuting and _identities_hold(
-                    phi, psi, phi.power_map(), psi.power_map()
-                )
+                held = verdict.commuting and _identities_hold(phi, psi, phi_powers, psi_powers)
                 assert held == verdict.valid, (phi, psi)
 
     @pytest.mark.parametrize("pairs", hyperbolic_inputs(range(8, 15)))
     def test_matches_check_pair_on_hyperbolic_pairs(self, pairs):
-        # phi^k psi^l = E iff phi^k = psi^(-l) on any pair, so
-        # _identities_hold, which takes every power it reads in full, is the
-        # plain reading of the four identities here too.  check_pair's
-        # hyperbolic rule skips those powers where the flags differ or the
-        # pair does not commute; its verdict must not change by it.
+        # phi^k psi^l = E iff phi^k = psi^(-l) on any pair, so the four
+        # identities read through Mat2.power_map, every power taken in
+        # full, are the plain reading here too.  check_pair's hyperbolic
+        # rule skips those powers where the flags differ or the pair does
+        # not commute; its verdict must not change by it.
         for phi, psi in pairs:
             verdict = check_pair(BraceSpec(phi, psi))
-            held = _identities_hold(phi, psi, phi.power_map(), psi.power_map())
+            phi_power, psi_power = phi.power_map(), psi.power_map()
+            held = all(phi_power(k) == psi_power(-l) for k, l in condition_exponents(phi, psi))
             assert held == all(verdict.power_identities), (phi, psi)
             assert (verdict.commuting and held) == verdict.valid, (phi, psi)
 
+    def test_parabolic_powers_are_written_out_right_on_either_side(self):
+        # Beside each parabolic m of the box (trace 2 or -2), on either side,
+        # stands a table side whose entry tuple only sets the exponents: two
+        # of the four identities take m to any k and j in [-6, 6], and its
+        # table of 101 entries holds, at each index an identity reads, the
+        # power of m, by repeated products, that the identity must meet.  So
+        # all four hold exactly when every power of m written out is right,
+        # unless m's own two identities need different powers at one index
+        # (fits is False), as they do for 8 of the 40 matrices.
+        size, unused = 101, (0, 0, 0, 0)
+
+        def table(needs):
+            entries, fits = [unused] * size, True
+            for index, power in needs:
+                fits = fits and entries[index % size] in (unused, power)
+                entries[index % size] = power
+            return tuple(entries), fits
+
+        parabolic = {m: _powers(m, m.det(), m.trace()) for m in BOX_3}
+        parabolic = {m: s for m, s in parabolic.items() if type(s) is int}
+        assert sorted(Counter(parabolic.values()).items()) == [(-1, 20), (1, 20)]
+        held = 0
+        for m, sign in parabolic.items():
+            power = {k: p.entries() for k, p in repeated_powers(m, 12).items()}
+            m11, m12, m21, m22 = m
+            for k, j in product(range(-6, 7), repeat=2):
+                entries, fits = table(
+                    [(50, power[k]), (60, power[j]), (m11 - 1, power[-m21]), (m12, power[1 - m22])]
+                )
+                assert _identities_hold((51, 60, -k, 1 - j), m, entries, sign) == fits, (m, k, j)
+                held += fits
+                entries, fits = table(
+                    [(-m21, power[m11 - 1]), (1 - m22, power[m12]), (50, power[k]), (60, power[j])]
+                )
+                assert _identities_hold(m, (k + 1, j, -50, -59), sign, entries) == fits, (m, k, j)
+                held += fits
+        assert held == 32 * 2 * 13**2
+
     def test_identities_are_decided_as_they_are_drawn(self, monkeypatch):
-        # For (shear, E) the first identity, phi^0 psi^0 = E, holds and the
-        # second, phi^1 psi^0 = E, fails: _identities_hold takes two powers
-        # of phi and stops there, where check_pair decides all four.
-        shear = Mat2(1, 1, 0, 1)
+        # For (R, E) with the reflection R = [[1, 1], [0, -1]], and for
+        # (shear, E), the first identity, phi^0 psi^0 = E, holds and the
+        # second, phi^1 psi^(-l) = E, fails: _identities_hold reads each
+        # table twice and stops there, where check_pair decides all four.
+        reflection, shear = Mat2(1, 1, 0, -1), Mat2(1, 1, 0, 1)
+        read = []
+
+        class RecordingTable(tuple):
+            def __getitem__(self, index):
+                read.append((len(self), index))
+                return tuple.__getitem__(self, index)
+
+        identity_powers = RecordingTable(_powers(IDENTITY, 1, 2))
+        reflection_powers = RecordingTable(_powers(reflection, -1, 0))
+        assert not _identities_hold(reflection, IDENTITY, reflection_powers, identity_powers)
+        assert read == [(2, 0), (1, 0), (2, 1), (1, 0)]
+        read.clear()
+        assert not _identities_hold(shear, IDENTITY, _powers(shear, 1, 2), identity_powers)
+        assert read == [(1, 0), (1, 0)]
+
         exponents = []
         power_map = Mat2.power_map
 
         def recording_power_map(m):
             power = power_map(m)
-            if m != shear:
+            if m not in (reflection, shear):
                 return power
 
             def recording_power(k):
@@ -625,12 +689,11 @@ class TestPowerIdentities:
             return recording_power
 
         monkeypatch.setattr(Mat2, "power_map", recording_power_map)
-        assert not _identities_hold(shear, IDENTITY, shear.power_map(), IDENTITY.power_map())
-        assert len(exponents) == 2
-        exponents.clear()
-        verdict = check_pair(BraceSpec(shear, IDENTITY))
-        assert verdict.power_identities == (True, False, True, True)
-        assert len(exponents) == 4
+        for phi in (reflection, shear):
+            exponents.clear()
+            verdict = check_pair(BraceSpec(phi, IDENTITY))
+            assert verdict.power_identities == (True, False, True, True)
+            assert len(exponents) == 4
 
 
 # The finite-order matrices of GL2(Z) up to conjugation, other than +-E:

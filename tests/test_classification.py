@@ -32,6 +32,7 @@ from conftest import (
     ROW_SPECS,
     member_list,
     order_by_shape,
+    power_from_data,
     random_unimodular,
     repeated_powers,
 )
@@ -1567,9 +1568,9 @@ class TestExhaustiveSearch:
 
     @pytest.mark.parametrize("bound", range(1, 21))
     def test_power_maps_from_the_pass_keys(self, bound):
-        # The map the pass builds from the (det, trace) key it read, the
-        # one the search decides with, is Mat2.power_map's, and both are
-        # the repeated products.
+        # The power data the pass builds from the (det, trace) key it read,
+        # the data the search decides with, gives Mat2.power_map's powers,
+        # and both are the repeated products.
         k_max = 13
         box = classification._pair_classes(bound)
         for group in box.groups.values():
@@ -1577,27 +1578,34 @@ class TestExhaustiveSearch:
                 from_key, own = box.power[m], m.power_map()
                 powers = repeated_powers(m, k_max)
                 for k in range(-k_max, k_max + 1):
-                    assert from_key(k) == own(k) == powers[k].entries(), (m, k)
+                    from_data = power_from_data(m, from_key, k)
+                    assert from_data == own(k) == powers[k].entries(), (m, k)
 
     def test_search_reads_no_shape(self, monkeypatch):
-        # exhaustive_search(4) builds one power map for each of its 102
-        # in-class matrices from the pass's keys, and reads no Mat2._shape.
-        built, shapes = [], []
-        power_map, shape = classification._power_map, Mat2._shape
+        # exhaustive_search(4) builds the power data of each of its 102
+        # in-class matrices once from the pass's keys, builds no power map
+        # and reads no Mat2._shape.
+        built, maps, shapes = [], [], []
+        powers, power_map, shape = classification._powers, Mat2.power_map, Mat2._shape
 
-        def counting_power_map(m, det, trace):
+        def counting_powers(m, det, trace):
             built.append(m)
-            return power_map(m, det, trace)
+            return powers(m, det, trace)
+
+        def counting_power_map(m):
+            maps.append(m)
+            return power_map(m)
 
         def counting_shape(m):
             shapes.append(m)
             return shape(m)
 
-        monkeypatch.setattr(classification, "_power_map", counting_power_map)
+        monkeypatch.setattr(classification, "_powers", counting_powers)
+        monkeypatch.setattr(Mat2, "power_map", counting_power_map)
         monkeypatch.setattr(Mat2, "_shape", counting_shape)
         assert exhaustive_search(4).confirms_classification
         assert len(built) == len(set(built)) == 102
-        assert shapes == []
+        assert maps == shapes == []
 
     @pytest.mark.parametrize("bound", range(1, 21))
     def test_member_list_rests_on_in_class_matrices_closed_under_swap(self, bound):
@@ -1634,9 +1642,10 @@ class TestExhaustiveSearch:
         assert checked == []
 
     def test_search_decider_matches_check_pair_on_every_search_pair(self):
-        # The forward scan's call, power maps built once per in-class matrix
-        # and no hyperbolic rule, against check_pair's verdict on every pair
-        # the search decides at each bound up to 40.
+        # The forward scan's call, on the power data the pass builds once
+        # per in-class matrix and with no hyperbolic rule, against
+        # check_pair's verdict on every pair the search decides at each
+        # bound up to 40.
         pairs = {}
         for bound in range(1, 41):
             in_class, partners = self.partner_rule(bound)
@@ -1644,8 +1653,8 @@ class TestExhaustiveSearch:
                 for psi in partners(phi):
                     pairs[phi.entries(), psi.entries()] = (phi, psi)
         assert len(pairs) == 7384
-        # in_class is now the bound-40 list, which holds every smaller box's.
-        power = {m.entries(): m.power_map() for m in in_class}
+        # The bound-40 box holds every smaller box's in-class matrices.
+        power = {m.entries(): data for m, data in classification._pair_classes(40).power.items()}
         for (p, q), (phi, psi) in pairs.items():
             commuting = commutes(phi, psi)
             decided = commuting and _identities_hold(p, q, power[p], power[q])

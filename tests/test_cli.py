@@ -22,6 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 import z2brace
 import z2brace.classification as classification
 from conftest import (
+    INT_MAX_STR_DIGITS,
     MEMBERS_64_BIT,
     ROW_FIXTURE_PARAMS,
     YBE_MEMBERS,
@@ -530,7 +531,11 @@ def run_process(*argv):
         capture_output=True,
         text=True,
         timeout=10,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={
+            **os.environ,
+            "PYTHONPATH": str(src),
+            "PYTHONINTMAXSTRDIGITS": str(INT_MAX_STR_DIGITS),
+        },
     )
 
 

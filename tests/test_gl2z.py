@@ -10,11 +10,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import order_by_shape, repeated_powers
+from conftest import order_by_shape, power_from_data, repeated_powers
 
 from oracles import centralizer_finite, commutant_in_box, order_by_iteration
 from z2brace import IDENTITY, Mat2, NotUnimodular, commutes, enumerate_unimodular
-from z2brace.gl2z import _SHAPES
+from z2brace.gl2z import _SHAPES, _powers
 
 M_2110 = Mat2(2, 1, -1, 0)
 SWAP = Mat2(0, 1, 1, 0)
@@ -251,6 +251,30 @@ class TestPowerMap:
         assert len(ENTRY_BOX_3) == 2401
         assert wrong == []
         assert not_raised == []
+
+    def test_power_data_agrees_with_repeated_multiplication_at_bound_3(self):
+        # _powers, the data the search and _lambda_form read in place, on
+        # every integer matrix with entries in [-3, 3]: None exactly without
+        # a shape, a table of exactly period entries for degree 0, the sign
+        # for degree 1, and every |k| <= 12 read off it is the product.
+        k_max = 12
+        wrong = []
+        for a in ENTRY_BOX_3:
+            data, shape = _powers(a, a.det(), a.trace()), a._shape()
+            if shape is None or data is None:
+                if (shape, data) != (None, None):
+                    wrong.append((a, None))
+                continue
+            period, degree = shape
+            if (type(data) is int) != bool(degree) or (not degree and len(data) != period):
+                wrong.append((a, shape))
+            powers = repeated_powers(a, k_max)
+            wrong += [
+                (a, k)
+                for k in range(-k_max, k_max + 1)
+                if power_from_data(a, data, k) != powers[k].entries()
+            ]
+        assert wrong == []
 
 
 class TestDetTrace:
