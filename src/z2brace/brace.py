@@ -26,16 +26,18 @@ pair commutes, so lambda is a homomorphism: lambda_a^-1 = lambda_-a.
 The exponents (k, l) of the four identities are the columns of phi - E
 and psi - E, and each identity phi^k psi^l = E is read as phi^k =
 psi^(-l): two powers compared, with no product of them formed.
-_identities_hold decides all four for a pair with no hyperbolic member
-from the two matrices' power data (gl2z._powers), reading the exponents
-in place off the entries and each power in place, a table entry or a
-parabolic power written out, with no call per power, and stopping at the
-first false identity; classification.exhaustive_search calls it with
-the data its pass builds once per in-class matrix, and _lambda_form
-with the pair's own two.  check_pair, the one caller that can meet a
-hyperbolic matrix, decides each identity from the pair's hyperbolic
-flags and, once an identity reaches a comparison, the pair's two power
-maps (Mat2.power_map), and keeps all four truths.
+_valid_partners decides all four for one phi beside each psi of a row,
+with no hyperbolic member, from the matrices' power data (gl2z._powers),
+reading the exponents in place off the entries and each power in place,
+a table entry or a parabolic power written out, with no call per power.
+phi's entries, its own two exponents and the two powers of phi they name
+are read once per row, and each psi stops at its first false identity;
+classification.exhaustive_search calls it once per in-class phi with the
+data its pass builds once per in-class matrix, and _lambda_form with the
+one-item row (psi,) and the pair's own two.  check_pair, the one caller
+that can meet a hyperbolic matrix, decides each identity from the pair's
+hyperbolic flags and, once an identity reaches a comparison, the pair's
+two power maps (Mat2.power_map), and keeps all four truths.
 
 Before it takes a power, check_pair applies one rule to each identity.
 phi^k psi^l = E says phi^k = psi^(-l).  A nonzero power of a
@@ -59,7 +61,7 @@ tests check check_pair and _lambda_form against them.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .gl2z import Mat2, NotUnimodular, _has_determinant, _PowerData, _powers, commutes
 
@@ -164,9 +166,10 @@ def _lambda_form(spec: BraceSpec) -> _LambdaTable | _LambdaAffine:
     lambda, which for a hyperbolic phi, det(phi - E) != 0, has finite
     index and so gives phi = lambda_e1 finite order; likewise for psi),
     which is a generator with no power data (gl2z._powers); then unless
-    the pair commutes and _identities_hold on the two generators' power
-    data.  With no hyperbolic generator the hyperbolic rule of check_pair
-    never applies, so this is check_pair's verdict.  If both generators
+    the pair commutes and _valid_partners keeps psi in the one-item row
+    (psi,) on the two generators' power data.  With no hyperbolic
+    generator the hyperbolic rule of check_pair never applies, so this is
+    check_pair's verdict.  If both generators
     have power tables (degree 0), lambda's table is filled from those two
     tables, each cell phi^i psi^j multiplied out on the entry tuples;
     otherwise a generator is parabolic and the form is affine.
@@ -178,7 +181,7 @@ def _lambda_form(spec: BraceSpec) -> _LambdaTable | _LambdaAffine:
         phi_powers is None
         or psi_powers is None
         or not commutes(phi, psi)
-        or not _identities_hold(phi, psi, phi_powers, psi_powers)
+        or not _valid_partners(phi, phi_powers, (psi,), {psi: psi_powers})
     ):
         raise InvalidSpec(f"{spec} fails the pair conditions; run check_pair for details")
     if type(phi_powers) is int or type(psi_powers) is int:
@@ -196,52 +199,81 @@ def _lambda_form(spec: BraceSpec) -> _LambdaTable | _LambdaAffine:
     return _LambdaTable(rows, len(phi_powers), len(psi_powers))
 
 
-def _identities_hold(
+def _valid_partners(
     phi: tuple[int, int, int, int],
-    psi: tuple[int, int, int, int],
     phi_powers: _PowerData,
-    psi_powers: _PowerData,
-) -> bool:
-    """Whether all four power identities hold for a commuting pair with no
-    hyperbolic member, stopping at the first false one.
+    row: Iterable[tuple[int, int, int, int]],
+    power: Mapping[tuple[int, int, int, int], _PowerData],
+) -> list[tuple[int, int, int, int]]:
+    """The psi of row, in row order, for which all four power identities
+    hold beside phi, for a phi with no hyperbolic member and a row of
+    partners that commute with it.
 
-    phi_powers and psi_powers are the pair's power data (gl2z._powers):
-    a table t of the powers of a matrix of finite order, read in place as
-    t[k % len(t)], or the sign s of a parabolic M, whose k-th power
-    s^k (E + k(sM - E)) = s^k ((1 - k) E + k s M) is written out from M's
-    entries.  Each identity phi^k psi^l = E is read as phi^k = psi^(-l):
-    two entry tuples compared as they are, so no product is formed and no
-    function is called per power.  The exponents (k, l), a column of
-    phi - E or psi - E in generator order, are read off the unpacked
-    entries.  The exhaustive search and _lambda_form decide validity here.
+    phi_powers and each psi's entry in power are power data
+    (gl2z._powers): a table t of the powers of a matrix of finite order,
+    read in place as t[k % len(t)], or the sign s of a parabolic M, whose
+    k-th power s^k (E + k(sM - E)) = s^k ((1 - k) E + k s M) is written
+    out from M's entries.  A psi with no entry in power is skipped: that
+    is the search's box test.  Each identity phi^k psi^l = E is read as
+    phi^k = psi^(-l): two entry tuples compared as they are, so no product
+    is formed and no function is called per power.  The exponents (k, l),
+    a column of phi - E or psi - E in generator order, are read off the
+    unpacked entries.  phi's entries, its own two columns and the two
+    powers of phi they name are read once per row; each psi then draws
+    its own powers and stops at its first false identity.  The exhaustive
+    search calls this once per in-class phi, and _lambda_form with the row
+    (psi,).
     """
     p11, p12, p21, p22 = phi
-    q11, q12, q21, q22 = psi
-    phi_table, psi_table = type(phi_powers) is not int, type(psi_powers) is not int
-    if phi_table and psi_table:
-        n, m = len(phi_powers), len(psi_powers)
-        return (
-            phi_powers[(p11 - 1) % n] == psi_powers[-p21 % m]
-            and phi_powers[p12 % n] == psi_powers[(1 - p22) % m]
-            and phi_powers[(q11 - 1) % n] == psi_powers[-q21 % m]
-            and phi_powers[q12 % n] == psi_powers[(1 - q22) % m]
-        )
-    for k, l in (p11 - 1, -p21), (p12, 1 - p22), (q11 - 1, -q21), (q12, 1 - q22):
-        if phi_table:
-            x = phi_powers[k % len(phi_powers)]
+    # phi's own identities compare x1 = phi^(p11 - 1) with psi^l1 and
+    # x2 = phi^p12 with psi^l2.
+    l1, l2 = -p21, 1 - p22
+    n = 0 if type(phi_powers) is int else len(phi_powers)
+    if n:
+        x1, x2 = phi_powers[(p11 - 1) % n], phi_powers[p12 % n]
+    else:
+        s, own = phi_powers, []
+        for k in p11 - 1, p12:
+            e = s if k & 1 else 1
+            c, g = e * (1 - k), e * k * s
+            own.append((c + g * p11, g * p12, g * p21, c + g * p22))
+        x1, x2 = own
+    valid = []
+    for psi in row:
+        psi_powers = power.get(psi)
+        if psi_powers is None:
+            continue
+        q11, q12, q21, q22 = psi
+        if n and type(psi_powers) is not int:
+            m = len(psi_powers)
+            if (
+                x1 == psi_powers[l1 % m]
+                and x2 == psi_powers[l2 % m]
+                and phi_powers[(q11 - 1) % n] == psi_powers[-q21 % m]
+                and phi_powers[q12 % n] == psi_powers[(1 - q22) % m]
+            ):
+                valid.append(psi)
+            continue
+        # A parabolic side: phi^k is x where the row has read it already.
+        for x, k, l in (x1, 0, l1), (x2, 0, l2), (None, q11 - 1, -q21), (None, q12, 1 - q22):
+            if x is None:
+                if n:
+                    x = phi_powers[k % n]
+                else:
+                    e = s if k & 1 else 1
+                    c, g = e * (1 - k), e * k * s
+                    x = (c + g * p11, g * p12, g * p21, c + g * p22)
+            if type(psi_powers) is not int:
+                y = psi_powers[l % len(psi_powers)]
+            else:
+                e = psi_powers if l & 1 else 1
+                c, g = e * (1 - l), e * l * psi_powers
+                y = (c + g * q11, g * q12, g * q21, c + g * q22)
+            if x != y:
+                break
         else:
-            e = phi_powers if k & 1 else 1
-            c, g = e * (1 - k), e * k * phi_powers
-            x = (c + g * p11, g * p12, g * p21, c + g * p22)
-        if psi_table:
-            y = psi_powers[l % len(psi_powers)]
-        else:
-            e = psi_powers if l & 1 else 1
-            c, g = e * (1 - l), e * l * psi_powers
-            y = (c + g * q11, g * q12, g * q21, c + g * q22)
-        if x != y:
-            return False
-    return True
+            valid.append(psi)
+    return valid
 
 
 def check_pair(spec: BraceSpec) -> Verdict:
@@ -260,7 +292,7 @@ def check_pair(spec: BraceSpec) -> Verdict:
     Let big_k say that phi is hyperbolic and k != 0, and big_l the same
     for psi and l.  The condition is false if big_k != big_l, or if both
     hold on a pair that does not commute; otherwise it holds iff phi^k =
-    psi^(-l), as in _identities_hold.  Every power map takes negative
+    psi^(-l), as in _valid_partners.  Every power map takes negative
     exponents.  So a hyperbolic power is taken only on a commuting pair of
     two hyperbolic matrices.  The power maps are built only once an
     identity reaches that comparison, so a pair whose identities the rule

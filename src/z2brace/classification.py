@@ -96,7 +96,7 @@ from enum import Enum
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
-from .brace import BraceSpec, _identities_hold, check_pair
+from .brace import BraceSpec, _valid_partners, check_pair
 from .gl2z import _NEG_IDENTITY, IDENTITY, Mat2, _decimal, _PowerData, _powers
 
 __all__ = [
@@ -197,6 +197,10 @@ _Entries = tuple[int, int, int, int]
 
 #: A pair (phi entries, psi entries).
 _Pair = tuple[_Entries, _Entries]
+
+#: The entry tuple of c E for c = +-1, one shared by every member with a
+#: scalar partner.
+_SCALAR_ENTRIES: dict[int, _Entries] = {1: (1, 0, 0, 1), -1: (-1, 0, 0, -1)}
 
 #: ((det phi, tr phi), (det psi, tr psi)) of a pair.
 _PairSignature = tuple[tuple[int, int], tuple[int, int]]
@@ -349,13 +353,19 @@ class _TableFamily:
         """(M, partner) for a phi-side record; a psi-side one conjugates
         both by the coordinate swap, which reverses an entry tuple, and
         exchanges them.  For a member every entry of the partner is one of
-        M's up to sign, or 0 or +-1."""
+        M's up to sign, or 0 or +-1.  A scalar partner c E is the one
+        shared entry tuple _SCALAR_ENTRIES[c], and a partner M is M's own
+        tuple, so only a partner -M or M^-1 is a new tuple."""
         s, c = self.partner
         if self.side == "psi":
             m = m[::-1]
-        a11, a12, a21, a22 = m
-        # A partner M is M's own tuple: a 1.5 or 4.1 member holds one.
-        partner = m if s == 1 and not c else (s * a11 + c, s * a12, s * a21, s * a22 + c)
+        if not s:
+            partner = _SCALAR_ENTRIES[c]
+        elif s == 1 and not c:
+            partner = m
+        else:
+            a11, a12, a21, a22 = m
+            partner = (s * a11 + c, s * a12, s * a21, s * a22 + c)
         return (m, partner) if self.side == "phi" else (partner, m)
 
     def signatures(self) -> tuple[_PairSignature, ...]:
@@ -550,6 +560,9 @@ _SIGNATURE_LABELS = _signature_labels(_FAMILIES.values())
 #: The labels by their position in _FAMILIES.
 _LABELS = tuple(_FAMILIES)
 
+#: Each label's dotted value, in label order.
+_VALUES = {label: label.value for label in RowLabel}
+
 
 def row_membership(spec: BraceSpec) -> set[RowLabel]:
     """Every family that has the pair among its members.
@@ -715,7 +728,7 @@ class SearchReport(NamedTuple):
             "candidates": self.candidates_examined,
             "valid_pairs": self.valid_pairs,
             "row_histogram": {
-                label.value: self.row_histogram.get(label, 0) for label in RowLabel
+                value: self.row_histogram.get(label, 0) for label, value in _VALUES.items()
             },
             "unmatched_valid": [spec.to_dict() for spec in self.unmatched_valid],
             "invalid_row_instances": [
@@ -764,15 +777,23 @@ def _pair_classes(bound: int) -> _Box:
     """
     size = 0
     power: _Powers = {}
-    groups: _Groups = {}
+    # One group per class, made before the loop; -E's (1, -2) group is
+    # filed after it, and only if the listing yields -E.
+    groups: _Groups = {key: [] for key in _CLASSES}
+    minus: list[Mat2] = []
     for size, m in enumerate(enumerate_unimodular(bound), 1):
         a11, a12, a21, a22 = m
         trace = a11 + a22
         if -2 <= trace <= 2:
-            key = (a11 * a22 - a12 * a21, trace)
-            if key in _CLASSES or m == _NEG_IDENTITY:
-                power[m] = _powers(m, *key)
-                groups.setdefault(key, []).append(m)
+            det = a11 * a22 - a12 * a21
+            group = groups.get((det, trace))
+            if group is None and m == _NEG_IDENTITY:
+                group = minus
+            if group is not None:
+                power[m] = _powers(m, det, trace)
+                group.append(m)
+    if minus:
+        groups[1, -2] = minus
     return _Box(size, power, groups)
 
 
@@ -815,6 +836,8 @@ def _search_partners(phi: Mat2) -> list[Mat2]:
     trace = a11 + a22
     if (a11 * a22 - a12 * a21, trace) not in _CLASSES or phi == IDENTITY:
         raise ValueError(f"no partner rule for {phi}: scalar or in no non-scalar class")
+    # Each new partner is made by tuple.__new__ from phi's entries.
+    new = tuple.__new__
     if trace == 2:
         # a holds the entries of A = phi - E, (c1, c2) its first column
         # with c2 != 0 if any.  c1 = 0 solves B = 0, psi = E.
@@ -822,11 +845,12 @@ def _search_partners(phi: Mat2) -> list[Mat2]:
         c1, c2 = (a[0], a[2]) if a[2] else (a[1], a[3])
         if c2 and c1 and not any(c1 * e % c2 for e in a):
             b11, b12, b21, b22 = (-c1 * e // c2 for e in a)
-            return [IDENTITY, Mat2(1 + b11, b12, b21, 1 + b22)]
+            return [IDENTITY, new(Mat2, (1 + b11, b12, b21, 1 + b22))]
         return [IDENTITY]
     if trace == -1:
-        return [IDENTITY, phi, phi.inverse()]
-    return [IDENTITY, phi, _NEG_IDENTITY, -phi]
+        # det 1, so phi^-1 is the adjugate.
+        return [IDENTITY, phi, new(Mat2, (a22, -a12, -a21, a11))]
+    return [IDENTITY, phi, _NEG_IDENTITY, new(Mat2, (-a11, -a12, -a21, -a22))]
 
 
 def exhaustive_search(bound: int) -> SearchReport:
@@ -853,15 +877,18 @@ def exhaustive_search(bound: int) -> SearchReport:
     The whole search works on the Mat2s the listing yields, each of which
     is its own entry tuple: the power-data keys, the groups, the partners
     and the join hold those matrices, with no second representation.
-    Each pair is decided by brace._identities_hold, which reads the four
-    exponents in place off the two entry tuples and compares the powers
-    it reads in place from the pass's power data of the two, with no
-    commutation test (every partner commutes with phi) and no call per
-    power; it stops at the pair's first false identity.  The
-    members are keyed by the constructors' plain entry-tuple pairs, which
-    equal and hash as the Mat2 pairs they join with.  A BraceSpec is built
-    only for a pair the report lists (and for a member the forward scan
-    did not find valid, which check_pair then decides).
+    Each phi's row is decided by one call of brace._valid_partners, which
+    reads phi's entries, its own two exponents and the two powers of phi
+    they name once, then for each partner with power data reads the
+    other exponents in place off its entry tuple and compares the powers
+    it reads in place from the pass's power data, with no commutation
+    test (every partner commutes with phi) and no call per power,
+    stopping at the pair's first false identity; it returns the valid
+    partners in row order.  The members are keyed by the constructors'
+    plain entry-tuple pairs, which equal and hash as the Mat2 pairs they
+    join with; a scalar partner in them is one shared entry tuple.  A
+    BraceSpec is built only for a pair the report lists (and for a member
+    the forward scan did not find valid, which check_pair then decides).
 
     Both directions read one dict, _row_instances(bound, groups): every
     in-box family member, mapped to the positions of its families, each
@@ -894,18 +921,17 @@ def exhaustive_search(bound: int) -> SearchReport:
     counts = [0] * len(_LABELS)
     unmatched = []
     for phi, phi_powers in power.items():
-        for psi in rows[phi] if phi in rows else _search_partners(phi):
-            # The box test.  No in-class matrix is hyperbolic, so
-            # _identities_hold needs no hyperbolic rule.
-            psi_powers = power.get(psi)
-            if psi_powers is not None and _identities_hold(phi, psi, phi_powers, psi_powers):
-                valid += 1
-                positions = members.pop((phi, psi), None)
-                if positions is None:
-                    unmatched.append(BraceSpec(phi, psi))
-                else:
-                    for position in positions:
-                        counts[position] += 1
+        # The decider skips a partner with no power data, the box test.  No
+        # in-class matrix is hyperbolic, so it needs no hyperbolic rule.
+        row = rows[phi] if phi in rows else _search_partners(phi)
+        for psi in _valid_partners(phi, phi_powers, row, power):
+            valid += 1
+            positions = members.pop((phi, psi), None)
+            if positions is None:
+                unmatched.append(BraceSpec(phi, psi))
+            else:
+                for position in positions:
+                    counts[position] += 1
     for pair in members:
         spec = BraceSpec(Mat2(*pair[0]), Mat2(*pair[1]))
         if check_pair(spec).valid:

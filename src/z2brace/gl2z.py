@@ -249,15 +249,15 @@ def _powers(m: Mat2, det: int, trace: int) -> _PowerData | None:
     one (degree 1, not +-E), whose k-th power is s^k (E + k(sM - E)), and
     for degree 0 and period n the tuple (E, M, ..., M^(n-1)) of entry
     tuples, built by M^(j+1) = t M^j - d M^(j-1), of which M^k is entry
-    k mod n.  +-E, with no off-diagonal entry, has degree 0."""
+    k mod n.  m is its own entry tuple, so the table holds m itself as
+    M.  +-E, with no off-diagonal entry, has degree 0."""
     shape = _SHAPES.get((det, trace))
     if shape is None:
         return None
     n, degree = shape
-    a11, a12, a21, a22 = m
-    if degree and (a12 or a21):
+    if degree and (m[1] or m[2]):
         return trace // 2
-    table = [(1, 0, 0, 1), (a11, a12, a21, a22)]
+    table = [(1, 0, 0, 1), m]
     for _ in range(n - 2):
         (p11, p12, p21, p22), (c11, c12, c21, c22) = table[-2:]
         table.append((

@@ -91,6 +91,12 @@ package; nothing in the package imports them.
     in-class matrices of its M's (det, trace) with the record's read.
     test_classification holds the member dict to it, keys and position
     lists alike.
+  * identities_hold is the search's decider as it was before it took a
+    whole row: one call per pair, which unpacks phi, reads phi's own
+    exponents and looks up phi's own two powers again for every psi.
+    test_classification and test_brace hold brace._valid_partners to it,
+    and to check_pair, on every row the search meets up to bound 40 and
+    on every non-hyperbolic pair of the bound-3 box.
 """
 
 from __future__ import annotations
@@ -105,7 +111,7 @@ from typing import Callable, Iterator, NamedTuple
 from z2brace import IDENTITY, BraceSpec, Mat2, NotUnimodular, RowLabel
 from z2brace.brace import _lambda_form, _LambdaTable
 from z2brace.classification import _FAMILIES, BadParams, _member_params
-from z2brace.gl2z import _no_concatenation, _undefined
+from z2brace.gl2z import _no_concatenation, _PowerData, _undefined
 
 
 class Vec2(NamedTuple):
@@ -559,3 +565,50 @@ def r_map(spec: BraceSpec) -> Callable[[int, int, int, int], tuple[int, int, int
     off lambda_map.  Raises InvalidSpec, from lambda_map, unless the pair
     is valid."""
     return partial(r_of_lambda, lambda_map(spec))
+
+
+def identities_hold(
+    phi: tuple[int, int, int, int],
+    psi: tuple[int, int, int, int],
+    phi_powers: _PowerData,
+    psi_powers: _PowerData,
+) -> bool:
+    """Whether all four power identities hold for a commuting pair with no
+    hyperbolic member, stopping at the first false one.
+
+    phi_powers and psi_powers are the pair's power data (gl2z._powers):
+    a table t of the powers of a matrix of finite order, read in place as
+    t[k % len(t)], or the sign s of a parabolic M, whose k-th power
+    s^k (E + k(sM - E)) = s^k ((1 - k) E + k s M) is written out from M's
+    entries.  Each identity phi^k psi^l = E is read as phi^k = psi^(-l):
+    two entry tuples compared as they are.  The exponents (k, l), a column
+    of phi - E or psi - E in generator order, are read off the unpacked
+    entries of both matrices on every call.
+    """
+    p11, p12, p21, p22 = phi
+    q11, q12, q21, q22 = psi
+    phi_table, psi_table = type(phi_powers) is not int, type(psi_powers) is not int
+    if phi_table and psi_table:
+        n, m = len(phi_powers), len(psi_powers)
+        return (
+            phi_powers[(p11 - 1) % n] == psi_powers[-p21 % m]
+            and phi_powers[p12 % n] == psi_powers[(1 - p22) % m]
+            and phi_powers[(q11 - 1) % n] == psi_powers[-q21 % m]
+            and phi_powers[q12 % n] == psi_powers[(1 - q22) % m]
+        )
+    for k, l in (p11 - 1, -p21), (p12, 1 - p22), (q11 - 1, -q21), (q12, 1 - q22):
+        if phi_table:
+            x = phi_powers[k % len(phi_powers)]
+        else:
+            e = phi_powers if k & 1 else 1
+            c, g = e * (1 - k), e * k * phi_powers
+            x = (c + g * p11, g * p12, g * p21, c + g * p22)
+        if psi_table:
+            y = psi_powers[l % len(psi_powers)]
+        else:
+            e = psi_powers if l & 1 else 1
+            c, g = e * (1 - l), e * l * psi_powers
+            y = (c + g * q11, g * q12, g * q21, c + g * q22)
+        if x != y:
+            return False
+    return True

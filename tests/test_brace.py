@@ -27,6 +27,7 @@ from oracles import (
     act,
     h_lambda_closed,
     hol_mul,
+    identities_hold,
     in_lambda_kernel,
     lambda_map,
     lambda_of,
@@ -52,7 +53,7 @@ from z2brace import (
     generate_row,
 )
 from z2brace import brace
-from z2brace.brace import _identities_hold, _lambda_form
+from z2brace.brace import _lambda_form, _valid_partners
 from z2brace.gl2z import _powers
 
 M_2110 = Mat2(2, 1, -1, 0)
@@ -582,14 +583,16 @@ class TestLambdaMap:
 
 
 class TestPowerIdentities:
-    """_identities_hold, the early-exit test of the search and of
-    _lambda_form, against check_pair's public verdict, and the powers
-    each of them draws."""
+    """_valid_partners, the early-exit row decider of the search and of
+    _lambda_form, against check_pair's public verdict and the per-pair
+    decider it replaced (oracles.identities_hold), and the powers each of
+    them draws."""
 
     def test_matches_check_pair_on_every_pair_at_bound_3(self):
         # Every pair of the box with no hyperbolic member, on the power data
-        # of both: the in-class matrices the search meets, and the trace -2
-        # parabolics and the orders 4 and 6 that _lambda_form can meet.
+        # of both, each psi as a one-item row: the in-class matrices the
+        # search meets, and the trace -2 parabolics and the orders 4 and 6
+        # that _lambda_form can meet.
         assert len(BOX_3) ** 2 == 53824
         data = {m: _powers(m, m.det(), m.trace()) for m in BOX_3 if not m.is_hyperbolic()}
         assert {m._shape() for m in data} == {
@@ -598,8 +601,12 @@ class TestPowerIdentities:
         for phi, phi_powers in data.items():
             for psi, psi_powers in data.items():
                 verdict = check_pair(BraceSpec(phi, psi))
-                held = verdict.commuting and _identities_hold(phi, psi, phi_powers, psi_powers)
+                kept = _valid_partners(phi, phi_powers, (psi,), data)
+                assert kept in ([], [psi]), (phi, psi)
+                held = verdict.commuting and kept == [psi]
                 assert held == verdict.valid, (phi, psi)
+                by_pair = identities_hold(phi, psi, phi_powers, psi_powers)
+                assert (kept == [psi]) == by_pair, (phi, psi)
 
     @pytest.mark.parametrize("pairs", hyperbolic_inputs(range(8, 15)))
     def test_matches_check_pair_on_hyperbolic_pairs(self, pairs):
@@ -644,20 +651,24 @@ class TestPowerIdentities:
                 entries, fits = table(
                     [(50, power[k]), (60, power[j]), (m11 - 1, power[-m21]), (m12, power[1 - m22])]
                 )
-                assert _identities_hold((51, 60, -k, 1 - j), m, entries, sign) == fits, (m, k, j)
+                kept = _valid_partners((51, 60, -k, 1 - j), entries, (m,), {m: sign})
+                assert kept == [m] * fits, (m, k, j)
                 held += fits
                 entries, fits = table(
                     [(-m21, power[m11 - 1]), (1 - m22, power[m12]), (50, power[k]), (60, power[j])]
                 )
-                assert _identities_hold(m, (k + 1, j, -50, -59), sign, entries) == fits, (m, k, j)
+                psi = (k + 1, j, -50, -59)
+                assert _valid_partners(m, sign, (psi,), {psi: entries}) == [psi] * fits, (m, k, j)
                 held += fits
         assert held == 32 * 2 * 13**2
 
     def test_identities_are_decided_as_they_are_drawn(self, monkeypatch):
         # For (R, E) with the reflection R = [[1, 1], [0, -1]], and for
         # (shear, E), the first identity, phi^0 psi^0 = E, holds and the
-        # second, phi^1 psi^(-l) = E, fails: _identities_hold reads each
-        # table twice and stops there, where check_pair decides all four.
+        # second, phi^1 psi^(-l) = E, fails.  _valid_partners reads R's own
+        # two powers once for the row, then E's table twice for each psi
+        # and stops there, where check_pair decides all four.  A shear's
+        # powers are written out, so only E's table is read.
         reflection, shear = Mat2(1, 1, 0, -1), Mat2(1, 1, 0, 1)
         read = []
 
@@ -666,12 +677,16 @@ class TestPowerIdentities:
                 read.append((len(self), index))
                 return tuple.__getitem__(self, index)
 
-        identity_powers = RecordingTable(_powers(IDENTITY, 1, 2))
+        power = {IDENTITY: RecordingTable(_powers(IDENTITY, 1, 2))}
         reflection_powers = RecordingTable(_powers(reflection, -1, 0))
-        assert not _identities_hold(reflection, IDENTITY, reflection_powers, identity_powers)
-        assert read == [(2, 0), (1, 0), (2, 1), (1, 0)]
+        assert _valid_partners(reflection, reflection_powers, (IDENTITY,), power) == []
+        assert read == [(2, 0), (2, 1), (1, 0), (1, 0)]
         read.clear()
-        assert not _identities_hold(shear, IDENTITY, _powers(shear, 1, 2), identity_powers)
+        row = (IDENTITY, IDENTITY)
+        assert _valid_partners(reflection, reflection_powers, row, power) == []
+        assert read == [(2, 0), (2, 1), (1, 0), (1, 0), (1, 0), (1, 0)]
+        read.clear()
+        assert _valid_partners(shear, _powers(shear, 1, 2), (IDENTITY,), power) == []
         assert read == [(1, 0), (1, 0)]
 
         exponents = []

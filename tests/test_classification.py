@@ -45,6 +45,7 @@ from oracles import (
     centralizer_finite,
     commutant_in_box,
     enumerate_by_constructor,
+    identities_hold,
     norm_form_partners,
     order_by_iteration,
     row12_parameters,
@@ -67,7 +68,7 @@ from z2brace import (
     row_label,
     row_membership,
 )
-from z2brace.brace import _identities_hold
+from z2brace.brace import _valid_partners
 from z2brace.cli import main
 
 # Frozen after agreement with the oracle loops below.
@@ -1161,17 +1162,18 @@ class TestExhaustiveSearch:
     @staticmethod
     def partner_rule(bound):
         # The in-class matrices of the box, in the listing's order, and for
-        # each phi the partners the search decides beside it, recorded
-        # through _identities_hold as exhaustive_search calls it.
+        # each phi the partners the search decides beside it: each psi of
+        # the row exhaustive_search passes to _valid_partners that has data
+        # in its power dict.
         in_class = list(classification._pair_classes(bound).power)
         decided = {}
 
-        def recording_decider(phi, psi, *rest):
-            decided.setdefault(phi, []).append(psi)
-            return _identities_hold(phi, psi, *rest)
+        def recording_decider(phi, phi_powers, row, power):
+            decided.setdefault(phi, []).extend(psi for psi in row if psi in power)
+            return _valid_partners(phi, phi_powers, row, power)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(classification, "_identities_hold", recording_decider)
+            patch.setattr(classification, "_valid_partners", recording_decider)
             exhaustive_search(bound)
         return in_class, lambda phi: decided.get(phi, [])
 
@@ -1619,49 +1621,78 @@ class TestExhaustiveSearch:
         assert {(d, c, b, a) for a, b, c, d in in_class} == in_class
 
     def test_reverse_direction_reuses_forward_verdicts(self, monkeypatch):
-        # 448 pairs at bound 4 pass the partner rules, and the forward scan
-        # decides each of them once through _identities_hold; the 227
-        # family members in the box are all among the valid ones, so none
-        # reaches check_pair in the reverse direction.
-        decided, checked = [], []
+        # 448 pairs at bound 4 pass the partner rules and the box test, and
+        # the forward scan decides each of them once, in one _valid_partners
+        # call per in-class phi (102); the 227 family members in the box
+        # are all among the valid ones, so none reaches check_pair in the
+        # reverse direction.
+        calls, decided, checked = [], [], []
 
-        def counting_decider(phi, psi, *rest):
-            decided.append((phi, psi))
-            return _identities_hold(phi, psi, *rest)
+        def counting_decider(phi, phi_powers, row, power):
+            calls.append(phi)
+            decided.extend((phi, psi) for psi in row if psi in power)
+            return _valid_partners(phi, phi_powers, row, power)
 
         def counting_check_pair(spec):
             checked.append(spec)
             return check_pair(spec)
 
-        monkeypatch.setattr(classification, "_identities_hold", counting_decider)
+        monkeypatch.setattr(classification, "_valid_partners", counting_decider)
         monkeypatch.setattr(classification, "check_pair", counting_check_pair)
         report = exhaustive_search(4)
         assert report.confirms_classification
         assert len(member_list(4)) == 227
         assert len(decided) == len(set(decided)) == 448
+        assert len(calls) == len(set(calls)) == len(classification._pair_classes(4).power) == 102
         assert checked == []
 
     def test_search_decider_matches_check_pair_on_every_search_pair(self):
-        # The forward scan's call, on the power data the pass builds once
-        # per in-class matrix and with no hyperbolic rule, against
-        # check_pair's verdict on every pair the search decides at each
-        # bound up to 40.
-        pairs = {}
+        # The forward scan's row decider, on the power data the pass builds
+        # once per in-class matrix and with no hyperbolic rule, against the
+        # per-pair decider it replaced and check_pair's verdict, on every
+        # row the search decides at each bound up to 40: each phi beside
+        # the partners it meets in any of those boxes, in the order met,
+        # and reversed, as the decider keeps the order of its row.
+        rows = {}
         for bound in range(1, 41):
             in_class, partners = self.partner_rule(bound)
             for phi in in_class:
-                for psi in partners(phi):
-                    pairs[phi.entries(), psi.entries()] = (phi, psi)
-        assert len(pairs) == 7384
+                row = rows.setdefault(phi, {})
+                row.update(dict.fromkeys(partners(phi)))
+        assert sum(map(len, rows.values())) == 7384
         # The bound-40 box holds every smaller box's in-class matrices.
-        power = {m.entries(): data for m, data in classification._pair_classes(40).power.items()}
-        for (p, q), (phi, psi) in pairs.items():
-            commuting = commutes(phi, psi)
-            decided = commuting and _identities_hold(p, q, power[p], power[q])
-            assert decided == check_pair(BraceSpec(phi, psi)).valid, (phi, psi)
+        power = classification._pair_classes(40).power
+        for phi, row in rows.items():
+            row = list(row)
+            by_pair = [psi for psi in row if identities_hold(phi, psi, power[phi], power[psi])]
+            by_check = [psi for psi in row if check_pair(BraceSpec(phi, psi)).valid]
+            assert all(commutes(phi, psi) for psi in row), phi
+            assert _valid_partners(phi, power[phi], row, power) == by_pair == by_check, phi
+            assert _valid_partners(phi, power[phi], row[::-1], power) == by_check[::-1], phi
+
+    def test_search_decider_skips_a_partner_without_power_data(self):
+        # A parabolic phi's solved partner can lie outside the box: the
+        # rule gives it, the pass's dict has no data for it, and the
+        # decider drops it, though with its power data the pair is valid.
+        power = classification._pair_classes(4).power
+        skipped = 0
+        for phi, phi_powers in power.items():
+            if phi == IDENTITY or phi.trace() != 2:
+                continue
+            row = classification._search_partners(phi)
+            outside = [psi for psi in row if psi not in power]
+            if not outside:
+                continue
+            (psi,) = outside
+            assert max(map(abs, psi)) > 4 and check_pair(BraceSpec(phi, psi)).valid
+            assert psi not in _valid_partners(phi, phi_powers, row, power)
+            with_data = {**power, psi: classification._powers(psi, psi.det(), psi.trace())}
+            assert psi in _valid_partners(phi, phi_powers, row, with_data)
+            skipped += 1
+        assert skipped > 0
 
     def test_no_in_class_matrix_is_hyperbolic(self):
-        # The search decides its pairs with _identities_hold, which has no
+        # The search decides its pairs with _valid_partners, which has no
         # hyperbolic rule; at bound 40 the in-class matrices of every
         # smaller box are among these.
         in_class, _ = self.partner_rule(40)

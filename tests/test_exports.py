@@ -45,6 +45,7 @@ ORACLES = [
     "commutant_in_box",
     "h_lambda_closed",
     "hol_mul",
+    "identities_hold",
     "in_lambda_kernel",
     "involutive_at",
     "lambda_map",
